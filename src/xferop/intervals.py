@@ -286,7 +286,30 @@ class IntervalSet:
         return IntervalSet(pieces)
 
     def issubset(self, other: "IntervalSet") -> bool:
-        return self.difference(other).is_empty
+        """Containment by one forward sweep over both canonical tuples.
+
+        Canonical components are the connected components of the set, so a
+        component of self lies in other exactly when it lies in a single
+        component of other.  Components of other have strictly increasing
+        right ends, and the only one that can hold a component ``a`` is the
+        first whose right end covers ``a.hi``; a later one starts at or after
+        that end.  The sweep therefore compares endpoints and flags only and
+        builds no interval.
+        """
+        theirs = other.intervals
+        j, n = 0, len(theirs)
+        for a in self.intervals:
+            while j < n and (
+                theirs[j].hi < a.hi
+                or (theirs[j].hi == a.hi and a.hi_closed and not theirs[j].hi_closed)
+            ):
+                j += 1
+            if j == n:
+                return False
+            b = theirs[j]
+            if b.lo > a.lo or (b.lo == a.lo and a.lo_closed and not b.lo_closed):
+                return False
+        return True
 
     def intersects(self, other: "IntervalSet") -> bool:
         return not self.intersection(other).is_empty

@@ -379,11 +379,6 @@ def apply(handle: TransferHandle, a: TestFunction, y, n: int = 1) -> Fraction:
     return total
 
 
-def compose_apply(handle: TransferHandle, a: TestFunction, y) -> Fraction:
-    """a(phi(y)): the other half of the covariance pair."""
-    return a.value(dyn.phi(handle.system, y))
-
-
 def transfer_identity_check(
     handle: TransferHandle,
     a: TestFunction,

@@ -19,7 +19,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import transfer as tr
 from .dynamics import PartialSystem, PathPoint, Potential
-from .errors import ValidationError
+from .errors import OutOfDomain, ValidationError, XferopError
 from .intervals import IntervalSet, RationalInterval, frac
 from .rep import OrbitBasis
 
@@ -155,10 +155,6 @@ def _interval_regions(system: PartialSystem, pot: Potential):
     report = dyn.regular_set(system, pot)
     sys_ = system.ival
     return sys_, sys_.space, sys_.delta, report.delta_pos, report.delta_reg
-
-
-def _live_edges(gph: dyn.GraphSystem, pot: Potential) -> tuple[dyn.GraphEdge, ...]:
-    return tuple(e for e in gph.edges if pot.edge_weight(e.name) > 0)
 
 
 def _live_continuations(gph, pot, v: str) -> tuple[dyn.GraphEdge, ...]:
@@ -386,6 +382,12 @@ def check_invariant(system: PartialSystem, pot: Potential, region) -> tuple[bool
     return positively, negatively
 
 
+def _replay_invariant(system: PartialSystem, pot: Potential, region) -> None:
+    """Re-check a Fails(Minimal) certificate; an explicit raise survives ``-O``."""
+    if check_invariant(system, pot, region) != (True, True):
+        raise XferopError(f"minimality certificate {region} is not an invariant open set")
+
+
 def _closure_step_interval(sys_, pos, reg, u: IntervalSet) -> IntervalSet:
     return u.union(sys_.image_of(u.intersection(pos))).union(
         sys_.preimage_of(u).intersection(reg)
@@ -415,7 +417,25 @@ def _minimal_seeds_interval(space: IntervalSet, depth: int) -> list[IntervalSet]
 
 
 def check_minimal(system: PartialSystem, pot: Potential, depth: int = 8) -> Verdict:
-    """Grow each seeded open set to its invariant closure and compare with X."""
+    """Grow each seeded open set to its invariant closure and compare with X.
+
+    Each seed is iterated under the closure step for at most ``4*depth``
+    steps; a fixed point other than X is a Fails certificate, and a seed that
+    reaches no fixed point within the bound makes the verdict Unknown.
+
+    On interval systems the scan reuses what earlier seeds proved.  The
+    closure step ``u -> u | phi(u & pos) | (phi^-1(u) & reg)`` is monotone
+    and maps subsets of X into X, so X is its own fixed point.  If a seed s
+    reached X after K steps, any ``u >= s`` reaches X in at most K steps.
+    When a recorded s lies inside the j-th set on the trail of a new seed,
+    that seed reaches X within ``j + K`` steps, and the scan counts it as
+    saturating only when ``j + K < 4*depth``: exactly then the bare loop
+    would have found the fixed point X within the bound, so Unknown
+    decisions do not change.  A seed decided this way is recorded with the
+    bound ``j + K``, which is all the argument needs.  A seed whose closure
+    is not X never meets the rule, so it is iterated as before and the
+    Fails certificate is the one the bare loop finds.
+    """
     system.check_depth(depth)
     max_iter = 4 * depth
     if system.backend == "graph":
@@ -441,9 +461,8 @@ def check_minimal(system: PartialSystem, pot: Potential, depth: int = 8) -> Verd
                 hit_bound = True
                 continue
             if not _cylset_equal(gph, u, space):
-                cert = InvariantSet(u)
-                assert check_invariant(system, pot, u) == (True, True)
-                return Verdict("Minimal", "Fails", cert, depth)
+                _replay_invariant(system, pot, u)
+                return Verdict("Minimal", "Fails", InvariantSet(u), depth)
         if hit_bound:
             return Verdict("Minimal", "Unknown", None, depth)
         return Verdict("Minimal", "Holds", MinimalScan(depth, len(seeds), max_iter), depth)
@@ -451,19 +470,30 @@ def check_minimal(system: PartialSystem, pot: Potential, depth: int = 8) -> Verd
     sys_, space, delta, pos, reg = _interval_regions(system, pot)
     seeds_iv = _minimal_seeds_interval(space, depth)
     hit_bound = False
+    # (seed, steps within which it reaches X); scanned newest first, because
+    # seeds come coarse to fine and a finer seed more often lies in a trail
+    saturating: list[tuple[IntervalSet, int]] = []
     for seed in seeds_iv:
         u = seed
-        for _ in range(max_iter):
+        for j in range(max_iter):
+            steps = next(
+                (j + k for s, k in reversed(saturating) if j + k < max_iter and s.issubset(u)),
+                None,
+            )
+            if steps is not None:
+                break
             nxt = _closure_step_interval(sys_, pos, reg, u)
             if nxt == u:
+                if u != space:
+                    _replay_invariant(system, pot, u)
+                    return Verdict("Minimal", "Fails", InvariantSet(u), depth)
+                steps = j
                 break
             u = nxt
         else:
             hit_bound = True
             continue
-        if u != space:
-            assert check_invariant(system, pot, u) == (True, True)
-            return Verdict("Minimal", "Fails", InvariantSet(u), depth)
+        saturating.append((seed, steps))
     if hit_bound:
         return Verdict("Minimal", "Unknown", None, depth)
     return Verdict("Minimal", "Holds", MinimalScan(depth, len(seeds_iv), max_iter), depth)
@@ -893,7 +923,7 @@ def periodic_witness_norms(
     for pt in pts:
         try:
             rho_n.append(float(dyn.cocycle(system, pot, n, pt)))
-        except Exception:
+        except OutOfDomain:
             rho_n.append(0.0)
     asr = np.diag(np.array([a_val(pt) * math.sqrt(r) for pt, r in zip(pts, rho_n)]))
 
@@ -937,5 +967,5 @@ def sampled_witness_norms(
 def _root_rho(system: PartialSystem, pot: Potential, point) -> float:
     try:
         return math.sqrt(float(dyn.rho(system, pot, point)))
-    except Exception:
+    except OutOfDomain:
         return 0.0

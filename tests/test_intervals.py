@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from xferop.errors import ValidationError
 from xferop.intervals import IntervalSet, RationalInterval, frac, frac_str
@@ -68,6 +68,20 @@ class TestIntervalSet:
         assert a == b
         assert a.issubset(b) and b.issubset(a)
 
+    def test_subset_endpoint_flags(self):
+        closed, open_ = IntervalSet.closed(0, 1), IntervalSet.of(iv(0, 1, False, False))
+        assert open_.issubset(closed) and not closed.issubset(open_)
+        assert IntervalSet.point(0).issubset(closed)
+        assert not IntervalSet.point(0).issubset(open_)
+        # [0,1) u (1,2] holds both halves but not the point between them
+        punctured = IntervalSet.of(iv(0, 1, True, False), iv(1, 2, False, True))
+        assert IntervalSet.of(iv("1/2", 1, True, False)).issubset(punctured)
+        assert IntervalSet.of(iv(1, 2, False, True)).issubset(punctured)
+        assert not IntervalSet.closed("1/2", "3/2").issubset(punctured)
+        assert not IntervalSet.point(1).issubset(punctured)
+        assert IntervalSet.empty().issubset(IntervalSet.empty())
+        assert not closed.issubset(IntervalSet.empty())
+
     def test_interior_relative_to_space(self):
         space = IntervalSet.closed(0, 1)
         s = IntervalSet.of(iv(0, "1/2"))
@@ -122,3 +136,11 @@ def test_partition_identity(s, t):
 @given(interval_sets(), interval_sets())
 def test_difference_is_disjoint_from_cut(s, t):
     assert not s.difference(t).intersects(t)
+
+
+@settings(max_examples=500)
+@given(interval_sets(), interval_sets())
+def test_issubset_matches_difference(s, t):
+    assert s.issubset(t) == s.difference(t).is_empty
+    # the pieces of s inside t, and t itself, are always subsets of t
+    assert s.intersection(t).issubset(t) and t.issubset(t)

@@ -1,12 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import xferop
 from xferop import dynamics as dyn
 from xferop import specfile
 from xferop import transfer as tr
 from xferop import verdicts as vd
-from xferop.errors import ValidationError
+from xferop.errors import ValidationError, XferopError
 from xferop.intervals import IntervalSet, RationalInterval
 
 
@@ -171,6 +176,77 @@ class TestMinimal:
         v = vd.check_minimal(s.system, s.potential, 6)
         assert v.fails
         assert v.certificate.region == IntervalSet.of(RationalInterval(0, 1, True, False))
+
+
+def _bare_minimal(system, pot, depth):
+    """Interval minimality scan without the saturation memo: the reference."""
+    sys_, space, _, pos, reg = vd._interval_regions(system, pot)
+    max_iter = 4 * depth
+    seeds = vd._minimal_seeds_interval(space, depth)
+    hit_bound = False
+    for seed in seeds:
+        u = seed
+        for _ in range(max_iter):
+            nxt = vd._closure_step_interval(sys_, pos, reg, u)
+            if nxt == u:
+                break
+            u = nxt
+        else:
+            hit_bound = True
+            continue
+        if u != space:
+            return vd.Verdict("Minimal", "Fails", vd.InvariantSet(u), depth)
+    if hit_bound:
+        return vd.Verdict("Minimal", "Unknown", None, depth)
+    return vd.Verdict("Minimal", "Holds", vd.MinimalScan(depth, len(seeds), max_iter), depth)
+
+
+INTERVAL_SPECS = [n for n in specfile.BUNDLED if specfile.bundled(n).system.backend == "interval"]
+
+
+class TestMinimalMemo:
+    @pytest.mark.parametrize("depth", [1, 2, 4, 6, 8])
+    @pytest.mark.parametrize("name", INTERVAL_SPECS)
+    def test_matches_bare_scan(self, name, depth):
+        s = specfile.bundled(name)
+        got = vd.check_minimal(s.system, s.potential, depth)
+        want = _bare_minimal(s.system, s.potential, depth)
+        assert (got.status, got.certificate) == (want.status, want.certificate)
+
+    def test_recorded_steps_respect_the_bound(self, tent, monkeypatch):
+        # on the tent, (0, 2^-m) first reaches X after m + 2 steps, and the
+        # second set on its trail contains (0, 2^-(m-1)); at depth 2 (8 steps)
+        # the first seed saturates in 7 and the second one hits the bound
+        seeds = [IntervalSet.of(RationalInterval(0, F(1, 2**m), False, False)) for m in (5, 6)]
+        monkeypatch.setattr(vd, "_minimal_seeds_interval", lambda space, depth: seeds)
+        for depth, status in ((2, "Unknown"), (3, "Holds")):
+            assert vd.check_minimal(tent.system, tent.potential, depth).status == status
+            assert _bare_minimal(tent.system, tent.potential, depth).status == status
+
+    def test_bad_certificate_raises(self, monkeypatch):
+        s = specfile.bundled("halving")
+        monkeypatch.setattr(vd, "check_invariant", lambda *a: (True, False))
+        with pytest.raises(XferopError, match="not an invariant open set"):
+            vd.check_minimal(s.system, s.potential, 2)
+
+    def test_bad_certificate_raises_under_optimize(self):
+        code = (
+            "from xferop import specfile, verdicts as vd\n"
+            "from xferop.errors import XferopError\n"
+            "vd.check_invariant = lambda *a: (True, False)\n"
+            "s = specfile.bundled('halving')\n"
+            "try:\n"
+            "    vd.check_minimal(s.system, s.potential, 2)\n"
+            "except XferopError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(xferop.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
 
 
 class TestContractingSet:
