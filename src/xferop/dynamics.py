@@ -5,6 +5,12 @@ map ``phi`` given by finitely many affine branches on a compact union of
 rational intervals; the graph backend models the left shift on the boundary
 path space of a finite directed graph, truncated to cylinders of a bounded
 word length.  Everything here is computed in exact rational arithmetic.
+
+Open sets have one interface on both backends: ``IntervalSet`` and
+``CylinderSet`` share ``union``, ``intersection``, ``intersects``,
+``issubset``, ``==`` and ``is_empty``, and ``IntervalSystem`` and
+``GraphSystem`` map them with ``image_of`` and ``preimage_of`` and carry the
+whole space as ``space``.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     DepthExceeded,
@@ -225,6 +231,85 @@ class PathPoint:
     def sort_key(self):
         return (len(self.word), self.word, self.end)
 
+    def contains(self, p: "PathPoint") -> bool:
+        """Whether the cylinder of ``p`` lies inside the cylinder of this point.
+
+        A vertex cylinder holds exactly the paths whose range is that vertex.
+        """
+        if not self.word:
+            return p.rng == self.rng
+        return p.word[: len(self.word)] == self.word
+
+
+class CylinderSet:
+    """Finite union of cylinders of a graph's boundary path space.
+
+    Members are kept sorted by ``PathPoint.sort_key`` with none inside
+    another.  Two cylinders are nested or disjoint, and a cylinder whose end
+    vertex has continuations is the union of its children, so one set can
+    have several such forms: ``==`` is inclusion both ways.
+    """
+
+    __slots__ = ("graph", "cylinders")
+
+    def __init__(self, graph: "GraphSystem", cylinders: Iterable[PathPoint] = ()):
+        out: list[PathPoint] = []
+        for c in sorted(cylinders, key=PathPoint.sort_key):
+            if not any(b.contains(c) for b in out):
+                out.append(c)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "cylinders", tuple(out))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CylinderSet is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CylinderSet) and self.issubset(other) and other.issubset(self)
+
+    def __iter__(self):
+        return iter(self.cylinders)
+
+    def __len__(self) -> int:
+        return len(self.cylinders)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.cylinders
+
+    def __str__(self) -> str:
+        return "{" + ", ".join(str(c) for c in self.cylinders) + "}"
+
+    __repr__ = __str__
+
+    def union(self, other: "CylinderSet") -> "CylinderSet":
+        return CylinderSet(self.graph, self.cylinders + other.cylinders)
+
+    def intersection(self, other: "CylinderSet") -> "CylinderSet":
+        out = []
+        for a in self.cylinders:
+            for b in other.cylinders:
+                if a.contains(b):
+                    out.append(b)
+                elif b.contains(a):
+                    out.append(a)
+        return CylinderSet(self.graph, out)
+
+    def intersects(self, other: "CylinderSet") -> bool:
+        return not self.intersection(other).is_empty
+
+    def issubset(self, other: "CylinderSet") -> bool:
+        return all(self._covered(c, other.cylinders) for c in self.cylinders)
+
+    def _covered(self, c: PathPoint, cover: tuple[PathPoint, ...]) -> bool:
+        """Whether a member of ``cover`` contains ``c``, or members lie inside
+        ``c`` and cover each of its children."""
+        if any(b.contains(c) for b in cover):
+            return True
+        if not any(c.contains(b) for b in cover):
+            return False  # every member is disjoint from c
+        # a member strictly inside c extends it, so c has children
+        return all(self._covered(k, cover) for k in self.graph.children(c))
+
 
 class GraphSystem:
     """Left shift on the boundary path space of a finite graph."""
@@ -247,6 +332,7 @@ class GraphSystem:
         self.edges = edges
         self.truncation_depth = truncation_depth
         self.edge_by_name = {e.name: e for e in edges}
+        self.space = CylinderSet(self, (PathPoint((), v, v) for v in vertices))
 
     # continuations extend a path at its far end; prepends grow the fiber
     def continuations(self, v: str) -> tuple[GraphEdge, ...]:
@@ -314,17 +400,31 @@ class GraphSystem:
             for e in sorted(self.prependable(v), key=lambda e: e.name)
         )
 
+    def children(self, p: PathPoint) -> tuple[PathPoint, ...]:
+        """The cylinders one edge longer; they partition the cylinder of p
+        unless its end vertex admits no continuation."""
+        return tuple(
+            PathPoint(p.word + (e.name,), e.src, p.rng)
+            for e in sorted(self.continuations(p.end), key=lambda e: e.name)
+        )
+
+    # -- set dynamics --------------------------------------------------------
+
+    def image_of(self, s: CylinderSet) -> CylinderSet:
+        """Shift image; a vertex cylinder is split into its children first."""
+        parts = (k for c in s for k in (self.children(c) if not c.word else (c,)))
+        return CylinderSet(self, (self.shift(k) for k in parts))
+
+    def preimage_of(self, s: CylinderSet) -> CylinderSet:
+        return CylinderSet(self, (q for c in s for q in self.fiber(c)))
+
     def words(self, n: int) -> tuple[PathPoint, ...]:
         """All admissible words of length exactly n, as cylinder points."""
         if n == 0:
             return tuple(self.vertex_point(v) for v in self.vertices)
         level = [self.path_point((e.name,)) for e in self.edges]
         for _ in range(n - 1):
-            nxt = []
-            for p in level:
-                for e in sorted(self.continuations(p.end), key=lambda e: e.name):
-                    nxt.append(PathPoint(p.word + (e.name,), e.src, p.rng))
-            level = nxt
+            level = [k for p in level for k in self.children(p)]
         return tuple(sorted(level, key=PathPoint.sort_key))
 
     def atoms(self, depth: int) -> tuple[PathPoint, ...]:
@@ -388,6 +488,10 @@ class PartialSystem:
     def check_depth(self, n: int):
         if n > self.depth_bound:
             raise DepthExceeded(n, self.depth_bound)
+
+    def point(self, x) -> Point:
+        """A point of this backend: path points as given, numbers made exact."""
+        return x if self.backend == "graph" else frac(x)
 
 
 Point = Union[Fraction, PathPoint]
@@ -601,7 +705,7 @@ def preimages(
     if n < 0:
         raise ValidationError("n must be nonnegative")
     system.check_depth(n)
-    level: list[tuple[Point, Fraction]] = [(y if system.backend == "graph" else frac(y), Fraction(1))]
+    level: list[tuple[Point, Fraction]] = [(system.point(y), Fraction(1))]
     for _ in range(n):
         nxt = []
         for z, w in level:
@@ -620,7 +724,7 @@ def cocycle(system: PartialSystem, pot: Potential, n: int, x: Point) -> Fraction
         raise ValidationError("n must be nonnegative")
     system.check_depth(n)
     out = Fraction(1)
-    z = x if system.backend == "graph" else frac(x)
+    z = system.point(x)
     for step in range(n):
         try:
             nxt = phi(system, z)
@@ -633,7 +737,7 @@ def cocycle(system: PartialSystem, pot: Potential, n: int, x: Point) -> Fraction
 
 def orbit(system: PartialSystem, x: Point, n: int) -> tuple[Point, ...]:
     """x, phi(x), ..., phi^n(x); raises OutOfDomain when the orbit leaves."""
-    out = [x if system.backend == "graph" else frac(x)]
+    out = [system.point(x)]
     for step in range(n):
         try:
             out.append(phi(system, out[-1]))
@@ -877,7 +981,7 @@ def power(system: PartialSystem, pot: Potential, n: int) -> tuple[PartialSystem,
                     b = sys_.branches[comp.chain[k - 1]]
                     slope_k, icpt_k = b.slope * slope_k, b.slope * icpt_k + b.intercept
                 xk = slope_k * mid + icpt_k
-                piece = _piece_at(pot, xk)
+                piece = _piece_at(pot.pieces, xk)
                 if piece is None:
                     raise ValidationError(f"weight undefined along the orbit at {frac_str(xk)}")
                 m, c = piece
@@ -914,8 +1018,8 @@ def power(system: PartialSystem, pot: Potential, n: int) -> tuple[PartialSystem,
     return ps, new_pot
 
 
-def _piece_at(pot: Potential, x: Fraction) -> Optional[tuple[Fraction, Fraction]]:
-    for iv, m, c in pot.pieces:
+def _piece_at(pieces, x: Fraction) -> Optional[tuple[Fraction, Fraction]]:
+    for iv, m, c in pieces:
         if iv.contains(x):
             return (m, c)
     return None

@@ -208,10 +208,7 @@ class RegularBasis:
         return np.kron(np.eye(self.width), self.base.pi(f))
 
     def T(self) -> np.ndarray:
-        s = np.zeros((self.width, self.width))
-        for j in range(self.width - 1):
-            s[j + 1, j] = 1.0
-        return np.kron(s, self.base.T())
+        return np.kron(np.eye(self.width, k=-1), self.base.T())
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import transfer as tr
-from .dynamics import GraphSetDescription, PartialSystem, Potential
+from .dynamics import CylinderSet, GraphSetDescription, PartialSystem, Potential
 from .errors import (
     HypothesisViolated,
     NotValidated,
@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .dynamics import PathPoint
-from .intervals import IntervalSet, RationalInterval, frac
+from .intervals import IntervalSet, RationalInterval
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def spectrum_Kn(system: PartialSystem, pot: Potential, n: int, samples=()):
         fib = dyn.preimages(system, pot, y, n, drop_zero=True)
         if not fib:
             raise OutOfSpectrum(f"{y} has no positive-weight {n}-fiber")
-        out.append(SpectrumPoint(n, y if system.backend == "graph" else frac(y), len(fib), "top"))
+        out.append(SpectrumPoint(n, system.point(y), len(fib), "top"))
     return stratum, tuple(out)
 
 
@@ -170,10 +170,6 @@ def _rho_discontinuity_warning(system: PartialSystem, pot: Potential):
     return None
 
 
-def _image_on(sys_, s: IntervalSet) -> IntervalSet:
-    return sys_.image_of(s)
-
-
 def _attach_preimage(sys_, target: IntervalSet, reg: IntervalSet, space_k: IntervalSet) -> IntervalSet:
     """Preimage of ``target`` under the gluing map (phi restricted to the
     regular part of the level space)."""
@@ -185,12 +181,9 @@ def check_generator(system: PartialSystem, pot: Potential, tup: TopologyTuple) -
     n = len(tup.sets) - 1
     if system.backend == "graph":
         gph = system.gph
-        for k in range(n):
-            # graph tuples are shift preimages level by level; re-derive and compare
-            derived = _graph_pull(gph, tup.sets[k + 1])
-            if set(tup.sets[k].cylinders) != set(derived.cylinders):
-                return False
-        return True
+        sets = [CylinderSet(gph, u.cylinders) for u in tup.sets]
+        # graph tuples are shift preimages level by level; re-derive and compare
+        return all(sets[k] == gph.preimage_of(sets[k + 1]) for k in range(n))
     sys_ = system.ival
     space = sys_.space
     report = dyn.regular_set(system, pot)
@@ -210,13 +203,6 @@ def check_generator(system: PartialSystem, pot: Potential, tup: TopologyTuple) -
     return True
 
 
-def _graph_pull(gph, desc: GraphSetDescription) -> GraphSetDescription:
-    cyls = []
-    for cyl in desc.cylinders:
-        cyls.extend(gph.fiber(cyl))
-    return GraphSetDescription(tuple(sorted(cyls, key=PathPoint.sort_key)))
-
-
 def _build_generator(system, pot, reg, n, seed_level, seed_set, max_passes=32):
     """Grow a compatible tuple from an open seed at one level.
 
@@ -231,7 +217,7 @@ def _build_generator(system, pot, reg, n, seed_level, seed_set, max_passes=32):
     for _ in range(max_passes):
         changed = False
         for k in range(seed_level, n):
-            up = _image_on(sys_, sets[k].intersection(reg)).intersection(spaces[k + 1])
+            up = sys_.image_of(sets[k].intersection(reg)).intersection(spaces[k + 1])
             new_up = sets[k + 1].union(up)
             if new_up != sets[k + 1]:
                 sets[k + 1] = new_up
@@ -280,10 +266,10 @@ def spectrum_An(system: PartialSystem, pot: Potential, n: int, radius=Fraction(1
                 sampled.append(SpectrumPoint(n, cyl, len(fib), "top"))
         gens = []
         for cyl in top.cylinders[:2]:
-            sets = [GraphSetDescription((cyl,))]
+            sets = [CylinderSet(gph, (cyl,))]
             for _ in range(n):
-                sets.insert(0, _graph_pull(gph, sets[0]))
-            gens.append(TopologyTuple(tuple(sets)))
+                sets.insert(0, gph.preimage_of(sets[0]))
+            gens.append(TopologyTuple(tuple(GraphSetDescription(u.cylinders) for u in sets)))
         gens = [g for g in gens if check_generator(system, pot, g)]
         return SpectrumDescription(n, tuple(strata), tuple(sampled), tuple(gens), ())
 
@@ -371,7 +357,7 @@ class FiberRep:
         system.check_depth(k)
         self.system = system
         self.potential = pot
-        self.base = y if system.backend == "graph" else frac(y)
+        self.base = system.point(y)
         self.level = k
         fib = dyn.preimages(system, pot, y, k, drop_zero=True)
         if not fib:
@@ -451,7 +437,7 @@ def _orbit_set(system, pot, x, depth):
     """Truncated two-sided orbit: positive-weight preimages of the forward
     orbit, all levels up to the given depth."""
     pts = set()
-    fwd = [x if system.backend == "graph" else frac(x)]
+    fwd = [system.point(x)]
     for _ in range(depth):
         z = fwd[-1]
         try:
@@ -482,7 +468,7 @@ def quasi_orbits(system: PartialSystem, pot: Potential, depth: int, samples) -> 
             )
     closures = {}
     for x in samples:
-        key = x if system.backend == "graph" else frac(x)
+        key = system.point(x)
         closures[key] = _orbit_set(system, pot, key, depth)
 
     # raw truncated sets differ near the depth boundary even for equivalent

@@ -350,13 +350,6 @@ class GridFunction:
         return best
 
 
-def _piece_at(pieces, x: Fraction):
-    for iv, m, c in pieces:
-        if iv.contains(x):
-            return m, c
-    return None
-
-
 def _fn_grid(a: tr.TestFunction, carrier: RationalInterval) -> GridFunction:
     cuts = {carrier.lo, carrier.hi}
     for iv, _, _ in a.pieces:
@@ -366,7 +359,7 @@ def _fn_grid(a: tr.TestFunction, carrier: RationalInterval) -> GridFunction:
     nodes = tuple(sorted(cuts))
     cells = []
     for u, v in zip(nodes, nodes[1:]):
-        hit = _piece_at(a.pieces, (u + v) / 2)
+        hit = dyn._piece_at(a.pieces, (u + v) / 2)
         cells.append((hit[1], hit[0], Fraction(0)) if hit else (Fraction(0),) * 3)
     return GridFunction(nodes, tuple(cells), tuple(a.value(p) for p in nodes))
 
@@ -383,7 +376,7 @@ def _pot_grid(pot: Potential, carrier: RationalInterval) -> GridFunction:
     nodes = tuple(sorted(cuts))
     cells = []
     for u, v in zip(nodes, nodes[1:]):
-        hit = _piece_at(pot.pieces, (u + v) / 2)
+        hit = dyn._piece_at(pot.pieces, (u + v) / 2)
         cells.append((hit[1], hit[0], Fraction(0)) if hit else (Fraction(0),) * 3)
     vals = []
     for p in nodes:
@@ -455,10 +448,10 @@ def _transfer_grid(handle: tr.TransferHandle, a: tr.TestFunction) -> GridFunctio
             xm = (ym - br.intercept) / br.slope
             if not br.domain.contains(xm):
                 continue
-            fa = _piece_at(a.pieces, xm)
+            fa = dyn._piece_at(a.pieces, xm)
             if fa is None:
                 continue
-            fr = _piece_at(pot.pieces, xm)
+            fr = dyn._piece_at(pot.pieces, xm)
             if fr is None:
                 continue
             ma, ca = fa
@@ -501,7 +494,7 @@ def _fiber_sum_grid(handle: tr.TransferHandle, a: tr.TestFunction) -> GridFuncti
             xm = (ym - br.intercept) / br.slope
             if not br.domain.contains(xm):
                 continue
-            fa = _piece_at(a.pieces, xm)
+            fa = dyn._piece_at(a.pieces, xm)
             if fa is None:
                 continue
             ma, ca = fa
@@ -875,17 +868,10 @@ def _check_weak_support(handle, a: tr.TestFunction):
                 f"support leaves the regular region on {stray}"
             )
         return
-    reg_cyls = report.delta_reg.cylinders if hasattr(report.delta_reg, "cylinders") else ()
     for cyl, wgt in a.cylinders:
         if wgt == 0:
             continue
-        covered = any(
-            len(rc.word) <= len(cyl.word)
-            and cyl.word[: len(rc.word)] == rc.word
-            and (rc.word or cyl.rng == rc.rng)
-            for rc in reg_cyls
-        )
-        if not covered:
+        if not any(rc.contains(cyl) for rc in report.delta_reg.cylinders):
             raise SupportViolation(f"cylinder {cyl} leaves the regular region")
 
 

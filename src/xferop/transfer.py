@@ -91,9 +91,9 @@ class TestFunction:
         p: PathPoint = x
         out = Fraction(0)
         for cyl, w in self.cylinders:
-            if _cylinder_contains(cyl, p):
+            if cyl.contains(p):
                 out += w
-            elif _is_proper_prefix(p.word, cyl.word):
+            elif len(p.word) < len(cyl.word) and p.contains(cyl):
                 raise SupportViolation(
                     f"point {p} is coarser than cylinder {cyl}; cannot evaluate"
                 )
@@ -129,21 +129,6 @@ class TestFunction:
         return TestFunction(
             "graph", cylinders=tuple((p, w * t) for p, w in self.cylinders)
         )
-
-
-def _cylinder_contains(cyl: PathPoint, p: PathPoint) -> bool:
-    if len(cyl.word) > len(p.word):
-        return False
-    if p.word[: len(cyl.word)] != cyl.word:
-        return False
-    if not cyl.word:
-        # vertex cylinder: all paths whose range is that vertex
-        return p.rng == cyl.end
-    return True
-
-
-def _is_proper_prefix(shorter: tuple, longer: tuple) -> bool:
-    return len(shorter) < len(longer) and longer[: len(shorter)] == shorter
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import transfer as tr
-from .dynamics import PartialSystem, PathPoint, Potential
+from .dynamics import CylinderSet, PartialSystem, PathPoint, Potential
 from .errors import OutOfDomain, ValidationError, XferopError
 from .intervals import IntervalSet, RationalInterval, frac
 from .rep import OrbitBasis
@@ -98,6 +98,10 @@ class InvariantSet:
 
     region: object  # IntervalSet or tuple[PathPoint, ...]
 
+    def __post_init__(self):
+        if isinstance(self.region, CylinderSet):
+            object.__setattr__(self, "region", self.region.cylinders)
+
 
 @dataclass(frozen=True)
 class MinimalScan:
@@ -145,16 +149,43 @@ def _affine_preimage(s: IntervalSet, m: Fraction, c: Fraction) -> IntervalSet:
     return IntervalSet.of(*[iv.affine_image(1 / m, -c / m) for iv in s.intervals])
 
 
-def _image_iter(sys_: dyn.IntervalSystem, s: IntervalSet, n: int) -> IntervalSet:
+def _image_iter(sys_, s, n: int):
     for _ in range(n):
         s = sys_.image_of(s)
     return s
 
 
-def _interval_regions(system: PartialSystem, pot: Potential):
+def _regions(system: PartialSystem, pot: Potential):
+    """(map, space, pos, reg): the backend's map, X, and the positive and
+    regular parts of the domain, all as open sets of the backend's type.
+
+    On graphs the shift is locally injective and the weight is constant on
+    each length-1 cylinder, so both parts are the live length-1 cylinders.
+    """
+    if system.backend == "graph":
+        gph = system.gph
+        live = CylinderSet(gph, (w for w in gph.words(1) if pot.edge_weight(w.word[0]) > 0))
+        return gph, gph.space, live, live
     report = dyn.regular_set(system, pot)
     sys_ = system.ival
-    return sys_, sys_.space, sys_.delta, report.delta_pos, report.delta_reg
+    return sys_, sys_.space, report.delta_pos, report.delta_reg
+
+
+def _open_set(system: PartialSystem, region):
+    """A region as the backend's open-set type.
+
+    Accepts that type itself, a ``RationalInterval``, a ``PathPoint``, a
+    ``GraphSetDescription`` or a sequence of path points.
+    """
+    if isinstance(region, (IntervalSet, CylinderSet)):
+        return region
+    if isinstance(region, RationalInterval):
+        return IntervalSet.of(region)
+    if isinstance(region, PathPoint):
+        region = (region,)
+    elif isinstance(region, dyn.GraphSetDescription):
+        region = region.cylinders
+    return CylinderSet(system.gph, region)
 
 
 def _live_continuations(gph, pot, v: str) -> tuple[dyn.GraphEdge, ...]:
@@ -193,122 +224,6 @@ def _cycle_exit(gph, pot, cycle: tuple[str, ...]) -> Optional[str]:
     return None
 
 
-# -- cylinder-set arithmetic (graph backend) --------------------------------
-
-
-def _cyl_prefix(b: PathPoint, a: PathPoint) -> bool:
-    """Whether the cylinder of ``a`` sits inside the cylinder of ``b``."""
-    if not b.word:
-        return a.rng == b.rng
-    return a.word[: len(b.word)] == b.word
-
-
-def _cyl_children(gph: dyn.GraphSystem, c: PathPoint) -> tuple[PathPoint, ...]:
-    return tuple(
-        PathPoint(c.word + (e.name,), e.src, c.rng if c.word else e.rng)
-        for e in sorted(gph.continuations(c.end), key=lambda e: e.name)
-    )
-
-
-def _cyl_covered(gph, c: PathPoint, cover: Sequence[PathPoint]) -> bool:
-    if not cover:
-        return False
-    if any(_cyl_prefix(b, c) for b in cover):
-        return True
-    if len(c.word) >= max(len(b.word) for b in cover):
-        return False
-    kids = _cyl_children(gph, c)
-    if not kids:
-        return False
-    return all(_cyl_covered(gph, k, cover) for k in kids)
-
-
-def _cylset_subset(gph, a: Sequence[PathPoint], b: Sequence[PathPoint]) -> bool:
-    return all(_cyl_covered(gph, c, b) for c in a)
-
-
-def _cylset_equal(gph, a, b) -> bool:
-    return _cylset_subset(gph, a, b) and _cylset_subset(gph, b, a)
-
-
-def _cylset_union(gph, *parts) -> tuple[PathPoint, ...]:
-    pool: list[PathPoint] = []
-    for part in parts:
-        pool.extend(part)
-    pool.sort(key=PathPoint.sort_key)
-    out: list[PathPoint] = []
-    for c in pool:
-        if not any(_cyl_prefix(b, c) for b in out):
-            out.append(c)
-    return tuple(out)
-
-
-def _cyls_disjoint(gph, a: Sequence[PathPoint], b: Sequence[PathPoint]) -> bool:
-    for c in a:
-        for d in b:
-            if _cyl_prefix(c, d) or _cyl_prefix(d, c):
-                return False
-    return True
-
-
-def _graph_space(gph) -> tuple[PathPoint, ...]:
-    return tuple(gph.vertex_point(v) for v in sorted(gph.vertices))
-
-
-def _graph_pos_refine(gph, pot, cyls) -> tuple[PathPoint, ...]:
-    """Intersect a cylinder set with the positive-weight domain."""
-    out = []
-    for c in cyls:
-        parts = _cyl_children(gph, c) if not c.word else (c,)
-        for p in parts:
-            if p.word and pot.edge_weight(p.word[0]) > 0:
-                out.append(p)
-    return tuple(out)
-
-
-def _graph_image(gph, cyls) -> tuple[PathPoint, ...]:
-    out = []
-    for c in cyls:
-        if c.word:
-            out.append(gph.shift(c))
-    return tuple(out)
-
-
-def _graph_preimage(gph, pot, cyls, live: bool) -> tuple[PathPoint, ...]:
-    out = []
-    for c in cyls:
-        edges = gph.prependable(c.rng)
-        for e in sorted(edges, key=lambda e: e.name):
-            if live and pot.edge_weight(e.name) == 0:
-                continue
-            out.append(PathPoint((e.name,) + c.word, c.end if c.word else e.src, e.rng))
-    return tuple(out)
-
-
-def _graph_shift_n(gph, cyls, n: int) -> tuple[PathPoint, ...]:
-    """n-fold shift image of a cylinder set, refining short cylinders first."""
-    current = list(cyls)
-    for _ in range(n):
-        nxt = []
-        for c in current:
-            if not c.word:
-                for k in _cyl_children(gph, c):
-                    if k.word:
-                        nxt.append(gph.shift(k))
-            else:
-                nxt.append(gph.shift(c))
-        current = nxt
-    return tuple(current)
-
-
-def _as_cylset(u) -> tuple[PathPoint, ...]:
-    if isinstance(u, PathPoint):
-        return (u,)
-    if isinstance(u, dyn.GraphSetDescription):
-        return tuple(u.points)
-    return tuple(u)
-
-
 # -- topological freeness ---------------------------------------------------
 
 
@@ -328,7 +243,7 @@ def check_top_free(system: PartialSystem, pot: Potential, depth: int = 8) -> Ver
             "TopFree", "Holds", FreeScan(depth, len(cycles), tuple(witnessed)), depth
         )
 
-    sys_, space, delta, pos, reg = _interval_regions(system, pot)
+    sys_, _, _, reg = _regions(system, pot)
     scanned = 0
     for n in range(1, depth + 1):
         for comp in dyn.composite_branches(sys_, n):
@@ -350,7 +265,7 @@ def check_top_free(system: PartialSystem, pot: Potential, depth: int = 8) -> Ver
 
 def verify_periodic_window(system: PartialSystem, pot: Potential, cert: PeriodicWindow) -> bool:
     """Replay a Fails(TopFree) certificate pointwise and on the regular set."""
-    _, _, _, _, reg = _interval_regions(system, pot)
+    _, _, _, reg = _regions(system, pot)
     window = IntervalSet.of(cert.window)
     if window.nondegenerate().is_empty:
         return False
@@ -368,15 +283,8 @@ def verify_periodic_window(system: PartialSystem, pot: Potential, cert: Periodic
 
 def check_invariant(system: PartialSystem, pot: Potential, region) -> tuple[bool, bool]:
     """Exact (positively, negatively) invariance of an open set."""
-    if system.backend == "graph":
-        gph = system.gph
-        cyls = _as_cylset(region)
-        fwd = _graph_image(gph, _graph_pos_refine(gph, pot, cyls))
-        back = _graph_preimage(gph, pot, cyls, live=True)
-        return _cylset_subset(gph, fwd, cyls), _cylset_subset(gph, back, cyls)
-
-    sys_, space, delta, pos, reg = _interval_regions(system, pot)
-    u = IntervalSet.of(region) if isinstance(region, RationalInterval) else region
+    sys_, _, pos, reg = _regions(system, pot)
+    u = _open_set(system, region)
     positively = sys_.image_of(u.intersection(pos)).issubset(u)
     negatively = sys_.preimage_of(u).intersection(reg).issubset(u)
     return positively, negatively
@@ -388,13 +296,19 @@ def _replay_invariant(system: PartialSystem, pot: Potential, region) -> None:
         raise XferopError(f"minimality certificate {region} is not an invariant open set")
 
 
-def _closure_step_interval(sys_, pos, reg, u: IntervalSet) -> IntervalSet:
+def _closure_step(sys_, pos, reg, u):
     return u.union(sys_.image_of(u.intersection(pos))).union(
         sys_.preimage_of(u).intersection(reg)
     )
 
 
-def _minimal_seeds_interval(space: IntervalSet, depth: int) -> list[IntervalSet]:
+def _minimal_seeds(system: PartialSystem, space, depth: int) -> list:
+    """Open seeds, coarse to fine: the cylinders of the vertices and of the
+    words up to length 4, or the open dyadic intervals of X down to 2^-8."""
+    if system.backend == "graph":
+        gph = system.gph
+        words = [w for n in range(1, min(depth, 4) + 1) for w in gph.words(n)]
+        return [CylinderSet(gph, (c,)) for c in (*space, *words)]
     lo, hi = space.min(), space.max()
     width = hi - lo
     seeds: list[IntervalSet] = []
@@ -408,10 +322,9 @@ def _minimal_seeds_interval(space: IntervalSet, depth: int) -> list[IntervalSet]
                 RationalInterval(a, b, a == lo, b == hi),
             ):
                 s = IntervalSet.of(iv).intersection(space)
-                key = str(s)
-                if key in seen or s.is_empty or not s.is_open_in(space):
+                if s in seen or s.is_empty or not s.is_open_in(space):
                     continue
-                seen.add(key)
+                seen.add(s)
                 seeds.append(s)
     return seeds
 
@@ -423,12 +336,12 @@ def check_minimal(system: PartialSystem, pot: Potential, depth: int = 8) -> Verd
     steps; a fixed point other than X is a Fails certificate, and a seed that
     reaches no fixed point within the bound makes the verdict Unknown.
 
-    On interval systems the scan reuses what earlier seeds proved.  The
-    closure step ``u -> u | phi(u & pos) | (phi^-1(u) & reg)`` is monotone
-    and maps subsets of X into X, so X is its own fixed point.  If a seed s
-    reached X after K steps, any ``u >= s`` reaches X in at most K steps.
-    When a recorded s lies inside the j-th set on the trail of a new seed,
-    that seed reaches X within ``j + K`` steps, and the scan counts it as
+    The scan reuses what earlier seeds proved.  The closure step
+    ``u -> u | phi(u & pos) | (phi^-1(u) & reg)`` is monotone and maps
+    subsets of X into X, so X is its own fixed point.  If a seed s reached X
+    after K steps, any ``u >= s`` reaches X in at most K steps.  When a
+    recorded s lies inside the j-th set on the trail of a new seed, that
+    seed reaches X within ``j + K`` steps, and the scan counts it as
     saturating only when ``j + K < 4*depth``: exactly then the bare loop
     would have found the fixed point X within the bound, so Unknown
     decisions do not change.  A seed decided this way is recorded with the
@@ -438,42 +351,13 @@ def check_minimal(system: PartialSystem, pot: Potential, depth: int = 8) -> Verd
     """
     system.check_depth(depth)
     max_iter = 4 * depth
-    if system.backend == "graph":
-        gph = system.gph
-        space = _graph_space(gph)
-        seeds: list[tuple[PathPoint, ...]] = [(v,) for v in space]
-        for n in range(1, min(depth, 4) + 1):
-            seeds.extend((w,) for w in gph.words(n))
-        hit_bound = False
-        for seed in seeds:
-            u = seed
-            for _ in range(max_iter):
-                nxt = _cylset_union(
-                    gph,
-                    u,
-                    _graph_image(gph, _graph_pos_refine(gph, pot, u)),
-                    _graph_preimage(gph, pot, u, live=True),
-                )
-                if _cylset_equal(gph, nxt, u):
-                    break
-                u = nxt
-            else:
-                hit_bound = True
-                continue
-            if not _cylset_equal(gph, u, space):
-                _replay_invariant(system, pot, u)
-                return Verdict("Minimal", "Fails", InvariantSet(u), depth)
-        if hit_bound:
-            return Verdict("Minimal", "Unknown", None, depth)
-        return Verdict("Minimal", "Holds", MinimalScan(depth, len(seeds), max_iter), depth)
-
-    sys_, space, delta, pos, reg = _interval_regions(system, pot)
-    seeds_iv = _minimal_seeds_interval(space, depth)
+    sys_, space, pos, reg = _regions(system, pot)
+    seeds = _minimal_seeds(system, space, depth)
     hit_bound = False
     # (seed, steps within which it reaches X); scanned newest first, because
     # seeds come coarse to fine and a finer seed more often lies in a trail
-    saturating: list[tuple[IntervalSet, int]] = []
-    for seed in seeds_iv:
+    saturating: list[tuple[object, int]] = []
+    for seed in seeds:
         u = seed
         for j in range(max_iter):
             steps = next(
@@ -482,7 +366,7 @@ def check_minimal(system: PartialSystem, pot: Potential, depth: int = 8) -> Verd
             )
             if steps is not None:
                 break
-            nxt = _closure_step_interval(sys_, pos, reg, u)
+            nxt = _closure_step(sys_, pos, reg, u)
             if nxt == u:
                 if u != space:
                     _replay_invariant(system, pot, u)
@@ -496,7 +380,7 @@ def check_minimal(system: PartialSystem, pot: Potential, depth: int = 8) -> Verd
         saturating.append((seed, steps))
     if hit_bound:
         return Verdict("Minimal", "Unknown", None, depth)
-    return Verdict("Minimal", "Holds", MinimalScan(depth, len(seeds_iv), max_iter), depth)
+    return Verdict("Minimal", "Holds", MinimalScan(depth, len(seeds), max_iter), depth)
 
 
 # -- contracting sets -------------------------------------------------------
@@ -514,48 +398,47 @@ def check_contracting_set(
     """
     if system.backend == "graph":
         gph = system.gph
-        v = _as_cylset(region)
-        if not v:
+        v = _open_set(system, region)
+        if v.is_empty:
             return ContractingReport(False, "region_empty", "V must be nonempty open")
-        sets = [(_as_cylset(u), int(n)) for u, n in pieces]
-        if not sets or any(not u for u, _ in sets):
+        sets = [(_open_set(system, u), int(n)) for u, n in pieces]
+        if not sets or any(u.is_empty for u, _ in sets):
             return ContractingReport(False, "piece_empty", "each U_k must be nonempty")
         for i in range(len(sets)):
             for j in range(i + 1, len(sets)):
-                if not _cyls_disjoint(gph, sets[i][0], sets[j][0]):
+                if sets[i][0].intersects(sets[j][0]):
                     return ContractingReport(False, "not_disjoint", f"pieces {i} and {j} meet")
         for i, (u, n) in enumerate(sets):
             if n < 1:
                 return ContractingReport(False, "bad_exponent", f"n_{i} must be >= 1")
-            if not _cylset_subset(gph, u, v):
+            if not u.issubset(v):
                 return ContractingReport(False, "piece_escapes_region", f"U_{i} is not inside V")
             for c in u:
                 deep = [c]
                 for _ in range(n - len(c.word)):
-                    deep = [k for d in deep for k in _cyl_children(gph, d)]
+                    deep = [k for d in deep for k in gph.children(d)]
                 for d in deep:
                     if any(pot.edge_weight(w) == 0 for w in d.word[:n]):
                         return ContractingReport(
                             False, "piece_not_regular", f"U_{i} leaves the live graph"
                         )
-        covered = _cylset_union(gph, *[u for u, _ in sets])
-        if _cylset_subset(gph, v, covered):
+        covered = CylinderSet(gph, (c for u, _ in sets for c in u))
+        if v.issubset(covered):
             return ContractingReport(False, "region_exhausted", "V lies in the closure of the U_k")
-        images = _cylset_union(gph, *[_graph_shift_n(gph, u, n) for u, n in sets])
-        if not _cylset_subset(gph, v, images):
+        images = CylinderSet(gph)
+        for u, n in sets:
+            images = images.union(_image_iter(gph, u, n))
+        if not v.issubset(images):
             return ContractingReport(
                 False, "closure_not_covered", "the n_k-step images miss part of closure(V)"
             )
         return ContractingReport(True)
 
-    sys_, space, delta, pos, reg = _interval_regions(system, pot)
-    v = IntervalSet.of(region) if isinstance(region, RationalInterval) else region
+    sys_, space, _, _ = _regions(system, pot)
+    v = _open_set(system, region)
     if v.is_empty or not v.is_open_in(space):
         return ContractingReport(False, "region_empty", "V must be nonempty and open")
-    sets = [
-        (IntervalSet.of(u) if isinstance(u, RationalInterval) else u, int(n))
-        for u, n in pieces
-    ]
+    sets = [(_open_set(system, u), int(n)) for u, n in pieces]
     if not sets or any(u.is_empty for u, _ in sets):
         return ContractingReport(False, "piece_empty", "each U_k must be nonempty")
     for i in range(len(sets)):
@@ -590,7 +473,7 @@ def _inverse_orbit_dense(
     system: PartialSystem, pot: Potential, x0: Fraction, depth: int
 ) -> tuple[bool, int, Fraction]:
     """Truncated density of the regular inverse orbit of x0, exact gaps."""
-    sys_, space, delta, pos, reg = _interval_regions(system, pot)
+    _, space, _, reg = _regions(system, pot)
     res = Fraction(1, 2 ** min(depth, 8))
     pts = {x0}
     level = [x0]
@@ -615,7 +498,7 @@ def _search_contracting_scale(
     system: PartialSystem, pot: Potential, x0: Fraction, radius: Fraction, depth: int
 ) -> Optional[ContractingTuple]:
     """Find one (U, n) tuple for the ball V around x0, via composite branches."""
-    sys_, space, delta, pos, reg = _interval_regions(system, pot)
+    sys_, space, _, _ = _regions(system, pot)
     v = IntervalSet.of(RationalInterval(x0 - radius, x0 + radius, False, False)).intersection(
         space
     )
@@ -685,12 +568,12 @@ def check_contracting(system: PartialSystem, pot: Potential, depth: int = 8) -> 
                 return Verdict("Contracting", "Holds", cert, depth)
         return Verdict("Contracting", "Unknown", None, depth)
 
-    sys_, space, delta, pos, reg = _interval_regions(system, pot)
-    if delta != pos:
+    sys_, space, pos, reg = _regions(system, pot)
+    if sys_.delta != pos:
         return Verdict(
             "Contracting",
             "Fails",
-            Obstruction("domain_not_positive", delta.difference(pos)),
+            Obstruction("domain_not_positive", sys_.delta.difference(pos)),
             depth,
         )
     if all(abs(b.slope) <= 1 for b in sys_.branches):
@@ -781,7 +664,7 @@ def _walks_into(gph, pot, v: str, targets: set[str]) -> bool:
 
 def _regular_set_infinite(system: PartialSystem, pot: Potential) -> bool:
     if system.backend == "interval":
-        _, _, _, _, reg = _interval_regions(system, pot)
+        _, _, _, reg = _regions(system, pot)
         return not reg.nondegenerate().is_empty
     gph = system.gph
     cycles = _simple_cycles(gph, pot)
@@ -842,7 +725,7 @@ def _collapsed_basis(system: PartialSystem, pot: Potential, cert, depth: int):
         def fold(child: PathPoint) -> Optional[int]:
             # a child refining a singleton cylinder is the same boundary path
             for k, pt in enumerate(pts):
-                if pt == child or (_cyl_prefix(pt, child) and gph.is_singleton(pt)):
+                if pt == child or (pt.contains(child) and gph.is_singleton(pt)):
                     return k
             return None
 
@@ -930,9 +813,7 @@ def periodic_witness_norms(
     w_orbit = a @ tn - asr
     orbit_norm = float(np.linalg.norm(w_orbit, 2))
 
-    s = np.zeros((width, width))
-    for j in range(width - 1):
-        s[j + 1, j] = 1.0
+    s = np.eye(width, k=-1)
     w_reg = np.kron(np.linalg.matrix_power(s, n), a @ tn) - np.kron(np.eye(width), asr)
     reg_norm = float(np.linalg.norm(w_reg, 2))
     return orbit_norm, reg_norm
@@ -950,9 +831,7 @@ def sampled_witness_norms(
     system, pot = handle.system, handle.potential
     t = basis.T()
     sq = np.diag(np.array([_root_rho(system, pot, nd.point) for nd in basis.nodes]))
-    s = np.zeros((width, width))
-    for j in range(width - 1):
-        s[j + 1, j] = 1.0
+    s = np.eye(width, k=-1)
     out = []
     for f in fns:
         a = basis.pi(f)

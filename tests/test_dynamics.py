@@ -258,6 +258,56 @@ class TestGraphSystem:
         assert not g.is_exact(g.vertex_point("v"))
 
 
+# CylinderSet against a brute-force model: each cylinder is the set of depth-D
+# atoms it holds, with D above every word length drawn
+SINK_GRAPH = dyn.GraphSystem(
+    ["t", "u"], [dyn.GraphEdge("a", "u", "u"), dyn.GraphEdge("f", "t", "u")]
+)
+CYL_GRAPHS = {
+    "loops2": specfile.bundled("loops2").system.gph,
+    "fullshift2": specfile.bundled("fullshift2").system.gph,
+    "sink": SINK_GRAPH,
+}
+MAX_WORD = 3
+
+
+def _atoms_of(g, cyls):
+    return frozenset(
+        a
+        for a in g.atoms(MAX_WORD + 1)
+        for c in cyls
+        if a.rng == c.rng and a.word[: len(c.word)] == c.word
+    )
+
+
+@st.composite
+def cylinder_sets(draw, g):
+    pool = [w for n in range(MAX_WORD + 1) for w in g.words(n)]
+    return dyn.CylinderSet(g, draw(st.lists(st.sampled_from(pool), max_size=4)))
+
+
+@st.composite
+def cylinder_pairs(draw):
+    g = CYL_GRAPHS[draw(st.sampled_from(sorted(CYL_GRAPHS)))]
+    return g, draw(cylinder_sets(g)), draw(cylinder_sets(g))
+
+
+@settings(max_examples=300)
+@given(cylinder_pairs())
+def test_cylinder_set_matches_atom_model(pair):
+    g, s, t = pair
+    ms, mt = _atoms_of(g, s), _atoms_of(g, t)
+    assert _atoms_of(g, s.union(t)) == ms | mt
+    assert _atoms_of(g, s.intersection(t)) == ms & mt
+    assert s.intersects(t) == bool(ms & mt)
+    assert s.issubset(t) == (ms <= mt)
+    assert (s == t) == (ms == mt)
+    # normal form: sorted, no member inside another
+    cyls = s.cylinders
+    assert list(cyls) == sorted(cyls, key=dyn.PathPoint.sort_key)
+    assert not any(b.contains(c) for i, b in enumerate(cyls) for c in cyls[i + 1 :])
+
+
 def test_spec_roundtrip_all_bundled():
     for name in specfile.BUNDLED:
         doc = specfile.serialize_spec(specfile.bundled(name))

@@ -112,6 +112,13 @@ class TestApply:
         with pytest.raises(SupportViolation):
             fine.value(g.path_point(("e0",)))
 
+    def test_disjoint_vertex_point_evaluates(self):
+        g = specfile.bundled("loops2").system.gph
+        ind = tr.TestFunction.indicator(g.path_point(("b",)))
+        assert ind.value(g.vertex_point("u")) == 0
+        with pytest.raises(SupportViolation, match="coarser"):
+            ind.value(g.vertex_point("v"))
+
     def test_backend_mismatch(self, tent_handle):
         with pytest.raises(ValidationError):
             tr.apply(tent_handle, tr.TestFunction("graph"), F(1, 2))

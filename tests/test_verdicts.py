@@ -136,6 +136,15 @@ class TestInvariant:
         u = (g.vertex_point("u"),)
         assert vd.check_invariant(loops2.system, loops2.potential, u) == (True, True)
 
+    @pytest.mark.parametrize("name", ["loop1", "loops2", "fullshift2"])
+    def test_graph_set_descriptions(self, name):
+        s = specfile.bundled(name)
+        for region in (
+            dyn.regular_set(s.system, s.potential).delta_reg,
+            dyn.iterate_domain(s.system, 0),
+        ):
+            assert vd.check_invariant(s.system, s.potential, region) == (True, True)
+
     def test_halving_interior(self):
         s = specfile.bundled("halving")
         u = IntervalSet.of(RationalInterval(0, 1, False, False))
@@ -179,15 +188,15 @@ class TestMinimal:
 
 
 def _bare_minimal(system, pot, depth):
-    """Interval minimality scan without the saturation memo: the reference."""
-    sys_, space, _, pos, reg = vd._interval_regions(system, pot)
+    """Minimality scan without the saturation memo: the reference."""
+    sys_, space, pos, reg = vd._regions(system, pot)
     max_iter = 4 * depth
-    seeds = vd._minimal_seeds_interval(space, depth)
+    seeds = vd._minimal_seeds(system, space, depth)
     hit_bound = False
     for seed in seeds:
         u = seed
         for _ in range(max_iter):
-            nxt = vd._closure_step_interval(sys_, pos, reg, u)
+            nxt = vd._closure_step(sys_, pos, reg, u)
             if nxt == u:
                 break
             u = nxt
@@ -201,12 +210,9 @@ def _bare_minimal(system, pot, depth):
     return vd.Verdict("Minimal", "Holds", vd.MinimalScan(depth, len(seeds), max_iter), depth)
 
 
-INTERVAL_SPECS = [n for n in specfile.BUNDLED if specfile.bundled(n).system.backend == "interval"]
-
-
 class TestMinimalMemo:
     @pytest.mark.parametrize("depth", [1, 2, 4, 6, 8])
-    @pytest.mark.parametrize("name", INTERVAL_SPECS)
+    @pytest.mark.parametrize("name", specfile.BUNDLED)
     def test_matches_bare_scan(self, name, depth):
         s = specfile.bundled(name)
         got = vd.check_minimal(s.system, s.potential, depth)
@@ -218,7 +224,7 @@ class TestMinimalMemo:
         # second set on its trail contains (0, 2^-(m-1)); at depth 2 (8 steps)
         # the first seed saturates in 7 and the second one hits the bound
         seeds = [IntervalSet.of(RationalInterval(0, F(1, 2**m), False, False)) for m in (5, 6)]
-        monkeypatch.setattr(vd, "_minimal_seeds_interval", lambda space, depth: seeds)
+        monkeypatch.setattr(vd, "_minimal_seeds", lambda system, space, depth: seeds)
         for depth, status in ((2, "Unknown"), (3, "Holds")):
             assert vd.check_minimal(tent.system, tent.potential, depth).status == status
             assert _bare_minimal(tent.system, tent.potential, depth).status == status
