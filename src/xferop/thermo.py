@@ -10,6 +10,12 @@ the regular region with the weight dropped.  A bisection solver recovers the
 inverse temperature from the Perron root of the discretized fiber-sum
 operator, and the state-level checks evaluate both sides of the exchange
 identity through the diagonal expectation.
+
+The discretized operator is built in two passes.  An exact pass, once per
+solve, walks the bins, preimage cells and energy pieces in rational
+arithmetic and keeps the float segments they cut; a float pass, once per
+inverse temperature, integrates exp(-beta*energy) over all segments in one
+numpy expression and sums them into the bin matrix.
 """
 
 from __future__ import annotations
@@ -966,32 +972,26 @@ class KMSCandidate:
             raise ValidationError(f"candidate measure has mass {mass!r}, not 1")
 
 
-def _exp_integral(psi: PotentialFunction, beta: float, iv: RationalInterval) -> float:
-    """Exact-closed-form integral of exp(-beta * energy) over an interval."""
-    if iv.is_point:
-        return 0.0
-    total = 0.0
-    for piv, m, c in psi.carrier.pieces:
-        seg = iv.intersection(piv)
-        if seg is None or seg.is_point:
-            continue
-        u, v = float(seg.lo), float(seg.hi)
-        if beta == 0.0 or m == 0:
-            total += (v - u) * math.exp(-beta * float(c))
-            continue
-        bm = beta * float(m)
-        total += (math.exp(-beta * (float(m) * u + float(c))) - math.exp(-beta * (float(m) * v + float(c)))) / bm
-    return total
+def _overflow(beta: float) -> ValidationError:
+    return ValidationError(
+        f"exp(-beta*energy) overflows at beta={beta!r}; the fiber-sum matrix is not finite"
+    )
 
 
-def _ruelle_ulam(handle, psi: PotentialFunction, beta: float, bins: int) -> np.ndarray:
-    """Bin matrix of the bare fiber-sum operator with weight exp(-beta*energy)."""
+def _ruelle_ulam(handle, psi: PotentialFunction, bins: int) -> Callable[[float], np.ndarray]:
+    """Bin matrices of the bare fiber-sum operator with weight exp(-beta*energy).
+
+    The exact pass walks branches, bins, preimage cells and energy pieces once
+    and keeps one float segment (u, v, m, c) per piece cut of each cell, where
+    the energy is m*x + c on [u, v].  The returned ``matrix(beta)`` integrates
+    exp(-beta*energy) over every segment in one numpy pass, then sums segments
+    into cells and cells into the matrix in the order they were walked.
+    """
     sys_ = handle.system.ival
     comp = _single_component(handle.system)
     lo, hi = comp.lo, comp.hi
     w = (hi - lo) / bins
-    k = np.zeros((bins, bins))
-    fw = float(w)
+    segs, seg_cell, cell_at, cell_slope = [], [], [], []
     for br in sys_.branches:
         if br.slope == 0:
             continue
@@ -1009,23 +1009,63 @@ def _ruelle_ulam(handle, psi: PotentialFunction, beta: float, bins: int) -> np.n
                 if ycell is None or ycell.is_point:
                     continue
                 xcell = ycell.affine_image(1 / br.slope, -br.intercept / br.slope)
-                val = _exp_integral(psi, beta, xcell)
-                k[i, j] += abs(float(br.slope)) * val / fw
-    return k
+                for piv, m, c in psi.carrier.pieces:
+                    seg = xcell.intersection(piv)
+                    if seg is not None and not seg.is_point:
+                        segs.append((float(seg.lo), float(seg.hi), float(m), float(c)))
+                        seg_cell.append(len(cell_at))
+                cell_at.append(i * bins + j)
+                cell_slope.append(abs(float(br.slope)))
+    u, v, m, c = np.array(segs, dtype=float).reshape(-1, 4).T
+    seg_cell = np.array(seg_cell, dtype=np.intp)
+    cell_at = np.array(cell_at, dtype=np.intp)
+    cell_slope = np.array(cell_slope, dtype=float)
+    fw = float(w)
+
+    def matrix(beta: float) -> np.ndarray:
+        flat = (m == 0) | (beta == 0.0)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            integrals = np.where(
+                flat,
+                (v - u) * np.exp(-beta * c),
+                (np.exp(-beta * (m * u + c)) - np.exp(-beta * (m * v + c))) / (beta * m),
+            )
+            cells = np.bincount(seg_cell, weights=integrals, minlength=len(cell_at))
+            k = np.bincount(cell_at, weights=cell_slope * cells / fw, minlength=bins * bins)
+        if not np.isfinite(k).all():
+            raise _overflow(beta)
+        return k.reshape(bins, bins)
+
+    return matrix
 
 
-def _ruelle_graph(system: PartialSystem, psi: PotentialFunction, beta: float) -> np.ndarray:
+def _ruelle_graph(system: PartialSystem, psi: PotentialFunction) -> Callable[[float], np.ndarray]:
+    """Vertex matrices of the fiber-sum operator, one exp(-beta*energy) per edge."""
     verts = system.gph.vertices
     idx = {v: i for i, v in enumerate(verts)}
-    k = np.zeros((len(verts), len(verts)))
     wmap = psi.carrier.weight_map()
-    for e in system.gph.edges:
-        k[idx[e.src], idx[e.rng]] += math.exp(-beta * float(wmap[e.name]))
-    return k
+    edges = [(idx[e.src], idx[e.rng], float(wmap[e.name])) for e in system.gph.edges]
+
+    def matrix(beta: float) -> np.ndarray:
+        k = np.zeros((len(verts), len(verts)))
+        try:
+            for i, j, energy in edges:
+                k[i, j] += math.exp(-beta * energy)
+        except OverflowError:
+            raise _overflow(beta) from None
+        if not np.isfinite(k).all():
+            raise _overflow(beta)
+        return k
+
+    return matrix
 
 
 def _perron(k: np.ndarray, tol: float = 1e-13, iters: int = 20_000) -> tuple[float, np.ndarray]:
-    """Perron root and left eigenvector by shifted power iteration."""
+    """Perron root and left eigenvector by shifted power iteration.
+
+    Raises NoSolution when the iteration leaves the finite range or has not
+    converged after ``iters`` steps, rather than returning an unconverged root.
+    """
     n = k.shape[0]
     kt = k.T + np.eye(n)  # shift keeps oscillating spectra convergent
     u = np.full(n, 1.0 / n)
@@ -1033,14 +1073,15 @@ def _perron(k: np.ndarray, tol: float = 1e-13, iters: int = 20_000) -> tuple[flo
     for _ in range(iters):
         w = kt @ u
         s = float(w.sum())
-        if s <= 0:
-            return 0.0, u
+        if not math.isfinite(s):
+            raise NoSolution(f"power iteration left the finite range (sum {s!r})", {})
         w /= s
         if float(np.abs(w - u).max()) <= tol and abs(s - r) <= tol * max(1.0, s):
-            u, r = w, s
-            break
+            return s - 1.0, w
         u, r = w, s
-    return r - 1.0, u
+    raise NoSolution(
+        f"power iteration did not converge in {iters} steps", {"iters": iters, "r": r - 1.0}
+    )
 
 
 def solve_conformal(
@@ -1055,30 +1096,40 @@ def solve_conformal(
 
     The discretized operator sends a to the fiber sum of exp(-beta*energy)*a,
     so an eigen-measure of the identity is a left Perron vector at eigenvalue
-    one.  Bisection runs on the bracket; a flat root pegged at one returns a
-    degenerate candidate, any other one-sided bracket raises NoSolution with
-    the endpoint data.
+    one.  The exact bin geometry (bin overlaps, preimage cells, slopes and
+    energy pieces) is built once per solve; each bisection step only runs the
+    float pass that integrates exp(-beta*energy) over it.  A constant energy
+    scales one Perron root at beta = 0 instead.  Bisection runs on the
+    bracket; a flat root pegged at one returns a degenerate candidate, any
+    other one-sided bracket raises NoSolution with the endpoint data, and a
+    bracket where exp(-beta*energy) overflows raises ValidationError.
     """
+    b_lo, b_hi = float(bracket[0]), float(bracket[1])
+    if not b_lo < b_hi:  # also refuses NaN ends
+        raise ValidationError("bracket must be increasing")
+    if max_iter < 1:
+        raise ValidationError("max_iter must be at least 1")
     system = handle.system
     if system.backend == "graph":
-        def spectral(beta: float):
-            return _perron(_ruelle_graph(system, psi, beta))
+        matrix, cval = _ruelle_graph(system, psi), None
     else:
-        cval = psi.constant_value()
-        if cval is not None:
-            k0 = _ruelle_ulam(handle, psi, 0.0, bins)
-            r0, v0 = _perron(k0)
-            c = float(cval)
+        matrix, cval = _ruelle_ulam(handle, psi, bins), psi.constant_value()
+    if cval is None:
+        def spectral(beta: float):
+            return _perron(matrix(beta))
+    else:
+        r0, v0 = _perron(matrix(0.0))
+        c = float(cval)
 
-            def spectral(beta: float):
-                return r0 * math.exp(-beta * c), v0
-        else:
-            def spectral(beta: float):
-                return _perron(_ruelle_ulam(handle, psi, beta, bins))
+        def spectral(beta: float):
+            try:
+                r = r0 * math.exp(-beta * c)
+            except OverflowError:
+                raise _overflow(beta) from None
+            if not math.isfinite(r):
+                raise _overflow(beta)
+            return r, v0
 
-    b_lo, b_hi = float(bracket[0]), float(bracket[1])
-    if b_hi <= b_lo:
-        raise ValidationError("bracket must be increasing")
     r_lo, _ = spectral(b_lo)
     r_hi, _ = spectral(b_hi)
     flat = abs(r_lo - r_hi) <= 1e-10 * max(1.0, abs(r_lo))
@@ -1102,10 +1153,9 @@ def solve_conformal(
         )
     lo_, hi_ = b_lo, b_hi
     f_lo = r_lo - 1.0
-    beta = 0.5 * (lo_ + hi_)
     for _ in range(max_iter):
         beta = 0.5 * (lo_ + hi_)
-        r_mid, _ = spectral(beta)
+        r_mid, vec = spectral(beta)
         f_mid = r_mid - 1.0
         if abs(f_mid) <= root_tol or (hi_ - lo_) <= 5e-15 * max(1.0, abs(beta)):
             break
@@ -1113,7 +1163,6 @@ def solve_conformal(
             hi_ = beta
         else:
             lo_, f_lo = beta, f_mid
-    _, vec = spectral(beta)
     mu = _vector_measure(handle, vec, bins, psi, beta)
     return KMSCandidate(beta, mu, "conformal")
 

@@ -1,5 +1,8 @@
 """Contract tests for the ``xferop`` command line."""
 
+import json
+from importlib import resources
+
 import pytest
 from click.testing import CliRunner
 
@@ -26,3 +29,25 @@ def test_check_minimal_certificate(spec, verdict, certificate):
     assert result.exit_code == (0 if verdict == "Holds" else 1), result.output
     assert f"Minimal: {verdict} (depth 8)" in result.output
     assert f"certificate: {certificate}" in result.output.splitlines()
+
+
+def _spec_with_energy_x(tmp_path):
+    """tent_std with the energy x, so ``conformal`` bisects on a varying weight."""
+    doc = json.loads(resources.files("xferop").joinpath("specs", "tent_std.json").read_text("utf-8"))
+    doc["name"] = "tent_x"
+    doc["psi"]["pieces"][0].update(slope="1", intercept="0")
+    path = tmp_path / "tent_x.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("spec", ["tent_x", "tent_std", "fullshift2"])
+@pytest.mark.parametrize("bracket", ["-1000,6.0", "-800,-700"])
+def test_conformal_overflowing_bracket_exits_3(tmp_path, spec, bracket):
+    path = _spec_with_energy_x(tmp_path) if spec == "tent_x" else spec
+    result = CliRunner().invoke(main, ["conformal", "--spec", path, "--bracket", bracket])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    beta = bracket.split(",")[0]
+    assert f"error: exp(-beta*energy) overflows at beta={float(beta)!r}" in result.output
+    assert "beta:" not in result.output and "Traceback" not in result.output

@@ -2,6 +2,7 @@ import math
 import time
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from xferop import dynamics as dyn
@@ -414,6 +415,108 @@ class TestWeaklyConformal:
             th.weakly_conformal_residual(h, psi, 0.0, mu, [bad])
 
 
+def _bare_ruelle_ulam(handle, psi, beta, bins):
+    """The per-beta bin matrix, rebuilding the exact geometry on every call.
+
+    This is the loop ``thermo._ruelle_ulam`` ran before the geometry was kept
+    across inverse temperatures; it stays here as the reference.
+    """
+    comp = th._single_component(handle.system)
+    lo, hi = comp.lo, comp.hi
+    w = (hi - lo) / bins
+    k = np.zeros((bins, bins))
+    fw = float(w)
+    for br in handle.system.ival.branches:
+        if br.slope == 0:
+            continue
+        for j in range(bins):
+            binj = RationalInterval(lo + j * w, lo + (j + 1) * w, True, j == bins - 1)
+            cell = binj.intersection(br.domain)
+            if cell is None or cell.is_point:
+                continue
+            img = cell.affine_image(br.slope, br.intercept)
+            i0 = max(int((img.lo - lo) // w), 0)
+            i1 = min(int(-((lo - img.hi) // w)), bins - 1)
+            for i in range(i0, i1 + 1):
+                bini = RationalInterval(lo + i * w, lo + (i + 1) * w, True, i == bins - 1)
+                ycell = img.intersection(bini)
+                if ycell is None or ycell.is_point:
+                    continue
+                xcell = ycell.affine_image(1 / br.slope, -br.intercept / br.slope)
+                val = 0.0
+                for piv, m, c in psi.carrier.pieces:
+                    seg = xcell.intersection(piv)
+                    if seg is None or seg.is_point:
+                        continue
+                    u, v = float(seg.lo), float(seg.hi)
+                    if beta == 0.0 or m == 0:
+                        val += (v - u) * math.exp(-beta * float(c))
+                        continue
+                    bm = beta * float(m)
+                    val += (
+                        math.exp(-beta * (float(m) * u + float(c)))
+                        - math.exp(-beta * (float(m) * v + float(c)))
+                    ) / bm
+                k[i, j] += abs(float(br.slope)) * val / fw
+    return k
+
+
+def _psi_kinked(system):
+    """Energy 3x on [0, 1/3] and 1 on [1/3, 1]: the kink cuts bins."""
+    third = F(1, 3)
+    pot = dyn.Potential(
+        "interval",
+        pieces=(
+            (RationalInterval(F(0), third), F(3), F(0)),
+            (RationalInterval(third, F(1), False, True), F(0), F(1)),
+        ),
+        allow_negative=True,
+    )
+    return th.PotentialFunction.of(system, pot)
+
+
+class TestRuelleUlam:
+    @pytest.mark.parametrize("bins", [7, 64, 256])
+    @pytest.mark.parametrize("energy", ["x", "kinked"])
+    @pytest.mark.parametrize("spec", ["tent_std", "tent_half", "doubling", "halving"])
+    def test_matches_per_beta_loop(self, spec, energy, bins):
+        s = specfile.bundled(spec)
+        h = tr.TransferHandle.create(s.system, s.potential)
+        psi = _psi_affine(s.system, 1, 0) if energy == "x" else _psi_kinked(s.system)
+        matrix = th._ruelle_ulam(h, psi, bins)
+        for beta in (0.0, 0.7, 3.27):
+            ref = _bare_ruelle_ulam(h, psi, beta, bins)
+            got = matrix(beta)
+            assert got.shape == (bins, bins)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+            if beta == 0.0:
+                # exp(0) is exact, so only a change in the sums could differ
+                assert np.array_equal(got, ref)
+
+    def test_overflow_names_beta(self, tent_handle):
+        matrix = th._ruelle_ulam(tent_handle, _psi_affine(tent_handle.system, 1, 0), 64)
+        with pytest.raises(ValidationError, match=r"beta=-1000\.0"):
+            matrix(-1000.0)
+        assert np.isfinite(matrix(-700.0)).all()
+
+    def test_graph_overflow_names_beta(self):
+        s = specfile.bundled("fullshift2")
+        matrix = th._ruelle_graph(s.system, th.PotentialFunction.const(s.system, 1))
+        assert np.array_equal(matrix(0.0), np.full((1, 1), 2.0))
+        with pytest.raises(ValidationError, match=r"beta=-1000\.0"):
+            matrix(-1000.0)
+
+    def test_perron_cap_raises(self):
+        with pytest.raises(NoSolution, match="did not converge in 5 steps"):
+            th._perron(np.diag([2.0, 1.0]), iters=5)
+        r, vec = th._perron(np.diag([2.0, 1.0]))
+        assert abs(r - 2.0) <= 1e-12 and vec[0] > 1 - 1e-9
+
+    def test_perron_non_finite_raises(self):
+        with pytest.raises(NoSolution, match="finite"):
+            th._perron(np.array([[np.inf]]))
+
+
 class TestSolveConformal:
     def test_tent_recovers_log_two_and_lebesgue(self, tent_handle, psi_one):
         t0 = time.time()
@@ -444,13 +547,58 @@ class TestSolveConformal:
     def test_nonconstant_energy_bisection(self, tent_handle):
         psi = _psi_affine(tent_handle.system, 1, 0)
         cand = th.solve_conformal(tent_handle, psi, bins=256, bracket=(0.5, 6.0))
-        assert abs(cand.beta - 3.2668447624892) <= 1e-6
+        assert abs(cand.beta - 3.2668447624891996) <= 1e-9
         fns = [
             tr.TestFunction.const_on(UNIT, 1),
             tr.TestFunction.hat(F(1, 2), F(1, 2), 1),
         ]
         r = th.conformal_residual(tent_handle, psi, cand.beta, cand.mu, fns)
         assert r.max_residual <= F(5, 256)
+
+    def test_doubling_shifted_energy(self):
+        s = specfile.bundled("doubling")
+        h = tr.TransferHandle.create(s.system, s.potential)
+        cand = th.solve_conformal(h, _psi_affine(s.system, 1, F(1, 2)), bins=256)
+        assert abs(cand.beta - 0.7641579239512795) <= 1e-9
+
+    def test_geometry_built_once_and_no_beta_repeated(self, tent_handle, monkeypatch):
+        builds, betas = [], []
+        build = th._ruelle_ulam
+
+        def counting(handle, psi, bins):
+            builds.append(bins)
+            matrix = build(handle, psi, bins)
+
+            def recorded(beta):
+                betas.append(beta)
+                return matrix(beta)
+
+            return recorded
+
+        monkeypatch.setattr(th, "_ruelle_ulam", counting)
+        psi = _psi_affine(tent_handle.system, 1, 0)
+        cand = th.solve_conformal(tent_handle, psi, bins=64, bracket=(0.5, 6.0))
+        assert builds == [64]
+        assert betas[:2] == [0.5, 6.0] and betas[-1] == cand.beta
+        assert len(set(betas)) == len(betas)
+
+    def test_overflowing_bracket_raises(self, tent_handle, psi_one):
+        psi = _psi_affine(tent_handle.system, 1, 0)
+        for bracket in ((-800.0, -700.0), (-1000.0, 6.0)):
+            with pytest.raises(ValidationError, match="overflows"):
+                th.solve_conformal(tent_handle, psi, bins=64, bracket=bracket)
+        # the constant-energy shortcut scales one root and must refuse too,
+        # also where exp itself is finite but the scaled root is not
+        for bracket in ((-1000.0, 6.0), (-709.5, 6.0)):
+            with pytest.raises(ValidationError, match="overflows"):
+                th.solve_conformal(tent_handle, psi_one, bins=64, bracket=bracket)
+
+    def test_graph_overflowing_bracket_raises(self):
+        s = specfile.bundled("fullshift2")
+        h = tr.TransferHandle.create(s.system, s.potential)
+        psi = th.PotentialFunction.const(s.system, 1)
+        with pytest.raises(ValidationError, match=r"beta=-1000\.0"):
+            th.solve_conformal(h, psi, bracket=(-1000.0, 6.0))
 
     def test_graph_single_loop_freezes_at_zero(self, loop1):
         s, h = loop1
@@ -504,6 +652,10 @@ class TestSolveConformal:
     def test_bad_bracket_rejected(self, tent_handle, psi_one):
         with pytest.raises(ValidationError):
             th.solve_conformal(tent_handle, psi_one, bracket=(2.0, 1.0))
+        with pytest.raises(ValidationError):
+            th.solve_conformal(tent_handle, psi_one, bracket=(math.nan, 1.0))
+        with pytest.raises(ValidationError):
+            th.solve_conformal(tent_handle, psi_one, bracket=(0.1, 3.0), max_iter=0)
 
     def test_candidate_mass_enforced(self, tent_handle):
         lopsided = tr.UlamMeasure(F(0), F(1), (F(3),) * 4)
