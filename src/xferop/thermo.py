@@ -16,6 +16,11 @@ solve, walks the bins, preimage cells and energy pieces in rational
 arithmetic and keeps the float segments they cut; a float pass, once per
 inverse temperature, integrates exp(-beta*energy) over all segments in one
 numpy expression and sums them into the bin matrix.
+
+The state-level checks and the eigen-measure residuals integrate against a
+measure point by point.  Each call builds one table of the exact per-point
+quantities (quadrature rows, orbits, cocycles, fibres, energy sums, test
+function values) that all of its rows read, and drops it on return.
 """
 
 from __future__ import annotations
@@ -724,7 +729,11 @@ class ResidualReport:
 
     @property
     def max_residual(self) -> float:
-        return max((r.residual for r in self.rows), default=0.0)
+        """The largest residual; NaN when any row is NaN, so no gate passes it."""
+        residuals = [r.residual for r in self.rows]
+        if any(math.isnan(v) for v in residuals):
+            return math.nan
+        return max(residuals, default=0.0)
 
     def __float__(self) -> float:
         return self.max_residual
@@ -758,15 +767,15 @@ def _int_ulam_grid(mu: tr.UlamMeasure, g: GridFunction) -> Fraction:
             continue
         k0 = max(int((u_ - mu.lo) // w), 0)
         k1 = min(int(-((mu.lo - v_) // w)) - 1, mu.bins - 1)
+
+        def anti(x: Fraction) -> Fraction:
+            return c0 * x + c1 * x * x / 2 + c2 * x * x * x / 3
+
         for k in range(k0, k1 + 1):
             a_ = max(u_, mu.lo + k * w)
             b_ = min(v_, mu.lo + (k + 1) * w)
             if b_ <= a_:
                 continue
-
-            def anti(x: Fraction) -> Fraction:
-                return c0 * x + c1 * x * x / 2 + c2 * x * x * x / 3
-
             total += mu.densities[k] * (anti(b_) - anti(a_))
     return total
 
@@ -782,10 +791,6 @@ def _ulam_quad_points(mu: tr.UlamMeasure, pts: int):
             yield x, d * w / pts
 
 
-def _int_ulam_callable(mu: tr.UlamMeasure, f: Callable, pts: int = 1) -> float:
-    return math.fsum(float(m) * float(f(x)) for x, m in _ulam_quad_points(mu, pts))
-
-
 def _int_atomic(mu: tr.AtomicMeasure, f: Callable) -> float:
     return math.fsum(float(m) * float(f(x)) for x, m in mu.atoms)
 
@@ -798,11 +803,156 @@ def total_mass_of(mu: Measure) -> float:
 
 
 # ---------------------------------------------------------------------------
+# per-call point tables
+# ---------------------------------------------------------------------------
+
+_UNSET = object()
+
+
+class _Point:
+    """A point of one state table; it hashes by identity, not by value."""
+
+    __slots__ = ("x", "psi_exp", "rho")
+
+    def __init__(self, x):
+        self.x = x
+        self.psi_exp: Optional[float] = None
+        self.rho: Optional[float] = None
+
+
+class _StateTable:
+    """Exact per-point quantities of the state integrals of one call.
+
+    ``kms_battery``, ``kms_pair_values``, ``core_kms_check`` and the two
+    eigen-measure residuals each build one and drop it when they return.
+    Every row, and both sides of an exchange pair, then reads the quadrature
+    rows, exp(beta*energy) and the weight at a point, and the orbit end,
+    cocycle, fibre, energy sum and test-function values, that an earlier row
+    computed.  A row asks once for the column of what it needs (say the
+    two-step orbit ends) and reads it point by point.  Points are interned
+    as :class:`_Point` nodes, so a read hashes an object identity instead of
+    a Fraction.  Numbers are kept as float operands, never as products: each
+    integrand multiplies the same floats in the same order as a direct
+    evaluation, so every sum is bit for bit the same.
+    """
+
+    def __init__(self, handle, mu: Measure, psi: PotentialFunction, beta: float):
+        self.handle, self.mu, self.psi, self.beta = handle, mu, psi, beta
+        self.system, self.pot = handle.system, handle.potential
+        self._points: dict = {}
+        self._quad: dict = {}
+        self._columns: dict = {}
+        self._held: dict = {}  # objects whose id keys a column, kept alive so ids stay unique
+
+    def point(self, x) -> _Point:
+        p = self._points.get(x)
+        if p is None:
+            p = self._points[x] = _Point(x)
+        return p
+
+    def quad(self, pts: int) -> list:
+        """Rows (point, float mass) of the pts-point bin quadrature of mu."""
+        rows = self._quad.get(pts)
+        if rows is None:
+            rows = self._quad[pts] = [
+                (self.point(x), float(m)) for x, m in _ulam_quad_points(self.mu, pts)
+            ]
+        return rows
+
+    def psi_exp(self, p: _Point) -> float:
+        if p.psi_exp is None:
+            p.psi_exp = _psi_exp(self.psi, self.beta, p.x)
+        return p.psi_exp
+
+    def rho(self, p: _Point) -> float:
+        if p.rho is None:
+            p.rho = float(_rho_or_zero(self.pot, p.x))
+        return p.rho
+
+    def _column(self, compute: Callable, *key) -> Callable[[_Point], object]:
+        """Point -> compute(x), each point computed once per table."""
+        col = self._columns.get(key)
+        if col is None:
+            col = self._columns[key] = {}
+
+        def read(p: _Point):
+            v = col.get(p, _UNSET)
+            if v is _UNSET:
+                v = col[p] = compute(p.x)
+            return v
+
+        return read
+
+    def orbit_ends(self, n: int) -> Callable[[_Point], Optional[_Point]]:
+        """phi^n by point; None where the orbit leaves the domain first."""
+
+        def end(x):
+            try:
+                return self.point(dyn.orbit(self.system, x, n)[-1])
+            except OutOfDomain:
+                return None
+
+        return self._column(end, "orbit", n)
+
+    def cocycles(self, n: int) -> Callable[[_Point], Optional[float]]:
+        """float(rho_n) by point; None where the orbit leaves the domain first."""
+
+        def weight(x):
+            try:
+                return float(dyn.cocycle(self.system, self.pot, n, x))
+            except OutOfDomain:
+                return None
+
+        return self._column(weight, "cocycle", n)
+
+    def fibres(self, n: int) -> Callable[[_Point], tuple]:
+        """The n-step preimages of nonzero weight, as (point, float weight) in fibre order."""
+
+        def fibre(y):
+            pre = dyn.preimages(self.system, self.pot, y, n)
+            return tuple((self.point(x), float(w)) for x, w in pre if w != 0)
+
+        return self._column(fibre, "fibre", n)
+
+    def values(self, f: Optional[tr.TestFunction]) -> Callable[[_Point], float]:
+        """float(f.value(x)) by point; 1.0 everywhere for an absent function."""
+        if f is None:
+            return lambda p: 1.0
+        self._held[id(f)] = f
+        return self._column(lambda x: float(f.value(x)), "value", id(f))
+
+    def energy_sums(self, psi: PotentialFunction, n: int) -> Callable[[_Point], object]:
+        """float(psi.birkhoff(x, n)) by point, or the error it raised there."""
+
+        def energy(x):
+            try:
+                return float(psi.birkhoff(x, n))
+            except (OutOfDomain, ValidationError) as e:
+                return e
+
+        self._held[id(psi)] = psi
+        return self._column(energy, "energy", id(psi), n)
+
+
+def _integrate_state(tab: _StateTable, f: Callable, pts: int) -> float:
+    """Integral of f, a function of table points, against the table's measure."""
+    mu = tab.mu
+    if isinstance(mu, tr.AtomicMeasure):
+        return _int_atomic(mu, lambda x: f(tab.point(x)))
+    if isinstance(mu, tr.UlamMeasure):
+        return math.fsum(m * float(f(p)) for p, m in tab.quad(pts))
+    if isinstance(mu, CascadeMeasure):
+        return mu.integrate_callable(lambda x: f(tab.point(x)))
+    raise ValidationError(f"cannot integrate against {type(mu).__name__}")
+
+
+# ---------------------------------------------------------------------------
 # eigen-measure residuals
 # ---------------------------------------------------------------------------
 
 
-def _strong_pair(handle, psi, beta, mu, a) -> tuple[float, float]:
+def _strong_pair(tab: _StateTable, a: tr.TestFunction) -> tuple[float, float]:
+    handle, psi, beta, mu = tab.handle, tab.psi, tab.beta, tab.mu
     system, pot = handle.system, handle.potential
     if system.backend == "graph":
         if not isinstance(mu, tr.AtomicMeasure):
@@ -820,14 +970,8 @@ def _strong_pair(handle, psi, beta, mu, a) -> tuple[float, float]:
             carrier = _single_component(system)
             prod = _grid_product(_fn_grid(a, carrier), _pot_grid(pot, carrier))
             rhs = math.exp(beta * float(cval)) * float(_int_ulam_grid(mu, prod))
-        else:
-            rhs = _int_ulam_callable(
-                mu,
-                lambda x: float(a.value(x)) * _psi_exp(psi, beta, x) * float(_rho_or_zero(pot, x)),
-                pts=4,
-            )
-        return lhs, rhs
-    if isinstance(mu, CascadeMeasure):
+            return lhs, rhs
+    elif isinstance(mu, CascadeMeasure):
         lhs = mu.integrate_grid(_transfer_grid(handle, a))
         if cval is None:
             raise UnsupportedPotential("cascade fast path needs a constant energy")
@@ -835,10 +979,11 @@ def _strong_pair(handle, psi, beta, mu, a) -> tuple[float, float]:
         prod = _grid_product(_fn_grid(a, carrier), _pot_grid(pot, carrier))
         rhs = math.exp(beta * float(cval)) * mu.integrate_grid(prod)
         return lhs, rhs
-    lhs = _int_atomic(mu, lambda y: tr.apply(handle, a, y))
-    rhs = _int_atomic(
-        mu,
-        lambda x: float(a.value(x)) * _psi_exp(psi, beta, x) * float(_rho_or_zero(pot, x)),
+    else:
+        lhs = _int_atomic(mu, lambda y: tr.apply(handle, a, y))
+    # each row has its own function, so only the energy and weight factors are shared
+    rhs = _integrate_state(
+        tab, lambda p: float(a.value(p.x)) * tab.psi_exp(p) * tab.rho(p), pts=4
     )
     return lhs, rhs
 
@@ -853,11 +998,14 @@ def conformal_residual(
     """Max residual of the weighted eigen-measure identity over a family.
 
     Row k compares the measure of the weighted fiber sum of fns[k] with the
-    measure of fns[k] * exp(beta * energy) * weight.
+    measure of fns[k] * exp(beta * energy) * weight.  The rows share one
+    point table, so exp(beta * energy) and the weight are evaluated once per
+    quadrature point.
     """
+    tab = _StateTable(handle, mu, psi, beta)
     rows = []
     for i, a in enumerate(fns):
-        lhs, rhs = _strong_pair(handle, psi, beta, mu, a)
+        lhs, rhs = _strong_pair(tab, a)
         rows.append(ResidualRow(f"f{i}", lhs, rhs, abs(lhs - rhs)))
     return ResidualReport("conformal", tuple(rows))
 
@@ -888,44 +1036,36 @@ def _bare_sum(handle, a: tr.TestFunction, y) -> Fraction:
     return sum((a.value(x) for x in system.gph.fiber(y)), Fraction(0))
 
 
-def _weak_pair(handle, psi, beta, mu, a) -> tuple[float, float, Optional[float]]:
-    system = handle.system
+def _weak_pair(tab: _StateTable, a: tr.TestFunction) -> tuple[float, float, Optional[float]]:
+    handle, psi, beta, mu = tab.handle, tab.psi, tab.beta, tab.mu
     bound = None
+    cval = psi.constant_value()
     if isinstance(mu, CascadeMeasure):
         # the telescoping tail estimate holds when each level refines the
         # last at the detected rate and one unit of energy is paid per step
-        if mu.growth is not None and psi.constant_value() == 1:
+        if mu.growth is not None and cval == 1:
             q = mu.growth * math.exp(-mu.beta)
             if q < 1:
                 bound = mu.growth * q**mu.depth * float(a.sup_norm_bound())
-        cval = psi.constant_value()
         if mu.dyadic:
             if cval is None:
                 raise UnsupportedPotential("cascade fast path needs a constant energy")
             carrier = RationalInterval(mu.lo, mu.hi)
             lhs = mu.integrate_grid(_fiber_sum_grid(handle, a))
             rhs = math.exp(beta * float(cval)) * mu.integrate_grid(_fn_grid(a, carrier))
-        else:
-            lhs = mu.integrate_callable(lambda y: float(_bare_sum(handle, a, y)))
-            rhs = mu.integrate_callable(
-                lambda x: float(a.value(x)) * _psi_exp(psi, beta, x)
-            )
-        return lhs, rhs, bound
-    if isinstance(mu, tr.UlamMeasure):
+            return lhs, rhs, bound
+        lhs = mu.integrate_callable(lambda y: float(_bare_sum(handle, a, y)))
+    elif isinstance(mu, tr.UlamMeasure):
         lhs = float(_int_ulam_grid(mu, _fiber_sum_grid(handle, a)))
-        cval = psi.constant_value()
         if cval is not None:
-            carrier = _single_component(system)
+            carrier = _single_component(handle.system)
             rhs = math.exp(beta * float(cval)) * float(
                 _int_ulam_grid(mu, _fn_grid(a, carrier))
             )
-        else:
-            rhs = _int_ulam_callable(
-                mu, lambda x: float(a.value(x)) * _psi_exp(psi, beta, x), pts=4
-            )
-        return lhs, rhs, bound
-    lhs = _int_atomic(mu, lambda y: _bare_sum(handle, a, y))
-    rhs = _int_atomic(mu, lambda x: float(a.value(x)) * _psi_exp(psi, beta, x))
+            return lhs, rhs, bound
+    else:
+        lhs = _int_atomic(mu, lambda y: _bare_sum(handle, a, y))
+    rhs = _integrate_state(tab, lambda p: float(a.value(p.x)) * tab.psi_exp(p), pts=4)
     return lhs, rhs, bound
 
 
@@ -942,10 +1082,11 @@ def weakly_conformal_residual(
     region; SupportViolation names the first offender.  For truncated
     cascades each row reports the geometric tail bound next to its residual.
     """
+    tab = _StateTable(handle, mu, psi, beta)
     rows = []
     for i, a in enumerate(fns):
         _check_weak_support(handle, a)
-        lhs, rhs, bound = _weak_pair(handle, psi, beta, mu, a)
+        lhs, rhs, bound = _weak_pair(tab, a)
         rows.append(ResidualRow(f"f{i}", lhs, rhs, abs(lhs - rhs), bound))
     return ResidualReport("weakly_conformal", tuple(rows))
 
@@ -1220,53 +1361,60 @@ def tv_distance(mu1: tr.UlamMeasure, mu2: tr.UlamMeasure) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _fn_call(f: Optional[tr.TestFunction]) -> Callable[[object], float]:
-    if f is None:
-        return lambda x: 1.0
-    return lambda x: float(f.value(x))
-
-
-def _lk(system, pot, g: Callable, k: int) -> Callable:
+def _lk(tab: _StateTable, g: Callable, k: int) -> Callable:
     if k == 0:
         return g
+    fibre = tab.fibres(k)
 
-    def val(y):
+    def val(y: _Point) -> float:
         total = 0.0
-        for x, w in dyn.preimages(system, pot, y, k):
-            if w == 0:
-                continue
-            total += float(w) * g(x)
+        for x, w in fibre(y):
+            total += w * g(x)
         return total
 
     return val
 
 
-def _alphak(system, g: Callable, l: int) -> Callable:
+def _alphak(tab: _StateTable, g: Callable, l: int) -> Callable:
     if l == 0:
         return g
+    end = tab.orbit_ends(l)
 
-    def val(x):
-        try:
-            z = dyn.orbit(system, x, l)[-1]
-        except OutOfDomain:
+    def val(x: _Point) -> float:
+        z = end(x)
+        if z is None:
             return 0.0
         return g(z)
 
     return val
 
 
-def _as_parts(m) -> tuple[Callable, int, int, Callable]:
-    if isinstance(m, TwistedMonomial):
-        return (
-            lambda x: m.left_value(x).real,
-            m.mon.up,
-            m.mon.down,
-            lambda x: m.right_value(x).real,
-        )
-    return _fn_call(m.left), m.up, m.down, _fn_call(m.right)
+def _as_parts(tab: _StateTable, m) -> tuple[Callable, int, int, Callable]:
+    if not isinstance(m, TwistedMonomial):
+        return tab.values(m.left), m.up, m.down, tab.values(m.right)
+    # TwistedMonomial.left_value / right_value, with every operand read from the table
+    mon, lam = m.mon, m.lam
+    left_base, up_sum = tab.values(mon.left), tab.energy_sums(m.psi, mon.up)
+    right_base, down_sum = tab.values(mon.right), tab.energy_sums(m.psi, mon.down)
+
+    def left(x: _Point) -> float:
+        base = complex(left_base(x))
+        s = up_sum(x)
+        if not isinstance(s, float):
+            return 0.0  # the power's coefficient lives on the n-step domain
+        return (cmath.exp(1j * lam * s) * base).real
+
+    def right(x: _Point) -> float:
+        base = complex(right_base(x))
+        s = down_sum(x)
+        if not isinstance(s, float):
+            return 0.0
+        return (base * cmath.exp(-1j * lam * s)).real
+
+    return left, mon.up, mon.down, right
 
 
-def _g_diag_product(system, pot, p1, p2) -> Optional[Callable]:
+def _g_diag_product(tab: _StateTable, p1, p2) -> Optional[Callable]:
     """Diagonal-expectation values of a monomial product, or None off balance."""
     a, n, m, b = p1
     c, k, l, d = p2
@@ -1276,40 +1424,35 @@ def _g_diag_product(system, pot, p1, p2) -> Optional[Callable]:
 
     if m >= k:
         up, down = n, m - k + l
-        mid = _alphak(system, _lk(system, pot, bc, k), l)
+        mid = _alphak(tab, _lk(tab, bc, k), l)
     else:
         up, down = n + k - m, l
-        mid = _alphak(system, _lk(system, pot, bc, m), n)
+        mid = _alphak(tab, _lk(tab, bc, m), n)
     if up != down:
         return None
+    cocycle = tab.cocycles(up)
 
-    def g(x):
-        try:
-            w = dyn.cocycle(system, pot, up, x)
-        except OutOfDomain:
+    def g(x: _Point) -> float:
+        w = cocycle(x)
+        if not w:  # out of the domain, or a zero weight
             return 0.0
-        if w == 0:
-            return 0.0
-        return float(w) * a(x) * mid(x) * d(x)
+        return w * a(x) * mid(x) * d(x)
 
     return g
 
 
-def _integrate_state(handle, mu: Measure, f: Callable, pts: int) -> float:
-    if isinstance(mu, tr.AtomicMeasure):
-        return _int_atomic(mu, f)
-    if isinstance(mu, tr.UlamMeasure):
-        return _int_ulam_callable(mu, f, pts)
-    if isinstance(mu, CascadeMeasure):
-        return mu.integrate_callable(f)
-    raise ValidationError(f"cannot integrate against {type(mu).__name__}")
-
-
-def _phi_pair(handle, mu, m1, m2, pts: int) -> float:
-    g = _g_diag_product(handle.system, handle.potential, _as_parts(m1), _as_parts(m2))
+def _phi_pair(tab: _StateTable, m1, m2, pts: int) -> float:
+    g = _g_diag_product(tab, _as_parts(tab, m1), _as_parts(tab, m2))
     if g is None:
         return 0.0
-    return _integrate_state(handle, mu, g, pts)
+    return _integrate_state(tab, g, pts)
+
+
+def _kms_pair(tab: _StateTable, m1, m2, pts: int) -> tuple[float, float]:
+    twisted = sigma_action(m2, complex(0.0, tab.beta), tab.psi)
+    lhs = _phi_pair(tab, m1, twisted, pts)
+    rhs = _phi_pair(tab, m2, m1, pts)
+    return lhs, rhs
 
 
 def kms_residual(
@@ -1327,9 +1470,7 @@ def kms_residual(
     single monomial, its diagonal expectation is evaluated pointwise with
     the exact cocycle weight, and the result is integrated against mu.
     """
-    twisted = sigma_action(m2, complex(0.0, beta), psi)
-    lhs = _phi_pair(handle, mu, m1, twisted, pts)
-    rhs = _phi_pair(handle, mu, m2, m1, pts)
+    lhs, rhs = kms_pair_values(handle, mu, beta, psi, m1, m2, pts)
     return abs(lhs - rhs)
 
 
@@ -1343,10 +1484,7 @@ def kms_pair_values(
     pts: int = 1,
 ) -> tuple[float, float]:
     """Both sides of the exchange identity, for reporting."""
-    twisted = sigma_action(m2, complex(0.0, beta), psi)
-    lhs = _phi_pair(handle, mu, m1, twisted, pts)
-    rhs = _phi_pair(handle, mu, m2, m1, pts)
-    return lhs, rhs
+    return _kms_pair(_StateTable(handle, mu, psi, beta), m1, m2, pts)
 
 
 def _battery_functions(handle, rng: random.Random, size: int) -> list[tr.TestFunction]:
@@ -1387,6 +1525,9 @@ def kms_battery(
     """
     if handle.system.backend != "interval":
         raise ValidationError("the monomial battery is an interval-backend helper")
+    if count < 1:
+        raise ValidationError(f"the battery needs at least one pair, got count={count}")
+    tab = _StateTable(handle, mu, psi, beta)
     rng = random.Random(seed)
     fns = _battery_functions(handle, rng, max(6, count // 2))
     maybe = fns + [None, None]
@@ -1408,7 +1549,7 @@ def kms_battery(
             up2, dn2 = powers_diag[(i + 1) % 4]
         m1 = rep.Monomial(rng.choice(fns), up1, dn1, rng.choice(maybe))
         m2 = rep.Monomial(rng.choice(fns), up2, dn2, rng.choice(maybe))
-        lhs, rhs = kms_pair_values(handle, mu, beta, psi, m1, m2, pts)
+        lhs, rhs = _kms_pair(tab, m1, m2, pts)
         tag = "off" if (up1 + up2) != (dn1 + dn2) else "diag"
         rows.append(ResidualRow(f"pair{i}:{tag}", lhs, rhs, abs(lhs - rhs)))
     notes = ()
@@ -1435,26 +1576,28 @@ def core_kms_check(
     mu.  Right side: mu of the n-fold fiber sum with the energy-damped
     weight exp(-beta * S_n) folded in.
     """
-    system, pot = handle.system, handle.potential
+    tab = _StateTable(handle, mu, psi, beta)
+    av, bv = tab.values(a), tab.values(b)
+    cocycle, fibre, sums = tab.cocycles(n), tab.fibres(n), tab.energy_sums(psi, n)
 
-    def lhs_fn(x):
-        try:
-            w = dyn.cocycle(system, pot, n, x)
-        except OutOfDomain:
+    def lhs_fn(x: _Point) -> float:
+        w = cocycle(x)
+        if w is None:
             return 0.0
-        return float(w) * float(a.value(x)) * float(b.value(x))
+        return w * av(x) * bv(x)
 
-    def rhs_fn(y):
+    def rhs_fn(y: _Point) -> float:
         total = 0.0
-        for x, w in dyn.preimages(system, pot, y, n):
-            if w == 0:
-                continue
-            damp = math.exp(-beta * float(psi.birkhoff(x, n)))
-            total += float(w) * damp * float(a.value(x)) * float(b.value(x))
+        for x, w in fibre(y):
+            s = sums(x)
+            if not isinstance(s, float):
+                raise s
+            damp = math.exp(-beta * s)
+            total += w * damp * av(x) * bv(x)
         return total
 
-    lhs = _integrate_state(handle, mu, lhs_fn, pts)
-    rhs = _integrate_state(handle, mu, rhs_fn, pts)
+    lhs = _integrate_state(tab, lhs_fn, pts)
+    rhs = _integrate_state(tab, rhs_fn, pts)
     return abs(lhs - rhs)
 
 

@@ -51,3 +51,45 @@ def test_conformal_overflowing_bracket_exits_3(tmp_path, spec, bracket):
     beta = bracket.split(",")[0]
     assert f"error: exp(-beta*energy) overflows at beta={float(beta)!r}" in result.output
     assert "beta:" not in result.output and "Traceback" not in result.output
+
+
+def _candidate(tmp_path, spec):
+    path = str(tmp_path / f"cand_{spec}.json")
+    result = CliRunner().invoke(main, ["conformal", "--spec", spec, "--candidate-out", path])
+    assert result.exit_code == 0, result.output
+    return path
+
+
+@pytest.mark.parametrize("spec", ["tent_std", "tent_half", "doubling"])
+def test_kms_verify_battery(tmp_path, spec):
+    cand = _candidate(tmp_path, spec)
+    result = CliRunner().invoke(main, ["kms-verify", "--spec", spec, "--candidate", cand])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert "exchange residuals" in lines
+    assert sum(line.startswith("pair") and ":" in line.split()[0] for line in lines) == 20
+    assert "within tolerance: yes" in lines
+
+
+def test_kms_verify_graph_route(tmp_path):
+    # the monomial battery is interval-only: graph candidates are checked
+    # through the eigen-measure identity, one row per length-one cylinder
+    cand = _candidate(tmp_path, "fullshift2")
+    result = CliRunner().invoke(main, ["kms-verify", "--spec", "fullshift2", "--candidate", cand])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    rows = [line.split()[0] for line in lines[lines.index("exchange residuals") + 3:] if line]
+    assert rows[:2] == ["f0", "f1"] and rows[2] == "max"
+    assert not any(line.startswith("pair0") for line in lines)
+    assert "within tolerance: yes" in lines
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_kms_verify_empty_battery_exits_3(tmp_path, count):
+    cand = _candidate(tmp_path, "tent_std")
+    result = CliRunner().invoke(
+        main, ["kms-verify", "--spec", "tent_std", "--candidate", cand, "--count", count]
+    )
+    assert result.exit_code == 3, result.output
+    assert f"error: the battery needs at least one pair, got count={count}" in result.output
+    assert "within tolerance" not in result.output

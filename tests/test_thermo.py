@@ -1,5 +1,8 @@
+import gc
 import math
+import random
 import time
+import weakref
 from fractions import Fraction as F
 
 import numpy as np
@@ -333,6 +336,15 @@ class TestConformalResidual:
         r = th.conformal_residual(tent_handle, psi_one, LN2, mu, [tr.TestFunction.const_on(UNIT, 1)])
         assert float(r) == r.max_residual
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_nan_residual_is_the_maximum(self, order):
+        rows = (th.ResidualRow("f0", 1.0, 1.001, 1e-3), th.ResidualRow("f1", math.nan, 0.0, math.nan))
+        report = th.ResidualReport("conformal", rows[::order])
+        assert math.isnan(report.max_residual) and math.isnan(float(report))
+        assert not report.max_residual <= 1.0
+        assert th.ResidualReport("conformal", rows[:1]).max_residual == 1e-3
+        assert th.ResidualReport("conformal", ()).max_residual == 0.0
+
 
 class TestWeaklyConformal:
     def test_support_must_avoid_irregular_point(self, tent_handle, psi_one):
@@ -515,6 +527,237 @@ class TestRuelleUlam:
     def test_perron_non_finite_raises(self):
         with pytest.raises(NoSolution, match="finite"):
             th._perron(np.array([[np.inf]]))
+
+
+def _bare_integrate(mu, f, pts):
+    """The state integral before point tables: f evaluated afresh at every point."""
+    if isinstance(mu, tr.AtomicMeasure):
+        return math.fsum(float(m) * float(f(x)) for x, m in mu.atoms)
+    return math.fsum(float(m) * float(f(x)) for x, m in th._ulam_quad_points(mu, pts))
+
+
+def _bare_parts(m):
+    def fn(f):
+        return (lambda x: 1.0) if f is None else (lambda x: float(f.value(x)))
+
+    if isinstance(m, th.TwistedMonomial):
+        return (lambda x: m.left_value(x).real, m.mon.up, m.mon.down,
+                lambda x: m.right_value(x).real)
+    return fn(m.left), m.up, m.down, fn(m.right)
+
+
+def _bare_diag(system, pot, p1, p2):
+    """Diagonal expectation of a monomial product, recomputing every exact quantity."""
+    a, n, m, b = p1
+    c, k, l, d = p2
+
+    def lk(g, k):
+        if k == 0:
+            return g
+
+        def val(y):
+            total = 0.0
+            for x, w in dyn.preimages(system, pot, y, k):
+                if w != 0:
+                    total += float(w) * g(x)
+            return total
+
+        return val
+
+    def alphak(g, l):
+        if l == 0:
+            return g
+
+        def val(x):
+            try:
+                z = dyn.orbit(system, x, l)[-1]
+            except OutOfDomain:
+                return 0.0
+            return g(z)
+
+        return val
+
+    def bc(x):
+        return b(x) * c(x)
+
+    if m >= k:
+        up, down, mid = n, m - k + l, alphak(lk(bc, k), l)
+    else:
+        up, down, mid = n + k - m, l, alphak(lk(bc, m), n)
+    if up != down:
+        return None
+
+    def g(x):
+        try:
+            w = dyn.cocycle(system, pot, up, x)
+        except OutOfDomain:
+            return 0.0
+        if w == 0:
+            return 0.0
+        return float(w) * a(x) * mid(x) * d(x)
+
+    return g
+
+
+def _bare_pair(handle, mu, beta, psi, m1, m2, pts):
+    """Both sides of the exchange identity, with no table shared between them."""
+
+    def phi(x1, x2):
+        g = _bare_diag(handle.system, handle.potential, _bare_parts(x1), _bare_parts(x2))
+        return 0.0 if g is None else _bare_integrate(mu, g, pts)
+
+    return phi(m1, th.sigma_action(m2, complex(0.0, beta), psi)), phi(m2, m1)
+
+
+def _bare_conformal_rhs(handle, psi, beta, mu, a):
+    """Right side of an eigen-measure row; the left side is an exact grid integral."""
+    pot = handle.potential
+    cval = psi.constant_value()
+    if cval is not None:
+        carrier = th._single_component(handle.system)
+        prod = th._grid_product(th._fn_grid(a, carrier), th._pot_grid(pot, carrier))
+        return math.exp(beta * float(cval)) * float(th._int_ulam_grid(mu, prod))
+    return _bare_integrate(
+        mu,
+        lambda x: float(a.value(x)) * th._psi_exp(psi, beta, x) * float(th._rho_or_zero(pot, x)),
+        4,
+    )
+
+
+def _bare_core(handle, mu, beta, psi, a, b, n, pts):
+    system, pot = handle.system, handle.potential
+
+    def lhs_fn(x):
+        try:
+            w = dyn.cocycle(system, pot, n, x)
+        except OutOfDomain:
+            return 0.0
+        return float(w) * float(a.value(x)) * float(b.value(x))
+
+    def rhs_fn(y):
+        total = 0.0
+        for x, w in dyn.preimages(system, pot, y, n):
+            if w == 0:
+                continue
+            damp = math.exp(-beta * float(psi.birkhoff(x, n)))
+            total += float(w) * damp * float(a.value(x)) * float(b.value(x))
+        return total
+
+    return abs(_bare_integrate(mu, lhs_fn, pts) - _bare_integrate(mu, rhs_fn, pts))
+
+
+def _spec_system(name):
+    """A bundled spec, or ``tent_left``: the tent's left branch alone, so orbits leave."""
+    if name != "tent_left":
+        return specfile.bundled(name)
+    doc = specfile.serialize_spec(specfile.bundled("tent_std"))
+    doc["branches"] = doc["branches"][:1]
+    return specfile.parse_spec(doc)
+
+
+def _random_ulam(bins, seed):
+    """Uneven rational densities, some of them zero."""
+    rng = random.Random(seed)
+    dens = [F(rng.randrange(0, 5), rng.randrange(1, 4)) for _ in range(bins)]
+    dens[0] += 1
+    return tr.UlamMeasure(F(0), F(1), tuple(dens))
+
+
+class TestStateTables:
+    """Point tables change no float: every row equals the table-free reference."""
+
+    @pytest.mark.parametrize("bins", [7, 64, 256])
+    @pytest.mark.parametrize("energy", ["one", "x"])
+    @pytest.mark.parametrize("spec", ["tent_std", "tent_half", "doubling", "halving", "tent_left"])
+    def test_matches_per_point_path(self, spec, energy, bins, monkeypatch):
+        s = _spec_system(spec)
+        h = tr.TransferHandle.create(s.system, s.potential)
+        if energy == "x":
+            psi = _psi_affine(s.system, 1, 0)
+        else:
+            psi = th.PotentialFunction.const(s.system, 1)
+        pairs = []
+        kms_pair = th._kms_pair
+
+        def spy(tab, m1, m2, pts):
+            pairs.append((m1, m2))
+            return kms_pair(tab, m1, m2, pts)
+
+        monkeypatch.setattr(th, "_kms_pair", spy)
+        beta = 0.7
+        # (seed, pts); the reference pays for every point again, so finer grids run fewer
+        runs = {7: [(3, 1), (11, 1), (3, 4), (11, 4)], 64: [(3, 1), (11, 4)], 256: [(11, 1)]}
+        for seed, pts in runs[bins]:
+            mu = _random_ulam(bins, seed)
+            pairs.clear()
+            # 12 pairs reach the transposed (2, 1) powers, so one table serves
+            # orbits and fibres of two depths
+            report = th.kms_battery(h, mu, beta, psi, count=12, seed=seed, pts=pts)
+            assert len(pairs) == len(report.rows) == 12
+            for row, (m1, m2) in zip(report.rows, pairs):
+                lhs, rhs = _bare_pair(h, mu, beta, psi, m1, m2, pts)
+                assert (row.lhs, row.rhs, row.residual) == (lhs, rhs, abs(lhs - rhs))
+            fns = th._battery_functions(h, random.Random(seed), 6)
+            got = th.conformal_residual(h, psi, beta, mu, fns)
+            for row, a in zip(got.rows, fns):
+                assert row.rhs == _bare_conformal_rhs(h, psi, beta, mu, a)
+                assert row.residual == abs(row.lhs - row.rhs)
+            for n in (0, 1, 2):
+                a, b = fns[1], fns[2 + n]
+                assert th.core_kms_check(h, mu, beta, psi, a, b, n, pts) == _bare_core(
+                    h, mu, beta, psi, a, b, n, pts
+                )
+
+    @pytest.mark.parametrize("spec", ["tent_std", "tent_half", "doubling", "halving", "tent_left"])
+    def test_weak_residual_matches(self, spec):
+        s = _spec_system(spec)
+        h = tr.TransferHandle.create(s.system, s.potential)
+        psi = _psi_affine(s.system, 1, 0)
+        mu = _random_ulam(64, 3)
+        fns = th.hat_battery(dyn.regular_set(s.system, s.potential).delta_reg, 3)
+        got = th.weakly_conformal_residual(h, psi, 0.7, mu, fns)
+        assert len(got.rows) == len(fns) == 3
+        for row, a in zip(got.rows, fns):
+            want = _bare_integrate(mu, lambda x: float(a.value(x)) * th._psi_exp(psi, 0.7, x), 4)
+            assert row.rhs == want and row.residual == abs(row.lhs - row.rhs)
+
+    def test_atomic_measure_matches(self, tent_handle, psi_one):
+        basis = rep.OrbitBasis(tent_handle, 1, 4)
+        mu = tr.AtomicMeasure(
+            "interval", tuple((nd.point, F(1, len(basis.nodes))) for nd in basis.nodes)
+        )
+        psi = _psi_affine(tent_handle.system, 1, 0)
+        hat = tr.TestFunction.hat(F(1, 4), F(1, 4), 1)
+        m1 = rep.Monomial(hat, 1, 1, tr.TestFunction.affine_on(UNIT, 1, 0))
+        m2 = rep.Monomial(None, 2, 2, hat)
+        for e in (psi_one, psi):
+            assert th.kms_pair_values(tent_handle, mu, 0.7, e, m1, m2) == _bare_pair(
+                tent_handle, mu, 0.7, e, m1, m2, 1
+            )
+
+    def test_no_table_outlives_its_call(self, tent_handle, monkeypatch):
+        made = []
+
+        class Recorded(th._StateTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(th, "_StateTable", Recorded)
+        psi = _psi_affine(tent_handle.system, 1, 0)
+        fns = th._battery_functions(tent_handle, random.Random(0), 6)
+        first, second = _random_ulam(16, 1), _random_ulam(16, 2)
+        th.kms_battery(tent_handle, first, 0.7, psi, count=8, seed=1)
+        th.conformal_residual(tent_handle, psi, 0.7, first, fns)
+        got = th.kms_battery(tent_handle, second, 0.7, psi, count=8, seed=1)
+        gc.collect()
+        assert len(made) == 3 and all(ref() is None for ref in made)
+        # the second measure's rows owe nothing to the first measure's tables
+        fresh = th.kms_battery(tent_handle, second, 0.7, psi, count=8, seed=1)
+        assert got == fresh
+        assert [r.lhs for r in got.rows] != [
+            r.lhs for r in th.kms_battery(tent_handle, first, 0.7, psi, count=8, seed=1).rows
+        ]
 
 
 class TestSolveConformal:
@@ -711,6 +954,12 @@ class TestKmsChecks:
         expected = float(sum(F(1, n) * v for v in rep.g_values(basis, mon)))
         assert lhs == pytest.approx(expected, abs=1e-13)
         assert rhs == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_empty_battery_refused(self, tent_handle, psi_one, count):
+        mu = th.uniform_ulam(tent_handle, 8)
+        with pytest.raises(ValidationError, match="at least one pair"):
+            th.kms_battery(tent_handle, mu, LN2, psi_one, count=count)
 
     def test_wrong_measure_fails_loudly(self, tent_handle, psi_one):
         bad = tr.AtomicMeasure("interval", ((F(1, 4), F(1)),))
