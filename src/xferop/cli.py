@@ -197,7 +197,7 @@ def _default_anchor(system: dyn.PartialSystem, pot: dyn.Potential):
         # pullbacks along the map produce length-two cylinders, so the tree
         # must start at least that deep for them to evaluate on its nodes
         for n in (2, 1):
-            words = sorted(system.gph.words(n), key=lambda p: p.sort_key())
+            words = system.gph.words(n)
             if words:
                 return words[0]
         raise ValidationError("graph admits no paths; pass --anchor explicitly")
@@ -216,7 +216,7 @@ def _anchor_of(spec: sf.SpecData, anchor_arg: str | None):
 
 def _default_samples(system: dyn.PartialSystem) -> list:
     if system.backend == "graph":
-        return sorted(system.gph.words(1), key=lambda p: p.sort_key())
+        return list(system.gph.words(1))
     pts = []
     for iv in system.ival.space.intervals:
         pts.extend([iv.lo, iv.midpoint(), iv.hi])
@@ -258,10 +258,9 @@ def _battery_fns(handle: tr.TransferHandle, rng: random.Random, size: int):
     coeffs = (Fraction(1), Fraction(1, 2), Fraction(2, 3))
     # tree nodes can be as short as the anchor word, so stick to length-one
     # cylinders and vertex indicators, which evaluate at every genuine word
-    cyls = sorted(g.words(1), key=lambda p: p.sort_key())
-    verts = [g.vertex_point(v) for v in g.vertices]
+    verts = tuple(g.vertex_point(v) for v in g.vertices)
     fns = []
-    for i, p in enumerate(cyls + verts):
+    for i, p in enumerate(g.words(1) + verts):
         fns.append(tr.TestFunction.indicator(p, coeffs[i % 3]))
         if len(fns) >= size:
             break
@@ -305,14 +304,16 @@ def _measure_from_doc(doc: dict, system: dyn.PartialSystem):
             frac(doc["lo"]), frac(doc["hi"]), tuple(frac(d) for d in doc["densities"])
         )
     if kind == "atomic":
-        backend = doc.get("backend", system.backend)
+        named = doc.get("backend", system.backend)
+        if named != system.backend:
+            raise ParseError(f"measure backend {named!r} does not match the {system.backend} system")
         atoms = []
         for a in doc["atoms"]:
-            if backend == "interval":
+            if system.backend == "interval":
                 atoms.append((frac(a["point"]), frac(a["mass"])))
             else:
                 atoms.append((system.gph.path_point(tuple(a["word"])), frac(a["mass"])))
-        return tr.AtomicMeasure(backend, tuple(atoms))
+        return tr.AtomicMeasure(system.backend, tuple(atoms))
     raise ParseError(f"unknown measure type {kind!r}")
 
 
@@ -361,9 +362,7 @@ def _restrict_regular(spec: sf.SpecData):
         keep = tuple(e for e in system.gph.edges if wmap.get(e.name, Fraction(0)) > 0)
         dropped = sorted(e.name for e in system.gph.edges if e not in keep)
         gph = dyn.GraphSystem(system.gph.vertices, keep, system.gph.truncation_depth)
-        sys2 = dyn.PartialSystem(
-            "graph", graph=gph, depth_bound=system.depth_bound, name=spec.name
-        )
+        sys2 = dyn.PartialSystem(gph, depth_bound=system.depth_bound, name=spec.name)
         pot2 = dyn.Potential(
             "graph", weights=tuple((e, w) for e, w in pot.weights if wmap[e] > 0)
         )
@@ -376,8 +375,7 @@ def _restrict_regular(spec: sf.SpecData):
             if not iv.is_point:
                 branches.append(dyn.AffineBranch(iv, b.slope, b.intercept))
     sys2 = dyn.PartialSystem(
-        "interval",
-        interval=dyn.IntervalSystem(system.ival.space, branches),
+        dyn.IntervalSystem(system.ival.space, branches),
         depth_bound=system.depth_bound,
         name=spec.name,
     )
@@ -728,8 +726,7 @@ def conformal(spec_arg, out, fmt, psi_arg, bins, bracket, tol, check_path, candi
 def _verify_fns(handle: tr.TransferHandle):
     """Deterministic verification family inside the regular region."""
     if handle.system.backend == "graph":
-        cyls = sorted(handle.system.gph.words(1), key=lambda p: p.sort_key())
-        return [tr.TestFunction.indicator(p) for p in cyls]
+        return [tr.TestFunction.indicator(p) for p in handle.system.gph.words(1)]
     reg = dyn.regular_set(handle.system, handle.potential).delta_reg
     fns = th.hat_battery(reg, 4)
     for iv in reg.intervals:

@@ -6,11 +6,19 @@ rational intervals; the graph backend models the left shift on the boundary
 path space of a finite directed graph, truncated to cylinders of a bounded
 word length.  Everything here is computed in exact rational arithmetic.
 
-Open sets have one interface on both backends: ``IntervalSet`` and
-``CylinderSet`` share ``union``, ``intersection``, ``intersects``,
-``issubset``, ``==`` and ``is_empty``, and ``IntervalSystem`` and
-``GraphSystem`` map them with ``image_of`` and ``preimage_of`` and carry the
-whole space as ``space``.
+The backend is the type of the map.  ``PartialSystem.map`` holds an
+``IntervalSystem`` or a ``GraphSystem``, and both answer one protocol:
+
+- points: ``phi(x)`` steps forward (raising ``OutOfDomain`` off the
+  domain), ``fiber(y)`` lists the exact preimages of ``y`` in order,
+  ``point(x)`` coerces an argument to a point (``frac`` on intervals, the
+  identity on graphs) and ``weight(pot, x)`` is the weight of ``x``.
+  Points of one backend are totally ordered: rationals by value, path
+  points by ``PathPoint.sort_key``, so ``sorted`` works on either.
+- open sets: ``IntervalSet`` and ``CylinderSet`` share ``union``,
+  ``intersection``, ``intersects``, ``issubset``, ``==`` and ``is_empty``;
+  the maps carry them with ``image_of`` and ``preimage_of`` and hold the
+  whole space as ``space``.
 """
 
 from __future__ import annotations
@@ -93,6 +101,8 @@ class IntervalSystem:
     union is computed and reported, not assumed.
     """
 
+    backend = "interval"
+
     def __init__(self, space: IntervalSet, branches: Sequence[AffineBranch]):
         if space.is_empty:
             raise ValidationError("space must be nonempty")
@@ -126,19 +136,12 @@ class IntervalSystem:
 
     # -- pointwise map -----------------------------------------------------
 
-    def branch_indices_at(self, x: Rationalish) -> tuple[int, ...]:
-        x = frac(x)
-        return tuple(i for i, b in enumerate(self.branches) if b.domain.contains(x))
-
     def phi(self, x: Rationalish) -> Fraction:
         x = frac(x)
         for b in self.branches:
             if b.domain.contains(x):
                 return b.value(x)
         raise OutOfDomain(x, 0)
-
-    def in_domain(self, x: Rationalish) -> bool:
-        return bool(self.branch_indices_at(x))
 
     def fiber(self, y: Rationalish) -> tuple[Fraction, ...]:
         """All exact solutions of phi(x) = y, deduplicated and sorted."""
@@ -149,6 +152,12 @@ class IntervalSystem:
             if b.domain.contains(x):
                 out.add(x)
         return tuple(sorted(out))
+
+    def point(self, x: Rationalish) -> Fraction:
+        return frac(x)
+
+    def weight(self, pot: "Potential", x: Rationalish) -> Fraction:
+        return pot.value(x)
 
     # -- set dynamics --------------------------------------------------------
 
@@ -230,6 +239,9 @@ class PathPoint:
 
     def sort_key(self):
         return (len(self.word), self.word, self.end)
+
+    def __lt__(self, other: "PathPoint") -> bool:
+        return self.sort_key() < other.sort_key()
 
     def contains(self, p: "PathPoint") -> bool:
         """Whether the cylinder of ``p`` lies inside the cylinder of this point.
@@ -314,6 +326,8 @@ class CylinderSet:
 class GraphSystem:
     """Left shift on the boundary path space of a finite graph."""
 
+    backend = "graph"
+
     def __init__(self, vertices: Sequence[str], edges: Sequence[GraphEdge], truncation_depth: int = 8):
         vertices = tuple(vertices)
         edges = tuple(edges)
@@ -365,9 +379,6 @@ class GraphSystem:
             prev = e
         return PathPoint(word, prev.src, self.edge_by_name[word[0]].rng)
 
-    def range_vertex(self, p: PathPoint) -> str:
-        return p.rng
-
     def is_exact(self, p: PathPoint) -> bool:
         """True when the cylinder of p is a single finite boundary path."""
         return self.is_terminal(p.end)
@@ -386,7 +397,8 @@ class GraphSystem:
                 return True
             seen.add(v)
 
-    def shift(self, p: PathPoint) -> PathPoint:
+    def phi(self, p: PathPoint) -> PathPoint:
+        """The left shift; a vertex cylinder has no first edge to drop."""
         if not p.word:
             raise OutOfDomain(p, 0)
         rest = p.word[1:]
@@ -394,11 +406,19 @@ class GraphSystem:
         return PathPoint(rest, p.end, rng)
 
     def fiber(self, p: PathPoint) -> tuple[PathPoint, ...]:
-        v = self.range_vertex(p)
         return tuple(
             PathPoint((e.name,) + p.word, p.end, e.rng)
-            for e in sorted(self.prependable(v), key=lambda e: e.name)
+            for e in sorted(self.prependable(p.rng), key=lambda e: e.name)
         )
+
+    def point(self, p: PathPoint) -> PathPoint:
+        return p
+
+    def weight(self, pot: "Potential", p: PathPoint) -> Fraction:
+        """The weight of a path is the weight of its first edge."""
+        if not p.word:
+            raise OutOfDomain(p, 0)
+        return pot.edge_weight(p.word[0])
 
     def children(self, p: PathPoint) -> tuple[PathPoint, ...]:
         """The cylinders one edge longer; they partition the cylinder of p
@@ -413,7 +433,7 @@ class GraphSystem:
     def image_of(self, s: CylinderSet) -> CylinderSet:
         """Shift image; a vertex cylinder is split into its children first."""
         parts = (k for c in s for k in (self.children(c) if not c.word else (c,)))
-        return CylinderSet(self, (self.shift(k) for k in parts))
+        return CylinderSet(self, (self.phi(k) for k in parts))
 
     def preimage_of(self, s: CylinderSet) -> CylinderSet:
         return CylinderSet(self, (q for c in s for q in self.fiber(c)))
@@ -455,35 +475,37 @@ class GraphSystem:
 
 @dataclass(frozen=True)
 class PartialSystem:
-    """Backend union: one partial dynamical system plus its iteration budget."""
+    """One partial dynamical system plus its iteration budget.
 
-    backend: str
-    interval: Optional[IntervalSystem] = None
-    graph: Optional[GraphSystem] = None
+    ``map`` is an ``IntervalSystem`` or a ``GraphSystem``; its class names
+    the backend.  ``ival`` and ``gph`` hand it out to backend-only code.
+    """
+
+    map: Union[IntervalSystem, GraphSystem]
     depth_bound: int = 24
     name: Optional[str] = None
 
     def __post_init__(self):
-        if self.backend not in ("interval", "graph"):
-            raise ValidationError(f"unknown backend {self.backend!r}")
-        if self.backend == "interval" and self.interval is None:
-            raise ValidationError("interval backend needs an IntervalSystem")
-        if self.backend == "graph" and self.graph is None:
-            raise ValidationError("graph backend needs a GraphSystem")
+        if not isinstance(self.map, (IntervalSystem, GraphSystem)):
+            raise ValidationError(f"unknown map type {type(self.map).__name__}")
         if self.depth_bound < 1:
             raise ValidationError("depth bound must be positive")
 
     @property
+    def backend(self) -> str:
+        return self.map.backend
+
+    @property
     def ival(self) -> IntervalSystem:
-        if self.interval is None:
+        if not isinstance(self.map, IntervalSystem):
             raise ValidationError("operation needs the interval backend")
-        return self.interval
+        return self.map
 
     @property
     def gph(self) -> GraphSystem:
-        if self.graph is None:
+        if not isinstance(self.map, GraphSystem):
             raise ValidationError("operation needs the graph backend")
-        return self.graph
+        return self.map
 
     def check_depth(self, n: int):
         if n > self.depth_bound:
@@ -491,7 +513,7 @@ class PartialSystem:
 
     def point(self, x) -> Point:
         """A point of this backend: path points as given, numbers made exact."""
-        return x if self.backend == "graph" else frac(x)
+        return self.map.point(x)
 
 
 Point = Union[Fraction, PathPoint]
@@ -617,25 +639,7 @@ class Potential:
 
 def rho(system: PartialSystem, pot: Potential, x: Point) -> Fraction:
     """Exact weight of one point."""
-    if system.backend == "interval":
-        return pot.value(x)
-    p: PathPoint = x
-    if not p.word:
-        raise OutOfDomain(p, 0)
-    return pot.edge_weight(p.word[0])
-
-
-def phi(system: PartialSystem, x: Point) -> Point:
-    """One forward step of the partial map."""
-    if system.backend == "interval":
-        return system.ival.phi(x)
-    return system.gph.shift(x)
-
-
-def fiber(system: PartialSystem, y: Point) -> tuple[Point, ...]:
-    if system.backend == "interval":
-        return system.ival.fiber(y)
-    return system.gph.fiber(y)
+    return system.map.weight(pot, x)
 
 
 @dataclass(frozen=True)
@@ -705,17 +709,17 @@ def preimages(
     if n < 0:
         raise ValidationError("n must be nonnegative")
     system.check_depth(n)
-    level: list[tuple[Point, Fraction]] = [(system.point(y), Fraction(1))]
+    f = system.map
+    level: list[tuple[Point, Fraction]] = [(f.point(y), Fraction(1))]
     for _ in range(n):
         nxt = []
         for z, w in level:
-            for x in fiber(system, z):
-                nxt.append((x, rho(system, pot, x) * w))
+            for x in f.fiber(z):
+                nxt.append((x, f.weight(pot, x) * w))
         level = nxt
     if drop_zero:
         level = [(x, w) for x, w in level if w != 0]
-    key = (lambda t: t[0]) if system.backend == "interval" else (lambda t: t[0].sort_key())
-    return tuple(sorted(level, key=key))
+    return tuple(sorted(level, key=lambda t: t[0]))
 
 
 def cocycle(system: PartialSystem, pot: Potential, n: int, x: Point) -> Fraction:
@@ -724,23 +728,25 @@ def cocycle(system: PartialSystem, pot: Potential, n: int, x: Point) -> Fraction
         raise ValidationError("n must be nonnegative")
     system.check_depth(n)
     out = Fraction(1)
-    z = system.point(x)
+    f = system.map
+    z = f.point(x)
     for step in range(n):
         try:
-            nxt = phi(system, z)
+            nxt = f.phi(z)
         except OutOfDomain:
             raise OutOfDomain(x, step) from None
-        out *= rho(system, pot, z)
+        out *= f.weight(pot, z)
         z = nxt
     return out
 
 
 def orbit(system: PartialSystem, x: Point, n: int) -> tuple[Point, ...]:
     """x, phi(x), ..., phi^n(x); raises OutOfDomain when the orbit leaves."""
-    out = [system.point(x)]
+    f = system.map
+    out = [f.point(x)]
     for step in range(n):
         try:
-            out.append(phi(system, out[-1]))
+            out.append(f.phi(out[-1]))
         except OutOfDomain:
             raise OutOfDomain(x, step) from None
     return tuple(out)
@@ -932,14 +938,14 @@ def power(system: PartialSystem, pot: Potential, n: int) -> tuple[PartialSystem,
         new_weights = []
         for p in gph.words(n):
             name = ".".join(p.word)
-            new_edges.append(GraphEdge(name, p.end, gph.range_vertex(p)))
+            new_edges.append(GraphEdge(name, p.end, p.rng))
             w = Fraction(1)
             for e in p.word:
                 w *= wmap[e]
             new_weights.append((name, w))
         g2 = GraphSystem(gph.vertices, new_edges, max(1, gph.truncation_depth // n))
         return (
-            PartialSystem("graph", graph=g2, depth_bound=system.depth_bound, name=None),
+            PartialSystem(g2, depth_bound=system.depth_bound),
             Potential("graph", weights=tuple(new_weights)),
         )
 
@@ -1003,9 +1009,7 @@ def power(system: PartialSystem, pot: Potential, n: int) -> tuple[PartialSystem,
             pieces.append((RationalInterval(lo, hi, lo_closed, hi_closed), m_total, c_total))
 
     overrides = []
-    ps = PartialSystem(
-        "interval", interval=new_sys, depth_bound=system.depth_bound, name=None
-    )
+    ps = PartialSystem(new_sys, depth_bound=system.depth_bound)
     for x in sorted(override_pts):
         if not new_sys.delta.contains(x):
             continue
@@ -1072,7 +1076,7 @@ def essential_domain(system: PartialSystem, depth: int):
     for n in range(1, depth + 1):
         sn = gph.source_propagation(n)
         fn = frozenset(
-            a for a in depth_atoms if len(a.word) >= n and gph.range_vertex(a) in sn
+            a for a in depth_atoms if len(a.word) >= n and a.rng in sn
         )
         new = fn if partial is None else partial & fn
         if partial is not None and new == partial and stabilized_at is None:

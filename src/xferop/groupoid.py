@@ -35,12 +35,6 @@ from .errors import NotLocalHomeo, OutOfDomain, ValidationError
 # ---------------------------------------------------------------------------
 
 
-def _point_key(p):
-    if isinstance(p, Fraction):
-        return (0, p)
-    return (1,) + p.sort_key()
-
-
 @dataclass(frozen=True)
 class GroupoidElement:
     """One arrow (x, k, y) with a verified witness pair.
@@ -114,9 +108,6 @@ class TruncatedGroupoid:
             raise ValidationError(f"no unit at {x}")
         return self.elements[i]
 
-    def from_left(self, x) -> tuple[GroupoidElement, ...]:
-        return tuple(self.elements[i] for i in self._by_left.get(x, ()))
-
     def contains(self, x, k: int, y) -> bool:
         return (x, k, y) in self.index
 
@@ -183,7 +174,7 @@ def _max_orbit(system: PartialSystem, x, cap: int):
     out = [x]
     for _ in range(cap):
         try:
-            out.append(dyn.phi(system, out[-1]))
+            out.append(system.map.phi(out[-1]))
         except OutOfDomain:
             break
     return tuple(out)
@@ -227,7 +218,7 @@ def build_deaconu(
         basis = rep.OrbitBasis(handle, seed, depth)
         for nd in basis.nodes:
             points.setdefault(nd.point, None)
-    pts = tuple(sorted(points, key=_point_key))
+    pts = tuple(sorted(points))
 
     orbits = [_max_orbit(system, p, depth) for p in pts]
     groups: dict = {}

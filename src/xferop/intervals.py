@@ -328,10 +328,6 @@ class IntervalSet:
         inside = self.intersection(space)
         return inside == inside.interior_in(space)
 
-    def boundary_in(self, space: "IntervalSet") -> "IntervalSet":
-        inside = self.intersection(space)
-        return inside.closure().intersection(space.difference(inside).closure()).intersection(space)
-
     def interior_radius_at(self, x: Rationalish, space: "IntervalSet") -> Fraction | None:
         """A rational r > 0 with ``(x-r, x+r) & space`` inside self.
 

@@ -93,8 +93,7 @@ def compose_with_map(system: PartialSystem, a: tr.TestFunction) -> tr.TestFuncti
     gph = system.gph
     cyls = []
     for cyl, w in a.cylinders:
-        v = gph.range_vertex(cyl)
-        for e in gph.prependable(v):
+        for e in gph.prependable(cyl.rng):
             cyls.append((gph.path_point((e.name,) + cyl.word), w))
     return tr.TestFunction("graph", cylinders=tuple(cyls))
 
@@ -136,7 +135,7 @@ class OrbitBasis:
         for k in range(1, depth + 1):
             nxt = []
             for point, idx in frontier:
-                for child in dyn.fiber(system, point):
+                for child in system.map.fiber(point):
                     w = dyn.rho(system, pot, child)
                     if drop_zero and w == 0:
                         continue
@@ -479,7 +478,7 @@ def quasi_basis_residual(
 
     worst = 0.0
     for x in points:
-        y = dyn.phi(system, x)
+        y = system.map.phi(x)
         total = 0.0
         sum_v = 0.0
         for v in qb.functions:

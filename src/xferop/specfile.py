@@ -91,7 +91,10 @@ def parse_spec(doc: dict) -> SpecData:
     backend = _need(doc, "backend")
     name = str(doc.get("name", "unnamed"))
     notes = str(doc.get("notes", ""))
-    depth_bound = int(doc.get("depth_bound", 24))
+    depth_bound = doc.get("depth_bound", 24)
+    # bool is an int subclass, and JSON true is no depth
+    if type(depth_bound) is not int:
+        raise ParseError(f"depth_bound must be an integer, got {depth_bound!r}")
 
     if backend == "interval":
         space = IntervalSet(_parse_interval(iv) for iv in _need(doc, "space"))
@@ -108,7 +111,7 @@ def parse_spec(doc: dict) -> SpecData:
             sys_ = IntervalSystem(space, branches)
         except Exception as e:
             raise ParseError(f"bad interval system: {e}") from None
-        system = PartialSystem("interval", interval=sys_, depth_bound=depth_bound, name=name)
+        system = PartialSystem(sys_, depth_bound=depth_bound, name=name)
         potential = _parse_potential(_need(doc, "potential"), "interval")
         psi = None
         if doc.get("psi") is not None:
@@ -125,7 +128,7 @@ def parse_spec(doc: dict) -> SpecData:
             gph = GraphSystem(vertices, edges, int(doc.get("truncation_depth", 8)))
         except Exception as e:
             raise ParseError(f"bad graph system: {e}") from None
-        system = PartialSystem("graph", graph=gph, depth_bound=depth_bound, name=name)
+        system = PartialSystem(gph, depth_bound=depth_bound, name=name)
         potential = _parse_potential(_need(doc, "weights"), "graph")
         psi = None
         if doc.get("psi_weights") is not None:

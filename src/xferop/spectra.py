@@ -441,7 +441,7 @@ def _orbit_set(system, pot, x, depth):
     for _ in range(depth):
         z = fwd[-1]
         try:
-            nxt = dyn.phi(system, z)
+            nxt = system.map.phi(z)
         except OutOfDomain:
             break
         if dyn.rho(system, pot, z) == 0:

@@ -37,7 +37,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import rep
 from . import transfer as tr
-from .dynamics import PartialSystem, PathPoint, Potential
+from .dynamics import PartialSystem, Potential
 from .errors import (
     NoSolution,
     OutOfDomain,
@@ -140,12 +140,7 @@ class PotentialFunction:
     # -- evaluation ------------------------------------------------------------
 
     def value(self, x) -> Fraction:
-        if self.system.backend == "interval":
-            return self.carrier.value(frac(x))
-        p: PathPoint = x
-        if not p.word:
-            raise OutOfDomain(p, 0)
-        return self.carrier.edge_weight(p.word[0])
+        return dyn.rho(self.system, self.carrier, x)
 
     def birkhoff(self, x, n: int) -> Fraction:
         """Sum of the energy along the first n forward steps."""
@@ -348,17 +343,6 @@ class GridFunction:
             if u < x < v_:
                 return c0 + c1 * x + c2 * x * x
         return Fraction(0)
-
-    def sup_bound(self) -> Fraction:
-        best = max((abs(v) for v in self.node_values), default=Fraction(0))
-        for (u, v_), (c0, c1, c2) in zip(zip(self.nodes, self.nodes[1:]), self.cells):
-            for x in (u, v_):
-                best = max(best, abs(c0 + c1 * x + c2 * x * x))
-            if c2 != 0:
-                top = -c1 / (2 * c2)
-                if u < top < v_:
-                    best = max(best, abs(c0 + c1 * top + c2 * top * top))
-        return best
 
 
 def _fn_grid(a: tr.TestFunction, carrier: RationalInterval) -> GridFunction:
@@ -1030,10 +1014,7 @@ def _check_weak_support(handle, a: tr.TestFunction):
 
 
 def _bare_sum(handle, a: tr.TestFunction, y) -> Fraction:
-    system = handle.system
-    if system.backend == "interval":
-        return sum((a.value(x) for x in system.ival.fiber(frac(y))), Fraction(0))
-    return sum((a.value(x) for x in system.gph.fiber(y)), Fraction(0))
+    return sum((a.value(x) for x in handle.system.map.fiber(y)), Fraction(0))
 
 
 def _weak_pair(tab: _StateTable, a: tr.TestFunction) -> tuple[float, float, Optional[float]]:

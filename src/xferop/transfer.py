@@ -377,7 +377,7 @@ def transfer_identity_check(
         for x, w in dyn.preimages(handle.system, handle.potential, y, 1):
             if w == 0:
                 continue
-            lhs += w * a.value(x) * b.value(dyn.phi(handle.system, x))
+            lhs += w * a.value(x) * b.value(handle.system.map.phi(x))
         rhs = apply(handle, a, y) * b.value(y)
         worst = max(worst, abs(lhs - rhs))
     return worst
@@ -409,10 +409,7 @@ class AtomicMeasure:
         acc: dict = {}
         for x, m in self.atoms:
             acc[x] = acc.get(x, Fraction(0)) + m
-        if self.backend == "interval":
-            items = sorted(acc.items())
-        else:
-            items = sorted(acc.items(), key=lambda t: t[0].sort_key())
+        items = sorted(acc.items())
         return AtomicMeasure(self.backend, tuple((x, m) for x, m in items if m != 0))
 
 
@@ -434,11 +431,6 @@ class UlamMeasure:
     @property
     def bins(self) -> int:
         return len(self.densities)
-
-    def bin_interval(self, i: int) -> RationalInterval:
-        k = self.bins
-        w = (self.hi - self.lo) / k
-        return RationalInterval(self.lo + i * w, self.lo + (i + 1) * w, True, i == k - 1)
 
     def total_mass(self) -> Fraction:
         w = (self.hi - self.lo) / self.bins

@@ -733,7 +733,7 @@ def _collapsed_basis(system: PartialSystem, pot: Potential, cert, depth: int):
         for _ in range(depth):
             nxt = []
             for i in frontier:
-                for child in dyn.fiber(system, pts[i]):
+                for child in gph.fiber(pts[i]):
                     w = dyn.rho(system, pot, child)
                     if w == 0:
                         continue

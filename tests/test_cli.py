@@ -84,6 +84,32 @@ def test_kms_verify_graph_route(tmp_path):
     assert "within tolerance: yes" in lines
 
 
+@pytest.mark.parametrize("backend", ["interval", "bogus"])
+def test_kms_verify_refuses_measure_of_another_backend(tmp_path, backend):
+    path = _candidate(tmp_path, "fullshift2")
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["measure"] = {"type": "atomic", "backend": backend, "atoms": [{"point": "1/3", "mass": "1"}]}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    result = CliRunner().invoke(main, ["kms-verify", "--spec", "fullshift2", "--candidate", path])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: measure backend {backend!r} does not match the graph system" in result.output
+
+
+@pytest.mark.parametrize("depth_bound", ["deep", None, True, 2.5])
+def test_validate_refuses_non_integer_depth_bound(tmp_path, depth_bound):
+    doc = json.loads(resources.files("xferop").joinpath("specs", "tent_std.json").read_text("utf-8"))
+    doc["depth_bound"] = depth_bound
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = CliRunner().invoke(main, ["validate", "--spec", str(path)])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: depth_bound must be an integer, got {depth_bound!r}" in result.output
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_kms_verify_empty_battery_exits_3(tmp_path, count):
     cand = _candidate(tmp_path, "tent_std")

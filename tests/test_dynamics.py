@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -98,8 +99,7 @@ class TestIteration:
         # orbit of 1/2 under tent: 1/2 -> 1 -> 0 -> 0, always inside
         assert dyn.cocycle(tent_half.system, tent_half.potential, 3, F(1, 2)) == 0
         ps = dyn.PartialSystem(
-            "interval",
-            interval=dyn.IntervalSystem(
+            dyn.IntervalSystem(
                 IntervalSet.closed(0, 1),
                 [dyn.AffineBranch(RationalInterval(0, F(1, 2)), 1, 0)],
             ),
@@ -217,7 +217,7 @@ class TestEssentialDomain:
             ["u", "v"],
             [dyn.GraphEdge("e", "v", "v"), dyn.GraphEdge("f", "v", "u")],
         )
-        ps = dyn.PartialSystem("graph", graph=g)
+        ps = dyn.PartialSystem(g)
         ed, stab, _ = dyn.essential_domain(ps, 4)
         assert [str(a) for a in ed.cylinders] == ["eeee@v"]
         assert stab
@@ -233,7 +233,7 @@ class TestGraphSystem:
         full = specfile.bundled("fullshift2").system.gph
         p = full.path_point(("e0", "e1", "e0"))
         for q in full.fiber(p):
-            assert full.shift(q) == p
+            assert full.phi(q) == p
 
     def test_inadmissible_word_rejected(self):
         loops = specfile.bundled("loops2").system.gph
@@ -256,6 +256,28 @@ class TestGraphSystem:
         g = specfile.bundled("loop1").system.gph
         assert g.is_singleton(g.vertex_point("v"))
         assert not g.is_exact(g.vertex_point("v"))
+
+
+class TestPartialSystem:
+    @pytest.mark.parametrize("name", ["loop1", "loops2", "fullshift2"])
+    def test_path_points_sort_by_sort_key(self, name):
+        points = list(specfile.bundled(name).system.gph.atoms(4))
+        random.Random(0).shuffle(points)
+        assert sorted(points) == sorted(points, key=dyn.PathPoint.sort_key)
+
+    @pytest.mark.parametrize("m", [None, "interval", IntervalSet.closed(0, 1)])
+    def test_refuses_other_maps(self, m):
+        with pytest.raises(ValidationError, match="unknown map type"):
+            dyn.PartialSystem(m)
+
+    def test_backend_accessors_refuse_the_other_backend(self, tent):
+        graph = specfile.bundled("loop1").system
+        assert (tent.system.backend, graph.backend) == ("interval", "graph")
+        assert tent.system.ival is tent.system.map and graph.gph is graph.map
+        with pytest.raises(ValidationError, match="^operation needs the graph backend$"):
+            tent.system.gph
+        with pytest.raises(ValidationError, match="^operation needs the interval backend$"):
+            graph.ival
 
 
 # CylinderSet against a brute-force model: each cylinder is the set of depth-D

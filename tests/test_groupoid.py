@@ -37,8 +37,7 @@ def shift2_anchor(shift2):
 
 def _identity_system():
     sys_ = dyn.PartialSystem(
-        "interval",
-        interval=dyn.IntervalSystem(
+        dyn.IntervalSystem(
             IntervalSet.closed(0, 1), [dyn.AffineBranch(UNIT, F(1), F(0))]
         ),
     )
@@ -83,7 +82,7 @@ class TestBuildDeaconu:
         assert len(dbl_gpd.units()) == len(dbl_gpd.points)
 
     def test_depth_one_arrows(self, doubling, dbl_gpd):
-        for x in dyn.fiber(doubling.system, F(1, 4)):
+        for x in doubling.system.map.fiber(F(1, 4)):
             assert dbl_gpd.contains(x, 1, F(1, 4))
             g = dbl_gpd.elements[dbl_gpd.index[(x, 1, F(1, 4))]]
             assert g.witness == (1, 0)
@@ -134,7 +133,7 @@ class TestBuildDeaconu:
         def shifts(p):
             out = [p]
             while out[-1].word:
-                out.append(g.shift(out[-1]))
+                out.append(g.phi(out[-1]))
             return out[:7]
 
         count = 0

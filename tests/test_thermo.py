@@ -109,6 +109,20 @@ class TestPotentialFunction:
                 s.system, dyn.Potential("graph", weights=(), allow_negative=True)
             )
 
+    @pytest.mark.parametrize("name", specfile.BUNDLED)
+    def test_value_is_the_weight(self, name):
+        s = specfile.bundled(name)
+        psi = th.PotentialFunction.of(s.system, s.psi)
+        if s.system.backend == "graph":
+            pts = s.system.gph.words(1) + s.system.gph.words(2)
+        else:
+            delta = s.system.ival.delta
+            pts = [x for iv in delta.intervals for x in (iv.lo, iv.midpoint(), iv.hi)]
+            pts = [x for x in pts if delta.contains(x)]
+        assert pts
+        for x in pts:
+            assert psi.value(x) == dyn.rho(s.system, s.psi, x)
+
     def test_graph_values(self, loop1):
         s, _ = loop1
         psi = th.PotentialFunction.const(s.system, F(3, 2))
@@ -879,8 +893,7 @@ class TestSolveConformal:
 
     def test_flat_root_at_one_returns_degenerate_candidate(self):
         ident = dyn.PartialSystem(
-            "interval",
-            interval=dyn.IntervalSystem(
+            dyn.IntervalSystem(
                 IntervalSet.closed(0, 1), [dyn.AffineBranch(UNIT, F(1), F(0))]
             ),
         )

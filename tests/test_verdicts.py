@@ -38,8 +38,7 @@ def shift2():
 @pytest.fixture(scope="module")
 def identity_system():
     sys_ = dyn.PartialSystem(
-        "interval",
-        interval=dyn.IntervalSystem(
+        dyn.IntervalSystem(
             IntervalSet.closed(0, 1), [dyn.AffineBranch(RationalInterval(0, 1), 1, 0)]
         ),
         name="ident",
@@ -52,8 +51,7 @@ def identity_system():
 def pure_contraction():
     # x/2 on [0,1] with a weight that never vanishes
     sys_ = dyn.PartialSystem(
-        "interval",
-        interval=dyn.IntervalSystem(
+        dyn.IntervalSystem(
             IntervalSet.closed(0, 1), [dyn.AffineBranch(RationalInterval(0, 1), F(1, 2), 0)]
         ),
         name="shrink",
