@@ -298,6 +298,8 @@ def _measure_doc(mu) -> dict:
 
 
 def _measure_from_doc(doc: dict, system: dyn.PartialSystem):
+    if not isinstance(doc, dict):
+        raise ParseError(f"measure must be an object, got {doc!r}")
     kind = doc.get("type")
     if kind == "ulam":
         return tr.UlamMeasure(
@@ -339,7 +341,7 @@ def _load_candidate(path: str, system: dyn.PartialSystem):
     try:
         beta = float(doc["beta"])
         mu = _measure_from_doc(doc["measure"], system)
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad candidate file {path}: {e}") from None
     return beta, mu, doc
 
@@ -363,9 +365,7 @@ def _restrict_regular(spec: sf.SpecData):
         dropped = sorted(e.name for e in system.gph.edges if e not in keep)
         gph = dyn.GraphSystem(system.gph.vertices, keep, system.gph.truncation_depth)
         sys2 = dyn.PartialSystem(gph, depth_bound=system.depth_bound, name=spec.name)
-        pot2 = dyn.Potential(
-            "graph", weights=tuple((e, w) for e, w in pot.weights if wmap[e] > 0)
-        )
+        pot2 = dyn.GraphPotential(tuple((e, w) for e, w in pot.weights if wmap[e] > 0))
         note = "dropped edges: " + (", ".join(dropped) if dropped else "none")
         return sys2, pot2, note
     reg = dyn.regular_set(system, pot).delta_reg

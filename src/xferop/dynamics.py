@@ -19,6 +19,12 @@ The backend is the type of the map.  ``PartialSystem.map`` holds an
   ``intersection``, ``intersects``, ``issubset``, ``==`` and ``is_empty``;
   the maps carry them with ``image_of`` and ``preimage_of`` and hold the
   whole space as ``space``.
+
+The weight is typed like the map.  An ``IntervalPotential`` holds affine
+pieces plus point overrides, and ``breakpoints()`` gives the piece ends and
+override points where it can jump; a ``GraphPotential`` holds one weight per
+edge.  Both carry ``backend`` and answer ``constant_value()``; ``Potential``
+names either.
 """
 
 from __future__ import annotations
@@ -156,7 +162,7 @@ class IntervalSystem:
     def point(self, x: Rationalish) -> Fraction:
         return frac(x)
 
-    def weight(self, pot: "Potential", x: Rationalish) -> Fraction:
+    def weight(self, pot: "IntervalPotential", x: Rationalish) -> Fraction:
         return pot.value(x)
 
     # -- set dynamics --------------------------------------------------------
@@ -414,7 +420,7 @@ class GraphSystem:
     def point(self, p: PathPoint) -> PathPoint:
         return p
 
-    def weight(self, pot: "Potential", p: PathPoint) -> Fraction:
+    def weight(self, pot: "GraphPotential", p: PathPoint) -> Fraction:
         """The weight of a path is the weight of its first edge."""
         if not p.word:
             raise OutOfDomain(p, 0)
@@ -520,67 +526,49 @@ Point = Union[Fraction, PathPoint]
 
 
 @dataclass(frozen=True)
-class Potential:
-    """Weight function for the preimage sums.
+class IntervalPotential:
+    """Weight on the interval backend.
 
-    Interval backend: finitely many affine pieces plus isolated point
-    overrides.  Graph backend: one positive weight per edge; the weight of a
-    path is the weight of its first edge.  ``allow_negative`` relaxes the
-    sign constraints so the same container can carry signed energies.
+    Finitely many affine pieces ``(interval, slope, intercept)`` plus
+    isolated point overrides ``(point, value)``.  ``allow_negative`` relaxes
+    the sign constraints so the same container can carry signed energies.
     """
 
-    backend: str
-    pieces: tuple[tuple[RationalInterval, Fraction, Fraction], ...] = ()
+    backend = "interval"
+
+    pieces: tuple[tuple[RationalInterval, Fraction, Fraction], ...]
     overrides: tuple[tuple[Fraction, Fraction], ...] = ()
-    weights: tuple[tuple[str, Fraction], ...] = ()
     allow_negative: bool = False
 
     def __post_init__(self):
-        if self.backend == "interval":
-            pieces = tuple(
-                (iv, frac(m), frac(c)) for iv, m, c in self.pieces
-            )
-            object.__setattr__(self, "pieces", pieces)
-            if not self.allow_negative:
-                for iv, m, c in pieces:
-                    for end in (iv.lo, iv.hi):
-                        if m * end + c < 0:
-                            raise ValidationError(f"piece {iv} takes a negative value")
-            for (iva, ma, ca), (ivb, mb, cb) in itertools.combinations(pieces, 2):
-                inter = iva.intersection(ivb)
-                if inter is None:
-                    continue
-                if not inter.is_point:
-                    raise ValidationError(f"pieces overlap on {inter}")
-                x0 = inter.lo
-                if ma * x0 + ca != mb * x0 + cb and not self._has_override(x0):
-                    raise ValidationError(
-                        f"pieces disagree at {frac_str(x0)} without an override"
-                    )
-            overrides = tuple((frac(x), frac(v)) for x, v in self.overrides)
-            object.__setattr__(self, "overrides", overrides)
-            xs = [x for x, _ in overrides]
-            if len(set(xs)) != len(xs):
-                raise ValidationError("duplicate override points")
-            for x, v in overrides:
-                if v < 0 and not self.allow_negative:
-                    raise ValidationError(f"override at {frac_str(x)} is negative")
-                if not any(iv.contains(x) for iv, _, _ in pieces):
-                    raise ValidationError(f"override at {frac_str(x)} lies outside all pieces")
-        elif self.backend == "graph":
-            weights = tuple((e, frac(w)) for e, w in self.weights)
-            object.__setattr__(self, "weights", weights)
-            if not self.allow_negative:
-                for e, w in weights:
-                    if w <= 0:
-                        raise ValidationError(f"edge weight for {e} must be positive")
-        else:
-            raise ValidationError(f"unknown backend {self.backend!r}")
-
-    def _has_override(self, x: Fraction) -> bool:
-        return any(frac(p) == x for p, _ in self.overrides)
-
-    # -- interval evaluation -------------------------------------------------
+        pieces = tuple((iv, frac(m), frac(c)) for iv, m, c in self.pieces)
+        overrides = tuple((frac(x), frac(v)) for x, v in self.overrides)
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "overrides", overrides)
+        override_pts = {x for x, _ in overrides}
+        if not self.allow_negative:
+            for iv, m, c in pieces:
+                for end in (iv.lo, iv.hi):
+                    if m * end + c < 0:
+                        raise ValidationError(f"piece {iv} takes a negative value")
+        for (iva, ma, ca), (ivb, mb, cb) in itertools.combinations(pieces, 2):
+            inter = iva.intersection(ivb)
+            if inter is None:
+                continue
+            if not inter.is_point:
+                raise ValidationError(f"pieces overlap on {inter}")
+            x0 = inter.lo
+            if ma * x0 + ca != mb * x0 + cb and x0 not in override_pts:
+                raise ValidationError(
+                    f"pieces disagree at {frac_str(x0)} without an override"
+                )
+        if len(override_pts) != len(overrides):
+            raise ValidationError("duplicate override points")
+        for x, v in overrides:
+            if v < 0 and not self.allow_negative:
+                raise ValidationError(f"override at {frac_str(x)} is negative")
+            if not any(iv.contains(x) for iv, _, _ in pieces):
+                raise ValidationError(f"override at {frac_str(x)} lies outside all pieces")
 
     def value(self, x: Rationalish) -> Fraction:
         x = frac(x)
@@ -606,6 +594,14 @@ class Potential:
                 return m * x + c
         return None
 
+    def breakpoints(self) -> set[Fraction]:
+        """Piece endpoints and override points: the only places where the
+        weight can jump or take an isolated value."""
+        pts = {x for x, _ in self.overrides}
+        for iv, _, _ in self.pieces:
+            pts.update((iv.lo, iv.hi))
+        return pts
+
     def coverage(self) -> IntervalSet:
         return IntervalSet(iv for iv, _, _ in self.pieces)
 
@@ -625,7 +621,37 @@ class Potential:
         zero = zero.union(IntervalSet.points(x for x, v in self.overrides if v == 0))
         return zero.intersection(within)
 
-    # -- graph evaluation ------------------------------------------------------
+    def constant_value(self) -> Optional[Fraction]:
+        """The single value when the weight is constant, else None."""
+        vals = {v for _, v in self.overrides}
+        for _, m, c in self.pieces:
+            if m != 0:
+                return None
+            vals.add(c)
+        return vals.pop() if len(vals) == 1 else None
+
+
+@dataclass(frozen=True)
+class GraphPotential:
+    """Weight on the graph backend: one positive weight per edge.
+
+    The weight of a path is the weight of its first edge.  ``allow_negative``
+    relaxes the sign constraint so the same container can carry signed
+    energies.
+    """
+
+    backend = "graph"
+
+    weights: tuple[tuple[str, Fraction], ...]
+    allow_negative: bool = False
+
+    def __post_init__(self):
+        weights = tuple((e, frac(w)) for e, w in self.weights)
+        object.__setattr__(self, "weights", weights)
+        if not self.allow_negative:
+            for e, w in weights:
+                if w <= 0:
+                    raise ValidationError(f"edge weight for {e} must be positive")
 
     def weight_map(self) -> dict[str, Fraction]:
         return dict(self.weights)
@@ -635,6 +661,14 @@ class Potential:
             if e == name:
                 return w
         raise ValidationError(f"no weight for edge {name}")
+
+    def constant_value(self) -> Optional[Fraction]:
+        """The single value when the weight is constant, else None."""
+        vals = {w for _, w in self.weights}
+        return vals.pop() if len(vals) == 1 else None
+
+
+Potential = Union[IntervalPotential, GraphPotential]
 
 
 def rho(system: PartialSystem, pot: Potential, x: Point) -> Fraction:
@@ -795,19 +829,8 @@ def regular_set(system: PartialSystem, pot: Potential) -> RegionReport:
     for comp in zero.nondegenerate().intervals:
         notes.append(f"weight vanishes on {comp}")
 
-    candidates: set[Fraction] = set()
-    for x in sys_.critical_points():
-        if delta.contains(x):
-            candidates.add(x)
-    for iv, _, _ in pot.pieces:
-        for x in (iv.lo, iv.hi):
-            if delta.contains(x):
-                candidates.add(x)
-    for x, _ in pot.overrides:
-        if delta.contains(x):
-            candidates.add(x)
-    for x in zero.isolated_points():
-        candidates.add(x)
+    candidates = {x for x in pot.breakpoints() | set(sys_.critical_points()) if delta.contains(x)}
+    candidates.update(zero.isolated_points())
 
     irregular: list[IrregularPoint] = []
     bad_points: list[Fraction] = []
@@ -946,7 +969,7 @@ def power(system: PartialSystem, pot: Potential, n: int) -> tuple[PartialSystem,
         g2 = GraphSystem(gph.vertices, new_edges, max(1, gph.truncation_depth // n))
         return (
             PartialSystem(g2, depth_bound=system.depth_bound),
-            Potential("graph", weights=tuple(new_weights)),
+            GraphPotential(tuple(new_weights)),
         )
 
     sys_ = system.ival
@@ -1018,7 +1041,7 @@ def power(system: PartialSystem, pot: Potential, n: int) -> tuple[PartialSystem,
             overrides.append((x, val))
         else:
             pieces.append((RationalInterval.point(x), Fraction(0), val))
-    new_pot = Potential("interval", pieces=tuple(pieces), overrides=tuple(overrides))
+    new_pot = IntervalPotential(tuple(pieces), overrides=tuple(overrides))
     return ps, new_pot
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import rep
 from . import transfer as tr
-from .dynamics import PartialSystem, Potential
+from .dynamics import GraphPotential, PartialSystem, Potential
 from .errors import NotLocalHomeo, OutOfDomain, ValidationError
 
 
@@ -518,7 +518,7 @@ def graph_generators(
         if w <= 0:
             raise ValidationError(f"edge {e.name} needs a positive weight")
         weights.append((e.name, w))
-    pot = Potential("graph", weights=tuple(weights))
+    pot = GraphPotential(tuple(weights))
     handle = tr.TransferHandle.create(system, pot)
     if anchor is None:
         name = sorted(e.name for e in gph.edges)[0]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import transfer as tr
-from .dynamics import PartialSystem, Potential
+from .dynamics import IntervalPotential, PartialSystem, Potential
 from .errors import EmptyBasis, UnsupportedPotential, ValidationError
 from .intervals import IntervalSet, RationalInterval, frac
 
@@ -523,7 +523,7 @@ def rescaled_potential(pot: Potential, omega: tr.TestFunction) -> Potential:
     overrides = []
     for x, v in pot.overrides:
         overrides.append((x, v * omega.value(x)))
-    return Potential("interval", pieces=tuple(pieces), overrides=tuple(overrides))
+    return IntervalPotential(tuple(pieces), overrides=tuple(overrides))
 
 
 def rescale_check(handle: tr.TransferHandle, omega: tr.TestFunction, anchor, depth: int) -> float:

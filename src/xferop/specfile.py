@@ -15,7 +15,9 @@ from typing import Optional
 from .dynamics import (
     AffineBranch,
     GraphEdge,
+    GraphPotential,
     GraphSystem,
+    IntervalPotential,
     IntervalSystem,
     PartialSystem,
     Potential,
@@ -48,40 +50,42 @@ def _need(obj: dict, key: str):
     return obj[key]
 
 
+def _flag(value) -> bool:
+    # only JSON true/false: bool("false") would read a typo as closed
+    if type(value) is not bool:
+        raise ParseError(f"closed flag must be true or false, got {value!r}")
+    return value
+
+
 def _parse_interval(obj) -> RationalInterval:
     try:
         if isinstance(obj, dict):
-            return RationalInterval(
-                frac(_need(obj, "lo")),
-                frac(_need(obj, "hi")),
-                bool(obj.get("lo_closed", True)),
-                bool(obj.get("hi_closed", True)),
-            )
-        lo, hi = obj[0], obj[1]
-        lo_closed = obj[2] if len(obj) > 2 else True
-        hi_closed = obj[3] if len(obj) > 3 else True
-        return RationalInterval(frac(lo), frac(hi), bool(lo_closed), bool(hi_closed))
+            lo, hi = _need(obj, "lo"), _need(obj, "hi")
+            lo_closed, hi_closed = obj.get("lo_closed", True), obj.get("hi_closed", True)
+        else:  # [lo, hi] with optional closed flags
+            lo, hi, lo_closed, hi_closed, *_ = list(obj) + [True, True]
+        return RationalInterval(frac(lo), frac(hi), _flag(lo_closed), _flag(hi_closed))
     except ParseError:
         raise
     except Exception as e:
         raise ParseError(f"bad interval {obj!r}: {e}") from None
 
 
-def _parse_potential(obj: dict, backend: str, allow_negative: bool = False) -> Potential:
-    if backend == "interval":
-        pieces = tuple(
-            (_parse_interval(_need(p, "interval")), frac(_need(p, "slope")), frac(_need(p, "intercept")))
-            for p in obj.get("pieces", ())
-        )
-        overrides = tuple(
-            (frac(_need(o, "point")), frac(_need(o, "value")))
-            for o in obj.get("overrides", ())
-        )
-        return Potential(
-            "interval", pieces=pieces, overrides=overrides, allow_negative=allow_negative
-        )
+def _parse_interval_potential(obj: dict, allow_negative: bool = False) -> IntervalPotential:
+    pieces = tuple(
+        (_parse_interval(_need(p, "interval")), frac(_need(p, "slope")), frac(_need(p, "intercept")))
+        for p in obj.get("pieces", ())
+    )
+    overrides = tuple(
+        (frac(_need(o, "point")), frac(_need(o, "value")))
+        for o in obj.get("overrides", ())
+    )
+    return IntervalPotential(pieces, overrides=overrides, allow_negative=allow_negative)
+
+
+def _parse_graph_potential(obj: dict, allow_negative: bool = False) -> GraphPotential:
     weights = tuple(sorted((str(k), frac(v)) for k, v in obj.items()))
-    return Potential("graph", weights=weights, allow_negative=allow_negative)
+    return GraphPotential(weights, allow_negative=allow_negative)
 
 
 def parse_spec(doc: dict) -> SpecData:
@@ -112,10 +116,10 @@ def parse_spec(doc: dict) -> SpecData:
         except Exception as e:
             raise ParseError(f"bad interval system: {e}") from None
         system = PartialSystem(sys_, depth_bound=depth_bound, name=name)
-        potential = _parse_potential(_need(doc, "potential"), "interval")
+        potential = _parse_interval_potential(_need(doc, "potential"))
         psi = None
         if doc.get("psi") is not None:
-            psi = _parse_potential(doc["psi"], "interval", allow_negative=True)
+            psi = _parse_interval_potential(doc["psi"], allow_negative=True)
         return SpecData(name, system, potential, psi, notes)
 
     if backend == "graph":
@@ -124,15 +128,18 @@ def parse_spec(doc: dict) -> SpecData:
             GraphEdge(str(_need(e, "name")), str(_need(e, "src")), str(_need(e, "rng")))
             for e in _need(doc, "edges")
         )
+        truncation_depth = doc.get("truncation_depth", 8)
+        if type(truncation_depth) is not int:
+            raise ParseError(f"truncation_depth must be an integer, got {truncation_depth!r}")
         try:
-            gph = GraphSystem(vertices, edges, int(doc.get("truncation_depth", 8)))
+            gph = GraphSystem(vertices, edges, truncation_depth)
         except Exception as e:
             raise ParseError(f"bad graph system: {e}") from None
         system = PartialSystem(gph, depth_bound=depth_bound, name=name)
-        potential = _parse_potential(_need(doc, "weights"), "graph")
+        potential = _parse_graph_potential(_need(doc, "weights"))
         psi = None
         if doc.get("psi_weights") is not None:
-            psi = _parse_potential(doc["psi_weights"], "graph", allow_negative=True)
+            psi = _parse_graph_potential(doc["psi_weights"], allow_negative=True)
         return SpecData(name, system, potential, psi, notes)
 
     raise ParseError(f"unknown backend {backend!r}")
@@ -152,17 +159,19 @@ def _dump_interval(iv: RationalInterval) -> dict:
     }
 
 
-def _dump_potential(pot: Potential) -> dict:
-    if pot.backend == "interval":
-        return {
-            "pieces": [
-                {"interval": _dump_interval(iv), "slope": frac_str(m), "intercept": frac_str(c)}
-                for iv, m, c in pot.pieces
-            ],
-            "overrides": [
-                {"point": frac_str(x), "value": frac_str(v)} for x, v in pot.overrides
-            ],
-        }
+def _dump_interval_potential(pot: IntervalPotential) -> dict:
+    return {
+        "pieces": [
+            {"interval": _dump_interval(iv), "slope": frac_str(m), "intercept": frac_str(c)}
+            for iv, m, c in pot.pieces
+        ],
+        "overrides": [
+            {"point": frac_str(x), "value": frac_str(v)} for x, v in pot.overrides
+        ],
+    }
+
+
+def _dump_graph_potential(pot: GraphPotential) -> dict:
     return {e: frac_str(w) for e, w in sorted(pot.weights)}
 
 
@@ -184,17 +193,17 @@ def serialize_spec(spec: SpecData) -> dict:
             }
             for b in sys_.branches
         ]
-        doc["potential"] = _dump_potential(spec.potential)
+        doc["potential"] = _dump_interval_potential(spec.potential)
         if spec.psi is not None:
-            doc["psi"] = _dump_potential(spec.psi)
+            doc["psi"] = _dump_interval_potential(spec.psi)
     else:
         gph = spec.system.gph
         doc["vertices"] = list(gph.vertices)
         doc["edges"] = [{"name": e.name, "src": e.src, "rng": e.rng} for e in gph.edges]
         doc["truncation_depth"] = gph.truncation_depth
-        doc["weights"] = _dump_potential(spec.potential)
+        doc["weights"] = _dump_graph_potential(spec.potential)
         if spec.psi is not None:
-            doc["psi_weights"] = _dump_potential(spec.psi)
+            doc["psi_weights"] = _dump_graph_potential(spec.psi)
     if spec.notes:
         doc["notes"] = spec.notes
     return doc

@@ -152,11 +152,7 @@ def _rho_discontinuity_warning(system: PartialSystem, pot: Potential):
     if system.backend == "graph":
         return None
     sys_ = system.ival
-    candidates = set()
-    for iv, _, _ in pot.pieces:
-        candidates.update((iv.lo, iv.hi))
-    candidates.update(x for x, _ in pot.overrides)
-    candidates.update(sys_.critical_points())
+    candidates = pot.breakpoints() | set(sys_.critical_points())
     bad = sorted(
         x for x in candidates
         if sys_.delta.contains(x) and not dyn._rho_continuous_at(sys_, pot, x)

@@ -37,7 +37,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import rep
 from . import transfer as tr
-from .dynamics import PartialSystem, Potential
+from .dynamics import GraphPotential, IntervalPotential, PartialSystem, Potential
 from .errors import (
     NoSolution,
     OutOfDomain,
@@ -83,8 +83,8 @@ __all__ = [
 class PotentialFunction:
     """A continuous real energy on the domain of the map.
 
-    Wraps a signed :class:`Potential`: affine pieces on the interval
-    backend, one value per edge on the graph backend.  Construction checks
+    Wraps a signed :class:`IntervalPotential` (affine pieces) or
+    :class:`GraphPotential` (one value per edge).  Construction checks
     that the pieces cover the domain and glue continuously; point overrides
     are rejected because they would be invisible to limits.
     """
@@ -125,13 +125,9 @@ class PotentialFunction:
         v = frac(value)
         if system.backend == "interval":
             pieces = tuple((iv, Fraction(0), v) for iv in system.ival.space.intervals)
-            return PotentialFunction(
-                system, Potential("interval", pieces=pieces, allow_negative=True)
-            )
+            return PotentialFunction(system, IntervalPotential(pieces, allow_negative=True))
         weights = tuple((e.name, v) for e in system.gph.edges)
-        return PotentialFunction(
-            system, Potential("graph", weights=weights, allow_negative=True)
-        )
+        return PotentialFunction(system, GraphPotential(weights, allow_negative=True))
 
     @staticmethod
     def of(system: PartialSystem, carrier: Potential) -> "PotentialFunction":
@@ -153,15 +149,7 @@ class PotentialFunction:
 
     def constant_value(self) -> Optional[Fraction]:
         """The single value when the energy is constant, else None."""
-        if self.system.backend == "graph":
-            vals = {w for _, w in self.carrier.weights}
-            return vals.pop() if len(vals) == 1 else None
-        vals = set()
-        for _, m, c in self.carrier.pieces:
-            if m != 0:
-                return None
-            vals.add(c)
-        return vals.pop() if len(vals) == 1 else None
+        return self.carrier.constant_value()
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +349,7 @@ def _fn_grid(a: tr.TestFunction, carrier: RationalInterval) -> GridFunction:
 
 def _pot_grid(pot: Potential, carrier: RationalInterval) -> GridFunction:
     cuts = {carrier.lo, carrier.hi}
-    for iv, _, _ in pot.pieces:
-        for p in (iv.lo, iv.hi):
-            if carrier.lo <= p <= carrier.hi:
-                cuts.add(p)
-    for x, _ in pot.overrides:
-        if carrier.lo <= x <= carrier.hi:
-            cuts.add(x)
+    cuts.update(p for p in pot.breakpoints() if carrier.lo <= p <= carrier.hi)
     nodes = tuple(sorted(cuts))
     cells = []
     for u, v in zip(nodes, nodes[1:]):
@@ -424,9 +406,7 @@ def _transfer_grid(handle: tr.TransferHandle, a: tr.TestFunction) -> GridFunctio
         xcuts.update((br.domain.lo, br.domain.hi))
     for iv, _, _ in a.pieces:
         xcuts.update((iv.lo, iv.hi))
-    for iv, _, _ in pot.pieces:
-        xcuts.update((iv.lo, iv.hi))
-    xcuts.update(x for x, _ in pot.overrides)
+    xcuts.update(pot.breakpoints())
     ycuts = {carrier.lo, carrier.hi}
     for br in sys_.branches:
         for x in xcuts:

@@ -213,27 +213,14 @@ def validate(system: PartialSystem, pot: Potential) -> TransferValidation:
             warnings=(f"weight pieces do not cover the domain; missing {missing}",),
         )
 
-    neg_pts: set[Fraction] = set()
-    for iv, m, c in pot.pieces:
-        neg_pts.update((iv.lo, iv.hi))
-    neg_pts.update(x for x, _ in pot.overrides)
-    for e in sorted(neg_pts):
+    breaks = pot.breakpoints()
+    for e in sorted(breaks):
         if delta.contains(e) and pot.value(e) < 0:
             defects.append(
                 ValidationDefect(e, e, 0, Fraction(0), pot.value(e), "negative", True)
             )
 
-    candidates: set[Fraction] = set()
-    for x in sys_.critical_points():
-        if delta.contains(x):
-            candidates.add(x)
-    for iv, _, _ in pot.pieces:
-        for x in (iv.lo, iv.hi):
-            if delta.contains(x):
-                candidates.add(x)
-    for x, _ in pot.overrides:
-        if delta.contains(x):
-            candidates.add(x)
+    candidates = {x for x in breaks | set(sys_.critical_points()) if delta.contains(x)}
 
     space = sys_.space
     for x0 in sorted(candidates):
@@ -289,6 +276,7 @@ def _exact_norm(sys_: dyn.IntervalSystem, pot: Potential) -> Fraction:
     Between consecutive critical values the sum is affine, so two interior
     samples extrapolate exactly to the one-sided limits at the cell ends.
     """
+    breaks = pot.breakpoints()
     crit: set[Fraction] = set()
     for comp in sys_.space.intervals:
         crit.add(comp.lo)
@@ -297,11 +285,7 @@ def _exact_norm(sys_: dyn.IntervalSystem, pot: Potential) -> Fraction:
         img = b.image()
         crit.add(img.lo)
         crit.add(img.hi)
-        for iv, _, _ in pot.pieces:
-            for x in (iv.lo, iv.hi):
-                if b.domain.contains(x):
-                    crit.add(b.value(x))
-        for x, _ in pot.overrides:
+        for x in breaks:
             if b.domain.contains(x):
                 crit.add(b.value(x))
 

@@ -119,3 +119,66 @@ def test_kms_verify_empty_battery_exits_3(tmp_path, count):
     assert result.exit_code == 3, result.output
     assert f"error: the battery needs at least one pair, got count={count}" in result.output
     assert "within tolerance" not in result.output
+
+
+@pytest.mark.parametrize(
+    "spec, key, value, message",
+    [
+        ("tent_std", "space", [{"lo": "0", "hi": "1", "lo_closed": "false", "hi_closed": True}],
+         "closed flag must be true or false, got 'false'"),
+        ("tent_std", "space", [{"lo": "0", "hi": "1", "hi_closed": 0}],
+         "closed flag must be true or false, got 0"),
+        ("tent_std", "space", [["0", "1", "false"]], "closed flag must be true or false, got 'false'"),
+        ("tent_std", "space", [["0", "1", True, None]], "closed flag must be true or false, got None"),
+        ("fullshift2", "truncation_depth", True, "truncation_depth must be an integer, got True"),
+        ("fullshift2", "truncation_depth", 2.5, "truncation_depth must be an integer, got 2.5"),
+        ("fullshift2", "truncation_depth", "deep", "truncation_depth must be an integer, got 'deep'"),
+    ],
+    ids=["dict-flag-string", "dict-flag-int", "list-flag-string", "list-flag-null",
+         "depth-true", "depth-float", "depth-string"],
+)
+def test_validate_refuses_malformed_field(tmp_path, spec, key, value, message):
+    doc = json.loads(resources.files("xferop").joinpath("specs", f"{spec}.json").read_text("utf-8"))
+    doc[key] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = CliRunner().invoke(main, ["validate", "--spec", str(path)])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: {message}" in result.output.splitlines()
+
+
+@pytest.mark.parametrize("space", [[{"lo": "0", "hi": "1"}], [["0", "1"]]], ids=["dict", "list"])
+def test_absent_closed_flags_default_to_closed(tmp_path, space):
+    doc = json.loads(resources.files("xferop").joinpath("specs", "tent_std.json").read_text("utf-8"))
+    doc["space"] = space
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = CliRunner().invoke(main, ["region", "--spec", str(path)])
+    assert result.exit_code == 0, result.output
+    reference = CliRunner().invoke(main, ["region", "--spec", "tent_std"])
+    # the reports agree below the header, which names the input and the time
+    assert result.output.split("\n\n", 1)[1] == reference.output.split("\n\n", 1)[1]
+    assert "domain: [0, 1]" in result.output.splitlines()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("beta", "abc", "could not convert string to float: 'abc'"),
+        ("measure", "x", "measure must be an object, got 'x'"),
+    ],
+    ids=["beta", "measure"],
+)
+def test_kms_verify_refuses_malformed_candidate(tmp_path, key, value, message):
+    path = _candidate(tmp_path, "fullshift2")
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc[key] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    result = CliRunner().invoke(main, ["kms-verify", "--spec", "fullshift2", "--candidate", path])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error: " in result.output and message in result.output
+    assert "Traceback" not in result.output

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -14,21 +15,6 @@ from xferop.errors import (
     ValidationError,
 )
 from xferop.intervals import IntervalSet, RationalInterval
-
-
-@pytest.fixture(scope="module")
-def tent():
-    return specfile.bundled("tent_std")
-
-
-@pytest.fixture(scope="module")
-def tent_half():
-    return specfile.bundled("tent_half")
-
-
-@pytest.fixture(scope="module")
-def doubling():
-    return specfile.bundled("doubling")
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +90,7 @@ class TestIteration:
                 [dyn.AffineBranch(RationalInterval(0, F(1, 2)), 1, 0)],
             ),
         )
-        pot = dyn.Potential("interval", pieces=((RationalInterval(0, F(1, 2)), 0, 1),))
+        pot = dyn.IntervalPotential(pieces=((RationalInterval(0, F(1, 2)), 0, 1),))
         with pytest.raises(OutOfDomain) as exc:
             dyn.cocycle(ps, pot, 2, F(3, 4))
         assert exc.value.step == 0
@@ -278,6 +264,42 @@ class TestPartialSystem:
             tent.system.gph
         with pytest.raises(ValidationError, match="^operation needs the interval backend$"):
             graph.ival
+
+
+def _piece_ends_and_overrides(pot):
+    ends = {x for iv, _, _ in pot.pieces for x in (iv.lo, iv.hi)}
+    return ends | {x for x, _ in pot.overrides}
+
+
+class TestPotentialTypes:
+    @pytest.mark.parametrize("name", ["tent_std", "tent_half", "doubling", "halving"])
+    @pytest.mark.parametrize("field", ["potential", "psi"])
+    def test_breakpoints_are_piece_ends_and_overrides(self, name, field):
+        pot = getattr(specfile.bundled(name), field)
+        assert pot.breakpoints() == _piece_ends_and_overrides(pot)
+
+    def test_breakpoints_of_a_power_weight(self, tent):
+        _, pot = dyn.power(tent.system, tent.potential, 2)
+        assert pot.overrides
+        assert pot.breakpoints() == _piece_ends_and_overrides(pot)
+        assert pot.breakpoints() == {F(0), F(1, 4), F(1, 2), F(3, 4), F(1)}
+
+    def test_breakpoints_keep_an_interior_override(self):
+        pot = dyn.IntervalPotential(((RationalInterval(0, 1), 0, 1),), overrides=((F(1, 3), 2),))
+        assert pot.breakpoints() == {F(0), F(1, 3), F(1)}
+
+    def test_backend_is_not_a_field(self, tent, shift2):
+        assert (tent.potential.backend, shift2.potential.backend) == ("interval", "graph")
+        for cls in (dyn.IntervalPotential, dyn.GraphPotential):
+            assert "backend" not in {f.name for f in dataclasses.fields(cls)}
+
+    def test_graph_potential_takes_no_pieces(self):
+        with pytest.raises(TypeError):
+            dyn.GraphPotential(pieces=((RationalInterval(0, 1), 0, 1),))
+
+    def test_interval_potential_takes_no_weights(self):
+        with pytest.raises(TypeError):
+            dyn.IntervalPotential(weights=(("e", F(1)),))
 
 
 # CylinderSet against a brute-force model: each cylinder is the set of depth-D

@@ -16,18 +16,8 @@ UNIT = RationalInterval(F(0), F(1))
 
 
 @pytest.fixture(scope="module")
-def doubling():
-    return specfile.bundled("doubling")
-
-
-@pytest.fixture(scope="module")
 def dbl_gpd(doubling):
     return gp.build_deaconu(doubling.system, doubling.potential, [F(1, 4)], 3)
-
-
-@pytest.fixture(scope="module")
-def shift2():
-    return specfile.bundled("fullshift2")
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +31,7 @@ def _identity_system():
             IntervalSet.closed(0, 1), [dyn.AffineBranch(UNIT, F(1), F(0))]
         ),
     )
-    pot = dyn.Potential("interval", pieces=((UNIT, F(0), F(1)),))
+    pot = dyn.IntervalPotential(pieces=((UNIT, F(0), F(1)),))
     return sys_, pot
 
 

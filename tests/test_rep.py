@@ -53,7 +53,7 @@ class TestOrbitBasis:
 
     def test_invalid_handle_refused(self):
         t = specfile.bundled("tent_std")
-        bad = dyn.Potential("interval", pieces=((RationalInterval(0, 1), 0, F(1, 2)),))
+        bad = dyn.IntervalPotential(pieces=((RationalInterval(0, 1), 0, F(1, 2)),))
         h = tr.TransferHandle.create(t.system, bad)
         with pytest.raises(Exception):
             rep.OrbitBasis(h, 1, 4)

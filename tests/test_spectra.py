@@ -10,16 +10,6 @@ from xferop.errors import HypothesisViolated, OutOfSpectrum
 from xferop.intervals import IntervalSet, RationalInterval
 
 
-@pytest.fixture(scope="module")
-def tent():
-    return specfile.bundled("tent_std")
-
-
-@pytest.fixture(scope="module")
-def tent_half():
-    return specfile.bundled("tent_half")
-
-
 class TestLevelSets:
     def test_positive_iterate_tent_half(self, tent_half):
         s = tent_half
@@ -56,7 +46,7 @@ class TestSpectrumKn:
         assert all(p.dimension == 1 for p in pts)
 
     def test_zero_weight_empty_spectrum(self, tent):
-        dead = dyn.Potential("interval", pieces=((RationalInterval(0, 1), 0, 0),))
+        dead = dyn.IntervalPotential(pieces=((RationalInterval(0, 1), 0, 0),))
         st, pts = spectra.spectrum_Kn(tent.system, dead, 1)
         assert st.is_empty and pts == ()
 

@@ -27,16 +27,6 @@ UNIT = RationalInterval(F(0), F(1))
 
 
 @pytest.fixture(scope="module")
-def tent():
-    return specfile.bundled("tent_std")
-
-
-@pytest.fixture(scope="module")
-def tent_handle(tent):
-    return tr.TransferHandle.create(tent.system, tent.potential)
-
-
-@pytest.fixture(scope="module")
 def psi_one(tent):
     return th.PotentialFunction.const(tent.system, 1)
 
@@ -48,8 +38,8 @@ def loop1():
 
 
 def _psi_affine(system, slope, intercept):
-    pot = dyn.Potential(
-        "interval", pieces=((UNIT, F(slope), F(intercept)),), allow_negative=True
+    pot = dyn.IntervalPotential(
+        pieces=((UNIT, F(slope), F(intercept)),), allow_negative=True
     )
     return th.PotentialFunction.of(system, pot)
 
@@ -67,8 +57,7 @@ class TestPotentialFunction:
         assert psi.constant_value() is None
 
     def test_coverage_required(self, tent):
-        pot = dyn.Potential(
-            "interval",
+        pot = dyn.IntervalPotential(
             pieces=((RationalInterval(F(0), F(1, 2)), F(0), F(1)),),
             allow_negative=True,
         )
@@ -76,8 +65,7 @@ class TestPotentialFunction:
             th.PotentialFunction.of(tent.system, pot)
 
     def test_jump_rejected(self, tent):
-        pot = dyn.Potential(
-            "interval",
+        pot = dyn.IntervalPotential(
             pieces=(
                 (RationalInterval(F(0), F(1, 2), True, False), F(0), F(0)),
                 (RationalInterval(F(1, 2), F(1)), F(0), F(1)),
@@ -88,8 +76,7 @@ class TestPotentialFunction:
             th.PotentialFunction.of(tent.system, pot)
 
     def test_overrides_rejected(self, tent):
-        pot = dyn.Potential(
-            "interval",
+        pot = dyn.IntervalPotential(
             pieces=((UNIT, F(0), F(1)),),
             overrides=((F(1, 2), F(1)),),
             allow_negative=True,
@@ -100,13 +87,13 @@ class TestPotentialFunction:
     def test_backend_mismatch(self, tent, loop1):
         s, _ = loop1
         with pytest.raises(ValidationError):
-            th.PotentialFunction.of(tent.system, dyn.Potential("graph", weights=(("e", F(1)),)))
+            th.PotentialFunction.of(tent.system, dyn.GraphPotential(weights=(("e", F(1)),)))
 
     def test_graph_needs_every_edge(self, loop1):
         s, _ = loop1
         with pytest.raises(ValidationError):
             th.PotentialFunction.of(
-                s.system, dyn.Potential("graph", weights=(), allow_negative=True)
+                s.system, dyn.GraphPotential(weights=(), allow_negative=True)
             )
 
     @pytest.mark.parametrize("name", specfile.BUNDLED)
@@ -122,6 +109,25 @@ class TestPotentialFunction:
         assert pts
         for x in pts:
             assert psi.value(x) == dyn.rho(s.system, s.psi, x)
+
+    @pytest.mark.parametrize("name", specfile.BUNDLED)
+    @pytest.mark.parametrize("energy, expected", [("one", 1), ("zero", 0), ("spec", 1)])
+    def test_carrier_constant_value_agrees(self, name, energy, expected):
+        # every bundled spec declares the energy one
+        s = specfile.bundled(name)
+        if energy == "spec":
+            psi = th.PotentialFunction.of(s.system, s.psi)
+        else:
+            psi = th.PotentialFunction.const(s.system, expected)
+        kind = dyn.GraphPotential if s.system.backend == "graph" else dyn.IntervalPotential
+        assert type(psi.carrier) is kind
+        assert psi.carrier.constant_value() == psi.constant_value() == expected
+
+    def test_varying_energy_has_no_constant_value(self, tent, shift2):
+        graph = dyn.GraphPotential((("e0", F(1)), ("e1", F(2))), allow_negative=True)
+        for psi in (_psi_affine(tent.system, 1, 0), th.PotentialFunction.of(shift2.system, graph)):
+            assert psi.carrier.constant_value() is None
+            assert psi.constant_value() is None
 
     def test_graph_values(self, loop1):
         s, _ = loop1
@@ -490,8 +496,7 @@ def _bare_ruelle_ulam(handle, psi, beta, bins):
 def _psi_kinked(system):
     """Energy 3x on [0, 1/3] and 1 on [1/3, 1]: the kink cuts bins."""
     third = F(1, 3)
-    pot = dyn.Potential(
-        "interval",
+    pot = dyn.IntervalPotential(
         pieces=(
             (RationalInterval(F(0), third), F(3), F(0)),
             (RationalInterval(third, F(1), False, True), F(0), F(1)),
@@ -897,7 +902,7 @@ class TestSolveConformal:
                 IntervalSet.closed(0, 1), [dyn.AffineBranch(UNIT, F(1), F(0))]
             ),
         )
-        pot = dyn.Potential("interval", pieces=((UNIT, F(0), F(1)),))
+        pot = dyn.IntervalPotential(pieces=((UNIT, F(0), F(1)),))
         h = tr.TransferHandle.create(ident, pot)
         psi0 = th.PotentialFunction.const(ident, 0)
         cand = th.solve_conformal(h, psi0, bins=32, bracket=(0.1, 3.0))

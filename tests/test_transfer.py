@@ -9,23 +9,13 @@ from xferop.errors import NotValidated, SupportViolation, ValidationError
 from xferop.intervals import IntervalSet, RationalInterval
 
 
-@pytest.fixture(scope="module")
-def tent():
-    return specfile.bundled("tent_std")
-
-
-@pytest.fixture(scope="module")
-def tent_handle(tent):
-    return tr.TransferHandle.create(tent.system, tent.potential)
-
-
 class TestValidate:
     def test_tent_std_is_valid_norm_one(self, tent):
         v = tr.validate(tent.system, tent.potential)
         assert v.valid and v.norm == 1 and v.defects == ()
 
     def test_seam_without_override_is_fatal(self, tent):
-        pot = dyn.Potential("interval", pieces=((RationalInterval(0, 1), 0, F(1, 2)),))
+        pot = dyn.IntervalPotential(pieces=((RationalInterval(0, 1), 0, F(1, 2)),))
         v = tr.validate(tent.system, pot)
         assert not v.valid
         (d,) = v.defects
@@ -51,7 +41,7 @@ class TestValidate:
     def test_halving_needs_taper(self):
         s = specfile.bundled("halving")
         assert tr.validate(s.system, s.potential).valid
-        flat = dyn.Potential("interval", pieces=((RationalInterval(0, 1), 0, 1),))
+        flat = dyn.IntervalPotential(pieces=((RationalInterval(0, 1), 0, 1),))
         v = tr.validate(s.system, flat)
         assert not v.valid
         assert any(d.kind == "missing_arrival" and d.x0 == 1 for d in v.defects)
@@ -62,7 +52,7 @@ class TestValidate:
         assert tr.validate(*_sp("fullshift2")).norm == 2
 
     def test_require_valid_raises(self, tent):
-        pot = dyn.Potential("interval", pieces=((RationalInterval(0, 1), 0, F(1, 2)),))
+        pot = dyn.IntervalPotential(pieces=((RationalInterval(0, 1), 0, F(1, 2)),))
         h = tr.TransferHandle.create(tent.system, pot)
         with pytest.raises(NotValidated):
             h.require_valid()

@@ -16,11 +16,6 @@ from xferop.intervals import IntervalSet, RationalInterval
 
 
 @pytest.fixture(scope="module")
-def tent():
-    return specfile.bundled("tent_std")
-
-
-@pytest.fixture(scope="module")
 def loop1():
     return specfile.bundled("loop1")
 
@@ -31,11 +26,6 @@ def loops2():
 
 
 @pytest.fixture(scope="module")
-def shift2():
-    return specfile.bundled("fullshift2")
-
-
-@pytest.fixture(scope="module")
 def identity_system():
     sys_ = dyn.PartialSystem(
         dyn.IntervalSystem(
@@ -43,7 +33,7 @@ def identity_system():
         ),
         name="ident",
     )
-    pot = dyn.Potential("interval", pieces=((RationalInterval(0, 1), F(0), F(1)),))
+    pot = dyn.IntervalPotential(pieces=((RationalInterval(0, 1), F(0), F(1)),))
     return sys_, pot
 
 
@@ -56,7 +46,7 @@ def pure_contraction():
         ),
         name="shrink",
     )
-    pot = dyn.Potential("interval", pieces=((RationalInterval(0, 1), F(0), F(1)),))
+    pot = dyn.IntervalPotential(pieces=((RationalInterval(0, 1), F(0), F(1)),))
     return sys_, pot
 
 
