@@ -942,10 +942,21 @@ def report(spec_arg, out, fmt, depth):
     rpt.line(f"valid: {'yes' if v.valid else 'no'} (norm {frac_str(v.norm)})")
     rr = dyn.regular_set(spec.system, spec.potential)
     rpt.line(f"regular region: {rr.delta_reg}")
-    rows = []
-    for prop in ("free", "minimal", "contracting", "one-circuit", "simple", "pure-infinite"):
-        verdict = _CHECKS[prop](spec.system, spec.potential, depth)
-        rows.append((verdict.property, verdict.status, verdict.depth, "; ".join(verdict.notes)))
+    system, pot = spec.system, spec.potential
+    # each part once; the composite verdicts are derived from them
+    free = vd.check_top_free(system, pot, depth)
+    minimal = vd.check_minimal(system, pot, depth)
+    contracting = vd.check_contracting(system, pot, depth)
+    one_circuit = vd.check_one_circuit(system, pot, depth)
+    verdicts = (
+        free,
+        minimal,
+        contracting,
+        one_circuit,
+        vd.simple_of(system, pot, depth, minimal, free, one_circuit),
+        vd.purely_infinite_of(depth, minimal, contracting),
+    )
+    rows = [(x.property, x.status, x.depth, "; ".join(x.notes)) for x in verdicts]
     rpt.table("verdicts", ("property", "status", "depth", "notes"), rows)
     desc = sp.spectrum_An(spec.system, spec.potential, 1)
     rpt.line(f"level-1 strata: {len(desc.strata)}")

@@ -71,6 +71,14 @@ def _parse_interval(obj) -> RationalInterval:
         raise ParseError(f"bad interval {obj!r}: {e}") from None
 
 
+def _need_object(obj: dict, key: str) -> dict:
+    # .get and .items on a list or a string would crash instead of refusing
+    value = _need(obj, key)
+    if not isinstance(value, dict):
+        raise ParseError(f"{key} must be an object, got {value!r}")
+    return value
+
+
 def _parse_interval_potential(obj: dict, allow_negative: bool = False) -> IntervalPotential:
     pieces = tuple(
         (_parse_interval(_need(p, "interval")), frac(_need(p, "slope")), frac(_need(p, "intercept")))
@@ -116,10 +124,10 @@ def parse_spec(doc: dict) -> SpecData:
         except Exception as e:
             raise ParseError(f"bad interval system: {e}") from None
         system = PartialSystem(sys_, depth_bound=depth_bound, name=name)
-        potential = _parse_interval_potential(_need(doc, "potential"))
+        potential = _parse_interval_potential(_need_object(doc, "potential"))
         psi = None
         if doc.get("psi") is not None:
-            psi = _parse_interval_potential(doc["psi"], allow_negative=True)
+            psi = _parse_interval_potential(_need_object(doc, "psi"), allow_negative=True)
         return SpecData(name, system, potential, psi, notes)
 
     if backend == "graph":
@@ -136,10 +144,10 @@ def parse_spec(doc: dict) -> SpecData:
         except Exception as e:
             raise ParseError(f"bad graph system: {e}") from None
         system = PartialSystem(gph, depth_bound=depth_bound, name=name)
-        potential = _parse_graph_potential(_need(doc, "weights"))
+        potential = _parse_graph_potential(_need_object(doc, "weights"))
         psi = None
         if doc.get("psi_weights") is not None:
-            psi = _parse_graph_potential(doc["psi_weights"], allow_negative=True)
+            psi = _parse_graph_potential(_need_object(doc, "psi_weights"), allow_negative=True)
         return SpecData(name, system, potential, psi, notes)
 
     raise ParseError(f"unknown backend {backend!r}")

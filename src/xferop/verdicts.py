@@ -304,7 +304,15 @@ def _closure_step(sys_, pos, reg, u):
 
 def _minimal_seeds(system: PartialSystem, space, depth: int) -> list:
     """Open seeds, coarse to fine: the cylinders of the vertices and of the
-    words up to length 4, or the open dyadic intervals of X down to 2^-8."""
+    words up to length 4, or the open dyadic intervals of X down to 2^-8.
+
+    An interval seed is a grid interval ``(a, b)`` clipped to X, or its
+    variant closed at an end that is ``min X`` or ``max X``.  Each is open
+    in X without a check: ``(a, b)`` is open in the line, and X has no
+    points below its minimum, so ``[min X, b)`` meets X where the open
+    ``(min X - 1, b)`` does; likewise at ``max X``.  On a space with gaps
+    two grid intervals can clip to the same set, hence the dedupe.
+    """
     if system.backend == "graph":
         gph = system.gph
         words = [w for n in range(1, min(depth, 4) + 1) for w in gph.words(n)]
@@ -317,16 +325,65 @@ def _minimal_seeds(system: PartialSystem, space, depth: int) -> list:
         step = width / 2**k
         for j in range(2**k):
             a, b = lo + j * step, lo + (j + 1) * step
-            for iv in (
-                RationalInterval(a, b, False, False),
-                RationalInterval(a, b, a == lo, b == hi),
-            ):
+            grid = [RationalInterval(a, b, False, False)]
+            if a == lo or b == hi:
+                grid.append(RationalInterval(a, b, a == lo, b == hi))
+            for iv in grid:
                 s = IntervalSet.of(iv).intersection(space)
-                if s in seen or s.is_empty or not s.is_open_in(space):
+                if s in seen or s.is_empty:
                     continue
                 seen.add(s)
                 seeds.append(s)
     return seeds
+
+
+class _SaturationMemo:
+    """Seeds known to reach X, each with the steps within which it does.
+
+    For interval seeds it also keeps the float ends of the first component,
+    so that a lookup tests ``issubset`` exactly only on the few seeds that
+    pass a float filter.
+    """
+
+    def __init__(self, size: int):
+        self.seeds: list = []
+        self.steps = np.empty(size, dtype=np.int64)
+        self.lo = np.zeros(size)
+        self.hi = np.zeros(size)
+
+    def record(self, seed, steps: int) -> None:
+        n = len(self.seeds)
+        self.seeds.append(seed)
+        self.steps[n] = steps
+        if isinstance(seed, IntervalSet):
+            first = seed.intervals[0]
+            self.lo[n], self.hi[n] = float(first.lo), float(first.hi)
+
+    def lookup(self, u, j: int, max_iter: int) -> Optional[int]:
+        """``j + K`` for the newest recorded seed inside ``u`` whose bound K
+        meets ``j + K < max_iter``, or None.
+
+        An interval seed lies in ``u`` only if its first component lies in
+        one component b of ``u``: b ends no earlier and starts no later.
+        Converting a Fraction to float is correctly rounded, so it keeps
+        order (``x <= y`` gives ``float(x) <= float(y)``).  Hence b comes no
+        earlier than the first component whose float right end is at least
+        the seed's, and as left ends increase, that component's float left
+        end is at most the seed's.  The filter keeps only the seeds meeting
+        this, with one ``searchsorted``: it needs no margin and never drops
+        a seed that lies in ``u``.
+        """
+        n = len(self.seeds)
+        keep = j + self.steps[:n] < max_iter
+        if isinstance(u, IntervalSet):
+            lo = np.array([float(iv.lo) for iv in u.intervals] + [math.inf])
+            hi = np.array([float(iv.hi) for iv in u.intervals])
+            first = np.searchsorted(hi, self.hi[:n])
+            keep &= lo[first] <= self.lo[:n]
+        for i in np.flatnonzero(keep)[::-1]:
+            if self.seeds[i].issubset(u):
+                return j + int(self.steps[i])
+        return None
 
 
 def check_minimal(system: PartialSystem, pot: Potential, depth: int = 8) -> Verdict:
@@ -348,22 +405,23 @@ def check_minimal(system: PartialSystem, pot: Potential, depth: int = 8) -> Verd
     bound ``j + K``, which is all the argument needs.  A seed whose closure
     is not X never meets the rule, so it is iterated as before and the
     Fails certificate is the one the bare loop finds.
+
+    Recorded seeds are searched newest first, because seeds come coarse to
+    fine and a finer seed more often lies in a trail.  A float filter
+    (``_SaturationMemo.lookup``) skips seeds that cannot lie in the set;
+    the float conversion keeps order, so the filter never drops a match and
+    the first exact match, with its bound, is the one a plain scan finds.
     """
     system.check_depth(depth)
     max_iter = 4 * depth
     sys_, space, pos, reg = _regions(system, pot)
     seeds = _minimal_seeds(system, space, depth)
     hit_bound = False
-    # (seed, steps within which it reaches X); scanned newest first, because
-    # seeds come coarse to fine and a finer seed more often lies in a trail
-    saturating: list[tuple[object, int]] = []
+    memo = _SaturationMemo(len(seeds))
     for seed in seeds:
         u = seed
         for j in range(max_iter):
-            steps = next(
-                (j + k for s, k in reversed(saturating) if j + k < max_iter and s.issubset(u)),
-                None,
-            )
+            steps = memo.lookup(u, j, max_iter)
             if steps is not None:
                 break
             nxt = _closure_step(sys_, pos, reg, u)
@@ -377,7 +435,7 @@ def check_minimal(system: PartialSystem, pot: Potential, depth: int = 8) -> Verd
         else:
             hit_bound = True
             continue
-        saturating.append((seed, steps))
+        memo.record(seed, steps)
     if hit_bound:
         return Verdict("Minimal", "Unknown", None, depth)
     return Verdict("Minimal", "Holds", MinimalScan(depth, len(seeds), max_iter), depth)
@@ -682,8 +740,25 @@ def _conjoin(prop: str, parts: Sequence[Verdict], depth: int, notes: tuple[str, 
 
 def verdict_simple(system: PartialSystem, pot: Potential, depth: int = 8) -> Verdict:
     """Simplicity of the crossed product: minimal plus topologically free."""
-    minimal = check_minimal(system, pot, depth)
-    free = check_top_free(system, pot, depth)
+    return simple_of(
+        system,
+        pot,
+        depth,
+        check_minimal(system, pot, depth),
+        check_top_free(system, pot, depth),
+        check_one_circuit(system, pot, depth),
+    )
+
+
+def simple_of(
+    system: PartialSystem,
+    pot: Potential,
+    depth: int,
+    minimal: Verdict,
+    free: Verdict,
+    one_circuit: Verdict,
+) -> Verdict:
+    """The Simple verdict from its parts, each computed at ``depth``."""
     notes = []
     if _regular_set_infinite(system, pot):
         notes.append("regular set is infinite: minimality alone decides simplicity")
@@ -691,17 +766,20 @@ def verdict_simple(system: PartialSystem, pot: Potential, depth: int = 8) -> Ver
         notes.append(
             "regular set is finite: the infinite-regular-set shortcut does not apply"
         )
-    if system.backend == "graph":
-        oc = check_one_circuit(system, pot, depth)
-        if oc.holds:
-            notes.append("the live graph is a single circuit without exits")
+    if one_circuit.holds:
+        notes.append("the live graph is a single circuit without exits")
     return _conjoin("Simple", (minimal, free), depth, tuple(notes))
 
 
 def verdict_purely_infinite(system: PartialSystem, pot: Potential, depth: int = 8) -> Verdict:
     """Pure infiniteness with simplicity: minimal plus contracting."""
-    minimal = check_minimal(system, pot, depth)
-    contracting = check_contracting(system, pot, depth)
+    return purely_infinite_of(
+        depth, check_minimal(system, pot, depth), check_contracting(system, pot, depth)
+    )
+
+
+def purely_infinite_of(depth: int, minimal: Verdict, contracting: Verdict) -> Verdict:
+    """The PurelyInfiniteSimple verdict from its parts, each computed at ``depth``."""
     notes = []
     out = _conjoin("PurelyInfiniteSimple", (minimal, contracting), depth, ())
     if out.holds:

@@ -1,11 +1,13 @@
 """Contract tests for the ``xferop`` command line."""
 
 import json
+from collections import Counter
 from importlib import resources
 
 import pytest
 from click.testing import CliRunner
 
+from xferop import verdicts as vd
 from xferop.cli import main
 
 
@@ -133,9 +135,14 @@ def test_kms_verify_empty_battery_exits_3(tmp_path, count):
         ("fullshift2", "truncation_depth", True, "truncation_depth must be an integer, got True"),
         ("fullshift2", "truncation_depth", 2.5, "truncation_depth must be an integer, got 2.5"),
         ("fullshift2", "truncation_depth", "deep", "truncation_depth must be an integer, got 'deep'"),
+        ("fullshift2", "weights", ["e0"], "weights must be an object, got ['e0']"),
+        ("fullshift2", "psi_weights", "x", "psi_weights must be an object, got 'x'"),
+        ("tent_std", "potential", [1], "potential must be an object, got [1]"),
+        ("tent_std", "psi", "x", "psi must be an object, got 'x'"),
     ],
     ids=["dict-flag-string", "dict-flag-int", "list-flag-string", "list-flag-null",
-         "depth-true", "depth-float", "depth-string"],
+         "depth-true", "depth-float", "depth-string",
+         "weights-list", "psi-weights-string", "potential-list", "psi-string"],
 )
 def test_validate_refuses_malformed_field(tmp_path, spec, key, value, message):
     doc = json.loads(resources.files("xferop").joinpath("specs", f"{spec}.json").read_text("utf-8"))
@@ -182,3 +189,27 @@ def test_kms_verify_refuses_malformed_candidate(tmp_path, key, value, message):
     assert isinstance(result.exception, SystemExit)
     assert "error: " in result.output and message in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("spec", ["tent_std", "fullshift2"])
+@pytest.mark.parametrize(
+    "command, want",
+    [
+        (["report"], {"check_minimal": 1, "check_top_free": 1, "check_contracting": 1,
+                      "check_one_circuit": 1}),
+        (["check", "simple"], {"check_minimal": 1, "check_top_free": 1, "check_one_circuit": 1}),
+        (["check", "pure-infinite"], {"check_minimal": 1, "check_contracting": 1}),
+    ],
+    ids=["report", "simple", "pure-infinite"],
+)
+def test_each_verdict_part_computed_once(monkeypatch, spec, command, want):
+    calls = Counter()
+    for name in ("check_minimal", "check_top_free", "check_contracting", "check_one_circuit"):
+        def counted(*args, _name=name, _check=getattr(vd, name)):
+            calls[_name] += 1
+            return _check(*args)
+
+        monkeypatch.setattr(vd, name, counted)
+    result = CliRunner().invoke(main, [*command, "--spec", spec])
+    assert result.exit_code in (0, 1, 2), result.output
+    assert calls == want

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xferop
 from xferop import dynamics as dyn
@@ -241,6 +243,127 @@ class TestMinimalMemo:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "raised"
+
+
+def _grid_seeds_with_check(space, depth):
+    """Interval seeds as built before the openness check was dropped: every
+    grid interval in both variants, kept if nonempty, new and open in X."""
+    lo, hi = space.min(), space.max()
+    width = hi - lo
+    seeds, seen = [], set()
+    for k in range(0, min(depth, 8) + 1):
+        step = width / 2**k
+        for j in range(2**k):
+            a, b = lo + j * step, lo + (j + 1) * step
+            for iv in (
+                RationalInterval(a, b, False, False),
+                RationalInterval(a, b, a == lo, b == hi),
+            ):
+                s = IntervalSet.of(iv).intersection(space)
+                if s in seen or s.is_empty or not s.is_open_in(space):
+                    continue
+                seen.add(s)
+                seeds.append(s)
+    return seeds
+
+
+# no points in (1/8, 1/2): (0, 1/4) and (0, 1/2) both clip to (0, 1/8]
+GAPPED = IntervalSet.of(RationalInterval(0, F(1, 8)), RationalInterval(F(1, 2), 1))
+SPACES = {
+    "gapped": GAPPED,
+    "gapped-wide": IntervalSet.of(RationalInterval(0, F(1, 4)), RationalInterval(F(1, 2), 1)),
+    "shifted": IntervalSet.closed(1, 3),
+}
+
+
+class TestMinimalSeeds:
+    @pytest.mark.parametrize("depth", range(1, 9))
+    @pytest.mark.parametrize("name", ["tent_std", "tent_half", "doubling", "halving"])
+    def test_bundled_match_checked_construction(self, name, depth):
+        s = specfile.bundled(name)
+        space = s.system.ival.space
+        seeds = vd._minimal_seeds(s.system, space, depth)
+        assert seeds == _grid_seeds_with_check(space, depth)
+        assert all(seed.is_open_in(space) for seed in seeds)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 8])
+    @pytest.mark.parametrize("space", list(SPACES.values()), ids=list(SPACES))
+    def test_other_spaces_match_checked_construction(self, tent, space, depth):
+        seeds = vd._minimal_seeds(tent.system, space, depth)
+        assert seeds == _grid_seeds_with_check(space, depth)
+        assert all(seed.is_open_in(space) for seed in seeds)
+
+    def test_clipped_duplicates_are_dropped(self, tent):
+        seeds = vd._minimal_seeds(tent.system, GAPPED, 2)
+        assert seeds.count(IntervalSet.of(RationalInterval(0, F(1, 8), False, True))) == 1
+        assert len(seeds) == len(set(seeds))
+
+
+def _linear_lookup(recorded, u, j, max_iter):
+    """The memo lookup as a plain newest-first scan: the reference."""
+    return next((j + k for s, k in reversed(recorded) if j + k < max_iter and s.issubset(u)), None)
+
+
+# endpoints share values often, and two differ only past float precision
+_ENDS = [F(k, 8) for k in range(9)] + [F(1, 3), F(2, 3), F(1, 4) + F(1, 2**60), F(1, 2) - F(1, 2**60)]
+
+
+@st.composite
+def _intervals(draw, ends):
+    a, b = sorted(draw(st.lists(st.sampled_from(ends), min_size=2, max_size=2)))
+    if a == b:
+        return RationalInterval.point(a)
+    return RationalInterval(a, b, draw(st.booleans()), draw(st.booleans()))
+
+
+@st.composite
+def _memo_case(draw):
+    dyadic = [F(k, 16) for k in range(17)]
+    seeds = draw(st.lists(
+        st.lists(_intervals(dyadic), min_size=1, max_size=2).map(IntervalSet),
+        min_size=1, max_size=12,
+    ))
+    # distinct bounds, so equal steps mean the same seed matched
+    bounds = draw(st.lists(st.integers(0, 40), min_size=len(seeds), max_size=len(seeds), unique=True))
+    u = IntervalSet(draw(st.lists(_intervals(_ENDS + dyadic), min_size=1, max_size=6)))
+    return list(zip(seeds, bounds)), u, draw(st.integers(0, 31))
+
+
+class TestSaturationMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(_memo_case())
+    def test_filtered_lookup_matches_linear_scan(self, case):
+        recorded, u, j = case
+        memo = vd._SaturationMemo(len(recorded))
+        for s, k in recorded:
+            memo.record(s, k)
+        assert memo.lookup(u, j, 32) == _linear_lookup(recorded, u, j, 32)
+
+    def test_float_tie_keeps_the_match(self):
+        # both right ends of u round to the float 0.25, so the search lands on
+        # the first component; the seed lies in the second one
+        eps = F(1, 2**60)
+        u = IntervalSet.of(
+            RationalInterval(0, F(1, 4) - eps), RationalInterval(F(1, 4) - eps / 2, F(1, 4), False)
+        )
+        memo = vd._SaturationMemo(1)
+        memo.record(IntervalSet.of(RationalInterval(F(1, 4) - eps / 4, F(1, 4))), 3)
+        assert float(u.intervals[0].hi) == float(u.intervals[1].hi)
+        assert memo.lookup(u, 0, 32) == 3
+
+    def test_exact_tests_on_tent(self, tent, monkeypatch):
+        calls = 0
+        issubset = IntervalSet.issubset
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return issubset(self, other)
+
+        monkeypatch.setattr(IntervalSet, "issubset", counted)
+        assert vd.check_minimal(tent.system, tent.potential, 8).holds
+        # a plain newest-first scan makes about 184,000 here
+        assert calls < 1000
 
 
 class TestContractingSet:
