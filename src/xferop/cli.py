@@ -354,20 +354,14 @@ def _load_candidate(path: str, system: dyn.PartialSystem):
 def _restrict_regular(spec: sf.SpecData):
     """Shrink the system so every surviving point is regular.
 
-    Interval branch domains are intersected with the regular region; graph
-    systems drop edges without a positive weight.  Returns the new system,
-    the (possibly trimmed) weight, and a one-line description of the cut.
+    Interval branch domains are intersected with the regular region; on
+    graphs every edge weight is positive, so every point is already regular
+    and no edge is dropped.  Returns the new system, the weight, and a
+    one-line description of the cut.
     """
     system, pot = spec.system, spec.potential
     if system.backend == "graph":
-        wmap = pot.weight_map()
-        keep = tuple(e for e in system.gph.edges if wmap.get(e.name, Fraction(0)) > 0)
-        dropped = sorted(e.name for e in system.gph.edges if e not in keep)
-        gph = dyn.GraphSystem(system.gph.vertices, keep, system.gph.truncation_depth)
-        sys2 = dyn.PartialSystem(gph, depth_bound=system.depth_bound, name=spec.name)
-        pot2 = dyn.GraphPotential(tuple((e, w) for e, w in pot.weights if wmap[e] > 0))
-        note = "dropped edges: " + (", ".join(dropped) if dropped else "none")
-        return sys2, pot2, note
+        return system, pot, "dropped edges: none"
     reg = dyn.regular_set(system, pot).delta_reg
     branches = []
     for b in system.ival.branches:

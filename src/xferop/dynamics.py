@@ -10,21 +10,22 @@ The backend is the type of the map.  ``PartialSystem.map`` holds an
 ``IntervalSystem`` or a ``GraphSystem``, and both answer one protocol:
 
 - points: ``phi(x)`` steps forward (raising ``OutOfDomain`` off the
-  domain), ``fiber(y)`` lists the exact preimages of ``y`` in order,
+  domain), ``fiber(y)`` lists the exact preimages of ``y`` in order and
   ``point(x)`` coerces an argument to a point (``frac`` on intervals, the
-  identity on graphs) and ``weight(pot, x)`` is the weight of ``x``.
-  Points of one backend are totally ordered: rationals by value, path
-  points by ``PathPoint.sort_key``, so ``sorted`` works on either.
+  identity on graphs).  Points of one backend are totally ordered:
+  rationals by value, path points by ``PathPoint.sort_key``, so ``sorted``
+  works on either.
 - open sets: ``IntervalSet`` and ``CylinderSet`` share ``union``,
-  ``intersection``, ``intersects``, ``issubset``, ``==`` and ``is_empty``;
-  the maps carry them with ``image_of`` and ``preimage_of`` and hold the
-  whole space as ``space``.
+  ``intersection``, ``intersects``, ``issubset``, ``closure``,
+  ``is_open_in``, ``==`` and ``is_empty``; the maps carry them with
+  ``image_of`` and ``preimage_of`` and hold the whole space as ``space``.
 
-The weight is typed like the map.  An ``IntervalPotential`` holds affine
-pieces plus point overrides, and ``breakpoints()`` gives the piece ends and
-override points where it can jump; a ``GraphPotential`` holds one weight per
-edge.  Both carry ``backend`` and answer ``constant_value()``; ``Potential``
-names either.
+The weight is typed like the map, and ``value(x)`` is the weight of a point
+on either.  An ``IntervalPotential`` holds affine pieces plus point
+overrides, and ``breakpoints()`` gives the piece ends and override points
+where it can jump; a ``GraphPotential`` holds one positive weight per edge.
+Both carry ``backend`` and answer ``constant_value()``; ``Potential`` names
+either.
 """
 
 from __future__ import annotations
@@ -161,9 +162,6 @@ class IntervalSystem:
 
     def point(self, x: Rationalish) -> Fraction:
         return frac(x)
-
-    def weight(self, pot: "IntervalPotential", x: Rationalish) -> Fraction:
-        return pot.value(x)
 
     # -- set dynamics --------------------------------------------------------
 
@@ -318,6 +316,14 @@ class CylinderSet:
     def issubset(self, other: "CylinderSet") -> bool:
         return all(self._covered(c, other.cylinders) for c in self.cylinders)
 
+    def closure(self) -> "CylinderSet":
+        """Cylinders are clopen, so a finite union of them is closed."""
+        return self
+
+    def is_open_in(self, space: "CylinderSet") -> bool:
+        """Cylinders are clopen, so a finite union of them is open."""
+        return True
+
     def _covered(self, c: PathPoint, cover: tuple[PathPoint, ...]) -> bool:
         """Whether a member of ``cover`` contains ``c``, or members lie inside
         ``c`` and cover each of its children."""
@@ -419,12 +425,6 @@ class GraphSystem:
 
     def point(self, p: PathPoint) -> PathPoint:
         return p
-
-    def weight(self, pot: "GraphPotential", p: PathPoint) -> Fraction:
-        """The weight of a path is the weight of its first edge."""
-        if not p.word:
-            raise OutOfDomain(p, 0)
-        return pot.edge_weight(p.word[0])
 
     def children(self, p: PathPoint) -> tuple[PathPoint, ...]:
         """The cylinders one edge longer; they partition the cylinder of p
@@ -633,11 +633,12 @@ class IntervalPotential:
 
 @dataclass(frozen=True)
 class GraphPotential:
-    """Weight on the graph backend: one positive weight per edge.
+    """Weight on the graph backend: one weight per edge.
 
-    The weight of a path is the weight of its first edge.  ``allow_negative``
-    relaxes the sign constraint so the same container can carry signed
-    energies.
+    The weight of a path is the weight of its first edge.  Positivity is the
+    weight invariant: every edge weight is > 0, so the whole domain of the
+    shift is regular.  ``allow_negative`` lifts it only so that the same
+    container can carry signed energies.
     """
 
     backend = "graph"
@@ -656,6 +657,12 @@ class GraphPotential:
     def weight_map(self) -> dict[str, Fraction]:
         return dict(self.weights)
 
+    def value(self, p: PathPoint) -> Fraction:
+        """The weight of a path: the weight of its first edge."""
+        if not p.word:
+            raise OutOfDomain(p, 0)
+        return self.edge_weight(p.word[0])
+
     def edge_weight(self, name: str) -> Fraction:
         for e, w in self.weights:
             if e == name:
@@ -673,7 +680,7 @@ Potential = Union[IntervalPotential, GraphPotential]
 
 def rho(system: PartialSystem, pot: Potential, x: Point) -> Fraction:
     """Exact weight of one point."""
-    return system.map.weight(pot, x)
+    return pot.value(x)
 
 
 @dataclass(frozen=True)
@@ -749,7 +756,7 @@ def preimages(
         nxt = []
         for z, w in level:
             for x in f.fiber(z):
-                nxt.append((x, f.weight(pot, x) * w))
+                nxt.append((x, pot.value(x) * w))
         level = nxt
     if drop_zero:
         level = [(x, w) for x, w in level if w != 0]
@@ -769,7 +776,7 @@ def cocycle(system: PartialSystem, pot: Potential, n: int, x: Point) -> Fraction
             nxt = f.phi(z)
         except OutOfDomain:
             raise OutOfDomain(x, step) from None
-        out *= f.weight(pot, z)
+        out *= pot.value(z)
         z = nxt
     return out
 
@@ -1050,17 +1057,6 @@ def _piece_at(pieces, x: Fraction) -> Optional[tuple[Fraction, Fraction]]:
         if iv.contains(x):
             return (m, c)
     return None
-
-
-def regular_core(system: PartialSystem, pot: Potential, n: int) -> IntervalSet:
-    """Points whose first n steps stay in the regular set (interval backend)."""
-    report = regular_set(system, pot)
-    reg: IntervalSet = report.delta_reg
-    out = iterate_domain(system, n)
-    current = reg
-    for _ in range(n - 1):
-        current = system.ival.preimage_of(current).intersection(reg)
-    return out.intersection(current) if n >= 1 else out
 
 
 # -- essential domain -----------------------------------------------------------

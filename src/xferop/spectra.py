@@ -84,12 +84,9 @@ def positive_iterate(system: PartialSystem, pot: Potential, n: int):
         raise ValidationError("n must be nonnegative")
     system.check_depth(n)
     if system.backend == "graph":
-        gph = system.gph
-        live = {e.name for e in gph.edges if pot.edge_weight(e.name) > 0}
-        words = tuple(
-            w for w in gph.words(n) if all(e in live for e in w.word)
+        return GraphSetDescription(
+            system.gph.words(n), note=f"positive paths of length >= {n}"
         )
-        return GraphSetDescription(words, note=f"positive paths of length >= {n}")
     sys_ = system.ival
     pos = sys_.delta.difference(pot.zero_set(sys_.delta))
     out = sys_.space
@@ -105,9 +102,8 @@ def level_space(system: PartialSystem, pot: Potential, k: int):
     """phi^k of the k-step positive domain, as an exact set."""
     if system.backend == "graph":
         gph = system.gph
-        live = {e.name for e in gph.edges if pot.edge_weight(e.name) > 0}
         # a length-k word shifts down to the cylinder of its source vertex
-        verts = {w.end for w in gph.words(k) if all(e in live for e in w.word)}
+        verts = {w.end for w in gph.words(k)}
         cyls = tuple(sorted((gph.vertex_point(v) for v in verts), key=PathPoint.sort_key))
         return GraphSetDescription(cyls, note=f"tails reachable by {k} shifts")
     sys_ = system.ival

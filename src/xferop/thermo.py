@@ -600,8 +600,6 @@ def inverse_orbit_measure(
     large; otherwise atoms are enumerated explicitly and capped.
     """
     system, pot = handle.system, handle.potential
-    if system.backend != "interval":
-        raise ValidationError("cascade measures are an interval-backend construction")
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
     comp = _single_component(system)
@@ -918,15 +916,6 @@ def _integrate_state(tab: _StateTable, f: Callable, pts: int) -> float:
 def _strong_pair(tab: _StateTable, a: tr.TestFunction) -> tuple[float, float]:
     handle, psi, beta, mu = tab.handle, tab.psi, tab.beta, tab.mu
     system, pot = handle.system, handle.potential
-    if system.backend == "graph":
-        if not isinstance(mu, tr.AtomicMeasure):
-            raise ValidationError("graph residuals need atomic measures")
-        lhs = _int_atomic(mu, lambda p: tr.apply(handle, a, p))
-        rhs = _int_atomic(
-            mu,
-            lambda p: float(a.value(p)) * _psi_exp(psi, beta, p) * float(dyn.rho(system, pot, p)),
-        )
-        return lhs, rhs
     cval = psi.constant_value()
     if isinstance(mu, tr.UlamMeasure):
         lhs = float(_int_ulam_grid(mu, _transfer_grid(handle, a)))
@@ -1484,8 +1473,6 @@ def kms_battery(
     that states kill off-diagonal terms; their rows carry both sides, which
     should individually vanish under a positive energy.
     """
-    if handle.system.backend != "interval":
-        raise ValidationError("the monomial battery is an interval-backend helper")
     if count < 1:
         raise ValidationError(f"the battery needs at least one pair, got count={count}")
     tab = _StateTable(handle, mu, psi, beta)

@@ -188,6 +188,8 @@ def validate(system: PartialSystem, pot: Potential) -> TransferValidation:
         for e in gph.edges:
             if e.name not in wmap:
                 raise ValidationError(f"edge {e.name} has no weight")
+            if wmap[e.name] <= 0:
+                raise ValidationError(f"edge weight for {e.name} must be positive")
         norm = max(
             sum((wmap[e.name] for e in gph.prependable(v)), Fraction(0))
             for v in gph.vertices
@@ -463,8 +465,6 @@ def ulam_matrix(
     indicator of bin j: integrate the weight over the pulled-back overlap,
     with the branch substitution contributing the |slope| factor.
     """
-    if handle.system.backend != "interval":
-        raise ValidationError("bin matrices are an interval-backend operation")
     sys_ = handle.system.ival
     if len(sys_.space.intervals) != 1:
         raise ValidationError("bin matrices need a single-component space")

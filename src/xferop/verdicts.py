@@ -159,16 +159,12 @@ def _regions(system: PartialSystem, pot: Potential):
     """(map, space, pos, reg): the backend's map, X, and the positive and
     regular parts of the domain, all as open sets of the backend's type.
 
-    On graphs the shift is locally injective and the weight is constant on
-    each length-1 cylinder, so both parts are the live length-1 cylinders.
+    On graphs the shift is locally injective and every edge weight is
+    positive, so both parts are the length-1 cylinders.
     """
-    if system.backend == "graph":
-        gph = system.gph
-        live = CylinderSet(gph, (w for w in gph.words(1) if pot.edge_weight(w.word[0]) > 0))
-        return gph, gph.space, live, live
     report = dyn.regular_set(system, pot)
-    sys_ = system.ival
-    return sys_, sys_.space, report.delta_pos, report.delta_reg
+    f = system.map
+    return f, f.space, _open_set(system, report.delta_pos), _open_set(system, report.delta_reg)
 
 
 def _open_set(system: PartialSystem, region):
@@ -188,21 +184,13 @@ def _open_set(system: PartialSystem, region):
     return CylinderSet(system.gph, region)
 
 
-def _live_continuations(gph, pot, v: str) -> tuple[dyn.GraphEdge, ...]:
-    return tuple(e for e in gph.continuations(v) if pot.edge_weight(e.name) > 0)
-
-
-def _live_prependable(gph, pot, v: str) -> tuple[dyn.GraphEdge, ...]:
-    return tuple(e for e in gph.prependable(v) if pot.edge_weight(e.name) > 0)
-
-
-def _simple_cycles(gph: dyn.GraphSystem, pot: Potential) -> tuple[tuple[str, ...], ...]:
-    """Simple cycles of the live walk digraph v -> src(e), e in continuations(v)."""
+def _simple_cycles(gph: dyn.GraphSystem) -> tuple[tuple[str, ...], ...]:
+    """Simple cycles of the walk digraph v -> src(e), e in continuations(v)."""
     order = {v: i for i, v in enumerate(sorted(gph.vertices))}
     cycles: list[tuple[str, ...]] = []
 
     def visit(start: str, v: str, path: list[str], seen: set[str]):
-        for e in _live_continuations(gph, pot, v):
+        for e in gph.continuations(v):
             w = e.src
             if w == start:
                 cycles.append(tuple(path + [e.name]))
@@ -214,11 +202,11 @@ def _simple_cycles(gph: dyn.GraphSystem, pot: Potential) -> tuple[tuple[str, ...
     return tuple(cycles)
 
 
-def _cycle_exit(gph, pot, cycle: tuple[str, ...]) -> Optional[str]:
-    """An alternative live continuation at some vertex of the cycle, if any."""
+def _cycle_exit(gph, cycle: tuple[str, ...]) -> Optional[str]:
+    """An alternative continuation at some vertex of the cycle, if any."""
     for name in cycle:
         v = gph.edge_by_name[name].rng
-        for e in _live_continuations(gph, pot, v):
+        for e in gph.continuations(v):
             if e.name != name:
                 return e.name
     return None
@@ -232,10 +220,10 @@ def check_top_free(system: PartialSystem, pot: Potential, depth: int = 8) -> Ver
     system.check_depth(depth)
     if system.backend == "graph":
         gph = system.gph
-        cycles = _simple_cycles(gph, pot)
+        cycles = _simple_cycles(gph)
         witnessed = []
         for cyc in cycles:
-            ex = _cycle_exit(gph, pot, cyc)
+            ex = _cycle_exit(gph, cyc)
             if ex is None:
                 return Verdict("TopFree", "Fails", CycleNoExit(cyc), depth)
             witnessed.append((cyc, ex))
@@ -452,47 +440,10 @@ def check_contracting_set(
     ``pieces`` is a sequence of (U_k, n_k).  The three conditions: the U_k are
     pairwise disjoint nonempty opens inside the n_k-step regular core and
     inside V; V escapes the closure of their union; the n_k-step images of
-    the U_k cover the closure of V.
+    the U_k cover the closure of V.  The n-step regular core is the set of
+    points whose first n steps stay in the regular set.
     """
-    if system.backend == "graph":
-        gph = system.gph
-        v = _open_set(system, region)
-        if v.is_empty:
-            return ContractingReport(False, "region_empty", "V must be nonempty open")
-        sets = [(_open_set(system, u), int(n)) for u, n in pieces]
-        if not sets or any(u.is_empty for u, _ in sets):
-            return ContractingReport(False, "piece_empty", "each U_k must be nonempty")
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                if sets[i][0].intersects(sets[j][0]):
-                    return ContractingReport(False, "not_disjoint", f"pieces {i} and {j} meet")
-        for i, (u, n) in enumerate(sets):
-            if n < 1:
-                return ContractingReport(False, "bad_exponent", f"n_{i} must be >= 1")
-            if not u.issubset(v):
-                return ContractingReport(False, "piece_escapes_region", f"U_{i} is not inside V")
-            for c in u:
-                deep = [c]
-                for _ in range(n - len(c.word)):
-                    deep = [k for d in deep for k in gph.children(d)]
-                for d in deep:
-                    if any(pot.edge_weight(w) == 0 for w in d.word[:n]):
-                        return ContractingReport(
-                            False, "piece_not_regular", f"U_{i} leaves the live graph"
-                        )
-        covered = CylinderSet(gph, (c for u, _ in sets for c in u))
-        if v.issubset(covered):
-            return ContractingReport(False, "region_exhausted", "V lies in the closure of the U_k")
-        images = CylinderSet(gph)
-        for u, n in sets:
-            images = images.union(_image_iter(gph, u, n))
-        if not v.issubset(images):
-            return ContractingReport(
-                False, "closure_not_covered", "the n_k-step images miss part of closure(V)"
-            )
-        return ContractingReport(True)
-
-    sys_, space, _, _ = _regions(system, pot)
+    f, space, _, reg = _regions(system, pot)
     v = _open_set(system, region)
     if v.is_empty or not v.is_open_in(space):
         return ContractingReport(False, "region_empty", "V must be nonempty and open")
@@ -506,23 +457,21 @@ def check_contracting_set(
     for i, (u, n) in enumerate(sets):
         if n < 1:
             return ContractingReport(False, "bad_exponent", f"n_{i} must be >= 1")
-        core = dyn.regular_core(system, pot, n)
+        core = reg
+        for _ in range(n - 1):
+            core = f.preimage_of(core).intersection(reg)
         if not u.issubset(core.intersection(v)):
             return ContractingReport(
                 False, "piece_not_regular", f"U_{i} leaves the {n}-step regular core or V"
             )
-    union = IntervalSet.empty()
-    for u, _ in sets:
-        union = union.union(u)
-    if v.difference(union.closure()).is_empty:
+    union, cover = sets[0][0], _image_iter(f, *sets[0])
+    for u, n in sets[1:]:
+        union, cover = union.union(u), cover.union(_image_iter(f, u, n))
+    if v.issubset(union.closure()):
         return ContractingReport(False, "region_exhausted", "V lies in the closure of the U_k")
-    cover = IntervalSet.empty()
-    for u, n in sets:
-        cover = cover.union(_image_iter(sys_, u, n))
     if not v.closure().intersection(space).issubset(cover):
-        missing = v.closure().intersection(space).difference(cover)
         return ContractingReport(
-            False, "closure_not_covered", f"images miss {missing} of closure(V)"
+            False, "closure_not_covered", "the n_k-step images miss part of closure(V)"
         )
     return ContractingReport(True)
 
@@ -590,24 +539,19 @@ def check_contracting(system: PartialSystem, pot: Potential, depth: int = 8) -> 
     system.check_depth(depth)
     if system.backend == "graph":
         gph = system.gph
-        dead = [e.name for e in gph.edges if pot.edge_weight(e.name) == 0]
-        if dead:
-            return Verdict(
-                "Contracting", "Fails", Obstruction("domain_not_positive", tuple(dead)), depth
-            )
-        if all(len(_live_prependable(gph, pot, v)) <= 1 for v in gph.vertices):
+        if all(len(gph.prependable(v)) <= 1 for v in gph.vertices):
             return Verdict(
                 "Contracting",
                 "Fails",
                 Obstruction("deterministic_inverse_orbits", tuple(sorted(gph.vertices))),
                 depth,
             )
-        for cyc in _simple_cycles(gph, pot):
-            if _cycle_exit(gph, pot, cyc) is None:
+        for cyc in _simple_cycles(gph):
+            if _cycle_exit(gph, cyc) is None:
                 continue
             start = gph.edge_by_name[cyc[0]].rng
             reach_depth = min(depth, 2 * len(gph.vertices) + 2)
-            if not _reaches_all_atoms(gph, pot, start, reach_depth):
+            if not _reaches_all_atoms(gph, start, reach_depth):
                 continue
             scales = []
             max_m = max(1, min(depth // (2 * len(cyc)), 4))
@@ -662,19 +606,14 @@ def check_contracting(system: PartialSystem, pot: Potential, depth: int = 8) -> 
     return Verdict("Contracting", "Unknown", None, depth)
 
 
-def _reaches_all_atoms(gph, pot, target: str, depth: int) -> bool:
-    """Every short live word can be continued to reach the target vertex."""
+def _reaches_all_atoms(gph, target: str, depth: int) -> bool:
+    """Every short word can be continued to reach the target vertex."""
     reach = {target}
     frontier = {target}
     for _ in range(len(gph.vertices) + 1):
-        frontier = {
-            e.rng for e in gph.edges if e.src in frontier and pot.edge_weight(e.name) > 0
-        } - reach
+        frontier = {e.rng for e in gph.edges if e.src in frontier} - reach
         reach |= frontier
-    for w in gph.words(min(depth // 2, 3)):
-        if all(pot.edge_weight(n) > 0 for n in w.word) and w.end not in reach:
-            return False
-    return True
+    return all(w.end in reach for w in gph.words(min(depth // 2, 3)))
 
 
 # -- derived verdicts -------------------------------------------------------
@@ -687,17 +626,17 @@ def check_one_circuit(system: PartialSystem, pot: Potential, depth: int = 8) -> 
             "OneCircuit", "Fails", Obstruction("not_discrete", system.ival.space), depth
         )
     gph = system.gph
-    cycles = _simple_cycles(gph, pot)
+    cycles = _simple_cycles(gph)
     if len(cycles) != 1:
         return Verdict(
             "OneCircuit", "Fails", Obstruction("cycle_count", tuple(cycles)), depth
         )
     cyc = cycles[0]
-    ex = _cycle_exit(gph, pot, cyc)
+    ex = _cycle_exit(gph, cyc)
     if ex is not None:
         return Verdict("OneCircuit", "Fails", Obstruction("cycle_has_exit", (cyc, ex)), depth)
     on_cycle = {gph.edge_by_name[n].rng for n in cyc}
-    stranded = [v for v in gph.vertices if v not in on_cycle and not _walks_into(gph, pot, v, on_cycle)]
+    stranded = [v for v in gph.vertices if v not in on_cycle and not _walks_into(gph, v, on_cycle)]
     if stranded:
         return Verdict(
             "OneCircuit", "Fails", Obstruction("unreached_vertices", tuple(stranded)), depth
@@ -705,15 +644,11 @@ def check_one_circuit(system: PartialSystem, pot: Potential, depth: int = 8) -> 
     return Verdict("OneCircuit", "Holds", CycleNoExit(cyc), depth)
 
 
-def _walks_into(gph, pot, v: str, targets: set[str]) -> bool:
+def _walks_into(gph, v: str, targets: set[str]) -> bool:
     seen = {v}
     frontier = {v}
     while frontier:
-        frontier = {
-            e.src
-            for e in gph.edges
-            if e.rng in frontier and pot.edge_weight(e.name) > 0
-        } - seen
+        frontier = {e.src for e in gph.edges if e.rng in frontier} - seen
         if frontier & targets:
             return True
         seen |= frontier
@@ -725,8 +660,8 @@ def _regular_set_infinite(system: PartialSystem, pot: Potential) -> bool:
         _, _, _, reg = _regions(system, pot)
         return not reg.nondegenerate().is_empty
     gph = system.gph
-    cycles = _simple_cycles(gph, pot)
-    return any(_cycle_exit(gph, pot, c) is not None for c in cycles)
+    cycles = _simple_cycles(gph)
+    return any(_cycle_exit(gph, c) is not None for c in cycles)
 
 
 def _conjoin(prop: str, parts: Sequence[Verdict], depth: int, notes: tuple[str, ...]) -> Verdict:
@@ -813,8 +748,6 @@ def _collapsed_basis(system: PartialSystem, pot: Potential, cert, depth: int):
             for i in frontier:
                 for child in gph.fiber(pts[i]):
                     w = dyn.rho(system, pot, child)
-                    if w == 0:
-                        continue
                     j = fold(child)
                     if j is None:
                         pts.append(child)

@@ -1,14 +1,20 @@
 """Contract tests for the ``xferop`` command line."""
 
 import json
+import sys
 from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from xferop import verdicts as vd
 from xferop.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import cells  # noqa: E402  (the benchmark's 20 subcommands)
 
 
 def test_check_minimal_tent_certificate():
@@ -139,10 +145,24 @@ def test_kms_verify_empty_battery_exits_3(tmp_path, count):
         ("fullshift2", "psi_weights", "x", "psi_weights must be an object, got 'x'"),
         ("tent_std", "potential", [1], "potential must be an object, got [1]"),
         ("tent_std", "psi", "x", "psi must be an object, got 'x'"),
+        ("tent_std", "potential", {"pieces": [1]}, "expected an object with key 'interval', got 1"),
+        ("tent_std", "potential", {"pieces": [], "overrides": [1]},
+         "expected an object with key 'point', got 1"),
+        ("tent_std", "branches", [1], "expected an object with key 'domain', got 1"),
+        ("fullshift2", "edges", [1], "expected an object with key 'name', got 1"),
+        ("fullshift2", "vertices", 5, "vertices must be a list, got 5"),
+        ("tent_std", "space", 5, "space must be a list, got 5"),
+        ("tent_std", "branches", 5, "branches must be a list, got 5"),
+        ("fullshift2", "weights", {"e1": "1"}, "weights has no value for edge 'e0'"),
+        ("fullshift2", "psi_weights", {"e0": "1", "e1": "1", "e2": "1"},
+         "psi_weights names unknown edge 'e2'"),
     ],
     ids=["dict-flag-string", "dict-flag-int", "list-flag-string", "list-flag-null",
          "depth-true", "depth-float", "depth-string",
-         "weights-list", "psi-weights-string", "potential-list", "psi-string"],
+         "weights-list", "psi-weights-string", "potential-list", "psi-string",
+         "pieces-entry", "overrides-entry", "branches-entry", "edges-entry",
+         "vertices-int", "space-int", "branches-int", "weights-missing-edge",
+         "psi-weights-unknown-edge"],
 )
 def test_validate_refuses_malformed_field(tmp_path, spec, key, value, message):
     doc = json.loads(resources.files("xferop").joinpath("specs", f"{spec}.json").read_text("utf-8"))
@@ -153,6 +173,21 @@ def test_validate_refuses_malformed_field(tmp_path, spec, key, value, message):
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)
     assert f"error: {message}" in result.output.splitlines()
+
+
+@pytest.mark.parametrize("key", ["weights", "psi_weights"])
+@pytest.mark.parametrize("command", cells.COMMANDS, ids=" ".join)
+def test_every_command_refuses_a_weight_missing_an_edge(tmp_path, key, command):
+    doc = json.loads(resources.files("xferop").joinpath("specs", "fullshift2.json").read_text("utf-8"))
+    del doc[key]["e0"]
+    (tmp_path / "fullshift2_no_e0.json").write_text(json.dumps(doc), encoding="utf-8")
+    # kms-verify needs its candidate file to exist; the spec is refused first
+    (tmp_path / "cand_fullshift2_no_e0.json").write_text("{}", encoding="utf-8")
+    args = cells.expand(cells._matrix_cell(command, "fullshift2_no_e0"), str(tmp_path), 0)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: {key} has no value for edge 'e0'" in result.output.splitlines()
 
 
 @pytest.mark.parametrize("space", [[{"lo": "0", "hi": "1"}], [["0", "1"]]], ids=["dict", "list"])

@@ -293,6 +293,14 @@ class TestPotentialTypes:
         for cls in (dyn.IntervalPotential, dyn.GraphPotential):
             assert "backend" not in {f.name for f in dataclasses.fields(cls)}
 
+    def test_graph_value_is_the_first_edge_weight(self, shift2):
+        g = shift2.system.gph
+        pot = dyn.GraphPotential((("e0", F(1, 3)), ("e1", F(2))))
+        assert pot.value(g.path_point(("e1", "e0"))) == 2
+        assert pot.value(g.path_point(("e0",))) == F(1, 3)
+        with pytest.raises(OutOfDomain):
+            pot.value(g.vertex_point("v"))
+
     def test_graph_potential_takes_no_pieces(self):
         with pytest.raises(TypeError):
             dyn.GraphPotential(pieces=((RationalInterval(0, 1), 0, 1),))

@@ -51,6 +51,18 @@ class TestValidate:
         assert tr.validate(*_sp("loops2")).norm == 1
         assert tr.validate(*_sp("fullshift2")).norm == 2
 
+    @pytest.mark.parametrize("w", [0, -1])
+    def test_graph_refuses_a_non_positive_weight(self, w):
+        system, _ = _sp("fullshift2")
+        pot = dyn.GraphPotential((("e0", F(w)), ("e1", F(1))), allow_negative=True)
+        with pytest.raises(ValidationError, match="^edge weight for e0 must be positive$"):
+            tr.validate(system, pot)
+
+    def test_graph_refuses_a_missing_weight(self):
+        system, _ = _sp("fullshift2")
+        with pytest.raises(ValidationError, match="^edge e0 has no weight$"):
+            tr.validate(system, dyn.GraphPotential((("e1", F(1)),)))
+
     def test_require_valid_raises(self, tent):
         pot = dyn.IntervalPotential(pieces=((RationalInterval(0, 1), 0, F(1, 2)),))
         h = tr.TransferHandle.create(tent.system, pot)

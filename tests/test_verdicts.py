@@ -27,6 +27,18 @@ def loops2():
     return specfile.bundled("loops2")
 
 
+def _golden_mean():
+    """The golden-mean shift of the benchmark: edges a->a, a->b, b->a."""
+    doc = {
+        "name": "golden_mean", "backend": "graph", "vertices": ["a", "b"],
+        "edges": [{"name": "aa", "src": "a", "rng": "a"},
+                  {"name": "ab", "src": "a", "rng": "b"},
+                  {"name": "ba", "src": "b", "rng": "a"}],
+        "weights": {"aa": "1", "ab": "1", "ba": "1"},
+    }
+    return specfile.parse_spec(doc)
+
+
 @pytest.fixture(scope="module")
 def identity_system():
     sys_ = dyn.PartialSystem(
@@ -404,6 +416,35 @@ class TestContractingSet:
         rep = vd.check_contracting_set(shift2.system, shift2.potential, v, [(v, 1)])
         assert not rep.ok and rep.violated == "region_exhausted"
 
+    @pytest.mark.parametrize(
+        "region, pieces, violated",
+        [
+            ((), [(("e0", "e0"), 1)], "region_empty"),
+            (("e0",), [(("e0", "e0"), 1), (("e0", "e0", "e1"), 1)], "not_disjoint"),
+            (("e0",), [(("e0", "e0"), 0)], "bad_exponent"),
+            (("e0",), [(("e1", "e0"), 1)], "piece_not_regular"),  # U is not inside V
+            (("e0",), [(("e0", "e0", "e0"), 1)], "closure_not_covered"),
+        ],
+        ids=["region-empty", "not-disjoint", "bad-exponent", "piece-outside-v", "not-covered"],
+    )
+    def test_graph_designed_negatives(self, shift2, region, pieces, violated):
+        g = shift2.system.gph
+        v = (g.path_point(region),) if region else ()
+        us = [((g.path_point(word),), n) for word, n in pieces]
+        rep = vd.check_contracting_set(shift2.system, shift2.potential, v, us)
+        assert not rep.ok and rep.violated == violated
+
+    def test_graph_piece_outside_the_core(self):
+        # the length-1 cylinder of f holds the finite path f, which cannot
+        # be shifted twice, so it leaves the 2-step regular core
+        g = dyn.GraphSystem(["t", "u"], [dyn.GraphEdge("a", "u", "u"), dyn.GraphEdge("f", "t", "u")])
+        system = dyn.PartialSystem(g)
+        pot = dyn.GraphPotential((("a", F(1)), ("f", F(1))))
+        v = (g.vertex_point("u"),)
+        rep = vd.check_contracting_set(system, pot, v, [((g.path_point(("f",)),), 2)])
+        assert not rep.ok and rep.violated == "piece_not_regular"
+        assert vd.check_contracting_set(system, pot, v, [((g.path_point(("a", "a")),), 2)]).ok
+
 
 class TestContracting:
     def test_tent_holds_at_one_third(self, tent):
@@ -423,6 +464,16 @@ class TestContracting:
             rep = vd.check_contracting_set(
                 shift2.system, shift2.potential, scale.region, scale.pieces
             )
+            assert rep.ok
+
+    # fullshift2's certificate is replayed by test_fullshift_holds_and_replays
+    @pytest.mark.parametrize("name, status", [("loops2", "Fails"), ("golden_mean", "Holds")])
+    def test_graph_certificates_replay(self, name, status):
+        s = _golden_mean() if name == "golden_mean" else specfile.bundled(name)
+        v = vd.check_contracting(s.system, s.potential, 8)
+        assert v.status == status
+        for scale in v.certificate.scales if v.holds else ():
+            rep = vd.check_contracting_set(s.system, s.potential, scale.region, scale.pieces)
             assert rep.ok
 
     def test_loop1_fails_deterministic(self, loop1):
