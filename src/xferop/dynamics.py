@@ -17,15 +17,22 @@ The backend is the type of the map.  ``PartialSystem.map`` holds an
   works on either.
 - open sets: ``IntervalSet`` and ``CylinderSet`` share ``union``,
   ``intersection``, ``intersects``, ``issubset``, ``closure``,
-  ``is_open_in``, ``==`` and ``is_empty``; the maps carry them with
-  ``image_of`` and ``preimage_of`` and hold the whole space as ``space``.
+  ``is_open_in``, ``==``, ``is_empty`` and ``sample_points()``;
+  ``noted(text)`` gives a set that prints ``text`` after it (a graph set
+  only: interval sets print exact endpoints).  The maps carry sets with
+  ``image_of`` and ``preimage_of`` and hold the whole space as ``space``
+  and the domain of the map as ``delta``.
 
 The weight is typed like the map, and ``value(x)`` is the weight of a point
 on either.  An ``IntervalPotential`` holds affine pieces plus point
 overrides, and ``breakpoints()`` gives the piece ends and override points
 where it can jump; a ``GraphPotential`` holds one positive weight per edge.
-Both carry ``backend`` and answer ``constant_value()``; ``Potential`` names
-either.
+Both carry ``backend`` and answer ``constant_value()`` and
+``positive_part(within)``; ``Potential`` names either.
+
+So the set-valued operations (``iterate_domain``, ``essential_domain``,
+``spectra.positive_iterate``, ``spectra.level_space``) run one code path
+for both backends.
 """
 
 from __future__ import annotations
@@ -264,17 +271,30 @@ class CylinderSet:
     another.  Two cylinders are nested or disjoint, and a cylinder whose end
     vertex has continuations is the union of its children, so one set can
     have several such forms: ``==`` is inclusion both ways.
+
+    Members are indexed by word length, each by its word (or, for a vertex
+    cylinder, its vertex): a cylinder lies in a member exactly when its
+    prefix of a held length is held, so inclusion is one hash lookup per
+    member length, not a scan of members.
+    ``note`` is printed after the set; ``==`` ignores it and every
+    operation drops it.
     """
 
-    __slots__ = ("graph", "cylinders")
+    __slots__ = ("graph", "cylinders", "note", "_keys", "_inside")
 
-    def __init__(self, graph: "GraphSystem", cylinders: Iterable[PathPoint] = ()):
+    def __init__(self, graph: "GraphSystem", cylinders: Iterable[PathPoint] = (), note: str = ""):
         out: list[PathPoint] = []
+        keys: dict[int, set] = {}
+        # a member that contains c sorts before c, so it is already kept
         for c in sorted(cylinders, key=PathPoint.sort_key):
-            if not any(b.contains(c) for b in out):
+            if not _held(c, keys):
                 out.append(c)
+                keys.setdefault(len(c.word), set()).add(c.word or c.rng)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "cylinders", tuple(out))
+        object.__setattr__(self, "note", note)
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_inside", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CylinderSet is immutable")
@@ -293,46 +313,65 @@ class CylinderSet:
         return not self.cylinders
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(c) for c in self.cylinders) + "}"
+        body = "{" + ", ".join(str(c) for c in self.cylinders) + "}"
+        return body + (f"  ({self.note})" if self.note else "")
 
     __repr__ = __str__
+
+    def noted(self, text: str) -> "CylinderSet":
+        """The same set, printed with ``text`` after it."""
+        return CylinderSet(self.graph, self.cylinders, text)
+
+    def sample_points(self) -> tuple[PathPoint, ...]:
+        return self.cylinders
 
     def union(self, other: "CylinderSet") -> "CylinderSet":
         return CylinderSet(self.graph, self.cylinders + other.cylinders)
 
     def intersection(self, other: "CylinderSet") -> "CylinderSet":
-        out = []
-        for a in self.cylinders:
-            for b in other.cylinders:
-                if a.contains(b):
-                    out.append(b)
-                elif b.contains(a):
-                    out.append(a)
-        return CylinderSet(self.graph, out)
+        """Of two nested cylinders the inner one; disjoint ones drop out."""
+        keep = [a for a in self.cylinders if _held(a, other._keys)]
+        keep += [b for b in other.cylinders if _held(b, self._keys)]
+        return CylinderSet(self.graph, keep)
 
     def intersects(self, other: "CylinderSet") -> bool:
         return not self.intersection(other).is_empty
 
     def issubset(self, other: "CylinderSet") -> bool:
-        return all(self._covered(c, other.cylinders) for c in self.cylinders)
+        return all(other._covers(c) for c in self.cylinders)
 
     def closure(self) -> "CylinderSet":
         """Cylinders are clopen, so a finite union of them is closed."""
-        return self
+        return self.noted("")
 
     def is_open_in(self, space: "CylinderSet") -> bool:
         """Cylinders are clopen, so a finite union of them is open."""
         return True
 
-    def _covered(self, c: PathPoint, cover: tuple[PathPoint, ...]) -> bool:
-        """Whether a member of ``cover`` contains ``c``, or members lie inside
-        ``c`` and cover each of its children."""
-        if any(b.contains(c) for b in cover):
+    def _covers(self, c: PathPoint) -> bool:
+        """Whether a member contains ``c``, or members lie inside ``c`` and
+        cover each of its children."""
+        if _held(c, self._keys):
             return True
-        if not any(c.contains(b) for b in cover):
+        if self._inside is None:
+            # the keys of every cylinder that contains a member
+            inside = {b.rng for b in self.cylinders}
+            inside.update(b.word[:k] for b in self.cylinders for k in range(1, len(b.word)))
+            object.__setattr__(self, "_inside", inside)
+        if (c.word or c.rng) not in self._inside:
             return False  # every member is disjoint from c
         # a member strictly inside c extends it, so c has children
-        return all(self._covered(k, cover) for k in self.graph.children(c))
+        return all(self._covers(k) for k in self.graph.children(c))
+
+
+def _held(c: PathPoint, keys: dict[int, set]) -> bool:
+    """Whether a member indexed in ``keys`` contains ``c``: a vertex member
+    holds ``c.rng``, a word member of length k the prefix ``c.word[:k]``
+    (a shorter word is never held at length k)."""
+    for k, held in keys.items():
+        if (c.word[:k] if k else c.rng) in held:
+            return True
+    return False
 
 
 class GraphSystem:
@@ -359,6 +398,7 @@ class GraphSystem:
         self.truncation_depth = truncation_depth
         self.edge_by_name = {e.name: e for e in edges}
         self.space = CylinderSet(self, (PathPoint((), v, v) for v in vertices))
+        self.delta = self.preimage_of(self.space)
 
     # continuations extend a path at its far end; prepends grow the fiber
     def continuations(self, v: str) -> tuple[GraphEdge, ...]:
@@ -465,13 +505,6 @@ class GraphSystem:
                 if self.is_exact(p):
                     out.append(p)
         return tuple(sorted(out, key=PathPoint.sort_key))
-
-    def source_propagation(self, n: int) -> frozenset[str]:
-        """Vertices of the form s(last edge of an admissible n-word)."""
-        current = frozenset(self.vertices)
-        for _ in range(n):
-            current = frozenset(e.src for e in self.edges if e.rng in current)
-        return current
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +638,10 @@ class IntervalPotential:
     def coverage(self) -> IntervalSet:
         return IntervalSet(iv for iv, _, _ in self.pieces)
 
+    def positive_part(self, within: IntervalSet) -> IntervalSet:
+        """The part of ``within`` where the weight is not zero."""
+        return within.difference(self.zero_set(within))
+
     def zero_set(self, within: IntervalSet) -> IntervalSet:
         """Exact set where the potential vanishes, inside ``within``."""
         zero = IntervalSet.empty()
@@ -657,6 +694,16 @@ class GraphPotential:
     def weight_map(self) -> dict[str, Fraction]:
         return dict(self.weights)
 
+    def check_edges(self, gph: GraphSystem) -> None:
+        """Refuse a table that misses an edge of ``gph`` or names one it lacks."""
+        named = {e for e, _ in self.weights}
+        for e in gph.edges:
+            if e.name not in named:
+                raise ValidationError(f"edge {e.name} has no weight")
+        for e, _ in self.weights:
+            if e not in gph.edge_by_name:
+                raise ValidationError(f"weight names unknown edge {e}")
+
     def value(self, p: PathPoint) -> Fraction:
         """The weight of a path: the weight of its first edge."""
         if not p.word:
@@ -669,6 +716,10 @@ class GraphPotential:
                 return w
         raise ValidationError(f"no weight for edge {name}")
 
+    def positive_part(self, within: CylinderSet) -> CylinderSet:
+        """Every edge weight is positive, so all of ``within``."""
+        return within
+
     def constant_value(self) -> Optional[Fraction]:
         """The single value when the weight is constant, else None."""
         vals = {w for _, w in self.weights}
@@ -676,11 +727,6 @@ class GraphPotential:
 
 
 Potential = Union[IntervalPotential, GraphPotential]
-
-
-def rho(system: PartialSystem, pot: Potential, x: Point) -> Fraction:
-    """Exact weight of one point."""
-    return pot.value(x)
 
 
 @dataclass(frozen=True)
@@ -694,7 +740,6 @@ class IrregularPoint:
 class RegionReport:
     """Where the weight is positive and where the data is regular."""
 
-    backend: str
     delta: object
     delta_pos: object
     delta_reg: object
@@ -708,31 +753,16 @@ class RegionReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphSetDescription:
-    """Union of truncated cylinders, used for graph-side set reports."""
-
-    cylinders: tuple[PathPoint, ...]
-    note: str = ""
-
-    def __str__(self) -> str:
-        body = ", ".join(str(c) for c in self.cylinders)
-        return "{" + body + "}" + (f"  ({self.note})" if self.note else "")
-
-
 def iterate_domain(system: PartialSystem, n: int):
     """Exact n-step domain: all points admitting n forward steps."""
     if n < 0:
         raise ValidationError("n must be nonnegative")
     system.check_depth(n)
-    if system.backend == "interval":
-        sys_ = system.ival
-        current = sys_.space
-        for _ in range(n):
-            current = sys_.preimage_of(current)
-        return current
-    gph = system.gph
-    return GraphSetDescription(gph.words(n), note=f"paths of length >= {n}")
+    f = system.map
+    current = f.space
+    for _ in range(n):
+        current = f.preimage_of(current)
+    return current.noted(f"paths of length >= {n}")
 
 
 def preimages(
@@ -807,10 +837,8 @@ def regular_set(system: PartialSystem, pot: Potential) -> RegionReport:
     reported with its reasons.
     """
     if system.backend == "graph":
-        gph = system.gph
-        d = GraphSetDescription(gph.words(1), note="all paths of length >= 1")
+        d = system.gph.delta.noted("all paths of length >= 1")
         return RegionReport(
-            backend="graph",
             delta=d,
             delta_pos=d,
             delta_reg=d,
@@ -860,7 +888,6 @@ def regular_set(system: PartialSystem, pot: Potential) -> RegionReport:
         # conditions are pointwise-open, so this would indicate a missed candidate
         raise ValidationError("internal: computed regular set is not open")
     return RegionReport(
-        backend="interval",
         delta=delta,
         delta_pos=delta_pos,
         delta_reg=delta_reg,
@@ -1070,38 +1097,20 @@ def essential_domain(system: PartialSystem, depth: int):
     if depth < 1:
         raise ValidationError("depth must be >= 1")
     system.check_depth(depth)
-    if system.backend == "interval":
-        sys_ = system.ival
-        partial = None
-        stabilized_at = None
-        for n in range(1, depth + 1):
-            dn = iterate_domain(system, n)
-            img = dn
-            for _ in range(n):
-                img = sys_.image_of(img)
-            fn = dn.intersection(img)
-            new = fn if partial is None else partial.intersection(fn)
-            if partial is not None and new == partial and stabilized_at is None:
-                stabilized_at = n - 1
-            elif new != partial:
-                stabilized_at = None
-            partial = new
-        return partial, stabilized_at is not None, stabilized_at
-
-    gph = system.gph
-    depth_atoms = gph.atoms(depth)
+    f = system.map
+    dn = f.space
     partial = None
     stabilized_at = None
     for n in range(1, depth + 1):
-        sn = gph.source_propagation(n)
-        fn = frozenset(
-            a for a in depth_atoms if len(a.word) >= n and a.rng in sn
-        )
-        new = fn if partial is None else partial & fn
+        dn = f.preimage_of(dn)
+        img = dn
+        for _ in range(n):
+            img = f.image_of(img)
+        fn = dn.intersection(img)
+        new = fn if partial is None else partial.intersection(fn)
         if partial is not None and new == partial and stabilized_at is None:
             stabilized_at = n - 1
         elif new != partial:
             stabilized_at = None
         partial = new
-    desc = GraphSetDescription(tuple(sorted(partial, key=PathPoint.sort_key)))
-    return desc, stabilized_at is not None, stabilized_at
+    return partial, stabilized_at is not None, stabilized_at

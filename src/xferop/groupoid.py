@@ -83,8 +83,7 @@ class GapPair:
 class TruncatedGroupoid:
     """Finite element table over a point set, closed under inversion."""
 
-    def __init__(self, backend: str, depth: int, points: tuple, elements: tuple):
-        self.backend = backend
+    def __init__(self, depth: int, points: tuple, elements: tuple):
         self.depth = depth
         self.points = points
         self.elements = elements
@@ -242,7 +241,7 @@ def build_deaconu(
             found.items(), key=lambda kv: (kv[0][0], kv[0][2], kv[0][1])
         )
     )
-    return TruncatedGroupoid(system.backend, depth, pts, elements)
+    return TruncatedGroupoid(depth, pts, elements)
 
 
 def gap_relation(system: PartialSystem, n: int, samples: Sequence) -> tuple[GapPair, ...]:
@@ -504,8 +503,6 @@ def graph_generators(
     orthogonal ranges, and the rep-built s_e equals the plain prepend
     shift exactly.
     """
-    if system.backend != "graph":
-        raise ValidationError("graph generators need a graph backend")
     gph = system.gph
     weights = []
     for e in gph.edges:

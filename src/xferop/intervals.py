@@ -223,6 +223,11 @@ class IntervalSet:
 
     __repr__ = __str__
 
+    def noted(self, text: str) -> "IntervalSet":
+        """The set itself: interval sets print their exact endpoints, so a
+        note adds nothing."""
+        return self
+
     # -- queries ---------------------------------------------------------
 
     def contains(self, x: Rationalish) -> bool:

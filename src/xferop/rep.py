@@ -136,7 +136,7 @@ class OrbitBasis:
             nxt = []
             for point, idx in frontier:
                 for child in system.map.fiber(point):
-                    w = dyn.rho(system, pot, child)
+                    w = pot.value(child)
                     if drop_zero and w == 0:
                         continue
                     nodes.append(BasisNode(k, child))
@@ -146,7 +146,7 @@ class OrbitBasis:
         self.nodes = tuple(nodes)
         self.parents = tuple(parents)
         self._weights = tuple(
-            dyn.rho(system, pot, nd.point) if i > 0 else Fraction(0)
+            pot.value(nd.point) if i > 0 else Fraction(0)
             for i, nd in enumerate(self.nodes)
         )
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import transfer as tr
-from .dynamics import CylinderSet, GraphSetDescription, PartialSystem, Potential
+from .dynamics import CylinderSet, PartialSystem, Potential
 from .errors import (
     HypothesisViolated,
     NotValidated,
@@ -26,7 +26,6 @@ from .errors import (
     OutOfSpectrum,
     ValidationError,
 )
-from .dynamics import PathPoint
 from .intervals import IntervalSet, RationalInterval
 
 
@@ -59,7 +58,7 @@ class TopologyTuple:
 @dataclass(frozen=True)
 class SpectrumDescription:
     n: int
-    strata: tuple  # per level k=0..n: IntervalSet or GraphSetDescription
+    strata: tuple  # per level k=0..n: IntervalSet or CylinderSet
     sampled_points: tuple[SpectrumPoint, ...]
     topology_generators: tuple[TopologyTuple, ...]
     warnings: tuple[str, ...] = ()
@@ -83,34 +82,24 @@ def positive_iterate(system: PartialSystem, pot: Potential, n: int):
     if n < 0:
         raise ValidationError("n must be nonnegative")
     system.check_depth(n)
-    if system.backend == "graph":
-        return GraphSetDescription(
-            system.gph.words(n), note=f"positive paths of length >= {n}"
-        )
-    sys_ = system.ival
-    pos = sys_.delta.difference(pot.zero_set(sys_.delta))
-    out = sys_.space
-    level = pos
-    for _ in range(n):
+    f = system.map
+    out = f.space
+    level = pot.positive_part(f.delta)
+    for i in range(n):
+        if i:
+            level = f.preimage_of(level)
         out = out.intersection(level)
-        level = sys_.preimage_of(level)
     # out is now the intersection of phi^{-i}(delta_pos) for i < n
     return out
 
 
 def level_space(system: PartialSystem, pot: Potential, k: int):
     """phi^k of the k-step positive domain, as an exact set."""
-    if system.backend == "graph":
-        gph = system.gph
-        # a length-k word shifts down to the cylinder of its source vertex
-        verts = {w.end for w in gph.words(k)}
-        cyls = tuple(sorted((gph.vertex_point(v) for v in verts), key=PathPoint.sort_key))
-        return GraphSetDescription(cyls, note=f"tails reachable by {k} shifts")
-    sys_ = system.ival
+    f = system.map
     out = positive_iterate(system, pot, k)
     for _ in range(k):
-        out = sys_.image_of(out)
-    return out
+        out = f.image_of(out)
+    return out.noted(f"tails reachable by {k} shifts")
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +113,7 @@ def spectrum_Kn(system: PartialSystem, pot: Potential, n: int, samples=()):
     if not val.valid:
         raise NotValidated("spectrum requires a validated transfer operator")
     stratum = level_space(system, pot, n)
-    pts = list(samples)
-    if not pts:
-        if system.backend == "interval":
-            pts = list(stratum.sample_points(per_component=3))
-        else:
-            pts = [c for c in stratum.cylinders]
+    pts = list(samples) or list(stratum.sample_points())
     out = []
     for y in pts:
         fib = dyn.preimages(system, pot, y, n, drop_zero=True)
@@ -172,10 +156,9 @@ def check_generator(system: PartialSystem, pot: Potential, tup: TopologyTuple) -
     """Exact verification of one gluing tuple."""
     n = len(tup.sets) - 1
     if system.backend == "graph":
-        gph = system.gph
-        sets = [CylinderSet(gph, u.cylinders) for u in tup.sets]
         # graph tuples are shift preimages level by level; re-derive and compare
-        return all(sets[k] == gph.preimage_of(sets[k + 1]) for k in range(n))
+        sets = tup.sets
+        return all(sets[k] == system.gph.preimage_of(sets[k + 1]) for k in range(n))
     sys_ = system.ival
     space = sys_.space
     report = dyn.regular_set(system, pot)
@@ -249,7 +232,7 @@ def spectrum_An(system: PartialSystem, pot: Potential, n: int, radius=Fraction(1
 
     if system.backend == "graph":
         gph = system.gph
-        strata = [GraphSetDescription((), note="empty") for _ in range(n)]
+        strata = [CylinderSet(gph, (), "empty") for _ in range(n)]
         top = level_space(system, pot, n)
         strata.append(top)
         for cyl in top.cylinders:
@@ -261,7 +244,7 @@ def spectrum_An(system: PartialSystem, pot: Potential, n: int, radius=Fraction(1
             sets = [CylinderSet(gph, (cyl,))]
             for _ in range(n):
                 sets.insert(0, gph.preimage_of(sets[0]))
-            gens.append(TopologyTuple(tuple(GraphSetDescription(u.cylinders) for u in sets)))
+            gens.append(TopologyTuple(tuple(sets)))
         gens = [g for g in gens if check_generator(system, pot, g)]
         return SpectrumDescription(n, tuple(strata), tuple(sampled), tuple(gens), ())
 
@@ -436,7 +419,7 @@ def _orbit_set(system, pot, x, depth):
             nxt = system.map.phi(z)
         except OutOfDomain:
             break
-        if dyn.rho(system, pot, z) == 0:
+        if pot.value(z) == 0:
             break
         fwd.append(nxt)
     for target in fwd:
@@ -449,15 +432,14 @@ def _orbit_set(system, pot, x, depth):
 def quasi_orbits(system: PartialSystem, pot: Potential, depth: int, samples) -> QuasiOrbitPartition:
     """Partition sampled points by equality of truncated orbit closures."""
     system.check_depth(depth)
-    if system.backend == "interval":
-        w = _rho_discontinuity_warning(system, pot)
-        if w:
-            raise HypothesisViolated(w)
-        report = dyn.regular_set(system, pot)
-        if report.delta_reg != report.delta_pos:
-            raise HypothesisViolated(
-                "regular set differs from positive set; quasi-orbit description requires a local homeomorphism on the positive part"
-            )
+    w = _rho_discontinuity_warning(system, pot)
+    if w:
+        raise HypothesisViolated(w)
+    report = dyn.regular_set(system, pot)
+    if report.delta_reg != report.delta_pos:
+        raise HypothesisViolated(
+            "regular set differs from positive set; quasi-orbit description requires a local homeomorphism on the positive part"
+        )
     closures = {}
     for x in samples:
         key = system.point(x)

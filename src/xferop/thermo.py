@@ -96,8 +96,7 @@ class PotentialFunction:
         if self.carrier.backend != self.system.backend:
             raise ValidationError("energy backend does not match the system")
         if self.system.backend == "graph":
-            for e in self.system.gph.edges:
-                self.carrier.edge_weight(e.name)  # raises when missing
+            self.carrier.check_edges(self.system.gph)
             return
         if self.carrier.overrides:
             raise ValidationError("energy functions take no point overrides")
@@ -136,7 +135,7 @@ class PotentialFunction:
     # -- evaluation ------------------------------------------------------------
 
     def value(self, x) -> Fraction:
-        return dyn.rho(self.system, self.carrier, x)
+        return self.carrier.value(x)
 
     def birkhoff(self, x, n: int) -> Fraction:
         """Sum of the energy along the first n forward steps."""

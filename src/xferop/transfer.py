@@ -184,10 +184,9 @@ def validate(system: PartialSystem, pot: Potential) -> TransferValidation:
     """
     if system.backend == "graph":
         gph = system.gph
+        pot.check_edges(gph)
         wmap = pot.weight_map()
         for e in gph.edges:
-            if e.name not in wmap:
-                raise ValidationError(f"edge {e.name} has no weight")
             if wmap[e.name] <= 0:
                 raise ValidationError(f"edge weight for {e.name} must be positive")
         norm = max(

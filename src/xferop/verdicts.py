@@ -164,14 +164,14 @@ def _regions(system: PartialSystem, pot: Potential):
     """
     report = dyn.regular_set(system, pot)
     f = system.map
-    return f, f.space, _open_set(system, report.delta_pos), _open_set(system, report.delta_reg)
+    return f, f.space, report.delta_pos, report.delta_reg
 
 
 def _open_set(system: PartialSystem, region):
     """A region as the backend's open-set type.
 
-    Accepts that type itself, a ``RationalInterval``, a ``PathPoint``, a
-    ``GraphSetDescription`` or a sequence of path points.
+    Accepts that type itself, a ``RationalInterval``, a ``PathPoint`` or a
+    sequence of path points.
     """
     if isinstance(region, (IntervalSet, CylinderSet)):
         return region
@@ -179,8 +179,6 @@ def _open_set(system: PartialSystem, region):
         return IntervalSet.of(region)
     if isinstance(region, PathPoint):
         region = (region,)
-    elif isinstance(region, dyn.GraphSetDescription):
-        region = region.cylinders
     return CylinderSet(system.gph, region)
 
 
@@ -747,7 +745,7 @@ def _collapsed_basis(system: PartialSystem, pot: Potential, cert, depth: int):
             nxt = []
             for i in frontier:
                 for child in gph.fiber(pts[i]):
-                    w = dyn.rho(system, pot, child)
+                    w = pot.value(child)
                     j = fold(child)
                     if j is None:
                         pts.append(child)
@@ -856,6 +854,6 @@ def sampled_witness_norms(
 
 def _root_rho(system: PartialSystem, pot: Potential, point) -> float:
     try:
-        return math.sqrt(float(dyn.rho(system, pot, point)))
+        return math.sqrt(float(pot.value(point)))
     except OutOfDomain:
         return 0.0

@@ -13,7 +13,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "xferop"
 
-CEILING = 57  # 54 backend comparisons + 3 type tests in PartialSystem
+CEILING = 50  # 47 backend comparisons + 3 type tests in PartialSystem
 
 BRANCH = re.compile(
     r"\bbackend\s*[!=]="

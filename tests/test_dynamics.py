@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from xferop import dynamics as dyn
 from xferop import specfile
+from xferop import spectra
 from xferop.errors import (
     DepthExceeded,
     OutOfDomain,
@@ -358,9 +359,98 @@ def test_cylinder_set_matches_atom_model(pair):
     cyls = s.cylinders
     assert list(cyls) == sorted(cyls, key=dyn.PathPoint.sort_key)
     assert not any(b.contains(c) for i, b in enumerate(cyls) for c in cyls[i + 1 :])
+    # a note is printed, ignored by == and dropped by every operation
+    noted = s.noted("a note")
+    assert noted == s and str(noted) == f"{s}  (a note)"
+    assert noted.cylinders == s.cylinders
+    for out in (noted.union(t), t.union(noted), noted.intersection(t), t.intersection(noted)):
+        assert out.note == "" and "a note" not in str(out)
 
 
 def test_spec_roundtrip_all_bundled():
     for name in specfile.BUNDLED:
         doc = specfile.serialize_spec(specfile.bundled(name))
         assert specfile.spec_roundtrip(doc)
+
+
+# The graph forks iterate_domain, level_space and essential_domain had before
+# they ran the shared set loops, kept as references: the n-step domain is the
+# n-words, the level space the vertices ending a k-word, and the essential
+# domain the depth atoms that survive source propagation.
+def _printed(points, note=""):
+    return "{" + ", ".join(str(p) for p in points) + "}" + (f"  ({note})" if note else "")
+
+
+def _reference_iterate_domain(g, n):
+    return _printed(g.words(n), f"paths of length >= {n}")
+
+
+def _reference_level_space(g, k):
+    ends = sorted({w.end for w in g.words(k)})
+    return _printed((g.vertex_point(v) for v in ends), f"tails reachable by {k} shifts")
+
+
+def _source_propagation(g, n):
+    current = frozenset(g.vertices)
+    for _ in range(n):
+        current = frozenset(e.src for e in g.edges if e.rng in current)
+    return current
+
+
+def _reference_essential_domain(g, depth):
+    atoms = g.atoms(depth)
+    partial = None
+    stabilized_at = None
+    for n in range(1, depth + 1):
+        sn = _source_propagation(g, n)
+        fn = frozenset(a for a in atoms if len(a.word) >= n and a.rng in sn)
+        new = fn if partial is None else partial & fn
+        if partial is not None and new == partial and stabilized_at is None:
+            stabilized_at = n - 1
+        elif new != partial:
+            stabilized_at = None
+        partial = new
+    return _printed(sorted(partial, key=dyn.PathPoint.sort_key)), stabilized_at
+
+
+def _graph(vertices, edges):
+    return dyn.GraphSystem(vertices, [dyn.GraphEdge(*e) for e in edges])
+
+
+MERGED_GRAPHS = {
+    "loop1": specfile.bundled("loop1").system.gph,
+    "loops2": specfile.bundled("loops2").system.gph,
+    "fullshift2": specfile.bundled("fullshift2").system.gph,
+    "golden_mean": _graph(["a", "b"], [("aa", "a", "a"), ("ab", "a", "b"), ("ba", "b", "a")]),
+    "tail": _graph(["u", "v"], [("e", "v", "v"), ("f", "v", "u")]),
+    "sink": SINK_GRAPH,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MERGED_GRAPHS))
+def test_merged_graph_paths_match_the_reference(name):
+    g = MERGED_GRAPHS[name]
+    system = dyn.PartialSystem(g)
+    pot = dyn.GraphPotential(tuple((e.name, F(1)) for e in g.edges))
+    for n in range(1, 9):
+        assert str(dyn.iterate_domain(system, n)) == _reference_iterate_domain(g, n)
+        assert str(spectra.level_space(system, pot, n)) == _reference_level_space(g, n)
+        ess, stabilized, at = dyn.essential_domain(system, n)
+        assert (str(ess), at) == _reference_essential_domain(g, n)
+        assert stabilized == (at is not None)
+
+
+@pytest.mark.parametrize("name", sorted(MERGED_GRAPHS))
+def test_graph_delta_is_the_preimage_of_the_space(name):
+    g = MERGED_GRAPHS[name]
+    assert g.delta.cylinders == g.words(1)
+    assert g.delta.sample_points() == g.delta.cylinders
+    pot = dyn.GraphPotential(tuple((e.name, F(1)) for e in g.edges))
+    assert pot.positive_part(g.delta) is g.delta
+
+
+def test_interval_positive_part_drops_the_zero_set(tent_half):
+    delta = tent_half.system.ival.delta
+    pot = tent_half.potential
+    assert pot.positive_part(delta) == delta.difference(pot.zero_set(delta))
+    assert delta.noted("ignored") is delta

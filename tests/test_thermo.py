@@ -96,6 +96,11 @@ class TestPotentialFunction:
                 s.system, dyn.GraphPotential(weights=(), allow_negative=True)
             )
 
+    def test_graph_refuses_an_unknown_edge(self, shift2):
+        pot = dyn.GraphPotential((("e0", F(1)), ("e1", F(1)), ("zz", F(5))), allow_negative=True)
+        with pytest.raises(ValidationError, match="^weight names unknown edge zz$"):
+            th.PotentialFunction.of(shift2.system, pot)
+
     @pytest.mark.parametrize("name", specfile.BUNDLED)
     def test_value_is_the_weight(self, name):
         s = specfile.bundled(name)
@@ -108,7 +113,7 @@ class TestPotentialFunction:
             pts = [x for x in pts if delta.contains(x)]
         assert pts
         for x in pts:
-            assert psi.value(x) == dyn.rho(s.system, s.psi, x)
+            assert psi.value(x) == s.psi.value(x)
 
     @pytest.mark.parametrize("name", specfile.BUNDLED)
     @pytest.mark.parametrize("energy, expected", [("one", 1), ("zero", 0), ("spec", 1)])

@@ -63,6 +63,12 @@ class TestValidate:
         with pytest.raises(ValidationError, match="^edge e0 has no weight$"):
             tr.validate(system, dyn.GraphPotential((("e1", F(1)),)))
 
+    def test_graph_refuses_an_unknown_edge(self):
+        system, _ = _sp("fullshift2")
+        pot = dyn.GraphPotential((("e0", F(1)), ("e1", F(1)), ("zz", F(5))), allow_negative=True)
+        with pytest.raises(ValidationError, match="^weight names unknown edge zz$"):
+            tr.validate(system, pot)
+
     def test_require_valid_raises(self, tent):
         pot = dyn.IntervalPotential(pieces=((RationalInterval(0, 1), 0, F(1, 2)),))
         h = tr.TransferHandle.create(tent.system, pot)
