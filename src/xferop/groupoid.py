@@ -16,6 +16,7 @@ up front rather than silently restricted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -341,17 +342,22 @@ def _node_rows(basis: rep.OrbitBasis) -> dict:
     return rows
 
 
-def _tensor_value(system, a, b, n, m, g: GroupoidElement) -> float:
+def _end(system, x, n: int):
+    """phi^n(x), or None where the orbit leaves the domain."""
+    try:
+        return dyn.orbit(system, x, n)[-1]
+    except OutOfDomain:
+        return None
+
+
+def _tensor_value(end, a, b, n, m, g: GroupoidElement) -> float:
     """Value of the degree-(n, m) tensor at an element: a(x) b(y) when the
-    specific witness pair (n, m) holds for it, else zero."""
+    specific witness pair (n, m) holds for it, else zero.  ``end(x, n)``
+    answers like ``_end``."""
     if g.k != n - m:
         return 0.0
-    try:
-        vx = dyn.orbit(system, g.x, n)[-1]
-        vy = dyn.orbit(system, g.y, m)[-1]
-    except OutOfDomain:
-        return 0.0
-    if vx != vy:
+    vx = end(g.x, n)
+    if vx is None or vx != end(g.y, m):
         return 0.0
     va = 1.0 if a is None else float(a.value(g.x))
     vb = 1.0 if b is None else float(b.value(g.y))
@@ -364,23 +370,26 @@ def _convolution_matrix(
     a, b, n: int, m: int,
     c, d, n2: int, m2: int,
 ) -> np.ndarray:
-    system = basis.system
+    end = functools.cache(functools.partial(_end, basis.system))
     rows = _node_rows(basis)
     k1, k2 = n - m, n2 - m2
     out = np.zeros((basis.dim, basis.dim))
+    # a second factor recurs under every first factor ending where it starts
+    second: dict[int, float] = {}
     for g1 in gpd.elements:
         if g1.k != k1 or g1.x not in rows:
             continue
-        v1 = _tensor_value(system, a, b, n, m, g1)
+        v1 = _tensor_value(end, a, b, n, m, g1)
         if v1 == 0.0:
             continue
         for j in gpd._by_left.get(g1.y, ()):
             g2 = gpd.elements[j]
             if g2.k != k2 or g2.y not in rows:
                 continue
-            v2 = _tensor_value(system, c, d, n2, m2, g2)
-            if v2 != 0.0:
-                out[rows[g1.x], rows[g2.y]] += v1 * v2
+            if j not in second:
+                second[j] = _tensor_value(end, c, d, n2, m2, g2)
+            if second[j] != 0.0:
+                out[rows[g1.x], rows[g2.y]] += v1 * second[j]
     return out
 
 
@@ -439,14 +448,14 @@ def unit_restriction_check(
         )
     mat = rep.expectation_G(basis, phi_matrix(basis, a, n, n, b))
     diag = np.diag(mat)
-    system = basis.system
+    end = functools.cache(functools.partial(_end, basis.system))
     worst = 0.0
     for i, nd in enumerate(basis.nodes):
         if nd.depth < n:
             continue
         if gpd.contains(nd.point, 0, nd.point):
             g = gpd.elements[gpd.index[(nd.point, 0, nd.point)]]
-            unit_val = _tensor_value(system, a, b, n, n, g)
+            unit_val = _tensor_value(end, a, b, n, n, g)
         else:
             unit_val = 0.0
         worst = max(worst, abs(diag[i] - unit_val))
