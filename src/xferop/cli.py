@@ -261,7 +261,7 @@ def _battery_fns(handle: tr.TransferHandle, rng: random.Random, size: int):
     verts = tuple(g.vertex_point(v) for v in g.vertices)
     fns = []
     for i, p in enumerate(g.words(1) + verts):
-        fns.append(tr.TestFunction.indicator(p, coeffs[i % 3]))
+        fns.append(tr.CylinderFunction.indicator(p, coeffs[i % 3]))
         if len(fns) >= size:
             break
     return fns
@@ -280,59 +280,28 @@ def _bracket_of(text: str) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _measure_doc(mu) -> dict:
-    if isinstance(mu, tr.UlamMeasure):
-        return {
-            "type": "ulam",
-            "lo": frac_str(mu.lo),
-            "hi": frac_str(mu.hi),
-            "densities": [frac_str(d) for d in mu.densities],
-        }
-    atoms = []
-    for x, m in mu.atoms:
-        if mu.backend == "interval":
-            atoms.append({"point": frac_str(x), "mass": frac_str(m)})
-        else:
-            atoms.append({"word": list(x.word), "mass": frac_str(m)})
-    return {"type": "atomic", "backend": mu.backend, "atoms": atoms}
-
-
 def _measure_from_doc(doc: dict, system: dyn.PartialSystem):
     if not isinstance(doc, dict):
         raise ParseError(f"measure must be an object, got {doc!r}")
     kind = doc.get("type")
     if kind == "ulam":
-        return tr.UlamMeasure(
+        mu = tr.UlamMeasure(
             frac(doc["lo"]), frac(doc["hi"]), tuple(frac(d) for d in doc["densities"])
         )
+        comps = system.ival.space.intervals
+        if len(comps) == 1 and (comps[0].lo, comps[0].hi) != (mu.lo, mu.hi):
+            raise ParseError(
+                f"measure grid [{frac_str(mu.lo)}, {frac_str(mu.hi)}] "
+                f"does not match the space {comps[0]}"
+            )
+        return mu
     if kind == "atomic":
         named = doc.get("backend", system.backend)
         if named != system.backend:
             raise ParseError(f"measure backend {named!r} does not match the {system.backend} system")
-        atoms = []
-        for a in doc["atoms"]:
-            if system.backend == "interval":
-                atoms.append((frac(a["point"]), frac(a["mass"])))
-            else:
-                atoms.append((system.gph.path_point(tuple(a["word"])), frac(a["mass"])))
-        return tr.AtomicMeasure(system.backend, tuple(atoms))
+        atoms = [(system.map.point_from_doc(a), frac(a["mass"])) for a in doc["atoms"]]
+        return tr.AtomicMeasure(tuple(atoms))
     raise ParseError(f"unknown measure type {kind!r}")
-
-
-def _save_candidate(path: str, cand: th.KMSCandidate, spec_arg: str, digest: str, psi_label: str):
-    doc = {
-        "kind": cand.kind,
-        "beta": cand.beta,
-        "note": cand.note,
-        "spec": spec_arg,
-        "sha256": digest,
-        "psi": psi_label,
-        "measure": _measure_doc(cand.mu),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
 
 
 def _load_candidate(path: str, system: dyn.PartialSystem):
@@ -686,7 +655,7 @@ def conformal(spec_arg, out, fmt, psi_arg, bins, bracket, tol, check_path, candi
     rpt.line(f"kind: {cand.kind}")
     if cand.note:
         rpt.line(f"note: {cand.note}")
-    mdoc = _measure_doc(cand.mu)
+    mdoc = cand.mu.to_doc(spec.system)
     if mdoc["type"] == "ulam":
         rpt.line(f"measure: ulam, {len(mdoc['densities'])} bins on [{mdoc['lo']}, {mdoc['hi']}]")
     else:
@@ -699,20 +668,22 @@ def conformal(spec_arg, out, fmt, psi_arg, bins, bracket, tol, check_path, candi
     rpt.table("eigen-measure residuals", ("fn", "lhs", "rhs", "residual", "tol", "indices"), rows)
     rpt.line(f"max residual: {_cell(report.max_residual)}")
 
+    doc = {
+        "kind": cand.kind, "beta": cand.beta, "note": cand.note, "spec": spec_arg,
+        "sha256": digest, "psi": psi_label, "measure": mdoc,
+    }
     path = candidate_out
     if path is None and out:
         os.makedirs(out, exist_ok=True)
         path = os.path.join(out, "candidate.json")
     if path:
-        _save_candidate(path, cand, spec_arg, digest, psi_label)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
         rpt.line(f"candidate written: {path}")
         rpt.emit(fmt, out)
     else:
         rpt.emit(fmt, out)
-        doc = {
-            "kind": cand.kind, "beta": cand.beta, "note": cand.note, "spec": spec_arg,
-            "sha256": digest, "psi": psi_label, "measure": mdoc,
-        }
         click.echo(json.dumps(doc, indent=2, sort_keys=True))
     raise SystemExit(EXIT_HOLDS)
 
@@ -720,7 +691,7 @@ def conformal(spec_arg, out, fmt, psi_arg, bins, bracket, tol, check_path, candi
 def _verify_fns(handle: tr.TransferHandle):
     """Deterministic verification family inside the regular region."""
     if handle.system.backend == "graph":
-        return [tr.TestFunction.indicator(p) for p in handle.system.gph.words(1)]
+        return [tr.CylinderFunction.indicator(p) for p in handle.system.gph.words(1)]
     reg = dyn.regular_set(handle.system, handle.potential).delta_reg
     fns = th.hat_battery(reg, 4)
     for iv in reg.intervals:
@@ -747,7 +718,7 @@ def kms_verify(spec_arg, out, fmt, cand_path, psi_arg, count, seed, tol):
     psi, psi_label = _psi_of(spec, psi_arg)
     beta, mu, doc = _load_candidate(cand_path, spec.system)
     if tol is None:
-        tol = 1e-5 + 10.0 / mu.bins if isinstance(mu, tr.UlamMeasure) else 1e-8
+        tol = mu.residual_tol()
     rpt = Report("kms-verify", spec_arg, digest, seed=seed)
     rpt.line(f"candidate: {cand_path}")
     rpt.line(f"beta: {beta!r}")

@@ -12,9 +12,11 @@ The backend is the type of the map.  ``PartialSystem.map`` holds an
 - points: ``phi(x)`` steps forward (raising ``OutOfDomain`` off the
   domain), ``fiber(y)`` lists the exact preimages of ``y`` in order and
   ``point(x)`` coerces an argument to a point (``frac`` on intervals, the
-  identity on graphs).  Points of one backend are totally ordered:
-  rationals by value, path points by ``PathPoint.sort_key``, so ``sorted``
-  works on either.
+  identity on graphs).  ``point_doc(x)`` writes a point as a JSON object
+  (``{"point": "1/3"}`` or ``{"word": ["e", "f"]}``) and
+  ``point_from_doc(doc)`` reads it back.  Points of one backend are
+  totally ordered: rationals by value, path points by
+  ``PathPoint.sort_key``, so ``sorted`` works on either.
 - open sets: ``IntervalSet`` and ``CylinderSet`` share ``union``,
   ``intersection``, ``intersects``, ``issubset``, ``closure``,
   ``is_open_in``, ``==``, ``is_empty`` and ``sample_points()``;
@@ -169,6 +171,12 @@ class IntervalSystem:
 
     def point(self, x: Rationalish) -> Fraction:
         return frac(x)
+
+    def point_doc(self, x: Fraction) -> dict:
+        return {"point": frac_str(x)}
+
+    def point_from_doc(self, doc: dict) -> Fraction:
+        return frac(doc["point"])
 
     # -- set dynamics --------------------------------------------------------
 
@@ -465,6 +473,12 @@ class GraphSystem:
 
     def point(self, p: PathPoint) -> PathPoint:
         return p
+
+    def point_doc(self, p: PathPoint) -> dict:
+        return {"word": list(p.word)}
+
+    def point_from_doc(self, doc: dict) -> PathPoint:
+        return self.path_point(tuple(doc["word"]))
 
     def children(self, p: PathPoint) -> tuple[PathPoint, ...]:
         """The cylinders one edge longer; they partition the cylinder of p

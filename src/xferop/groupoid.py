@@ -77,9 +77,6 @@ class GapPair:
     x: object
     y: object
 
-    def flipped(self) -> "GapPair":
-        return GapPair(self.n, self.y, self.x)
-
 
 class TruncatedGroupoid:
     """Finite element table over a point set, closed under inversion."""
@@ -98,15 +95,6 @@ class TruncatedGroupoid:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def units(self) -> tuple[GroupoidElement, ...]:
-        return tuple(g for g in self.elements if g.is_unit)
-
-    def unit_at(self, x) -> GroupoidElement:
-        i = self.index.get((x, 0, x))
-        if i is None:
-            raise ValidationError(f"no unit at {x}")
-        return self.elements[i]
 
     def contains(self, x, k: int, y) -> bool:
         return (x, k, y) in self.index
@@ -296,7 +284,7 @@ def gap_tower(
 # ---------------------------------------------------------------------------
 
 
-def _slot_diag(basis: rep.OrbitBasis, f: Optional[tr.TestFunction], k: int) -> np.ndarray:
+def _slot_diag(basis: rep.OrbitBasis, f: Optional[tr.Function], k: int) -> np.ndarray:
     """Diagonal a(x) * rho_k(x)^{-1/2} as floats; zero where the orbit or
     the cocycle is missing (those rows die against the shift anyway)."""
     out = np.zeros(basis.dim)
@@ -314,10 +302,10 @@ def _slot_diag(basis: rep.OrbitBasis, f: Optional[tr.TestFunction], k: int) -> n
 
 def phi_matrix(
     basis: rep.OrbitBasis,
-    a: Optional[tr.TestFunction],
+    a: Optional[tr.Function],
     n: int,
     m: int,
-    b: Optional[tr.TestFunction],
+    b: Optional[tr.Function],
 ) -> np.ndarray:
     """Matrix of a rho_n^{-1/2} T^n T*^m rho_m^{-1/2} b on the tree basis.
 
@@ -395,12 +383,12 @@ def _convolution_matrix(
 
 def iso_phi_check(
     basis: rep.OrbitBasis,
-    a: Optional[tr.TestFunction],
-    b: Optional[tr.TestFunction],
+    a: Optional[tr.Function],
+    b: Optional[tr.Function],
     n: int,
     m: int,
-    c: Optional[tr.TestFunction] = None,
-    d: Optional[tr.TestFunction] = None,
+    c: Optional[tr.Function] = None,
+    d: Optional[tr.Function] = None,
     n2: Optional[int] = None,
     m2: Optional[int] = None,
     gpd: Optional[TruncatedGroupoid] = None,
@@ -432,8 +420,8 @@ def iso_phi_check(
 
 def unit_restriction_check(
     basis: rep.OrbitBasis,
-    a: Optional[tr.TestFunction],
-    b: Optional[tr.TestFunction],
+    a: Optional[tr.Function],
+    b: Optional[tr.Function],
     n: int,
     gpd: Optional[TruncatedGroupoid] = None,
 ) -> float:
@@ -534,14 +522,14 @@ def graph_generators(
     depths = basis.depths()
     inner = (depths >= 1) & (depths <= depth - 1)
     for e in gph.edges:
-        proj = basis.pi(tr.TestFunction.indicator(gph.path_point((e.name,))))
+        proj = basis.pi(tr.CylinderFunction.indicator(gph.path_point((e.name,))))
         s = proj @ (float(Fraction(lam[e.name])) ** -0.5 * t)
         fam[e.name] = s
         plain = _prepend_matrix(basis, e.name)
         residuals[f"shift:{e.name}"] = float(np.abs(s - plain).max())
 
     projs = {
-        v: basis.pi(tr.TestFunction.indicator(gph.vertex_point(v)))
+        v: basis.pi(tr.CylinderFunction.indicator(gph.vertex_point(v)))
         for v in gph.vertices
     }
 

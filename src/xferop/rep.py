@@ -44,7 +44,7 @@ class FnExpr:
         return self._fn(x)
 
     @staticmethod
-    def of(f: tr.TestFunction) -> "FnExpr":
+    def of(f: tr.Function) -> "FnExpr":
         return FnExpr(f.value, "tf")
 
     @staticmethod
@@ -76,26 +76,6 @@ class FnExpr:
             return total
 
         return FnExpr(val, f"L^{n}({self.label})")
-
-
-def compose_with_map(system: PartialSystem, a: tr.TestFunction) -> tr.TestFunction:
-    """Exact pullback a o phi as a piecewise description (interval) or
-    cylinder combination (graph)."""
-    if system.backend == "interval":
-        sys_ = system.ival
-        pieces = []
-        for b in sys_.branches:
-            for iv, m, c in a.pieces:
-                pull = b.preimage_of(IntervalSet.of(iv))
-                for piece in pull.intervals:
-                    pieces.append((piece, m * b.slope, m * b.intercept + c))
-        return tr.TestFunction("interval", pieces=tuple(pieces))
-    gph = system.gph
-    cyls = []
-    for cyl, w in a.cylinders:
-        for e in gph.prependable(cyl.rng):
-            cyls.append((gph.path_point((e.name,) + cyl.word), w))
-    return tr.TestFunction("graph", cylinders=tuple(cyls))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +199,7 @@ def check_transfer_relation(basis: OrbitBasis, a) -> float:
     """Residual of T* pi(a) T = pi(L a) away from the truncation edge."""
     t = basis.T()
     lhs = t.T @ basis.pi(a) @ t
-    la = FnExpr.of(a) if isinstance(a, tr.TestFunction) else a
+    la = a if isinstance(a, FnExpr) else FnExpr.of(a)
     rhs = basis.pi(la.transfer(basis.system, basis.potential))
     mask = basis.band(0, basis.depth - 1)
     diff = (lhs - rhs)[:, mask]
@@ -233,8 +213,8 @@ def covariance_residual(basis: OrbitBasis, a, b) -> float:
     return float(np.abs(diff).max())
 
 
-def check_covariance(basis: OrbitBasis, a: tr.TestFunction) -> float:
-    return covariance_residual(basis, a, compose_with_map(basis.system, a))
+def check_covariance(basis: OrbitBasis, a: tr.Function) -> float:
+    return covariance_residual(basis, a, a.pullback(basis.system.map))
 
 
 def check_commutation(basis: OrbitBasis, a, b) -> float:
@@ -246,10 +226,10 @@ def check_commutation(basis: OrbitBasis, a, b) -> float:
 class Monomial:
     """a T^up T*^down b, any factor optional."""
 
-    left: Optional[tr.TestFunction]
+    left: Optional[tr.Function]
     up: int
     down: int
-    right: Optional[tr.TestFunction]
+    right: Optional[tr.Function]
 
     def __post_init__(self):
         if self.up < 0 or self.down < 0:
@@ -265,7 +245,7 @@ def monomial_matrix(basis: OrbitBasis, mon: Monomial) -> np.ndarray:
     return m
 
 
-def _fn_or_one(f: Optional[tr.TestFunction]) -> FnExpr:
+def _fn_or_one(f: Optional[tr.Function]) -> FnExpr:
     return FnExpr.of(f) if f is not None else FnExpr.const(1)
 
 
@@ -313,7 +293,7 @@ def product_check(basis: OrbitBasis, m1: Monomial, m2: Monomial) -> float:
 # ---------------------------------------------------------------------------
 
 
-def gauge_residuals(basis: OrbitBasis, a: tr.TestFunction, angles: int = 7) -> tuple[float, float]:
+def gauge_residuals(basis: OrbitBasis, a: tr.Function, angles: int = 7) -> tuple[float, float]:
     """Max residual of (fix pi(a), scale T by z) over sampled circle points."""
     t = basis.T().astype(complex)
     pa = basis.pi(a).astype(complex)
@@ -398,7 +378,7 @@ def g_check(basis: OrbitBasis, mon: Monomial) -> float:
 class QuasiBasis:
     """Partition functions v_i with single-branch supports; u_i = sqrt(v_i/rho)."""
 
-    functions: tuple[tr.TestFunction, ...]
+    functions: tuple[tr.Function, ...]
     region: object
 
 
@@ -406,7 +386,7 @@ def quasi_basis(system: PartialSystem, pot: Potential, region: Optional[Interval
     if system.backend == "graph":
         gph = system.gph
         fns = tuple(
-            tr.TestFunction.indicator(gph.path_point((e.name,))) for e in gph.edges
+            tr.CylinderFunction.indicator(gph.path_point((e.name,))) for e in gph.edges
         )
         return QuasiBasis(fns, None)
 
@@ -446,9 +426,9 @@ def quasi_basis(system: PartialSystem, pot: Potential, region: Optional[Interval
             if g in split:
                 # two half-hats so each support stays inside one branch
                 for p in pieces:
-                    fns.append(tr.TestFunction("interval", pieces=(p,)))
+                    fns.append(tr.TestFunction((p,)))
             else:
-                fns.append(tr.TestFunction("interval", pieces=tuple(pieces)))
+                fns.append(tr.TestFunction(tuple(pieces)))
     return QuasiBasis(tuple(fns), region)
 
 
@@ -456,7 +436,7 @@ def quasi_basis_residual(
     system: PartialSystem,
     pot: Potential,
     qb: QuasiBasis,
-    a: tr.TestFunction,
+    a: tr.Function,
     points: Sequence,
 ) -> float:
     """Max pointwise residual of the reconstruction identity.
@@ -465,7 +445,7 @@ def quasi_basis_residual(
     sums to one.
     """
 
-    def u_val(v: tr.TestFunction, x) -> float:
+    def u_val(v: tr.Function, x) -> float:
         vx = v.value(x)
         if vx == 0:
             return 0.0

@@ -307,13 +307,6 @@ def spectrum_An(system: PartialSystem, pot: Potential, n: int, radius=Fraction(1
     )
 
 
-def spectrum_csv(desc: SpectrumDescription) -> str:
-    lines = ["level,base,dimension"]
-    for p in desc.sampled_points:
-        lines.append(f"{p.level},{p.base},{p.dimension}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # fiber representations
 # ---------------------------------------------------------------------------
@@ -371,7 +364,7 @@ class FiberRep:
 
     def separating_functions(self):
         if self.system.backend == "graph":
-            return [tr.TestFunction.indicator(x) for x in self.points]
+            return [tr.CylinderFunction.indicator(x) for x in self.points]
         pts = sorted(set(self.points))
         gaps = [b - a for a, b in zip(pts, pts[1:])]
         eps = min(gaps) / 2 if gaps else Fraction(1, 4)
@@ -394,13 +387,6 @@ class FiberRep:
         mat = np.stack(cols, axis=1)
         sv = np.linalg.svd(mat, compute_uv=False)
         return float(sv[min(self.dim, len(sv)) - 1])
-
-    def irreducible(self, seed: int = 7, tol: float = 1e-8) -> bool:
-        return self.irreducibility_witness(seed) >= tol
-
-
-def rep_pi_y_k(system: PartialSystem, pot: Potential, y, k: int) -> FiberRep:
-    return FiberRep(system, pot, y, k)
 
 
 # ---------------------------------------------------------------------------

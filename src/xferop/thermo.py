@@ -20,7 +20,17 @@ numpy expression and sums them into the bin matrix.
 The state-level checks and the eigen-measure residuals integrate against a
 measure point by point.  Each call builds one table of the exact per-point
 quantities (quadrature rows, orbits, cocycles, fibres, energy sums, test
-function values) that all of its rows read, and drops it on return.
+function values) that all of its rows read, and drops it on return.  Every
+measure hands the table its quadrature as groups of (weight, rows of
+(x, mass)): an atomic measure is one group of weight one, a bin-density
+measure one group of midpoint rows, an explicit cascade one group per
+level.  An integral is one nested ``math.fsum`` over the groups.
+
+The eigen-measure residual rows follow one rule.  A measure that
+integrates grid functions exactly (``integrates_grids``: bin densities and
+dyadic cascades) takes the left side as the exact integral of the fiber-sum
+grid, and the right side too when the energy is constant; otherwise both
+sides come from the point table.
 """
 
 from __future__ import annotations
@@ -529,26 +539,33 @@ class CascadeMeasure:
             for n in range(self.depth + 1)
         )
 
-    def integrate_fn(self, a: tr.TestFunction) -> float:
-        return self.integrate_grid(_fn_grid(a, RationalInterval(self.lo, self.hi)))
+    @property
+    def integrates_grids(self) -> bool:
+        return self.dyadic
 
-    def integrate_callable(self, f: Callable[[object], float]) -> float:
+    def quadrature(self, pts: int) -> list:
+        """One group per level: its atoms at mass one, weighted by the level weight."""
         if self.levels is None:
             raise UnsupportedPotential(
                 "closed-form cascade holds no explicit atoms; only grid functions integrate"
             )
-        return math.fsum(
-            self.level_weight(n) * math.fsum(f(x) for x in self.levels[n])
-            for n in range(self.depth + 1)
-        )
+        return [
+            (self.level_weight(n), ((x, 1) for x in level))
+            for n, level in enumerate(self.levels)
+        ]
 
-    def atoms(self):
-        if self.levels is None:
-            raise UnsupportedPotential("closed-form cascade holds no explicit atoms")
-        for n, level in enumerate(self.levels):
-            w = self.level_weight(n)
-            for x in level:
-                yield x, w
+    def row_bound(self, a: tr.Function, cval: Optional[Fraction]) -> Optional[float]:
+        """Tail bound of a weak residual row, or None where it does not hold.
+
+        The telescoping estimate holds when each level refines the last at
+        the detected rate and one unit of energy is paid per step.
+        """
+        if self.growth is None or cval != 1:
+            return None
+        q = self.growth * math.exp(-self.beta)
+        if q >= 1:
+            return None
+        return self.growth * q**self.depth * float(a.sup_norm_bound())
 
 
 def _dyadic_level_sum(g: GridFunction, lo: Fraction, hi: Fraction, n: int) -> Fraction:
@@ -699,10 +716,6 @@ class ResidualReport:
     def __float__(self) -> float:
         return self.max_residual
 
-    def within_bounds(self) -> bool:
-        """Every row that carries a bound stays under it."""
-        return all(r.residual <= r.bound for r in self.rows if r.bound is not None)
-
 
 def _rho_or_zero(pot: Potential, x: Fraction) -> Fraction:
     try:
@@ -715,52 +728,7 @@ def _psi_exp(psi: PotentialFunction, beta: float, x) -> float:
     return math.exp(beta * float(psi.value(x)))
 
 
-def _int_ulam_grid(mu: tr.UlamMeasure, g: GridFunction) -> Fraction:
-    """Exact integral of a grid function against a bin-density measure."""
-    w = (mu.hi - mu.lo) / mu.bins
-    total = Fraction(0)
-    for (u, v), (c0, c1, c2) in zip(zip(g.nodes, g.nodes[1:]), g.cells):
-        if c0 == 0 and c1 == 0 and c2 == 0:
-            continue
-        u_ = max(u, mu.lo)
-        v_ = min(v, mu.hi)
-        if v_ <= u_:
-            continue
-        k0 = max(int((u_ - mu.lo) // w), 0)
-        k1 = min(int(-((mu.lo - v_) // w)) - 1, mu.bins - 1)
-
-        def anti(x: Fraction) -> Fraction:
-            return c0 * x + c1 * x * x / 2 + c2 * x * x * x / 3
-
-        for k in range(k0, k1 + 1):
-            a_ = max(u_, mu.lo + k * w)
-            b_ = min(v_, mu.lo + (k + 1) * w)
-            if b_ <= a_:
-                continue
-            total += mu.densities[k] * (anti(b_) - anti(a_))
-    return total
-
-
-def _ulam_quad_points(mu: tr.UlamMeasure, pts: int):
-    w = (mu.hi - mu.lo) / mu.bins
-    for k in range(mu.bins):
-        d = mu.densities[k]
-        if d == 0:
-            continue
-        for i in range(pts):
-            x = mu.lo + k * w + w * (2 * i + 1) / (2 * pts)
-            yield x, d * w / pts
-
-
-def _int_atomic(mu: tr.AtomicMeasure, f: Callable) -> float:
-    return math.fsum(float(m) * float(f(x)) for x, m in mu.atoms)
-
-
 Measure = Union[tr.AtomicMeasure, tr.UlamMeasure, CascadeMeasure]
-
-
-def total_mass_of(mu: Measure) -> float:
-    return float(mu.total_mass())
 
 
 # ---------------------------------------------------------------------------
@@ -812,13 +780,14 @@ class _StateTable:
         return p
 
     def quad(self, pts: int) -> list:
-        """Rows (point, float mass) of the pts-point bin quadrature of mu."""
-        rows = self._quad.get(pts)
-        if rows is None:
-            rows = self._quad[pts] = [
-                (self.point(x), float(m)) for x, m in _ulam_quad_points(self.mu, pts)
+        """The quadrature groups of mu: (weight, rows of (point, float mass))."""
+        groups = self._quad.get(pts)
+        if groups is None:
+            groups = self._quad[pts] = [
+                (w, [(self.point(x), float(m)) for x, m in rows])
+                for w, rows in self.mu.quadrature(pts)
             ]
-        return rows
+        return groups
 
     def psi_exp(self, p: _Point) -> float:
         if p.psi_exp is None:
@@ -875,7 +844,7 @@ class _StateTable:
 
         return self._column(fibre, "fibre", n)
 
-    def values(self, f: Optional[tr.TestFunction]) -> Callable[[_Point], float]:
+    def values(self, f: Optional[tr.Function]) -> Callable[[_Point], float]:
         """float(f.value(x)) by point; 1.0 everywhere for an absent function."""
         if f is None:
             return lambda p: 1.0
@@ -897,14 +866,9 @@ class _StateTable:
 
 def _integrate_state(tab: _StateTable, f: Callable, pts: int) -> float:
     """Integral of f, a function of table points, against the table's measure."""
-    mu = tab.mu
-    if isinstance(mu, tr.AtomicMeasure):
-        return _int_atomic(mu, lambda x: f(tab.point(x)))
-    if isinstance(mu, tr.UlamMeasure):
-        return math.fsum(m * float(f(p)) for p, m in tab.quad(pts))
-    if isinstance(mu, CascadeMeasure):
-        return mu.integrate_callable(lambda x: f(tab.point(x)))
-    raise ValidationError(f"cannot integrate against {type(mu).__name__}")
+    return math.fsum(
+        w * math.fsum(m * float(f(p)) for p, m in rows) for w, rows in tab.quad(pts)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -912,27 +876,17 @@ def _integrate_state(tab: _StateTable, f: Callable, pts: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _strong_pair(tab: _StateTable, a: tr.TestFunction) -> tuple[float, float]:
+def _strong_pair(tab: _StateTable, a: tr.Function) -> tuple[float, float]:
     handle, psi, beta, mu = tab.handle, tab.psi, tab.beta, tab.mu
-    system, pot = handle.system, handle.potential
     cval = psi.constant_value()
-    if isinstance(mu, tr.UlamMeasure):
-        lhs = float(_int_ulam_grid(mu, _transfer_grid(handle, a)))
-        if cval is not None:
-            carrier = _single_component(system)
-            prod = _grid_product(_fn_grid(a, carrier), _pot_grid(pot, carrier))
-            rhs = math.exp(beta * float(cval)) * float(_int_ulam_grid(mu, prod))
-            return lhs, rhs
-    elif isinstance(mu, CascadeMeasure):
+    if mu.integrates_grids:
         lhs = mu.integrate_grid(_transfer_grid(handle, a))
-        if cval is None:
-            raise UnsupportedPotential("cascade fast path needs a constant energy")
-        carrier = _single_component(system)
-        prod = _grid_product(_fn_grid(a, carrier), _pot_grid(pot, carrier))
-        rhs = math.exp(beta * float(cval)) * mu.integrate_grid(prod)
-        return lhs, rhs
+        if cval is not None:
+            carrier = _single_component(handle.system)
+            prod = _grid_product(_fn_grid(a, carrier), _pot_grid(handle.potential, carrier))
+            return lhs, math.exp(beta * float(cval)) * mu.integrate_grid(prod)
     else:
-        lhs = _int_atomic(mu, lambda y: tr.apply(handle, a, y))
+        lhs = _integrate_state(tab, lambda p: float(tr.apply(handle, a, p.x)), pts=4)
     # each row has its own function, so only the energy and weight factors are shared
     rhs = _integrate_state(
         tab, lambda p: float(a.value(p.x)) * tab.psi_exp(p) * tab.rho(p), pts=4
@@ -945,7 +899,7 @@ def conformal_residual(
     psi: PotentialFunction,
     beta: float,
     mu: Measure,
-    fns: Sequence[tr.TestFunction],
+    fns: Sequence[tr.Function],
 ) -> ResidualReport:
     """Max residual of the weighted eigen-measure identity over a family.
 
@@ -962,58 +916,28 @@ def conformal_residual(
     return ResidualReport("conformal", tuple(rows))
 
 
-def _check_weak_support(handle, a: tr.TestFunction):
-    system, pot = handle.system, handle.potential
-    report = dyn.regular_set(system, pot)
-    if system.backend == "interval":
-        supp = a.support()
-        reg: IntervalSet = report.delta_reg
-        stray = supp.difference(reg)
-        if not stray.is_empty:
-            raise SupportViolation(
-                f"support leaves the regular region on {stray}"
-            )
-        return
-    for cyl, wgt in a.cylinders:
-        if wgt == 0:
-            continue
-        if not any(rc.contains(cyl) for rc in report.delta_reg.cylinders):
-            raise SupportViolation(f"cylinder {cyl} leaves the regular region")
+def _check_weak_support(handle, a: tr.Function):
+    stray = a.outside(dyn.regular_set(handle.system, handle.potential).delta_reg)
+    if not stray.is_empty:
+        raise SupportViolation(f"support leaves the regular region on {stray}")
 
 
-def _bare_sum(handle, a: tr.TestFunction, y) -> Fraction:
+def _bare_sum(handle, a: tr.Function, y) -> Fraction:
     return sum((a.value(x) for x in handle.system.map.fiber(y)), Fraction(0))
 
 
-def _weak_pair(tab: _StateTable, a: tr.TestFunction) -> tuple[float, float, Optional[float]]:
+def _weak_pair(tab: _StateTable, a: tr.Function) -> tuple[float, float, Optional[float]]:
     handle, psi, beta, mu = tab.handle, tab.psi, tab.beta, tab.mu
-    bound = None
     cval = psi.constant_value()
-    if isinstance(mu, CascadeMeasure):
-        # the telescoping tail estimate holds when each level refines the
-        # last at the detected rate and one unit of energy is paid per step
-        if mu.growth is not None and cval == 1:
-            q = mu.growth * math.exp(-mu.beta)
-            if q < 1:
-                bound = mu.growth * q**mu.depth * float(a.sup_norm_bound())
-        if mu.dyadic:
-            if cval is None:
-                raise UnsupportedPotential("cascade fast path needs a constant energy")
-            carrier = RationalInterval(mu.lo, mu.hi)
-            lhs = mu.integrate_grid(_fiber_sum_grid(handle, a))
-            rhs = math.exp(beta * float(cval)) * mu.integrate_grid(_fn_grid(a, carrier))
-            return lhs, rhs, bound
-        lhs = mu.integrate_callable(lambda y: float(_bare_sum(handle, a, y)))
-    elif isinstance(mu, tr.UlamMeasure):
-        lhs = float(_int_ulam_grid(mu, _fiber_sum_grid(handle, a)))
+    bound = mu.row_bound(a, cval)
+    if mu.integrates_grids:
+        lhs = mu.integrate_grid(_fiber_sum_grid(handle, a))
         if cval is not None:
             carrier = _single_component(handle.system)
-            rhs = math.exp(beta * float(cval)) * float(
-                _int_ulam_grid(mu, _fn_grid(a, carrier))
-            )
+            rhs = math.exp(beta * float(cval)) * mu.integrate_grid(_fn_grid(a, carrier))
             return lhs, rhs, bound
     else:
-        lhs = _int_atomic(mu, lambda y: _bare_sum(handle, a, y))
+        lhs = _integrate_state(tab, lambda p: float(_bare_sum(handle, a, p.x)), pts=4)
     rhs = _integrate_state(tab, lambda p: float(a.value(p.x)) * tab.psi_exp(p), pts=4)
     return lhs, rhs, bound
 
@@ -1023,7 +947,7 @@ def weakly_conformal_residual(
     psi: PotentialFunction,
     beta: float,
     mu: Measure,
-    fns: Sequence[tr.TestFunction],
+    fns: Sequence[tr.Function],
 ) -> ResidualReport:
     """Residuals of the unweighted eigen-measure identity on regular supports.
 
@@ -1057,7 +981,7 @@ class KMSCandidate:
     def __post_init__(self):
         if self.kind not in ("conformal", "weakly_conformal"):
             raise ValidationError(f"unknown candidate kind {self.kind!r}")
-        mass = total_mass_of(self.mu)
+        mass = float(self.mu.total_mass())
         if abs(mass - 1.0) > 1e-9:
             raise ValidationError(f"candidate measure has mass {mass!r}, not 1")
 
@@ -1279,7 +1203,7 @@ def _vector_measure(handle, vec: np.ndarray, bins: int, psi=None, beta: float = 
         total = sum((m for _, m in raw), Fraction(0))
         if total == 0:
             raise NoSolution("eigenvector collapsed to zero", {})
-        return tr.AtomicMeasure("graph", tuple((p, m / total) for p, m in raw))
+        return tr.AtomicMeasure(tuple((p, m / total) for p, m in raw))
     weights = [Fraction(abs(float(x))) for x in vec]
     total = sum(weights, Fraction(0))
     if total == 0:

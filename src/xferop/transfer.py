@@ -5,6 +5,24 @@ exact rational arithmetic.  Validation decides whether L maps functions
 vanishing at infinity on the domain back into functions on the space, by
 checking finitely many one-sided arrival conditions; the norm is the exact
 supremum of the fiber sums.
+
+Test functions are typed like the maps.  ``TestFunction`` is piecewise
+affine on the interval backend (``const_on``, ``affine_on``, ``hat``);
+``CylinderFunction`` is a combination of cylinder indicators on the graph
+backend (``indicator``).  Both carry ``backend`` as a class attribute and
+answer ``value(x)``, ``sup_norm_bound()``, ``scaled(t)``, ``pullback(map)``
+(the exact a o phi) and ``outside(region)`` (the part of the support that
+an open set of the backend's type misses).
+
+Measures answer one protocol, here and in ``thermo.CascadeMeasure``:
+``total_mass()``; ``quadrature(pts)``, groups of ``(weight, rows of
+(x, mass))`` whose weighted sums integrate a pointwise function;
+``integrates_grids`` and ``integrate_grid(g)``, the exact integral of a
+piecewise-quadratic grid function where the measure has one; and
+``row_bound(a, cval)``, a residual tail bound or None.  The two measures
+a candidate file can hold, ``AtomicMeasure`` and ``UlamMeasure``, also
+answer ``dual(handle)`` (the exact pushforward under the dual operator),
+``to_doc(system)`` and ``residual_tol()``.
 """
 
 from __future__ import annotations
@@ -26,44 +44,38 @@ from .intervals import IntervalSet, RationalInterval, Rationalish, accumulates_a
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A finitely described function the operator can hit exactly.
+    """A piecewise affine function on the interval backend.
 
-    Interval backend: piecewise affine with implicit zero outside its
-    pieces.  Graph backend: a finite combination of cylinder indicators.
+    Each piece is (interval, slope, intercept); the function is zero outside
+    its pieces, and pieces that touch must agree where they touch.
     """
 
-    backend: str
+    backend = "interval"
+
     pieces: tuple[tuple[RationalInterval, Fraction, Fraction], ...] = ()
-    cylinders: tuple[tuple[PathPoint, Fraction], ...] = ()
 
     def __post_init__(self):
-        if self.backend == "interval":
-            pieces = tuple((iv, frac(m), frac(c)) for iv, m, c in self.pieces)
-            object.__setattr__(self, "pieces", pieces)
-            for (iva, ma, ca), (ivb, mb, cb) in itertools.combinations(pieces, 2):
-                inter = iva.intersection(ivb)
-                if inter is None:
-                    continue
-                if not inter.is_point:
-                    raise ValidationError(f"function pieces overlap on {inter}")
-                x0 = inter.lo
-                if ma * x0 + ca != mb * x0 + cb:
-                    raise ValidationError(f"function pieces disagree at {frac_str(x0)}")
-        elif self.backend == "graph":
-            cyls = tuple((p, frac(w)) for p, w in self.cylinders)
-            object.__setattr__(self, "cylinders", cyls)
-        else:
-            raise ValidationError(f"unknown backend {self.backend!r}")
+        pieces = tuple((iv, frac(m), frac(c)) for iv, m, c in self.pieces)
+        object.__setattr__(self, "pieces", pieces)
+        for (iva, ma, ca), (ivb, mb, cb) in itertools.combinations(pieces, 2):
+            inter = iva.intersection(ivb)
+            if inter is None:
+                continue
+            if not inter.is_point:
+                raise ValidationError(f"function pieces overlap on {inter}")
+            x0 = inter.lo
+            if ma * x0 + ca != mb * x0 + cb:
+                raise ValidationError(f"function pieces disagree at {frac_str(x0)}")
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def const_on(iv: RationalInterval, value: Rationalish) -> "TestFunction":
-        return TestFunction("interval", pieces=((iv, Fraction(0), frac(value)),))
+        return TestFunction(((iv, Fraction(0), frac(value)),))
 
     @staticmethod
     def affine_on(iv: RationalInterval, slope, intercept) -> "TestFunction":
-        return TestFunction("interval", pieces=((iv, frac(slope), frac(intercept)),))
+        return TestFunction(((iv, frac(slope), frac(intercept)),))
 
     @staticmethod
     def hat(center: Rationalish, radius: Rationalish, height: Rationalish = 1) -> "TestFunction":
@@ -73,22 +85,68 @@ class TestFunction:
             raise ValidationError("hat radius must be positive")
         up = (RationalInterval(c - r, c), h / r, h - h * c / r)
         down = (RationalInterval(c, c + r), -h / r, h + h * c / r)
-        return TestFunction("interval", pieces=(up, down))
-
-    @staticmethod
-    def indicator(p: PathPoint, coeff: Rationalish = 1) -> "TestFunction":
-        return TestFunction("graph", cylinders=((p, frac(coeff)),))
+        return TestFunction((up, down))
 
     # -- evaluation ------------------------------------------------------------
 
     def value(self, x) -> Fraction:
-        if self.backend == "interval":
-            x = frac(x)
-            vals = {m * x + c for iv, m, c in self.pieces if iv.contains(x)}
-            if not vals:
-                return Fraction(0)
-            return vals.pop()
-        p: PathPoint = x
+        x = frac(x)
+        vals = {m * x + c for iv, m, c in self.pieces if iv.contains(x)}
+        if not vals:
+            return Fraction(0)
+        return vals.pop()
+
+    def support(self) -> IntervalSet:
+        """Closure of the nonvanishing set."""
+        out = IntervalSet.empty()
+        for iv, m, c in self.pieces:
+            if m == 0 and c == 0:
+                continue
+            out = out.union(IntervalSet.of(iv.closure()))
+        return out
+
+    def outside(self, region: IntervalSet) -> IntervalSet:
+        """The part of the support that the region misses."""
+        return self.support().difference(region)
+
+    def sup_norm_bound(self) -> Fraction:
+        """Exact sup of |values| on the pieces."""
+        best = Fraction(0)
+        for iv, m, c in self.pieces:
+            for e in (iv.lo, iv.hi):
+                best = max(best, abs(m * e + c))
+        return best
+
+    def scaled(self, t: Rationalish) -> "TestFunction":
+        t = frac(t)
+        return TestFunction(tuple((iv, m * t, c * t) for iv, m, c in self.pieces))
+
+    def pullback(self, map_: dyn.IntervalSystem) -> "TestFunction":
+        """Exact a o phi, one piece per branch and piece it pulls back."""
+        pieces = []
+        for b in map_.branches:
+            for iv, m, c in self.pieces:
+                for piece in b.preimage_of(IntervalSet.of(iv)).intervals:
+                    pieces.append((piece, m * b.slope, m * b.intercept + c))
+        return TestFunction(tuple(pieces))
+
+
+@dataclass(frozen=True)
+class CylinderFunction:
+    """A finite combination of cylinder indicators on the graph backend."""
+
+    backend = "graph"
+
+    cylinders: tuple[tuple[PathPoint, Fraction], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "cylinders", tuple((p, frac(w)) for p, w in self.cylinders))
+
+    @staticmethod
+    def indicator(p: PathPoint, coeff: Rationalish = 1) -> "CylinderFunction":
+        return CylinderFunction(((p, frac(coeff)),))
+
+    def value(self, p: PathPoint) -> Fraction:
         out = Fraction(0)
         for cyl, w in self.cylinders:
             if cyl.contains(p):
@@ -99,36 +157,32 @@ class TestFunction:
                 )
         return out
 
-    def support(self) -> IntervalSet:
-        """Closure of the nonvanishing set (interval backend)."""
-        if self.backend != "interval":
-            raise ValidationError("support() is an interval-backend operation")
-        out = IntervalSet.empty()
-        for iv, m, c in self.pieces:
-            if m == 0 and c == 0:
-                continue
-            out = out.union(IntervalSet.of(iv.closure()))
-        return out
+    def outside(self, region: dyn.CylinderSet) -> dyn.CylinderSet:
+        """The cylinders of nonzero weight that no cylinder of the region holds."""
+        stray = (
+            cyl for cyl, w in self.cylinders
+            if w != 0 and not any(rc.contains(cyl) for rc in region.cylinders)
+        )
+        return dyn.CylinderSet(region.graph, stray)
 
     def sup_norm_bound(self) -> Fraction:
-        """Exact sup of |values| on pieces (interval), or sum of |coeffs|."""
-        if self.backend == "interval":
-            best = Fraction(0)
-            for iv, m, c in self.pieces:
-                for e in (iv.lo, iv.hi):
-                    best = max(best, abs(m * e + c))
-            return best
+        """The sum of |coefficients|."""
         return sum((abs(w) for _, w in self.cylinders), Fraction(0))
 
-    def scaled(self, t: Rationalish) -> "TestFunction":
+    def scaled(self, t: Rationalish) -> "CylinderFunction":
         t = frac(t)
-        if self.backend == "interval":
-            return TestFunction(
-                "interval", pieces=tuple((iv, m * t, c * t) for iv, m, c in self.pieces)
-            )
-        return TestFunction(
-            "graph", cylinders=tuple((p, w * t) for p, w in self.cylinders)
-        )
+        return CylinderFunction(tuple((p, w * t) for p, w in self.cylinders))
+
+    def pullback(self, map_: dyn.GraphSystem) -> "CylinderFunction":
+        """Exact a o phi: each cylinder Z(w) pulls back to the Z(ew)."""
+        cyls = []
+        for cyl, w in self.cylinders:
+            for e in map_.prependable(cyl.rng):
+                cyls.append((map_.path_point((e.name,) + cyl.word), w))
+        return CylinderFunction(tuple(cyls))
+
+
+Function = Union[TestFunction, CylinderFunction]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +391,7 @@ class TransferHandle:
             )
 
 
-def apply(handle: TransferHandle, a: TestFunction, y, n: int = 1) -> Fraction:
+def apply(handle: TransferHandle, a: Function, y, n: int = 1) -> Fraction:
     """Exact value of the n-fold weighted fiber sum of a at y."""
     if a.backend != handle.system.backend:
         raise ValidationError("function backend does not match the system")
@@ -351,8 +405,8 @@ def apply(handle: TransferHandle, a: TestFunction, y, n: int = 1) -> Fraction:
 
 def transfer_identity_check(
     handle: TransferHandle,
-    a: TestFunction,
-    b: TestFunction,
+    a: Function,
+    b: Function,
     points: Sequence,
 ) -> Fraction:
     """Max residual of L(a * (b o phi)) = L(a) * b over sample points."""
@@ -377,8 +431,9 @@ def transfer_identity_check(
 class AtomicMeasure:
     """Finite signed combination of point masses."""
 
-    backend: str
     atoms: tuple[tuple[object, Fraction], ...]
+
+    integrates_grids = False
 
     def __post_init__(self):
         atoms = tuple((x, frac(m)) for x, m in self.atoms)
@@ -387,7 +442,7 @@ class AtomicMeasure:
     def total_mass(self) -> Fraction:
         return sum((m for _, m in self.atoms), Fraction(0))
 
-    def integrate(self, a: TestFunction) -> Fraction:
+    def integrate(self, a: Function) -> Fraction:
         return sum((m * a.value(x) for x, m in self.atoms), Fraction(0))
 
     def merged(self) -> "AtomicMeasure":
@@ -395,7 +450,29 @@ class AtomicMeasure:
         for x, m in self.atoms:
             acc[x] = acc.get(x, Fraction(0)) + m
         items = sorted(acc.items())
-        return AtomicMeasure(self.backend, tuple((x, m) for x, m in items if m != 0))
+        return AtomicMeasure(tuple((x, m) for x, m in items if m != 0))
+
+    def quadrature(self, pts: int) -> list:
+        """The atoms, as one group of weight one."""
+        return [(1.0, self.atoms)]
+
+    def row_bound(self, a, cval) -> None:
+        return None
+
+    def dual(self, handle: TransferHandle) -> "AtomicMeasure":
+        """Push through the dual: (L* mu)(a) = mu(L a), exactly."""
+        atoms = []
+        for y, m in self.atoms:
+            for x, w in dyn.preimages(handle.system, handle.potential, y, 1):
+                atoms.append((x, m * w))
+        return AtomicMeasure(tuple(atoms)).merged()
+
+    def to_doc(self, system: PartialSystem) -> dict:
+        atoms = [{**system.map.point_doc(x), "mass": frac_str(m)} for x, m in self.atoms]
+        return {"type": "atomic", "backend": system.backend, "atoms": atoms}
+
+    def residual_tol(self) -> float:
+        return 1e-8
 
 
 @dataclass(frozen=True)
@@ -405,6 +482,8 @@ class UlamMeasure:
     lo: Fraction
     hi: Fraction
     densities: tuple[Fraction, ...]
+
+    integrates_grids = True
 
     def __post_init__(self):
         object.__setattr__(self, "lo", frac(self.lo))
@@ -421,24 +500,65 @@ class UlamMeasure:
         w = (self.hi - self.lo) / self.bins
         return sum((d * w for d in self.densities), Fraction(0))
 
+    def quadrature(self, pts: int) -> list:
+        """One group: the pts-point midpoint rule in every bin of nonzero density."""
+        w = (self.hi - self.lo) / self.bins
+        rows = (
+            (self.lo + k * w + w * (2 * i + 1) / (2 * pts), d * w / pts)
+            for k, d in enumerate(self.densities)
+            if d != 0
+            for i in range(pts)
+        )
+        return [(1.0, rows)]
 
-def dual_apply(
-    handle: TransferHandle, mu: Union[AtomicMeasure, UlamMeasure]
-) -> Union[AtomicMeasure, UlamMeasure]:
-    """Push a measure through the dual: (L* mu)(a) = mu(L a), exactly."""
-    if isinstance(mu, AtomicMeasure):
-        atoms = []
-        for y, m in mu.atoms:
-            for x, w in dyn.preimages(handle.system, handle.potential, y, 1):
-                atoms.append((x, m * w))
-        return AtomicMeasure(mu.backend, tuple(atoms)).merged()
-    mat = ulam_matrix(handle, mu.bins, mu.lo, mu.hi)
-    k = mu.bins
-    new = [
-        sum((mat[i][j] * mu.densities[i] for i in range(k)), Fraction(0))
-        for j in range(k)
-    ]
-    return UlamMeasure(mu.lo, mu.hi, tuple(new))
+    def integrate_grid(self, g) -> float:
+        """Exact integral of a piecewise-quadratic grid function, as a float."""
+        w = (self.hi - self.lo) / self.bins
+        total = Fraction(0)
+        for (u, v), (c0, c1, c2) in zip(zip(g.nodes, g.nodes[1:]), g.cells):
+            if c0 == 0 and c1 == 0 and c2 == 0:
+                continue
+            u_ = max(u, self.lo)
+            v_ = min(v, self.hi)
+            if v_ <= u_:
+                continue
+            k0 = max(int((u_ - self.lo) // w), 0)
+            k1 = min(int(-((self.lo - v_) // w)) - 1, self.bins - 1)
+
+            def anti(x: Fraction) -> Fraction:
+                return c0 * x + c1 * x * x / 2 + c2 * x * x * x / 3
+
+            for k in range(k0, k1 + 1):
+                a_ = max(u_, self.lo + k * w)
+                b_ = min(v_, self.lo + (k + 1) * w)
+                if b_ <= a_:
+                    continue
+                total += self.densities[k] * (anti(b_) - anti(a_))
+        return float(total)
+
+    def row_bound(self, a, cval) -> None:
+        return None
+
+    def dual(self, handle: TransferHandle) -> "UlamMeasure":
+        """Push through the bin matrix of the operator, exactly."""
+        mat = ulam_matrix(handle, self.bins, self.lo, self.hi)
+        k = self.bins
+        new = [
+            sum((mat[i][j] * self.densities[i] for i in range(k)), Fraction(0))
+            for j in range(k)
+        ]
+        return UlamMeasure(self.lo, self.hi, tuple(new))
+
+    def to_doc(self, system: PartialSystem) -> dict:
+        return {
+            "type": "ulam",
+            "lo": frac_str(self.lo),
+            "hi": frac_str(self.hi),
+            "densities": [frac_str(d) for d in self.densities],
+        }
+
+    def residual_tol(self) -> float:
+        return 1e-5 + 10.0 / self.bins
 
 
 def integrate_potential(pot: Potential, s: IntervalSet) -> Fraction:

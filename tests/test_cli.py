@@ -3,12 +3,15 @@
 import json
 import sys
 from collections import Counter
+from fractions import Fraction as F
 from importlib import resources
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from xferop import cli, specfile
+from xferop import transfer as tr
 from xferop import verdicts as vd
 from xferop.cli import main
 
@@ -104,6 +107,63 @@ def test_kms_verify_refuses_measure_of_another_backend(tmp_path, backend):
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)
     assert f"error: measure backend {backend!r} does not match the graph system" in result.output
+
+
+def _doubling_on_0_2(tmp_path):
+    """doubling copied onto the space [0, 2]: branch slopes 2, weight 1/2."""
+    doc = json.loads(resources.files("xferop").joinpath("specs", "doubling.json").read_text("utf-8"))
+    whole = {"lo": "0", "hi": "2", "lo_closed": True, "hi_closed": True}
+    doc["name"] = "doubling_0_2"
+    doc["space"] = [whole]
+    doc["branches"] = [
+        {"domain": {"lo": "0", "hi": "1", "lo_closed": True, "hi_closed": False},
+         "slope": "2", "intercept": "0"},
+        {"domain": {"lo": "1", "hi": "2", "lo_closed": True, "hi_closed": True},
+         "slope": "2", "intercept": "-2"},
+    ]
+    for key in ("potential", "psi"):
+        doc[key]["pieces"][0]["interval"] = whole
+    path = tmp_path / "doubling_0_2.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["kms-verify", "--candidate"], ["conformal", "--check"]])
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("doubling_0_2", "measure grid [0, 1] does not match the space [0, 2]"),
+        ("fullshift2", "operation needs the interval backend"),
+    ],
+)
+def test_binned_candidate_of_another_space_refused(tmp_path, command, spec, message):
+    cand = _candidate(tmp_path, "doubling")
+    if spec == "doubling_0_2":
+        spec = _doubling_on_0_2(tmp_path)
+        assert CliRunner().invoke(main, ["validate", "--spec", spec]).exit_code == 0
+    result = CliRunner().invoke(main, [command[0], "--spec", spec, command[1], cand])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: {message}" in result.output
+    assert "within tolerance" not in result.output
+
+
+@pytest.mark.parametrize(
+    "spec, kind",
+    [("tent_std", "ulam"), ("tent_std", "atomic"), ("fullshift2", "atomic"), ("loops2", "atomic")],
+)
+def test_candidate_measure_round_trip(spec, kind):
+    system = specfile.bundled(spec).system
+    if kind == "ulam":
+        mu = tr.UlamMeasure(0, 1, (F(1, 2), F(3, 2), F(0), F(2)))
+    elif system.backend == "interval":
+        mu = tr.AtomicMeasure(((F(1, 3), F(1, 4)), (F(1), F(3, 4))))
+    else:
+        words = system.gph.words(1) + system.gph.words(2)
+        mu = tr.AtomicMeasure(tuple((p, F(1, len(words))) for p in words))
+    doc = json.loads(json.dumps(mu.to_doc(system)))
+    assert doc["type"] == kind
+    assert cli._measure_from_doc(doc, system) == mu
 
 
 @pytest.mark.parametrize("depth_bound", ["deep", None, True, 2.5])

@@ -69,7 +69,7 @@ class TestBuildDeaconu:
         # at shifted exponents)
         assert len(dbl_gpd.points) == 15
         assert len(dbl_gpd.elements) == 231
-        assert len(dbl_gpd.units()) == len(dbl_gpd.points)
+        assert sum(g.is_unit for g in dbl_gpd.elements) == len(dbl_gpd.points)
 
     def test_depth_one_arrows(self, doubling, dbl_gpd):
         for x in doubling.system.map.fiber(F(1, 4)):
@@ -91,8 +91,10 @@ class TestBuildDeaconu:
 
     def test_units_are_identities(self, dbl_gpd):
         for g in dbl_gpd.elements[:40]:
-            assert dbl_gpd.compose(dbl_gpd.unit_at(g.x), g) == g
-            assert dbl_gpd.compose(g, dbl_gpd.unit_at(g.y)) == g
+            unit_x = dbl_gpd.elements[dbl_gpd.index[(g.x, 0, g.x)]]
+            unit_y = dbl_gpd.elements[dbl_gpd.index[(g.y, 0, g.y)]]
+            assert dbl_gpd.compose(unit_x, g) == g
+            assert dbl_gpd.compose(g, unit_y) == g
 
     def test_axioms_hold(self, dbl_gpd):
         assert dbl_gpd.axiom_violations() == 0
@@ -201,9 +203,13 @@ class TestGapRelation:
         with pytest.raises(ValidationError):
             gp.gap_relation(doubling.system, -1, [F(1, 2)])
 
-    def test_flipped(self):
-        p = gp.GapPair(1, F(1, 8), F(5, 8))
-        assert p.flipped() == gp.GapPair(1, F(5, 8), F(1, 8))
+    def test_flipped(self, doubling):
+        # the relation is symmetric: listing the samples the other way round
+        # reports each pair flipped
+        pairs = gp.gap_relation(doubling.system, 1, [F(1, 8), F(5, 8)])
+        flipped = gp.gap_relation(doubling.system, 1, [F(5, 8), F(1, 8)])
+        assert gp.GapPair(1, F(1, 8), F(5, 8)) in pairs
+        assert {(p.y, p.x) for p in pairs} == {(p.x, p.y) for p in flipped}
 
 
 @pytest.fixture(scope="module")
@@ -285,10 +291,10 @@ class TestPhiIsomorphism:
         gpd = gp.build_deaconu(shift2.system, shift2.potential, [shift2_anchor], 6)
         g = shift2.system.gph
         fns = [
-            tr.TestFunction.indicator(g.path_point(("e0",))),
-            tr.TestFunction.indicator(g.path_point(("e1",)), F(1, 2)),
-            tr.TestFunction.indicator(g.path_point(("e0", "e1"))),
-            tr.TestFunction.indicator(g.vertex_point("v")),
+            tr.CylinderFunction.indicator(g.path_point(("e0",))),
+            tr.CylinderFunction.indicator(g.path_point(("e1",)), F(1, 2)),
+            tr.CylinderFunction.indicator(g.path_point(("e0", "e1"))),
+            tr.CylinderFunction.indicator(g.vertex_point("v")),
             None,
         ]
         rng = random.Random(11)
@@ -305,8 +311,8 @@ class TestPhiIsomorphism:
         basis = rep.OrbitBasis(h, shift2_anchor, 6)
         gpd = gp.build_deaconu(shift2.system, shift2.potential, [shift2_anchor], 6)
         g = shift2.system.gph
-        a = tr.TestFunction.indicator(g.path_point(("e0",)))
-        b = tr.TestFunction.indicator(g.path_point(("e1",)), F(1, 2))
+        a = tr.CylinderFunction.indicator(g.path_point(("e0",)))
+        b = tr.CylinderFunction.indicator(g.path_point(("e1",)), F(1, 2))
         assert gp.unit_restriction_check(basis, a, b, 2, gpd=gpd) <= 1e-12
 
 

@@ -91,8 +91,8 @@ class TestRelations:
         # anchor at a genuine word so every tree node refines the cylinders
         b0 = rep.OrbitBasis(h, g.path_point(("e0", "e0")), 6)
         assert b0.dim == 127
-        a = tr.TestFunction.indicator(g.path_point(("e0",)))
-        b = tr.TestFunction.indicator(g.path_point(("e1", "e0")), F(1, 2))
+        a = tr.CylinderFunction.indicator(g.path_point(("e0",)))
+        b = tr.CylinderFunction.indicator(g.path_point(("e1", "e0")), F(1, 2))
         assert rep.check_transfer_relation(b0, a) < TOL
         assert rep.check_covariance(b0, a) < TOL
         assert rep.check_commutation(b0, a, b) < TOL
@@ -103,10 +103,19 @@ class TestRelations:
     def test_pullback_is_exact(self):
         t = specfile.bundled("tent_std")
         a = hat()
-        aa = rep.compose_with_map(t.system, a)
+        aa = a.pullback(t.system.map)
         for k in range(0, 33):
             x = F(k, 32)
             assert aa.value(x) == a.value(t.system.ival.phi(x))
+
+    @pytest.mark.parametrize("spec", ["loops2", "fullshift2"])
+    def test_cylinder_pullback_is_exact(self, spec):
+        g = specfile.bundled(spec).system.gph
+        cyls = g.words(0) + g.words(1) + g.words(2)
+        a = tr.CylinderFunction(tuple((p, F(i + 1, 3)) for i, p in enumerate(cyls)))
+        aa = a.pullback(g)
+        for x in g.words(3):
+            assert aa.value(x) == a.value(g.phi(x))
 
 
 class TestExpectations:
@@ -175,7 +184,7 @@ class TestQuasiBasis:
         qb = rep.quasi_basis(s.system, s.potential)
         g = s.system.gph
         pts = list(g.words(3))
-        a = tr.TestFunction.indicator(g.path_point(("e0", "e1")))
+        a = tr.CylinderFunction.indicator(g.path_point(("e0", "e1")))
         res = rep.quasi_basis_residual(s.system, s.potential, qb, a, pts)
         assert res < 1e-12
 
@@ -214,7 +223,7 @@ class TestRegularWindow:
         b = rep.OrbitBasis(h, s.system.gph.vertex_point("v"), 4)
         rb = rep.RegularBasis(b, 3)
         assert rb.dim == 15
-        one = tr.TestFunction.indicator(s.system.gph.vertex_point("v"))
+        one = tr.CylinderFunction.indicator(s.system.gph.vertex_point("v"))
         assert rb.pi(one).shape == (15, 15)
         tt = rb.T()
         assert np.count_nonzero(tt) == (3 - 1) * 4  # shift blocks of the line

@@ -71,15 +71,15 @@ class TestSpectrumAn:
         n = 3
         at_one = sorted(
             (
-                spectra.rep_pi_y_k(tent.system, tent.potential, 1, n).dim,
-                spectra.rep_pi_y_k(tent.system, tent.potential, F(1, 2), n - 1).dim,
+                spectra.FiberRep(tent.system, tent.potential, 1, n).dim,
+                spectra.FiberRep(tent.system, tent.potential, F(1, 2), n - 1).dim,
             )
         )
         assert at_one == [4, 4]
         at_zero = sorted(
-            [spectra.rep_pi_y_k(tent.system, tent.potential, 0, n).dim]
+            [spectra.FiberRep(tent.system, tent.potential, 0, n).dim]
             + [
-                spectra.rep_pi_y_k(tent.system, tent.potential, F(1, 2), k).dim
+                spectra.FiberRep(tent.system, tent.potential, F(1, 2), k).dim
                 for k in range(n - 1)
             ]
         )
@@ -135,27 +135,25 @@ class TestSpectrumAn:
 
     def test_csv(self, tent):
         d = spectra.spectrum_An(tent.system, tent.potential, 2)
-        out = spectra.spectrum_csv(d)
-        assert out.startswith("level,base,dimension\n")
-        assert "0,1/2,1" in out
+        assert (0, F(1, 2), 1) in [(p.level, p.base, p.dimension) for p in d.sampled_points]
 
 
 class TestFiberRep:
     def test_tent_dimensions(self, tent):
         for n in range(1, 7):
-            assert spectra.rep_pi_y_k(tent.system, tent.potential, 1, n).dim == 2 ** (n - 1)
-            assert spectra.rep_pi_y_k(tent.system, tent.potential, 0, n).dim == 2 ** (n - 1) + 1
+            assert spectra.FiberRep(tent.system, tent.potential, 1, n).dim == 2 ** (n - 1)
+            assert spectra.FiberRep(tent.system, tent.potential, 0, n).dim == 2 ** (n - 1) + 1
 
     def test_level_zero_is_evaluation(self, tent):
         import xferop.transfer as tr
 
-        r = spectra.rep_pi_y_k(tent.system, tent.potential, F(1, 3), 0)
+        r = spectra.FiberRep(tent.system, tent.potential, F(1, 3), 0)
         assert r.dim == 1
         a = tr.TestFunction.affine_on(RationalInterval(0, 1), 1, 0)
         assert r.matrix(a, 0, None) == np.array([[1 / 3]])
 
     def test_balanced_projector_matrix(self, tent):
-        r = spectra.rep_pi_y_k(tent.system, tent.potential, 1, 2)
+        r = spectra.FiberRep(tent.system, tent.potential, 1, 2)
         assert r.points == (F(1, 4), F(3, 4))
         # the seam override makes rho_2 = 1/2 on both preimages of 1
         m = r.matrix(None, 2, None)
@@ -165,25 +163,25 @@ class TestFiberRep:
         assert np.array_equal(m1, np.full((2, 2), 0.5))
 
     def test_monomial_level_capped(self, tent):
-        r = spectra.rep_pi_y_k(tent.system, tent.potential, 1, 2)
+        r = spectra.FiberRep(tent.system, tent.potential, 1, 2)
         with pytest.raises(Exception):
             r.matrix(None, 3, None)
 
     def test_irreducible(self, tent):
-        assert spectra.rep_pi_y_k(tent.system, tent.potential, 1, 3).irreducible()
-        assert spectra.rep_pi_y_k(tent.system, tent.potential, 0, 3).irreducible()
+        assert spectra.FiberRep(tent.system, tent.potential, 1, 3).irreducibility_witness() >= 1e-8
+        assert spectra.FiberRep(tent.system, tent.potential, 0, 3).irreducibility_witness() >= 1e-8
 
     def test_graph_fiber_rep(self):
         s = specfile.bundled("fullshift2")
         g = s.system.gph
-        r = spectra.rep_pi_y_k(s.system, s.potential, g.vertex_point("v"), 3)
+        r = spectra.FiberRep(s.system, s.potential, g.vertex_point("v"), 3)
         assert r.dim == 8
-        assert r.irreducible()
+        assert r.irreducibility_witness() >= 1e-8
 
     def test_out_of_spectrum(self):
         s = specfile.bundled("halving")
         with pytest.raises(OutOfSpectrum):
-            spectra.rep_pi_y_k(s.system, s.potential, F(3, 4), 1)
+            spectra.FiberRep(s.system, s.potential, F(3, 4), 1)
 
 
 class TestQuasiOrbits:

@@ -107,29 +107,29 @@ class TestApply:
         h = tr.TransferHandle.create(s.system, s.potential)
         g = s.system.gph
         p = g.path_point(("e1",))
-        ind = tr.TestFunction.indicator(g.path_point(("e0", "e1")))
+        ind = tr.CylinderFunction.indicator(g.path_point(("e0", "e1")))
         # only the e0-prepend lands in the cylinder
         assert tr.apply(h, ind, p) == 1
-        ind1 = tr.TestFunction.indicator(g.path_point(("e1", "e1")))
+        ind1 = tr.CylinderFunction.indicator(g.path_point(("e1", "e1")))
         assert tr.apply(h, ind, p) + tr.apply(h, ind1, p) == 2
 
     def test_coarse_point_rejected(self):
         s = specfile.bundled("fullshift2")
         g = s.system.gph
-        fine = tr.TestFunction.indicator(g.path_point(("e0", "e1")))
+        fine = tr.CylinderFunction.indicator(g.path_point(("e0", "e1")))
         with pytest.raises(SupportViolation):
             fine.value(g.path_point(("e0",)))
 
     def test_disjoint_vertex_point_evaluates(self):
         g = specfile.bundled("loops2").system.gph
-        ind = tr.TestFunction.indicator(g.path_point(("b",)))
+        ind = tr.CylinderFunction.indicator(g.path_point(("b",)))
         assert ind.value(g.vertex_point("u")) == 0
         with pytest.raises(SupportViolation, match="coarser"):
             ind.value(g.vertex_point("v"))
 
     def test_backend_mismatch(self, tent_handle):
         with pytest.raises(ValidationError):
-            tr.apply(tent_handle, tr.TestFunction("graph"), F(1, 2))
+            tr.apply(tent_handle, tr.CylinderFunction(), F(1, 2))
 
 
 class TestFunctions:
@@ -145,7 +145,6 @@ class TestFunctions:
     def test_disagreeing_pieces_rejected(self):
         with pytest.raises(ValidationError):
             tr.TestFunction(
-                "interval",
                 pieces=(
                     (RationalInterval(0, F(1, 2)), 0, 1),
                     (RationalInterval(F(1, 2), 1), 0, 2),
@@ -159,21 +158,21 @@ class TestFunctions:
 
 class TestDuals:
     def test_atomic_pushforward(self, tent_handle):
-        mu = tr.AtomicMeasure("interval", ((F(1), F(1)),))
-        nu = tr.dual_apply(tent_handle, mu)
+        mu = tr.AtomicMeasure(((F(1), F(1)),))
+        nu = mu.dual(tent_handle)
         assert nu.atoms == ((F(1, 2), F(1)),)
-        nu2 = tr.dual_apply(tent_handle, nu)
+        nu2 = nu.dual(tent_handle)
         assert nu2.atoms == ((F(1, 4), F(1, 2)), (F(3, 4), F(1, 2)))
         assert nu2.total_mass() == 1
 
     def test_duality_pairing(self, tent_handle):
         # mu(L a) must equal (L* mu)(a), exactly
         a = tr.TestFunction.hat(F(3, 8), F(1, 8))
-        mu = tr.AtomicMeasure("interval", ((F(1, 3), F(2)), (F(7, 9), F(1))))
+        mu = tr.AtomicMeasure(((F(1, 3), F(2)), (F(7, 9), F(1))))
         lhs = sum(
             (m * tr.apply(tent_handle, a, y) for y, m in mu.atoms), F(0)
         )
-        assert lhs == tr.dual_apply(tent_handle, mu).integrate(a)
+        assert lhs == mu.dual(tent_handle).integrate(a)
 
     def test_ulam_columns_are_stochastic(self, tent_handle):
         m = tr.ulam_matrix(tent_handle, 8)
@@ -183,7 +182,7 @@ class TestDuals:
 
     def test_uniform_density_is_invariant(self, tent_handle):
         mu = tr.UlamMeasure(0, 1, (F(1),) * 16)
-        nu = tr.dual_apply(tent_handle, mu)
+        nu = mu.dual(tent_handle)
         assert nu.densities == (F(1),) * 16
         assert nu.total_mass() == 1
 

@@ -550,7 +550,7 @@ class TestWitnessNorms:
         g = shift2.system.gph
         anchor = g.path_point(("e0",) * 4)
         fns = [
-            tr.TestFunction.indicator(g.path_point(w))
+            tr.CylinderFunction.indicator(g.path_point(w))
             for w in (("e0",), ("e1",), ("e0", "e1"), ("e1", "e0"))
         ]
         for orbit, regular in vd.sampled_witness_norms(handle, anchor, 5, 3, fns):
