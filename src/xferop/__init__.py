@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
     XferopError,
 )
-from .intervals import Fraction, IntervalSet, RationalInterval, frac, frac_str
+from .intervals import Fraction, IntervalSet, Q, RationalInterval, frac, frac_str
 
 __version__ = "0.1.0"
 
@@ -39,6 +39,7 @@ __all__ = [
     "OutOfDomain",
     "OutOfSpectrum",
     "ParseError",
+    "Q",
     "RationalInterval",
     "SupportViolation",
     "UnsupportedPotential",

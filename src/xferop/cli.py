@@ -34,7 +34,7 @@ from . import thermo as th
 from . import transfer as tr
 from . import verdicts as vd
 from .errors import ParseError, ValidationError, XferopError, NoSolution
-from .intervals import IntervalSet, frac, frac_str
+from .intervals import IntervalSet, Q, frac, frac_str
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -255,7 +255,7 @@ def _battery_fns(handle: tr.TransferHandle, rng: random.Random, size: int):
     if handle.system.backend == "interval":
         return th._battery_functions(handle, rng, size)
     g = handle.system.gph
-    coeffs = (Fraction(1), Fraction(1, 2), Fraction(2, 3))
+    coeffs = (Q(1), Q(1, 2), Q(2, 3))
     # tree nodes can be as short as the anchor word, so stick to length-one
     # cylinders and vertex indicators, which evaluate at every genuine word
     verts = tuple(g.vertex_point(v) for v in g.vertices)
@@ -617,7 +617,8 @@ def check(prop, spec_arg, out, fmt, depth):
 @click.option("--psi", "psi_arg", default=None, help="energy: one, zero, spec, or p/q")
 @click.option("--bins", default=256, show_default=True)
 @click.option("--bracket", default="0.1,3.0", show_default=True, metavar="LO,HI")
-@click.option("--tol", default=1e-8, show_default=True, help="battery residual tolerance")
+@click.option("--tol", default=None, type=float,
+              help="residual tolerance; default the candidate's own with --check, 1e-8 when solving")
 @click.option("--check", "check_path", default=None, type=click.Path(exists=True, dir_okay=False),
               help="verify an existing candidate file instead of solving")
 @click.option("--candidate-out", default=None, type=click.Path(dir_okay=False),
@@ -633,6 +634,8 @@ def conformal(spec_arg, out, fmt, psi_arg, bins, bracket, tol, check_path, candi
 
     if check_path is not None:
         beta, mu, doc = _load_candidate(check_path, spec.system)
+        if tol is None:
+            tol = mu.residual_tol()
         rpt.line(f"candidate: {check_path}")
         rpt.line(f"beta: {beta!r}")
         report = th.conformal_residual(handle, psi, beta, mu, _verify_fns(handle))
@@ -645,6 +648,8 @@ def conformal(spec_arg, out, fmt, psi_arg, bins, bracket, tol, check_path, candi
         rpt.emit(fmt, out)
         raise SystemExit(EXIT_HOLDS if ok else EXIT_FAILS)
 
+    if tol is None:
+        tol = 1e-8
     try:
         cand = th.solve_conformal(handle, psi, bins=bins, bracket=_bracket_of(bracket))
     except NoSolution as e:
@@ -868,7 +873,7 @@ def groupoid_graph_gen(spec_arg, out, fmt, depth, anchor, lam, tol):
         raise ValidationError("edge generators need a graph backend")
     g = spec.system.gph
     if lam is None:
-        weights = {e.name: Fraction(1) for e in g.edges}
+        weights = {e.name: Q(1) for e in g.edges}
     else:
         weights = {}
         for part in lam.split(","):

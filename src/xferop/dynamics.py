@@ -52,6 +52,7 @@ from .errors import (
 )
 from .intervals import (
     IntervalSet,
+    Q,
     RationalInterval,
     Rationalish,
     accumulates_at,
@@ -795,7 +796,7 @@ def preimages(
         raise ValidationError("n must be nonnegative")
     system.check_depth(n)
     f = system.map
-    level: list[tuple[Point, Fraction]] = [(f.point(y), Fraction(1))]
+    level: list[tuple[Point, Fraction]] = [(f.point(y), Q(1))]
     for _ in range(n):
         nxt = []
         for z, w in level:
@@ -812,7 +813,7 @@ def cocycle(system: PartialSystem, pot: Potential, n: int, x: Point) -> Fraction
     if n < 0:
         raise ValidationError("n must be nonnegative")
     system.check_depth(n)
-    out = Fraction(1)
+    out = Q(1)
     f = system.map
     z = f.point(x)
     for step in range(n):
@@ -1010,7 +1011,7 @@ def power(system: PartialSystem, pot: Potential, n: int) -> tuple[PartialSystem,
         for p in gph.words(n):
             name = ".".join(p.word)
             new_edges.append(GraphEdge(name, p.end, p.rng))
-            w = Fraction(1)
+            w = Q(1)
             for e in p.word:
                 w *= wmap[e]
             new_weights.append((name, w))
@@ -1033,7 +1034,7 @@ def power(system: PartialSystem, pot: Potential, n: int) -> tuple[PartialSystem,
             override_pts.add(comp.domain.lo)
             continue
         cuts: set[Fraction] = {comp.domain.lo, comp.domain.hi}
-        slope_k, icpt_k = Fraction(1), Fraction(0)  # phi^k as affine map on comp.domain
+        slope_k, icpt_k = Q(1), Q(0)  # phi^k as affine map on comp.domain
         for k in range(n):
             if k > 0:
                 b = sys_.branches[comp.chain[k - 1]]
@@ -1052,7 +1053,7 @@ def power(system: PartialSystem, pot: Potential, n: int) -> tuple[PartialSystem,
             mid = (lo + hi) / 2
             # factor k: weight of phi^k(x), affine in x on this cell
             factors = []
-            slope_k, icpt_k = Fraction(1), Fraction(0)
+            slope_k, icpt_k = Q(1), Q(0)
             for k in range(n):
                 if k > 0:
                     b = sys_.branches[comp.chain[k - 1]]
@@ -1069,7 +1070,7 @@ def power(system: PartialSystem, pot: Potential, n: int) -> tuple[PartialSystem,
                     "chained weight leaves the affine class on "
                     f"{RationalInterval(lo, hi)}; {len(nonconst)} non-constant factors"
                 )
-            m_total, c_total = Fraction(0), Fraction(1)
+            m_total, c_total = Q(0), Q(1)
             for fm, fc in factors:
                 if fm == 0:
                     c_total *= fc
@@ -1088,7 +1089,7 @@ def power(system: PartialSystem, pot: Potential, n: int) -> tuple[PartialSystem,
         if any(iv.contains(x) for iv, _, _ in pieces):
             overrides.append((x, val))
         else:
-            pieces.append((RationalInterval.point(x), Fraction(0), val))
+            pieces.append((RationalInterval.point(x), Q(0), val))
     new_pot = IntervalPotential(tuple(pieces), overrides=tuple(overrides))
     return ps, new_pot
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,6 +28,7 @@ from . import rep
 from . import transfer as tr
 from .dynamics import GraphPotential, PartialSystem, Potential
 from .errors import NotLocalHomeo, OutOfDomain, ValidationError
+from .intervals import Q
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +505,7 @@ def graph_generators(
     for e in gph.edges:
         if e.name not in lam:
             raise ValidationError(f"edge {e.name} has no weight")
-        w = Fraction(lam[e.name])
+        w = Q(lam[e.name])
         if w <= 0:
             raise ValidationError(f"edge {e.name} needs a positive weight")
         weights.append((e.name, w))
@@ -523,7 +523,7 @@ def graph_generators(
     inner = (depths >= 1) & (depths <= depth - 1)
     for e in gph.edges:
         proj = basis.pi(tr.CylinderFunction.indicator(gph.path_point((e.name,))))
-        s = proj @ (float(Fraction(lam[e.name])) ** -0.5 * t)
+        s = proj @ (float(Q(lam[e.name])) ** -0.5 * t)
         fam[e.name] = s
         plain = _prepend_matrix(basis, e.name)
         residuals[f"shift:{e.name}"] = float(np.abs(s - plain).max())

@@ -5,33 +5,193 @@ endpoints, so every set operation here is exact.  ``RationalInterval`` is a
 single (possibly degenerate) interval with endpoint flags; ``IntervalSet``
 keeps a canonical sorted, merged tuple of them, which makes equality of set
 descriptions a plain tuple comparison.
+
+Every exact number in the package is a ``Q``: a ``Fraction`` subclass with no
+new state.  ``Fraction``'s operators go through ``numbers.Rational`` dispatch,
+which costs more than the integer arithmetic itself; ``Q``'s comparisons,
+``+ - * /`` (both sides), ``-``, ``+`` and ``abs`` read the numerator and
+denominator directly whenever the other operand is a ``Q`` or an ``int``.
+Any other operand goes to ``Fraction``'s own operator, and a ``Fraction``
+result comes back as a ``Q``, so mixed arithmetic stays fast afterwards.  A
+``Q`` is otherwise a ``Fraction``: ``isinstance`` holds, ``repr`` prints
+``Fraction(n, d)`` (certificates print through it), ``hash`` and ``==`` agree
+with a plain ``Fraction`` of the same value, so either finds the other in a
+dict, and division by zero raises ``ZeroDivisionError``.  ``frac`` and every
+constructor call in the package build ``Q``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Union
 
 from .errors import ValidationError
 
 Rationalish = Union[Fraction, int, str]
 
+_new = object.__new__
 
-def frac(value: Rationalish) -> Fraction:
-    """Coerce ints, Fractions and ``"p/q"`` strings to an exact Fraction.
+
+def _q(n: int, d: int) -> Q:
+    """The Q n/d, for coprime n and d > 0 (not checked)."""
+    x = _new(Q)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+def _wrap(r):
+    """A plain Fraction as a Q; anything else (float, NotImplemented) as is."""
+    return _q(r._numerator, r._denominator) if type(r) is Fraction else r
+
+
+# Kernels on reduced pairs with positive denominators, as in ``Fraction``.
+
+
+def _sum(na: int, da: int, nb: int, db: int) -> Q:
+    g = gcd(da, db)
+    if g == 1:
+        return _q(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _q(t, s * db)
+    return _q(t // g2, s * (db // g2))
+
+
+def _diff(na: int, da: int, nb: int, db: int) -> Q:
+    return _sum(na, da, -nb, db)
+
+
+def _prod(na: int, da: int, nb: int, db: int) -> Q:
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _q(na * nb, da * db)
+
+
+def _quot(na: int, da: int, nb: int, db: int) -> Q:
+    if nb == 0:
+        raise ZeroDivisionError(f"Fraction({na}, 0)")
+    return _prod(na, da, db, nb) if nb > 0 else _prod(na, da, -db, -nb)
+
+
+def _forward(kernel, name: str):
+    fallback = getattr(Fraction, name)
+
+    def op(a, b):
+        if type(b) is Q:
+            return kernel(a._numerator, a._denominator, b._numerator, b._denominator)
+        if type(b) is int:
+            return kernel(a._numerator, a._denominator, b, 1)
+        return _wrap(fallback(a, b))
+
+    op.__name__ = name
+    return op
+
+
+def _reverse(kernel, name: str):
+    # a Q on the left never defers to its right operand, so b is never a Q
+    fallback = getattr(Fraction, name)
+
+    def op(a, b):
+        if type(b) is int:
+            return kernel(b, 1, a._numerator, a._denominator)
+        return _wrap(fallback(a, b))
+
+    op.__name__ = name
+    return op
+
+
+def _compare(name: str):
+    cmp, fallback = getattr(operator, name), getattr(Fraction, name)
+
+    def op(a, b):
+        if type(b) is Q:
+            return cmp(a._numerator * b._denominator, b._numerator * a._denominator)
+        if type(b) is int:
+            return cmp(a._numerator, b * a._denominator)
+        return fallback(a, b)
+
+    op.__name__ = name
+    return op
+
+
+def _deferred(name: str):
+    fallback = getattr(Fraction, name)
+
+    def op(a, b):
+        return _wrap(fallback(a, b))
+
+    op.__name__ = name
+    return op
+
+
+class Q(Fraction):
+    """An exact rational with fast paths for ``Q`` and ``int`` operands.
+
+    Built like a ``Fraction``: ``Q(1, 3)``, ``Q("1/3")``, ``Q(2)``.
+    """
+
+    __slots__ = ()
+    # defining __eq__ would otherwise set __hash__ to None
+    __hash__ = Fraction.__hash__
+
+    __lt__, __le__ = _compare("__lt__"), _compare("__le__")
+    __gt__, __ge__ = _compare("__gt__"), _compare("__ge__")
+    __add__, __radd__ = _forward(_sum, "__add__"), _reverse(_sum, "__radd__")
+    __sub__, __rsub__ = _forward(_diff, "__sub__"), _reverse(_diff, "__rsub__")
+    __mul__, __rmul__ = _forward(_prod, "__mul__"), _reverse(_prod, "__rmul__")
+    __truediv__ = _forward(_quot, "__truediv__")
+    __rtruediv__ = _reverse(_quot, "__rtruediv__")
+    __mod__, __rmod__ = _deferred("__mod__"), _deferred("__rmod__")
+    __pow__, __rpow__ = _deferred("__pow__"), _deferred("__rpow__")
+
+    def __eq__(a, b):
+        if type(b) is Q:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if type(b) is int:
+            return a._denominator == 1 and a._numerator == b
+        return Fraction.__eq__(a, b)
+
+    def __neg__(a):
+        return _q(-a._numerator, a._denominator)
+
+    def __pos__(a):
+        return a
+
+    def __abs__(a):
+        return a if a._numerator >= 0 else _q(-a._numerator, a._denominator)
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+
+def frac(value: Rationalish) -> Q:
+    """Coerce ints, Fractions and ``"p/q"`` strings to an exact ``Q``.
 
     Floats are rejected on purpose: they would silently break exactness.
     """
-    if isinstance(value, Fraction):
+    if type(value) is Q:
         return value
+    if isinstance(value, Fraction):
+        return _q(value.numerator, value.denominator)
     if isinstance(value, bool):
         raise ValidationError("bool is not a rational value")
     if isinstance(value, int):
-        return Fraction(value)
+        return _q(int(value), 1)
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            return Q(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"cannot parse rational {value!r}: {exc}") from exc
     raise ValidationError(f"expected a rational value, got {value!r}")
@@ -235,7 +395,7 @@ class IntervalSet:
         return any(iv.contains(x) for iv in self.intervals)
 
     def measure(self) -> Fraction:
-        return sum((iv.length for iv in self.intervals), Fraction(0))
+        return sum((iv.length for iv in self.intervals), Q(0))
 
     def component_containing(self, x: Rationalish) -> RationalInterval | None:
         x = frac(x)
@@ -345,7 +505,7 @@ class IntervalSet:
         if comp is None:
             return None
         dists = [d for d in (x - comp.lo, comp.hi - x) if d > 0]
-        return min(dists) if dists else Fraction(1)
+        return min(dists) if dists else Q(1)
 
     def nondegenerate(self) -> "IntervalSet":
         return IntervalSet(iv for iv in self.intervals if not iv.is_point)

@@ -21,7 +21,7 @@ from . import dynamics as dyn
 from . import transfer as tr
 from .dynamics import IntervalPotential, PartialSystem, Potential
 from .errors import EmptyBasis, UnsupportedPotential, ValidationError
-from .intervals import IntervalSet, RationalInterval, frac
+from .intervals import IntervalSet, Q, RationalInterval, frac
 
 # ---------------------------------------------------------------------------
 # pointwise function expressions
@@ -62,14 +62,14 @@ class FnExpr:
             try:
                 z = dyn.orbit(system, x, n)[-1]
             except dyn.OutOfDomain:
-                return Fraction(0)
+                return Q(0)
             return self._fn(z)
 
         return FnExpr(val, f"alpha^{n}({self.label})")
 
     def transfer(self, system: PartialSystem, pot: Potential, n: int = 1) -> "FnExpr":
         def val(y):
-            total = Fraction(0)
+            total = Q(0)
             for x, w in dyn.preimages(system, pot, y, n):
                 if w != 0:
                     total += w * self._fn(x)
@@ -126,7 +126,7 @@ class OrbitBasis:
         self.nodes = tuple(nodes)
         self.parents = tuple(parents)
         self._weights = tuple(
-            pot.value(nd.point) if i > 0 else Fraction(0)
+            pot.value(nd.point) if i > 0 else Q(0)
             for i, nd in enumerate(self.nodes)
         )
 
@@ -345,12 +345,12 @@ def g_values(basis: OrbitBasis, mon: Monomial):
     out = []
     for nd in basis.nodes:
         if mon.up != mon.down:
-            out.append(Fraction(0))
+            out.append(Q(0))
             continue
         try:
             w = dyn.cocycle(basis.system, basis.potential, mon.up, nd.point)
         except dyn.OutOfDomain:
-            w = Fraction(0)
+            w = Q(0)
         v = w
         if mon.left is not None:
             v *= mon.left.value(nd.point)
@@ -411,7 +411,7 @@ def quasi_basis(system: PartialSystem, pot: Potential, region: Optional[Interval
                 pieces.append(
                     (
                         RationalInterval(left, g, False, g not in split),
-                        Fraction(1) / (g - left),
+                        Q(1) / (g - left),
                         -left / (g - left),
                     )
                 )
@@ -419,7 +419,7 @@ def quasi_basis(system: PartialSystem, pot: Potential, region: Optional[Interval
                 pieces.append(
                     (
                         RationalInterval(g, right, True, False),
-                        Fraction(-1) / (right - g),
+                        Q(-1) / (right - g),
                         right / (right - g),
                     )
                 )

@@ -26,7 +26,7 @@ from .errors import (
     OutOfSpectrum,
     ValidationError,
 )
-from .intervals import IntervalSet, RationalInterval
+from .intervals import IntervalSet, Q, RationalInterval
 
 
 @dataclass(frozen=True)
@@ -159,34 +159,39 @@ def check_generator(system: PartialSystem, pot: Potential, tup: TopologyTuple) -
         # graph tuples are shift preimages level by level; re-derive and compare
         sets = tup.sets
         return all(sets[k] == system.gph.preimage_of(sets[k + 1]) for k in range(n))
-    sys_ = system.ival
+    reg = dyn.regular_set(system, pot).delta_reg
+    return _is_generator(system.ival, reg, _level_spaces(system, pot, n), tup)
+
+
+def _level_spaces(system: PartialSystem, pot: Potential, n: int) -> list:
+    return [level_space(system, pot, k) for k in range(n + 1)]
+
+
+def _is_generator(sys_, reg: IntervalSet, spaces: list, tup: TopologyTuple) -> bool:
+    """``check_generator`` on an interval system, given its level spaces."""
     space = sys_.space
-    report = dyn.regular_set(system, pot)
-    reg = report.delta_reg
-    for k, u in enumerate(tup.sets):
-        sk = level_space(system, pot, k)
+    for u, sk in zip(tup.sets, spaces):
         if not u.issubset(sk):
             return False
         if not u.is_open_in(space):
             return False
-    for k in range(n):
-        sk = level_space(system, pot, k)
+    for k in range(len(tup.sets) - 1):
         lhs = tup.sets[k].intersection(reg)
-        rhs = _attach_preimage(sys_, tup.sets[k + 1], reg, sk)
+        rhs = _attach_preimage(sys_, tup.sets[k + 1], reg, spaces[k])
         if lhs != rhs:
             return False
     return True
 
 
-def _build_generator(system, pot, reg, n, seed_level, seed_set, max_passes=32):
+def _build_generator(sys_, reg, spaces, seed_level, seed_set, max_passes=32):
     """Grow a compatible tuple from an open seed at one level.
 
-    Upward the seed must be saturated (the gluing map is not injective), so
-    passes repeat until the tuple stops changing; below the seed a single
-    restricted preimage per level is already exact.
+    ``spaces`` holds the level spaces 0..n.  Upward the seed must be
+    saturated (the gluing map is not injective), so passes repeat until the
+    tuple stops changing; below the seed a single restricted preimage per
+    level is already exact.
     """
-    sys_ = system.ival
-    spaces = [level_space(system, pot, k) for k in range(n + 1)]
+    n = len(spaces) - 1
     sets = [IntervalSet.empty() for _ in range(n + 1)]
     sets[seed_level] = seed_set.intersection(spaces[seed_level])
     for _ in range(max_passes):
@@ -217,10 +222,10 @@ def _build_generator(system, pot, reg, n, seed_level, seed_set, max_passes=32):
                 pulled = trial
         sets[k] = pulled
     tup = TopologyTuple(tuple(sets))
-    return tup if check_generator(system, pot, tup) else None
+    return tup if _is_generator(sys_, reg, spaces, tup) else None
 
 
-def spectrum_An(system: PartialSystem, pot: Potential, n: int, radius=Fraction(1, 8)):
+def spectrum_An(system: PartialSystem, pot: Potential, n: int, radius=Q(1, 8)):
     """Stratified spectrum description with pushout gluing generators."""
     val = tr.validate(system, pot)
     if not val.valid:
@@ -252,11 +257,9 @@ def spectrum_An(system: PartialSystem, pot: Potential, n: int, radius=Fraction(1
     report = dyn.regular_set(system, pot)
     reg = report.delta_reg
     irr = sys_.space.difference(reg)
-    strata = []
-    for k in range(n):
-        sk = level_space(system, pot, k)
-        strata.append(sk.intersection(irr))
-    strata.append(level_space(system, pot, n))
+    spaces = _level_spaces(system, pot, n)
+    strata = [sk.intersection(irr) for sk in spaces[:n]]
+    strata.append(spaces[n])
 
     for k in range(n):
         seen = set()
@@ -284,7 +287,7 @@ def spectrum_An(system: PartialSystem, pot: Potential, n: int, radius=Fraction(1
                 seed = IntervalSet.of(
                     RationalInterval(p - r, p + r, False, False)
                 ).intersection(sys_.space)
-                tup = _build_generator(system, pot, reg, n, k, seed)
+                tup = _build_generator(sys_, reg, spaces, k, seed)
                 if tup is not None and tup.sets[k].contains(p):
                     gens.append(tup)
                     break
@@ -295,7 +298,7 @@ def spectrum_An(system: PartialSystem, pot: Potential, n: int, radius=Fraction(1
         r = min(radius, iv.length / 4)
         if r > 0:
             seed = IntervalSet.of(RationalInterval(m - r, m + r, False, False))
-            tup = _build_generator(system, pot, reg, n, n, seed)
+            tup = _build_generator(sys_, reg, spaces, n, seed)
             if tup is not None:
                 gens.append(tup)
 
@@ -367,7 +370,7 @@ class FiberRep:
             return [tr.CylinderFunction.indicator(x) for x in self.points]
         pts = sorted(set(self.points))
         gaps = [b - a for a, b in zip(pts, pts[1:])]
-        eps = min(gaps) / 2 if gaps else Fraction(1, 4)
+        eps = min(gaps) / 2 if gaps else Q(1, 4)
         return [tr.TestFunction.hat(x, eps) for x in self.points]
 
     def irreducibility_witness(self, seed: int = 7):

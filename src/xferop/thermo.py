@@ -55,7 +55,7 @@ from .errors import (
     UnsupportedPotential,
     ValidationError,
 )
-from .intervals import IntervalSet, RationalInterval, accumulates_at, frac, frac_str
+from .intervals import IntervalSet, Q, RationalInterval, accumulates_at, frac, frac_str
 from .verdicts import Verdict
 
 __all__ = [
@@ -133,7 +133,7 @@ class PotentialFunction:
     def const(system: PartialSystem, value) -> "PotentialFunction":
         v = frac(value)
         if system.backend == "interval":
-            pieces = tuple((iv, Fraction(0), v) for iv in system.ival.space.intervals)
+            pieces = tuple((iv, Q(0), v) for iv in system.ival.space.intervals)
             return PotentialFunction(system, IntervalPotential(pieces, allow_negative=True))
         weights = tuple((e.name, v) for e in system.gph.edges)
         return PotentialFunction(system, GraphPotential(weights, allow_negative=True))
@@ -152,9 +152,9 @@ class PotentialFunction:
         if n < 0:
             raise ValidationError("n must be nonnegative")
         if n == 0:
-            return Fraction(0)
+            return Q(0)
         pts = dyn.orbit(self.system, x, n - 1)
-        return sum((self.value(z) for z in pts), Fraction(0))
+        return sum((self.value(z) for z in pts), Q(0))
 
     def constant_value(self) -> Optional[Fraction]:
         """The single value when the energy is constant, else None."""
@@ -231,8 +231,8 @@ class EnergyScan:
 
 def _birkhoff_windows(sys_, psi: PotentialFunction, comp) -> list:
     """Affine pieces of the n-step energy sum on one composite domain."""
-    windows = [(comp.domain, Fraction(0), Fraction(0))]
-    mk, bk = Fraction(1), Fraction(0)  # prefix map phi^k on the composite domain
+    windows = [(comp.domain, Q(0), Q(0))]
+    mk, bk = Q(1), Q(0)  # prefix map phi^k on the composite domain
     for k, idx in enumerate(comp.chain):
         nxt = []
         for win, A, B in windows:
@@ -266,7 +266,7 @@ def check_positive_energy(system: PartialSystem, psi: PotentialFunction, depth: 
         for n in range(1, depth + 1):
             for p in system.gph.words(n):
                 scanned += 1
-                s = sum((wmap[e] for e in p.word), Fraction(0))
+                s = sum((wmap[e] for e in p.word), Q(0))
                 if s == 0:
                     return Verdict(
                         "PositiveEnergy",
@@ -335,11 +335,11 @@ class GridFunction:
             if p == x:
                 return v
         if x < self.nodes[0] or x > self.nodes[-1]:
-            return Fraction(0)
+            return Q(0)
         for (u, v_), (c0, c1, c2) in zip(zip(self.nodes, self.nodes[1:]), self.cells):
             if u < x < v_:
                 return c0 + c1 * x + c2 * x * x
-        return Fraction(0)
+        return Q(0)
 
 
 def _fn_grid(a: tr.TestFunction, carrier: RationalInterval) -> GridFunction:
@@ -352,7 +352,7 @@ def _fn_grid(a: tr.TestFunction, carrier: RationalInterval) -> GridFunction:
     cells = []
     for u, v in zip(nodes, nodes[1:]):
         hit = dyn._piece_at(a.pieces, (u + v) / 2)
-        cells.append((hit[1], hit[0], Fraction(0)) if hit else (Fraction(0),) * 3)
+        cells.append((hit[1], hit[0], Q(0)) if hit else (Q(0),) * 3)
     return GridFunction(nodes, tuple(cells), tuple(a.value(p) for p in nodes))
 
 
@@ -363,13 +363,13 @@ def _pot_grid(pot: Potential, carrier: RationalInterval) -> GridFunction:
     cells = []
     for u, v in zip(nodes, nodes[1:]):
         hit = dyn._piece_at(pot.pieces, (u + v) / 2)
-        cells.append((hit[1], hit[0], Fraction(0)) if hit else (Fraction(0),) * 3)
+        cells.append((hit[1], hit[0], Q(0)) if hit else (Q(0),) * 3)
     vals = []
     for p in nodes:
         try:
             vals.append(pot.value(p))
         except ValidationError:
-            vals.append(Fraction(0))
+            vals.append(Q(0))
     return GridFunction(nodes, tuple(cells), tuple(vals))
 
 
@@ -381,11 +381,11 @@ def _grid_product(f: GridFunction, g: GridFunction) -> GridFunction:
 
         def coeffs(h: GridFunction):
             if mid < h.nodes[0] or mid > h.nodes[-1]:
-                return (Fraction(0),) * 3
+                return (Q(0),) * 3
             for (a_, b_), c in zip(zip(h.nodes, h.nodes[1:]), h.cells):
                 if a_ < mid < b_:
                     return c
-            return (Fraction(0),) * 3
+            return (Q(0),) * 3
 
         f0, f1, f2 = coeffs(f)
         g0, g1, g2 = coeffs(g)
@@ -425,7 +425,7 @@ def _transfer_grid(handle: tr.TransferHandle, a: tr.TestFunction) -> GridFunctio
     cells = []
     for u, v in zip(nodes, nodes[1:]):
         ym = (u + v) / 2
-        c0, c1, c2 = Fraction(0), Fraction(0), Fraction(0)
+        c0, c1, c2 = Q(0), Q(0), Q(0)
         for br in sys_.branches:
             if br.slope == 0:
                 continue  # constant branch: fiber is a set, not a point family
@@ -471,7 +471,7 @@ def _fiber_sum_grid(handle: tr.TransferHandle, a: tr.TestFunction) -> GridFuncti
     cells = []
     for u, v in zip(nodes, nodes[1:]):
         ym = (u + v) / 2
-        c0, c1 = Fraction(0), Fraction(0)
+        c0, c1 = Q(0), Q(0)
         for br in sys_.branches:
             if br.slope == 0:
                 continue
@@ -484,10 +484,10 @@ def _fiber_sum_grid(handle: tr.TransferHandle, a: tr.TestFunction) -> GridFuncti
             ma, ca = fa
             c1 += ma / br.slope
             c0 += ca - ma * br.intercept / br.slope
-        cells.append((c0, c1, Fraction(0)))
+        cells.append((c0, c1, Q(0)))
     vals = []
     for p in nodes:
-        vals.append(sum((a.value(x) for x in sys_.fiber(p)), Fraction(0)))
+        vals.append(sum((a.value(x) for x in sys_.fiber(p)), Q(0)))
     return GridFunction(nodes, tuple(cells), tuple(vals))
 
 
@@ -531,7 +531,7 @@ class CascadeMeasure:
     def level_sum(self, g: GridFunction, n: int) -> Fraction:
         if self.dyadic:
             return _dyadic_level_sum(g, self.lo, self.hi, n)
-        return sum((g.value(x) for x in self.levels[n]), Fraction(0))
+        return sum((g.value(x) for x in self.levels[n]), Q(0))
 
     def integrate_grid(self, g: GridFunction) -> float:
         return math.fsum(
@@ -572,7 +572,7 @@ def _dyadic_level_sum(g: GridFunction, lo: Fraction, hi: Fraction, n: int) -> Fr
     # atoms x_j = lo + (2j+1) step, step = (hi-lo)/2^(n+1), j = 0..2^n-1
     step = (hi - lo) / (1 << (n + 1))
     jmax = (1 << n) - 1
-    total = Fraction(0)
+    total = Q(0)
     for (u, v), (c0, c1, c2) in zip(zip(g.nodes, g.nodes[1:]), g.cells):
         if c0 == 0 and c1 == 0 and c2 == 0:
             continue
@@ -583,8 +583,8 @@ def _dyadic_level_sum(g: GridFunction, lo: Fraction, hi: Fraction, n: int) -> Fr
         if j1 < j0:
             continue
         count = j1 - j0 + 1
-        s1 = Fraction((j0 + j1) * count, 2)
-        s2 = Fraction(j1 * (j1 + 1) * (2 * j1 + 1) - (j0 - 1) * j0 * (2 * j0 - 1), 6)
+        s1 = Q((j0 + j1) * count, 2)
+        s2 = Q(j1 * (j1 + 1) * (2 * j1 + 1) - (j0 - 1) * j0 * (2 * j0 - 1), 6)
         p = lo + step
         q = 2 * step
         sx = count * p + q * s1
@@ -721,7 +721,7 @@ def _rho_or_zero(pot: Potential, x: Fraction) -> Fraction:
     try:
         return pot.value(x)
     except ValidationError:
-        return Fraction(0)
+        return Q(0)
 
 
 def _psi_exp(psi: PotentialFunction, beta: float, x) -> float:
@@ -923,7 +923,7 @@ def _check_weak_support(handle, a: tr.Function):
 
 
 def _bare_sum(handle, a: tr.Function, y) -> Fraction:
-    return sum((a.value(x) for x in handle.system.map.fiber(y)), Fraction(0))
+    return sum((a.value(x) for x in handle.system.map.fiber(y)), Q(0))
 
 
 def _weak_pair(tab: _StateTable, a: tr.Function) -> tuple[float, float, Optional[float]]:
@@ -1196,16 +1196,16 @@ def _vector_measure(handle, vec: np.ndarray, bins: int, psi=None, beta: float = 
         wmap = psi.carrier.weight_map()
         raw = []
         for e in sorted(gph.edges, key=lambda e: e.name):
-            m = Fraction(abs(float(vec[idx[e.src]]))) * Fraction(
+            m = Q(abs(float(vec[idx[e.src]]))) * Q(
                 math.exp(-beta * float(wmap[e.name]))
             )
             raw.append((gph.path_point((e.name,)), m))
-        total = sum((m for _, m in raw), Fraction(0))
+        total = sum((m for _, m in raw), Q(0))
         if total == 0:
             raise NoSolution("eigenvector collapsed to zero", {})
         return tr.AtomicMeasure(tuple((p, m / total) for p, m in raw))
-    weights = [Fraction(abs(float(x))) for x in vec]
-    total = sum(weights, Fraction(0))
+    weights = [Q(abs(float(x))) for x in vec]
+    total = sum(weights, Q(0))
     if total == 0:
         raise NoSolution("eigenvector collapsed to zero", {})
     weights = [x / total for x in weights]
@@ -1225,7 +1225,7 @@ def tv_distance(mu1: tr.UlamMeasure, mu2: tr.UlamMeasure) -> Fraction:
         raise ValidationError("total variation needs matching bin grids")
     w = (mu1.hi - mu1.lo) / mu1.bins
     return sum(
-        (abs(a - b) * w for a, b in zip(mu1.densities, mu2.densities)), Fraction(0)
+        (abs(a - b) * w for a, b in zip(mu1.densities, mu2.densities)), Q(0)
     ) / 2
 
 
@@ -1374,8 +1374,8 @@ def _battery_functions(handle, rng: random.Random, size: int) -> list[tr.TestFun
         tr.TestFunction.hat(lo + 3 * width / 4, width / 4, 1),
     ]
     while len(out) < size:
-        r = width * Fraction(1, rng.choice((3, 4, 6)))
-        c = lo + width * Fraction(rng.randrange(2, 15), 16)
+        r = width * Q(1, rng.choice((3, 4, 6)))
+        c = lo + width * Q(rng.randrange(2, 15), 16)
         c = min(max(c, lo + r), hi - r)
         out.append(tr.TestFunction.hat(c, r, 1))
     return out
@@ -1477,7 +1477,7 @@ def core_kms_check(
 # ---------------------------------------------------------------------------
 
 
-def irregular_hat(handle: tr.TransferHandle, radius=Fraction(1, 4)) -> tr.TestFunction:
+def irregular_hat(handle: tr.TransferHandle, radius=Q(1, 4)) -> tr.TestFunction:
     """Hat of height one peaked at the unique irregular point.
 
     Strong and weak eigen-measure identities see atoms at that point very
@@ -1500,7 +1500,7 @@ def hat_battery(region: IntervalSet, count: int) -> list[tr.TestFunction]:
         iv = comps[i % len(comps)]
         k = i // len(comps) + 2
         width = iv.hi - iv.lo
-        c = iv.lo + width * Fraction(2 * (i % (k + 1)) + 1, 2 * (k + 1))
+        c = iv.lo + width * Q(2 * (i % (k + 1)) + 1, 2 * (k + 1))
         r = width / (2 * (k + 1))
         c, r = frac(c), frac(r)
         # keep the closed support strictly inside the open component

@@ -35,7 +35,15 @@ from typing import Optional, Sequence, Union
 from . import dynamics as dyn
 from .dynamics import PartialSystem, PathPoint, Potential
 from .errors import NotValidated, SupportViolation, ValidationError
-from .intervals import IntervalSet, RationalInterval, Rationalish, accumulates_at, frac, frac_str
+from .intervals import (
+    IntervalSet,
+    Q,
+    RationalInterval,
+    Rationalish,
+    accumulates_at,
+    frac,
+    frac_str,
+)
 
 # ---------------------------------------------------------------------------
 # test functions
@@ -71,7 +79,7 @@ class TestFunction:
 
     @staticmethod
     def const_on(iv: RationalInterval, value: Rationalish) -> "TestFunction":
-        return TestFunction(((iv, Fraction(0), frac(value)),))
+        return TestFunction(((iv, Q(0), frac(value)),))
 
     @staticmethod
     def affine_on(iv: RationalInterval, slope, intercept) -> "TestFunction":
@@ -93,7 +101,7 @@ class TestFunction:
         x = frac(x)
         vals = {m * x + c for iv, m, c in self.pieces if iv.contains(x)}
         if not vals:
-            return Fraction(0)
+            return Q(0)
         return vals.pop()
 
     def support(self) -> IntervalSet:
@@ -111,7 +119,7 @@ class TestFunction:
 
     def sup_norm_bound(self) -> Fraction:
         """Exact sup of |values| on the pieces."""
-        best = Fraction(0)
+        best = Q(0)
         for iv, m, c in self.pieces:
             for e in (iv.lo, iv.hi):
                 best = max(best, abs(m * e + c))
@@ -147,7 +155,7 @@ class CylinderFunction:
         return CylinderFunction(((p, frac(coeff)),))
 
     def value(self, p: PathPoint) -> Fraction:
-        out = Fraction(0)
+        out = Q(0)
         for cyl, w in self.cylinders:
             if cyl.contains(p):
                 out += w
@@ -167,7 +175,7 @@ class CylinderFunction:
 
     def sup_norm_bound(self) -> Fraction:
         """The sum of |coefficients|."""
-        return sum((abs(w) for _, w in self.cylinders), Fraction(0))
+        return sum((abs(w) for _, w in self.cylinders), Q(0))
 
     def scaled(self, t: Rationalish) -> "CylinderFunction":
         t = frac(t)
@@ -244,7 +252,7 @@ def validate(system: PartialSystem, pot: Potential) -> TransferValidation:
             if wmap[e.name] <= 0:
                 raise ValidationError(f"edge weight for {e.name} must be positive")
         norm = max(
-            sum((wmap[e.name] for e in gph.prependable(v)), Fraction(0))
+            sum((wmap[e.name] for e in gph.prependable(v)), Q(0))
             for v in gph.vertices
         )
         return TransferValidation(valid=True, norm=norm, defects=())
@@ -259,10 +267,10 @@ def validate(system: PartialSystem, pot: Potential) -> TransferValidation:
         missing = delta.difference(cover)
         return TransferValidation(
             valid=False,
-            norm=Fraction(0),
+            norm=Q(0),
             defects=(
                 ValidationDefect(
-                    missing.min(), missing.min(), 0, Fraction(0), Fraction(0), "uncovered", True
+                    missing.min(), missing.min(), 0, Q(0), Q(0), "uncovered", True
                 ),
             ),
             warnings=(f"weight pieces do not cover the domain; missing {missing}",),
@@ -272,7 +280,7 @@ def validate(system: PartialSystem, pot: Potential) -> TransferValidation:
     for e in sorted(breaks):
         if delta.contains(e) and pot.value(e) < 0:
             defects.append(
-                ValidationDefect(e, e, 0, Fraction(0), pot.value(e), "negative", True)
+                ValidationDefect(e, e, 0, Q(0), pot.value(e), "negative", True)
             )
 
     candidates = {x for x in breaks | set(sys_.critical_points()) if delta.contains(x)}
@@ -294,7 +302,7 @@ def validate(system: PartialSystem, pot: Potential) -> TransferValidation:
                     t_g = g.side * (1 if slope > 0 else -1)
                     if t_g == t:
                         arriving.append(g)
-                s_sum = Fraction(0)
+                s_sum = Q(0)
                 bad_side = False
                 for g in arriving:
                     lim = pot.one_sided_limit(x0, g.side)
@@ -304,10 +312,10 @@ def validate(system: PartialSystem, pot: Potential) -> TransferValidation:
                         s_sum += lim
                 if bad_side:
                     defects.append(
-                        ValidationDefect(x0, y0, t, Fraction(0), Fraction(0), "uncovered", True)
+                        ValidationDefect(x0, y0, t, Q(0), Q(0), "uncovered", True)
                     )
                     continue
-                v = pot.value(x0) if own == y0 else Fraction(0)
+                v = pot.value(x0) if own == y0 else Q(0)
                 if s_sum != v:
                     fatal = own == y0
                     kind = "collision_sum" if len(arriving) >= 2 else (
@@ -345,9 +353,9 @@ def _exact_norm(sys_: dyn.IntervalSystem, pot: Potential) -> Fraction:
                 crit.add(b.value(x))
 
     def fiber_sum(y: Fraction) -> Fraction:
-        return sum((pot.value(x) for x in sys_.fiber(y)), Fraction(0))
+        return sum((pot.value(x) for x in sys_.fiber(y)), Q(0))
 
-    best = Fraction(0)
+    best = Q(0)
     pts = sorted(c for c in crit if sys_.space.contains(c))
     for y0 in pts:
         best = max(best, fiber_sum(y0))
@@ -395,7 +403,7 @@ def apply(handle: TransferHandle, a: Function, y, n: int = 1) -> Fraction:
     """Exact value of the n-fold weighted fiber sum of a at y."""
     if a.backend != handle.system.backend:
         raise ValidationError("function backend does not match the system")
-    total = Fraction(0)
+    total = Q(0)
     for x, w in dyn.preimages(handle.system, handle.potential, y, n):
         if w == 0:
             continue
@@ -410,9 +418,9 @@ def transfer_identity_check(
     points: Sequence,
 ) -> Fraction:
     """Max residual of L(a * (b o phi)) = L(a) * b over sample points."""
-    worst = Fraction(0)
+    worst = Q(0)
     for y in points:
-        lhs = Fraction(0)
+        lhs = Q(0)
         for x, w in dyn.preimages(handle.system, handle.potential, y, 1):
             if w == 0:
                 continue
@@ -440,15 +448,15 @@ class AtomicMeasure:
         object.__setattr__(self, "atoms", atoms)
 
     def total_mass(self) -> Fraction:
-        return sum((m for _, m in self.atoms), Fraction(0))
+        return sum((m for _, m in self.atoms), Q(0))
 
     def integrate(self, a: Function) -> Fraction:
-        return sum((m * a.value(x) for x, m in self.atoms), Fraction(0))
+        return sum((m * a.value(x) for x, m in self.atoms), Q(0))
 
     def merged(self) -> "AtomicMeasure":
         acc: dict = {}
         for x, m in self.atoms:
-            acc[x] = acc.get(x, Fraction(0)) + m
+            acc[x] = acc.get(x, Q(0)) + m
         items = sorted(acc.items())
         return AtomicMeasure(tuple((x, m) for x, m in items if m != 0))
 
@@ -498,7 +506,7 @@ class UlamMeasure:
 
     def total_mass(self) -> Fraction:
         w = (self.hi - self.lo) / self.bins
-        return sum((d * w for d in self.densities), Fraction(0))
+        return sum((d * w for d in self.densities), Q(0))
 
     def quadrature(self, pts: int) -> list:
         """One group: the pts-point midpoint rule in every bin of nonzero density."""
@@ -514,7 +522,7 @@ class UlamMeasure:
     def integrate_grid(self, g) -> float:
         """Exact integral of a piecewise-quadratic grid function, as a float."""
         w = (self.hi - self.lo) / self.bins
-        total = Fraction(0)
+        total = Q(0)
         for (u, v), (c0, c1, c2) in zip(zip(g.nodes, g.nodes[1:]), g.cells):
             if c0 == 0 and c1 == 0 and c2 == 0:
                 continue
@@ -544,7 +552,7 @@ class UlamMeasure:
         mat = ulam_matrix(handle, self.bins, self.lo, self.hi)
         k = self.bins
         new = [
-            sum((mat[i][j] * self.densities[i] for i in range(k)), Fraction(0))
+            sum((mat[i][j] * self.densities[i] for i in range(k)), Q(0))
             for j in range(k)
         ]
         return UlamMeasure(self.lo, self.hi, tuple(new))
@@ -563,7 +571,7 @@ class UlamMeasure:
 
 def integrate_potential(pot: Potential, s: IntervalSet) -> Fraction:
     """Exact integral of the weight over an interval set (overrides are null)."""
-    total = Fraction(0)
+    total = Q(0)
     for iv, m, c in pot.pieces:
         cut = s.intersection(IntervalSet.of(iv))
         for piece in cut.intervals:
@@ -594,7 +602,7 @@ def ulam_matrix(
         raise ValidationError("bad bin grid")
     w = (hi - lo) / bins
     grid = [RationalInterval(lo + i * w, lo + (i + 1) * w, True, i == bins - 1) for i in range(bins)]
-    mat = [[Fraction(0)] * bins for _ in range(bins)]
+    mat = [[Q(0)] * bins for _ in range(bins)]
     for b in sys_.branches:
         absm = abs(b.slope)
         for i, bi in enumerate(grid):

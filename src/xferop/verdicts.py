@@ -20,7 +20,7 @@ from . import dynamics as dyn
 from . import transfer as tr
 from .dynamics import CylinderSet, PartialSystem, PathPoint, Potential
 from .errors import OutOfDomain, ValidationError, XferopError
-from .intervals import IntervalSet, RationalInterval, frac
+from .intervals import IntervalSet, Q, RationalInterval, frac
 from .rep import OrbitBasis
 
 PROPERTIES = (
@@ -237,7 +237,7 @@ def check_top_free(system: PartialSystem, pot: Potential, depth: int = 8) -> Ver
             if comp.slope != 1 or comp.intercept != 0:
                 continue
             stay = IntervalSet.of(comp.domain)
-            m, c = Fraction(1), Fraction(0)
+            m, c = Q(1), Q(0)
             for idx in comp.chain:
                 stay = stay.intersection(_affine_preimage(reg, m, c))
                 b = sys_.branches[idx]
@@ -479,7 +479,7 @@ def _inverse_orbit_dense(
 ) -> tuple[bool, int, Fraction]:
     """Truncated density of the regular inverse orbit of x0, exact gaps."""
     _, space, _, reg = _regions(system, pot)
-    res = Fraction(1, 2 ** min(depth, 8))
+    res = Q(1, 2 ** min(depth, 8))
     pts = {x0}
     level = [x0]
     for _ in range(min(depth, 10)):
@@ -564,7 +564,7 @@ def check_contracting(system: PartialSystem, pot: Potential, depth: int = 8) -> 
                 scales.append(cand)
             if ok and scales:
                 x0 = gph.path_point(cyc * max(1, min(depth // len(cyc), 6)))
-                cert = ContractingCert(x0, 0, Fraction(1, 2**depth), tuple(scales))
+                cert = ContractingCert(x0, 0, Q(1, 2**depth), tuple(scales))
                 return Verdict("Contracting", "Holds", cert, depth)
         return Verdict("Contracting", "Unknown", None, depth)
 
@@ -583,7 +583,7 @@ def check_contracting(system: PartialSystem, pot: Potential, depth: int = 8) -> 
         )
     lo, hi = space.min(), space.max()
     width = hi - lo
-    candidates = [lo + width * q for q in (Fraction(1, 3), Fraction(2, 3), Fraction(1, 5), Fraction(2, 5))]
+    candidates = [lo + width * q for q in (Q(1, 3), Q(2, 3), Q(1, 5), Q(2, 5))]
     for x0 in candidates:
         if not reg.contains(x0):
             continue

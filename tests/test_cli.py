@@ -71,6 +71,22 @@ def _candidate(tmp_path, spec):
     return path
 
 
+@pytest.mark.parametrize("tol, code, verdict", [(None, 0, "yes"), ("1e-12", 1, "no")])
+def test_conformal_check_defaults_to_the_candidate_tolerance(tmp_path, tol, code, verdict):
+    # a 256-bin candidate on a varying energy has residuals ~1e-3, inside
+    # its own tolerance 1e-5 + 10/bins and far outside the solve's 1e-8
+    spec = _spec_with_energy_x(tmp_path)
+    cand = str(tmp_path / "cand_tent_x.json")
+    solve = ["conformal", "--spec", spec, "--bracket", "0.5,6.0", "--bins", "256", "--candidate-out", cand]
+    result = CliRunner().invoke(main, solve)
+    assert result.exit_code == 0, result.output
+    check = ["conformal", "--spec", spec, "--check", cand] + (["--tol", tol] if tol else [])
+    result = CliRunner().invoke(main, check)
+    assert result.exit_code == code, result.output
+    assert f"within tolerance: {verdict}" in result.output.splitlines()
+    assert format(float(tol or 1e-5 + 10 / 256), ".12e") in result.output  # the tol column
+
+
 @pytest.mark.parametrize("spec", ["tent_std", "tent_half", "doubling"])
 def test_kms_verify_battery(tmp_path, spec):
     cand = _candidate(tmp_path, spec)

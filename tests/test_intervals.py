@@ -1,12 +1,17 @@
-"""Exactness tests for the rational interval-set algebra."""
+"""Exactness tests for the rational interval-set algebra and its scalar."""
 
+import copy
+import math
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import xferop
 from xferop.errors import ValidationError
-from xferop.intervals import IntervalSet, RationalInterval, frac, frac_str
+from xferop.intervals import IntervalSet, Q, RationalInterval, frac, frac_str
 
 
 def iv(lo, hi, lc=True, hc=True):
@@ -144,3 +149,110 @@ def test_issubset_matches_difference(s, t):
     assert s.issubset(t) == s.difference(t).is_empty
     # the pieces of s inside t, and t itself, are always subsets of t
     assert s.intersection(t).issubset(t) and t.issubset(t)
+
+
+# -- the scalar: every fast path against Fraction ---------------------------
+
+OPERANDS = {
+    "Q": st.fractions(max_denominator=60).map(Q),
+    "int": st.integers(min_value=-60, max_value=60),
+    "Fraction": st.fractions(max_denominator=60),
+}
+KINDS = [("Q", "Q"), ("Q", "int"), ("int", "Q"), ("Q", "Fraction"), ("Fraction", "Q")]
+ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
+COMPARISONS = [operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne]
+
+
+@st.composite
+def mixed_pairs(draw):
+    left, right = draw(st.sampled_from(KINDS))
+    return draw(OPERANDS[left]), draw(OPERANDS[right])
+
+
+def plain(v):
+    """The same value without Q: what Fraction alone computes with."""
+    return Fraction(v.numerator, v.denominator) if type(v) is Q else v
+
+
+def same_fraction(got, want):
+    return (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@settings(max_examples=300)
+@given(mixed_pairs(), st.sampled_from(ARITHMETIC))
+@example((Q(-2, 3), Q(0)), operator.truediv)
+@example((Q(5, 7), 0), operator.truediv)
+@example((4, Q(0)), operator.truediv)
+@example((Fraction(1, 2), Q(0)), operator.truediv)
+@example((Q(0), Fraction(0)), operator.truediv)
+@example((Q(0), -3), operator.mul)
+@example((-3, Q(-1, 3)), operator.sub)
+def test_q_arithmetic_matches_fraction(pair, op):
+    x, y = pair
+    try:
+        want = op(plain(x), plain(y))
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            op(x, y)
+        return
+    got = op(x, y)
+    assert type(got) is Q and same_fraction(got, want)
+
+
+@settings(max_examples=300)
+@given(mixed_pairs(), st.sampled_from(COMPARISONS))
+@example((Q(0), 0), operator.eq)
+@example((Q(-1, 2), Fraction(-1, 2)), operator.le)
+@example((Q(3), 3), operator.gt)
+def test_q_comparisons_match_fraction(pair, op):
+    x, y = pair
+    got = op(x, y)
+    assert type(got) is bool and got == op(plain(x), plain(y))
+
+
+@given(OPERANDS["Q"], st.sampled_from([operator.neg, operator.pos, abs]))
+@example(Q(0), operator.neg)
+@example(Q(-5, 3), abs)
+def test_q_unary_matches_fraction(x, op):
+    got = op(x)
+    assert type(got) is Q and same_fraction(got, op(plain(x)))
+
+
+class TestQ:
+    def test_is_a_fraction_that_prints_as_one(self):
+        x = Q(2, -6)
+        assert isinstance(x, Fraction)
+        assert repr(x) == "Fraction(-1, 3)" == repr(Fraction(-1, 3))
+        assert str(x) == "-1/3"
+        assert xferop.Fraction is Fraction and xferop.Q is Q
+
+    @pytest.mark.parametrize("v", [Fraction(1, 3), Fraction(-7, 2), Fraction(5), Fraction(0)])
+    def test_hash_and_lookup_across_types(self, v):
+        q = Q(v)
+        assert hash(q) == hash(v) and q == v and v == q
+        assert {v: "plain"}[q] == "plain" and {q: "fast"}[v] == "fast"
+        if v.denominator == 1:
+            assert hash(q) == hash(int(v)) and {int(v): "int"}[q] == "int"
+
+    def test_pickle_and_copy_round_trip(self):
+        x = Q(-3, 7)
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(y) is Q and y == x
+
+    def test_inherited_conversions(self):
+        x = Q(7, 2)
+        assert float(x) == 3.5 and int(x) == 3 and int(-x) == -3
+        assert math.floor(x) == 3 and math.ceil(x) == 4 and round(x) == 4
+
+    def test_deferred_operators_stay_q(self):
+        x, y = Q(7, 3), Q(1, 2)
+        assert type(x ** 2) is Q and x ** 2 == Fraction(49, 9)
+        assert type(x % y) is Q and x % y == Fraction(1, 3)
+        assert type(1 % y) is Q and x // y == 4
+        assert type(x + 0.5) is float and x * 1.5 == 3.5
+
+    def test_frac_builds_q(self):
+        q = Q(1, 3)
+        assert frac(q) is q
+        for v in (Fraction(1, 3), 3, "1/3", " -2/6 "):
+            assert type(frac(v)) is Q and frac(v) == Fraction(v.strip() if isinstance(v, str) else v)

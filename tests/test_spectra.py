@@ -133,6 +133,22 @@ class TestSpectrumAn:
         for g in d.topology_generators:
             assert spectra.check_generator(s.system, s.potential, g)
 
+    @pytest.mark.parametrize("name", ["tent_std", "tent_half", "doubling"])
+    def test_level_spaces_built_once(self, monkeypatch, name):
+        # generator growth and verification share one list of level spaces
+        s = specfile.bundled(name)
+        n, calls = 2, []
+        original = spectra.level_space
+
+        def counted(system, pot, k):
+            calls.append(k)
+            return original(system, pot, k)
+
+        monkeypatch.setattr(spectra, "level_space", counted)
+        d = spectra.spectrum_An(s.system, s.potential, n)
+        assert sorted(calls) == list(range(n + 1))
+        assert d.topology_generators
+
     def test_csv(self, tent):
         d = spectra.spectrum_An(tent.system, tent.potential, 2)
         assert (0, F(1, 2), 1) in [(p.level, p.base, p.dimension) for p in d.sampled_points]
