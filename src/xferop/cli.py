@@ -34,7 +34,7 @@ from . import thermo as th
 from . import transfer as tr
 from . import verdicts as vd
 from .errors import ParseError, ValidationError, XferopError, NoSolution
-from .intervals import IntervalSet, Q, frac, frac_str
+from .intervals import Q, frac, frac_str
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -138,6 +138,15 @@ class Report:
                 out.append(self._csv_rows([columns] + rows).rstrip())
         return "\n".join(out) + "\n"
 
+    def conclude(self, worst: float, tol: float, fmt: str, out: str | None):
+        """End a residual report: print ``worst`` against ``tol``, emit, and
+        exit 0 when it is within tolerance, 1 otherwise."""
+        self.line(f"max residual: {_cell(worst)}")
+        ok = worst <= tol
+        self.line(f"within tolerance: {'yes' if ok else 'no'}")
+        self.emit(fmt, out)
+        raise SystemExit(EXIT_HOLDS if ok else EXIT_FAILS)
+
     def emit(self, fmt: str, out: str | None):
         text = self.render(fmt)
         click.echo(text, nl=False)
@@ -167,66 +176,21 @@ def _resolve(spec_arg: str):
     return spec, hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _parse_point(system: dyn.PartialSystem, text: str):
-    """Interval points are rationals; graph points are '@vertex' or dotted words."""
-    t = text.strip()
-    if system.backend == "interval":
-        try:
-            return frac(t)
-        except Exception:
-            raise ParseError(f"bad rational point {text!r}") from None
-    g = system.gph
-    if t.startswith("@"):
-        return g.vertex_point(t[1:])
-    word = tuple(p for p in t.replace(",", ".").split(".") if p)
-    if not word:
-        raise ParseError(f"bad path point {text!r}")
-    return g.path_point(word)
-
-
-def _point_text(x) -> str:
-    if isinstance(x, Fraction):
-        return frac_str(x)
-    if not x.word:
-        return f"@{x.end}"
-    return ".".join(x.word)
-
-
-def _default_anchor(system: dyn.PartialSystem, pot: dyn.Potential):
-    if system.backend == "graph":
-        # pullbacks along the map produce length-two cylinders, so the tree
-        # must start at least that deep for them to evaluate on its nodes
-        for n in (2, 1):
-            words = system.gph.words(n)
-            if words:
-                return words[0]
-        raise ValidationError("graph admits no paths; pass --anchor explicitly")
-    reg = dyn.regular_set(system, pot).delta_reg
-    for iv in reg.intervals:
-        if not iv.is_point:
-            return iv.midpoint()
-    raise ValidationError("regular region has no interior; pass --anchor explicitly")
+def _anchors_of(system: dyn.PartialSystem, pot: dyn.Potential, args: tuple) -> list:
+    """The points named in ``args``, else the map's default anchor alone."""
+    if args:
+        return [system.map.parse_point(a) for a in args]
+    return [system.map.default_anchor(dyn.regular_set(system, pot).delta_reg)]
 
 
 def _anchor_of(spec: sf.SpecData, anchor_arg: str | None):
-    if anchor_arg is None:
-        return _default_anchor(spec.system, spec.potential)
-    return _parse_point(spec.system, anchor_arg)
-
-
-def _default_samples(system: dyn.PartialSystem) -> list:
-    if system.backend == "graph":
-        return list(system.gph.words(1))
-    pts = []
-    for iv in system.ival.space.intervals:
-        pts.extend([iv.lo, iv.midpoint(), iv.hi])
-    return sorted(set(pts))
+    return _anchors_of(spec.system, spec.potential, () if anchor_arg is None else (anchor_arg,))[0]
 
 
 def _samples_of(spec: sf.SpecData, sample_args: tuple) -> list:
     if not sample_args:
-        return _default_samples(spec.system)
-    return [_parse_point(spec.system, s) for s in sample_args]
+        return spec.system.map.default_samples()
+    return [spec.system.map.parse_point(s) for s in sample_args]
 
 
 def _psi_of(spec: sf.SpecData, psi_arg: str | None):
@@ -320,29 +284,14 @@ def _load_candidate(path: str, system: dyn.PartialSystem):
 # ---------------------------------------------------------------------------
 
 
-def _restrict_regular(spec: sf.SpecData):
-    """Shrink the system so every surviving point is regular.
-
-    Interval branch domains are intersected with the regular region; on
-    graphs every edge weight is positive, so every point is already regular
-    and no edge is dropped.  Returns the new system, the weight, and a
-    one-line description of the cut.
-    """
-    system, pot = spec.system, spec.potential
-    if system.backend == "graph":
-        return system, pot, "dropped edges: none"
-    reg = dyn.regular_set(system, pot).delta_reg
-    branches = []
-    for b in system.ival.branches:
-        for iv in reg.intersection(IntervalSet.of(b.domain)).intervals:
-            if not iv.is_point:
-                branches.append(dyn.AffineBranch(iv, b.slope, b.intercept))
-    sys2 = dyn.PartialSystem(
-        dyn.IntervalSystem(system.ival.space, branches),
-        depth_bound=system.depth_bound,
-        name=spec.name,
-    )
-    return sys2, pot, f"branch domains cut to {reg}"
+def _restrict_regular(spec: sf.SpecData) -> tuple[dyn.PartialSystem, str]:
+    """The system cut to its regular region, and a one-line note on the cut."""
+    system = spec.system
+    reg = dyn.regular_set(system, spec.potential).delta_reg
+    m, note = system.map.restricted(reg)
+    if m is not system.map:
+        system = dyn.PartialSystem(m, depth_bound=system.depth_bound, name=spec.name)
+    return system, note
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +330,7 @@ def validate(spec_arg, out, fmt):
     rpt = Report("validate", spec_arg, digest)
     rpt.line(f"name: {spec.name}")
     rpt.line(f"backend: {spec.system.backend}")
-    if spec.system.backend == "interval":
-        rpt.line(f"branches: {len(spec.system.ival.branches)}")
-    else:
-        g = spec.system.gph
-        rpt.line(f"vertices: {len(g.vertices)}; edges: {len(g.edges)}")
+    rpt.line(spec.system.map.summary())
     stable = sf.spec_roundtrip(sf.serialize_spec(spec))
     rpt.line(f"roundtrip: {'stable' if stable else 'UNSTABLE'}")
     v = tr.validate(spec.system, spec.potential)
@@ -417,7 +362,8 @@ def region(spec_arg, out, fmt):
     rpt.line(f"regular: {rr.delta_reg}")
     rpt.line(f"domain open in space: {'yes' if rr.delta_open else 'no'}")
     if rr.irregular_points:
-        rows = [(_point_text(p.point), p.reason, "; ".join(p.reasons)) for p in rr.irregular_points]
+        text = spec.system.map.point_text
+        rows = [(text(p.point), p.reason, "; ".join(p.reasons)) for p in rr.irregular_points]
         rpt.table("irregular points", ("point", "reason", "details"), rows)
     for note in rr.notes:
         rpt.line(f"note: {note}")
@@ -456,7 +402,7 @@ def rep_cmd(mode, spec_arg, out, fmt, anchor, depth, width):
     pt = _anchor_of(spec, anchor)
     basis = rep.OrbitBasis(handle, pt, depth)
     rpt = Report(f"rep {mode}", spec_arg, digest)
-    rpt.line(f"anchor: {_point_text(pt)}")
+    rpt.line(f"anchor: {spec.system.map.point_text(pt)}")
     rpt.line(f"depth: {depth}")
     depths = basis.depths()
     rows = [(k, int((depths == k).sum())) for k in range(depth + 1)]
@@ -516,15 +462,10 @@ def relations(spec_arg, out, fmt, anchor, depth, count, seed, tol):
     row("expectation", "unbalanced", rep.e_check(basis, m2), "global")
     row("diagonal", "m1", rep.g_check(basis, m1), "interior")
 
-    worst = max(r[1] for r in rows)
     rpt = Report("relations", spec_arg, digest, seed=seed)
-    rpt.line(f"anchor: {_point_text(pt)}; depth: {depth}; dimension: {basis.dim}")
+    rpt.line(f"anchor: {spec.system.map.point_text(pt)}; depth: {depth}; dimension: {basis.dim}")
     rpt.table("residuals", ("check", "residual", "tol", "indices"), rows)
-    rpt.line(f"max residual: {_cell(worst)}")
-    ok = worst <= tol
-    rpt.line(f"within tolerance: {'yes' if ok else 'no'}")
-    rpt.emit(fmt, out)
-    raise SystemExit(EXIT_HOLDS if ok else EXIT_FAILS)
+    rpt.conclude(max(r[1] for r in rows), tol, fmt, out)
 
 
 @main.command()
@@ -544,7 +485,7 @@ def spectrum(spec_arg, out, fmt, n, samples):
     rows = [(p.level, p.base, p.dimension, p.stratum) for p in desc.sampled_points]
     rpt.table("sampled points", ("level", "base", "dimension", "stratum"), rows)
     if samples:
-        pts = [_parse_point(spec.system, s) for s in samples]
+        pts = _samples_of(spec, samples)
         _, located = sp.spectrum_Kn(spec.system, spec.potential, n, pts)
         rows = [(p.level, p.base, p.dimension, p.stratum) for p in located]
         rpt.table("located samples", ("level", "base", "dimension", "stratum"), rows)
@@ -570,15 +511,12 @@ def quasi_orbits_cmd(spec_arg, out, fmt, depth, samples):
     rpt = Report("quasi-orbits", spec_arg, digest)
     rpt.line(f"depth: {part.depth}")
     rpt.line(f"classes: {len(part.representatives)}")
-    rows = [
-        (_point_text(x), _point_text(r))
-        for x, r in sorted(part.classes.items(), key=lambda kv: str(kv[0]))
-    ]
+    text = spec.system.map.point_text
+    rows = [(text(x), text(r)) for x, r in sorted(part.classes.items(), key=lambda kv: str(kv[0]))]
     rpt.table("classification", ("point", "representative"), rows)
     for r in part.representatives:
-        closure = part.orbit_closures[r]
-        body = ", ".join(sorted(_point_text(p) for p in closure))
-        rpt.line(f"closure of {_point_text(r)}: {{{body}}}")
+        body = ", ".join(sorted(text(p) for p in part.orbit_closures[r]))
+        rpt.line(f"closure of {text(r)}: {{{body}}}")
     rpt.emit(fmt, out)
     raise SystemExit(EXIT_HOLDS)
 
@@ -641,12 +579,7 @@ def conformal(spec_arg, out, fmt, psi_arg, bins, bracket, tol, check_path, candi
         report = th.conformal_residual(handle, psi, beta, mu, _verify_fns(handle))
         rows = [(r.label, r.lhs, r.rhs, r.residual, tol, "global") for r in report.rows]
         rpt.table("eigen-measure residuals", ("fn", "lhs", "rhs", "residual", "tol", "indices"), rows)
-        worst = report.max_residual
-        rpt.line(f"max residual: {_cell(worst)}")
-        ok = worst <= tol
-        rpt.line(f"within tolerance: {'yes' if ok else 'no'}")
-        rpt.emit(fmt, out)
-        raise SystemExit(EXIT_HOLDS if ok else EXIT_FAILS)
+        rpt.conclude(report.max_residual, tol, fmt, out)
 
     if tol is None:
         tol = 1e-8
@@ -665,9 +598,8 @@ def conformal(spec_arg, out, fmt, psi_arg, bins, bracket, tol, check_path, candi
         rpt.line(f"measure: ulam, {len(mdoc['densities'])} bins on [{mdoc['lo']}, {mdoc['hi']}]")
     else:
         rpt.line(f"measure: atomic, {len(mdoc['atoms'])} atoms")
-        for a in mdoc["atoms"]:
-            label = a.get("point") or ".".join(a["word"])
-            rpt.line(f"  atom {label}: {a['mass']}")
+        for x, mass in cand.mu.atoms:
+            rpt.line(f"  atom {spec.system.map.point_text(x)}: {frac_str(mass)}")
     report = th.conformal_residual(handle, psi, cand.beta, cand.mu, _verify_fns(handle))
     rows = [(r.label, r.lhs, r.rhs, r.residual, tol, "global") for r in report.rows]
     rpt.table("eigen-measure residuals", ("fn", "lhs", "rhs", "residual", "tol", "indices"), rows)
@@ -739,12 +671,7 @@ def kms_verify(spec_arg, out, fmt, cand_path, psi_arg, count, seed, tol):
         report = th.conformal_residual(handle, psi, beta, mu, _verify_fns(handle))
     rows = [(r.label, r.lhs, r.rhs, r.residual, tol, "global") for r in report.rows]
     rpt.table("exchange residuals", ("pair", "lhs", "rhs", "residual", "tol", "indices"), rows)
-    worst = report.max_residual
-    rpt.line(f"max residual: {_cell(worst)}")
-    ok = worst <= tol
-    rpt.line(f"within tolerance: {'yes' if ok else 'no'}")
-    rpt.emit(fmt, out)
-    raise SystemExit(EXIT_HOLDS if ok else EXIT_FAILS)
+    rpt.conclude(report.max_residual, tol, fmt, out)
 
 
 # ---------------------------------------------------------------------------
@@ -771,25 +698,21 @@ def groupoid_build(spec_arg, out, fmt, depth, seeds, restrict_regular, max_eleme
     system, pot = spec.system, spec.potential
     note = None
     if restrict_regular:
-        system, pot, note = _restrict_regular(spec)
-    seed_pts = (
-        [_parse_point(system, s) for s in seeds]
-        if seeds
-        else [_default_anchor(system, pot)]
-    )
+        system, note = _restrict_regular(spec)
+    seed_pts = _anchors_of(system, pot, seeds)
     gpd = gp.build_deaconu(system, pot, seed_pts, depth, max_elements=max_elements)
     rpt = Report("groupoid build", spec_arg, digest)
     if note:
         rpt.line(f"restricted to regular region: {note}")
-    rpt.line(f"seeds: {', '.join(_point_text(p) for p in seed_pts)}")
+    text = system.map.point_text
+    rpt.line(f"seeds: {', '.join(text(p) for p in seed_pts)}")
     rpt.line(f"depth: {depth}")
     rpt.line(f"unit points: {len(gpd.points)}")
     rpt.line(f"elements: {len(gpd)}")
     bad = gpd.axiom_violations()
     rpt.line(f"axiom violations: {bad}")
     rows = [
-        (_point_text(g.x), g.k, _point_text(g.y), g.witness[0], g.witness[1])
-        for g in gpd.elements
+        (text(g.x), g.k, text(g.y), g.witness[0], g.witness[1]) for g in gpd.elements
     ]
     rpt.table("elements", ("x", "k", "y", "n", "m"), rows)
     rpt.emit(fmt, out)
@@ -811,7 +734,8 @@ def groupoid_gap(spec_arg, out, fmt, n, samples, tower):
     rpt = Report("groupoid gap", spec_arg, digest)
     rpt.line(f"level: {n}")
     rpt.line(f"samples: {len(pts)}")
-    rows = [(p.n, _point_text(p.x), _point_text(p.y)) for p in pairs]
+    text = spec.system.map.point_text
+    rows = [(p.n, text(p.x), text(p.y)) for p in pairs]
     rpt.table("related pairs", ("n", "x", "y"), rows)
     if tower > 0:
         levels = gp.gap_tower(spec.system, pts, tower)
@@ -849,13 +773,9 @@ def groupoid_iso_check(spec_arg, out, fmt, anchor, depth, count, seed, tol):
         worst = max(worst, r)
         rows.append((f"pair{i}", n, m, n2, m2, r, tol, "interior"))
     rpt = Report("groupoid iso-check", spec_arg, digest, seed=seed)
-    rpt.line(f"anchor: {_point_text(pt)}; depth: {depth}; elements: {len(gpd)}")
+    rpt.line(f"anchor: {spec.system.map.point_text(pt)}; depth: {depth}; elements: {len(gpd)}")
     rpt.table("product residuals", ("pair", "n", "m", "n2", "m2", "residual", "tol", "indices"), rows)
-    rpt.line(f"max residual: {_cell(worst)}")
-    ok = worst <= tol
-    rpt.line(f"within tolerance: {'yes' if ok else 'no'}")
-    rpt.emit(fmt, out)
-    raise SystemExit(EXIT_HOLDS if ok else EXIT_FAILS)
+    rpt.conclude(worst, tol, fmt, out)
 
 
 @groupoid.command("graph-gen")
@@ -879,23 +799,20 @@ def groupoid_graph_gen(spec_arg, out, fmt, depth, anchor, lam, tol):
         for part in lam.split(","):
             if "=" not in part:
                 raise ParseError(f"bad edge weight {part!r}; expected E=W")
-            name, w = part.split("=", 1)
-            weights[name.strip()] = frac(w.strip())
-    pt = _parse_point(spec.system, anchor) if anchor else None
+            name, w = (t.strip() for t in part.split("=", 1))
+            if name in weights:
+                raise ParseError(f"edge {name} named twice in --lam")
+            weights[name] = frac(w)
+    pt = g.parse_point(anchor) if anchor else None
     fam = gp.graph_generators(spec.system, weights, depth, anchor=pt)
     rpt = Report("groupoid graph-gen", spec_arg, digest)
-    rpt.line(f"anchor: {_point_text(fam.basis.anchor)}; depth: {depth}; dimension: {fam.basis.dim}")
+    rpt.line(f"anchor: {g.point_text(fam.basis.anchor)}; depth: {depth}; dimension: {fam.basis.dim}")
     rows = []
     for name in sorted(fam.residuals):
         where = "global" if name.split(":")[0] in ("shift", "orthogonal") else "interior"
         rows.append((name, fam.residuals[name], tol, where))
     rpt.table("relation residuals", ("relation", "residual", "tol", "indices"), rows)
-    worst = fam.max_residual()
-    rpt.line(f"max residual: {_cell(worst)}")
-    ok = worst <= tol
-    rpt.line(f"within tolerance: {'yes' if ok else 'no'}")
-    rpt.emit(fmt, out)
-    raise SystemExit(EXIT_HOLDS if ok else EXIT_FAILS)
+    rpt.conclude(fam.max_residual(), tol, fmt, out)
 
 
 @main.command()

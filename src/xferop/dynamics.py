@@ -17,6 +17,14 @@ The backend is the type of the map.  ``PartialSystem.map`` holds an
   ``point_from_doc(doc)`` reads it back.  Points of one backend are
   totally ordered: rationals by value, path points by
   ``PathPoint.sort_key``, so ``sorted`` works on either.
+- the point protocol of the command line: ``parse_point(text)`` reads a
+  point (``1/3``; ``@v`` or ``e.f``) and ``point_text(x)`` writes it back;
+  an interval point outside the space is refused, on the command line and
+  in a candidate file alike.  ``default_samples()`` and
+  ``default_anchor(reg)`` pick points when none are given (``reg`` is the
+  regular region), ``restricted(reg)`` cuts the map to the regular region
+  and returns it with a note on the cut, and ``summary()`` is the one-line
+  shape of the map.
 - open sets: ``IntervalSet`` and ``CylinderSet`` share ``union``,
   ``intersection``, ``intersects``, ``issubset``, ``closure``,
   ``is_open_in``, ``==``, ``is_empty`` and ``sample_points()``;
@@ -47,6 +55,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import (
     DepthExceeded,
     OutOfDomain,
+    ParseError,
     UnsupportedPotential,
     ValidationError,
 )
@@ -177,7 +186,47 @@ class IntervalSystem:
         return {"point": frac_str(x)}
 
     def point_from_doc(self, doc: dict) -> Fraction:
-        return frac(doc["point"])
+        return self._in_space(frac(doc["point"]))
+
+    def parse_point(self, text: str) -> Fraction:
+        """A rational of the space, written ``p/q``, an integer or a decimal."""
+        try:
+            x = frac(text)
+        except ValidationError:
+            raise ParseError(f"bad rational point {text!r}") from None
+        return self._in_space(x)
+
+    def point_text(self, x: Fraction) -> str:
+        return frac_str(x)
+
+    def _in_space(self, x: Fraction) -> Fraction:
+        if not self.space.contains(x):
+            raise ParseError(f"point {frac_str(x)} lies outside the space {self.space}")
+        return x
+
+    def default_samples(self) -> list[Fraction]:
+        """The ends and midpoint of every component of the space."""
+        return sorted({x for iv in self.space.intervals for x in (iv.lo, iv.midpoint(), iv.hi)})
+
+    def default_anchor(self, reg: IntervalSet) -> Fraction:
+        """The midpoint of the first component of ``reg`` with an interior."""
+        for iv in reg.intervals:
+            if not iv.is_point:
+                return iv.midpoint()
+        raise ValidationError("regular region has no interior; pass --anchor explicitly")
+
+    def restricted(self, reg: IntervalSet) -> tuple["IntervalSystem", str]:
+        """The map with every branch domain cut to ``reg``, and a note on the cut."""
+        branches = [
+            AffineBranch(iv, b.slope, b.intercept)
+            for b in self.branches
+            for iv in reg.intersection(IntervalSet.of(b.domain)).intervals
+            if not iv.is_point
+        ]
+        return IntervalSystem(self.space, branches), f"branch domains cut to {reg}"
+
+    def summary(self) -> str:
+        return f"branches: {len(self.branches)}"
 
     # -- set dynamics --------------------------------------------------------
 
@@ -480,6 +529,41 @@ class GraphSystem:
 
     def point_from_doc(self, doc: dict) -> PathPoint:
         return self.path_point(tuple(doc["word"]))
+
+    def parse_point(self, text: str) -> PathPoint:
+        """``@v`` for the cylinder of vertex v, else edge names joined by ``.`` or ``,``."""
+        t = text.strip()
+        if t.startswith("@"):
+            return self.vertex_point(t[1:])
+        word = tuple(p for p in t.replace(",", ".").split(".") if p)
+        if not word:
+            raise ParseError(f"bad path point {text!r}")
+        return self.path_point(word)
+
+    def point_text(self, p: PathPoint) -> str:
+        return ".".join(p.word) if p.word else f"@{p.end}"
+
+    def default_samples(self) -> list[PathPoint]:
+        return list(self.words(1))
+
+    def default_anchor(self, reg: CylinderSet) -> PathPoint:
+        """The first word of length two, else of length one; ``reg`` is the
+        whole domain on a graph, so it is not consulted."""
+        # pullbacks along the map produce length-two cylinders, so the tree
+        # must start at least that deep for them to evaluate on its nodes
+        for n in (2, 1):
+            words = self.words(n)
+            if words:
+                return words[0]
+        raise ValidationError("graph admits no paths; pass --anchor explicitly")
+
+    def restricted(self, reg: CylinderSet) -> tuple["GraphSystem", str]:
+        """Every edge weight is positive, so every point is already regular
+        and the map is its own restriction."""
+        return self, "dropped edges: none"
+
+    def summary(self) -> str:
+        return f"vertices: {len(self.vertices)}; edges: {len(self.edges)}"
 
     def children(self, p: PathPoint) -> tuple[PathPoint, ...]:
         """The cylinders one edge longer; they partition the cylinder of p

@@ -28,7 +28,6 @@ from . import rep
 from . import transfer as tr
 from .dynamics import GraphPotential, PartialSystem, Potential
 from .errors import NotLocalHomeo, OutOfDomain, ValidationError
-from .intervals import Q
 
 
 # ---------------------------------------------------------------------------
@@ -498,18 +497,12 @@ def graph_generators(
     s_e s_e* stays under the range projection, every vertex projection is
     the sum of the range parts of its incoming edges, distinct edges have
     orthogonal ranges, and the rep-built s_e equals the plain prepend
-    shift exactly.
+    shift exactly.  ``lam`` is read as a ``GraphPotential``: one positive
+    rational weight for every edge of the graph and no other name.
     """
     gph = system.gph
-    weights = []
-    for e in gph.edges:
-        if e.name not in lam:
-            raise ValidationError(f"edge {e.name} has no weight")
-        w = Q(lam[e.name])
-        if w <= 0:
-            raise ValidationError(f"edge {e.name} needs a positive weight")
-        weights.append((e.name, w))
-    pot = GraphPotential(tuple(weights))
+    pot = GraphPotential(tuple(lam.items()))
+    pot.check_edges(gph)
     handle = tr.TransferHandle.create(system, pot)
     if anchor is None:
         name = sorted(e.name for e in gph.edges)[0]
@@ -523,7 +516,7 @@ def graph_generators(
     inner = (depths >= 1) & (depths <= depth - 1)
     for e in gph.edges:
         proj = basis.pi(tr.CylinderFunction.indicator(gph.path_point((e.name,))))
-        s = proj @ (float(Q(lam[e.name])) ** -0.5 * t)
+        s = proj @ (float(pot.edge_weight(e.name)) ** -0.5 * t)
         fam[e.name] = s
         plain = _prepend_matrix(basis, e.name)
         residuals[f"shift:{e.name}"] = float(np.abs(s - plain).max())

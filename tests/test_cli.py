@@ -324,3 +324,20 @@ def test_each_verdict_part_computed_once(monkeypatch, spec, command, want):
     result = CliRunner().invoke(main, [*command, "--spec", spec])
     assert result.exit_code in (0, 1, 2), result.output
     assert calls == want
+
+
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        ("e0=1,e1=1,zz=3", "weight names unknown edge zz"),
+        ("e0=1,e0=2,e1=1", "edge e0 named twice in --lam"),
+        ("e0=1", "edge e1 has no weight"),
+        ("e0=0,e1=1", "edge weight for e0 must be positive"),
+    ],
+    ids=["unknown", "twice", "missing", "zero"],
+)
+def test_graph_gen_refuses_a_bad_weight_table(lam, message):
+    result = CliRunner().invoke(main, ["groupoid", "graph-gen", "--spec", "fullshift2", "--lam", lam])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [f"error: {message}"]

@@ -12,6 +12,7 @@ from xferop import spectra
 from xferop.errors import (
     DepthExceeded,
     OutOfDomain,
+    ParseError,
     UnsupportedPotential,
     ValidationError,
 )
@@ -265,6 +266,31 @@ class TestPartialSystem:
             tent.system.gph
         with pytest.raises(ValidationError, match="^operation needs the interval backend$"):
             graph.ival
+
+
+class TestPointProtocol:
+    def test_interval_points(self, tent):
+        m = tent.system.map
+        assert m.summary() == "branches: 2"
+        assert m.default_samples() == [0, F(1, 2), 1]
+        assert m.default_anchor(dyn.regular_set(tent.system, tent.potential).delta_reg) == F(1, 4)
+        assert m.point_text(m.parse_point(" 0.25 ")) == "1/4"
+        with pytest.raises(ParseError, match=r"^point 2 lies outside the space \[0, 1\]$"):
+            m.point_from_doc({"point": "2"})
+
+    def test_interval_restriction_cuts_branch_domains(self, tent):
+        reg = dyn.regular_set(tent.system, tent.potential).delta_reg
+        cut, note = tent.system.map.restricted(reg)
+        assert note == "branch domains cut to [0, 1/2) u (1/2, 1]"
+        assert [str(b.domain) for b in cut.branches] == ["[0, 1/2)", "(1/2, 1]"]
+
+    def test_graph_points(self, shift2):
+        m = shift2.system.map
+        assert m.summary() == "vertices: 1; edges: 2"
+        assert [m.point_text(p) for p in m.default_samples()] == ["e0", "e1"]
+        assert m.point_text(m.default_anchor(m.delta)) == "e0.e0"
+        assert m.point_text(m.parse_point("@v")) == "@v"
+        assert m.restricted(m.delta) == (m, "dropped edges: none")
 
 
 def _piece_ends_and_overrides(pot):

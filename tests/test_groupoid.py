@@ -360,6 +360,10 @@ class TestGraphGenerators:
         with pytest.raises(ValidationError):
             gp.graph_generators(d.system, {}, 4)
 
+    def test_weight_table_names_only_edges_of_the_graph(self, shift2):
+        with pytest.raises(ValidationError, match="^weight names unknown edge zz$"):
+            gp.graph_generators(shift2.system, {"e0": 1, "e1": 1, "zz": 3}, 4)
+
     def test_rep_route_equals_prepend_route(self, shift2):
         fam = gp.graph_generators(shift2.system, {"e0": 1, "e1": 1}, 5)
         assert fam.residuals["shift:e0"] == 0.0
