@@ -13,7 +13,7 @@ The backend is the type of the map.  ``PartialSystem.map`` holds an
   domain), ``fiber(y)`` lists the exact preimages of ``y`` in order and
   ``point(x)`` coerces an argument to a point (``frac`` on intervals, the
   identity on graphs).  ``point_doc(x)`` writes a point as a JSON object
-  (``{"point": "1/3"}`` or ``{"word": ["e", "f"]}``) and
+  (``{"point": "1/3"}``, ``{"word": ["e", "f"]}`` or ``{"vertex": "v"}``) and
   ``point_from_doc(doc)`` reads it back.  Points of one backend are
   totally ordered: rationals by value, path points by
   ``PathPoint.sort_key``, so ``sorted`` works on either.
@@ -34,11 +34,12 @@ The backend is the type of the map.  ``PartialSystem.map`` holds an
   and the domain of the map as ``delta``.
 
 The weight is typed like the map, and ``value(x)`` is the weight of a point
-on either.  An ``IntervalPotential`` holds affine pieces plus point
-overrides, and ``breakpoints()`` gives the piece ends and override points
-where it can jump; a ``GraphPotential`` holds one positive weight per edge.
-Both carry ``backend`` and answer ``constant_value()`` and
-``positive_part(within)``; ``Potential`` names either.
+on either; ``value_or_zero(x)`` extends it by zero off the domain.  An
+``IntervalPotential`` holds affine pieces plus point overrides, and
+``breakpoints()`` gives the piece ends and override points where it can
+jump; a ``GraphPotential`` holds one positive weight per edge.  Both carry
+``backend`` and answer ``constant_value()`` and ``positive_part(within)``;
+``Potential`` names either.
 
 So the set-valued operations (``iterate_domain``, ``essential_domain``,
 ``spectra.positive_iterate``, ``spectra.level_space``) run one code path
@@ -525,9 +526,11 @@ class GraphSystem:
         return p
 
     def point_doc(self, p: PathPoint) -> dict:
-        return {"word": list(p.word)}
+        return {"word": list(p.word)} if p.word else {"vertex": p.end}
 
     def point_from_doc(self, doc: dict) -> PathPoint:
+        if "vertex" in doc:
+            return self.vertex_point(doc["vertex"])
         return self.path_point(tuple(doc["word"]))
 
     def parse_point(self, text: str) -> PathPoint:
@@ -714,6 +717,13 @@ class IntervalPotential:
             raise ValidationError(f"potential ambiguous at {frac_str(x)}")
         return vals.pop()
 
+    def value_or_zero(self, x: Rationalish) -> Fraction:
+        """The weight at x, or zero off the domain (where no piece holds x)."""
+        x = frac(x)
+        if not any(iv.contains(x) for iv, _, _ in self.pieces):
+            return Q(0)
+        return self.value(x)
+
     def one_sided_limit(self, x: Rationalish, side: int) -> Optional[Fraction]:
         """Limit of the piece values from one side; overrides do not matter."""
         x = frac(x)
@@ -808,6 +818,10 @@ class GraphPotential:
         if not p.word:
             raise OutOfDomain(p, 0)
         return self.edge_weight(p.word[0])
+
+    def value_or_zero(self, p: PathPoint) -> Fraction:
+        """The weight of a path, or zero off the domain (at a vertex cylinder)."""
+        return self.edge_weight(p.word[0]) if p.word else Q(0)
 
     def edge_weight(self, name: str) -> Fraction:
         for e, w in self.weights:
@@ -920,6 +934,14 @@ def orbit(system: PartialSystem, x: Point, n: int) -> tuple[Point, ...]:
         except OutOfDomain:
             raise OutOfDomain(x, step) from None
     return tuple(out)
+
+
+def orbit_end(system: PartialSystem, x: Point, n: int) -> Optional[Point]:
+    """phi^n(x), or None where the orbit leaves the domain first."""
+    try:
+        return orbit(system, x, n)[-1]
+    except OutOfDomain:
+        return None
 
 
 # -- regular region ---------------------------------------------------------

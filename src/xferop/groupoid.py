@@ -112,24 +112,6 @@ class TruncatedGroupoid:
             raise ValidationError("inverse missing from the table")
         return self.elements[i]
 
-    def composition_table(self, max_pairs: int = 200_000) -> dict:
-        """(i, j) -> element index for every left-matched pair; None when
-        the product leaves the truncation.  Guarded: the table is quadratic
-        in fibre sizes, use compose() for large groupoids."""
-        pairs = sum(
-            len(self._by_left.get(g.y, ())) for g in self.elements
-        )
-        if pairs > max_pairs:
-            raise ValidationError(
-                f"composition table would hold {pairs} pairs (cap {max_pairs})"
-            )
-        table = {}
-        for i, g in enumerate(self.elements):
-            for j in self._by_left.get(g.y, ()):
-                h = self.elements[j]
-                table[(i, j)] = self.index.get((g.x, g.k + h.k, h.y))
-        return table
-
     def axiom_violations(self, cap: int = 20_000) -> int:
         """Count of failures of associativity, unit laws, and g.g^-1 being
         a unit, over at most cap composable triples.  Zero means the table
@@ -241,12 +223,7 @@ def gap_relation(system: PartialSystem, n: int, samples: Sequence) -> tuple[GapP
     if n < 0:
         raise ValidationError("level must be nonnegative")
     pts = list(samples)
-    images = []
-    for p in pts:
-        try:
-            images.append(dyn.orbit(system, p, n)[-1])
-        except OutOfDomain:
-            images.append(None)
+    images = [dyn.orbit_end(system, p, n) for p in pts]
     out = []
     for i, u in enumerate(images):
         if u is None:
@@ -266,10 +243,7 @@ def gap_tower(
     for n in range(depth):
         nxt = {(g.x, g.y) for g in levels[n + 1]}
         for g in levels[n]:
-            try:
-                dyn.orbit(system, g.x, n + 1)
-                dyn.orbit(system, g.y, n + 1)
-            except OutOfDomain:
+            if None in (dyn.orbit_end(system, g.x, n + 1), dyn.orbit_end(system, g.y, n + 1)):
                 continue
             if (g.x, g.y) not in nxt:
                 raise ValidationError(
@@ -329,18 +303,10 @@ def _node_rows(basis: rep.OrbitBasis) -> dict:
     return rows
 
 
-def _end(system, x, n: int):
-    """phi^n(x), or None where the orbit leaves the domain."""
-    try:
-        return dyn.orbit(system, x, n)[-1]
-    except OutOfDomain:
-        return None
-
-
 def _tensor_value(end, a, b, n, m, g: GroupoidElement) -> float:
     """Value of the degree-(n, m) tensor at an element: a(x) b(y) when the
     specific witness pair (n, m) holds for it, else zero.  ``end(x, n)``
-    answers like ``_end``."""
+    answers like ``dyn.orbit_end``."""
     if g.k != n - m:
         return 0.0
     vx = end(g.x, n)
@@ -357,7 +323,7 @@ def _convolution_matrix(
     a, b, n: int, m: int,
     c, d, n2: int, m2: int,
 ) -> np.ndarray:
-    end = functools.cache(functools.partial(_end, basis.system))
+    end = functools.cache(functools.partial(dyn.orbit_end, basis.system))
     rows = _node_rows(basis)
     k1, k2 = n - m, n2 - m2
     out = np.zeros((basis.dim, basis.dim))
@@ -435,7 +401,7 @@ def unit_restriction_check(
         )
     mat = rep.expectation_G(basis, phi_matrix(basis, a, n, n, b))
     diag = np.diag(mat)
-    end = functools.cache(functools.partial(_end, basis.system))
+    end = functools.cache(functools.partial(dyn.orbit_end, basis.system))
     worst = 0.0
     for i, nd in enumerate(basis.nodes):
         if nd.depth < n:

@@ -59,11 +59,8 @@ class FnExpr:
         """Pullback along n forward steps; zero off the n-step domain."""
 
         def val(x):
-            try:
-                z = dyn.orbit(system, x, n)[-1]
-            except dyn.OutOfDomain:
-                return Q(0)
-            return self._fn(z)
+            z = dyn.orbit_end(system, x, n)
+            return Q(0) if z is None else self._fn(z)
 
         return FnExpr(val, f"alpha^{n}({self.label})")
 
@@ -249,31 +246,40 @@ def _fn_or_one(f: Optional[tr.Function]) -> FnExpr:
     return FnExpr.of(f) if f is not None else FnExpr.const(1)
 
 
+def product_shape(n: int, m: int, k: int, l: int) -> tuple[int, int, int, int, str]:
+    """The shape of (a T^n T*^m b)(c T^k T*^l d) as one monomial.
+
+    Returns ``(up, down, steps, pull, side)``: the product is a' T^up T*^down d'
+    with middle function alpha^pull(L^steps(b c)).  On the ``"right"`` side
+    (m >= k) it joins d, so d' = mid * d and a' = a; on the ``"left"`` side
+    it joins a, so a' = a * mid and d' = d.
+    """
+    if m >= k:
+        return n, m - k + l, k, l, "right"
+    return n + k - m, l, m, n, "left"
+
+
 def product_check(basis: OrbitBasis, m1: Monomial, m2: Monomial) -> float:
     """Residual between the matrix product and the closed product form.
 
     The product of two monomials is again a monomial whose middle function
-    is a fiber-sum image pushed back along the map; the two sides are
-    compared on the band of columns where truncation cannot reach.
+    is a fiber-sum image pushed back along the map (``product_shape``); the
+    two sides are compared on the band of columns where truncation cannot
+    reach.
     """
     sys_, pot = basis.system, basis.potential
     lhs = monomial_matrix(basis, m1) @ monomial_matrix(basis, m2)
 
-    bc = _fn_or_one(m1.right) * _fn_or_one(m2.left)
-    n, m = m1.up, m1.down
-    k, l = m2.up, m2.down
-    if m >= k:
-        mid = bc.transfer(sys_, pot, k).alpha(sys_, l) if l else bc.transfer(sys_, pot, k)
-        up, down = n, m - k + l
-        mid_right = mid * _fn_or_one(m2.right)
-        rhs = basis.T_pow(up) @ basis.T_pow(down).T @ basis.pi(mid_right)
+    up, down, steps, pull, side = product_shape(m1.up, m1.down, m2.up, m2.down)
+    mid = (_fn_or_one(m1.right) * _fn_or_one(m2.left)).transfer(sys_, pot, steps)
+    if pull:
+        mid = mid.alpha(sys_, pull)
+    if side == "right":
+        rhs = basis.T_pow(up) @ basis.T_pow(down).T @ basis.pi(mid * _fn_or_one(m2.right))
         if m1.left is not None:
             rhs = basis.pi(m1.left) @ rhs
     else:
-        mid = bc.transfer(sys_, pot, m).alpha(sys_, n) if n else bc.transfer(sys_, pot, m)
-        up, down = n + k - m, l
-        left_mid = _fn_or_one(m1.left) * mid
-        rhs = basis.pi(left_mid) @ basis.T_pow(up) @ basis.T_pow(down).T
+        rhs = basis.pi(_fn_or_one(m1.left) * mid) @ basis.T_pow(up) @ basis.T_pow(down).T
         if m2.right is not None:
             rhs = rhs @ basis.pi(m2.right)
 

@@ -12,7 +12,8 @@ operator, and the state-level checks evaluate both sides of the exchange
 identity through the diagonal expectation.
 
 The discretized operator is built in two passes.  An exact pass, once per
-solve, walks the bins, preimage cells and energy pieces in rational
+solve, cuts the preimage cells of ``transfer.ulam_cells`` (the bin walk that
+``transfer.ulam_matrix`` reads too) by the energy pieces in rational
 arithmetic and keeps the float segments they cut; a float pass, once per
 inverse temperature, integrates exp(-beta*energy) over all segments in one
 numpy expression and sums them into the bin matrix.
@@ -30,7 +31,10 @@ The eigen-measure residual rows follow one rule.  A measure that
 integrates grid functions exactly (``integrates_grids``: bin densities and
 dyadic cascades) takes the left side as the exact integral of the fiber-sum
 grid, and the right side too when the energy is constant; otherwise both
-sides come from the point table.
+sides come from the point table.  One builder makes the fiber-sum grid of
+weight * a: the strong identity passes the weight, the weak one a unit
+weight.  One builder makes the grid of a test function or a weight from its
+affine pieces, and ``GridFunction.cell`` reads a grid's cell at a point.
 """
 
 from __future__ import annotations
@@ -334,43 +338,39 @@ class GridFunction:
         for p, v in zip(self.nodes, self.node_values):
             if p == x:
                 return v
-        if x < self.nodes[0] or x > self.nodes[-1]:
-            return Q(0)
-        for (u, v_), (c0, c1, c2) in zip(zip(self.nodes, self.nodes[1:]), self.cells):
-            if u < x < v_:
-                return c0 + c1 * x + c2 * x * x
-        return Q(0)
+        c0, c1, c2 = self.cell(x)
+        return c0 + c1 * x + c2 * x * x
+
+    def cell(self, x) -> tuple[Fraction, Fraction, Fraction]:
+        """The coefficients of the open cell holding x; zeros at a node or outside."""
+        for (u, v), c in zip(zip(self.nodes, self.nodes[1:]), self.cells):
+            if u < x < v:
+                return c
+        return (Q(0),) * 3
+
+
+def _piece_grid(pieces, cuts, value: Callable, carrier: RationalInterval) -> GridFunction:
+    """Affine pieces as a grid function on the carrier.
+
+    The nodes are the carrier ends and the cuts inside it; each cell takes
+    the piece at its midpoint, and ``value`` pins the node values.
+    """
+    inside = (p for p in cuts if carrier.lo <= p <= carrier.hi)
+    nodes = tuple(sorted({carrier.lo, carrier.hi, *inside}))
+    cells = []
+    for u, v in zip(nodes, nodes[1:]):
+        hit = dyn._piece_at(pieces, (u + v) / 2)
+        cells.append((hit[1], hit[0], Q(0)) if hit else (Q(0),) * 3)
+    return GridFunction(nodes, tuple(cells), tuple(value(p) for p in nodes))
 
 
 def _fn_grid(a: tr.TestFunction, carrier: RationalInterval) -> GridFunction:
-    cuts = {carrier.lo, carrier.hi}
-    for iv, _, _ in a.pieces:
-        for p in (iv.lo, iv.hi):
-            if carrier.lo <= p <= carrier.hi:
-                cuts.add(p)
-    nodes = tuple(sorted(cuts))
-    cells = []
-    for u, v in zip(nodes, nodes[1:]):
-        hit = dyn._piece_at(a.pieces, (u + v) / 2)
-        cells.append((hit[1], hit[0], Q(0)) if hit else (Q(0),) * 3)
-    return GridFunction(nodes, tuple(cells), tuple(a.value(p) for p in nodes))
+    ends = (p for iv, _, _ in a.pieces for p in (iv.lo, iv.hi))
+    return _piece_grid(a.pieces, ends, a.value, carrier)
 
 
-def _pot_grid(pot: Potential, carrier: RationalInterval) -> GridFunction:
-    cuts = {carrier.lo, carrier.hi}
-    cuts.update(p for p in pot.breakpoints() if carrier.lo <= p <= carrier.hi)
-    nodes = tuple(sorted(cuts))
-    cells = []
-    for u, v in zip(nodes, nodes[1:]):
-        hit = dyn._piece_at(pot.pieces, (u + v) / 2)
-        cells.append((hit[1], hit[0], Q(0)) if hit else (Q(0),) * 3)
-    vals = []
-    for p in nodes:
-        try:
-            vals.append(pot.value(p))
-        except ValidationError:
-            vals.append(Q(0))
-    return GridFunction(nodes, tuple(cells), tuple(vals))
+def _pot_grid(pot: IntervalPotential, carrier: RationalInterval) -> GridFunction:
+    return _piece_grid(pot.pieces, pot.breakpoints(), pot.value_or_zero, carrier)
 
 
 def _grid_product(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -378,17 +378,8 @@ def _grid_product(f: GridFunction, g: GridFunction) -> GridFunction:
     cells = []
     for u, v in zip(nodes, nodes[1:]):
         mid = (u + v) / 2
-
-        def coeffs(h: GridFunction):
-            if mid < h.nodes[0] or mid > h.nodes[-1]:
-                return (Q(0),) * 3
-            for (a_, b_), c in zip(zip(h.nodes, h.nodes[1:]), h.cells):
-                if a_ < mid < b_:
-                    return c
-            return (Q(0),) * 3
-
-        f0, f1, f2 = coeffs(f)
-        g0, g1, g2 = coeffs(g)
+        f0, f1, f2 = f.cell(mid)
+        g0, g1, g2 = g.cell(mid)
         if (f2 != 0 and (g1 != 0 or g2 != 0)) or (g2 != 0 and f1 != 0):
             raise UnsupportedPotential("product leaves the quadratic class")
         cells.append(
@@ -405,17 +396,17 @@ def _single_component(system: PartialSystem) -> RationalInterval:
     return comps[0]
 
 
-def _transfer_grid(handle: tr.TransferHandle, a: tr.TestFunction) -> GridFunction:
-    """The weighted fiber sum of a, as an exact grid function of the target."""
+def _fiber_grid(
+    handle: tr.TransferHandle, a: tr.TestFunction, weight: IntervalPotential
+) -> GridFunction:
+    """The fiber sum of weight * a, as an exact grid function of the target."""
     sys_ = handle.system.ival
-    pot = handle.potential
     carrier = _single_component(handle.system)
-    xcuts = set()
+    xcuts = set(weight.breakpoints())
     for br in sys_.branches:
         xcuts.update((br.domain.lo, br.domain.hi))
     for iv, _, _ in a.pieces:
         xcuts.update((iv.lo, iv.hi))
-    xcuts.update(pot.breakpoints())
     ycuts = {carrier.lo, carrier.hi}
     for br in sys_.branches:
         for x in xcuts:
@@ -427,15 +418,13 @@ def _transfer_grid(handle: tr.TransferHandle, a: tr.TestFunction) -> GridFunctio
         ym = (u + v) / 2
         c0, c1, c2 = Q(0), Q(0), Q(0)
         for br in sys_.branches:
-            if br.slope == 0:
-                continue  # constant branch: fiber is a set, not a point family
             xm = (ym - br.intercept) / br.slope
             if not br.domain.contains(xm):
                 continue
             fa = dyn._piece_at(a.pieces, xm)
             if fa is None:
                 continue
-            fr = dyn._piece_at(pot.pieces, xm)
+            fr = dyn._piece_at(weight.pieces, xm)
             if fr is None:
                 continue
             ma, ca = fa
@@ -449,46 +438,9 @@ def _transfer_grid(handle: tr.TransferHandle, a: tr.TestFunction) -> GridFunctio
             c1 += 2 * q2 * u1 * u0 + q1 * u1
             c0 += q2 * u0 * u0 + q1 * u0 + q0
         cells.append((c0, c1, c2))
-    vals = tuple(tr.apply(handle, a, p) for p in nodes)
+    fibres = (dyn.preimages(handle.system, weight, p, 1, drop_zero=True) for p in nodes)
+    vals = tuple(sum((w * a.value(x) for x, w in fibre), Q(0)) for fibre in fibres)
     return GridFunction(nodes, tuple(cells), vals)
-
-
-def _fiber_sum_grid(handle: tr.TransferHandle, a: tr.TestFunction) -> GridFunction:
-    """The unweighted fiber sum of a, as an exact grid function."""
-    sys_ = handle.system.ival
-    carrier = _single_component(handle.system)
-    xcuts = set()
-    for br in sys_.branches:
-        xcuts.update((br.domain.lo, br.domain.hi))
-    for iv, _, _ in a.pieces:
-        xcuts.update((iv.lo, iv.hi))
-    ycuts = {carrier.lo, carrier.hi}
-    for br in sys_.branches:
-        for x in xcuts:
-            if br.domain.contains(x):
-                ycuts.add(br.value(x))
-    nodes = tuple(sorted(ycuts))
-    cells = []
-    for u, v in zip(nodes, nodes[1:]):
-        ym = (u + v) / 2
-        c0, c1 = Q(0), Q(0)
-        for br in sys_.branches:
-            if br.slope == 0:
-                continue
-            xm = (ym - br.intercept) / br.slope
-            if not br.domain.contains(xm):
-                continue
-            fa = dyn._piece_at(a.pieces, xm)
-            if fa is None:
-                continue
-            ma, ca = fa
-            c1 += ma / br.slope
-            c0 += ca - ma * br.intercept / br.slope
-        cells.append((c0, c1, Q(0)))
-    vals = []
-    for p in nodes:
-        vals.append(sum((a.value(x) for x in sys_.fiber(p)), Q(0)))
-    return GridFunction(nodes, tuple(cells), tuple(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -717,13 +669,6 @@ class ResidualReport:
         return self.max_residual
 
 
-def _rho_or_zero(pot: Potential, x: Fraction) -> Fraction:
-    try:
-        return pot.value(x)
-    except ValidationError:
-        return Q(0)
-
-
 def _psi_exp(psi: PotentialFunction, beta: float, x) -> float:
     return math.exp(beta * float(psi.value(x)))
 
@@ -796,7 +741,7 @@ class _StateTable:
 
     def rho(self, p: _Point) -> float:
         if p.rho is None:
-            p.rho = float(_rho_or_zero(self.pot, p.x))
+            p.rho = float(self.pot.value_or_zero(p.x))
         return p.rho
 
     def _column(self, compute: Callable, *key) -> Callable[[_Point], object]:
@@ -817,10 +762,8 @@ class _StateTable:
         """phi^n by point; None where the orbit leaves the domain first."""
 
         def end(x):
-            try:
-                return self.point(dyn.orbit(self.system, x, n)[-1])
-            except OutOfDomain:
-                return None
+            z = dyn.orbit_end(self.system, x, n)
+            return None if z is None else self.point(z)
 
         return self._column(end, "orbit", n)
 
@@ -880,7 +823,7 @@ def _strong_pair(tab: _StateTable, a: tr.Function) -> tuple[float, float]:
     handle, psi, beta, mu = tab.handle, tab.psi, tab.beta, tab.mu
     cval = psi.constant_value()
     if mu.integrates_grids:
-        lhs = mu.integrate_grid(_transfer_grid(handle, a))
+        lhs = mu.integrate_grid(_fiber_grid(handle, a, handle.potential))
         if cval is not None:
             carrier = _single_component(handle.system)
             prod = _grid_product(_fn_grid(a, carrier), _pot_grid(handle.potential, carrier))
@@ -931,9 +874,10 @@ def _weak_pair(tab: _StateTable, a: tr.Function) -> tuple[float, float, Optional
     cval = psi.constant_value()
     bound = mu.row_bound(a, cval)
     if mu.integrates_grids:
-        lhs = mu.integrate_grid(_fiber_sum_grid(handle, a))
+        carrier = _single_component(handle.system)
+        unit = IntervalPotential(((carrier, Q(0), Q(1)),))
+        lhs = mu.integrate_grid(_fiber_grid(handle, a, unit))
         if cval is not None:
-            carrier = _single_component(handle.system)
             rhs = math.exp(beta * float(cval)) * mu.integrate_grid(_fn_grid(a, carrier))
             return lhs, rhs, bound
     else:
@@ -1001,40 +945,21 @@ def _ruelle_ulam(handle, psi: PotentialFunction, bins: int) -> Callable[[float],
     exp(-beta*energy) over every segment in one numpy pass, then sums segments
     into cells and cells into the matrix in the order they were walked.
     """
-    sys_ = handle.system.ival
     comp = _single_component(handle.system)
-    lo, hi = comp.lo, comp.hi
-    w = (hi - lo) / bins
     segs, seg_cell, cell_at, cell_slope = [], [], [], []
-    for br in sys_.branches:
-        if br.slope == 0:
-            continue
-        for j in range(bins):
-            binj = RationalInterval(lo + j * w, lo + (j + 1) * w, True, j == bins - 1)
-            cell = binj.intersection(br.domain)
-            if cell is None or cell.is_point:
-                continue
-            img = cell.affine_image(br.slope, br.intercept)
-            i0 = max(int((img.lo - lo) // w), 0)
-            i1 = min(int(-((lo - img.hi) // w)), bins - 1)
-            for i in range(i0, i1 + 1):
-                bini = RationalInterval(lo + i * w, lo + (i + 1) * w, True, i == bins - 1)
-                ycell = img.intersection(bini)
-                if ycell is None or ycell.is_point:
-                    continue
-                xcell = ycell.affine_image(1 / br.slope, -br.intercept / br.slope)
-                for piv, m, c in psi.carrier.pieces:
-                    seg = xcell.intersection(piv)
-                    if seg is not None and not seg.is_point:
-                        segs.append((float(seg.lo), float(seg.hi), float(m), float(c)))
-                        seg_cell.append(len(cell_at))
-                cell_at.append(i * bins + j)
-                cell_slope.append(abs(float(br.slope)))
+    for i, j, absm, xcell in tr.ulam_cells(handle.system.ival, comp.lo, comp.hi, bins):
+        for piv, m, c in psi.carrier.pieces:
+            seg = xcell.intersection(piv)
+            if seg is not None and not seg.is_point:
+                segs.append((float(seg.lo), float(seg.hi), float(m), float(c)))
+                seg_cell.append(len(cell_at))
+        cell_at.append(i * bins + j)
+        cell_slope.append(float(absm))
     u, v, m, c = np.array(segs, dtype=float).reshape(-1, 4).T
     seg_cell = np.array(seg_cell, dtype=np.intp)
     cell_at = np.array(cell_at, dtype=np.intp)
     cell_slope = np.array(cell_slope, dtype=float)
-    fw = float(w)
+    fw = float((comp.hi - comp.lo) / bins)
 
     def matrix(beta: float) -> np.ndarray:
         flat = (m == 0) | (beta == 0.0)
@@ -1295,12 +1220,8 @@ def _g_diag_product(tab: _StateTable, p1, p2) -> Optional[Callable]:
     def bc(x):
         return b(x) * c(x)
 
-    if m >= k:
-        up, down = n, m - k + l
-        mid = _alphak(tab, _lk(tab, bc, k), l)
-    else:
-        up, down = n + k - m, l
-        mid = _alphak(tab, _lk(tab, bc, m), n)
+    up, down, steps, pull, _ = rep.product_shape(n, m, k, l)
+    mid = _alphak(tab, _lk(tab, bc, steps), pull)
     if up != down:
         return None
     cocycle = tab.cocycles(up)

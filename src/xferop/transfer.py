@@ -22,7 +22,9 @@ piecewise-quadratic grid function where the measure has one; and
 ``row_bound(a, cval)``, a residual tail bound or None.  The two measures
 a candidate file can hold, ``AtomicMeasure`` and ``UlamMeasure``, also
 answer ``dual(handle)`` (the exact pushforward under the dual operator),
-``to_doc(system)`` and ``residual_tol()``.
+``to_doc(system)`` and ``residual_tol()``.  ``UlamMeasure.dual`` reads
+``ulam_matrix``, which walks the bin geometry of ``ulam_cells``; the
+temperature solver in ``thermo`` builds its bin matrices from the same walk.
 """
 
 from __future__ import annotations
@@ -580,6 +582,33 @@ def integrate_potential(pot: Potential, s: IntervalSet) -> Fraction:
     return total
 
 
+def ulam_cells(sys_: dyn.IntervalSystem, lo: Fraction, hi: Fraction, bins: int):
+    """The exact geometry of a uniform bin grid on [lo, hi] under the map.
+
+    Yields ``(i, j, |slope|, xcell)`` for each branch, source bin j and
+    target bin i, in that order, where xcell is the part of bin j that the
+    branch sends into bin i; cells that are empty or a single point are
+    skipped.  Bins are half-open, the last one closed.
+    """
+    w = (hi - lo) / bins
+    for br in sys_.branches:
+        for j in range(bins):
+            binj = RationalInterval(lo + j * w, lo + (j + 1) * w, True, j == bins - 1)
+            cell = binj.intersection(br.domain)
+            if cell is None or cell.is_point:
+                continue
+            img = cell.affine_image(br.slope, br.intercept)
+            i0 = max(int((img.lo - lo) // w), 0)
+            i1 = min(int(-((lo - img.hi) // w)), bins - 1)
+            for i in range(i0, i1 + 1):
+                bini = RationalInterval(lo + i * w, lo + (i + 1) * w, True, i == bins - 1)
+                ycell = img.intersection(bini)
+                if ycell is None or ycell.is_point:
+                    continue
+                xcell = ycell.affine_image(1 / br.slope, -br.intercept / br.slope)
+                yield i, j, abs(br.slope), xcell
+
+
 def ulam_matrix(
     handle: TransferHandle,
     bins: int,
@@ -589,8 +618,9 @@ def ulam_matrix(
     """Exact bin-averaged matrix of the operator on a uniform grid.
 
     Entry [i][j] is the average over bin i of the operator applied to the
-    indicator of bin j: integrate the weight over the pulled-back overlap,
-    with the branch substitution contributing the |slope| factor.
+    indicator of bin j: integrate the weight over each cell of
+    ``ulam_cells``, with the branch substitution contributing the |slope|
+    factor.
     """
     sys_ = handle.system.ival
     if len(sys_.space.intervals) != 1:
@@ -601,17 +631,7 @@ def ulam_matrix(
     if bins < 1 or hi <= lo:
         raise ValidationError("bad bin grid")
     w = (hi - lo) / bins
-    grid = [RationalInterval(lo + i * w, lo + (i + 1) * w, True, i == bins - 1) for i in range(bins)]
     mat = [[Q(0)] * bins for _ in range(bins)]
-    for b in sys_.branches:
-        absm = abs(b.slope)
-        for i, bi in enumerate(grid):
-            pull = b.preimage_of(IntervalSet.of(bi))
-            if pull.is_empty:
-                continue
-            for j, bj in enumerate(grid):
-                cell = pull.intersection(IntervalSet.of(bj))
-                if cell.is_empty:
-                    continue
-                mat[i][j] += integrate_potential(handle.potential, cell) * absm / w
+    for i, j, absm, xcell in ulam_cells(sys_, lo, hi, bins):
+        mat[i][j] += integrate_potential(handle.potential, IntervalSet.of(xcell)) * absm / w
     return mat

@@ -20,7 +20,7 @@ from . import dynamics as dyn
 from . import transfer as tr
 from .dynamics import CylinderSet, PartialSystem, PathPoint, Potential
 from .errors import OutOfDomain, ValidationError, XferopError
-from .intervals import IntervalSet, Q, RationalInterval, frac
+from .intervals import IntervalSet, Q, RationalInterval
 from .rep import OrbitBasis
 
 PROPERTIES = (
@@ -837,9 +837,9 @@ def sampled_witness_norms(
     so no sampled element should vanish there while surviving in the regular
     representation."""
     basis = OrbitBasis(handle, anchor, depth)
-    system, pot = handle.system, handle.potential
+    pot = handle.potential
     t = basis.T()
-    sq = np.diag(np.array([_root_rho(system, pot, nd.point) for nd in basis.nodes]))
+    sq = np.diag(np.array([math.sqrt(float(pot.value_or_zero(nd.point))) for nd in basis.nodes]))
     s = np.eye(width, k=-1)
     out = []
     for f in fns:
@@ -850,10 +850,3 @@ def sampled_witness_norms(
             (float(np.linalg.norm(w_orbit, 2)), float(np.linalg.norm(w_reg, 2)))
         )
     return tuple(out)
-
-
-def _root_rho(system: PartialSystem, pot: Potential, point) -> float:
-    try:
-        return math.sqrt(float(pot.value(point)))
-    except OutOfDomain:
-        return 0.0

@@ -328,6 +328,15 @@ class TestPotentialTypes:
         with pytest.raises(OutOfDomain):
             pot.value(g.vertex_point("v"))
 
+    def test_value_or_zero_is_zero_off_the_domain(self, shift2):
+        half = RationalInterval(0, F(1, 2))
+        pot = dyn.IntervalPotential(((half, 0, 1),), overrides=((F(1, 2), 3),))
+        assert [pot.value_or_zero(x) for x in (F(1, 4), F(1, 2), F(3, 4))] == [1, 3, 0]
+        g = shift2.system.gph
+        gpot = dyn.GraphPotential((("e0", F(1, 3)), ("e1", F(2))))
+        assert gpot.value_or_zero(g.path_point(("e1", "e0"))) == 2
+        assert gpot.value_or_zero(g.vertex_point("v")) == 0
+
     def test_graph_potential_takes_no_pieces(self):
         with pytest.raises(TypeError):
             dyn.GraphPotential(pieces=((RationalInterval(0, 1), 0, 1),))

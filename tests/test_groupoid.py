@@ -151,18 +151,6 @@ class TestBuildDeaconu:
                 shift2.system, shift2.potential, [shift2_anchor], 6, max_elements=1000
             )
 
-    def test_table_small_and_capped(self, doubling, shift2, shift2_anchor):
-        small = gp.build_deaconu(doubling.system, doubling.potential, [F(1, 4)], 2)
-        tbl = small.composition_table()
-        assert len(tbl) == 343
-        for (i, j), k in tbl.items():
-            g, h = small.elements[i], small.elements[j]
-            want = small.index.get((g.x, g.k + h.k, h.y))
-            assert k == want
-        big = gp.build_deaconu(shift2.system, shift2.potential, [shift2_anchor], 6)
-        with pytest.raises(ValidationError):
-            big.composition_table()
-
 
 class TestGapRelation:
     def test_doubling_level_one(self, doubling):

@@ -160,6 +160,8 @@ def test_points_round_trip_through_their_text(name):
     anchor = m.default_anchor(dyn.regular_set(system, pot).delta_reg)
     tree = [x for n in range(4) for x, _ in dyn.preimages(system, pot, anchor, n)]
     points = [*m.default_samples(), anchor, *tree]
+    if isinstance(m, dyn.GraphSystem):
+        points += [m.vertex_point(v) for v in m.vertices]
     assert len(tree) > 1
     for x in points:
         assert m.parse_point(m.point_text(x)) == x

@@ -221,7 +221,7 @@ class TestPositiveEnergy:
 class TestGridFunctions:
     def test_transfer_grid_matches_pointwise_apply(self, tent_handle):
         a = tr.TestFunction.hat(F(1, 4), F(1, 8), 1)
-        g = th._transfer_grid(tent_handle, a)
+        g = th._fiber_grid(tent_handle, a, tent_handle.potential)
         for k in range(33):
             y = F(k, 32)
             assert g.value(y) == tr.apply(tent_handle, a, y)
@@ -229,7 +229,7 @@ class TestGridFunctions:
     def test_fiber_sum_grid_matches_bare_sums(self, tent_handle):
         sys_ = tent_handle.system.ival
         a = tr.TestFunction.hat(F(3, 8), F(1, 8), 1)
-        g = th._fiber_sum_grid(tent_handle, a)
+        g = th._fiber_grid(tent_handle, a, dyn.IntervalPotential(((UNIT, 0, 1),)))
         for k in range(25):
             y = F(k, 24)
             assert g.value(y) == sum(a.value(x) for x in sys_.fiber(y))
@@ -708,7 +708,7 @@ def _bare_conformal_rhs(handle, psi, beta, mu, a):
         return math.exp(beta * float(cval)) * float(_int_ulam_grid(mu, prod))
     return _bare_integrate(
         mu,
-        lambda x: float(a.value(x)) * th._psi_exp(psi, beta, x) * float(th._rho_or_zero(pot, x)),
+        lambda x: float(a.value(x)) * th._psi_exp(psi, beta, x) * float(pot.value_or_zero(x)),
         4,
     )
 

@@ -186,6 +186,25 @@ class TestDuals:
         assert nu.densities == (F(1),) * 16
         assert nu.total_mass() == 1
 
+    @pytest.mark.parametrize("name", ["tent_std", "tent_half", "doubling", "halving"])
+    def test_ulam_columns_carry_the_weight_of_their_bin(self, name):
+        # w * sum_i K[i][j] = sum over branches b of |slope_b| * (integral of rho
+        # over bin j in dom b), computed without the bin walk
+        s = specfile.bundled(name)
+        h = tr.TransferHandle.create(s.system, s.potential)
+        (comp,) = s.system.ival.space.intervals
+        pot, branches = s.potential, s.system.ival.branches
+        for bins in range(1, 17):
+            mat = tr.ulam_matrix(h, bins)
+            w = (comp.hi - comp.lo) / bins
+            for j in range(bins):
+                binj = IntervalSet.of(
+                    RationalInterval(comp.lo + j * w, comp.lo + (j + 1) * w, True, j == bins - 1)
+                )
+                cells = ((b, binj.intersection(IntervalSet.of(b.domain))) for b in branches)
+                want = sum((abs(b.slope) * tr.integrate_potential(pot, c) for b, c in cells), F(0))
+                assert w * sum(mat[i][j] for i in range(bins)) == want
+
     def test_ulam_rejects_graph(self):
         s = specfile.bundled("loop1")
         h = tr.TransferHandle.create(s.system, s.potential)

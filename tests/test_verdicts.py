@@ -545,6 +545,18 @@ class TestWitnessNorms:
         assert orbit <= 1e-10
         assert regular >= 0.1
 
+    def test_anchor_off_the_domain(self):
+        # X = [0, 1] with one branch x -> 2x on [0, 1/2]: the anchor 3/4 lies in X minus the domain
+        half = RationalInterval(0, F(1, 2))
+        space = IntervalSet.of(RationalInterval(0, 1))
+        system = dyn.PartialSystem(dyn.IntervalSystem(space, [dyn.AffineBranch(half, 2, 0)]))
+        handle = tr.TransferHandle.create(system, dyn.IntervalPotential(((half, 0, 1),)))
+        fns = [tr.TestFunction.hat(F(3, 4), F(1, 4), 1), tr.TestFunction.hat(F(3, 8), F(1, 8), 1)]
+        at_anchor, below = vd.sampled_witness_norms(handle, F(3, 4), 3, 3, fns)
+        # the weight is zero at the anchor, so a t - a sqrt(rho) vanishes for a hat there
+        assert at_anchor == (0.0, 0.0)
+        assert below == pytest.approx((2**0.5, 2**0.5))
+
     def test_fullshift_no_annihilation(self, shift2):
         handle = tr.TransferHandle.create(shift2.system, shift2.potential)
         g = shift2.system.gph
