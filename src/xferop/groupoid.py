@@ -261,12 +261,8 @@ def _slot_diag(basis: rep.OrbitBasis, f: Optional[tr.Function], k: int) -> np.nd
     """Diagonal a(x) * rho_k(x)^{-1/2} as floats; zero where the orbit or
     the cocycle is missing (those rows die against the shift anyway)."""
     out = np.zeros(basis.dim)
-    for i, nd in enumerate(basis.nodes):
-        try:
-            w = dyn.cocycle(basis.system, basis.potential, k, nd.point)
-        except OutOfDomain:
-            continue
-        if w <= 0:
+    for i, (nd, w) in enumerate(zip(basis.nodes, basis.cocycles(k))):
+        if w is None or w <= 0:
             continue
         v = 1.0 if f is None else float(f.value(nd.point))
         out[i] = v / math.sqrt(float(w))

@@ -86,6 +86,13 @@ class BasisNode:
     point: object
 
 
+def _cocycle_or_none(system: PartialSystem, pot: Potential, k: int, x) -> Optional[Fraction]:
+    try:
+        return dyn.cocycle(system, pot, k, x)
+    except dyn.OutOfDomain:
+        return None
+
+
 class OrbitBasis:
     """Preimage tree of an anchor point, truncated at a depth."""
 
@@ -126,6 +133,7 @@ class OrbitBasis:
             pot.value(nd.point) if i > 0 else Q(0)
             for i, nd in enumerate(self.nodes)
         )
+        self._cocycles: dict[int, tuple[Optional[Fraction], ...]] = {}
 
     @property
     def dim(self) -> int:
@@ -158,6 +166,16 @@ class OrbitBasis:
         for _ in range(k):
             out = t @ out
         return out
+
+    def cocycles(self, k: int) -> tuple[Optional[Fraction], ...]:
+        """The exact k-step cocycle at every node, None where the orbit
+        leaves the domain; each degree is computed once per basis."""
+        col = self._cocycles.get(k)
+        if col is None:
+            col = self._cocycles[k] = tuple(
+                _cocycle_or_none(self.system, self.potential, k, nd.point) for nd in self.nodes
+            )
+        return col
 
     def gauge(self, z: complex) -> np.ndarray:
         return np.diag(np.array([z ** nd.depth for nd in self.nodes], dtype=complex))
@@ -348,16 +366,11 @@ def g_values(basis: OrbitBasis, mon: Monomial):
     For balanced powers k the value at a node is left * right * (k-step
     cocycle); unbalanced monomials have zero expectation.
     """
+    if mon.up != mon.down:
+        return (Q(0),) * basis.dim
     out = []
-    for nd in basis.nodes:
-        if mon.up != mon.down:
-            out.append(Q(0))
-            continue
-        try:
-            w = dyn.cocycle(basis.system, basis.potential, mon.up, nd.point)
-        except dyn.OutOfDomain:
-            w = Q(0)
-        v = w
+    for nd, w in zip(basis.nodes, basis.cocycles(mon.up)):
+        v = Q(0) if w is None else w
         if mon.left is not None:
             v *= mon.left.value(nd.point)
         if mon.right is not None:

@@ -14,9 +14,15 @@ identity through the diagonal expectation.
 The discretized operator is built in two passes.  An exact pass, once per
 solve, cuts the preimage cells of ``transfer.ulam_cells`` (the bin walk that
 ``transfer.ulam_matrix`` reads too) by the energy pieces in rational
-arithmetic and keeps the float segments they cut; a float pass, once per
-inverse temperature, integrates exp(-beta*energy) over all segments in one
-numpy expression and sums them into the bin matrix.
+arithmetic and keeps the float segments they cut, with the (row, col) bin
+position of each cell; a float pass, once per inverse temperature,
+integrates exp(-beta*energy) over all segments in one numpy expression and
+sums them into the nonzero entries of the bin matrix at those positions.
+A power step multiplies by the transpose straight from the positions (one
+``np.bincount``), so no solve builds the bins x bins matrix, and each
+bisection step starts from the previous step's Perron vector.  The graph
+operator is one entry per vertex pair and stays dense and cold (see
+``_RuelleGraph``).
 
 The state-level checks and the eigen-measure residuals integrate against a
 measure point by point.  Each call builds one table of the exact per-point
@@ -936,32 +942,43 @@ def _overflow(beta: float) -> ValidationError:
     )
 
 
-def _ruelle_ulam(handle, psi: PotentialFunction, bins: int) -> Callable[[float], np.ndarray]:
-    """Bin matrices of the bare fiber-sum operator with weight exp(-beta*energy).
+class _RuelleUlam:
+    """Bin operators of the bare fiber-sum operator with weight exp(-beta*energy).
 
     The exact pass walks branches, bins, preimage cells and energy pieces once
     and keeps one float segment (u, v, m, c) per piece cut of each cell, where
-    the energy is m*x + c on [u, v].  The returned ``matrix(beta)`` integrates
-    exp(-beta*energy) over every segment in one numpy pass, then sums segments
-    into cells and cells into the matrix in the order they were walked.
+    the energy is m*x + c on [u, v], and the (row, col) position of each cell
+    in the bin matrix k.  ``values(beta)`` integrates exp(-beta*energy) over
+    every segment in one numpy pass, then sums segments into cells and cells
+    into the distinct positions in the order they were walked: those are the
+    nonzero entries of k.  A power step reads them straight from the
+    positions, so no solve builds the bins x bins matrix; ``dense`` does, for
+    tests.  Each ``perron`` call starts from the previous call's vector.
     """
-    comp = _single_component(handle.system)
-    segs, seg_cell, cell_at, cell_slope = [], [], [], []
-    for i, j, absm, xcell in tr.ulam_cells(handle.system.ival, comp.lo, comp.hi, bins):
-        for piv, m, c in psi.carrier.pieces:
-            seg = xcell.intersection(piv)
-            if seg is not None and not seg.is_point:
-                segs.append((float(seg.lo), float(seg.hi), float(m), float(c)))
-                seg_cell.append(len(cell_at))
-        cell_at.append(i * bins + j)
-        cell_slope.append(float(absm))
-    u, v, m, c = np.array(segs, dtype=float).reshape(-1, 4).T
-    seg_cell = np.array(seg_cell, dtype=np.intp)
-    cell_at = np.array(cell_at, dtype=np.intp)
-    cell_slope = np.array(cell_slope, dtype=float)
-    fw = float((comp.hi - comp.lo) / bins)
 
-    def matrix(beta: float) -> np.ndarray:
+    def __init__(self, handle, psi: PotentialFunction, bins: int):
+        comp = _single_component(handle.system)
+        segs, seg_cell, cell_at, cell_slope = [], [], [], []
+        for i, j, absm, xcell in tr.ulam_cells(handle.system.ival, comp.lo, comp.hi, bins):
+            for piv, m, c in psi.carrier.pieces:
+                seg = xcell.intersection(piv)
+                if seg is not None and not seg.is_point:
+                    segs.append((float(seg.lo), float(seg.hi), float(m), float(c)))
+                    seg_cell.append(len(cell_at))
+            cell_at.append(i * bins + j)
+            cell_slope.append(float(absm))
+        self.segs = np.array(segs, dtype=float).reshape(-1, 4).T
+        self.seg_cell = np.array(seg_cell, dtype=np.intp)
+        self.pos, self.cell_pos = np.unique(np.array(cell_at, dtype=np.intp), return_inverse=True)
+        self.rows, self.cols = np.divmod(self.pos, bins)
+        self.cell_slope = np.array(cell_slope, dtype=float)
+        self.fw = float((comp.hi - comp.lo) / bins)
+        self.bins = bins
+        self._warm = np.full(bins, 1.0 / bins)
+
+    def values(self, beta: float) -> np.ndarray:
+        """The entries of k at ``pos`` (flat indices row*bins + col)."""
+        u, v, m, c = self.segs
         flat = (m == 0) | (beta == 0.0)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             integrals = np.where(
@@ -969,26 +986,53 @@ def _ruelle_ulam(handle, psi: PotentialFunction, bins: int) -> Callable[[float],
                 (v - u) * np.exp(-beta * c),
                 (np.exp(-beta * (m * u + c)) - np.exp(-beta * (m * v + c))) / (beta * m),
             )
-            cells = np.bincount(seg_cell, weights=integrals, minlength=len(cell_at))
-            k = np.bincount(cell_at, weights=cell_slope * cells / fw, minlength=bins * bins)
-        if not np.isfinite(k).all():
+            cells = np.bincount(self.seg_cell, weights=integrals, minlength=len(self.cell_pos))
+            vals = np.bincount(
+                self.cell_pos, weights=self.cell_slope * cells / self.fw, minlength=len(self.pos)
+            )
+        if not np.isfinite(vals).all():
             raise _overflow(beta)
-        return k.reshape(bins, bins)
+        return vals
 
-    return matrix
+    def step(self, beta: float) -> Callable[[np.ndarray], np.ndarray]:
+        """One shifted power step u -> k^T u + u at this beta."""
+        vals, rows, cols, bins = self.values(beta), self.rows, self.cols, self.bins
+
+        def step(u: np.ndarray) -> np.ndarray:
+            return np.bincount(cols, weights=vals * u[rows], minlength=bins) + u
+
+        return step
+
+    def dense(self, beta: float) -> np.ndarray:
+        k = np.zeros(self.bins * self.bins)
+        k[self.pos] = self.values(beta)
+        return k.reshape(self.bins, self.bins)
+
+    def perron(self, beta: float) -> tuple[float, np.ndarray]:
+        r, self._warm = _perron(self.step(beta), self._warm)
+        return r, self._warm
 
 
-def _ruelle_graph(system: PartialSystem, psi: PotentialFunction) -> Callable[[float], np.ndarray]:
-    """Vertex matrices of the fiber-sum operator, one exp(-beta*energy) per edge."""
-    verts = system.gph.vertices
-    idx = {v: i for i, v in enumerate(verts)}
-    wmap = psi.carrier.weight_map()
-    edges = [(idx[e.src], idx[e.rng], float(wmap[e.name])) for e in system.gph.edges]
+class _RuelleGraph:
+    """Vertex matrices of the fiber-sum operator, one exp(-beta*energy) per edge.
 
-    def matrix(beta: float) -> np.ndarray:
-        k = np.zeros((len(verts), len(verts)))
+    ``perron`` iterates on the dense shifted matrix from the uniform vector on
+    every call.  The atom masses of a graph candidate are exact rationals of
+    the vector's floats, so a sparse or warm-started step would change them
+    in their last bits, and with them the pinned reports; a graph matrix is
+    only vertices x vertices, so there is nothing to save.
+    """
+
+    def __init__(self, system: PartialSystem, psi: PotentialFunction):
+        self.verts = system.gph.vertices
+        idx = {v: i for i, v in enumerate(self.verts)}
+        wmap = psi.carrier.weight_map()
+        self.edges = [(idx[e.src], idx[e.rng], float(wmap[e.name])) for e in system.gph.edges]
+
+    def dense(self, beta: float) -> np.ndarray:
+        k = np.zeros((len(self.verts), len(self.verts)))
         try:
-            for i, j, energy in edges:
+            for i, j, energy in self.edges:
                 k[i, j] += math.exp(-beta * energy)
         except OverflowError:
             raise _overflow(beta) from None
@@ -996,21 +1040,27 @@ def _ruelle_graph(system: PartialSystem, psi: PotentialFunction) -> Callable[[fl
             raise _overflow(beta)
         return k
 
-    return matrix
+    def perron(self, beta: float) -> tuple[float, np.ndarray]:
+        n = len(self.verts)
+        kt = self.dense(beta).T + np.eye(n)  # shift keeps oscillating spectra convergent
+        return _perron(kt.__matmul__, np.full(n, 1.0 / n))
 
 
-def _perron(k: np.ndarray, tol: float = 1e-13, iters: int = 20_000) -> tuple[float, np.ndarray]:
-    """Perron root and left eigenvector by shifted power iteration.
+def _perron(
+    step: Callable[[np.ndarray], np.ndarray],
+    u: np.ndarray,
+    tol: float = 1e-13,
+    iters: int = 20_000,
+) -> tuple[float, np.ndarray]:
+    """Perron root and left eigenvector by shifted power iteration from u.
 
+    ``step(u)`` is k^T u + u; the shift keeps oscillating spectra convergent.
     Raises NoSolution when the iteration leaves the finite range or has not
     converged after ``iters`` steps, rather than returning an unconverged root.
     """
-    n = k.shape[0]
-    kt = k.T + np.eye(n)  # shift keeps oscillating spectra convergent
-    u = np.full(n, 1.0 / n)
     r = 1.0
     for _ in range(iters):
-        w = kt @ u
+        w = step(u)
         s = float(w.sum())
         if not math.isfinite(s):
             raise NoSolution(f"power iteration left the finite range (sum {s!r})", {})
@@ -1037,8 +1087,12 @@ def solve_conformal(
     so an eigen-measure of the identity is a left Perron vector at eigenvalue
     one.  The exact bin geometry (bin overlaps, preimage cells, slopes and
     energy pieces) is built once per solve; each bisection step only runs the
-    float pass that integrates exp(-beta*energy) over it.  A constant energy
-    scales one Perron root at beta = 0 instead.  Bisection runs on the
+    float pass that integrates exp(-beta*energy) over it, then iterates the
+    sparse power step from the previous step's Perron vector.  Graph steps
+    iterate the dense matrix from the uniform vector every time, because
+    the atom masses of a graph candidate are exact rationals of that
+    vector's floats.  A constant energy scales one Perron root at
+    beta = 0 instead.  Bisection runs on the
     bracket; a flat root pegged at one returns a degenerate candidate, any
     other one-sided bracket raises NoSolution with the endpoint data, and a
     bracket where exp(-beta*energy) overflows raises ValidationError.
@@ -1050,14 +1104,13 @@ def solve_conformal(
         raise ValidationError("max_iter must be at least 1")
     system = handle.system
     if system.backend == "graph":
-        matrix, cval = _ruelle_graph(system, psi), None
+        ops, cval = _RuelleGraph(system, psi), None
     else:
-        matrix, cval = _ruelle_ulam(handle, psi, bins), psi.constant_value()
+        ops, cval = _RuelleUlam(handle, psi, bins), psi.constant_value()
     if cval is None:
-        def spectral(beta: float):
-            return _perron(matrix(beta))
+        spectral = ops.perron
     else:
-        r0, v0 = _perron(matrix(0.0))
+        r0, v0 = ops.perron(0.0)
         c = float(cval)
 
         def spectral(beta: float):

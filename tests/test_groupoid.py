@@ -265,6 +265,26 @@ class TestPhiIsomorphism:
         with pytest.raises(ValidationError):
             gp.phi_matrix(basis, None, 0, -1, None)
 
+    def test_cocycles_computed_once_per_degree(self, doubling, monkeypatch):
+        calls = []
+        cocycle = dyn.cocycle
+
+        def counting(system, pot, k, x):
+            calls.append(k)
+            return cocycle(system, pot, k, x)
+
+        monkeypatch.setattr(dyn, "cocycle", counting)
+        h = tr.TransferHandle.create(doubling.system, doubling.potential)
+        basis = rep.OrbitBasis(h, F(1, 4), 4)
+        a = tr.TestFunction.hat(F(1, 2), F(1, 2), 1)
+        degrees = range(basis.depth + 1)
+        first = [gp.phi_matrix(basis, a, n, m, None) for n in degrees for m in degrees]
+        assert gp.iso_phi_check(basis, a, None, 1, 2, a, None, 2, 1) <= 1e-12
+        again = [gp.phi_matrix(basis, a, n, m, None) for n in degrees for m in degrees]
+        assert all(np.array_equal(x, y) for x, y in zip(first, again))
+        assert sorted(set(calls)) == list(degrees)
+        assert all(calls.count(k) <= basis.dim for k in degrees)
+
     def test_periodic_anchor_refused(self, doubling):
         # 0 is fixed under doubling, so its tree repeats the point and the
         # node-to-point dictionary would be ambiguous

@@ -536,6 +536,12 @@ def _bare_ruelle_ulam(handle, psi, beta, bins):
     return k
 
 
+def _shifted_step(k):
+    """The dense shifted power step u -> (k^T + I) u."""
+    kt = k.T + np.eye(k.shape[0])
+    return lambda u: kt @ u
+
+
 def _psi_kinked(system):
     """Energy 3x on [0, 1/3] and 1 on [1/3, 1]: the kink cuts bins."""
     third = F(1, 3)
@@ -557,38 +563,72 @@ class TestRuelleUlam:
         s = specfile.bundled(spec)
         h = tr.TransferHandle.create(s.system, s.potential)
         psi = _psi_affine(s.system, 1, 0) if energy == "x" else _psi_kinked(s.system)
-        matrix = th._ruelle_ulam(h, psi, bins)
+        ops = th._RuelleUlam(h, psi, bins)
         for beta in (0.0, 0.7, 3.27):
             ref = _bare_ruelle_ulam(h, psi, beta, bins)
-            got = matrix(beta)
+            got = ops.dense(beta)
             assert got.shape == (bins, bins)
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
             if beta == 0.0:
                 # exp(0) is exact, so only a change in the sums could differ
                 assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("bins", [7, 64, 256])
+    @pytest.mark.parametrize("energy", ["x", "kinked"])
+    @pytest.mark.parametrize("spec", ["tent_std", "tent_half", "doubling", "halving"])
+    def test_sparse_step_is_the_transposed_product(self, spec, energy, bins):
+        # k and its transpose share the Perron root, so only the vector can
+        # tell a transposed product apart; these k are not symmetric
+        s = specfile.bundled(spec)
+        h = tr.TransferHandle.create(s.system, s.potential)
+        psi = _psi_affine(s.system, 1, 0) if energy == "x" else _psi_kinked(s.system)
+        ops = th._RuelleUlam(h, psi, bins)
+        rng = np.random.default_rng(bins)
+        for beta in (0.0, 0.7, 3.27):
+            k = ops.dense(beta)
+            assert not np.allclose(k, k.T)
+            u = rng.uniform(0.5, 1.5, bins)
+            np.testing.assert_allclose(ops.step(beta)(u), k.T @ u + u, rtol=1e-13, atol=0)
+
     def test_overflow_names_beta(self, tent_handle):
-        matrix = th._ruelle_ulam(tent_handle, _psi_affine(tent_handle.system, 1, 0), 64)
+        ops = th._RuelleUlam(tent_handle, _psi_affine(tent_handle.system, 1, 0), 64)
         with pytest.raises(ValidationError, match=r"beta=-1000\.0"):
-            matrix(-1000.0)
-        assert np.isfinite(matrix(-700.0)).all()
+            ops.dense(-1000.0)
+        assert np.isfinite(ops.dense(-700.0)).all()
 
     def test_graph_overflow_names_beta(self):
         s = specfile.bundled("fullshift2")
-        matrix = th._ruelle_graph(s.system, th.PotentialFunction.const(s.system, 1))
-        assert np.array_equal(matrix(0.0), np.full((1, 1), 2.0))
+        ops = th._RuelleGraph(s.system, th.PotentialFunction.const(s.system, 1))
+        assert np.array_equal(ops.dense(0.0), np.full((1, 1), 2.0))
         with pytest.raises(ValidationError, match=r"beta=-1000\.0"):
-            matrix(-1000.0)
+            ops.dense(-1000.0)
 
     def test_perron_cap_raises(self):
+        step = _shifted_step(np.diag([2.0, 1.0]))
+        cold = np.full(2, 0.5)
         with pytest.raises(NoSolution, match="did not converge in 5 steps"):
-            th._perron(np.diag([2.0, 1.0]), iters=5)
-        r, vec = th._perron(np.diag([2.0, 1.0]))
+            th._perron(step, cold, iters=5)
+        r, vec = th._perron(step, cold)
         assert abs(r - 2.0) <= 1e-12 and vec[0] > 1 - 1e-9
+        # a warm start from the converged vector still needs a second step
+        # to confirm the root, so a capped warm run raises too
+        with pytest.raises(NoSolution, match="did not converge in 1 steps"):
+            th._perron(step, vec, iters=1)
+        assert abs(th._perron(step, vec)[0] - r) <= 1e-12
+
+    def test_perron_cap_raises_warm_on_the_sparse_step(self, tent_handle):
+        ops = th._RuelleUlam(tent_handle, _psi_affine(tent_handle.system, 1, 0), 64)
+        _, vec = ops.perron(1.0)
+        with pytest.raises(NoSolution, match="did not converge in 3 steps"):
+            th._perron(ops.step(1.1), vec, iters=3)
 
     def test_perron_non_finite_raises(self):
         with pytest.raises(NoSolution, match="finite"):
-            th._perron(np.array([[np.inf]]))
+            th._perron(_shifted_step(np.array([[np.inf]])), np.ones(1))
+        # warm-started: the vector of a finite operator, then a step that overflows
+        _, vec = th._perron(_shifted_step(np.diag([2.0, 1.0])), np.full(2, 0.5))
+        with pytest.raises(NoSolution, match="finite"):
+            th._perron(_shifted_step(np.diag([np.inf, 1.0])), vec)
 
 
 def _ulam_quad_points(mu, pts):
@@ -893,24 +933,40 @@ class TestSolveConformal:
 
     def test_geometry_built_once_and_no_beta_repeated(self, tent_handle, monkeypatch):
         builds, betas = [], []
-        build = th._ruelle_ulam
 
-        def counting(handle, psi, bins):
-            builds.append(bins)
-            matrix = build(handle, psi, bins)
+        class Counting(th._RuelleUlam):
+            def __init__(self, handle, psi, bins):
+                builds.append(bins)
+                super().__init__(handle, psi, bins)
 
-            def recorded(beta):
+            def values(self, beta):
                 betas.append(beta)
-                return matrix(beta)
+                return super().values(beta)
 
-            return recorded
-
-        monkeypatch.setattr(th, "_ruelle_ulam", counting)
+        monkeypatch.setattr(th, "_RuelleUlam", Counting)
         psi = _psi_affine(tent_handle.system, 1, 0)
         cand = th.solve_conformal(tent_handle, psi, bins=64, bracket=(0.5, 6.0))
         assert builds == [64]
         assert betas[:2] == [0.5, 6.0] and betas[-1] == cand.beta
         assert len(set(betas)) == len(betas)
+
+    def test_interval_solve_builds_no_dense_matrix(self, tent_handle, psi_one, monkeypatch):
+        bins = 64
+        zeros = np.zeros
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense bin matrix built")
+
+        def small_zeros(shape, *args, **kwargs):
+            assert np.prod(shape) < bins * bins, "dense bin matrix built"
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(th._RuelleUlam, "dense", refuse)
+        monkeypatch.setattr(np, "eye", refuse)
+        monkeypatch.setattr(np, "zeros", small_zeros)
+        psi = _psi_affine(tent_handle.system, 1, 0)
+        for energy in (psi, psi_one):
+            th.solve_conformal(tent_handle, energy, bins=bins, bracket=(0.5, 6.0))
 
     def test_overflowing_bracket_raises(self, tent_handle, psi_one):
         psi = _psi_affine(tent_handle.system, 1, 0)
@@ -1113,3 +1169,49 @@ class TestHelpers:
 
     def test_hat_battery_empty_region(self):
         assert th.hat_battery(IntervalSet.empty(), 3) == []
+
+
+def _cantor_markov():
+    """x -> 3x on [0, 1/3] and 3x - 2 on [2/3, 1], weight 1/2, energy 1 then 2."""
+
+    def closed(lo, hi):
+        return {"lo": lo, "hi": hi, "lo_closed": True, "hi_closed": True}
+
+    def const(lo, hi, value):
+        return {"interval": closed(lo, hi), "slope": "0", "intercept": value}
+
+    return specfile.parse_spec(
+        {
+            "name": "cantor_markov",
+            "backend": "interval",
+            "space": [closed("0", "1")],
+            "branches": [
+                {"domain": closed("0", "1/3"), "slope": "3", "intercept": "0"},
+                {"domain": closed("2/3", "1"), "slope": "3", "intercept": "-2"},
+            ],
+            "potential": {"pieces": [const("0", "1", "1/2")], "overrides": []},
+            "psi": {"pieces": [const("0", "1/3", "1"), const("2/3", "1", "2")], "overrides": []},
+        }
+    )
+
+
+class TestMarkovOracle:
+    """A Markov map whose Perron root is known in closed form.
+
+    Every point of [0, 1] has one preimage under each branch, and the energy
+    is constant on each branch, so the constants are a positive eigenvector
+    of the fiber sum with eigenvalue r(beta) = exp(-beta) + exp(-2 beta).
+    The same holds for the bin matrix on any grid (each bin's preimages are
+    the 1/3-scaled bins inside a branch), so the solver's root is
+    beta = log of the golden ratio, up to its stop rule |r - 1| <= 1e-10.
+    The gap (1/3, 2/3) in the domain is what lets the energy jump.
+    """
+
+    @pytest.mark.parametrize("bins", [3, 9, 27, 81, 243, 729, 8, 64, 256, 512])
+    def test_beta_is_log_golden_ratio(self, bins):
+        s = _cantor_markov()
+        h = tr.TransferHandle.create(s.system, s.potential)
+        cand = th.solve_conformal(h, th.PotentialFunction.of(s.system, s.psi), bins=bins)
+        beta = math.log((1 + math.sqrt(5)) / 2)
+        slope = math.exp(-beta) + 2 * math.exp(-2 * beta)  # |r'(beta)|
+        assert abs(cand.beta - beta) <= 1e-10 / slope
