@@ -12,7 +12,6 @@ from .errors import (
     HypothesisViolated,
     NoSolution,
     NotLocalHomeo,
-    NotRegular,
     NotValidated,
     OutOfDomain,
     OutOfSpectrum,
@@ -34,7 +33,6 @@ __all__ = [
     "IntervalSet",
     "NoSolution",
     "NotLocalHomeo",
-    "NotRegular",
     "NotValidated",
     "OutOfDomain",
     "OutOfSpectrum",

@@ -57,7 +57,6 @@ from .errors import (
     DepthExceeded,
     OutOfDomain,
     ParseError,
-    UnsupportedPotential,
     ValidationError,
 )
 from .intervals import (
@@ -944,6 +943,14 @@ def orbit_end(system: PartialSystem, x: Point, n: int) -> Optional[Point]:
         return None
 
 
+def cocycle_or_none(system: PartialSystem, pot: Potential, n: int, x: Point) -> Optional[Fraction]:
+    """rho_n(x), or None where the orbit leaves the domain first."""
+    try:
+        return cocycle(system, pot, n, x)
+    except OutOfDomain:
+        return None
+
+
 # -- regular region ---------------------------------------------------------
 
 _REASON_ORDER = ("zero_potential", "not_locally_injective", "rho_discontinuous")
@@ -1046,7 +1053,7 @@ def _rho_continuous_at(sys_: IntervalSystem, pot: Potential, x0: Fraction) -> bo
     return True
 
 
-# -- power system -------------------------------------------------------------
+# -- composite branches -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -1060,9 +1067,6 @@ class CompositeBranch:
 
     def value(self, x: Rationalish) -> Fraction:
         return self.slope * frac(x) + self.intercept
-
-    def as_branch(self) -> AffineBranch:
-        return AffineBranch(self.domain, self.slope, self.intercept)
 
     def image(self) -> RationalInterval:
         return self.domain.affine_image(self.slope, self.intercept)
@@ -1097,114 +1101,6 @@ def composite_branches(sys_: IntervalSystem, n: int) -> tuple[CompositeBranch, .
                     )
         current = nxt
     return tuple(current)
-
-
-def power(system: PartialSystem, pot: Potential, n: int) -> tuple[PartialSystem, Potential]:
-    """The n-step system with its exact chained weight.
-
-    The chained weight multiplies n weights along the orbit, so it stays in
-    the affine class only when at most one factor per composite branch piece
-    is non-constant; otherwise UnsupportedPotential is raised.
-    """
-    if n < 1:
-        raise ValidationError("power order must be >= 1")
-    system.check_depth(n)
-    if system.backend == "graph":
-        gph = system.gph
-        wmap = pot.weight_map()
-        new_edges = []
-        new_weights = []
-        for p in gph.words(n):
-            name = ".".join(p.word)
-            new_edges.append(GraphEdge(name, p.end, p.rng))
-            w = Q(1)
-            for e in p.word:
-                w *= wmap[e]
-            new_weights.append((name, w))
-        g2 = GraphSystem(gph.vertices, new_edges, max(1, gph.truncation_depth // n))
-        return (
-            PartialSystem(g2, depth_bound=system.depth_bound),
-            GraphPotential(tuple(new_weights)),
-        )
-
-    sys_ = system.ival
-    comps = composite_branches(sys_, n)
-    new_sys = IntervalSystem(sys_.space, [c.as_branch() for c in comps])
-
-    # potential pieces: subdivide each composite domain so that every chained
-    # factor runs through a single affine piece
-    pieces: list[tuple[RationalInterval, Fraction, Fraction]] = []
-    override_pts: set[Fraction] = set()
-    for comp in comps:
-        if comp.domain.is_point:
-            override_pts.add(comp.domain.lo)
-            continue
-        cuts: set[Fraction] = {comp.domain.lo, comp.domain.hi}
-        slope_k, icpt_k = Q(1), Q(0)  # phi^k as affine map on comp.domain
-        for k in range(n):
-            if k > 0:
-                b = sys_.branches[comp.chain[k - 1]]
-                slope_k, icpt_k = b.slope * slope_k, b.slope * icpt_k + b.intercept
-            for iv, _, _ in pot.pieces:
-                for endpoint in (iv.lo, iv.hi):
-                    x = (endpoint - icpt_k) / slope_k
-                    if comp.domain.contains(x):
-                        cuts.add(x)
-            for x0, _ in pot.overrides:
-                x = (x0 - icpt_k) / slope_k
-                if comp.domain.contains(x):
-                    override_pts.add(x)
-        ordered = sorted(cuts)
-        for lo, hi in zip(ordered, ordered[1:]):
-            mid = (lo + hi) / 2
-            # factor k: weight of phi^k(x), affine in x on this cell
-            factors = []
-            slope_k, icpt_k = Q(1), Q(0)
-            for k in range(n):
-                if k > 0:
-                    b = sys_.branches[comp.chain[k - 1]]
-                    slope_k, icpt_k = b.slope * slope_k, b.slope * icpt_k + b.intercept
-                xk = slope_k * mid + icpt_k
-                piece = _piece_at(pot.pieces, xk)
-                if piece is None:
-                    raise ValidationError(f"weight undefined along the orbit at {frac_str(xk)}")
-                m, c = piece
-                factors.append((m * slope_k, m * icpt_k + c))
-            nonconst = [f for f in factors if f[0] != 0]
-            if len(nonconst) > 1:
-                raise UnsupportedPotential(
-                    "chained weight leaves the affine class on "
-                    f"{RationalInterval(lo, hi)}; {len(nonconst)} non-constant factors"
-                )
-            m_total, c_total = Q(0), Q(1)
-            for fm, fc in factors:
-                if fm == 0:
-                    c_total *= fc
-                else:
-                    m_total, c_total = fm * c_total, fc * c_total
-            lo_closed = comp.domain.contains(lo)
-            hi_closed = comp.domain.contains(hi)
-            pieces.append((RationalInterval(lo, hi, lo_closed, hi_closed), m_total, c_total))
-
-    overrides = []
-    ps = PartialSystem(new_sys, depth_bound=system.depth_bound)
-    for x in sorted(override_pts):
-        if not new_sys.delta.contains(x):
-            continue
-        val = cocycle(system, pot, n, x)
-        if any(iv.contains(x) for iv, _, _ in pieces):
-            overrides.append((x, val))
-        else:
-            pieces.append((RationalInterval.point(x), Q(0), val))
-    new_pot = IntervalPotential(tuple(pieces), overrides=tuple(overrides))
-    return ps, new_pot
-
-
-def _piece_at(pieces, x: Fraction) -> Optional[tuple[Fraction, Fraction]]:
-    for iv, m, c in pieces:
-        if iv.contains(x):
-            return (m, c)
-    return None
 
 
 # -- essential domain -----------------------------------------------------------

@@ -45,10 +45,6 @@ class EmptyBasis(XferopError):
     """No basis points survive truncation."""
 
 
-class NotRegular(XferopError):
-    """A compact set was required to sit inside the regular region."""
-
-
 class OutOfSpectrum(XferopError):
     """Requested point does not belong to the computed spectrum stratum."""
 

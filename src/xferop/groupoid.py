@@ -379,38 +379,6 @@ def iso_phi_check(
     return float(diff.max()) if diff.size else 0.0
 
 
-def unit_restriction_check(
-    basis: rep.OrbitBasis,
-    a: Optional[tr.Function],
-    b: Optional[tr.Function],
-    n: int,
-    gpd: Optional[TruncatedGroupoid] = None,
-) -> float:
-    """Diagonal compatibility for a balanced tensor of degree (n, n).
-
-    The diagonal extraction of the matrix image must match the tensor's
-    restriction to unit elements, point by point on interior rows.
-    """
-    if gpd is None:
-        gpd = build_deaconu(
-            basis.system, basis.potential, [basis.anchor], basis.depth
-        )
-    mat = rep.expectation_G(basis, phi_matrix(basis, a, n, n, b))
-    diag = np.diag(mat)
-    end = functools.cache(functools.partial(dyn.orbit_end, basis.system))
-    worst = 0.0
-    for i, nd in enumerate(basis.nodes):
-        if nd.depth < n:
-            continue
-        if gpd.contains(nd.point, 0, nd.point):
-            g = gpd.elements[gpd.index[(nd.point, 0, nd.point)]]
-            unit_val = _tensor_value(end, a, b, n, n, g)
-        else:
-            unit_val = 0.0
-        worst = max(worst, abs(diag[i] - unit_val))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # graph generators
 # ---------------------------------------------------------------------------

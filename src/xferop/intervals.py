@@ -397,23 +397,8 @@ class IntervalSet:
     def measure(self) -> Fraction:
         return sum((iv.length for iv in self.intervals), Q(0))
 
-    def component_containing(self, x: Rationalish) -> RationalInterval | None:
-        x = frac(x)
-        for iv in self.intervals:
-            if iv.contains(x):
-                return iv
-        return None
-
     def isolated_points(self) -> tuple[Fraction, ...]:
         return tuple(iv.lo for iv in self.intervals if iv.is_point)
-
-    def endpoints(self) -> tuple[Fraction, ...]:
-        out: list[Fraction] = []
-        for iv in self.intervals:
-            out.append(iv.lo)
-            if iv.hi != iv.lo:
-                out.append(iv.hi)
-        return tuple(out)
 
     def min(self) -> Fraction:
         if self.is_empty:
@@ -492,20 +477,6 @@ class IntervalSet:
     def is_open_in(self, space: "IntervalSet") -> bool:
         inside = self.intersection(space)
         return inside == inside.interior_in(space)
-
-    def interior_radius_at(self, x: Rationalish, space: "IntervalSet") -> Fraction | None:
-        """A rational r > 0 with ``(x-r, x+r) & space`` inside self.
-
-        Returns None if x is not in the interior of self relative to ``space``.
-        A component endpoint that coincides with x means space has no points
-        on that side, so that side puts no constraint on r.
-        """
-        x = frac(x)
-        comp = self.interior_in(space).component_containing(x)
-        if comp is None:
-            return None
-        dists = [d for d in (x - comp.lo, comp.hi - x) if d > 0]
-        return min(dists) if dists else Q(1)
 
     def nondegenerate(self) -> "IntervalSet":
         return IntervalSet(iv for iv in self.intervals if not iv.is_point)

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import transfer as tr
-from .dynamics import IntervalPotential, PartialSystem, Potential
-from .errors import EmptyBasis, UnsupportedPotential, ValidationError
+from .dynamics import PartialSystem, Potential
+from .errors import EmptyBasis, ValidationError
 from .intervals import IntervalSet, Q, RationalInterval, frac
 
 # ---------------------------------------------------------------------------
@@ -84,13 +84,6 @@ class FnExpr:
 class BasisNode:
     depth: int
     point: object
-
-
-def _cocycle_or_none(system: PartialSystem, pot: Potential, k: int, x) -> Optional[Fraction]:
-    try:
-        return dyn.cocycle(system, pot, k, x)
-    except dyn.OutOfDomain:
-        return None
 
 
 class OrbitBasis:
@@ -173,7 +166,7 @@ class OrbitBasis:
         col = self._cocycles.get(k)
         if col is None:
             col = self._cocycles[k] = tuple(
-                _cocycle_or_none(self.system, self.potential, k, nd.point) for nd in self.nodes
+                dyn.cocycle_or_none(self.system, self.potential, k, nd.point) for nd in self.nodes
             )
         return col
 
@@ -355,11 +348,6 @@ def e_check(basis: OrbitBasis, mon: Monomial) -> float:
     return float(np.abs(avg - structural).max())
 
 
-def expectation_G(basis: OrbitBasis, m: np.ndarray) -> np.ndarray:
-    """Diagonal extraction: the expectation onto functions, node by node."""
-    return np.diag(np.diag(m))
-
-
 def g_values(basis: OrbitBasis, mon: Monomial):
     """Exact diagonal of the structural expectation of a monomial.
 
@@ -402,6 +390,11 @@ class QuasiBasis:
 
 
 def quasi_basis(system: PartialSystem, pot: Potential, region: Optional[IntervalSet] = None) -> QuasiBasis:
+    """A partition of the regular region by hats that each sit in one branch.
+
+    No command builds one yet; with ``quasi_basis_residual`` it is the check
+    of the paper's reconstruction identity on the regular region.
+    """
     if system.backend == "graph":
         gph = system.gph
         fns = tuple(
@@ -488,51 +481,3 @@ def quasi_basis_residual(
             total += ux * inner
         worst = max(worst, abs(total - float(a.value(x)) * sum_v))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# rescaling
-# ---------------------------------------------------------------------------
-
-
-def rescaled_potential(pot: Potential, omega: tr.TestFunction) -> Potential:
-    """The weight rho * omega, staying in the affine class or failing loudly."""
-    if pot.backend != "interval" or omega.backend != "interval":
-        raise ValidationError("rescaling is an interval-backend operation")
-    pieces = []
-    for iv, m1, c1 in pot.pieces:
-        for jv, m2, c2 in omega.pieces:
-            inter = iv.intersection(jv)
-            if inter is None:
-                continue
-            if m1 != 0 and m2 != 0:
-                raise UnsupportedPotential(
-                    f"product weight is quadratic on {inter}"
-                )
-            if m1 == 0:
-                piece = (inter, m2 * c1, c2 * c1)
-            else:
-                piece = (inter, m1 * c2, c1 * c2)
-            pieces.append(piece)
-    overrides = []
-    for x, v in pot.overrides:
-        overrides.append((x, v * omega.value(x)))
-    return IntervalPotential(tuple(pieces), overrides=tuple(overrides))
-
-
-def rescale_check(handle: tr.TransferHandle, omega: tr.TestFunction, anchor, depth: int) -> float:
-    """T for the rescaled weight must equal diag(sqrt omega) T, node for node."""
-    pot2 = rescaled_potential(handle.potential, omega)
-    h2 = tr.TransferHandle.create(handle.system, pot2)
-    b1 = OrbitBasis(handle, anchor, depth, drop_zero=False)
-    b2 = OrbitBasis(h2, anchor, depth, drop_zero=False)
-    if [n.point for n in b1.nodes] != [n.point for n in b2.nodes]:
-        raise ValidationError("node mismatch between the two weights")
-    root = np.diag(
-        np.array([math.sqrt(float(omega.value(nd.point))) for nd in b1.nodes])
-    )
-    diff = b2.T() - root @ b1.T()
-    res = float(np.abs(diff).max())
-    one = tr.TestFunction.const_on(RationalInterval(b1.system.ival.space.min(), b1.system.ival.space.max()), 1)
-    res = max(res, check_transfer_relation(b2, one))
-    return res

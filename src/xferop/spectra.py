@@ -319,7 +319,9 @@ class FiberRep:
     """The level-k representation at a base point, on the weighted fiber.
 
     The carrier is the k-step positive-weight fiber of y; the matrices below
-    are written in the orthonormal rescaling of that weighted space.
+    are written in the orthonormal rescaling of that weighted space.  No
+    command builds one yet; it is the check of the paper's fibre
+    representations of the core ideals, which the spectra are made of.
     """
 
     def __init__(self, system: PartialSystem, pot: Potential, y, k: int):

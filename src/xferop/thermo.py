@@ -84,12 +84,8 @@ __all__ = [
     "weakly_conformal_residual",
     "KMSCandidate",
     "solve_conformal",
-    "kms_residual",
     "kms_battery",
     "core_kms_check",
-    "uniform_ulam",
-    "tv_distance",
-    "irregular_hat",
     "hat_battery",
 ]
 
@@ -190,6 +186,12 @@ class TwistedMonomial:
     psi: PotentialFunction
 
     def left_value(self, x) -> complex:
+        """The left coefficient at x, evaluated directly.
+
+        No command calls this or ``right_value``: the state integrals read
+        the same numbers from a ``_StateTable`` (``_as_parts``).  They are
+        kept as the pointwise oracle that tests hold the table against.
+        """
         base = complex(self.mon.left.value(x)) if self.mon.left is not None else 1.0 + 0j
         try:
             s = self.psi.birkhoff(x, self.mon.up)
@@ -198,6 +200,7 @@ class TwistedMonomial:
         return cmath.exp(1j * self.lam * float(s)) * base
 
     def right_value(self, x) -> complex:
+        """The right coefficient at x, evaluated directly (an oracle, as ``left_value``)."""
         base = complex(self.mon.right.value(x)) if self.mon.right is not None else 1.0 + 0j
         try:
             s = self.psi.birkhoff(x, self.mon.down)
@@ -267,6 +270,9 @@ def check_positive_energy(system: PartialSystem, psi: PotentialFunction, depth: 
     Interval backend: the sum is affine on refined composite windows, so
     zeros are found by exact root isolation.  Graph backend: the sum along a
     path depends only on its first n edges, so all n-words are scanned.
+
+    Positive energy is the hypothesis under which the paper's KMS states
+    live on the core; no command reports it yet, and this is its check.
     """
     if psi.system is not system:
         psi = PotentialFunction(system, psi.carrier)
@@ -355,6 +361,14 @@ class GridFunction:
         return (Q(0),) * 3
 
 
+def _piece_at(pieces, x: Fraction) -> Optional[tuple[Fraction, Fraction]]:
+    """(slope, intercept) of the first affine piece holding x, or None."""
+    for iv, m, c in pieces:
+        if iv.contains(x):
+            return (m, c)
+    return None
+
+
 def _piece_grid(pieces, cuts, value: Callable, carrier: RationalInterval) -> GridFunction:
     """Affine pieces as a grid function on the carrier.
 
@@ -365,7 +379,7 @@ def _piece_grid(pieces, cuts, value: Callable, carrier: RationalInterval) -> Gri
     nodes = tuple(sorted({carrier.lo, carrier.hi, *inside}))
     cells = []
     for u, v in zip(nodes, nodes[1:]):
-        hit = dyn._piece_at(pieces, (u + v) / 2)
+        hit = _piece_at(pieces, (u + v) / 2)
         cells.append((hit[1], hit[0], Q(0)) if hit else (Q(0),) * 3)
     return GridFunction(nodes, tuple(cells), tuple(value(p) for p in nodes))
 
@@ -427,10 +441,10 @@ def _fiber_grid(
             xm = (ym - br.intercept) / br.slope
             if not br.domain.contains(xm):
                 continue
-            fa = dyn._piece_at(a.pieces, xm)
+            fa = _piece_at(a.pieces, xm)
             if fa is None:
                 continue
-            fr = dyn._piece_at(weight.pieces, xm)
+            fr = _piece_at(weight.pieces, xm)
             if fr is None:
                 continue
             ma, ca = fa
@@ -572,6 +586,9 @@ def inverse_orbit_measure(
     the enumerated levels match the dyadic midpoint grids on every probed
     level, the measure switches to closed-form sums and the depth can be
     large; otherwise atoms are enumerated explicitly and capped.
+
+    No command builds one yet: it is the measure that separates the weak
+    eigen-measure identity (``weakly_conformal_residual``) from the strong one.
     """
     system, pot = handle.system, handle.potential
     if depth < 0:
@@ -703,8 +720,8 @@ class _Point:
 class _StateTable:
     """Exact per-point quantities of the state integrals of one call.
 
-    ``kms_battery``, ``kms_pair_values``, ``core_kms_check`` and the two
-    eigen-measure residuals each build one and drop it when they return.
+    ``kms_battery``, ``core_kms_check`` and the two eigen-measure
+    residuals each build one and drop it when they return.
     Every row, and both sides of an exchange pair, then reads the quadrature
     rows, exp(beta*energy) and the weight at a point, and the orbit end,
     cocycle, fibre, energy sum and test-function values, that an earlier row
@@ -777,10 +794,8 @@ class _StateTable:
         """float(rho_n) by point; None where the orbit leaves the domain first."""
 
         def weight(x):
-            try:
-                return float(dyn.cocycle(self.system, self.pot, n, x))
-            except OutOfDomain:
-                return None
+            w = dyn.cocycle_or_none(self.system, self.pot, n, x)
+            return None if w is None else float(w)
 
         return self._column(weight, "cocycle", n)
 
@@ -904,6 +919,8 @@ def weakly_conformal_residual(
     Every test function must be compactly supported inside the regular
     region; SupportViolation names the first offender.  For truncated
     cascades each row reports the geometric tail bound next to its residual.
+    No command reports it yet; it is the check of the paper's weakly
+    conformal measures, which see only the regular region.
     """
     tab = _StateTable(handle, mu, psi, beta)
     rows = []
@@ -1192,21 +1209,6 @@ def _vector_measure(handle, vec: np.ndarray, bins: int, psi=None, beta: float = 
     return tr.UlamMeasure(comp.lo, comp.hi, tuple(m / w for m in weights))
 
 
-def uniform_ulam(handle: tr.TransferHandle, bins: int) -> tr.UlamMeasure:
-    comp = _single_component(handle.system)
-    d = 1 / (comp.hi - comp.lo)
-    return tr.UlamMeasure(comp.lo, comp.hi, (d,) * bins)
-
-
-def tv_distance(mu1: tr.UlamMeasure, mu2: tr.UlamMeasure) -> Fraction:
-    if (mu1.lo, mu1.hi, mu1.bins) != (mu2.lo, mu2.hi, mu2.bins):
-        raise ValidationError("total variation needs matching bin grids")
-    w = (mu1.hi - mu1.lo) / mu1.bins
-    return sum(
-        (abs(a - b) * w for a, b in zip(mu1.densities, mu2.densities)), Q(0)
-    ) / 2
-
-
 # ---------------------------------------------------------------------------
 # state-level checks through the diagonal expectation
 # ---------------------------------------------------------------------------
@@ -1302,38 +1304,6 @@ def _kms_pair(tab: _StateTable, m1, m2, pts: int) -> tuple[float, float]:
     return lhs, rhs
 
 
-def kms_residual(
-    handle: tr.TransferHandle,
-    mu: Measure,
-    beta: float,
-    psi: PotentialFunction,
-    m1: rep.Monomial,
-    m2: rep.Monomial,
-    pts: int = 1,
-) -> float:
-    """Gap in the exchange identity for one monomial pair.
-
-    Both sides are states of monomial products: the product is folded to a
-    single monomial, its diagonal expectation is evaluated pointwise with
-    the exact cocycle weight, and the result is integrated against mu.
-    """
-    lhs, rhs = kms_pair_values(handle, mu, beta, psi, m1, m2, pts)
-    return abs(lhs - rhs)
-
-
-def kms_pair_values(
-    handle: tr.TransferHandle,
-    mu: Measure,
-    beta: float,
-    psi: PotentialFunction,
-    m1: rep.Monomial,
-    m2: rep.Monomial,
-    pts: int = 1,
-) -> tuple[float, float]:
-    """Both sides of the exchange identity, for reporting."""
-    return _kms_pair(_StateTable(handle, mu, psi, beta), m1, m2, pts)
-
-
 def _battery_functions(handle, rng: random.Random, size: int) -> list[tr.TestFunction]:
     # wide supports on purpose: narrow bumps make almost every monomial
     # product vanish and the battery stops checking anything
@@ -1419,7 +1389,8 @@ def core_kms_check(
 
     Left side: the diagonal expectation of a T^n T*^n b integrated against
     mu.  Right side: mu of the n-fold fiber sum with the energy-damped
-    weight exp(-beta * S_n) folded in.
+    weight exp(-beta * S_n) folded in.  No command reports it yet; it is
+    the check of the paper's KMS condition on the core, level by level.
     """
     tab = _StateTable(handle, mu, psi, beta)
     av, bv = tab.values(a), tab.values(b)
@@ -1449,18 +1420,6 @@ def core_kms_check(
 # ---------------------------------------------------------------------------
 # designed test functions
 # ---------------------------------------------------------------------------
-
-
-def irregular_hat(handle: tr.TransferHandle, radius=Q(1, 4)) -> tr.TestFunction:
-    """Hat of height one peaked at the unique irregular point.
-
-    Strong and weak eigen-measure identities see atoms at that point very
-    differently, so this is the canonical separating function.
-    """
-    irr = dyn.regular_set(handle.system, handle.potential).irregular_points
-    if len(irr) != 1:
-        raise ValidationError(f"need a unique irregular point, found {len(irr)}")
-    return tr.TestFunction.hat(irr[0].point, radius, 1)
 
 
 def hat_battery(region: IntervalSet, count: int) -> list[tr.TestFunction]:

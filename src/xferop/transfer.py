@@ -1,4 +1,4 @@
-"""The weighted fiber-sum operator: validation, norm, application, duals.
+"""The weighted fiber-sum operator: validation, norm, application, measures.
 
 ``L(a)(y) = sum over phi(x) = y of rho(x) a(x)``.  Everything pointwise is
 exact rational arithmetic.  Validation decides whether L maps functions
@@ -21,10 +21,12 @@ Measures answer one protocol, here and in ``thermo.CascadeMeasure``:
 piecewise-quadratic grid function where the measure has one; and
 ``row_bound(a, cval)``, a residual tail bound or None.  The two measures
 a candidate file can hold, ``AtomicMeasure`` and ``UlamMeasure``, also
-answer ``dual(handle)`` (the exact pushforward under the dual operator),
-``to_doc(system)`` and ``residual_tol()``.  ``UlamMeasure.dual`` reads
-``ulam_matrix``, which walks the bin geometry of ``ulam_cells``; the
-temperature solver in ``thermo`` builds its bin matrices from the same walk.
+answer ``to_doc(system)`` and ``residual_tol()``.
+
+The temperature solver in ``thermo`` builds its bin matrices from the bin
+geometry that ``ulam_cells`` walks.  ``ulam_matrix`` reads the same walk
+into an exact rational matrix; no command calls it, and it is kept as the
+exact reference the solver's matrices are tested against.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from . import dynamics as dyn
 from .dynamics import PartialSystem, PathPoint, Potential
@@ -413,25 +415,6 @@ def apply(handle: TransferHandle, a: Function, y, n: int = 1) -> Fraction:
     return total
 
 
-def transfer_identity_check(
-    handle: TransferHandle,
-    a: Function,
-    b: Function,
-    points: Sequence,
-) -> Fraction:
-    """Max residual of L(a * (b o phi)) = L(a) * b over sample points."""
-    worst = Q(0)
-    for y in points:
-        lhs = Q(0)
-        for x, w in dyn.preimages(handle.system, handle.potential, y, 1):
-            if w == 0:
-                continue
-            lhs += w * a.value(x) * b.value(handle.system.map.phi(x))
-        rhs = apply(handle, a, y) * b.value(y)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # dual side: measures
 # ---------------------------------------------------------------------------
@@ -452,30 +435,12 @@ class AtomicMeasure:
     def total_mass(self) -> Fraction:
         return sum((m for _, m in self.atoms), Q(0))
 
-    def integrate(self, a: Function) -> Fraction:
-        return sum((m * a.value(x) for x, m in self.atoms), Q(0))
-
-    def merged(self) -> "AtomicMeasure":
-        acc: dict = {}
-        for x, m in self.atoms:
-            acc[x] = acc.get(x, Q(0)) + m
-        items = sorted(acc.items())
-        return AtomicMeasure(tuple((x, m) for x, m in items if m != 0))
-
     def quadrature(self, pts: int) -> list:
         """The atoms, as one group of weight one."""
         return [(1.0, self.atoms)]
 
     def row_bound(self, a, cval) -> None:
         return None
-
-    def dual(self, handle: TransferHandle) -> "AtomicMeasure":
-        """Push through the dual: (L* mu)(a) = mu(L a), exactly."""
-        atoms = []
-        for y, m in self.atoms:
-            for x, w in dyn.preimages(handle.system, handle.potential, y, 1):
-                atoms.append((x, m * w))
-        return AtomicMeasure(tuple(atoms)).merged()
 
     def to_doc(self, system: PartialSystem) -> dict:
         atoms = [{**system.map.point_doc(x), "mass": frac_str(m)} for x, m in self.atoms]
@@ -549,16 +514,6 @@ class UlamMeasure:
     def row_bound(self, a, cval) -> None:
         return None
 
-    def dual(self, handle: TransferHandle) -> "UlamMeasure":
-        """Push through the bin matrix of the operator, exactly."""
-        mat = ulam_matrix(handle, self.bins, self.lo, self.hi)
-        k = self.bins
-        new = [
-            sum((mat[i][j] * self.densities[i] for i in range(k)), Q(0))
-            for j in range(k)
-        ]
-        return UlamMeasure(self.lo, self.hi, tuple(new))
-
     def to_doc(self, system: PartialSystem) -> dict:
         return {
             "type": "ulam",
@@ -620,7 +575,9 @@ def ulam_matrix(
     Entry [i][j] is the average over bin i of the operator applied to the
     indicator of bin j: integrate the weight over each cell of
     ``ulam_cells``, with the branch substitution contributing the |slope|
-    factor.
+    factor.  Kept as a test oracle: it is the exact rational reference for
+    the float bin matrices of ``thermo``'s temperature solver, so a faster
+    bin walk can be checked against it entry for entry.
     """
     sys_ = handle.system.ival
     if len(sys_.space.intervals) != 1:

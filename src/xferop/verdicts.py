@@ -17,11 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dynamics as dyn
-from . import transfer as tr
 from .dynamics import CylinderSet, PartialSystem, PathPoint, Potential
-from .errors import OutOfDomain, ValidationError, XferopError
+from .errors import ValidationError, XferopError
 from .intervals import IntervalSet, Q, RationalInterval
-from .rep import OrbitBasis
 
 PROPERTIES = (
     "TopFree",
@@ -250,7 +248,11 @@ def check_top_free(system: PartialSystem, pot: Potential, depth: int = 8) -> Ver
 
 
 def verify_periodic_window(system: PartialSystem, pot: Potential, cert: PeriodicWindow) -> bool:
-    """Replay a Fails(TopFree) certificate pointwise and on the regular set."""
+    """Replay a Fails(TopFree) certificate pointwise and on the regular set.
+
+    No command calls it yet: it is kept as the replayer a certificate
+    check (``verify-cert``, ROADMAP item 5) will run on a saved window.
+    """
     _, _, _, reg = _regions(system, pot)
     window = IntervalSet.of(cert.window)
     if window.nondegenerate().is_empty:
@@ -788,7 +790,12 @@ def periodic_witness_norms(
 ) -> tuple[float, float]:
     """Norms of a t^n - a sqrt(rho_n) in the collapsed orbit representation and
     in the regular representation, for a the indicator of the periodic window
-    or circuit of a Fails(TopFree) certificate."""
+    or circuit of a Fails(TopFree) certificate.
+
+    No command calls it yet: like ``verify_periodic_window`` it is kept as a
+    certificate replayer, the operator-side witness that the orbit
+    representation is not faithful where topological freeness fails.
+    """
     pts, parents, n = _collapsed_basis(system, pot, cert, depth)
     dim = len(pts)
     t = np.zeros((dim, dim))
@@ -811,12 +818,7 @@ def periodic_witness_norms(
 
     a = np.diag(np.array([a_val(pt) for pt in pts]))
     tn = np.linalg.matrix_power(t, n)
-    rho_n = []
-    for pt in pts:
-        try:
-            rho_n.append(float(dyn.cocycle(system, pot, n, pt)))
-        except OutOfDomain:
-            rho_n.append(0.0)
+    rho_n = [float(dyn.cocycle_or_none(system, pot, n, pt) or 0) for pt in pts]
     asr = np.diag(np.array([a_val(pt) * math.sqrt(r) for pt, r in zip(pts, rho_n)]))
 
     w_orbit = a @ tn - asr
@@ -828,25 +830,3 @@ def periodic_witness_norms(
     return orbit_norm, reg_norm
 
 
-def sampled_witness_norms(
-    handle: tr.TransferHandle, anchor, depth: int, width: int, fns
-) -> tuple[tuple[float, float], ...]:
-    """(orbit, regular) norms of a t - a sqrt(rho) over a sampled family.
-
-    On topologically free systems the orbit-tree representation is faithful,
-    so no sampled element should vanish there while surviving in the regular
-    representation."""
-    basis = OrbitBasis(handle, anchor, depth)
-    pot = handle.potential
-    t = basis.T()
-    sq = np.diag(np.array([math.sqrt(float(pot.value_or_zero(nd.point))) for nd in basis.nodes]))
-    s = np.eye(width, k=-1)
-    out = []
-    for f in fns:
-        a = basis.pi(f)
-        w_orbit = a @ t - a @ sq
-        w_reg = np.kron(s, a @ t) - np.kron(np.eye(width), a @ sq)
-        out.append(
-            (float(np.linalg.norm(w_orbit, 2)), float(np.linalg.norm(w_reg, 2)))
-        )
-    return tuple(out)

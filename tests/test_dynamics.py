@@ -13,7 +13,6 @@ from xferop.errors import (
     DepthExceeded,
     OutOfDomain,
     ParseError,
-    UnsupportedPotential,
     ValidationError,
 )
 from xferop.intervals import IntervalSet, RationalInterval
@@ -148,15 +147,14 @@ class TestRegions:
             rep = dyn.regular_set(spec.system, spec.potential)
             space = spec.system.ival.space
             assert rep.delta_reg.is_open_in(space)
-            for x in rep.delta_reg.sample_points():
-                r = rep.delta_reg.interior_radius_at(x, space)
-                assert r is not None and r > 0
 
 
 class TestPower:
+    """phi^n of the tent, through its composite branches and the cocycle."""
+
     def test_tent_square_branches(self, tent):
-        ps, pot = dyn.power(tent.system, tent.potential, 2)
-        doms = sorted((b.domain.lo, b.domain.hi, b.slope) for b in ps.ival.branches)
+        comps = dyn.composite_branches(tent.system.ival, 2)
+        doms = sorted((c.domain.lo, c.domain.hi, c.slope) for c in comps)
         assert doms == [
             (F(0), F(1, 4), F(4)),
             (F(1, 4), F(1, 2), F(-4)),
@@ -165,28 +163,17 @@ class TestPower:
         ]
 
     def test_tent_square_weight_is_chained(self, tent):
-        ps, pot = dyn.power(tent.system, tent.potential, 2)
         for x in (F(1, 8), F(3, 8), F(5, 8), F(7, 8)):
-            assert pot.value(x) == F(1, 4)
+            assert dyn.cocycle(tent.system, tent.potential, 2, x) == F(1, 4)
         for x in (F(1, 4), F(1, 2), F(3, 4)):
-            assert pot.value(x) == dyn.cocycle(tent.system, tent.potential, 2, x) == F(1, 2)
+            assert dyn.cocycle(tent.system, tent.potential, 2, x) == F(1, 2)
 
     def test_power_agrees_with_orbit_product(self, tent):
-        ps, pot = dyn.power(tent.system, tent.potential, 3)
+        comps = dyn.composite_branches(tent.system.ival, 3)
         for num in range(0, 65):
             x = F(num, 64)
-            assert pot.value(x) == dyn.cocycle(tent.system, tent.potential, 3, x)
-            assert ps.ival.phi(x) == dyn.orbit(tent.system, x, 3)[-1]
-
-    def test_nonaffine_chain_rejected(self, halving):
-        with pytest.raises(UnsupportedPotential):
-            dyn.power(halving.system, halving.potential, 2)
-
-    def test_graph_power(self):
-        full = specfile.bundled("fullshift2")
-        ps, pot = dyn.power(full.system, full.potential, 2)
-        assert len(ps.gph.edges) == 4
-        assert all(w == 1 for _, w in pot.weights)
+            ends = {c.value(x) for c in comps if c.domain.contains(x)}
+            assert ends == {dyn.orbit(tent.system, x, 3)[-1]}
 
 
 class TestEssentialDomain:
@@ -305,9 +292,14 @@ class TestPotentialTypes:
         pot = getattr(specfile.bundled(name), field)
         assert pot.breakpoints() == _piece_ends_and_overrides(pot)
 
-    def test_breakpoints_of_a_power_weight(self, tent):
-        _, pot = dyn.power(tent.system, tent.potential, 2)
-        assert pot.overrides
+    def test_breakpoints_of_a_power_weight(self):
+        # the chained weight of the tent's square: 1/4 on each quarter and the
+        # cocycle 1/2 at the three inner seams
+        quarters = [RationalInterval(F(k, 4), F(k + 1, 4)) for k in range(4)]
+        pot = dyn.IntervalPotential(
+            tuple((iv, 0, F(1, 4)) for iv in quarters),
+            overrides=tuple((F(k, 4), F(1, 2)) for k in (1, 2, 3)),
+        )
         assert pot.breakpoints() == _piece_ends_and_overrides(pot)
         assert pot.breakpoints() == {F(0), F(1, 4), F(1, 2), F(3, 4), F(1)}
 

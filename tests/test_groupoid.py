@@ -251,13 +251,6 @@ class TestPhiIsomorphism:
         assert np.abs(np.diag(prod) - vals).max() == 0.0
         assert np.abs(prod - np.diag(np.diag(prod))).max() == 0.0
 
-    def test_unit_restriction(self, setup):
-        basis, gpd = setup
-        a = tr.TestFunction.hat(F(1, 2), F(1, 2), 1)
-        b = tr.TestFunction.affine_on(UNIT, 1, 0)
-        for n in (0, 1, 2):
-            assert gp.unit_restriction_check(basis, a, b, n, gpd=gpd) <= 1e-12
-
     def test_degree_bounds(self, setup):
         basis, _ = setup
         with pytest.raises(ValidationError):
@@ -313,15 +306,6 @@ class TestPhiIsomorphism:
             r = gp.iso_phi_check(basis, fa, fb, n, m, fc, fd, n2, m2, gpd=gpd)
             worst = max(worst, r)
         assert worst <= 1e-10
-
-    def test_graph_unit_restriction(self, shift2, shift2_anchor):
-        h = tr.TransferHandle.create(shift2.system, shift2.potential)
-        basis = rep.OrbitBasis(h, shift2_anchor, 6)
-        gpd = gp.build_deaconu(shift2.system, shift2.potential, [shift2_anchor], 6)
-        g = shift2.system.gph
-        a = tr.CylinderFunction.indicator(g.path_point(("e0",)))
-        b = tr.CylinderFunction.indicator(g.path_point(("e1",)), F(1, 2))
-        assert gp.unit_restriction_check(basis, a, b, 2, gpd=gpd) <= 1e-12
 
 
 class TestGraphGenerators:

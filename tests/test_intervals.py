@@ -98,13 +98,6 @@ class TestIntervalSet:
         space = IntervalSet.closed(0, 1)
         assert space.is_open_in(space)
 
-    def test_interior_radius(self):
-        space = IntervalSet.closed(0, 1)
-        s = IntervalSet.of(iv(0, "1/2", True, False))
-        assert s.interior_radius_at("1/4", space) == Fraction(1, 4)
-        assert s.interior_radius_at(0, space) == Fraction(1, 2)
-        assert s.interior_radius_at("1/2", space) is None
-
     def test_closure_joins_punctured_point(self):
         s = IntervalSet.closed(0, 1).difference(IntervalSet.point("1/2"))
         assert s.closure() == IntervalSet.closed(0, 1)

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,7 +7,7 @@ from xferop import dynamics as dyn
 from xferop import rep
 from xferop import specfile
 from xferop import transfer as tr
-from xferop.errors import EmptyBasis, UnsupportedPotential, ValidationError
+from xferop.errors import EmptyBasis
 from xferop.intervals import IntervalSet, RationalInterval
 
 TOL = 1e-12
@@ -187,20 +186,6 @@ class TestQuasiBasis:
         a = tr.CylinderFunction.indicator(g.path_point(("e0", "e1")))
         res = rep.quasi_basis_residual(s.system, s.potential, qb, a, pts)
         assert res < 1e-12
-
-
-class TestRescale:
-    def test_rescale_commutes(self):
-        t = specfile.bundled("tent_std")
-        h = tr.TransferHandle.create(t.system, t.potential)
-        om = tr.TestFunction.affine_on(RationalInterval(0, 1), F(1, 2), F(1, 2))
-        assert rep.rescale_check(h, om, 1, 6) < TOL
-
-    def test_quadratic_product_refused(self):
-        s = specfile.bundled("halving")
-        om = tr.TestFunction.affine_on(RationalInterval(0, 1), 1, 1)
-        with pytest.raises(UnsupportedPotential):
-            rep.rescaled_potential(s.potential, om)
 
 
 class TestRegularWindow:

@@ -37,6 +37,27 @@ def loop1():
     return s, tr.TransferHandle.create(s.system, s.potential)
 
 
+def uniform_ulam(handle, bins):
+    """Lebesgue measure on the single component of the space, as bin densities."""
+    (comp,) = handle.system.ival.space.intervals
+    return tr.UlamMeasure(comp.lo, comp.hi, (1 / (comp.hi - comp.lo),) * bins)
+
+
+def tv_distance(mu1, mu2):
+    """Exact total variation distance of two bin-density measures on one grid."""
+    if (mu1.lo, mu1.hi, mu1.bins) != (mu2.lo, mu2.hi, mu2.bins):
+        raise ValidationError("total variation needs matching bin grids")
+    w = (mu1.hi - mu1.lo) / mu1.bins
+    return sum((abs(a - b) * w for a, b in zip(mu1.densities, mu2.densities)), F(0)) / 2
+
+
+def irregular_hat(handle, radius=F(1, 4)):
+    """Hat of height one at the unique irregular point: it separates the strong
+    and the weak eigen-measure identities."""
+    (irr,) = dyn.regular_set(handle.system, handle.potential).irregular_points
+    return tr.TestFunction.hat(irr.point, radius, 1)
+
+
 def _psi_affine(system, slope, intercept):
     pot = dyn.IntervalPotential(
         pieces=((UNIT, F(slope), F(intercept)),), allow_negative=True
@@ -354,7 +375,7 @@ class TestCascadeMeasure:
 
 class TestConformalResidual:
     def test_lebesgue_at_log_two_is_exact(self, tent_handle, psi_one):
-        mu = th.uniform_ulam(tent_handle, 64)
+        mu = uniform_ulam(tent_handle, 64)
         fns = [
             tr.TestFunction.const_on(UNIT, 1),
             tr.TestFunction.hat(F(1, 2), F(1, 2), 1),
@@ -366,7 +387,7 @@ class TestConformalResidual:
         assert r.max_residual <= 1e-12
 
     def test_wrong_beta_detected(self, tent_handle, psi_one):
-        mu = th.uniform_ulam(tent_handle, 64)
+        mu = uniform_ulam(tent_handle, 64)
         ones = [tr.TestFunction.const_on(UNIT, 1)]
         r = th.conformal_residual(tent_handle, psi_one, 1.0, mu, ones)
         # both sides are exact integrals: lhs 1, rhs e/2
@@ -380,14 +401,14 @@ class TestConformalResidual:
         assert r.max_residual >= 0.1
 
     def test_zero_function_gives_zero(self, tent_handle, psi_one):
-        mu = th.uniform_ulam(tent_handle, 16)
+        mu = uniform_ulam(tent_handle, 16)
         z = tr.TestFunction.const_on(UNIT, 0)
         r = th.conformal_residual(tent_handle, psi_one, LN2, mu, [z])
         assert r.max_residual == 0.0
 
     def test_nonconstant_energy_quadrature(self, tent_handle):
         psi = _psi_affine(tent_handle.system, 1, 0)
-        mu = th.uniform_ulam(tent_handle, 256)
+        mu = uniform_ulam(tent_handle, 256)
         beta = 0.7
         r = th.conformal_residual(tent_handle, psi, beta, mu, [tr.TestFunction.const_on(UNIT, 1)])
         predicted = abs(1.0 - (math.exp(beta) - 1) / (2 * beta))
@@ -395,7 +416,7 @@ class TestConformalResidual:
         assert abs(r.max_residual - predicted) <= 5e-8
 
     def test_float_protocol(self, tent_handle, psi_one):
-        mu = th.uniform_ulam(tent_handle, 16)
+        mu = uniform_ulam(tent_handle, 16)
         r = th.conformal_residual(tent_handle, psi_one, LN2, mu, [tr.TestFunction.const_on(UNIT, 1)])
         assert float(r) == r.max_residual
 
@@ -411,10 +432,10 @@ class TestConformalResidual:
 
 class TestWeaklyConformal:
     def test_support_must_avoid_irregular_point(self, tent_handle, psi_one):
-        mu = th.uniform_ulam(tent_handle, 16)
+        mu = uniform_ulam(tent_handle, 16)
         with pytest.raises(SupportViolation):
             th.weakly_conformal_residual(
-                tent_handle, psi_one, LN2, mu, [th.irregular_hat(tent_handle)]
+                tent_handle, psi_one, LN2, mu, [irregular_hat(tent_handle)]
             )
 
     def test_weak_equals_strong_after_reweighting(self, tent, tent_handle, psi_one):
@@ -422,7 +443,7 @@ class TestWeaklyConformal:
         # is the weighted identity for 2a; rows must agree for any measure
         a = tr.TestFunction.hat(F(1, 4), F(1, 8), 1)
         measures = [
-            th.uniform_ulam(tent_handle, 32),
+            uniform_ulam(tent_handle, 32),
             tr.UlamMeasure(F(0), F(1), tuple(F(1 + (i % 3), 2) for i in range(32))),
             tr.AtomicMeasure(((F(3, 8), F(1, 2)), (F(2, 3), F(1, 2)))),
         ]
@@ -435,7 +456,7 @@ class TestWeaklyConformal:
         reg = dyn.regular_set(tent.system, tent.potential).delta_reg
         fns = th.hat_battery(reg, 6)
         assert len(fns) == 6
-        mu = th.uniform_ulam(tent_handle, 64)
+        mu = uniform_ulam(tent_handle, 64)
         r = th.weakly_conformal_residual(tent_handle, psi_one, LN2, mu, fns)
         assert r.kind == "weakly_conformal"
         assert r.max_residual <= 1e-12
@@ -589,6 +610,17 @@ class TestRuelleUlam:
             assert not np.allclose(k, k.T)
             u = rng.uniform(0.5, 1.5, bins)
             np.testing.assert_allclose(ops.step(beta)(u), k.T @ u + u, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("bins", [7, 64])
+    @pytest.mark.parametrize("spec", ["tent_std", "tent_half", "doubling", "halving"])
+    def test_beta_zero_is_the_exact_bin_matrix_of_the_unit_weight(self, spec, bins):
+        # at beta = 0 the weight exp(-beta*energy) is 1, so k is the float of
+        # transfer.ulam_matrix for the unit weight, the exact reference
+        s = specfile.bundled(spec)
+        unit = tr.TransferHandle.create(s.system, dyn.IntervalPotential(((UNIT, 0, 1),)))
+        ops = th._RuelleUlam(unit, _psi_kinked(s.system), bins)
+        exact = np.array(tr.ulam_matrix(unit, bins), dtype=float)
+        np.testing.assert_allclose(ops.dense(0.0), exact, rtol=1e-12, atol=1e-15)
 
     def test_overflow_names_beta(self, tent_handle):
         ops = th._RuelleUlam(tent_handle, _psi_affine(tent_handle.system, 1, 0), 64)
@@ -858,7 +890,7 @@ class TestStateTables:
         m1 = rep.Monomial(hat, 1, 1, tr.TestFunction.affine_on(UNIT, 1, 0))
         m2 = rep.Monomial(None, 2, 2, hat)
         for e in (psi_one, psi):
-            assert th.kms_pair_values(tent_handle, mu, 0.7, e, m1, m2) == _bare_pair(
+            assert th._kms_pair(th._StateTable(tent_handle, mu, e, 0.7), m1, m2, 1) == _bare_pair(
                 tent_handle, mu, 0.7, e, m1, m2, 1
             )
 
@@ -895,7 +927,7 @@ class TestSolveConformal:
         assert abs(cand.beta - LN2) <= 1e-8
         assert cand.kind == "conformal"
         assert cand.mu.total_mass() == 1
-        tv = th.tv_distance(cand.mu, th.uniform_ulam(tent_handle, 1024))
+        tv = tv_distance(cand.mu, uniform_ulam(tent_handle, 1024))
         assert tv <= F(5, 1024) and float(tv) <= 1e-9
         assert elapsed < 10.0
 
@@ -903,7 +935,7 @@ class TestSolveConformal:
         bounds = []
         for m in (64, 256, 1024):
             cand = th.solve_conformal(tent_handle, psi_one, bins=m, bracket=(0.1, 3.0))
-            tv = th.tv_distance(cand.mu, th.uniform_ulam(tent_handle, m))
+            tv = tv_distance(cand.mu, uniform_ulam(tent_handle, m))
             assert tv <= F(5, m)
             bounds.append(F(5, m))
         assert bounds[0] > bounds[1] > bounds[2]
@@ -1047,12 +1079,12 @@ class TestSolveConformal:
         with pytest.raises(ValidationError):
             th.KMSCandidate(LN2, lopsided, "conformal")
         with pytest.raises(ValidationError):
-            th.KMSCandidate(LN2, th.uniform_ulam(tent_handle, 4), "thermal")
+            th.KMSCandidate(LN2, uniform_ulam(tent_handle, 4), "thermal")
 
 
 class TestKmsChecks:
     def test_battery_at_the_conformal_point(self, tent_handle, psi_one):
-        mu = th.uniform_ulam(tent_handle, 256)
+        mu = uniform_ulam(tent_handle, 256)
         r = th.kms_battery(tent_handle, mu, LN2, psi_one, count=20, seed=7)
         assert len(r.rows) == 20
         assert r.max_residual <= 1e-5 + 10 / 256
@@ -1065,18 +1097,18 @@ class TestKmsChecks:
     def test_single_pair_analytic_value(self, tent_handle, psi_one):
         # phi(a T T* . T T*) = integral of a * rho = 1/8 for this hat, and
         # the exchange identity keeps both sides there
-        mu = th.uniform_ulam(tent_handle, 256)
+        mu = uniform_ulam(tent_handle, 256)
         hat = tr.TestFunction.hat(F(1, 4), F(1, 4), 1)
         m1 = rep.Monomial(hat, 1, 1, None)
         m2 = rep.Monomial(None, 1, 1, None)
-        lhs, rhs = th.kms_pair_values(tent_handle, mu, LN2, psi_one, m1, m2)
+        lhs, rhs = th._kms_pair(th._StateTable(tent_handle, mu, psi_one, LN2), m1, m2, 1)
         assert abs(lhs - 0.125) <= 1e-12
         assert abs(rhs - 0.125) <= 1e-12
 
     def test_unbalanced_pair_vanishes_on_both_sides(self, tent_handle, psi_one):
-        mu = th.uniform_ulam(tent_handle, 64)
+        mu = uniform_ulam(tent_handle, 64)
         m1 = rep.Monomial(tr.TestFunction.const_on(UNIT, 1), 1, 0, None)
-        lhs, rhs = th.kms_pair_values(tent_handle, mu, LN2, psi_one, m1, m1)
+        lhs, rhs = th._kms_pair(th._StateTable(tent_handle, mu, psi_one, LN2), m1, m1, 1)
         assert lhs == 0.0 and rhs == 0.0
 
     def test_state_matches_rep_diagonal(self, tent_handle, psi_one):
@@ -1092,14 +1124,14 @@ class TestKmsChecks:
             tr.TestFunction.affine_on(UNIT, 1, 0),
         )
         unit = rep.Monomial(None, 0, 0, None)
-        lhs, rhs = th.kms_pair_values(tent_handle, mu, 0.0, psi_one, mon, unit)
+        lhs, rhs = th._kms_pair(th._StateTable(tent_handle, mu, psi_one, 0.0), mon, unit, 1)
         expected = float(sum(F(1, n) * v for v in rep.g_values(basis, mon)))
         assert lhs == pytest.approx(expected, abs=1e-13)
         assert rhs == pytest.approx(expected, abs=1e-13)
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_empty_battery_refused(self, tent_handle, psi_one, count):
-        mu = th.uniform_ulam(tent_handle, 8)
+        mu = uniform_ulam(tent_handle, 8)
         with pytest.raises(ValidationError, match="at least one pair"):
             th.kms_battery(tent_handle, mu, LN2, psi_one, count=count)
 
@@ -1110,7 +1142,7 @@ class TestKmsChecks:
 
     def test_beta_zero_flagged_noncertifying(self, tent_handle):
         psi0 = th.PotentialFunction.const(tent_handle.system, 0)
-        mu = th.uniform_ulam(tent_handle, 32)
+        mu = uniform_ulam(tent_handle, 32)
         r = th.kms_battery(tent_handle, mu, 0.0, psi0, count=8, seed=1)
         assert r.notes and "certifies nothing" in r.notes[0]
 
@@ -1118,23 +1150,23 @@ class TestKmsChecks:
         mu = th.inverse_orbit_measure(tent_handle, 1.0, 20)
         m = rep.Monomial(None, 1, 1, None)
         with pytest.raises(UnsupportedPotential):
-            th.kms_residual(tent_handle, mu, 1.0, psi_one, m, m)
+            th._kms_pair(th._StateTable(tent_handle, mu, psi_one, 1.0), m, m, 1)
 
     def test_core_check_level_zero_is_trivial(self, tent_handle, psi_one):
-        mu = th.uniform_ulam(tent_handle, 64)
+        mu = uniform_ulam(tent_handle, 64)
         a = tr.TestFunction.hat(F(1, 2), F(1, 4), 1)
         b = tr.TestFunction.const_on(UNIT, 1)
         assert th.core_kms_check(tent_handle, mu, LN2, psi_one, a, b, 0) == 0.0
 
     def test_core_check_higher_levels(self, tent_handle, psi_one):
-        mu = th.uniform_ulam(tent_handle, 256)
+        mu = uniform_ulam(tent_handle, 256)
         a = tr.TestFunction.hat(F(1, 2), F(1, 4), 1)
         b = tr.TestFunction.const_on(UNIT, 1)
         for n in (1, 2):
             assert th.core_kms_check(tent_handle, mu, LN2, psi_one, a, b, n) <= 1e-12
 
     def test_core_check_detects_wrong_beta(self, tent_handle, psi_one):
-        mu = th.uniform_ulam(tent_handle, 256)
+        mu = uniform_ulam(tent_handle, 256)
         a = tr.TestFunction.const_on(UNIT, 1)
         b = tr.TestFunction.const_on(UNIT, 1)
         # lhs carries the branch weight 1/2, rhs the damped fiber sum e^-beta
@@ -1144,19 +1176,19 @@ class TestKmsChecks:
 
 class TestHelpers:
     def test_uniform_ulam(self, tent_handle):
-        u = th.uniform_ulam(tent_handle, 10)
+        u = uniform_ulam(tent_handle, 10)
         assert u.total_mass() == 1 and u.bins == 10
 
     def test_tv_distance(self, tent_handle):
-        u = th.uniform_ulam(tent_handle, 8)
-        assert th.tv_distance(u, u) == 0
+        u = uniform_ulam(tent_handle, 8)
+        assert tv_distance(u, u) == 0
         v = tr.UlamMeasure(F(0), F(1), (F(2),) * 4 + (F(0),) * 4)
-        assert th.tv_distance(u, v) == F(1, 2)
+        assert tv_distance(u, v) == F(1, 2)
         with pytest.raises(ValidationError):
-            th.tv_distance(u, th.uniform_ulam(tent_handle, 16))
+            tv_distance(u, uniform_ulam(tent_handle, 16))
 
     def test_irregular_hat_peaks_at_the_seam(self, tent_handle):
-        hat = th.irregular_hat(tent_handle)
+        hat = irregular_hat(tent_handle)
         assert hat.value(F(1, 2)) == 1
         assert hat.value(F(1, 4)) == 0 and hat.value(F(3, 4)) == 0
 

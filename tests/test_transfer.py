@@ -96,12 +96,6 @@ class TestApply:
         x0, x1 = F(3, 16), F(13, 16)
         assert tr.apply(tent_handle, hat, y) == (hat.value(x0) + hat.value(x1)) / 2
 
-    def test_identity_exact(self, tent_handle):
-        a = tr.TestFunction.hat(F(1, 2), F(1, 4))
-        b = tr.TestFunction.affine_on(RationalInterval(0, 1), 1, 0)
-        pts = [F(k, 16) for k in range(17)]
-        assert tr.transfer_identity_check(tent_handle, a, b, pts) == 0
-
     def test_graph_apply(self):
         s = specfile.bundled("fullshift2")
         h = tr.TransferHandle.create(s.system, s.potential)
@@ -157,23 +151,6 @@ class TestFunctions:
 
 
 class TestDuals:
-    def test_atomic_pushforward(self, tent_handle):
-        mu = tr.AtomicMeasure(((F(1), F(1)),))
-        nu = mu.dual(tent_handle)
-        assert nu.atoms == ((F(1, 2), F(1)),)
-        nu2 = nu.dual(tent_handle)
-        assert nu2.atoms == ((F(1, 4), F(1, 2)), (F(3, 4), F(1, 2)))
-        assert nu2.total_mass() == 1
-
-    def test_duality_pairing(self, tent_handle):
-        # mu(L a) must equal (L* mu)(a), exactly
-        a = tr.TestFunction.hat(F(3, 8), F(1, 8))
-        mu = tr.AtomicMeasure(((F(1, 3), F(2)), (F(7, 9), F(1))))
-        lhs = sum(
-            (m * tr.apply(tent_handle, a, y) for y, m in mu.atoms), F(0)
-        )
-        assert lhs == mu.dual(tent_handle).integrate(a)
-
     def test_ulam_columns_are_stochastic(self, tent_handle):
         m = tr.ulam_matrix(tent_handle, 8)
         for j in range(8):
@@ -182,7 +159,10 @@ class TestDuals:
 
     def test_uniform_density_is_invariant(self, tent_handle):
         mu = tr.UlamMeasure(0, 1, (F(1),) * 16)
-        nu = mu.dual(tent_handle)
+        m = tr.ulam_matrix(tent_handle, 16)
+        nu = tr.UlamMeasure(
+            0, 1, tuple(sum((m[i][j] * mu.densities[i] for i in range(16)), F(0)) for j in range(16))
+        )
         assert nu.densities == (F(1),) * 16
         assert nu.total_mass() == 1
 

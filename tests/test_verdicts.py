@@ -1,15 +1,18 @@
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xferop
 from xferop import dynamics as dyn
+from xferop import rep
 from xferop import specfile
 from xferop import transfer as tr
 from xferop import verdicts as vd
@@ -529,6 +532,12 @@ class TestDerivedVerdicts:
         assert vd.check_one_circuit(tent.system, tent.potential).fails
 
 
+def _witness_norms(basis, fns):
+    """Norm of a t - a sqrt(rho) in the orbit-tree representation, for each a."""
+    sq = np.diag([math.sqrt(float(basis.potential.value_or_zero(nd.point))) for nd in basis.nodes])
+    return [float(np.linalg.norm(basis.pi(f) @ (basis.T() - sq), 2)) for f in fns]
+
+
 class TestWitnessNorms:
     def test_loop1_annihilated_in_orbit_rep(self, loop1):
         free = vd.check_top_free(loop1.system, loop1.potential, 6)
@@ -552,10 +561,10 @@ class TestWitnessNorms:
         system = dyn.PartialSystem(dyn.IntervalSystem(space, [dyn.AffineBranch(half, 2, 0)]))
         handle = tr.TransferHandle.create(system, dyn.IntervalPotential(((half, 0, 1),)))
         fns = [tr.TestFunction.hat(F(3, 4), F(1, 4), 1), tr.TestFunction.hat(F(3, 8), F(1, 8), 1)]
-        at_anchor, below = vd.sampled_witness_norms(handle, F(3, 4), 3, 3, fns)
+        at_anchor, below = _witness_norms(rep.OrbitBasis(handle, F(3, 4), 3), fns)
         # the weight is zero at the anchor, so a t - a sqrt(rho) vanishes for a hat there
-        assert at_anchor == (0.0, 0.0)
-        assert below == pytest.approx((2**0.5, 2**0.5))
+        assert at_anchor == 0.0
+        assert below == pytest.approx(2**0.5)
 
     def test_fullshift_no_annihilation(self, shift2):
         handle = tr.TransferHandle.create(shift2.system, shift2.potential)
@@ -565,6 +574,4 @@ class TestWitnessNorms:
             tr.CylinderFunction.indicator(g.path_point(w))
             for w in (("e0",), ("e1",), ("e0", "e1"), ("e1", "e0"))
         ]
-        for orbit, regular in vd.sampled_witness_norms(handle, anchor, 5, 3, fns):
-            assert orbit >= regular - 1e-6
-            assert orbit >= 0.1
+        assert min(_witness_norms(rep.OrbitBasis(handle, anchor, 5), fns)) >= 0.1
