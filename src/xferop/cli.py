@@ -15,6 +15,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -45,6 +46,13 @@ EXIT_INPUT = 3
 click.UsageError.exit_code = EXIT_INPUT
 
 _STATUS_EXIT = {"Holds": EXIT_HOLDS, "Fails": EXIT_FAILS, "Unknown": EXIT_UNKNOWN}
+
+
+def _tolerance(ctx, param, value):
+    """Refuse a negative or non-finite ``--tol``: NaN would read every residual as a Fail."""
+    if value is not None and not (math.isfinite(value) and value >= 0):
+        raise click.BadParameter(f"must be a finite number >= 0, got {value!r}")
+    return value
 
 
 def _guarded(fn):
@@ -423,7 +431,7 @@ def rep_cmd(mode, spec_arg, out, fmt, anchor, depth, width):
 @click.option("--depth", default=5, show_default=True)
 @click.option("--count", default=12, show_default=True, help="target number of residual rows")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--tol", default=1e-10, show_default=True)
+@click.option("--tol", default=1e-10, show_default=True, callback=_tolerance)
 @_guarded
 def relations(spec_arg, out, fmt, anchor, depth, count, seed, tol):
     """Run the defining-relation battery on a truncated matrix model."""
@@ -555,7 +563,7 @@ def check(prop, spec_arg, out, fmt, depth):
 @click.option("--psi", "psi_arg", default=None, help="energy: one, zero, spec, or p/q")
 @click.option("--bins", default=256, show_default=True)
 @click.option("--bracket", default="0.1,3.0", show_default=True, metavar="LO,HI")
-@click.option("--tol", default=None, type=float,
+@click.option("--tol", default=None, type=float, callback=_tolerance,
               help="residual tolerance; default the candidate's own with --check, 1e-8 when solving")
 @click.option("--check", "check_path", default=None, type=click.Path(exists=True, dir_okay=False),
               help="verify an existing candidate file instead of solving")
@@ -645,7 +653,7 @@ def _verify_fns(handle: tr.TransferHandle):
 @click.option("--psi", "psi_arg", default=None, help="energy: one, zero, spec, or p/q")
 @click.option("--count", default=20, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--tol", default=None, type=float,
+@click.option("--tol", default=None, type=float, callback=_tolerance,
               help="row tolerance; default 1e-5 + 10/bins for binned measures")
 @_guarded
 def kms_verify(spec_arg, out, fmt, cand_path, psi_arg, count, seed, tol):
@@ -752,7 +760,7 @@ def groupoid_gap(spec_arg, out, fmt, n, samples, tower):
 @click.option("--depth", default=4, show_default=True)
 @click.option("--count", default=10, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--tol", default=1e-10, show_default=True)
+@click.option("--tol", default=1e-10, show_default=True, callback=_tolerance)
 @_guarded
 def groupoid_iso_check(spec_arg, out, fmt, anchor, depth, count, seed, tol):
     """Compare matrix products against arrow-space convolution."""
@@ -784,7 +792,7 @@ def groupoid_iso_check(spec_arg, out, fmt, anchor, depth, count, seed, tol):
 @click.option("--anchor", default=None)
 @click.option("--lam", default=None, metavar="E=W,...",
               help="edge scaling weights; default 1 on every edge")
-@click.option("--tol", default=1e-10, show_default=True)
+@click.option("--tol", default=1e-10, show_default=True, callback=_tolerance)
 @_guarded
 def groupoid_graph_gen(spec_arg, out, fmt, depth, anchor, lam, tol):
     """Build edge generators and check their defining relations."""

@@ -704,24 +704,31 @@ class IntervalPotential:
             if not any(iv.contains(x) for iv, _, _ in pieces):
                 raise ValidationError(f"override at {frac_str(x)} lies outside all pieces")
 
-    def value(self, x: Rationalish) -> Fraction:
-        x = frac(x)
+    def _lookup(self, x: Fraction) -> Optional[Fraction]:
+        """The override at x, else the first piece holding x, else None.
+
+        Construction refuses touching pieces that disagree where no override
+        covers the point, so the first piece is the value.
+        """
         for p, v in self.overrides:
             if p == x:
                 return v
-        vals = {m * x + c for iv, m, c in self.pieces if iv.contains(x)}
-        if not vals:
+        for iv, m, c in self.pieces:
+            if iv.contains(x):
+                return m * x + c
+        return None
+
+    def value(self, x: Rationalish) -> Fraction:
+        x = frac(x)
+        v = self._lookup(x)
+        if v is None:
             raise ValidationError(f"potential undefined at {frac_str(x)}")
-        if len(vals) > 1:
-            raise ValidationError(f"potential ambiguous at {frac_str(x)}")
-        return vals.pop()
+        return v
 
     def value_or_zero(self, x: Rationalish) -> Fraction:
         """The weight at x, or zero off the domain (where no piece holds x)."""
-        x = frac(x)
-        if not any(iv.contains(x) for iv, _, _ in self.pieces):
-            return Q(0)
-        return self.value(x)
+        v = self._lookup(frac(x))
+        return Q(0) if v is None else v
 
     def one_sided_limit(self, x: Rationalish, side: int) -> Optional[Fraction]:
         """Limit of the piece values from one side; overrides do not matter."""

@@ -261,11 +261,11 @@ def _slot_diag(basis: rep.OrbitBasis, f: Optional[tr.Function], k: int) -> np.nd
     """Diagonal a(x) * rho_k(x)^{-1/2} as floats; zero where the orbit or
     the cocycle is missing (those rows die against the shift anyway)."""
     out = np.zeros(basis.dim)
-    for i, (nd, w) in enumerate(zip(basis.nodes, basis.cocycles(k))):
-        if w is None or w <= 0:
-            continue
-        v = 1.0 if f is None else float(f.value(nd.point))
-        out[i] = v / math.sqrt(float(w))
+    weights = basis.cocycles(k)
+    live = [i for i, w in enumerate(weights) if w is not None and w > 0]
+    vals = [1.0] * len(live) if f is None else basis.values(f, live)
+    for i, v in zip(live, vals):
+        out[i] = v / math.sqrt(float(weights[i]))
     return out
 
 

@@ -163,6 +163,10 @@ class Q(Fraction):
             return a._denominator == 1 and a._numerator == b
         return Fraction.__eq__(a, b)
 
+    def __float__(a):
+        # int / int is correctly rounded, as in Fraction's own __float__
+        return a._numerator / a._denominator
+
     def __neg__(a):
         return _q(-a._numerator, a._denominator)
 

@@ -127,6 +127,7 @@ class OrbitBasis:
             for i, nd in enumerate(self.nodes)
         )
         self._cocycles: dict[int, tuple[Optional[Fraction], ...]] = {}
+        self._values: dict[int, tuple[tr.Function, list[Optional[float]]]] = {}
 
     @property
     def dim(self) -> int:
@@ -169,6 +170,24 @@ class OrbitBasis:
                 dyn.cocycle_or_none(self.system, self.potential, k, nd.point) for nd in self.nodes
             )
         return col
+
+    def values(self, f: tr.Function, idx: Sequence[int]) -> list[float]:
+        """float(f(x)) at the nodes idx; each node is evaluated once per function.
+
+        Only asked-for nodes are evaluated, so a function that cannot be read
+        at some node (a graph cylinder finer than a vertex point) raises only
+        where a caller needs it.  The memo holds f itself, so its ``id``
+        cannot pass to another function while the basis lives.
+        """
+        held = self._values.get(id(f))
+        if held is None:
+            held = self._values[id(f)] = (f, [None] * self.dim)
+        col = held[1]
+        todo = [i for i in idx if col[i] is None]
+        if todo:
+            for i, v in zip(todo, f.values([self.nodes[i].point for i in todo])):
+                col[i] = float(v)
+        return [col[i] for i in idx]
 
     def gauge(self, z: complex) -> np.ndarray:
         return np.diag(np.array([z ** nd.depth for nd in self.nodes], dtype=complex))

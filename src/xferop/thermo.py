@@ -25,13 +25,19 @@ operator is one entry per vertex pair and stays dense and cold (see
 ``_RuelleGraph``).
 
 The state-level checks and the eigen-measure residuals integrate against a
-measure point by point.  Each call builds one table of the exact per-point
-quantities (quadrature rows, orbits, cocycles, fibres, energy sums, test
-function values) that all of its rows read, and drops it on return.  Every
-measure hands the table its quadrature as groups of (weight, rows of
-(x, mass)): an atomic measure is one group of weight one, a bin-density
-measure one group of midpoint rows, an explicit cascade one group per
-level.  An integral is one nested ``math.fsum`` over the groups.
+measure through one state table per call, dropped on return.  The table
+gives every point it meets an int id and keeps each exact per-point
+quantity (orbit ends, cocycles, fibres, energy sums, test-function values,
+twisted coefficients, exp(beta*energy) and the weight) as a column indexed
+by id, filled once per point by the same exact code as a direct
+evaluation.  An integrand is a function from an id array to a float array:
+a gather, an ``np.bincount`` over fibre rows, an elementwise product, each
+in the float order of the per-point loop it replaces, so every number is
+bit for bit the same.  Every measure hands the table its quadrature as
+groups of (weight, rows of (x, mass)): an atomic measure is one group of
+weight one, a bin-density measure one group of midpoint rows, an explicit
+cascade one group per level.  An integral is a ``math.fsum`` of
+mass * value per group and one over the weighted groups.
 
 The eigen-measure residual rows follow one rule.  A measure that
 integrates grid functions exactly (``integrates_grids``: bin densities and
@@ -50,6 +56,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -189,8 +196,9 @@ class TwistedMonomial:
         """The left coefficient at x, evaluated directly.
 
         No command calls this or ``right_value``: the state integrals read
-        the same numbers from a ``_StateTable`` (``_as_parts``).  They are
-        kept as the pointwise oracle that tests hold the table against.
+        the same numbers from the twisted columns of a ``_StateTable``
+        (``_StateTable.twisted``).  They are kept as the pointwise oracle
+        that tests hold the table against.
         """
         base = complex(self.mon.left.value(x)) if self.mon.left is not None else 1.0 + 0j
         try:
@@ -700,139 +708,234 @@ Measure = Union[tr.AtomicMeasure, tr.UlamMeasure, CascadeMeasure]
 
 
 # ---------------------------------------------------------------------------
-# per-call point tables
+# per-call state tables
 # ---------------------------------------------------------------------------
 
-_UNSET = object()
-
-
-class _Point:
-    """A point of one state table; it hashes by identity, not by value."""
-
-    __slots__ = ("x", "psi_exp", "rho")
-
-    def __init__(self, x):
-        self.x = x
-        self.psi_exp: Optional[float] = None
-        self.rho: Optional[float] = None
+IdFunction = Callable[[np.ndarray], np.ndarray]
 
 
 class _StateTable:
-    """Exact per-point quantities of the state integrals of one call.
+    """Exact per-point quantities of the state integrals of one call, as columns.
 
     ``kms_battery``, ``core_kms_check`` and the two eigen-measure
-    residuals each build one and drop it when they return.
-    Every row, and both sides of an exchange pair, then reads the quadrature
-    rows, exp(beta*energy) and the weight at a point, and the orbit end,
-    cocycle, fibre, energy sum and test-function values, that an earlier row
-    computed.  A row asks once for the column of what it needs (say the
-    two-step orbit ends) and reads it point by point.  Points are interned
-    as :class:`_Point` nodes, so a read hashes an object identity instead of
-    a Fraction.  Numbers are kept as float operands, never as products: each
-    integrand multiplies the same floats in the same order as a direct
-    evaluation, so every sum is bit for bit the same.
+    residuals each build one and drop it when they return.  Every point the
+    call meets is interned once and gets an int id.  Each quantity is a
+    column indexed by id: orbit ends (the end's id, -1 where the orbit
+    leaves the domain first), cocycles (NaN there), fibres (one run of
+    (point id, weight) per id in the flat arrays of its depth, fibre order,
+    nonzero weights only), energy sums (NaN where the sum raised),
+    test-function values, the twisted coefficients, exp(beta*energy) and
+    the weight.  A column is filled by the same exact code as a direct
+    evaluation, once per id and only for the ids a row asks for.  The
+    quadrature is one id array and one float mass array, cut into groups.
+
+    Integrands are functions from an id array to a float array: gathers,
+    ``np.bincount`` sums and elementwise products, so a row costs a few
+    numpy calls, not a Python call per point.  Numbers are kept as float
+    operands, never as products, and each integrand multiplies and adds
+    them in the order of a direct evaluation, so every sum is bit for bit
+    the same.
     """
 
     def __init__(self, handle, mu: Measure, psi: PotentialFunction, beta: float):
         self.handle, self.mu, self.psi, self.beta = handle, mu, psi, beta
         self.system, self.pot = handle.system, handle.potential
-        self._points: dict = {}
+        self._ids: dict = {}
+        self.points: list = []
         self._quad: dict = {}
-        self._columns: dict = {}
+        self._cols: dict = {}
+        self._last: dict = {}  # column key -> (ids, values) of its last read
+        self._flat: dict = {}  # depth -> (point ids, weights) of the fibre runs
         self._held: dict = {}  # objects whose id keys a column, kept alive so ids stay unique
 
-    def point(self, x) -> _Point:
-        p = self._points.get(x)
-        if p is None:
-            p = self._points[x] = _Point(x)
-        return p
+    def _id(self, x) -> int:
+        i = self._ids.get(x)
+        if i is None:
+            i = self._ids[x] = len(self.points)
+            self.points.append(x)
+        return i
 
-    def quad(self, pts: int) -> list:
-        """The quadrature groups of mu: (weight, rows of (point, float mass))."""
-        groups = self._quad.get(pts)
-        if groups is None:
-            groups = self._quad[pts] = [
-                (w, [(self.point(x), float(m)) for x, m in rows])
-                for w, rows in self.mu.quadrature(pts)
-            ]
-        return groups
+    def quad(self, pts: int) -> tuple[np.ndarray, np.ndarray, list]:
+        """The quadrature of mu: ids, float masses, and (weight, start, stop) per group."""
+        q = self._quad.get(pts)
+        if q is None:
+            ids, masses, groups = [], [], []
+            for w, rows in self.mu.quadrature(pts):
+                lo = len(ids)
+                for x, m in rows:
+                    ids.append(self._id(x))
+                    masses.append(float(m))
+                groups.append((w, lo, len(ids)))
+            ids, masses = np.array(ids, dtype=np.intp), np.array(masses, dtype=float)
+            ids.flags.writeable = masses.flags.writeable = False
+            q = self._quad[pts] = (ids, masses, groups)
+        return q
 
-    def psi_exp(self, p: _Point) -> float:
-        if p.psi_exp is None:
-            p.psi_exp = _psi_exp(self.psi, self.beta, p.x)
-        return p.psi_exp
+    def _read(self, key, ids: np.ndarray, compute: Callable, dtype=float, width=()) -> np.ndarray:
+        """Column ``key`` at the ids; compute(todo) fills the ids it has no value for yet.
 
-    def rho(self, p: _Point) -> float:
-        if p.rho is None:
-            p.rho = float(self.pot.value_or_zero(p.x))
-        return p.rho
-
-    def _column(self, compute: Callable, *key) -> Callable[[_Point], object]:
-        """Point -> compute(x), each point computed once per table."""
-        col = self._columns.get(key)
+        The last read of each column is kept with the id array it was asked
+        for, so rows that read the quadrature ids again cost no numpy call.
+        The result is read-only: callers share it.
+        """
+        last = self._last.get(key)
+        if last is not None and last[0] is ids:
+            return last[1]
+        col = self._cols.get(key)
+        n = len(self.points)
         if col is None:
-            col = self._columns[key] = {}
+            col = self._cols[key] = (np.empty((n, *width), dtype), np.zeros(n, bool))
+            missing = ids
+        else:
+            if len(col[1]) < n:
+                more = n - len(col[1])
+                col = self._cols[key] = (
+                    np.concatenate((col[0], np.empty((more, *width), dtype))),
+                    np.concatenate((col[1], np.zeros(more, bool))),
+                )
+            have = col[1][ids]
+            missing = None if have.all() else ids[~have]
+        vals, done = col
+        if missing is not None and len(missing):
+            todo = np.bincount(missing).nonzero()[0]  # each missing id once, ascending
+            vals[todo] = compute(todo.tolist())
+            done[todo] = True
+        out = vals[ids]
+        out.flags.writeable = False
+        self._last[key] = (ids, out)
+        return out
 
-        def read(p: _Point):
-            v = col.get(p, _UNSET)
-            if v is _UNSET:
-                v = col[p] = compute(p.x)
-            return v
+    def once(self, fn: Callable[[list], list]) -> IdFunction:
+        """An integrand that a call reads once: float(v) for v in fn(points), kept nowhere.
 
-        return read
+        A residual row has its own test function, so its values and fiber
+        sums go through this; the energy and weight factors are columns.
+        """
+        pts = self.points
+        return lambda ids: np.array([float(v) for v in fn([pts[i] for i in ids.tolist()])])
 
-    def orbit_ends(self, n: int) -> Callable[[_Point], Optional[_Point]]:
-        """phi^n by point; None where the orbit leaves the domain first."""
+    def psi_exp_rho(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """exp(beta*energy) and the weight at the ids, kept as one column of pairs."""
+        pts, psi, beta, pot = self.points, self.psi, self.beta, self.pot
 
-        def end(x):
-            z = dyn.orbit_end(self.system, x, n)
-            return None if z is None else self.point(z)
+        def fill(todo):
+            return [(_psi_exp(psi, beta, pts[i]), float(pot.value_or_zero(pts[i]))) for i in todo]
 
-        return self._column(end, "orbit", n)
+        pairs = self._read("psi_exp_rho", ids, fill, width=(2,))
+        return pairs[:, 0], pairs[:, 1]
 
-    def cocycles(self, n: int) -> Callable[[_Point], Optional[float]]:
-        """float(rho_n) by point; None where the orbit leaves the domain first."""
+    def values(self, f: Optional[tr.Function], ids: np.ndarray) -> np.ndarray:
+        """float(f(x)) at the ids; 1.0 everywhere for an absent function.
 
-        def weight(x):
-            w = dyn.cocycle_or_none(self.system, self.pot, n, x)
-            return None if w is None else float(w)
-
-        return self._column(weight, "cocycle", n)
-
-    def fibres(self, n: int) -> Callable[[_Point], tuple]:
-        """The n-step preimages of nonzero weight, as (point, float weight) in fibre order."""
-
-        def fibre(y):
-            pre = dyn.preimages(self.system, self.pot, y, n)
-            return tuple((self.point(x), float(w)) for x, w in pre if w != 0)
-
-        return self._column(fibre, "fibre", n)
-
-    def values(self, f: Optional[tr.Function]) -> Callable[[_Point], float]:
-        """float(f.value(x)) by point; 1.0 everywhere for an absent function."""
+        The column is filled by ``f.values``, one sweep of f over the points.
+        """
         if f is None:
-            return lambda p: 1.0
+            return np.ones(len(ids))
         self._held[id(f)] = f
-        return self._column(lambda x: float(f.value(x)), "value", id(f))
+        pts = self.points
 
-    def energy_sums(self, psi: PotentialFunction, n: int) -> Callable[[_Point], object]:
-        """float(psi.birkhoff(x, n)) by point, or the error it raised there."""
+        def fill(todo):
+            return [float(v) for v in f.values([pts[i] for i in todo])]
 
-        def energy(x):
+        return self._read(("value", id(f)), ids, fill)
+
+    def orbit_ends(self, n: int, ids: np.ndarray) -> np.ndarray:
+        """The id of phi^n at the ids; -1 where the orbit leaves the domain first."""
+        pts, system = self.points, self.system
+
+        def fill(todo):
+            ends = (dyn.orbit_end(system, pts[i], n) for i in todo)
+            return [-1 if z is None else self._id(z) for z in ends]
+
+        return self._read(("orbit", n), ids, fill, dtype=np.intp)
+
+    def cocycles(self, n: int, ids: np.ndarray) -> np.ndarray:
+        """float(rho_n) at the ids; NaN where the orbit leaves the domain first."""
+        pts, system, pot = self.points, self.system, self.pot
+
+        def fill(todo):
+            ws = (dyn.cocycle_or_none(system, pot, n, pts[i]) for i in todo)
+            return [math.nan if w is None else float(w) for w in ws]
+
+        return self._read(("cocycle", n), ids, fill)
+
+    def fibres(self, n: int, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The n-step fibres of the ids, flat: (row in ids, point id, float weight).
+
+        Rows come in the order of ids, each fibre in fibre order, and only
+        preimages of nonzero weight are kept.
+        """
+        pts, system, pot = self.points, self.system, self.pot
+
+        def fill(todo):
+            old_x, old_w = self._flat.get(n, (np.empty(0, np.intp), np.empty(0)))
+            xs, ws, spans = [], [], []
+            for i in todo:
+                pre = [(x, w) for x, w in dyn.preimages(system, pot, pts[i], n) if w != 0]
+                spans.append((len(old_x) + len(xs), len(pre)))
+                xs.extend(self._id(x) for x, _ in pre)
+                ws.extend(float(w) for _, w in pre)
+            self._flat[n] = (
+                np.concatenate((old_x, np.array(xs, dtype=np.intp))),
+                np.concatenate((old_w, np.array(ws, dtype=float))),
+            )
+            return spans
+
+        span = self._read(("fibre", n), ids, fill, dtype=np.intp, width=(2,))
+        start, count = span[:, 0], span[:, 1]
+        rows = np.repeat(np.arange(len(ids)), count)
+        first = np.cumsum(count) - count  # where each row's run starts in the output
+        pos = np.arange(len(rows)) + np.repeat(start - first, count)
+        flat_x, flat_w = self._flat[n]
+        return rows, flat_x[pos], flat_w[pos]
+
+    def energy_sums(self, psi: PotentialFunction, n: int, ids: np.ndarray) -> np.ndarray:
+        """float(psi.birkhoff(x, n)) at the ids; NaN where it raised."""
+        self._held[id(psi)] = psi
+        pts = self.points
+
+        def energy(x) -> float:
             try:
                 return float(psi.birkhoff(x, n))
-            except (OutOfDomain, ValidationError) as e:
-                return e
+            except (OutOfDomain, ValidationError):
+                return math.nan
 
-        self._held[id(psi)] = psi
-        return self._column(energy, "energy", id(psi), n)
+        return self._read(("energy", id(psi), n), ids, lambda todo: [energy(pts[i]) for i in todo])
+
+    def twisted(self, f, psi: PotentialFunction, n: int, lam: complex, side: int,
+                ids: np.ndarray) -> np.ndarray:
+        """Real part of a twisted coefficient at the ids, 0.0 off the n-step domain.
+
+        Side +1 is ``TwistedMonomial.left_value`` (exp(i lam S_n) * f), side
+        -1 is ``right_value`` (f * exp(-i lam S_n)), with the same per-point
+        ``cmath.exp`` and the same operand order.
+        """
+
+        def fill(todo):
+            todo = np.array(todo, dtype=np.intp)
+            out = []
+            for b, s in zip(self.values(f, todo).tolist(), self.energy_sums(psi, n, todo).tolist()):
+                if s != s:
+                    out.append(0.0)  # the power's coefficient lives on the n-step domain
+                elif side > 0:
+                    out.append((cmath.exp(1j * lam * s) * complex(b)).real)
+                else:
+                    out.append((complex(b) * cmath.exp(-1j * lam * s)).real)
+            return out
+
+        self._held[id(f)] = f
+        return self._read(("twist", side, id(f), id(psi), n, lam), ids, fill)
 
 
-def _integrate_state(tab: _StateTable, f: Callable, pts: int) -> float:
-    """Integral of f, a function of table points, against the table's measure."""
-    return math.fsum(
-        w * math.fsum(m * float(f(p)) for p, m in rows) for w, rows in tab.quad(pts)
-    )
+def _integrate_state(tab: _StateTable, f: IdFunction, pts: int) -> float:
+    """Integral of f, a function of an id array, against the table's measure.
+
+    One ``math.fsum`` of mass * value per quadrature group, and one over the
+    weighted groups.
+    """
+    ids, masses, groups = tab.quad(pts)
+    terms = (masses * f(ids)).tolist()
+    return math.fsum(w * math.fsum(terms[lo:hi]) for w, lo, hi in groups)
 
 
 # ---------------------------------------------------------------------------
@@ -850,12 +953,15 @@ def _strong_pair(tab: _StateTable, a: tr.Function) -> tuple[float, float]:
             prod = _grid_product(_fn_grid(a, carrier), _pot_grid(handle.potential, carrier))
             return lhs, math.exp(beta * float(cval)) * mu.integrate_grid(prod)
     else:
-        lhs = _integrate_state(tab, lambda p: float(tr.apply(handle, a, p.x)), pts=4)
-    # each row has its own function, so only the energy and weight factors are shared
-    rhs = _integrate_state(
-        tab, lambda p: float(a.value(p.x)) * tab.psi_exp(p) * tab.rho(p), pts=4
-    )
-    return lhs, rhs
+        fibre_sums = tab.once(lambda xs: [tr.apply(handle, a, x) for x in xs])
+        lhs = _integrate_state(tab, fibre_sums, pts=4)
+    av = tab.once(a.values)
+
+    def rhs_fn(ids: np.ndarray) -> np.ndarray:
+        pe, rho = tab.psi_exp_rho(ids)
+        return av(ids) * pe * rho
+
+    return lhs, _integrate_state(tab, rhs_fn, pts=4)
 
 
 def conformal_residual(
@@ -902,8 +1008,10 @@ def _weak_pair(tab: _StateTable, a: tr.Function) -> tuple[float, float, Optional
             rhs = math.exp(beta * float(cval)) * mu.integrate_grid(_fn_grid(a, carrier))
             return lhs, rhs, bound
     else:
-        lhs = _integrate_state(tab, lambda p: float(_bare_sum(handle, a, p.x)), pts=4)
-    rhs = _integrate_state(tab, lambda p: float(a.value(p.x)) * tab.psi_exp(p), pts=4)
+        bare_sums = tab.once(lambda xs: [_bare_sum(handle, a, x) for x in xs])
+        lhs = _integrate_state(tab, bare_sums, pts=4)
+    av = tab.once(a.values)
+    rhs = _integrate_state(tab, lambda ids: av(ids) * tab.psi_exp_rho(ids)[0], pts=4)
     return lhs, rhs, bound
 
 
@@ -1117,6 +1225,8 @@ def solve_conformal(
     b_lo, b_hi = float(bracket[0]), float(bracket[1])
     if not b_lo < b_hi:  # also refuses NaN ends
         raise ValidationError("bracket must be increasing")
+    if bins < 1:
+        raise ValidationError(f"the bin grid needs at least one bin, got bins={bins}")
     if max_iter < 1:
         raise ValidationError("max_iter must be at least 1")
     system = handle.system
@@ -1214,78 +1324,66 @@ def _vector_measure(handle, vec: np.ndarray, bins: int, psi=None, beta: float = 
 # ---------------------------------------------------------------------------
 
 
-def _lk(tab: _StateTable, g: Callable, k: int) -> Callable:
+def _lk(tab: _StateTable, g: IdFunction, k: int) -> IdFunction:
+    """The k-fold weighted fiber sum of g: per fibre, 0.0 plus w * g(x) in fibre order."""
     if k == 0:
         return g
-    fibre = tab.fibres(k)
 
-    def val(y: _Point) -> float:
-        total = 0.0
-        for x, w in fibre(y):
-            total += w * g(x)
-        return total
+    def val(ids: np.ndarray) -> np.ndarray:
+        rows, xs, ws = tab.fibres(k, ids)
+        return np.bincount(rows, weights=ws * g(xs), minlength=len(ids))
 
     return val
 
 
-def _alphak(tab: _StateTable, g: Callable, l: int) -> Callable:
+def _alphak(tab: _StateTable, g: IdFunction, l: int) -> IdFunction:
+    """g after l steps of the map, 0.0 where the orbit leaves the domain first."""
     if l == 0:
         return g
-    end = tab.orbit_ends(l)
 
-    def val(x: _Point) -> float:
-        z = end(x)
-        if z is None:
-            return 0.0
-        return g(z)
+    def val(ids: np.ndarray) -> np.ndarray:
+        ends = tab.orbit_ends(l, ids)
+        live = ends >= 0
+        out = np.zeros(len(ids))
+        out[live] = g(ends[live])
+        return out
 
     return val
 
 
-def _as_parts(tab: _StateTable, m) -> tuple[Callable, int, int, Callable]:
+def _as_parts(tab: _StateTable, m) -> tuple[IdFunction, int, int, IdFunction]:
     if not isinstance(m, TwistedMonomial):
-        return tab.values(m.left), m.up, m.down, tab.values(m.right)
-    # TwistedMonomial.left_value / right_value, with every operand read from the table
-    mon, lam = m.mon, m.lam
-    left_base, up_sum = tab.values(mon.left), tab.energy_sums(m.psi, mon.up)
-    right_base, down_sum = tab.values(mon.right), tab.energy_sums(m.psi, mon.down)
-
-    def left(x: _Point) -> float:
-        base = complex(left_base(x))
-        s = up_sum(x)
-        if not isinstance(s, float):
-            return 0.0  # the power's coefficient lives on the n-step domain
-        return (cmath.exp(1j * lam * s) * base).real
-
-    def right(x: _Point) -> float:
-        base = complex(right_base(x))
-        s = down_sum(x)
-        if not isinstance(s, float):
-            return 0.0
-        return (base * cmath.exp(-1j * lam * s)).real
-
+        return partial(tab.values, m.left), m.up, m.down, partial(tab.values, m.right)
+    mon = m.mon
+    left = partial(tab.twisted, mon.left, m.psi, mon.up, m.lam, +1)
+    right = partial(tab.twisted, mon.right, m.psi, mon.down, m.lam, -1)
     return left, mon.up, mon.down, right
 
 
-def _g_diag_product(tab: _StateTable, p1, p2) -> Optional[Callable]:
-    """Diagonal-expectation values of a monomial product, or None off balance."""
+def _g_diag_product(tab: _StateTable, p1, p2) -> Optional[IdFunction]:
+    """Diagonal-expectation values of a monomial product, or None off balance.
+
+    At each point, w * a * mid * d in that order, where w is the cocycle;
+    +0.0 where the cocycle is missing or zero, and nothing else is read there.
+    """
     a, n, m, b = p1
     c, k, l, d = p2
 
-    def bc(x):
-        return b(x) * c(x)
+    def bc(ids: np.ndarray) -> np.ndarray:
+        return b(ids) * c(ids)
 
     up, down, steps, pull, _ = rep.product_shape(n, m, k, l)
     mid = _alphak(tab, _lk(tab, bc, steps), pull)
     if up != down:
         return None
-    cocycle = tab.cocycles(up)
 
-    def g(x: _Point) -> float:
-        w = cocycle(x)
-        if not w:  # out of the domain, or a zero weight
-            return 0.0
-        return w * a(x) * mid(x) * d(x)
+    def g(ids: np.ndarray) -> np.ndarray:
+        w = tab.cocycles(up, ids)
+        live = (w != 0) & ~np.isnan(w)
+        out = np.zeros(len(ids))
+        x = ids[live]
+        out[live] = w[live] * a(x) * mid(x) * d(x)
+        return out
 
     return g
 
@@ -1393,24 +1491,24 @@ def core_kms_check(
     the check of the paper's KMS condition on the core, level by level.
     """
     tab = _StateTable(handle, mu, psi, beta)
-    av, bv = tab.values(a), tab.values(b)
-    cocycle, fibre, sums = tab.cocycles(n), tab.fibres(n), tab.energy_sums(psi, n)
 
-    def lhs_fn(x: _Point) -> float:
-        w = cocycle(x)
-        if w is None:
-            return 0.0
-        return w * av(x) * bv(x)
+    def lhs_fn(ids: np.ndarray) -> np.ndarray:
+        w = tab.cocycles(n, ids)
+        live = ~np.isnan(w)
+        out = np.zeros(len(ids))
+        x = ids[live]
+        out[live] = w[live] * tab.values(a, x) * tab.values(b, x)
+        return out
 
-    def rhs_fn(y: _Point) -> float:
-        total = 0.0
-        for x, w in fibre(y):
-            s = sums(x)
-            if not isinstance(s, float):
-                raise s
-            damp = math.exp(-beta * s)
-            total += w * damp * av(x) * bv(x)
-        return total
+    def rhs_fn(ids: np.ndarray) -> np.ndarray:
+        rows, xs, ws = tab.fibres(n, ids)
+        sums = tab.energy_sums(psi, n, xs)
+        bad = xs[np.isnan(sums)]
+        if bad.size:
+            psi.birkhoff(tab.points[bad[0]], n)  # raises what the sum raised there
+        damp = np.array([math.exp(-beta * s) for s in sums.tolist()])
+        terms = ws * damp * tab.values(a, xs) * tab.values(b, xs)
+        return np.bincount(rows, weights=terms, minlength=len(ids))
 
     lhs = _integrate_state(tab, lhs_fn, pts)
     rhs = _integrate_state(tab, rhs_fn, pts)

@@ -205,6 +205,37 @@ def test_kms_verify_empty_battery_exits_3(tmp_path, count):
     assert "within tolerance" not in result.output
 
 
+@pytest.mark.parametrize("spec", ["tent_std", "tent_x"])
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_conformal_refuses_an_empty_bin_grid(tmp_path, spec, bins):
+    path = _spec_with_energy_x(tmp_path) if spec == "tent_x" else spec
+    result = CliRunner().invoke(main, ["conformal", "--spec", path, "--bins", bins])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: the bin grid needs at least one bin, got bins={bins}" in result.output
+    assert "beta:" not in result.output
+
+
+def _tolerance_cell(tmp_path, command):
+    if command == "kms-verify":
+        return ["kms-verify", "--spec", "tent_std", "--candidate", _candidate(tmp_path, "tent_std")]
+    spec = "fullshift2" if command == "groupoid graph-gen" else "tent_std"
+    return [*command.split(), "--spec", spec]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-3", "inf"])
+@pytest.mark.parametrize(
+    "command",
+    ["conformal", "kms-verify", "relations", "groupoid iso-check", "groupoid graph-gen"],
+)
+def test_tolerance_must_be_finite_and_nonnegative(tmp_path, command, tol):
+    # NaN used to print "within tolerance: no" and exit 1, as if the check had failed
+    result = CliRunner().invoke(main, [*_tolerance_cell(tmp_path, command), "--tol", tol])
+    assert result.exit_code == 3, result.output
+    assert "Invalid value for '--tol': must be a finite number >= 0" in result.output
+    assert "within tolerance" not in result.output
+
+
 @pytest.mark.parametrize(
     "spec, key, value, message",
     [

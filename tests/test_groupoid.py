@@ -9,7 +9,7 @@ from xferop import groupoid as gp
 from xferop import rep
 from xferop import specfile
 from xferop import transfer as tr
-from xferop.errors import NotLocalHomeo, ValidationError
+from xferop.errors import NotLocalHomeo, SupportViolation, ValidationError
 from xferop.intervals import IntervalSet, RationalInterval
 
 UNIT = RationalInterval(F(0), F(1))
@@ -277,6 +277,39 @@ class TestPhiIsomorphism:
         assert all(np.array_equal(x, y) for x, y in zip(first, again))
         assert sorted(set(calls)) == list(degrees)
         assert all(calls.count(k) <= basis.dim for k in degrees)
+
+    def test_slot_values_computed_once_per_function(self, setup, monkeypatch):
+        basis, gpd = setup
+        evaluated = {}
+        values = tr.TestFunction.values
+
+        def counting(f, xs):
+            xs = list(xs)
+            evaluated[id(f)] = evaluated.get(id(f), 0) + len(xs)
+            return values(f, xs)
+
+        monkeypatch.setattr(tr.TestFunction, "values", counting)
+        a = tr.TestFunction.hat(F(1, 2), F(1, 2), 1)
+        b = tr.TestFunction.affine_on(UNIT, 1, 0)
+        rng = random.Random(2)
+        for _ in range(10):
+            n, m, n2, m2 = (rng.randint(0, 3) for _ in range(4))
+            assert gp.iso_phi_check(basis, a, b, n, m, b, a, n2, m2, gpd=gpd) <= 1e-12
+        assert sorted(evaluated) == sorted((id(a), id(b)))
+        assert all(count <= basis.dim for count in evaluated.values())
+
+    def test_slot_values_only_where_the_shift_reaches(self):
+        # a vertex point is coarser than an edge cylinder, so the cylinder
+        # cannot be read there; at degree one its cocycle is missing and the
+        # slot never asks
+        s = specfile.bundled("loops2")
+        h = tr.TransferHandle.create(s.system, s.potential)
+        g = s.system.gph
+        basis = rep.OrbitBasis(h, g.vertex_point("v"), 3)
+        cyl = tr.CylinderFunction.indicator(g.path_point(("b",)))  # the loop b at v
+        assert gp.phi_matrix(basis, cyl, 1, 1, None).shape == (basis.dim, basis.dim)
+        with pytest.raises(SupportViolation, match="coarser than cylinder"):
+            gp.phi_matrix(basis, cyl, 0, 0, None)
 
     def test_periodic_anchor_refused(self, doubling):
         # 0 is fixed under doubling, so its tree repeats the point and the

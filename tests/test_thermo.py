@@ -3,6 +3,7 @@ import math
 import random
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -338,8 +339,8 @@ class TestCascadeMeasure:
         mu = th.inverse_orbit_measure(tent_handle, beta, 7, force_explicit=True)
         tab = th._StateTable(tent_handle, mu, psi, beta)
 
-        def f(p):
-            return float(a.value(p.x)) * tab.psi_exp(p)
+        def f(ids):
+            return tab.values(a, ids) * tab.psi_exp_rho(ids)[0]
 
         want = math.fsum(
             mu.level_weight(n)
@@ -917,6 +918,138 @@ class TestStateTables:
         assert [r.lhs for r in got.rows] != [
             r.lhs for r in th.kms_battery(tent_handle, first, 0.7, psi, count=8, seed=1).rows
         ]
+
+
+def _const_fn(tab, vals):
+    """An id function with the given float at each point of the table, by id."""
+    col = np.full(len(tab.points), np.nan)
+    for i, v in vals.items():
+        col[i] = v
+    return lambda ids: col[ids]
+
+
+class TestColumnarFloatOrder:
+    """Each columnar op keeps the float operations, in the order, of a per-point loop."""
+
+    def test_fibre_sum_adds_left_to_right_in_fibre_order(self, tent_handle, psi_one):
+        # four preimages of weight 1/4 each; terms 1e16, 1, -1e16, 1 sum to 1.0
+        # from the left and to 0.0 from the right
+        mu = tr.AtomicMeasure(((F(1, 3), 1),))
+        tab = th._StateTable(tent_handle, mu, psi_one, 0.7)
+        ids, _, _ = tab.quad(1)
+        rows, xs, ws = tab.fibres(2, ids)
+        assert rows.tolist() == [0] * 4 and ws.tolist() == [0.25] * 4
+        g = _const_fn(tab, dict(zip(xs.tolist(), (4e16, 4.0, -4e16, 4.0))))
+        total = 0.0
+        for x, w in zip(xs.tolist(), ws.tolist()):
+            total += w * g(np.array([x]))[0]
+        backwards = 0.0
+        for x, w in reversed(list(zip(xs.tolist(), ws.tolist()))):
+            backwards += w * g(np.array([x]))[0]
+        assert (total, backwards) == (1.0, 0.0)
+        assert th._lk(tab, g, 2)(ids).tolist() == [total]
+
+    def test_product_is_w_times_a_times_mid_times_d(self):
+        # a weight of 3/10 is no power of two, so every association rounds on its own
+        s = specfile.bundled("doubling")
+        h = tr.TransferHandle.create(s.system, dyn.IntervalPotential(((UNIT, 0, F(3, 10)),)))
+        atoms = tuple((F(k, 67), 1) for k in range(1, 65))
+        tab = th._StateTable(h, tr.AtomicMeasure(atoms), _psi_affine(s.system, 1, 0), 0.7)
+        ids, _, _ = tab.quad(1)
+        rng = random.Random(5)
+        a, b, c, d = (
+            _const_fn(tab, {i: rng.uniform(0.1, 10.0) for i in ids.tolist()}) for _ in range(4)
+        )
+        # (a T T* b)(c d): up = down = 1 with mid = b * c, the weight being rho_1
+        g = th._g_diag_product(tab, (a, 1, 1, b), (c, 0, 0, d))
+        w = 0.3
+        assert tab.cocycles(1, ids).tolist() == [w] * len(ids)
+        mid = b(ids) * c(ids)
+        av, dv = a(ids), d(ids)
+        want = [w * x * y * z for x, y, z in zip(av.tolist(), mid.tolist(), dv.tolist())]
+        assert g(ids).tolist() == want
+        others = [
+            w * (av * (mid * dv)), (w * av) * (mid * dv), w * ((av * mid) * dv), dv * mid * av * w,
+        ]
+        assert all(o.tolist() != want for o in others)
+
+    def test_positive_zero_where_the_orbit_leaves(self, psi_one):
+        # the tent's left branch alone: points right of 1/2 leave after one step
+        s = _spec_system("tent_left")
+        h = tr.TransferHandle.create(s.system, s.potential)
+        mu = tr.AtomicMeasure(((F(1, 8), 1), (F(3, 4), 1), (F(5, 8), 1)))
+        tab = th._StateTable(h, mu, th.PotentialFunction.const(s.system, 1), 0.7)
+        ids, _, _ = tab.quad(1)
+        assert tab.orbit_ends(1, ids).tolist()[1:] == [-1, -1]
+        got = th._alphak(tab, lambda z: np.full(len(z), -1.0), 1)(ids).tolist()
+        assert got[0] == -1.0
+        assert [math.copysign(1.0, v) for v in got[1:]] == [1.0, 1.0] and got[1:] == [0.0, 0.0]
+
+    def test_positive_zero_where_the_cocycle_is_zero_or_missing(self, psi_one):
+        # tent_half weighs (1/2, 1] with zero; the left branch alone leaves 3/4 out.
+        # With a = b = c = -1 and d = 1, the product left unmasked would read
+        # -0.0 or NaN there
+        neg = lambda z: np.full(len(z), -1.0)  # noqa: E731
+        pos = lambda z: np.full(len(z), 1.0)  # noqa: E731
+        for spec, dead in (("tent_half", 0.0), ("tent_left", math.nan)):
+            s = _spec_system(spec)
+            h = tr.TransferHandle.create(s.system, s.potential)
+            mu = tr.AtomicMeasure(((F(1, 8), 1), (F(3, 4), 1)))
+            tab = th._StateTable(h, mu, th.PotentialFunction.const(s.system, 1), 0.7)
+            ids, _, _ = tab.quad(1)
+            w = tab.cocycles(1, ids).tolist()
+            assert w[0] > 0 and repr(w[1]) == repr(dead)
+            got = th._g_diag_product(tab, (neg, 1, 1, neg), (neg, 0, 0, pos))(ids).tolist()
+            assert got[0] == -w[0] and got[1] == 0.0 and math.copysign(1.0, got[1]) == 1.0
+
+
+class TestEnergyColumn:
+    def test_nan_where_the_sum_raised(self):
+        # the tent's left branch alone: 3/4 leaves after one step, so S_2 raises there
+        s = _spec_system("tent_left")
+        h = tr.TransferHandle.create(s.system, s.potential)
+        psi = _psi_affine(s.system, 1, 0)
+        mu = tr.AtomicMeasure(((F(1, 8), 1), (F(3, 4), 1)))
+        tab = th._StateTable(h, mu, psi, 0.7)
+        ids, _, _ = tab.quad(1)
+        sums = tab.energy_sums(psi, 2, ids).tolist()
+        assert sums[0] == float(psi.birkhoff(F(1, 8), 2)) and math.isnan(sums[1])
+        with pytest.raises(OutOfDomain):
+            psi.birkhoff(F(3, 4), 2)
+
+
+class TestStateTableWork:
+    def test_each_exact_quantity_once_per_point_and_depth(self, tent_handle, monkeypatch):
+        calls = {name: [] for name in ("preimages", "orbit_end", "cocycle_or_none", "birkhoff")}
+        preimages, orbit_end = dyn.preimages, dyn.orbit_end
+        cocycle_or_none, birkhoff = dyn.cocycle_or_none, th.PotentialFunction.birkhoff
+
+        def preimages_spy(system, pot, y, n, *rest):
+            calls["preimages"].append((y, n))
+            return preimages(system, pot, y, n, *rest)
+
+        def orbit_end_spy(system, x, n):
+            calls["orbit_end"].append((x, n))
+            return orbit_end(system, x, n)
+
+        def cocycle_spy(system, pot, n, x):
+            calls["cocycle_or_none"].append((x, n))
+            return cocycle_or_none(system, pot, n, x)
+
+        def birkhoff_spy(self, x, n):
+            calls["birkhoff"].append((x, n))
+            return birkhoff(self, x, n)
+
+        monkeypatch.setattr(dyn, "preimages", preimages_spy)
+        monkeypatch.setattr(dyn, "orbit_end", orbit_end_spy)
+        monkeypatch.setattr(dyn, "cocycle_or_none", cocycle_spy)
+        monkeypatch.setattr(th.PotentialFunction, "birkhoff", birkhoff_spy)
+        psi = _psi_affine(tent_handle.system, 1, 0)
+        report = th.kms_battery(tent_handle, _random_ulam(64, 3), 0.7, psi, count=12, seed=3, pts=4)
+        assert len(report.rows) == 12
+        for name, seen in calls.items():
+            assert seen, name
+            assert max(Counter(seen).values()) == 1, name
 
 
 class TestSolveConformal:

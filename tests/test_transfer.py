@@ -1,12 +1,17 @@
+import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from xferop import dynamics as dyn
 from xferop import specfile
+from xferop import thermo as th
 from xferop import transfer as tr
 from xferop.errors import NotValidated, SupportViolation, ValidationError
-from xferop.intervals import IntervalSet, RationalInterval
+from xferop.intervals import IntervalSet, Q, RationalInterval, frac_str
+
+INTERVAL_SPECS = ["tent_std", "tent_half", "doubling", "halving"]
 
 
 class TestValidate:
@@ -190,3 +195,80 @@ class TestDuals:
         h = tr.TransferHandle.create(s.system, s.potential)
         with pytest.raises(ValidationError):
             tr.ulam_matrix(h, 4)
+
+
+def _set_values(pieces, x):
+    """The values of every piece holding x, as a set: the lookup before first-match."""
+    return {m * x + c for iv, m, c in pieces if iv.contains(x)}
+
+
+def _reference_weight(pot, x):
+    for p, v in pot.overrides:
+        if p == x:
+            return v
+    vals = _set_values(pot.pieces, x)
+    if not vals:
+        raise ValidationError(f"potential undefined at {frac_str(x)}")
+    if len(vals) > 1:
+        raise ValidationError(f"potential ambiguous at {frac_str(x)}")
+    return vals.pop()
+
+
+def _reference_function(f, x):
+    vals = _set_values(f.pieces, x)
+    assert len(vals) <= 1
+    return vals.pop() if vals else Q(0)
+
+
+def _probe_points(pieces):
+    """Piece ends and midpoints, quadrature points of a 16-bin grid, and points off [0, 1]."""
+    pts = {F(-1, 4), F(5, 4), F(-1, 10**9), 1 + F(1, 10**9)}
+    for iv, _, _ in pieces:
+        pts.update((iv.lo, iv.hi, (iv.lo + iv.hi) / 2))
+    grid = tr.UlamMeasure(0, 1, (1,) * 16)
+    for n in (1, 4):
+        pts.update(x for _, rows in grid.quadrature(n) for x, _ in rows)
+    return sorted(pts)
+
+
+class TestPieceLookup:
+    """The first piece holding a point gives its value, as the set of all of them did."""
+
+    @pytest.mark.parametrize("name", INTERVAL_SPECS + ["seam"])
+    def test_weights_and_energies_match_the_set_lookup(self, name):
+        if name == "seam":
+            # touching pieces that disagree, settled by an override
+            half = F(1, 2)
+            pots = [dyn.IntervalPotential(
+                ((RationalInterval(0, half), 0, 1), (RationalInterval(half, 1), 1, 1)),
+                overrides=((half, F(7, 4)),),
+            )]
+        else:
+            s = specfile.bundled(name)
+            pots = [s.potential, s.psi]
+        for pot in pots:
+            for x in _probe_points(pot.pieces):
+                held = bool(_set_values(pot.pieces, x))
+                try:
+                    want = _reference_weight(pot, x)
+                except ValidationError as e:
+                    with pytest.raises(ValidationError, match=re.escape(str(e))):
+                        pot.value(x)
+                    assert not held and pot.value_or_zero(x) == 0
+                    continue
+                got = pot.value(x)
+                assert got == want and type(got) is Q
+                assert pot.value_or_zero(x) == (want if held else 0)
+
+    @pytest.mark.parametrize("name", INTERVAL_SPECS)
+    def test_test_functions_match_the_set_lookup(self, name):
+        s = specfile.bundled(name)
+        h = tr.TransferHandle.create(s.system, s.potential)
+        fns = th._battery_functions(h, random.Random(3), 10)
+        fns += th.hat_battery(dyn.regular_set(s.system, s.potential).delta_reg, 6)
+        for f in fns:
+            pts = _probe_points(f.pieces)
+            want = [_reference_function(f, x) for x in pts]
+            assert [f.value(x) for x in pts] == want
+            assert f.values(pts) == want and f.values(pts[::-1]) == want[::-1]
+            assert all(type(v) is Q for v in f.values(pts))
