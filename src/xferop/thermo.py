@@ -806,13 +806,20 @@ class _StateTable:
         return out
 
     def once(self, fn: Callable[[list], list]) -> IdFunction:
-        """An integrand that a call reads once: float(v) for v in fn(points), kept nowhere.
+        """Rows that a call reads once: fn(points) gives one list of exact values per row.
 
-        A residual row has its own test function, so its values and fiber
-        sums go through this; the energy and weight factors are columns.
+        Each residual row has its own test function, so its values and fiber
+        sums go through this and are kept nowhere; the energy and weight
+        factors are columns.
         """
         pts = self.points
-        return lambda ids: np.array([float(v) for v in fn([pts[i] for i in ids.tolist()])])
+
+        def rows(ids: np.ndarray) -> np.ndarray:
+            table = fn([pts[i] for i in ids.tolist()])
+            vals = [float(v) for row in table for v in row]
+            return np.array(vals, dtype=float).reshape(len(table), len(ids))
+
+        return rows
 
     def psi_exp_rho(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """exp(beta*energy) and the weight at the ids, kept as one column of pairs."""
@@ -927,15 +934,23 @@ class _StateTable:
         return self._read(("twist", side, id(f), id(psi), n, lam), ids, fill)
 
 
-def _integrate_state(tab: _StateTable, f: IdFunction, pts: int) -> float:
-    """Integral of f, a function of an id array, against the table's measure.
+def _integrate_rows(tab: _StateTable, f: IdFunction, pts: int) -> list[float]:
+    """Integrals of the rows of f, an id array -> (rows, ids) array, against the table's measure.
 
-    One ``math.fsum`` of mass * value per quadrature group, and one over the
-    weighted groups.
+    For each row, one ``math.fsum`` of mass * value per quadrature group and
+    one over the weighted groups.
     """
     ids, masses, groups = tab.quad(pts)
-    terms = (masses * f(ids)).tolist()
-    return math.fsum(w * math.fsum(terms[lo:hi]) for w, lo, hi in groups)
+    return [
+        math.fsum(w * math.fsum(terms[lo:hi]) for w, lo, hi in groups)
+        for terms in (masses * f(ids)).tolist()
+    ]
+
+
+def _integrate_state(tab: _StateTable, f: IdFunction, pts: int) -> float:
+    """Integral of f, a function of an id array, against the table's measure."""
+    (total,) = _integrate_rows(tab, lambda ids: f(ids)[None], pts)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -943,25 +958,30 @@ def _integrate_state(tab: _StateTable, f: IdFunction, pts: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _strong_pair(tab: _StateTable, a: tr.Function) -> tuple[float, float]:
+def _strong_rows(tab: _StateTable, fns: Sequence[tr.Function]) -> list[tuple[float, float]]:
+    """(lhs, rhs) of each row; the rows that read the table are integrated together."""
+    if not fns:
+        return []
     handle, psi, beta, mu = tab.handle, tab.psi, tab.beta, tab.mu
+    pot = handle.potential
     cval = psi.constant_value()
     if mu.integrates_grids:
-        lhs = mu.integrate_grid(_fiber_grid(handle, a, handle.potential))
+        lhs = [mu.integrate_grid(_fiber_grid(handle, a, pot)) for a in fns]
         if cval is not None:
             carrier = _single_component(handle.system)
-            prod = _grid_product(_fn_grid(a, carrier), _pot_grid(handle.potential, carrier))
-            return lhs, math.exp(beta * float(cval)) * mu.integrate_grid(prod)
+            scale = math.exp(beta * float(cval))
+            prods = (_grid_product(_fn_grid(a, carrier), _pot_grid(pot, carrier)) for a in fns)
+            return [(l, scale * mu.integrate_grid(g)) for l, g in zip(lhs, prods)]
     else:
-        fibre_sums = tab.once(lambda xs: [tr.apply(handle, a, x) for x in xs])
-        lhs = _integrate_state(tab, fibre_sums, pts=4)
-    av = tab.once(a.values)
+        sums = tab.once(lambda xs: [[tr.apply(handle, a, x) for x in xs] for a in fns])
+        lhs = _integrate_rows(tab, sums, pts=4)
+    values = tab.once(lambda xs: [a.values(xs) for a in fns])
 
     def rhs_fn(ids: np.ndarray) -> np.ndarray:
         pe, rho = tab.psi_exp_rho(ids)
-        return av(ids) * pe * rho
+        return values(ids) * pe * rho
 
-    return lhs, _integrate_state(tab, rhs_fn, pts=4)
+    return list(zip(lhs, _integrate_rows(tab, rhs_fn, pts=4)))
 
 
 def conformal_residual(
@@ -979,10 +999,10 @@ def conformal_residual(
     quadrature point.
     """
     tab = _StateTable(handle, mu, psi, beta)
-    rows = []
-    for i, a in enumerate(fns):
-        lhs, rhs = _strong_pair(tab, a)
-        rows.append(ResidualRow(f"f{i}", lhs, rhs, abs(lhs - rhs)))
+    rows = (
+        ResidualRow(f"f{i}", lhs, rhs, abs(lhs - rhs))
+        for i, (lhs, rhs) in enumerate(_strong_rows(tab, fns))
+    )
     return ResidualReport("conformal", tuple(rows))
 
 
@@ -996,23 +1016,27 @@ def _bare_sum(handle, a: tr.Function, y) -> Fraction:
     return sum((a.value(x) for x in handle.system.map.fiber(y)), Q(0))
 
 
-def _weak_pair(tab: _StateTable, a: tr.Function) -> tuple[float, float, Optional[float]]:
+def _weak_rows(tab: _StateTable, fns: Sequence[tr.Function]) -> list[tuple]:
+    """(lhs, rhs, tail bound) of each row, as ``_strong_rows`` without the weight."""
+    if not fns:
+        return []
     handle, psi, beta, mu = tab.handle, tab.psi, tab.beta, tab.mu
     cval = psi.constant_value()
-    bound = mu.row_bound(a, cval)
+    bounds = [mu.row_bound(a, cval) for a in fns]
     if mu.integrates_grids:
         carrier = _single_component(handle.system)
         unit = IntervalPotential(((carrier, Q(0), Q(1)),))
-        lhs = mu.integrate_grid(_fiber_grid(handle, a, unit))
+        lhs = [mu.integrate_grid(_fiber_grid(handle, a, unit)) for a in fns]
         if cval is not None:
-            rhs = math.exp(beta * float(cval)) * mu.integrate_grid(_fn_grid(a, carrier))
-            return lhs, rhs, bound
+            scale = math.exp(beta * float(cval))
+            rhs = [scale * mu.integrate_grid(_fn_grid(a, carrier)) for a in fns]
+            return list(zip(lhs, rhs, bounds))
     else:
-        bare_sums = tab.once(lambda xs: [_bare_sum(handle, a, x) for x in xs])
-        lhs = _integrate_state(tab, bare_sums, pts=4)
-    av = tab.once(a.values)
-    rhs = _integrate_state(tab, lambda ids: av(ids) * tab.psi_exp_rho(ids)[0], pts=4)
-    return lhs, rhs, bound
+        sums = tab.once(lambda xs: [[_bare_sum(handle, a, x) for x in xs] for a in fns])
+        lhs = _integrate_rows(tab, sums, pts=4)
+    values = tab.once(lambda xs: [a.values(xs) for a in fns])
+    rhs = _integrate_rows(tab, lambda ids: values(ids) * tab.psi_exp_rho(ids)[0], pts=4)
+    return list(zip(lhs, rhs, bounds))
 
 
 def weakly_conformal_residual(
@@ -1030,12 +1054,13 @@ def weakly_conformal_residual(
     No command reports it yet; it is the check of the paper's weakly
     conformal measures, which see only the regular region.
     """
-    tab = _StateTable(handle, mu, psi, beta)
-    rows = []
-    for i, a in enumerate(fns):
+    for a in fns:
         _check_weak_support(handle, a)
-        lhs, rhs, bound = _weak_pair(tab, a)
-        rows.append(ResidualRow(f"f{i}", lhs, rhs, abs(lhs - rhs), bound))
+    tab = _StateTable(handle, mu, psi, beta)
+    rows = (
+        ResidualRow(f"f{i}", lhs, rhs, abs(lhs - rhs), bound)
+        for i, (lhs, rhs, bound) in enumerate(_weak_rows(tab, fns))
+    )
     return ResidualReport("weakly_conformal", tuple(rows))
 
 
