@@ -183,10 +183,9 @@ class OrbitBasis:
         if held is None:
             held = self._values[id(f)] = (f, [None] * self.dim)
         col = held[1]
-        todo = [i for i in idx if col[i] is None]
-        if todo:
-            for i, v in zip(todo, f.values([self.nodes[i].point for i in todo])):
-                col[i] = float(v)
+        for i in idx:
+            if col[i] is None:
+                col[i] = float(f.value(self.nodes[i].point))
         return [col[i] for i in idx]
 
     def gauge(self, z: complex) -> np.ndarray:

@@ -744,7 +744,6 @@ class _StateTable:
         self.points: list = []
         self._quad: dict = {}
         self._cols: dict = {}
-        self._last: dict = {}  # column key -> (ids, values) of its last read
         self._flat: dict = {}  # depth -> (point ids, weights) of the fibre runs
         self._held: dict = {}  # objects whose id keys a column, kept alive so ids stay unique
 
@@ -772,15 +771,7 @@ class _StateTable:
         return q
 
     def _read(self, key, ids: np.ndarray, compute: Callable, dtype=float, width=()) -> np.ndarray:
-        """Column ``key`` at the ids; compute(todo) fills the ids it has no value for yet.
-
-        The last read of each column is kept with the id array it was asked
-        for, so rows that read the quadrature ids again cost no numpy call.
-        The result is read-only: callers share it.
-        """
-        last = self._last.get(key)
-        if last is not None and last[0] is ids:
-            return last[1]
+        """Column ``key`` at the ids; compute(todo) fills the ids it has no value for yet."""
         col = self._cols.get(key)
         n = len(self.points)
         if col is None:
@@ -800,26 +791,16 @@ class _StateTable:
             todo = np.bincount(missing).nonzero()[0]  # each missing id once, ascending
             vals[todo] = compute(todo.tolist())
             done[todo] = True
-        out = vals[ids]
-        out.flags.writeable = False
-        self._last[key] = (ids, out)
-        return out
+        return vals[ids]
 
     def once(self, fn: Callable[[list], list]) -> IdFunction:
-        """Rows that a call reads once: fn(points) gives one list of exact values per row.
+        """An integrand that a call reads once: float(v) for v in fn(points), kept nowhere.
 
-        Each residual row has its own test function, so its values and fiber
-        sums go through this and are kept nowhere; the energy and weight
-        factors are columns.
+        A residual row has its own test function, so its values and fiber
+        sums go through this; the energy and weight factors are columns.
         """
         pts = self.points
-
-        def rows(ids: np.ndarray) -> np.ndarray:
-            table = fn([pts[i] for i in ids.tolist()])
-            vals = [float(v) for row in table for v in row]
-            return np.array(vals, dtype=float).reshape(len(table), len(ids))
-
-        return rows
+        return lambda ids: np.array([float(v) for v in fn([pts[i] for i in ids.tolist()])])
 
     def psi_exp_rho(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """exp(beta*energy) and the weight at the ids, kept as one column of pairs."""
@@ -832,17 +813,14 @@ class _StateTable:
         return pairs[:, 0], pairs[:, 1]
 
     def values(self, f: Optional[tr.Function], ids: np.ndarray) -> np.ndarray:
-        """float(f(x)) at the ids; 1.0 everywhere for an absent function.
-
-        The column is filled by ``f.values``, one sweep of f over the points.
-        """
+        """float(f(x)) at the ids; 1.0 everywhere for an absent function."""
         if f is None:
             return np.ones(len(ids))
         self._held[id(f)] = f
         pts = self.points
 
         def fill(todo):
-            return [float(v) for v in f.values([pts[i] for i in todo])]
+            return [float(f.value(pts[i])) for i in todo]
 
         return self._read(("value", id(f)), ids, fill)
 
@@ -934,23 +912,15 @@ class _StateTable:
         return self._read(("twist", side, id(f), id(psi), n, lam), ids, fill)
 
 
-def _integrate_rows(tab: _StateTable, f: IdFunction, pts: int) -> list[float]:
-    """Integrals of the rows of f, an id array -> (rows, ids) array, against the table's measure.
+def _integrate_state(tab: _StateTable, f: IdFunction, pts: int) -> float:
+    """Integral of f, a function of an id array, against the table's measure.
 
-    For each row, one ``math.fsum`` of mass * value per quadrature group and
-    one over the weighted groups.
+    One ``math.fsum`` of mass * value per quadrature group, and one over the
+    weighted groups.
     """
     ids, masses, groups = tab.quad(pts)
-    return [
-        math.fsum(w * math.fsum(terms[lo:hi]) for w, lo, hi in groups)
-        for terms in (masses * f(ids)).tolist()
-    ]
-
-
-def _integrate_state(tab: _StateTable, f: IdFunction, pts: int) -> float:
-    """Integral of f, a function of an id array, against the table's measure."""
-    (total,) = _integrate_rows(tab, lambda ids: f(ids)[None], pts)
-    return total
+    terms = (masses * f(ids)).tolist()
+    return math.fsum(w * math.fsum(terms[lo:hi]) for w, lo, hi in groups)
 
 
 # ---------------------------------------------------------------------------
@@ -958,30 +928,25 @@ def _integrate_state(tab: _StateTable, f: IdFunction, pts: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _strong_rows(tab: _StateTable, fns: Sequence[tr.Function]) -> list[tuple[float, float]]:
-    """(lhs, rhs) of each row; the rows that read the table are integrated together."""
-    if not fns:
-        return []
+def _strong_pair(tab: _StateTable, a: tr.Function) -> tuple[float, float]:
     handle, psi, beta, mu = tab.handle, tab.psi, tab.beta, tab.mu
-    pot = handle.potential
     cval = psi.constant_value()
     if mu.integrates_grids:
-        lhs = [mu.integrate_grid(_fiber_grid(handle, a, pot)) for a in fns]
+        lhs = mu.integrate_grid(_fiber_grid(handle, a, handle.potential))
         if cval is not None:
             carrier = _single_component(handle.system)
-            scale = math.exp(beta * float(cval))
-            prods = (_grid_product(_fn_grid(a, carrier), _pot_grid(pot, carrier)) for a in fns)
-            return [(l, scale * mu.integrate_grid(g)) for l, g in zip(lhs, prods)]
+            prod = _grid_product(_fn_grid(a, carrier), _pot_grid(handle.potential, carrier))
+            return lhs, math.exp(beta * float(cval)) * mu.integrate_grid(prod)
     else:
-        sums = tab.once(lambda xs: [[tr.apply(handle, a, x) for x in xs] for a in fns])
-        lhs = _integrate_rows(tab, sums, pts=4)
-    values = tab.once(lambda xs: [a.values(xs) for a in fns])
+        fibre_sums = tab.once(lambda xs: [tr.apply(handle, a, x) for x in xs])
+        lhs = _integrate_state(tab, fibre_sums, pts=4)
+    av = tab.once(lambda xs: [a.value(x) for x in xs])
 
     def rhs_fn(ids: np.ndarray) -> np.ndarray:
         pe, rho = tab.psi_exp_rho(ids)
-        return values(ids) * pe * rho
+        return av(ids) * pe * rho
 
-    return list(zip(lhs, _integrate_rows(tab, rhs_fn, pts=4)))
+    return lhs, _integrate_state(tab, rhs_fn, pts=4)
 
 
 def conformal_residual(
@@ -999,10 +964,10 @@ def conformal_residual(
     quadrature point.
     """
     tab = _StateTable(handle, mu, psi, beta)
-    rows = (
-        ResidualRow(f"f{i}", lhs, rhs, abs(lhs - rhs))
-        for i, (lhs, rhs) in enumerate(_strong_rows(tab, fns))
-    )
+    rows = []
+    for i, a in enumerate(fns):
+        lhs, rhs = _strong_pair(tab, a)
+        rows.append(ResidualRow(f"f{i}", lhs, rhs, abs(lhs - rhs)))
     return ResidualReport("conformal", tuple(rows))
 
 
@@ -1016,27 +981,23 @@ def _bare_sum(handle, a: tr.Function, y) -> Fraction:
     return sum((a.value(x) for x in handle.system.map.fiber(y)), Q(0))
 
 
-def _weak_rows(tab: _StateTable, fns: Sequence[tr.Function]) -> list[tuple]:
-    """(lhs, rhs, tail bound) of each row, as ``_strong_rows`` without the weight."""
-    if not fns:
-        return []
+def _weak_pair(tab: _StateTable, a: tr.Function) -> tuple[float, float, Optional[float]]:
     handle, psi, beta, mu = tab.handle, tab.psi, tab.beta, tab.mu
     cval = psi.constant_value()
-    bounds = [mu.row_bound(a, cval) for a in fns]
+    bound = mu.row_bound(a, cval)
     if mu.integrates_grids:
         carrier = _single_component(handle.system)
         unit = IntervalPotential(((carrier, Q(0), Q(1)),))
-        lhs = [mu.integrate_grid(_fiber_grid(handle, a, unit)) for a in fns]
+        lhs = mu.integrate_grid(_fiber_grid(handle, a, unit))
         if cval is not None:
-            scale = math.exp(beta * float(cval))
-            rhs = [scale * mu.integrate_grid(_fn_grid(a, carrier)) for a in fns]
-            return list(zip(lhs, rhs, bounds))
+            rhs = math.exp(beta * float(cval)) * mu.integrate_grid(_fn_grid(a, carrier))
+            return lhs, rhs, bound
     else:
-        sums = tab.once(lambda xs: [[_bare_sum(handle, a, x) for x in xs] for a in fns])
-        lhs = _integrate_rows(tab, sums, pts=4)
-    values = tab.once(lambda xs: [a.values(xs) for a in fns])
-    rhs = _integrate_rows(tab, lambda ids: values(ids) * tab.psi_exp_rho(ids)[0], pts=4)
-    return list(zip(lhs, rhs, bounds))
+        bare_sums = tab.once(lambda xs: [_bare_sum(handle, a, x) for x in xs])
+        lhs = _integrate_state(tab, bare_sums, pts=4)
+    av = tab.once(lambda xs: [a.value(x) for x in xs])
+    rhs = _integrate_state(tab, lambda ids: av(ids) * tab.psi_exp_rho(ids)[0], pts=4)
+    return lhs, rhs, bound
 
 
 def weakly_conformal_residual(
@@ -1054,13 +1015,12 @@ def weakly_conformal_residual(
     No command reports it yet; it is the check of the paper's weakly
     conformal measures, which see only the regular region.
     """
-    for a in fns:
-        _check_weak_support(handle, a)
     tab = _StateTable(handle, mu, psi, beta)
-    rows = (
-        ResidualRow(f"f{i}", lhs, rhs, abs(lhs - rhs), bound)
-        for i, (lhs, rhs, bound) in enumerate(_weak_rows(tab, fns))
-    )
+    rows = []
+    for i, a in enumerate(fns):
+        _check_weak_support(handle, a)
+        lhs, rhs, bound = _weak_pair(tab, a)
+        rows.append(ResidualRow(f"f{i}", lhs, rhs, abs(lhs - rhs), bound))
     return ResidualReport("weakly_conformal", tuple(rows))
 
 

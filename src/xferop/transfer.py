@@ -10,8 +10,7 @@ Test functions are typed like the maps.  ``TestFunction`` is piecewise
 affine on the interval backend (``const_on``, ``affine_on``, ``hat``);
 ``CylinderFunction`` is a combination of cylinder indicators on the graph
 backend (``indicator``).  Both carry ``backend`` as a class attribute and
-answer ``value(x)``, ``values(xs)`` (value at many points at once),
-``sup_norm_bound()``, ``scaled(t)``, ``pullback(map)``
+answer ``value(x)``, ``sup_norm_bound()``, ``scaled(t)``, ``pullback(map)``
 (the exact a o phi) and ``outside(region)`` (the part of the support that
 an open set of the backend's type misses).
 
@@ -32,7 +31,6 @@ exact reference the solver's matrices are tested against.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,26 +109,6 @@ class TestFunction:
                 return m * x + c
         return Q(0)
 
-    def values(self, xs) -> list[Fraction]:
-        """``value`` at each of xs, by one sweep of the pieces over the sorted points.
-
-        Each piece takes the points it holds that no earlier piece took, so
-        every point gets one ``m * x + c``.
-        """
-        xs = [frac(x) for x in xs]
-        order = sorted(range(len(xs)), key=xs.__getitem__)
-        keys = [xs[i] for i in order]
-        out: list = [None] * len(xs)
-        for iv, m, c in self.pieces:
-            lo = (bisect.bisect_left if iv.lo_closed else bisect.bisect_right)(keys, iv.lo)
-            hi = (bisect.bisect_right if iv.hi_closed else bisect.bisect_left)(keys, iv.hi)
-            for k in range(lo, hi):
-                i = order[k]
-                if out[i] is None:
-                    out[i] = m * keys[k] + c
-        zero = Q(0)
-        return [zero if v is None else v for v in out]
-
     def support(self) -> IntervalSet:
         """Closure of the nonvanishing set."""
         out = IntervalSet.empty()
@@ -191,10 +169,6 @@ class CylinderFunction:
                     f"point {p} is coarser than cylinder {cyl}; cannot evaluate"
                 )
         return out
-
-    def values(self, ps) -> list[Fraction]:
-        """``value`` at each of ps."""
-        return [self.value(p) for p in ps]
 
     def outside(self, region: dyn.CylinderSet) -> dyn.CylinderSet:
         """The cylinders of nonzero weight that no cylinder of the region holds."""
@@ -505,16 +479,13 @@ class UlamMeasure:
     def quadrature(self, pts: int) -> list:
         """One group: the pts-point midpoint rule in every bin of nonzero density."""
         w = (self.hi - self.lo) / self.bins
-        half = w / (2 * pts)  # point i of bin k sits at lo + (2 (k pts + i) + 1) half
-
-        def rows():
-            for k, d in enumerate(self.densities):
-                if d != 0:
-                    mass = d * w / pts
-                    for i in range(pts):
-                        yield self.lo + half * (2 * (k * pts + i) + 1), mass
-
-        return [(1.0, rows())]
+        rows = (
+            (self.lo + k * w + w * (2 * i + 1) / (2 * pts), d * w / pts)
+            for k, d in enumerate(self.densities)
+            if d != 0
+            for i in range(pts)
+        )
+        return [(1.0, rows)]
 
     def integrate_grid(self, g) -> float:
         """Exact integral of a piecewise-quadratic grid function, as a float."""
@@ -529,21 +500,16 @@ class UlamMeasure:
                 continue
             k0 = max(int((u_ - self.lo) // w), 0)
             k1 = min(int(-((self.lo - v_) // w)) - 1, self.bins - 1)
-            h1, h2 = c1 / 2, c2 / 3
 
             def anti(x: Fraction) -> Fraction:
-                return x * (c0 + x * (h1 + x * h2))
+                return c0 * x + c1 * x * x / 2 + c2 * x * x * x / 3
 
-            # consecutive bins share an end, so each end's antiderivative is taken once
-            a_ = max(u_, self.lo + k0 * w)
-            at_a = anti(a_)
             for k in range(k0, k1 + 1):
+                a_ = max(u_, self.lo + k * w)
                 b_ = min(v_, self.lo + (k + 1) * w)
                 if b_ <= a_:
                     continue
-                at_b = anti(b_)
-                total += self.densities[k] * (at_b - at_a)
-                a_, at_a = b_, at_b
+                total += self.densities[k] * (anti(b_) - anti(a_))
         return float(total)
 
     def row_bound(self, a, cval) -> None:

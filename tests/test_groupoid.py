@@ -280,15 +280,23 @@ class TestPhiIsomorphism:
 
     def test_slot_values_computed_once_per_function(self, setup, monkeypatch):
         basis, gpd = setup
-        evaluated = {}
-        values = tr.TestFunction.values
+        evaluated, inside = {}, []
+        slot_diag, value = gp._slot_diag, tr.TestFunction.value
 
-        def counting(f, xs):
-            xs = list(xs)
-            evaluated[id(f)] = evaluated.get(id(f), 0) + len(xs)
-            return values(f, xs)
+        def slot(*args):
+            inside.append(True)
+            try:
+                return slot_diag(*args)
+            finally:
+                inside.pop()
 
-        monkeypatch.setattr(tr.TestFunction, "values", counting)
+        def counting(f, x):
+            if inside:  # the arrow side evaluates on its own
+                evaluated[id(f)] = evaluated.get(id(f), 0) + 1
+            return value(f, x)
+
+        monkeypatch.setattr(gp, "_slot_diag", slot)
+        monkeypatch.setattr(tr.TestFunction, "value", counting)
         a = tr.TestFunction.hat(F(1, 2), F(1, 2), 1)
         b = tr.TestFunction.affine_on(UNIT, 1, 0)
         rng = random.Random(2)
