@@ -431,7 +431,7 @@ def rep_cmd(mode, spec_arg, out, fmt, anchor, depth, width):
 @click.option("--depth", default=5, show_default=True)
 @click.option("--count", default=12, show_default=True, help="target number of residual rows")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--tol", default=1e-10, show_default=True)
+@click.option("--tol", default=1e-10, show_default=True, type=float, callback=_tolerance)
 @_guarded
 def relations(spec_arg, out, fmt, anchor, depth, count, seed, tol):
     """Run the defining-relation battery on a truncated matrix model."""
@@ -760,7 +760,7 @@ def groupoid_gap(spec_arg, out, fmt, n, samples, tower):
 @click.option("--depth", default=4, show_default=True)
 @click.option("--count", default=10, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--tol", default=1e-10, show_default=True)
+@click.option("--tol", default=1e-10, show_default=True, type=float, callback=_tolerance)
 @_guarded
 def groupoid_iso_check(spec_arg, out, fmt, anchor, depth, count, seed, tol):
     """Compare matrix products against arrow-space convolution."""
@@ -792,7 +792,7 @@ def groupoid_iso_check(spec_arg, out, fmt, anchor, depth, count, seed, tol):
 @click.option("--anchor", default=None)
 @click.option("--lam", default=None, metavar="E=W,...",
               help="edge scaling weights; default 1 on every edge")
-@click.option("--tol", default=1e-10, show_default=True)
+@click.option("--tol", default=1e-10, show_default=True, type=float, callback=_tolerance)
 @_guarded
 def groupoid_graph_gen(spec_arg, out, fmt, depth, anchor, lam, tol):
     """Build edge generators and check their defining relations."""

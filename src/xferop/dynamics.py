@@ -49,9 +49,9 @@ for both backends.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DepthExceeded,
@@ -103,8 +103,12 @@ class AffineBranch:
             pieces.append(iv.affine_image(self.slope, self.intercept))
         return IntervalSet(pieces)
 
+    def inverse_image(self, iv: RationalInterval) -> RationalInterval:
+        """The interval the affine map carries onto ``iv``, domain ignored."""
+        return iv.affine_image(1 / self.slope, -self.intercept / self.slope)
+
     def preimage_of(self, s: IntervalSet) -> IntervalSet:
-        inv = IntervalSet(iv.affine_image(1 / self.slope, -self.intercept / self.slope) for iv in s.intervals)
+        inv = IntervalSet(self.inverse_image(iv) for iv in s.intervals)
         return inv.intersection(IntervalSet.of(self.domain))
 
 
@@ -884,6 +888,13 @@ def iterate_domain(system: PartialSystem, n: int):
     return current.noted(f"paths of length >= {n}")
 
 
+def image_iter(f: Union[IntervalSystem, GraphSystem], s, n: int):
+    """The n-step image of the open set s under the map f."""
+    for _ in range(n):
+        s = f.image_of(s)
+    return s
+
+
 def preimages(
     system: PartialSystem,
     pot: Potential,
@@ -1064,50 +1075,51 @@ def _rho_continuous_at(sys_: IntervalSystem, pot: Potential, x0: Fraction) -> bo
 
 
 @dataclass(frozen=True)
-class CompositeBranch:
-    """An affine branch of phi^n remembering which branches were chained."""
+class CompositeBranch(AffineBranch):
+    """An affine branch of phi^n on one piece of its domain.
 
-    domain: RationalInterval
-    slope: Fraction
-    intercept: Fraction
-    chain: tuple[int, ...]
+    ``chain`` names the branches of phi applied, first to last, and
+    ``parent`` is the branch of phi^(n-1) this one extends (None for n = 1),
+    so the prefix maps are read off the parents, never re-chained.  The
+    affine methods are those of ``AffineBranch``.
+    """
 
-    def value(self, x: Rationalish) -> Fraction:
-        return self.slope * frac(x) + self.intercept
+    chain: tuple[int, ...] = ()
+    parent: Optional[CompositeBranch] = field(default=None, compare=False, repr=False)
 
-    def image(self) -> RationalInterval:
-        return self.domain.affine_image(self.slope, self.intercept)
+    def prefix_maps(self) -> tuple[AffineBranch, ...]:
+        """phi^0, ..., phi^(n-1) on domains holding this one: the identity,
+        then the parents from phi^1 up."""
+        if self.parent is None:
+            return (AffineBranch(self.domain, Q(1), Q(0)),)
+        return self.parent.prefix_maps() + (self.parent,)
 
 
-def composite_branches(sys_: IntervalSystem, n: int) -> tuple[CompositeBranch, ...]:
-    """All affine branches of the n-fold composition, with exact domains."""
-    if n < 1:
-        raise ValidationError("composition order must be >= 1")
-    current = [
-        CompositeBranch(b.domain, b.slope, b.intercept, (i,))
-        for i, b in enumerate(sys_.branches)
-    ]
-    for _ in range(n - 1):
-        nxt = []
-        for comp in current:
-            for j, b in enumerate(sys_.branches):
-                # restrict comp.domain to points whose image enters b.domain
-                pull = IntervalSet.of(comp.domain).intersection(
-                    IntervalSet.of(
-                        b.domain.affine_image(1 / comp.slope, -comp.intercept / comp.slope)
-                    )
-                )
-                for piece in pull.intervals:
-                    nxt.append(
-                        CompositeBranch(
-                            piece,
-                            b.slope * comp.slope,
-                            b.slope * comp.intercept + b.intercept,
-                            comp.chain + (j,),
-                        )
-                    )
-        current = nxt
-    return tuple(current)
+def composite_levels(sys_: IntervalSystem, depth: int) -> Iterator[tuple[CompositeBranch, ...]]:
+    """The affine branches of phi^1, ..., phi^depth with exact domains, a level
+    at a time.  Level n is built from level n - 1 only when the walk asks for
+    it: for each branch of phi^(n-1), for each branch b of phi, the nonempty
+    part of its domain that it carries into b's domain."""
+    if depth < 1:
+        return
+    level = tuple(
+        CompositeBranch(b.domain, b.slope, b.intercept, (j,)) for j, b in enumerate(sys_.branches)
+    )
+    yield level
+    for _ in range(depth - 1):
+        level = tuple(
+            CompositeBranch(
+                piece,
+                b.slope * comp.slope,
+                b.slope * comp.intercept + b.intercept,
+                comp.chain + (j,),
+                comp,
+            )
+            for comp in level
+            for j, b in enumerate(sys_.branches)
+            if (piece := comp.domain.intersection(comp.inverse_image(b.domain))) is not None
+        )
+        yield level
 
 
 # -- essential domain -----------------------------------------------------------
@@ -1127,10 +1139,7 @@ def essential_domain(system: PartialSystem, depth: int):
     stabilized_at = None
     for n in range(1, depth + 1):
         dn = f.preimage_of(dn)
-        img = dn
-        for _ in range(n):
-            img = f.image_of(img)
-        fn = dn.intersection(img)
+        fn = dn.intersection(image_iter(f, dn, n))
         new = fn if partial is None else partial.intersection(fn)
         if partial is not None and new == partial and stabilized_at is None:
             stabilized_at = n - 1

@@ -250,34 +250,33 @@ class EnergyScan:
     windows: int
 
 
-def _birkhoff_windows(sys_, psi: PotentialFunction, comp) -> list:
-    """Affine pieces of the n-step energy sum on one composite domain."""
+def _birkhoff_windows(psi: PotentialFunction, comp: dyn.CompositeBranch) -> list:
+    """Affine pieces ``(window, A, B)`` of the n-step energy sum ``A x + B`` on
+    one composite domain: each prefix map phi^k pulls the pieces of psi back
+    and splits the windows along them."""
     windows = [(comp.domain, Q(0), Q(0))]
-    mk, bk = Q(1), Q(0)  # prefix map phi^k on the composite domain
-    for k, idx in enumerate(comp.chain):
-        nxt = []
-        for win, A, B in windows:
-            for ivp, mp, cp in psi.carrier.pieces:
-                if mk == 0:
-                    if ivp.contains(bk):
-                        nxt.append((win, A, B + mp * bk + cp))
-                    continue
-                pull = ivp.affine_image(1 / mk, -bk / mk).intersection(win)
-                if pull is None:
-                    continue
-                nxt.append((pull, A + mp * mk, B + mp * bk + cp))
-        windows = nxt
-        br = sys_.branches[idx]
-        mk, bk = br.slope * mk, br.slope * bk + br.intercept
+    for prefix in comp.prefix_maps():
+        pulled = [
+            (prefix.inverse_image(ivp), mp * prefix.slope, mp * prefix.intercept + cp)
+            for ivp, mp, cp in psi.carrier.pieces
+        ]
+        windows = [
+            (piece, A + dA, B + dB)
+            for win, A, B in windows
+            for iv, dA, dB in pulled
+            if (piece := iv.intersection(win)) is not None
+        ]
     return windows
 
 
 def check_positive_energy(system: PartialSystem, psi: PotentialFunction, depth: int = 8) -> Verdict:
     """Decide whether every n-step energy sum avoids zero, up to the depth.
 
-    Interval backend: the sum is affine on refined composite windows, so
-    zeros are found by exact root isolation.  Graph backend: the sum along a
-    path depends only on its first n edges, so all n-words are scanned.
+    Interval backend: one walk over the composite branches of phi^1, ...,
+    phi^depth.  On each, the prefix maps phi^k cut the domain into windows
+    where the sum is affine, so zeros are found by exact root isolation;
+    ``EnergyScan.windows`` counts the windows.  Graph backend: the sum along
+    a path depends only on its first n edges, so all n-words are scanned.
 
     Positive energy is the hypothesis under which the paper's KMS states
     live on the core; no command reports it yet, and this is its check.
@@ -300,10 +299,9 @@ def check_positive_energy(system: PartialSystem, psi: PotentialFunction, depth: 
                     )
         return Verdict("PositiveEnergy", "Holds", EnergyScan(depth, scanned), depth=depth)
 
-    sys_ = system.ival
-    for n in range(1, depth + 1):
-        for comp in dyn.composite_branches(sys_, n):
-            for win, A, B in _birkhoff_windows(sys_, psi, comp):
+    for n, level in enumerate(dyn.composite_levels(system.ival, depth), 1):
+        for comp in level:
+            for win, A, B in _birkhoff_windows(psi, comp):
                 scanned += 1
                 if A == 0:
                     if B == 0:

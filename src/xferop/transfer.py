@@ -561,7 +561,7 @@ def ulam_cells(sys_: dyn.IntervalSystem, lo: Fraction, hi: Fraction, bins: int):
                 ycell = img.intersection(bini)
                 if ycell is None or ycell.is_point:
                     continue
-                xcell = ycell.affine_image(1 / br.slope, -br.intercept / br.slope)
+                xcell = br.inverse_image(ycell)
                 yield i, j, abs(br.slope), xcell
 
 

@@ -9,6 +9,8 @@ unless a structural obstruction is proven.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,19 +142,6 @@ class ContractingReport:
 # -- shared geometry --------------------------------------------------------
 
 
-def _affine_preimage(s: IntervalSet, m: Fraction, c: Fraction) -> IntervalSet:
-    """Solve m*x + c in s for x, exactly."""
-    if m == 0:
-        raise ValidationError("degenerate affine map")
-    return IntervalSet.of(*[iv.affine_image(1 / m, -c / m) for iv in s.intervals])
-
-
-def _image_iter(sys_, s, n: int):
-    for _ in range(n):
-        s = sys_.image_of(s)
-    return s
-
-
 def _regions(system: PartialSystem, pot: Potential):
     """(map, space, pos, reg): the backend's map, X, and the positive and
     regular parts of the domain, all as open sets of the backend's type.
@@ -229,17 +218,14 @@ def check_top_free(system: PartialSystem, pot: Potential, depth: int = 8) -> Ver
 
     sys_, _, _, reg = _regions(system, pot)
     scanned = 0
-    for n in range(1, depth + 1):
-        for comp in dyn.composite_branches(sys_, n):
+    for n, level in enumerate(dyn.composite_levels(sys_, depth), 1):
+        for comp in level:
             scanned += 1
             if comp.slope != 1 or comp.intercept != 0:
                 continue
             stay = IntervalSet.of(comp.domain)
-            m, c = Q(1), Q(0)
-            for idx in comp.chain:
-                stay = stay.intersection(_affine_preimage(reg, m, c))
-                b = sys_.branches[idx]
-                m, c = b.slope * m, b.slope * c + b.intercept
+            for prefix in comp.prefix_maps():
+                stay = stay.intersection(prefix.preimage_of(reg))
             window = stay.nondegenerate()
             if not window.is_empty:
                 cert = PeriodicWindow(n, window.intervals[0], comp.chain)
@@ -464,9 +450,9 @@ def check_contracting_set(
             return ContractingReport(
                 False, "piece_not_regular", f"U_{i} leaves the {n}-step regular core or V"
             )
-    union, cover = sets[0][0], _image_iter(f, *sets[0])
+    union, cover = sets[0][0], dyn.image_iter(f, *sets[0])
     for u, n in sets[1:]:
-        union, cover = union.union(u), cover.union(_image_iter(f, u, n))
+        union, cover = union.union(u), cover.union(dyn.image_iter(f, u, n))
     if v.issubset(union.closure()):
         return ContractingReport(False, "region_exhausted", "V lies in the closure of the U_k")
     if not v.closure().intersection(space).issubset(cover):
@@ -477,10 +463,10 @@ def check_contracting_set(
 
 
 def _inverse_orbit_dense(
-    system: PartialSystem, pot: Potential, x0: Fraction, depth: int
+    system: PartialSystem, pot: Potential, regions, x0: Fraction, depth: int
 ) -> tuple[bool, int, Fraction]:
     """Truncated density of the regular inverse orbit of x0, exact gaps."""
-    _, space, _, reg = _regions(system, pot)
+    _, space, _, reg = regions
     res = Q(1, 2 ** min(depth, 8))
     pts = {x0}
     level = [x0]
@@ -502,10 +488,11 @@ def _inverse_orbit_dense(
 
 
 def _search_contracting_scale(
-    system: PartialSystem, pot: Potential, x0: Fraction, radius: Fraction, depth: int
+    system: PartialSystem, pot: Potential, regions, levels, x0: Fraction, radius: Fraction
 ) -> Optional[ContractingTuple]:
-    """Find one (U, n) tuple for the ball V around x0, via composite branches."""
-    sys_, space, _, _ = _regions(system, pot)
+    """Find one (U, n) tuple for the ball V around x0, walking ``levels``, the
+    composite branches of phi^1, phi^2, ..."""
+    _, space, _, _ = regions
     v = IntervalSet.of(RationalInterval(x0 - radius, x0 + radius, False, False)).intersection(
         space
     )
@@ -513,8 +500,8 @@ def _search_contracting_scale(
         return None
     vbar = v.closure().intersection(space)
     pad = radius / 4
-    for n in range(1, depth + 1):
-        for comp in dyn.composite_branches(sys_, n):
+    for n, level in enumerate(levels, 1):
+        for comp in level:
             if abs(comp.slope) <= 1:
                 continue
             if not IntervalSet.of(comp.domain).issubset(v):
@@ -525,10 +512,7 @@ def _search_contracting_scale(
             ).intersection(img.interior_in(space))
             if not vbar.issubset(target):
                 continue
-            u = _affine_preimage(target, comp.slope, comp.intercept).intersection(
-                IntervalSet.of(comp.domain)
-            )
-            cand = ContractingTuple(v, ((u, n),))
+            cand = ContractingTuple(v, ((comp.preimage_of(target), n),))
             if check_contracting_set(system, pot, v, cand.pieces).ok:
                 return cand
     return None
@@ -570,7 +554,8 @@ def check_contracting(system: PartialSystem, pot: Potential, depth: int = 8) -> 
                 return Verdict("Contracting", "Holds", cert, depth)
         return Verdict("Contracting", "Unknown", None, depth)
 
-    sys_, space, pos, reg = _regions(system, pot)
+    regions = _regions(system, pot)
+    sys_, space, pos, reg = regions
     if sys_.delta != pos:
         return Verdict(
             "Contracting",
@@ -586,16 +571,21 @@ def check_contracting(system: PartialSystem, pot: Potential, depth: int = 8) -> 
     lo, hi = space.min(), space.max()
     width = hi - lo
     candidates = [lo + width * q for q in (Q(1, 3), Q(2, 3), Q(1, 5), Q(2, 5))]
+    # one walk for every search: each copy of a tee iterator replays the
+    # levels built so far and builds the next one only once
+    levels = itertools.tee(dyn.composite_levels(sys_, depth), 1)[0]
     for x0 in candidates:
         if not reg.contains(x0):
             continue
-        dense, count, res = _inverse_orbit_dense(system, pot, x0, depth)
+        dense, count, res = _inverse_orbit_dense(system, pot, regions, x0, depth)
         if not dense:
             continue
         scales = []
         ok = True
         for j in range(2, min(depth, 6) + 1):
-            cand = _search_contracting_scale(system, pot, x0, width / 2**j, depth)
+            cand = _search_contracting_scale(
+                system, pot, regions, copy.copy(levels), x0, width / 2**j
+            )
             if cand is None:
                 ok = False
                 break

@@ -219,11 +219,15 @@ def test_conformal_refuses_an_empty_bin_grid(tmp_path, spec, bins):
 def _tolerance_cell(tmp_path, command):
     if command == "kms-verify":
         return ["kms-verify", "--spec", "tent_std", "--candidate", _candidate(tmp_path, "tent_std")]
-    return ["conformal", "--spec", "tent_std"]
+    spec = {"iso-check": "doubling", "graph-gen": "fullshift2"}.get(command, "tent_std")
+    group = ["groupoid"] if command in ("iso-check", "graph-gen") else []
+    return [*group, command, "--spec", spec]
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1e-3", "inf"])
-@pytest.mark.parametrize("command", ["conformal", "kms-verify"])
+@pytest.mark.parametrize(
+    "command", ["conformal", "kms-verify", "relations", "iso-check", "graph-gen"]
+)
 def test_tolerance_must_be_finite_and_nonnegative(tmp_path, command, tol):
     # NaN used to print "within tolerance: no" and exit 1, as if the check had failed
     result = CliRunner().invoke(main, [*_tolerance_cell(tmp_path, command), "--tol", tol])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -153,7 +154,7 @@ class TestPower:
     """phi^n of the tent, through its composite branches and the cocycle."""
 
     def test_tent_square_branches(self, tent):
-        comps = dyn.composite_branches(tent.system.ival, 2)
+        *_, comps = dyn.composite_levels(tent.system.ival, 2)
         doms = sorted((c.domain.lo, c.domain.hi, c.slope) for c in comps)
         assert doms == [
             (F(0), F(1, 4), F(4)),
@@ -169,11 +170,34 @@ class TestPower:
             assert dyn.cocycle(tent.system, tent.potential, 2, x) == F(1, 2)
 
     def test_power_agrees_with_orbit_product(self, tent):
-        comps = dyn.composite_branches(tent.system.ival, 3)
+        *_, comps = dyn.composite_levels(tent.system.ival, 3)
         for num in range(0, 65):
             x = F(num, 64)
             ends = {c.value(x) for c in comps if c.domain.contains(x)}
             assert ends == {dyn.orbit(tent.system, x, 3)[-1]}
+
+    def test_levels_walk_parent_then_branch(self, tent):
+        levels = list(dyn.composite_levels(tent.system.ival, 3))
+        assert [c.chain for c in levels[2]] == list(itertools.product(range(2), repeat=3))
+        for n, level in enumerate(levels, 1):
+            for comp in level:
+                prefixes = comp.prefix_maps()
+                assert len(prefixes) == n and prefixes[0].slope == 1 and prefixes[0].intercept == 0
+                assert [p.chain for p in prefixes[1:]] == [comp.chain[:k] for k in range(1, n)]
+
+    def test_levels_are_lazy(self, tent, monkeypatch):
+        built = []
+        post_init = dyn.CompositeBranch.__post_init__
+
+        def counted(self):
+            built.append(len(self.chain))
+            post_init(self)
+
+        monkeypatch.setattr(dyn.CompositeBranch, "__post_init__", counted)
+        walk = dyn.composite_levels(tent.system.ival, 8)
+        assert built == []
+        next(walk), next(walk)
+        assert built == [1] * 2 + [2] * 4
 
 
 class TestEssentialDomain:

@@ -119,6 +119,25 @@ class TestTopFree:
         assert cert.n == 1 and not cert.window.is_point
         assert vd.verify_periodic_window(sys_, pot, cert)
 
+    def test_regular_cut_in_the_middle_of_a_chain(self):
+        # phi(x) = 1 - x with weight 0 on [0, 1/4]: the regular set is (1/4, 1],
+        # so the window of phi^2 = id is cut by reg and by phi^-1(reg)
+        flip = dyn.PartialSystem(
+            dyn.IntervalSystem(
+                IntervalSet.closed(0, 1), [dyn.AffineBranch(RationalInterval(0, 1), -1, 1)]
+            )
+        )
+        pot = dyn.IntervalPotential(
+            pieces=(
+                (RationalInterval(0, F(1, 4)), F(0), F(0)),
+                (RationalInterval(F(1, 4), 1), F(1), F(-1, 4)),
+            )
+        )
+        v = vd.check_top_free(flip, pot, 4)
+        window = RationalInterval(F(1, 4), F(3, 4), False, False)
+        assert v.fails and v.certificate == vd.PeriodicWindow(2, window, (0, 0))
+        assert vd.verify_periodic_window(flip, pot, v.certificate)
+
     def test_depth_monotone(self, tent, loop1):
         for s, expect in ((tent, "Holds"), (loop1, "Fails")):
             for d in (3, 5, 8):
@@ -496,6 +515,35 @@ class TestContracting:
         v = vd.check_contracting(sys_, pot, 6)
         assert v.fails
         assert v.certificate.kind == "no_expanding_branch"
+
+
+def _built_chains(monkeypatch):
+    """Record the chain of every composite branch built from now on."""
+    built = []
+    post_init = dyn.CompositeBranch.__post_init__
+
+    def counted(self):
+        built.append(self.chain)
+        post_init(self)
+
+    monkeypatch.setattr(dyn.CompositeBranch, "__post_init__", counted)
+    return built
+
+
+class TestCompositeWalk:
+    """Each scan walks the levels of phi^n once, building each level once."""
+
+    def test_top_free_builds_each_level_once(self, tent, monkeypatch):
+        built = _built_chains(monkeypatch)
+        v = vd.check_top_free(tent.system, tent.potential, 8)
+        assert v.certificate.branches_scanned == len(built) == 510
+        assert sorted(built, key=len) == built and len(set(built)) == len(built)
+
+    def test_contracting_builds_each_level_once(self, tent, monkeypatch):
+        built = _built_chains(monkeypatch)
+        assert vd.check_contracting(tent.system, tent.potential, 8).holds
+        assert len(set(built)) == len(built)
+        assert max(map(len, built)) == 6
 
 
 class TestDerivedVerdicts:
