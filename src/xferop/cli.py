@@ -717,7 +717,7 @@ def groupoid_build(spec_arg, out, fmt, depth, seeds, restrict_regular, max_eleme
     rpt.line(f"depth: {depth}")
     rpt.line(f"unit points: {len(gpd.points)}")
     rpt.line(f"elements: {len(gpd)}")
-    bad = gpd.axiom_violations()
+    bad = gpd.axiom_violations(system)
     rpt.line(f"axiom violations: {bad}")
     rows = [
         (text(g.x), g.k, text(g.y), g.witness[0], g.witness[1]) for g in gpd.elements
@@ -764,6 +764,8 @@ def groupoid_gap(spec_arg, out, fmt, n, samples, tower):
 @_guarded
 def groupoid_iso_check(spec_arg, out, fmt, anchor, depth, count, seed, tol):
     """Compare matrix products against arrow-space convolution."""
+    if count < 1:
+        raise ValidationError(f"the check needs at least one pair, got count={count}")
     spec, digest = _resolve(spec_arg)
     handle = tr.TransferHandle.create(spec.system, spec.potential)
     pt = _anchor_of(spec, anchor)

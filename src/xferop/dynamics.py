@@ -655,6 +655,12 @@ class PartialSystem:
         if n > self.depth_bound:
             raise DepthExceeded(n, self.depth_bound)
 
+    def check_scan_depth(self, n: int):
+        """A scan over steps 1..n: an empty one would decide on nothing."""
+        if n < 1:
+            raise ValidationError(f"depth must be >= 1, got {n}")
+        self.check_depth(n)
+
     def point(self, x) -> Point:
         """A point of this backend: path points as given, numbers made exact."""
         return self.map.point(x)
@@ -1130,9 +1136,7 @@ def essential_domain(system: PartialSystem, depth: int):
 
     Returns (set, stabilized, stabilized_at).
     """
-    if depth < 1:
-        raise ValidationError("depth must be >= 1")
-    system.check_depth(depth)
+    system.check_scan_depth(depth)
     f = system.map
     dn = f.space
     partial = None

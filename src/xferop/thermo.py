@@ -281,6 +281,7 @@ def check_positive_energy(system: PartialSystem, psi: PotentialFunction, depth: 
     Positive energy is the hypothesis under which the paper's KMS states
     live on the core; no command reports it yet, and this is its check.
     """
+    system.check_scan_depth(depth)
     if psi.system is not system:
         psi = PotentialFunction(system, psi.carrier)
     scanned = 0

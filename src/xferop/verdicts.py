@@ -202,7 +202,7 @@ def _cycle_exit(gph, cycle: tuple[str, ...]) -> Optional[str]:
 
 def check_top_free(system: PartialSystem, pot: Potential, depth: int = 8) -> Verdict:
     """Scan for periodic behaviour with nonempty interior over the regular set."""
-    system.check_depth(depth)
+    system.check_scan_depth(depth)
     if system.backend == "graph":
         gph = system.gph
         cycles = _simple_cycles(gph)
@@ -386,7 +386,7 @@ def check_minimal(system: PartialSystem, pot: Potential, depth: int = 8) -> Verd
     the float conversion keeps order, so the filter never drops a match and
     the first exact match, with its bound, is the one a plain scan finds.
     """
-    system.check_depth(depth)
+    system.check_scan_depth(depth)
     max_iter = 4 * depth
     sys_, space, pos, reg = _regions(system, pot)
     seeds = _minimal_seeds(system, space, depth)
@@ -427,9 +427,15 @@ def check_contracting_set(
     pairwise disjoint nonempty opens inside the n_k-step regular core and
     inside V; V escapes the closure of their union; the n_k-step images of
     the U_k cover the closure of V.  The n-step regular core is the set of
-    points whose first n steps stay in the regular set.
+    points whose first n steps stay in the regular set.  Kept as the
+    replayer of a saved ``ContractingCert`` scale (ROADMAP item 5).
     """
-    f, space, _, reg = _regions(system, pot)
+    return _contracting_set_report(system, _regions(system, pot), region, pieces)
+
+
+def _contracting_set_report(system: PartialSystem, regions, region, pieces) -> ContractingReport:
+    """``check_contracting_set`` on regions a verdict has already computed."""
+    f, space, _, reg = regions
     v = _open_set(system, region)
     if v.is_empty or not v.is_open_in(space):
         return ContractingReport(False, "region_empty", "V must be nonempty and open")
@@ -488,7 +494,7 @@ def _inverse_orbit_dense(
 
 
 def _search_contracting_scale(
-    system: PartialSystem, pot: Potential, regions, levels, x0: Fraction, radius: Fraction
+    system: PartialSystem, regions, levels, x0: Fraction, radius: Fraction
 ) -> Optional[ContractingTuple]:
     """Find one (U, n) tuple for the ball V around x0, walking ``levels``, the
     composite branches of phi^1, phi^2, ..."""
@@ -513,14 +519,14 @@ def _search_contracting_scale(
             if not vbar.issubset(target):
                 continue
             cand = ContractingTuple(v, ((comp.preimage_of(target), n),))
-            if check_contracting_set(system, pot, v, cand.pieces).ok:
+            if _contracting_set_report(system, regions, v, cand.pieces).ok:
                 return cand
     return None
 
 
 def check_contracting(system: PartialSystem, pot: Potential, depth: int = 8) -> Verdict:
     """Search for a point whose neighbourhoods all contain contracting sets."""
-    system.check_depth(depth)
+    system.check_scan_depth(depth)
     if system.backend == "graph":
         gph = system.gph
         if all(len(gph.prependable(v)) <= 1 for v in gph.vertices):
@@ -530,6 +536,7 @@ def check_contracting(system: PartialSystem, pot: Potential, depth: int = 8) -> 
                 Obstruction("deterministic_inverse_orbits", tuple(sorted(gph.vertices))),
                 depth,
             )
+        regions = _regions(system, pot)
         for cyc in _simple_cycles(gph):
             if _cycle_exit(gph, cyc) is None:
                 continue
@@ -544,7 +551,7 @@ def check_contracting(system: PartialSystem, pot: Potential, depth: int = 8) -> 
                 v = gph.path_point(cyc * m)
                 u = gph.path_point(cyc * (2 * m))
                 cand = ContractingTuple((v,), (((u,), m * len(cyc)),))
-                if not check_contracting_set(system, pot, (v,), cand.pieces).ok:
+                if not _contracting_set_report(system, regions, (v,), cand.pieces).ok:
                     ok = False
                     break
                 scales.append(cand)
@@ -584,7 +591,7 @@ def check_contracting(system: PartialSystem, pot: Potential, depth: int = 8) -> 
         ok = True
         for j in range(2, min(depth, 6) + 1):
             cand = _search_contracting_scale(
-                system, pot, regions, copy.copy(levels), x0, width / 2**j
+                system, regions, copy.copy(levels), x0, width / 2**j
             )
             if cand is None:
                 ok = False

@@ -216,6 +216,35 @@ def test_conformal_refuses_an_empty_bin_grid(tmp_path, spec, bins):
     assert "beta:" not in result.output
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_iso_check_empty_battery_exits_3(count):
+    result = CliRunner().invoke(
+        main, ["groupoid", "iso-check", "--spec", "doubling", "--count", count]
+    )
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: the check needs at least one pair, got count={count}" in result.output
+    assert "within tolerance" not in result.output
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        ["check", "free", "--spec", "tent_std", "--depth", "0"],
+        ["report", "--spec", "tent_std", "--depth", "0"],
+        ["check", "contracting", "--spec", "fullshift2", "--depth", "-3"],
+    ],
+    ids=["free", "report", "contracting"],
+)
+def test_a_scan_needs_at_least_one_step(cell):
+    # depth 0 used to answer Holds from an empty scan; -3 crashed with a TypeError
+    result = CliRunner().invoke(main, cell)
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: depth must be >= 1, got {cell[-1]}" in result.output
+    assert "Holds" not in result.output
+
+
 def _tolerance_cell(tmp_path, command):
     if command == "kms-verify":
         return ["kms-verify", "--spec", "tent_std", "--candidate", _candidate(tmp_path, "tent_std")]

@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from xferop import specfile
 from xferop import transfer as tr
 from xferop.errors import NotLocalHomeo, SupportViolation, ValidationError
 from xferop.intervals import IntervalSet, RationalInterval
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import cells  # noqa: E402  (the benchmark's specs)
 
 UNIT = RationalInterval(F(0), F(1))
 
@@ -48,10 +53,6 @@ class TestGroupoidElement:
         assert (inv.x, inv.k, inv.y, inv.witness) == (F(1, 4), -1, F(1, 8), (0, 1))
         assert inv.inverse() == g
 
-    def test_unit_flag(self):
-        assert gp.GroupoidElement(F(1, 4), 0, F(1, 4), (0, 0)).is_unit
-        assert not gp.GroupoidElement(F(1, 8), 0, F(5, 8), (1, 1)).is_unit
-
 
 class TestBuildDeaconu:
     def test_irregular_systems_refused(self):
@@ -69,11 +70,13 @@ class TestBuildDeaconu:
         # at shifted exponents)
         assert len(dbl_gpd.points) == 15
         assert len(dbl_gpd.elements) == 231
-        assert sum(g.is_unit for g in dbl_gpd.elements) == len(dbl_gpd.points)
+        units = [g for g in dbl_gpd.elements if g.k == 0 and g.x == g.y]
+        assert len(units) == len(dbl_gpd.points)
+        assert all((p, 0, p) in dbl_gpd.index for p in dbl_gpd.points)
 
     def test_depth_one_arrows(self, doubling, dbl_gpd):
         for x in doubling.system.map.fiber(F(1, 4)):
-            assert dbl_gpd.contains(x, 1, F(1, 4))
+            assert (x, 1, F(1, 4)) in dbl_gpd.index
             g = dbl_gpd.elements[dbl_gpd.index[(x, 1, F(1, 4))]]
             assert g.witness == (1, 0)
 
@@ -85,24 +88,13 @@ class TestBuildDeaconu:
 
     def test_inverse_closure(self, dbl_gpd):
         for g in dbl_gpd.elements:
-            inv = dbl_gpd.inverse_of(g)
-            assert inv == g.inverse()
-            assert dbl_gpd.compose(g, inv).is_unit
+            inv = g.inverse()
+            assert dbl_gpd.elements[dbl_gpd.index[(inv.x, inv.k, inv.y)]] == inv
+            # g.g^-1 is the lookup of (x, 0, x): a unit
+            assert (g.x, g.k + inv.k, g.x) in dbl_gpd.index
 
-    def test_units_are_identities(self, dbl_gpd):
-        for g in dbl_gpd.elements[:40]:
-            unit_x = dbl_gpd.elements[dbl_gpd.index[(g.x, 0, g.x)]]
-            unit_y = dbl_gpd.elements[dbl_gpd.index[(g.y, 0, g.y)]]
-            assert dbl_gpd.compose(unit_x, g) == g
-            assert dbl_gpd.compose(g, unit_y) == g
-
-    def test_axioms_hold(self, dbl_gpd):
-        assert dbl_gpd.axiom_violations() == 0
-
-    def test_mismatched_middles_refuse(self, dbl_gpd):
-        g = dbl_gpd.elements[dbl_gpd.index[(F(1, 8), 1, F(1, 4))]]
-        with pytest.raises(ValidationError):
-            dbl_gpd.compose(g, g)
+    def test_axioms_hold(self, doubling, dbl_gpd):
+        assert dbl_gpd.axiom_violations(doubling.system) == 0
 
     def test_composition_leaves_truncation(self):
         # identity map: the groupoid over one point is the integers
@@ -111,11 +103,11 @@ class TestBuildDeaconu:
         gz = gp.build_deaconu(sys_, pot, [F(1, 3)], 4)
         assert len(gz.points) == 1
         assert sorted(g.k for g in gz.elements) == list(range(-4, 5))
-        top = gz.elements[gz.index[(F(1, 3), 4, F(1, 3))]]
-        up = gz.elements[gz.index[(F(1, 3), 1, F(1, 3))]]
-        dn = gz.elements[gz.index[(F(1, 3), -1, F(1, 3))]]
-        assert gz.compose(top, up) is None
-        assert gz.compose(top, dn).k == 3
+        x = F(1, 3)
+        top, up, dn = (gz.elements[gz.index[(x, k, x)]] for k in (4, 1, -1))
+        # a product is the lookup of the summed degree
+        assert (x, top.k + up.k, x) not in gz.index
+        assert gz.elements[gz.index[(x, top.k + dn.k, x)]].k == 3
 
     def test_shift_count_matches_brute_force(self, shift2, shift2_anchor):
         gpd = gp.build_deaconu(shift2.system, shift2.potential, [shift2_anchor], 6)
@@ -150,6 +142,66 @@ class TestBuildDeaconu:
             gp.build_deaconu(
                 shift2.system, shift2.potential, [shift2_anchor], 6, max_elements=1000
             )
+
+
+def _table(*elements):
+    """A table of exactly these elements, over the points they name."""
+    pts = tuple(sorted({p for g in elements for p in (g.x, g.y)}))
+    return gp.TruncatedGroupoid(3, pts, elements)
+
+
+def _unit(x):
+    return gp.GroupoidElement(x, 0, x, (0, 0))
+
+
+class TestAxiomViolations:
+    # phi(1/8) = 1/4 under doubling, so (1/8, +1, 1/4) has witness (1, 0)
+    UP = gp.GroupoidElement(F(1, 8), 1, F(1, 4), (1, 0))
+
+    def test_a_closed_table_passes(self, doubling):
+        table = _table(_unit(F(1, 8)), _unit(F(1, 4)), self.UP, self.UP.inverse())
+        assert table.axiom_violations(doubling.system) == 0
+
+    def test_a_witness_that_does_not_replay_counts(self, doubling):
+        g = gp.GroupoidElement(F(1, 8), 0, F(1, 4), (0, 0))
+        table = _table(_unit(F(1, 8)), _unit(F(1, 4)), g, g.inverse())
+        assert table.axiom_violations(doubling.system) == 2
+
+    def test_a_witness_leaving_the_domain_counts(self):
+        # x -> 2x on [0, 1/2] only: phi(3/4) and phi(7/8) are both undefined,
+        # and two missing images are no witness
+        half = RationalInterval(F(0), F(1, 2))
+        sys_ = dyn.PartialSystem(
+            dyn.IntervalSystem(IntervalSet.closed(0, 1), [dyn.AffineBranch(half, F(2), F(0))])
+        )
+        g = gp.GroupoidElement(F(3, 4), 0, F(7, 8), (1, 1))
+        table = _table(_unit(F(3, 4)), _unit(F(7, 8)), g, g.inverse())
+        assert table.axiom_violations(sys_) == 2
+
+    def test_a_missing_inverse_counts(self, doubling):
+        table = _table(_unit(F(1, 8)), _unit(F(1, 4)), self.UP)
+        assert table.axiom_violations(doubling.system) == 1
+
+    def test_an_inverse_with_another_witness_counts(self, doubling):
+        # phi^2(1/8) = phi(1/4) = 1/2 replays, but it is not UP's inverse
+        other = gp.GroupoidElement(F(1, 4), -1, F(1, 8), (1, 2))
+        table = _table(_unit(F(1, 8)), _unit(F(1, 4)), self.UP, other)
+        assert table.axiom_violations(doubling.system) == 2
+
+    def test_a_missing_unit_counts(self, doubling):
+        table = _table(_unit(F(1, 4)), self.UP, self.UP.inverse())
+        assert table.axiom_violations(doubling.system) == 2
+
+    @pytest.mark.parametrize("name", ["doubling", "fullshift2", "golden_mean"])
+    def test_built_tables_pass(self, name):
+        if name == "golden_mean":
+            spec = specfile.parse_spec(cells.generated_specs()[name])
+        else:
+            spec = specfile.bundled(name)
+        system, pot = spec.system, spec.potential
+        anchor = system.map.default_anchor(dyn.regular_set(system, pot).delta_reg)
+        table = gp.build_deaconu(system, pot, [anchor], 3)
+        assert table.axiom_violations(system) == 0
 
 
 class TestGapRelation:

@@ -27,6 +27,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "xferop"
 KEPT = {
     "verdicts.verify_periodic_window": "replay",
     "verdicts.periodic_witness_norms": "replay",
+    "verdicts.check_contracting_set": "replay",  # the verdict checks on its own regions
     "thermo.TwistedMonomial.left_value": "oracle",  # against _StateTable
     "thermo.TwistedMonomial.right_value": "oracle",
     "transfer.ulam_matrix": "oracle",  # against the solver's bin matrices

@@ -230,6 +230,11 @@ class TestPositiveEnergy:
         v = th.check_positive_energy(tent.system, psi, depth=5)
         assert v.fails and psi.birkhoff(v.certificate.point, v.certificate.n) == 0
 
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_an_empty_scan_is_refused(self, tent, psi_one, depth):
+        with pytest.raises(ValidationError, match=f"depth must be >= 1, got {depth}"):
+            th.check_positive_energy(tent.system, psi_one, depth=depth)
+
     def test_graph_scan(self, loop1):
         s, _ = loop1
         good = th.PotentialFunction.const(s.system, 1)

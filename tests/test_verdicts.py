@@ -517,6 +517,38 @@ class TestContracting:
         assert v.certificate.kind == "no_expanding_branch"
 
 
+class TestContractingRegions:
+    """A contracting verdict computes the regular set once, for every candidate
+    point and every scale."""
+
+    @pytest.mark.parametrize("name", ["tent_std", "doubling", "fullshift2", "golden_mean"])
+    def test_one_regular_set_per_verdict(self, name, monkeypatch):
+        s = _golden_mean() if name == "golden_mean" else specfile.bundled(name)
+        calls = []
+        regular_set = dyn.regular_set
+
+        def counted(*args):
+            calls.append(args)
+            return regular_set(*args)
+
+        monkeypatch.setattr(dyn, "regular_set", counted)
+        assert vd.check_contracting(s.system, s.potential, 8).holds
+        assert len(calls) == 1
+
+
+class TestScanDepth:
+    @pytest.mark.parametrize("depth", [0, -3])
+    @pytest.mark.parametrize(
+        "check", [vd.check_top_free, vd.check_minimal, vd.check_contracting], ids=lambda f: f.__name__
+    )
+    @pytest.mark.parametrize("name", ["tent_std", "fullshift2"])
+    def test_an_empty_scan_is_refused(self, name, check, depth):
+        # depth 0 used to scan nothing and answer Holds
+        s = specfile.bundled(name)
+        with pytest.raises(ValidationError, match=f"depth must be >= 1, got {depth}"):
+            check(s.system, s.potential, depth)
+
+
 def _built_chains(monkeypatch):
     """Record the chain of every composite branch built from now on."""
     built = []
