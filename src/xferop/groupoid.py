@@ -28,7 +28,7 @@ from . import dynamics as dyn
 from . import rep
 from . import transfer as tr
 from .dynamics import GraphPotential, PartialSystem, Potential
-from .errors import NotLocalHomeo, OutOfDomain, ValidationError
+from .errors import NotLocalHomeo, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +117,6 @@ class TruncatedGroupoid:
         return bad
 
 
-def _max_orbit(system: PartialSystem, x, cap: int):
-    out = [x]
-    for _ in range(cap):
-        try:
-            out.append(system.map.phi(out[-1]))
-        except OutOfDomain:
-            break
-    return tuple(out)
-
-
 def _local_homeo_gate(system: PartialSystem, pot: Potential) -> None:
     report = dyn.regular_set(system, pot)
     if report.irregular_points:
@@ -164,7 +154,7 @@ def build_deaconu(
             points.setdefault(nd.point, None)
     pts = tuple(sorted(points))
 
-    orbits = [_max_orbit(system, p, depth) for p in pts]
+    orbits = [dyn.forward_walk(system, p, depth) for p in pts]
     groups: dict = {}
     for i, orb in enumerate(orbits):
         for t, v in enumerate(orb):

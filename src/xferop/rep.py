@@ -36,24 +36,23 @@ class FnExpr:
     they leave the piecewise-affine class.
     """
 
-    def __init__(self, fn: Callable[[object], Fraction], label: str = "f"):
+    def __init__(self, fn: Callable[[object], Fraction]):
         self._fn = fn
-        self.label = label
 
     def value(self, x) -> Fraction:
         return self._fn(x)
 
     @staticmethod
     def of(f: tr.Function) -> "FnExpr":
-        return FnExpr(f.value, "tf")
+        return FnExpr(f.value)
 
     @staticmethod
     def const(v) -> "FnExpr":
         v = frac(v)
-        return FnExpr(lambda x: v, "const")
+        return FnExpr(lambda x: v)
 
     def __mul__(self, other: "FnExpr") -> "FnExpr":
-        return FnExpr(lambda x: self._fn(x) * other._fn(x), f"({self.label}*{other.label})")
+        return FnExpr(lambda x: self._fn(x) * other._fn(x))
 
     def alpha(self, system: PartialSystem, n: int = 1) -> "FnExpr":
         """Pullback along n forward steps; zero off the n-step domain."""
@@ -62,7 +61,7 @@ class FnExpr:
             z = dyn.orbit_end(system, x, n)
             return Q(0) if z is None else self._fn(z)
 
-        return FnExpr(val, f"alpha^{n}({self.label})")
+        return FnExpr(val)
 
     def transfer(self, system: PartialSystem, pot: Potential, n: int = 1) -> "FnExpr":
         def val(y):
@@ -72,7 +71,7 @@ class FnExpr:
                     total += w * self._fn(x)
             return total
 
-        return FnExpr(val, f"L^{n}({self.label})")
+        return FnExpr(val)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .dynamics import CylinderSet, PartialSystem, Potential
 from .errors import (
     HypothesisViolated,
     NotValidated,
-    OutOfDomain,
     OutOfSpectrum,
     ValidationError,
 )
@@ -403,16 +402,12 @@ def _orbit_set(system, pot, x, depth):
     """Truncated two-sided orbit: positive-weight preimages of the forward
     orbit, all levels up to the given depth."""
     pts = set()
-    fwd = [system.point(x)]
-    for _ in range(depth):
-        z = fwd[-1]
-        try:
-            nxt = system.map.phi(z)
-        except OutOfDomain:
-            break
+    fwd = dyn.forward_walk(system, x, depth)
+    # cut the walk after its first point of zero weight
+    for i, z in enumerate(fwd[:-1]):
         if pot.value(z) == 0:
+            fwd = fwd[: i + 1]
             break
-        fwd.append(nxt)
     for target in fwd:
         for l in range(depth + 1):
             for q, w in dyn.preimages(system, pot, target, l, drop_zero=True):
@@ -422,7 +417,7 @@ def _orbit_set(system, pot, x, depth):
 
 def quasi_orbits(system: PartialSystem, pot: Potential, depth: int, samples) -> QuasiOrbitPartition:
     """Partition sampled points by equality of truncated orbit closures."""
-    system.check_depth(depth)
+    system.check_scan_depth(depth)
     w = _rho_discontinuity_warning(system, pot)
     if w:
         raise HypothesisViolated(w)

@@ -169,6 +169,14 @@ class PotentialFunction:
         pts = dyn.orbit(self.system, x, n - 1)
         return sum((self.value(z) for z in pts), Q(0))
 
+    def birkhoff_or_none(self, x, n: int) -> Optional[Fraction]:
+        """``birkhoff(x, n)``, or None where the orbit leaves the domain or the
+        energy is undefined along it: the n-step sum lives on the n-step domain."""
+        try:
+            return self.birkhoff(x, n)
+        except (OutOfDomain, ValidationError):
+            return None
+
     def constant_value(self) -> Optional[Fraction]:
         """The single value when the energy is constant, else None."""
         return self.carrier.constant_value()
@@ -201,18 +209,16 @@ class TwistedMonomial:
         that tests hold the table against.
         """
         base = complex(self.mon.left.value(x)) if self.mon.left is not None else 1.0 + 0j
-        try:
-            s = self.psi.birkhoff(x, self.mon.up)
-        except (OutOfDomain, ValidationError):
+        s = self.psi.birkhoff_or_none(x, self.mon.up)
+        if s is None:
             return 0j  # the power's coefficient lives on the n-step domain
         return cmath.exp(1j * self.lam * float(s)) * base
 
     def right_value(self, x) -> complex:
         """The right coefficient at x, evaluated directly (an oracle, as ``left_value``)."""
         base = complex(self.mon.right.value(x)) if self.mon.right is not None else 1.0 + 0j
-        try:
-            s = self.psi.birkhoff(x, self.mon.down)
-        except (OutOfDomain, ValidationError):
+        s = self.psi.birkhoff_or_none(x, self.mon.down)
+        if s is None:
             return 0j
         return base * cmath.exp(-1j * self.lam * float(s))
 
@@ -874,17 +880,15 @@ class _StateTable:
         return rows, flat_x[pos], flat_w[pos]
 
     def energy_sums(self, psi: PotentialFunction, n: int, ids: np.ndarray) -> np.ndarray:
-        """float(psi.birkhoff(x, n)) at the ids; NaN where it raised."""
+        """float(psi.birkhoff_or_none(x, n)) at the ids; NaN where it is None."""
         self._held[id(psi)] = psi
         pts = self.points
 
-        def energy(x) -> float:
-            try:
-                return float(psi.birkhoff(x, n))
-            except (OutOfDomain, ValidationError):
-                return math.nan
+        def fill(todo):
+            sums = (psi.birkhoff_or_none(pts[i], n) for i in todo)
+            return [math.nan if s is None else float(s) for s in sums]
 
-        return self._read(("energy", id(psi), n), ids, lambda todo: [energy(pts[i]) for i in todo])
+        return self._read(("energy", id(psi), n), ids, fill)
 
     def twisted(self, f, psi: PotentialFunction, n: int, lam: complex, side: int,
                 ids: np.ndarray) -> np.ndarray:
@@ -1487,9 +1491,8 @@ def core_kms_check(
     def rhs_fn(ids: np.ndarray) -> np.ndarray:
         rows, xs, ws = tab.fibres(n, ids)
         sums = tab.energy_sums(psi, n, xs)
-        bad = xs[np.isnan(sums)]
-        if bad.size:
-            psi.birkhoff(tab.points[bad[0]], n)  # raises what the sum raised there
+        if np.isnan(sums).any():  # the energy covers the orbits of the n-step domain
+            raise ValidationError(f"internal: S_{n} undefined on the {n}-step fibre")
         damp = np.array([math.exp(-beta * s) for s in sums.tolist()])
         terms = ws * damp * tab.values(a, xs) * tab.values(b, xs)
         return np.bincount(rows, weights=terms, minlength=len(ids))

@@ -5,6 +5,11 @@ certificate that can be re-verified independently (an identity window, an
 invariant open set, a contracting tuple, a cycle).  Unknown means the search
 exhausted its depth budget without deciding; it never masquerades as Fails
 unless a structural obstruction is proven.
+
+No check walks a graph itself: the graph halves read the simple cycles with
+their exits (``GraphSystem.cycles``, computed once per graph) and the vertices
+that walk into a set (``GraphSystem.reach``), which is where condition (L) and
+cofinality live.
 """
 
 from __future__ import annotations
@@ -169,34 +174,6 @@ def _open_set(system: PartialSystem, region):
     return CylinderSet(system.gph, region)
 
 
-def _simple_cycles(gph: dyn.GraphSystem) -> tuple[tuple[str, ...], ...]:
-    """Simple cycles of the walk digraph v -> src(e), e in continuations(v)."""
-    order = {v: i for i, v in enumerate(sorted(gph.vertices))}
-    cycles: list[tuple[str, ...]] = []
-
-    def visit(start: str, v: str, path: list[str], seen: set[str]):
-        for e in gph.continuations(v):
-            w = e.src
-            if w == start:
-                cycles.append(tuple(path + [e.name]))
-            elif order[w] > order[start] and w not in seen:
-                visit(start, w, path + [e.name], seen | {w})
-
-    for start in sorted(gph.vertices, key=order.get):
-        visit(start, start, [], {start})
-    return tuple(cycles)
-
-
-def _cycle_exit(gph, cycle: tuple[str, ...]) -> Optional[str]:
-    """An alternative continuation at some vertex of the cycle, if any."""
-    for name in cycle:
-        v = gph.edge_by_name[name].rng
-        for e in gph.continuations(v):
-            if e.name != name:
-                return e.name
-    return None
-
-
 # -- topological freeness ---------------------------------------------------
 
 
@@ -204,17 +181,11 @@ def check_top_free(system: PartialSystem, pot: Potential, depth: int = 8) -> Ver
     """Scan for periodic behaviour with nonempty interior over the regular set."""
     system.check_scan_depth(depth)
     if system.backend == "graph":
-        gph = system.gph
-        cycles = _simple_cycles(gph)
-        witnessed = []
-        for cyc in cycles:
-            ex = _cycle_exit(gph, cyc)
+        cycles = system.gph.cycles
+        for cyc, ex in cycles:
             if ex is None:
                 return Verdict("TopFree", "Fails", CycleNoExit(cyc), depth)
-            witnessed.append((cyc, ex))
-        return Verdict(
-            "TopFree", "Holds", FreeScan(depth, len(cycles), tuple(witnessed)), depth
-        )
+        return Verdict("TopFree", "Holds", FreeScan(depth, len(cycles), cycles), depth)
 
     sys_, _, _, reg = _regions(system, pot)
     scanned = 0
@@ -537,12 +508,13 @@ def check_contracting(system: PartialSystem, pot: Potential, depth: int = 8) -> 
                 depth,
             )
         regions = _regions(system, pot)
-        for cyc in _simple_cycles(gph):
-            if _cycle_exit(gph, cyc) is None:
+        for cyc, ex in gph.cycles:
+            if ex is None:
                 continue
-            start = gph.edge_by_name[cyc[0]].rng
+            # every short word must continue into the cycle
+            reach = gph.reach({gph.edge_by_name[cyc[0]].rng})
             reach_depth = min(depth, 2 * len(gph.vertices) + 2)
-            if not _reaches_all_atoms(gph, start, reach_depth):
+            if any(w.end not in reach for w in gph.words(min(reach_depth // 2, 3))):
                 continue
             scales = []
             max_m = max(1, min(depth // (2 * len(cyc)), 4))
@@ -603,37 +575,26 @@ def check_contracting(system: PartialSystem, pot: Potential, depth: int = 8) -> 
     return Verdict("Contracting", "Unknown", None, depth)
 
 
-def _reaches_all_atoms(gph, target: str, depth: int) -> bool:
-    """Every short word can be continued to reach the target vertex."""
-    reach = {target}
-    frontier = {target}
-    for _ in range(len(gph.vertices) + 1):
-        frontier = {e.rng for e in gph.edges if e.src in frontier} - reach
-        reach |= frontier
-    return all(w.end in reach for w in gph.words(min(depth // 2, 3)))
-
-
 # -- derived verdicts -------------------------------------------------------
 
 
 def check_one_circuit(system: PartialSystem, pot: Potential, depth: int = 8) -> Verdict:
     """Whether the regular-restricted dynamics is a single circuit feeding itself."""
+    system.check_scan_depth(depth)
     if system.backend == "interval":
         return Verdict(
             "OneCircuit", "Fails", Obstruction("not_discrete", system.ival.space), depth
         )
     gph = system.gph
-    cycles = _simple_cycles(gph)
+    cycles = gph.cycles
     if len(cycles) != 1:
-        return Verdict(
-            "OneCircuit", "Fails", Obstruction("cycle_count", tuple(cycles)), depth
-        )
-    cyc = cycles[0]
-    ex = _cycle_exit(gph, cyc)
+        detail = tuple(cyc for cyc, _ in cycles)
+        return Verdict("OneCircuit", "Fails", Obstruction("cycle_count", detail), depth)
+    cyc, ex = cycles[0]
     if ex is not None:
         return Verdict("OneCircuit", "Fails", Obstruction("cycle_has_exit", (cyc, ex)), depth)
-    on_cycle = {gph.edge_by_name[n].rng for n in cyc}
-    stranded = [v for v in gph.vertices if v not in on_cycle and not _walks_into(gph, v, on_cycle)]
+    reach = gph.reach(gph.edge_by_name[n].rng for n in cyc)
+    stranded = [v for v in gph.vertices if v not in reach]
     if stranded:
         return Verdict(
             "OneCircuit", "Fails", Obstruction("unreached_vertices", tuple(stranded)), depth
@@ -641,24 +602,11 @@ def check_one_circuit(system: PartialSystem, pot: Potential, depth: int = 8) -> 
     return Verdict("OneCircuit", "Holds", CycleNoExit(cyc), depth)
 
 
-def _walks_into(gph, v: str, targets: set[str]) -> bool:
-    seen = {v}
-    frontier = {v}
-    while frontier:
-        frontier = {e.src for e in gph.edges if e.rng in frontier} - seen
-        if frontier & targets:
-            return True
-        seen |= frontier
-    return False
-
-
 def _regular_set_infinite(system: PartialSystem, pot: Potential) -> bool:
     if system.backend == "interval":
         _, _, _, reg = _regions(system, pot)
         return not reg.nondegenerate().is_empty
-    gph = system.gph
-    cycles = _simple_cycles(gph)
-    return any(_cycle_exit(gph, c) is not None for c in cycles)
+    return any(ex is not None for _, ex in system.gph.cycles)
 
 
 def _conjoin(prop: str, parts: Sequence[Verdict], depth: int, notes: tuple[str, ...]) -> Verdict:

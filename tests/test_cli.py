@@ -233,11 +233,16 @@ def test_iso_check_empty_battery_exits_3(count):
         ["check", "free", "--spec", "tent_std", "--depth", "0"],
         ["report", "--spec", "tent_std", "--depth", "0"],
         ["check", "contracting", "--spec", "fullshift2", "--depth", "-3"],
+        *(["quasi-orbits", "--spec", "fullshift2", "--depth", d] for d in ("0", "-2")),
+        *(["check", "one-circuit", "--spec", "fullshift2", "--depth", d] for d in ("0", "-2")),
     ],
-    ids=["free", "report", "contracting"],
+    ids=["free", "report", "contracting", "quasi-orbits-0", "quasi-orbits--2",
+         "one-circuit-0", "one-circuit--2"],
 )
 def test_a_scan_needs_at_least_one_step(cell):
-    # depth 0 used to answer Holds from an empty scan; -3 crashed with a TypeError
+    # depth 0 used to answer Holds from an empty scan; -3 crashed with a TypeError;
+    # quasi-orbits split e0 from e1 on empty orbit sets, and one-circuit
+    # answered Fails without a step
     result = CliRunner().invoke(main, cell)
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)

@@ -312,13 +312,13 @@ class TestPhiIsomorphism:
 
     def test_cocycles_computed_once_per_degree(self, doubling, monkeypatch):
         calls = []
-        cocycle = dyn.cocycle
+        cocycle_or_none = dyn.cocycle_or_none
 
         def counting(system, pot, k, x):
             calls.append(k)
-            return cocycle(system, pot, k, x)
+            return cocycle_or_none(system, pot, k, x)
 
-        monkeypatch.setattr(dyn, "cocycle", counting)
+        monkeypatch.setattr(dyn, "cocycle_or_none", counting)
         h = tr.TransferHandle.create(doubling.system, doubling.potential)
         basis = rep.OrbitBasis(h, F(1, 4), 4)
         a = tr.TestFunction.hat(F(1, 2), F(1, 2), 1)
