@@ -33,7 +33,8 @@ The backend is the type of the map.  ``PartialSystem.map`` holds an
   ``noted(text)`` gives a set that prints ``text`` after it (a graph set
   only: interval sets print exact endpoints).  The maps carry sets with
   ``image_of`` and ``preimage_of`` and hold the whole space as ``space``
-  and the domain of the map as ``delta``.
+  and the domain of the map as ``delta``; ``open_seeds(space, depth)``
+  draws the open seeds of the minimality scan, coarse to fine.
 - graph structure (a graph only): ``cycles`` pairs each simple cycle with
   its first exit, once per graph, and ``reach(T)`` closes T along its edges.
 
@@ -251,6 +252,33 @@ class IntervalSystem:
             out = out.union(b.preimage_of(s))
         return out
 
+    def open_seeds(self, space: IntervalSet, depth: int) -> Iterator[IntervalSet]:
+        """Open seeds of ``space``, coarse to fine: its open dyadic intervals
+        down to 2^-min(depth, 8) of its hull, drawn one at a time.
+
+        A seed is a grid interval ``(a, b)`` clipped to the space, or its
+        variant closed at an end that is ``min X`` or ``max X``.  Each is open
+        in X without a check: ``(a, b)`` is open in the line, and X has no
+        points below its minimum, so ``[min X, b)`` meets X where the open
+        ``(min X - 1, b)`` does; likewise at ``max X``.  On a space with gaps
+        two grid intervals can clip to the same set, hence the dedupe.
+        """
+        lo, hi = space.min(), space.max()
+        width = hi - lo
+        seen = set()
+        for k in range(min(depth, 8) + 1):
+            step = width / 2**k
+            for j in range(2**k):
+                a, b = lo + j * step, lo + (j + 1) * step
+                grid = [RationalInterval(a, b, False, False)]
+                if a == lo or b == hi:
+                    grid.append(RationalInterval(a, b, a == lo, b == hi))
+                for iv in grid:
+                    s = IntervalSet.of(iv).intersection(space)
+                    if s not in seen and not s.is_empty:
+                        seen.add(s)
+                        yield s
+
     # -- germs ---------------------------------------------------------------
 
     def germs_at(self, x0: Rationalish) -> tuple[Germ, ...]:
@@ -455,6 +483,8 @@ class GraphSystem:
         edges = tuple(edges)
         if not vertices:
             raise ValidationError("graph needs at least one vertex")
+        if len(set(vertices)) != len(vertices):
+            raise ValidationError("vertex names must be distinct")
         names = [e.name for e in edges]
         if len(set(names)) != len(names):
             raise ValidationError("edge names must be distinct")
@@ -634,6 +664,14 @@ class GraphSystem:
 
     def preimage_of(self, s: CylinderSet) -> CylinderSet:
         return CylinderSet(self, (q for c in s for q in self.fiber(c)))
+
+    def open_seeds(self, space: CylinderSet, depth: int) -> Iterator[CylinderSet]:
+        """Open seeds of ``space``, coarse to fine: the cylinders of its
+        vertices, then of the words of length 1 to min(depth, 4), drawn one
+        at a time."""
+        yield from (CylinderSet(self, (c,)) for c in space)
+        for n in range(1, min(depth, 4) + 1):
+            yield from (CylinderSet(self, (w,)) for w in self.words(n))
 
     def words(self, n: int) -> tuple[PathPoint, ...]:
         """All admissible words of length exactly n, as cylinder points."""

@@ -110,6 +110,13 @@ class InvariantSet:
 
 @dataclass(frozen=True)
 class MinimalScan:
+    """Search log for a Holds(Minimal) verdict.
+
+    ``depth`` is the scan depth and ``seeds`` the number of seeds read; a
+    Holds verdict reads every seed.  ``iterations`` is the configured bound
+    on closure steps per seed, ``4*depth``, not the steps used.
+    """
+
     depth: int
     seeds: int
     iterations: int
@@ -247,57 +254,27 @@ def _closure_step(sys_, pos, reg, u):
     )
 
 
-def _minimal_seeds(system: PartialSystem, space, depth: int) -> list:
-    """Open seeds, coarse to fine: the cylinders of the vertices and of the
-    words up to length 4, or the open dyadic intervals of X down to 2^-8.
-
-    An interval seed is a grid interval ``(a, b)`` clipped to X, or its
-    variant closed at an end that is ``min X`` or ``max X``.  Each is open
-    in X without a check: ``(a, b)`` is open in the line, and X has no
-    points below its minimum, so ``[min X, b)`` meets X where the open
-    ``(min X - 1, b)`` does; likewise at ``max X``.  On a space with gaps
-    two grid intervals can clip to the same set, hence the dedupe.
-    """
-    if system.backend == "graph":
-        gph = system.gph
-        words = [w for n in range(1, min(depth, 4) + 1) for w in gph.words(n)]
-        return [CylinderSet(gph, (c,)) for c in (*space, *words)]
-    lo, hi = space.min(), space.max()
-    width = hi - lo
-    seeds: list[IntervalSet] = []
-    seen = set()
-    for k in range(0, min(depth, 8) + 1):
-        step = width / 2**k
-        for j in range(2**k):
-            a, b = lo + j * step, lo + (j + 1) * step
-            grid = [RationalInterval(a, b, False, False)]
-            if a == lo or b == hi:
-                grid.append(RationalInterval(a, b, a == lo, b == hi))
-            for iv in grid:
-                s = IntervalSet.of(iv).intersection(space)
-                if s in seen or s.is_empty:
-                    continue
-                seen.add(s)
-                seeds.append(s)
-    return seeds
-
-
 class _SaturationMemo:
     """Seeds known to reach X, each with the steps within which it does.
 
     For interval seeds it also keeps the float ends of the first component,
     so that a lookup tests ``issubset`` exactly only on the few seeds that
-    pass a float filter.
+    pass a float filter.  The arrays double when full, since the scan does
+    not know ahead how many seeds it reads.
     """
 
-    def __init__(self, size: int):
+    def __init__(self):
         self.seeds: list = []
-        self.steps = np.empty(size, dtype=np.int64)
-        self.lo = np.zeros(size)
-        self.hi = np.zeros(size)
+        self.steps = np.empty(16, dtype=np.int64)
+        self.lo = np.zeros(16)
+        self.hi = np.zeros(16)
 
     def record(self, seed, steps: int) -> None:
         n = len(self.seeds)
+        if n == len(self.steps):
+            self.steps, self.lo, self.hi = (
+                np.concatenate((a, np.zeros_like(a))) for a in (self.steps, self.lo, self.hi)
+            )
         self.seeds.append(seed)
         self.steps[n] = steps
         if isinstance(seed, IntervalSet):
@@ -334,9 +311,11 @@ class _SaturationMemo:
 def check_minimal(system: PartialSystem, pot: Potential, depth: int = 8) -> Verdict:
     """Grow each seeded open set to its invariant closure and compare with X.
 
-    Each seed is iterated under the closure step for at most ``4*depth``
-    steps; a fixed point other than X is a Fails certificate, and a seed that
-    reaches no fixed point within the bound makes the verdict Unknown.
+    Seeds are drawn lazily, coarse to fine (``open_seeds`` of the map), and
+    each is iterated under the closure step for at most ``4*depth`` steps.
+    A fixed point other than X is a Fails certificate and ends the scan at
+    that seed, so the finer seeds are never built.  A seed that reaches no
+    fixed point within the bound makes the verdict Unknown.
 
     The scan reuses what earlier seeds proved.  The closure step
     ``u -> u | phi(u & pos) | (phi^-1(u) & reg)`` is monotone and maps
@@ -360,10 +339,10 @@ def check_minimal(system: PartialSystem, pot: Potential, depth: int = 8) -> Verd
     system.check_scan_depth(depth)
     max_iter = 4 * depth
     sys_, space, pos, reg = _regions(system, pot)
-    seeds = _minimal_seeds(system, space, depth)
     hit_bound = False
-    memo = _SaturationMemo(len(seeds))
-    for seed in seeds:
+    memo = _SaturationMemo()
+    read = 0
+    for read, seed in enumerate(sys_.open_seeds(space, depth), 1):
         u = seed
         for j in range(max_iter):
             steps = memo.lookup(u, j, max_iter)
@@ -383,7 +362,7 @@ def check_minimal(system: PartialSystem, pot: Potential, depth: int = 8) -> Verd
         memo.record(seed, steps)
     if hit_bound:
         return Verdict("Minimal", "Unknown", None, depth)
-    return Verdict("Minimal", "Holds", MinimalScan(depth, len(seeds), max_iter), depth)
+    return Verdict("Minimal", "Holds", MinimalScan(depth, read, max_iter), depth)
 
 
 # -- contracting sets -------------------------------------------------------

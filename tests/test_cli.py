@@ -292,6 +292,7 @@ def test_tolerance_must_be_finite_and_nonnegative(tmp_path, command, tol):
         ("tent_std", "branches", [1], "expected an object with key 'domain', got 1"),
         ("fullshift2", "edges", [1], "expected an object with key 'name', got 1"),
         ("fullshift2", "vertices", 5, "vertices must be a list, got 5"),
+        ("fullshift2", "vertices", ["v", "v"], "bad graph system: vertex names must be distinct"),
         ("tent_std", "space", 5, "space must be a list, got 5"),
         ("tent_std", "branches", 5, "branches must be a list, got 5"),
         ("fullshift2", "weights", {"e1": "1"}, "weights has no value for edge 'e0'"),
@@ -302,7 +303,7 @@ def test_tolerance_must_be_finite_and_nonnegative(tmp_path, command, tol):
          "depth-true", "depth-float", "depth-string",
          "weights-list", "psi-weights-string", "potential-list", "psi-string",
          "pieces-entry", "overrides-entry", "branches-entry", "edges-entry",
-         "vertices-int", "space-int", "branches-int", "weights-missing-edge",
+         "vertices-int", "vertices-repeated", "space-int", "branches-int", "weights-missing-edge",
          "psi-weights-unknown-edge"],
 )
 def test_validate_refuses_malformed_field(tmp_path, spec, key, value, message):

@@ -251,6 +251,10 @@ class TestGraphSystem:
         # atoms at depth 2 include the stopped paths
         assert {str(a) for a in g.atoms(2)} == {"f@v", "()@v"}
 
+    def test_repeated_vertex_refused(self):
+        with pytest.raises(ValidationError, match="vertex names must be distinct"):
+            dyn.GraphSystem(["a", "a"], [dyn.GraphEdge("e", "a", "a"), dyn.GraphEdge("f", "a", "a")])
+
     def test_loop1_is_singleton(self):
         g = specfile.bundled("loop1").system.gph
         assert g.is_singleton(g.vertex_point("v"))

@@ -215,7 +215,7 @@ def _bare_minimal(system, pot, depth):
     """Minimality scan without the saturation memo: the reference."""
     sys_, space, pos, reg = vd._regions(system, pot)
     max_iter = 4 * depth
-    seeds = vd._minimal_seeds(system, space, depth)
+    seeds = list(sys_.open_seeds(space, depth))
     hit_bound = False
     for seed in seeds:
         u = seed
@@ -248,10 +248,30 @@ class TestMinimalMemo:
         # second set on its trail contains (0, 2^-(m-1)); at depth 2 (8 steps)
         # the first seed saturates in 7 and the second one hits the bound
         seeds = [IntervalSet.of(RationalInterval(0, F(1, 2**m), False, False)) for m in (5, 6)]
-        monkeypatch.setattr(vd, "_minimal_seeds", lambda system, space, depth: seeds)
+        monkeypatch.setattr(dyn.IntervalSystem, "open_seeds", lambda self, space, depth: iter(seeds))
         for depth, status in ((2, "Unknown"), (3, "Holds")):
             assert vd.check_minimal(tent.system, tent.potential, depth).status == status
             assert _bare_minimal(tent.system, tent.potential, depth).status == status
+
+    @pytest.mark.parametrize("name", ["tent_half", "doubling", "halving"])
+    def test_fails_reads_only_the_seeds_it_needs(self, name, monkeypatch):
+        s = specfile.bundled(name)
+        want = _bare_minimal(s.system, s.potential, 8)
+        every = len(list(s.system.map.open_seeds(s.system.map.space, 8)))
+        read = 0
+        open_seeds = dyn.IntervalSystem.open_seeds
+
+        def counted(self, space, depth):
+            nonlocal read
+            for seed in open_seeds(self, space, depth):
+                read += 1
+                yield seed
+
+        monkeypatch.setattr(dyn.IntervalSystem, "open_seeds", counted)
+        got = vd.check_minimal(s.system, s.potential, 8)
+        assert got.fails
+        assert 0 < read < every
+        assert (got.status, got.certificate) == (want.status, want.certificate)
 
     def test_bad_certificate_raises(self, monkeypatch):
         s = specfile.bundled("halving")
@@ -316,19 +336,19 @@ class TestMinimalSeeds:
     def test_bundled_match_checked_construction(self, name, depth):
         s = specfile.bundled(name)
         space = s.system.ival.space
-        seeds = vd._minimal_seeds(s.system, space, depth)
+        seeds = list(s.system.map.open_seeds(space, depth))
         assert seeds == _grid_seeds_with_check(space, depth)
         assert all(seed.is_open_in(space) for seed in seeds)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 8])
     @pytest.mark.parametrize("space", list(SPACES.values()), ids=list(SPACES))
     def test_other_spaces_match_checked_construction(self, tent, space, depth):
-        seeds = vd._minimal_seeds(tent.system, space, depth)
+        seeds = list(tent.system.map.open_seeds(space, depth))
         assert seeds == _grid_seeds_with_check(space, depth)
         assert all(seed.is_open_in(space) for seed in seeds)
 
     def test_clipped_duplicates_are_dropped(self, tent):
-        seeds = vd._minimal_seeds(tent.system, GAPPED, 2)
+        seeds = list(tent.system.map.open_seeds(GAPPED, 2))
         assert seeds.count(IntervalSet.of(RationalInterval(0, F(1, 8), False, True))) == 1
         assert len(seeds) == len(set(seeds))
 
@@ -368,10 +388,30 @@ class TestSaturationMemo:
     @given(_memo_case())
     def test_filtered_lookup_matches_linear_scan(self, case):
         recorded, u, j = case
-        memo = vd._SaturationMemo(len(recorded))
+        memo = vd._SaturationMemo()
         for s, k in recorded:
             memo.record(s, k)
         assert memo.lookup(u, j, 32) == _linear_lookup(recorded, u, j, 32)
+
+    def test_lookup_holds_past_the_first_capacity(self):
+        # 100 seeds overrun the arrays the memo starts with, so they double
+        recorded = [
+            (IntervalSet.of(RationalInterval(F(k, 128), F(k + 1, 128), False, False)), k % 40)
+            for k in range(100)
+        ]
+        memo = vd._SaturationMemo()
+        assert len(memo.steps) < len(recorded)
+        for s, k in recorded:
+            memo.record(s, k)
+        for u in (
+            IntervalSet.of(RationalInterval(0, F(1, 8))),  # only seeds recorded before growth
+            IntervalSet.of(RationalInterval(F(80, 128), 1, False, True)),
+            IntervalSet.of(RationalInterval(0, F(1, 4)), RationalInterval(F(1, 2), F(3, 4))),
+            IntervalSet.of(RationalInterval(F(1, 3), F(2, 3))),
+        ):
+            for j in (0, 5, 20, 31):
+                assert memo.lookup(u, j, 32) == _linear_lookup(recorded, u, j, 32)
+        assert memo.lookup(IntervalSet.of(RationalInterval(0, F(1, 8))), 0, 32) == 15
 
     def test_float_tie_keeps_the_match(self):
         # both right ends of u round to the float 0.25, so the search lands on
@@ -380,7 +420,7 @@ class TestSaturationMemo:
         u = IntervalSet.of(
             RationalInterval(0, F(1, 4) - eps), RationalInterval(F(1, 4) - eps / 2, F(1, 4), False)
         )
-        memo = vd._SaturationMemo(1)
+        memo = vd._SaturationMemo()
         memo.record(IntervalSet.of(RationalInterval(F(1, 4) - eps / 4, F(1, 4))), 3)
         assert float(u.intervals[0].hi) == float(u.intervals[1].hi)
         assert memo.lookup(u, 0, 32) == 3
