@@ -18,7 +18,8 @@ The backend is the type of the map.  ``PartialSystem.map`` holds an
   totally ordered: rationals by value, path points by
   ``PathPoint.sort_key``, so ``sorted`` works on either.  Every walk along
   the map is ``forward_walk(system, x, n)``; ``orbit``, ``orbit_end``,
-  ``cocycle`` and ``cocycle_or_none`` read it.
+  ``cocycle`` and ``cocycle_or_none`` read it.  Every walk back is the
+  weighted fibre tree ``preimage_levels(system, pot, y, depth)``.
 - the point protocol of the command line: ``parse_point(text)`` reads a
   point (``1/3``; ``@v`` or ``e.f``) and ``point_text(x)`` writes it back;
   an interval point outside the space is refused, on the command line and
@@ -985,6 +986,32 @@ def image_iter(f: Union[IntervalSystem, GraphSystem], s, n: int):
     return s
 
 
+def preimage_levels(system: PartialSystem, pot: Potential, y: Point, depth: int):
+    """The backward tree of y: yields ``(pairs, parents)`` for levels 0, ..., depth.
+
+    Level 0 is ``[(y, 1)]`` with parents ``[-1]``.  Level k holds, in walk
+    order, the fiber of each point of level k-1 in fiber order: ``pairs[i]``
+    is ``(x, w)`` where ``phi(x)`` is point ``parents[i]`` of level k-1 and
+    ``w = pot.value(x) * w'`` for its weight ``w'``, so ``w = rho_k(x)``.
+    Zero weights and their subtrees stay.  The walk is lazy; its readers
+    check the depth bound.  The next level grows from the yielded list as the
+    reader leaves it: deleting pairs from it in place cuts their subtrees, and
+    the next parents then index the cut list.
+    """
+    fiber, value = system.map.fiber, pot.value
+    level = [(system.point(y), Q(1))]
+    yield level, [-1]
+    for _ in range(depth):
+        nxt, parents = [], []
+        add, up = nxt.append, parents.append
+        for i, (z, w) in enumerate(level):
+            for x in fiber(z):
+                add((x, value(x) * w))
+                up(i)
+        level = nxt
+        yield level, parents
+
+
 def preimages(
     system: PartialSystem,
     pot: Potential,
@@ -992,22 +1019,16 @@ def preimages(
     n: int,
     drop_zero: bool = False,
 ) -> tuple[tuple[Point, Fraction], ...]:
-    """The n-step fiber of y with exact cocycle weights.
+    """The n-step fiber of y with exact cocycle weights, sorted by point.
 
-    Weights multiply along the forward orbit: a returned pair ``(x, w)``
-    satisfies ``phi^n(x) = y`` and ``w = rho_n(x)``.
+    The last level of ``preimage_levels``: a returned pair ``(x, w)``
+    satisfies ``phi^n(x) = y`` and ``w = rho_n(x)``.  ``drop_zero`` leaves
+    out the pairs of weight zero.  Fibre sums add in this order.
     """
     if n < 0:
         raise ValidationError("n must be nonnegative")
     system.check_depth(n)
-    f = system.map
-    level: list[tuple[Point, Fraction]] = [(f.point(y), Q(1))]
-    for _ in range(n):
-        nxt = []
-        for z, w in level:
-            for x in f.fiber(z):
-                nxt.append((x, pot.value(x) * w))
-        level = nxt
+    *_, (level, _) = preimage_levels(system, pot, y, n)
     if drop_zero:
         level = [(x, w) for x, w in level if w != 0]
     return tuple(sorted(level, key=lambda t: t[0]))

@@ -64,14 +64,7 @@ class FnExpr:
         return FnExpr(val)
 
     def transfer(self, system: PartialSystem, pot: Potential, n: int = 1) -> "FnExpr":
-        def val(y):
-            total = Q(0)
-            for x, w in dyn.preimages(system, pot, y, n):
-                if w != 0:
-                    total += w * self._fn(x)
-            return total
-
-        return FnExpr(val)
+        return FnExpr(lambda y: tr.weighted_fiber_sum(system, pot, self._fn, y, n))
 
 
 # ---------------------------------------------------------------------------
@@ -105,20 +98,16 @@ class OrbitBasis:
         self.depth = depth
         self.drop_zero = drop_zero
 
-        nodes = [BasisNode(0, anchor)]
-        parents = [-1]
-        frontier = [(anchor, 0)]
-        for k in range(1, depth + 1):
-            nxt = []
-            for point, idx in frontier:
-                for child in system.map.fiber(point):
-                    w = pot.value(child)
-                    if drop_zero and w == 0:
-                        continue
-                    nodes.append(BasisNode(k, child))
-                    parents.append(idx)
-                    nxt.append((child, len(nodes) - 1))
-            frontier = nxt
+        # drop_zero cuts a zero weight in place, so the walk skips its subtree,
+        # whose cocycles are all zero; a level's parents index the level before
+        nodes, parents, start = [], [], 0
+        for k, (level, up) in enumerate(dyn.preimage_levels(system, pot, anchor, depth)):
+            if drop_zero:
+                live = [i for i, (_, w) in enumerate(level) if w != 0]
+                level[:], up = [level[i] for i in live], [up[i] for i in live]
+            prev, start = start, len(nodes)
+            nodes += [BasisNode(k, x) for x, _ in level]
+            parents += [prev + p for p in up]
         self.nodes = tuple(nodes)
         self.parents = tuple(parents)
         self._weights = tuple(
@@ -482,7 +471,7 @@ def quasi_basis_residual(
 
     worst = 0.0
     for x in points:
-        y = system.map.phi(x)
+        fibre = dyn.preimages(system, pot, system.map.phi(x), 1, drop_zero=True)
         total = 0.0
         sum_v = 0.0
         for v in qb.functions:
@@ -491,9 +480,7 @@ def quasi_basis_residual(
             if ux == 0.0:
                 continue
             inner = 0.0
-            for xp, w in dyn.preimages(system, pot, y, 1):
-                if w == 0:
-                    continue
+            for xp, w in fibre:
                 inner += float(w) * u_val(v, xp) * float(a.value(xp))
             total += ux * inner
         worst = max(worst, abs(total - float(a.value(x)) * sum_v))

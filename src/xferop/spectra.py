@@ -409,9 +409,8 @@ def _orbit_set(system, pot, x, depth):
             fwd = fwd[: i + 1]
             break
     for target in fwd:
-        for l in range(depth + 1):
-            for q, w in dyn.preimages(system, pot, target, l, drop_zero=True):
-                pts.add(q)
+        for level, _ in dyn.preimage_levels(system, pot, target, depth):
+            pts.update(q for q, w in level if w != 0)
     return frozenset(pts)
 
 

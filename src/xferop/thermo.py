@@ -471,8 +471,7 @@ def _fiber_grid(
             c1 += 2 * q2 * u1 * u0 + q1 * u1
             c0 += q2 * u0 * u0 + q1 * u0 + q0
         cells.append((c0, c1, c2))
-    fibres = (dyn.preimages(handle.system, weight, p, 1, drop_zero=True) for p in nodes)
-    vals = tuple(sum((w * a.value(x) for x, w in fibre), Q(0)) for fibre in fibres)
+    vals = tuple(tr.weighted_fiber_sum(handle.system, weight, a.value, p) for p in nodes)
     return GridFunction(nodes, tuple(cells), vals)
 
 
@@ -617,39 +616,31 @@ def inverse_orbit_measure(
         center = irr[0].point
     center = frac(center)
 
-    sys_ = system.ival
-    levels: list[tuple[Fraction, ...]] = [(center,)]
-    dyadic_ok = (not force_explicit) and center == (lo + hi) / 2
+    # fibres repeat no point, so a sorted level is its set; grid 0 is the midpoint
+    levels: list[tuple[Fraction, ...]] = []
+    dyadic_ok = not force_explicit
     probe_n = min(depth, probe)
-    seen = 1
-    for n in range(1, probe_n + 1):
-        nxt = sorted({x for y in levels[-1] for x in sys_.fiber(y)})
+    seen = 0
+    for n, (pairs, _) in enumerate(dyn.preimage_levels(system, pot, center, depth)):
+        nxt = sorted(x for x, _ in pairs)
         levels.append(tuple(nxt))
         seen += len(nxt)
-        if seen > max_atoms:
+        if n and seen > max_atoms:
             raise UnsupportedPotential(
                 "level growth exceeds the explicit atom budget and no grid structure was found"
             )
         if dyadic_ok:
             step = (hi - lo) / (1 << (n + 1))
             expected = [lo + (2 * j + 1) * step for j in range(1 << n)]
-            if nxt != expected:
-                dyadic_ok = False
+            dyadic_ok = nxt == expected
+        if dyadic_ok and n == probe_n:
+            break
 
     if dyadic_ok:
         counts = tuple(1 << n for n in range(depth + 1))
         stored = None
         growth = 2
     else:
-        total = seen
-        for n in range(probe_n + 1, depth + 1):
-            nxt = sorted({x for y in levels[-1] for x in sys_.fiber(y)})
-            levels.append(tuple(nxt))
-            total += len(nxt)
-            if total > max_atoms:
-                raise UnsupportedPotential(
-                    "level growth exceeds the explicit atom budget and no grid structure was found"
-                )
         counts = tuple(len(lv) for lv in levels)
         stored = tuple(levels)
         # a dead branch (some count hits zero) never has uniform growth

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import dynamics as dyn
 from .dynamics import PartialSystem, PathPoint, Potential
@@ -404,16 +404,17 @@ class TransferHandle:
             )
 
 
+def weighted_fiber_sum(system: PartialSystem, pot: Potential, fn: Callable, y, n: int = 1) -> Fraction:
+    """The exact n-fold fiber sum of rho_n * fn at y, behind ``apply``, ``FnExpr.transfer``
+    and the grid fibre sums: nonzero weights only, added in ``dyn.preimages`` order."""
+    return sum((w * fn(x) for x, w in dyn.preimages(system, pot, y, n) if w != 0), Q(0))
+
+
 def apply(handle: TransferHandle, a: Function, y, n: int = 1) -> Fraction:
     """Exact value of the n-fold weighted fiber sum of a at y."""
     if a.backend != handle.system.backend:
         raise ValidationError("function backend does not match the system")
-    total = Q(0)
-    for x, w in dyn.preimages(handle.system, handle.potential, y, n):
-        if w == 0:
-            continue
-        total += w * a.value(x)
-    return total
+    return weighted_fiber_sum(handle.system, handle.potential, a.value, y, n)
 
 
 # ---------------------------------------------------------------------------
