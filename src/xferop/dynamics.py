@@ -434,7 +434,7 @@ class CylinderSet:
         return not self.intersection(other).is_empty
 
     def issubset(self, other: "CylinderSet") -> bool:
-        return all(other._covers(c) for c in self.cylinders)
+        return all(other.contains(c) for c in self.cylinders)
 
     def closure(self) -> "CylinderSet":
         """Cylinders are clopen, so a finite union of them is closed."""
@@ -444,7 +444,7 @@ class CylinderSet:
         """Cylinders are clopen, so a finite union of them is open."""
         return True
 
-    def _covers(self, c: PathPoint) -> bool:
+    def contains(self, c: PathPoint) -> bool:
         """Whether a member contains ``c``, or members lie inside ``c`` and
         cover each of its children."""
         if _held(c, self._keys):
@@ -457,7 +457,7 @@ class CylinderSet:
         if (c.word or c.rng) not in self._inside:
             return False  # every member is disjoint from c
         # a member strictly inside c extends it, so c has children
-        return all(self._covers(k) for k in self.graph.children(c))
+        return all(self.contains(k) for k in self.graph.children(c))
 
 
 def _held(c: PathPoint, keys: dict[int, set]) -> bool:

@@ -122,14 +122,12 @@ def _local_homeo_gate(system: PartialSystem, pot: Potential) -> None:
     if report.irregular_points:
         pts = ", ".join(str(ip.point) for ip in report.irregular_points)
         raise NotLocalHomeo(f"irregular points present: {pts}")
-    # a graph's edge weights are positive, so its whole domain is regular
-    if system.backend == "interval":
-        gaps = report.delta.difference(report.delta_pos)
-        if not gaps.is_empty:
-            raise NotLocalHomeo(f"weight vanishes on {gaps}")
+    # on a graph all three sets are one: its edge weights are positive
+    if report.delta_pos != report.delta:
+        raise NotLocalHomeo(f"weight vanishes on {report.delta.difference(report.delta_pos)}")
+    if report.delta_reg != report.delta:
         gaps = report.delta.difference(report.delta_reg)
-        if not gaps.is_empty:
-            raise NotLocalHomeo(f"domain is not fully regular: missing {gaps}")
+        raise NotLocalHomeo(f"domain is not fully regular: missing {gaps}")
 
 
 def build_deaconu(

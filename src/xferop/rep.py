@@ -87,10 +87,9 @@ class OrbitBasis:
             raise ValidationError("depth must be >= 1")
         handle.system.check_depth(depth)
         system, pot = handle.system, handle.potential
-        if system.backend == "interval":
-            anchor = frac(anchor)
-            if not system.ival.space.contains(anchor):
-                raise ValidationError("anchor lies outside the space")
+        anchor = system.point(anchor)
+        if not system.map.space.contains(anchor):
+            raise ValidationError("anchor lies outside the space")
         self.handle = handle
         self.system = system
         self.potential = pot

@@ -127,15 +127,10 @@ def spectrum_Kn(system: PartialSystem, pot: Potential, n: int, samples=()):
 # ---------------------------------------------------------------------------
 
 
-def _rho_discontinuity_warning(system: PartialSystem, pot: Potential):
-    if system.backend == "graph":
-        return None
-    sys_ = system.ival
-    candidates = pot.breakpoints() | set(sys_.critical_points())
-    bad = sorted(
-        x for x in candidates
-        if sys_.delta.contains(x) and not dyn._rho_continuous_at(sys_, pot, x)
-    )
+def _rho_discontinuity_warning(report: dyn.RegionReport):
+    """The warning for the points where the report finds the weight
+    discontinuous, or None; a graph report has no irregular points."""
+    bad = [ip.point for ip in report.irregular_points if "rho_discontinuous" in ip.reasons]
     if bad:
         pts = ", ".join(str(x) for x in bad)
         return (
@@ -301,7 +296,7 @@ def spectrum_An(system: PartialSystem, pot: Potential, n: int, radius=Q(1, 8)):
             if tup is not None:
                 gens.append(tup)
 
-    w = _rho_discontinuity_warning(system, pot)
+    w = _rho_discontinuity_warning(report)
     if w:
         warnings.append(w)
     return SpectrumDescription(
@@ -417,10 +412,10 @@ def _orbit_set(system, pot, x, depth):
 def quasi_orbits(system: PartialSystem, pot: Potential, depth: int, samples) -> QuasiOrbitPartition:
     """Partition sampled points by equality of truncated orbit closures."""
     system.check_scan_depth(depth)
-    w = _rho_discontinuity_warning(system, pot)
+    report = dyn.regular_set(system, pot)
+    w = _rho_discontinuity_warning(report)
     if w:
         raise HypothesisViolated(w)
-    report = dyn.regular_set(system, pot)
     if report.delta_reg != report.delta_pos:
         raise HypothesisViolated(
             "regular set differs from positive set; quasi-orbit description requires a local homeomorphism on the positive part"

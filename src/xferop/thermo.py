@@ -22,7 +22,9 @@ A power step multiplies by the transpose straight from the positions (one
 ``np.bincount``), so no solve builds the bins x bins matrix, and each
 bisection step starts from the previous step's Perron vector.  The graph
 operator is one entry per vertex pair and stays dense and cold (see
-``_RuelleGraph``).
+``_RuelleGraph``).  Each operator turns its own Perron vector into the
+candidate measure (``eigenmeasure``): a bin density on the interval, atoms
+on the length-one cylinders of a graph, both renormalised exactly.
 
 The state-level checks and the eigen-measure residuals integrate against a
 measure through one state table per call, dropped on return.  The table
@@ -1057,7 +1059,8 @@ class _RuelleUlam:
     into the distinct positions in the order they were walked: those are the
     nonzero entries of k.  A power step reads them straight from the
     positions, so no solve builds the bins x bins matrix; ``dense`` does, for
-    tests.  Each ``perron`` call starts from the previous call's vector.
+    tests.  Each ``perron`` call starts from the previous call's vector, and
+    ``eigenmeasure`` reads a Perron vector as a density on the bins.
     """
 
     def __init__(self, handle, psi: PotentialFunction, bins: int):
@@ -1077,6 +1080,7 @@ class _RuelleUlam:
         self.rows, self.cols = np.divmod(self.pos, bins)
         self.cell_slope = np.array(cell_slope, dtype=float)
         self.fw = float((comp.hi - comp.lo) / bins)
+        self.comp = comp
         self.bins = bins
         self._warm = np.full(bins, 1.0 / bins)
 
@@ -1116,6 +1120,12 @@ class _RuelleUlam:
         r, self._warm = _perron(self.step(beta), self._warm)
         return r, self._warm
 
+    def eigenmeasure(self, vec: np.ndarray, beta: float) -> tr.UlamMeasure:
+        """The bin density of a Perron vector, renormalised exactly."""
+        w = (self.comp.hi - self.comp.lo) / self.bins
+        masses = _normalised([Q(abs(float(x))) for x in vec])
+        return tr.UlamMeasure(self.comp.lo, self.comp.hi, tuple(m / w for m in masses))
+
 
 class _RuelleGraph:
     """Vertex matrices of the fiber-sum operator, one exp(-beta*energy) per edge.
@@ -1124,14 +1134,20 @@ class _RuelleGraph:
     every call.  The atom masses of a graph candidate are exact rationals of
     the vector's floats, so a sparse or warm-started step would change them
     in their last bits, and with them the pinned reports; a graph matrix is
-    only vertices x vertices, so there is nothing to save.
+    only vertices x vertices, so there is nothing to save.  ``eigenmeasure``
+    pushes a Perron vector onto atoms on the edges.
     """
 
     def __init__(self, system: PartialSystem, psi: PotentialFunction):
-        self.verts = system.gph.vertices
+        gph = system.gph
+        self.verts = gph.vertices
         idx = {v: i for i, v in enumerate(self.verts)}
         wmap = psi.carrier.weight_map()
-        self.edges = [(idx[e.src], idx[e.rng], float(wmap[e.name])) for e in system.gph.edges]
+        self.edges = [(idx[e.src], idx[e.rng], float(wmap[e.name])) for e in gph.edges]
+        self.atoms = [
+            (gph.path_point((e.name,)), idx[e.src], float(wmap[e.name]))
+            for e in sorted(gph.edges, key=lambda e: e.name)
+        ]
 
     def dense(self, beta: float) -> np.ndarray:
         k = np.zeros((len(self.verts), len(self.verts)))
@@ -1148,6 +1164,19 @@ class _RuelleGraph:
         n = len(self.verts)
         kt = self.dense(beta).T + np.eye(n)  # shift keeps oscillating spectra convergent
         return _perron(kt.__matmul__, np.full(n, 1.0 / n))
+
+    def eigenmeasure(self, vec: np.ndarray, beta: float) -> tr.AtomicMeasure:
+        """Atoms on the length-one cylinders Z(e), renormalised exactly.
+
+        The vector lives on vertices; the eigen-measure identity itself
+        dictates mass(Z(e)), proportional to exp(-beta * energy(e)) times the
+        weight of the source vertex.  That keeps every atom inside the shift
+        domain.
+        """
+        masses = [
+            Q(abs(float(vec[i]))) * Q(math.exp(-beta * energy)) for _, i, energy in self.atoms
+        ]
+        return tr.AtomicMeasure(tuple(zip((p for p, _, _ in self.atoms), _normalised(masses))))
 
 
 def _perron(
@@ -1236,7 +1265,7 @@ def solve_conformal(
         if abs(r_lo - 1.0) <= 1e-8:
             beta = 0.5 * (b_lo + b_hi)
             _, vec = spectral(beta)
-            mu = _vector_measure(handle, vec, bins, psi, beta)
+            mu = ops.eigenmeasure(vec, beta)
             return KMSCandidate(
                 beta, mu, "conformal",
                 note="degenerate: Perron root is one across the whole bracket",
@@ -1261,41 +1290,16 @@ def solve_conformal(
             hi_ = beta
         else:
             lo_, f_lo = beta, f_mid
-    mu = _vector_measure(handle, vec, bins, psi, beta)
+    mu = ops.eigenmeasure(vec, beta)
     return KMSCandidate(beta, mu, "conformal")
 
 
-def _vector_measure(handle, vec: np.ndarray, bins: int, psi=None, beta: float = 0.0) -> Measure:
-    """Exactly renormalized measure out of a nonnegative eigenvector.
-
-    Graph vectors live on vertices; the atoms are pushed onto the length-one
-    cylinders Z(e), whose masses the eigen-measure identity itself dictates:
-    mass(Z(e)) is proportional to exp(-beta * energy(e)) times the weight of
-    the source vertex.  That keeps every atom inside the shift domain.
-    """
-    system = handle.system
-    if system.backend == "graph":
-        gph = system.gph
-        idx = {v: i for i, v in enumerate(gph.vertices)}
-        wmap = psi.carrier.weight_map()
-        raw = []
-        for e in sorted(gph.edges, key=lambda e: e.name):
-            m = Q(abs(float(vec[idx[e.src]]))) * Q(
-                math.exp(-beta * float(wmap[e.name]))
-            )
-            raw.append((gph.path_point((e.name,)), m))
-        total = sum((m for _, m in raw), Q(0))
-        if total == 0:
-            raise NoSolution("eigenvector collapsed to zero", {})
-        return tr.AtomicMeasure(tuple((p, m / total) for p, m in raw))
-    weights = [Q(abs(float(x))) for x in vec]
-    total = sum(weights, Q(0))
+def _normalised(masses: list[Fraction]) -> list[Fraction]:
+    """The masses over their sum; refuses an eigenvector that summed to zero."""
+    total = sum(masses, Q(0))
     if total == 0:
         raise NoSolution("eigenvector collapsed to zero", {})
-    weights = [x / total for x in weights]
-    comp = _single_component(system)
-    w = (comp.hi - comp.lo) / bins
-    return tr.UlamMeasure(comp.lo, comp.hi, tuple(m / w for m in weights))
+    return [m / total for m in masses]
 
 
 # ---------------------------------------------------------------------------

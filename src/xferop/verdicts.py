@@ -82,6 +82,10 @@ class PeriodicWindow:
     window: RationalInterval
     chain: tuple[int, ...]
 
+    def covers(self, pt) -> bool:
+        """Whether ``pt`` lies in the window."""
+        return self.window.contains(pt)
+
 
 @dataclass(frozen=True)
 class FreeScan:
@@ -95,6 +99,11 @@ class FreeScan:
 @dataclass(frozen=True)
 class CycleNoExit:
     edges: tuple[str, ...]
+
+    def covers(self, pt: PathPoint) -> bool:
+        """Whether ``pt`` starts with a rotation of the circuit."""
+        cyc, n = self.edges, len(self.edges)
+        return any(pt.word[:n] == cyc[j:] + cyc[:j] for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -653,7 +662,7 @@ def _collapsed_basis(system: PartialSystem, pot: Potential, cert, depth: int):
     """Points, weights, period, and T of the orbit representation at a periodic
     certificate, with periodic preimages folded back instead of unrolled."""
     if system.backend == "graph":
-        cyc: tuple[str, ...] = cert.edges if isinstance(cert, CycleNoExit) else tuple(cert)
+        cyc = cert.edges
         gph = system.gph
         p = len(cyc)
         pts = [gph.path_point(cyc[j:] + cyc[:j]) for j in range(p)]
@@ -727,23 +736,11 @@ def periodic_witness_norms(
         for i, w in links:
             t[j, i] = math.sqrt(float(w))
 
-    if system.backend == "graph":
-        cyc = cert.edges if isinstance(cert, CycleNoExit) else tuple(cert)
-        rotations = {cyc[j:] + cyc[:j] for j in range(len(cyc))}
-
-        def a_val(pt: PathPoint) -> float:
-            return 1.0 if any(pt.word[: len(w)] == w for w in rotations) else 0.0
-
-    else:
-        window = cert.window
-
-        def a_val(pt) -> float:
-            return 1.0 if window.contains(pt) else 0.0
-
-    a = np.diag(np.array([a_val(pt) for pt in pts]))
+    a_vals = [1.0 if cert.covers(pt) else 0.0 for pt in pts]
+    a = np.diag(np.array(a_vals))
     tn = np.linalg.matrix_power(t, n)
     rho_n = [float(dyn.cocycle_or_none(system, pot, n, pt) or 0) for pt in pts]
-    asr = np.diag(np.array([a_val(pt) * math.sqrt(r) for pt, r in zip(pts, rho_n)]))
+    asr = np.diag(np.array([av * math.sqrt(r) for av, r in zip(a_vals, rho_n)]))
 
     w_orbit = a @ tn - asr
     orbit_norm = float(np.linalg.norm(w_orbit, 2))

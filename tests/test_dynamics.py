@@ -422,6 +422,21 @@ def test_cylinder_set_matches_atom_model(pair):
         assert out.note == "" and "a note" not in str(out)
 
 
+@pytest.mark.parametrize("name", ["loops2", "fullshift2"])
+def test_cylinder_set_contains(name):
+    g = CYL_GRAPHS[name]
+    pool = [w for n in range(MAX_WORD + 1) for w in g.words(n)]
+    assert all(g.space.contains(p) for p in pool)
+    for n in (1, 2):
+        words = g.words(n)
+        for k in range(len(words) + 1):
+            for members in itertools.combinations(words, k):
+                s = dyn.CylinderSet(g, members)
+                for p in pool:
+                    assert s.contains(p) == dyn.CylinderSet(g, (p,)).issubset(s)
+                    assert s.contains(p) == (_atoms_of(g, (p,)) <= _atoms_of(g, s))
+
+
 def test_spec_roundtrip_all_bundled():
     for name in specfile.BUNDLED:
         doc = specfile.serialize_spec(specfile.bundled(name))

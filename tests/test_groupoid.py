@@ -63,6 +63,41 @@ class TestBuildDeaconu:
         with pytest.raises(NotLocalHomeo):
             gp.build_deaconu(h.system, h.potential, [F(1, 2)], 3)
 
+    def test_weight_gap_refused(self):
+        # no irregular point, but the weight vanishes on the second branch
+        open_half = RationalInterval(F(1, 2), F(1), False, False)
+        sys_ = dyn.PartialSystem(
+            dyn.IntervalSystem(
+                IntervalSet.closed(0, 1),
+                [
+                    dyn.AffineBranch(RationalInterval(0, F(1, 4)), 4, 0),
+                    dyn.AffineBranch(open_half, 2, -1),
+                ],
+            ),
+        )
+        pot = dyn.IntervalPotential(
+            pieces=((RationalInterval(0, F(1, 4)), 0, 1), (open_half, 0, 0))
+        )
+        with pytest.raises(NotLocalHomeo, match=r"^weight vanishes on \(1/2, 1\)$"):
+            gp.build_deaconu(sys_, pot, [F(1, 8)], 2)
+
+    def test_closed_domain_edge_refused(self):
+        # the domain [0, 1/2] is not open in [0, 1], so 1/2 is not regular
+        half = RationalInterval(0, F(1, 2))
+        sys_ = dyn.PartialSystem(
+            dyn.IntervalSystem(IntervalSet.closed(0, 1), [dyn.AffineBranch(half, 2, 0)]),
+        )
+        pot = dyn.IntervalPotential(pieces=((half, 0, 1),))
+        with pytest.raises(
+            NotLocalHomeo, match=r"^domain is not fully regular: missing \[1/2, 1/2\]$"
+        ):
+            gp.build_deaconu(sys_, pot, [F(1, 8)], 2)
+
+    @pytest.mark.parametrize("name", ["loop1", "loops2", "fullshift2"])
+    def test_graphs_pass_the_gate(self, name):
+        s = specfile.bundled(name)
+        assert gp._local_homeo_gate(s.system, s.potential) is None
+
     def test_doubling_counts(self, dbl_gpd):
         # binary tree of 1/4 to depth 3: 15 points; 15^2 pairs each carry
         # k = depth difference, plus 6 extra arrows through the forward

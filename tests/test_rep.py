@@ -7,7 +7,7 @@ from xferop import dynamics as dyn
 from xferop import rep
 from xferop import specfile
 from xferop import transfer as tr
-from xferop.errors import EmptyBasis
+from xferop.errors import EmptyBasis, ValidationError
 from xferop.intervals import IntervalSet, RationalInterval
 
 TOL = 1e-12
@@ -49,6 +49,10 @@ class TestOrbitBasis:
         # only the rising branch carries weight, so the tree is a line
         assert b.dim == 7
         assert [nd.point for nd in b.nodes] == [F(1, 2) / 2**k for k in range(7)]
+
+    def test_anchor_outside_the_space_refused(self, tent_handle):
+        with pytest.raises(ValidationError, match="^anchor lies outside the space$"):
+            rep.OrbitBasis(tent_handle, F(3, 2), 2)
 
     def test_invalid_handle_refused(self):
         t = specfile.bundled("tent_std")

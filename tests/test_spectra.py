@@ -6,7 +6,7 @@ import pytest
 from xferop import dynamics as dyn
 from xferop import spectra
 from xferop import specfile
-from xferop.errors import HypothesisViolated, OutOfSpectrum
+from xferop.errors import HypothesisViolated, OutOfSpectrum, ValidationError
 from xferop.intervals import IntervalSet, RationalInterval
 
 
@@ -252,3 +252,94 @@ class TestQuasiOrbits:
         assert set(q.classes) == {F(1, 3), F(2, 3), F(3, 5)}
         for rep in q.representatives:
             assert q.classes[rep] == rep
+
+
+# The rho-discontinuity warning read off the regular-set report, against a
+# direct scan of the weight's breakpoints and the map's critical points.
+def _scanned_warning(system, pot):
+    if system.backend == "graph":
+        return None
+    sys_ = system.ival
+    candidates = pot.breakpoints() | set(sys_.critical_points())
+    bad = sorted(
+        x for x in candidates
+        if sys_.delta.contains(x) and not dyn._rho_continuous_at(sys_, pot, x)
+    )
+    if bad:
+        pts = ", ".join(str(x) for x in bad)
+        return (
+            "weight is discontinuous at " + pts + "; the emitted gluing data is a "
+            "lower bound: open sets of the spectrum may be strictly finer"
+        )
+    return None
+
+
+def _tent(pot):
+    sys_ = dyn.PartialSystem(
+        dyn.IntervalSystem(
+            IntervalSet.closed(0, 1),
+            [
+                dyn.AffineBranch(RationalInterval(0, F(1, 2)), 2, 0),
+                dyn.AffineBranch(RationalInterval(F(1, 2), 1), -2, 2),
+            ],
+        ),
+    )
+    return sys_, pot
+
+
+HAND_BUILT = {
+    # an override jump inside the one piece, off every branch seam
+    "override": dyn.IntervalPotential(
+        pieces=((RationalInterval(0, 1), 0, F(1, 2)),), overrides=((F(1, 4), 1),)
+    ),
+    # a jump at the branch seam 1/2
+    "seam": dyn.IntervalPotential(
+        pieces=(
+            (RationalInterval(0, F(1, 2)), 0, 1),
+            (RationalInterval(F(1, 2), 1, False, True), 0, F(1, 2)),
+        )
+    ),
+}
+
+
+class TestDiscontinuityWarning:
+    @pytest.mark.parametrize("name", specfile.BUNDLED)
+    def test_bundled_specs_match_the_scan(self, name):
+        s = specfile.bundled(name)
+        want = _scanned_warning(s.system, s.potential)
+        report = dyn.regular_set(s.system, s.potential)
+        assert spectra._rho_discontinuity_warning(report) == want
+        assert (want is not None) == (name in ("tent_std", "tent_half"))
+        d = spectra.spectrum_An(s.system, s.potential, 2)
+        assert d.warnings == ((want,) if want else ())
+
+    @pytest.mark.parametrize("name", ["tent_std", "tent_half"])
+    def test_quasi_orbits_refuses_with_the_warning(self, name):
+        s = specfile.bundled(name)
+        with pytest.raises(HypothesisViolated) as exc:
+            spectra.quasi_orbits(s.system, s.potential, 4, [F(1, 3)])
+        assert str(exc.value) == _scanned_warning(s.system, s.potential)
+
+    @pytest.mark.parametrize("kind", sorted(HAND_BUILT))
+    def test_hand_built_weights_match_the_scan(self, kind):
+        sys_, pot = _tent(HAND_BUILT[kind])
+        want = _scanned_warning(sys_, pot)
+        assert want is not None
+        assert spectra._rho_discontinuity_warning(dyn.regular_set(sys_, pot)) == want
+
+    def test_hand_built_jumps_are_where_the_weight_jumps(self):
+        for kind, at in (("override", "1/4"), ("seam", "1/2")):
+            sys_, pot = _tent(HAND_BUILT[kind])
+            text = spectra._rho_discontinuity_warning(dyn.regular_set(sys_, pot))
+            assert text.startswith(f"weight is discontinuous at {at};")
+
+    def test_uncovered_domain_is_reported_by_the_region_scan(self):
+        # quasi_orbits builds the report first, so the coverage check speaks
+        half = RationalInterval(0, F(1, 2))
+        sys_ = dyn.PartialSystem(
+            dyn.IntervalSystem(IntervalSet.closed(0, 1), [dyn.AffineBranch(half, 2, 0)]),
+        )
+        pot = dyn.IntervalPotential(pieces=((RationalInterval(0, F(1, 4)), 0, 1),))
+        with pytest.raises(ValidationError) as exc:
+            spectra.quasi_orbits(sys_, pot, 2, [F(1, 8)])
+        assert str(exc.value) == "potential pieces do not cover the domain; missing (1/4, 1/2]"

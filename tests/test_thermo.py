@@ -641,6 +641,23 @@ class TestRuelleUlam:
         with pytest.raises(ValidationError, match=r"beta=-1000\.0"):
             ops.dense(-1000.0)
 
+    def test_a_zero_vector_is_refused_on_both_backends(self, tent_handle):
+        s = specfile.bundled("loops2")
+        ulam = th._RuelleUlam(tent_handle, _psi_affine(tent_handle.system, 1, 0), 8)
+        graph = th._RuelleGraph(s.system, th.PotentialFunction.const(s.system, 1))
+        for ops, n in ((ulam, 8), (graph, 2)):
+            with pytest.raises(NoSolution, match="^eigenvector collapsed to zero$"):
+                ops.eigenmeasure(np.zeros(n), 1.0)
+
+    def test_graph_atoms_sit_on_the_edges(self):
+        # mass(Z(e)) is the source vertex's entry times exp(-beta * energy(e))
+        s = specfile.bundled("loops2")
+        energy = dyn.GraphPotential((("a", F(1)), ("b", F(2))), allow_negative=True)
+        ops = th._RuelleGraph(s.system, th.PotentialFunction.of(s.system, energy))
+        mu = ops.eigenmeasure(np.array([1.0, 3.0]), 0.5)
+        a, b = F(1.0) * F(math.exp(-0.5)), F(3.0) * F(math.exp(-1.0))
+        assert [(str(p), m) for p, m in mu.atoms] == [("a@u", a / (a + b)), ("b@v", b / (a + b))]
+
     def test_perron_cap_raises(self):
         step = _shifted_step(np.diag([2.0, 1.0]))
         cold = np.full(2, 0.5)

@@ -658,6 +658,20 @@ def _witness_norms(basis, fns):
     return [float(np.linalg.norm(basis.pi(f) @ (basis.T() - sq), 2)) for f in fns]
 
 
+class TestCertificateCovers:
+    def test_window_covers_its_points(self):
+        cert = vd.PeriodicWindow(1, RationalInterval(F(1, 4), F(1, 2)), (0,))
+        assert cert.covers(F(1, 4)) and cert.covers(F(1, 2))
+        assert not cert.covers(F(3, 4))
+
+    def test_circuit_covers_the_paths_starting_with_a_rotation(self, shift2):
+        g = shift2.system.gph
+        cert = vd.CycleNoExit(("e0", "e1"))
+        assert cert.covers(g.path_point(("e0", "e1"))) and cert.covers(g.path_point(("e1", "e0", "e0")))
+        assert not cert.covers(g.path_point(("e0", "e0", "e1")))
+        assert not cert.covers(g.path_point(("e1",)))
+
+
 class TestWitnessNorms:
     def test_loop1_annihilated_in_orbit_rep(self, loop1):
         free = vd.check_top_free(loop1.system, loop1.potential, 6)
