@@ -284,6 +284,8 @@ def _load_candidate(path: str, system: dyn.PartialSystem):
         mu = _measure_from_doc(doc["measure"], system)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad candidate file {path}: {e}") from None
+    if not math.isfinite(beta):  # NaN or inf would print NaN residuals and read as Fails
+        raise ParseError(f"bad candidate file {path}: beta must be finite, got {beta!r}")
     return beta, mu, doc
 
 

@@ -1051,15 +1051,18 @@ def _overflow(beta: float) -> ValidationError:
 class _RuelleUlam:
     """Bin operators of the bare fiber-sum operator with weight exp(-beta*energy).
 
-    The exact pass walks branches, bins, preimage cells and energy pieces once
-    and keeps one float segment (u, v, m, c) per piece cut of each cell, where
-    the energy is m*x + c on [u, v], and the (row, col) position of each cell
-    in the bin matrix k.  ``values(beta)`` integrates exp(-beta*energy) over
-    every segment in one numpy pass, then sums segments into cells and cells
-    into the distinct positions in the order they were walked: those are the
-    nonzero entries of k.  A power step reads them straight from the
-    positions, so no solve builds the bins x bins matrix; ``dense`` does, for
-    tests.  Each ``perron`` call starts from the previous call's vector, and
+    The exact pass walks the cells of ``transfer.ulam_cells`` (index
+    arithmetic on the grid; order branch, source bin j, target bin i;
+    half-open bins, the last one closed; exact cell ends) and cuts each by
+    the energy pieces.  It keeps one float segment (u, v, m, c) per piece cut
+    of each cell, where the energy is m*x + c on [u, v], and the (row, col)
+    position (i, j) of each cell in the bin matrix k.  ``values(beta)``
+    integrates exp(-beta*energy) over every segment in one numpy pass, then
+    sums segments into cells and cells into the distinct positions in the
+    walk order, which pins every float sum: those are the nonzero entries of
+    k.  A power step reads them straight from the positions, so no solve
+    builds the bins x bins matrix; ``dense`` does, for tests.  Each
+    ``perron`` call starts from the previous call's vector, and
     ``eigenmeasure`` reads a Perron vector as a density on the bins.
     """
 
@@ -1423,6 +1426,8 @@ def kms_battery(
     """
     if count < 1:
         raise ValidationError(f"the battery needs at least one pair, got count={count}")
+    if pts < 1:
+        raise ValidationError(f"the quadrature needs at least one point per bin, got pts={pts}")
     tab = _StateTable(handle, mu, psi, beta)
     rng = random.Random(seed)
     fns = _battery_functions(handle, rng, max(6, count // 2))
@@ -1473,6 +1478,8 @@ def core_kms_check(
     weight exp(-beta * S_n) folded in.  No command reports it yet; it is
     the check of the paper's KMS condition on the core, level by level.
     """
+    if pts < 1:
+        raise ValidationError(f"the quadrature needs at least one point per bin, got pts={pts}")
     tab = _StateTable(handle, mu, psi, beta)
 
     def lhs_fn(ids: np.ndarray) -> np.ndarray:

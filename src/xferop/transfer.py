@@ -23,15 +23,23 @@ piecewise-quadratic grid function where the measure has one; and
 a candidate file can hold, ``AtomicMeasure`` and ``UlamMeasure``, also
 answer ``to_doc(system)`` and ``residual_tol()``.
 
-The temperature solver in ``thermo`` builds its bin matrices from the bin
-geometry that ``ulam_cells`` walks.  ``ulam_matrix`` reads the same walk
-into an exact rational matrix; no command calls it, and it is kept as the
-exact reference the solver's matrices are tested against.
+The uniform bin grid on [lo, hi] is read by index arithmetic, never by
+intersecting intervals: bin k is [lo + k w, lo + (k + 1) w), half-open and
+the last one closed, and the bins an interval meets are an integer division
+of its ends.  The temperature solver in ``thermo`` builds its bin matrices
+from the bin geometry that ``ulam_cells`` walks, in the order (branch,
+source bin j, target bin i), with exact cell ends.  ``ulam_matrix`` reads
+the same walk into an exact rational matrix; no command calls it, and it is
+kept as the exact reference the solver's matrices are tested against.
+``UlamMeasure.quadrature`` places its midpoint rows by the same arithmetic,
+and ``UlamMeasure.integrate_grid`` takes a grid cell's antiderivative once
+per bin end.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -478,39 +486,53 @@ class UlamMeasure:
         return sum((d * w for d in self.densities), Q(0))
 
     def quadrature(self, pts: int) -> list:
-        """One group: the pts-point midpoint rule in every bin of nonzero density."""
-        w = (self.hi - self.lo) / self.bins
-        rows = (
-            (self.lo + k * w + w * (2 * i + 1) / (2 * pts), d * w / pts)
-            for k, d in enumerate(self.densities)
-            if d != 0
-            for i in range(pts)
-        )
-        return [(1.0, rows)]
+        """One group: the pts-point midpoint rule in every bin of nonzero density.
+
+        With h = w / (2 pts), point i of bin k is lo + (2 (k pts + i) + 1) h,
+        and every point of bin k carries the mass d_k w / pts, built once per
+        bin.  Rows come in bin order, then point order.
+        """
+        if pts < 1:
+            raise ValidationError(f"the midpoint rule needs at least one point per bin, got pts={pts}")
+        lo, w = self.lo, (self.hi - self.lo) / self.bins
+        h, wp = w / (2 * pts), w / pts
+
+        def rows():
+            for k, d in enumerate(self.densities):
+                if d != 0:
+                    mass, first = d * wp, 2 * k * pts + 1
+                    for n in range(first, first + 2 * pts, 2):
+                        yield lo + n * h, mass
+
+        return [(1.0, rows())]
 
     def integrate_grid(self, g) -> float:
-        """Exact integral of a piecewise-quadratic grid function, as a float."""
-        w = (self.hi - self.lo) / self.bins
+        """Exact integral of a piecewise-quadratic grid function, as a float.
+
+        On each grid cell the antiderivative x (c0 + x (c1/2 + x c2/3)) is
+        taken once at every bin end inside the cell and carried to the next
+        bin, so each bin adds d_k (F(b) - F(a)) from two values it shares
+        with its neighbours.  The sum is exact, so its order does not matter.
+        """
+        lo, hi, dens = self.lo, self.hi, self.densities
+        w = (hi - lo) / self.bins
         total = Q(0)
         for (u, v), (c0, c1, c2) in zip(zip(g.nodes, g.nodes[1:]), g.cells):
             if c0 == 0 and c1 == 0 and c2 == 0:
                 continue
-            u_ = max(u, self.lo)
-            v_ = min(v, self.hi)
+            u_ = max(u, lo)
+            v_ = min(v, hi)
             if v_ <= u_:
                 continue
-            k0 = max(int((u_ - self.lo) // w), 0)
-            k1 = min(int(-((self.lo - v_) // w)) - 1, self.bins - 1)
-
-            def anti(x: Fraction) -> Fraction:
-                return c0 * x + c1 * x * x / 2 + c2 * x * x * x / 3
-
+            k0 = int((u_ - lo) // w)
+            k1 = min(int(-((lo - v_) // w)) - 1, self.bins - 1)
+            h1, h2 = c1 / 2, c2 / 3
+            fa = u_ * (c0 + u_ * (h1 + u_ * h2))
             for k in range(k0, k1 + 1):
-                a_ = max(u_, self.lo + k * w)
-                b_ = min(v_, self.lo + (k + 1) * w)
-                if b_ <= a_:
-                    continue
-                total += self.densities[k] * (anti(b_) - anti(a_))
+                b_ = min(v_, lo + (k + 1) * w)
+                fb = b_ * (c0 + b_ * (h1 + b_ * h2))
+                total += dens[k] * (fb - fa)
+                fa = fb
         return float(total)
 
     def row_bound(self, a, cval) -> None:
@@ -543,27 +565,57 @@ def ulam_cells(sys_: dyn.IntervalSystem, lo: Fraction, hi: Fraction, bins: int):
     """The exact geometry of a uniform bin grid on [lo, hi] under the map.
 
     Yields ``(i, j, |slope|, xcell)`` for each branch, source bin j and
-    target bin i, in that order, where xcell is the part of bin j that the
-    branch sends into bin i; cells that are empty or a single point are
-    skipped.  Bins are half-open, the last one closed.
+    target bin i, in that order, where xcell is the part of bin j inside the
+    branch domain that the branch sends into bin i; cells that are empty or
+    a single point are skipped.  Bins are half-open, the last one closed,
+    and every cell end is an exact rational.
+
+    The walk is index arithmetic on the grid nodes g_k = lo + k w.  The
+    source bins that meet a branch domain [a, b] are the index range
+    floor((a - lo) / w) .. ceil((b - lo) / w) - 1, and the cell of bin j is
+    [max(g_j, a), min(g_j+1, b)].  Its target bins are the same division of
+    its image ends.  The x-cell ends are the max/min of the cell ends and
+    the pulled-back nodes p_i = (g_i - intercept) / slope, which step by
+    w / slope.  An end is closed where every set it comes from holds it:
+    the bin (its low node, its high node only in the last bin), the domain,
+    and the pulled-back target bin (the same flags, swapped for a negative
+    slope).  Only the yielded x-cell is built as a ``RationalInterval``.
     """
     w = (hi - lo) / bins
+    per_w, last = bins / (hi - lo), bins - 1
     for br in sys_.branches:
-        for j in range(bins):
-            binj = RationalInterval(lo + j * w, lo + (j + 1) * w, True, j == bins - 1)
-            cell = binj.intersection(br.domain)
-            if cell is None or cell.is_point:
-                continue
-            img = cell.affine_image(br.slope, br.intercept)
-            i0 = max(int((img.lo - lo) // w), 0)
-            i1 = min(int(-((lo - img.hi) // w)), bins - 1)
+        dom, m, c = br.domain, br.slope, br.intercept
+        a, b = dom.lo, dom.hi
+        if a == b:
+            continue
+        up, absm, dp = m > 0, abs(m), w / m
+        p0 = (lo - c) / m
+        j0 = max(math.floor((a - lo) * per_w), 0)
+        j1 = min(math.ceil((b - lo) * per_w), bins) - 1
+        g1 = lo + j0 * w
+        for j in range(j0, j1 + 1):
+            g, g1 = g1, g1 + w
+            u = g if g > a else a
+            v = g1 if g1 < b else b
+            u_closed = u > a or dom.lo_closed
+            v_closed = (v < g1 or j == last) and (v < b or dom.hi_closed)
+            ya, yb = (m * u + c, m * v + c) if up else (m * v + c, m * u + c)
+            i0 = max(math.floor((ya - lo) * per_w), 0)
+            i1 = min(math.ceil((yb - lo) * per_w), bins) - 1
+            p1 = p0 + i0 * dp
             for i in range(i0, i1 + 1):
-                bini = RationalInterval(lo + i * w, lo + (i + 1) * w, True, i == bins - 1)
-                ycell = img.intersection(bini)
-                if ycell is None or ycell.is_point:
-                    continue
-                xcell = br.inverse_image(ycell)
-                yield i, j, abs(br.slope), xcell
+                p, p1 = p1, p1 + dp
+                if up:  # the pulled-back bin is [p, p1), closed in the last bin
+                    x_lo = p if p > u else u
+                    x_hi = p1 if p1 < v else v
+                    lo_closed = x_lo > u or u_closed
+                    hi_closed = (x_hi < v or v_closed) and (x_hi < p1 or i == last)
+                else:  # the pulled-back bin is (p1, p], closed in the last bin
+                    x_lo = p1 if p1 > u else u
+                    x_hi = p if p < v else v
+                    lo_closed = (x_lo > u or u_closed) and (x_lo > p1 or i == last)
+                    hi_closed = x_hi < v or v_closed
+                yield i, j, absm, RationalInterval(x_lo, x_hi, lo_closed, hi_closed)
 
 
 def ulam_matrix(

@@ -368,6 +368,26 @@ def test_kms_verify_refuses_malformed_candidate(tmp_path, key, value, message):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("command", [["kms-verify", "--candidate"], ["conformal", "--check"]])
+@pytest.mark.parametrize("beta", ['"nan"', '"inf"', '"-inf"', "NaN", "Infinity", "-Infinity"])
+def test_non_finite_candidate_beta_refused(tmp_path, command, beta):
+    # a NaN beta printed NaN residuals and exited 1, a Fails; it is an input problem
+    spec = _spec_with_energy_x(tmp_path)
+    cand = str(tmp_path / "cand_tent_x.json")
+    solve = ["conformal", "--spec", spec, "--bins", "16", "--bracket", "0.5,6.0", "--candidate-out", cand]
+    assert CliRunner().invoke(main, solve).exit_code == 0
+    with open(cand, encoding="utf-8") as fh:
+        text = fh.read()
+    head, tail = text.split('"beta": ', 1)
+    with open(cand, "w", encoding="utf-8") as fh:
+        fh.write(head + '"beta": ' + beta + tail[tail.index(","):])
+    result = CliRunner().invoke(main, [command[0], "--spec", spec, command[1], cand])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: bad candidate file {cand}: beta must be finite, got " in result.output
+    assert "within tolerance" not in result.output and "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("spec", ["tent_std", "fullshift2"])
 @pytest.mark.parametrize(
     "command, want",
