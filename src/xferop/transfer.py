@@ -460,6 +460,12 @@ class AtomicMeasure:
         return 1e-8
 
 
+def _bins_meeting(lo: Fraction, per_w: Fraction, bins: int, a: Fraction, b: Fraction) -> range:
+    """The bins k of the grid lo + k / per_w, k < bins, that [a, b] meets in more than
+    a point (a < b): floor((a - lo) per_w) up to ceil((b - lo) per_w), clipped."""
+    return range(max(math.floor((a - lo) * per_w), 0), min(math.ceil((b - lo) * per_w), bins))
+
+
 @dataclass(frozen=True)
 class UlamMeasure:
     """Density vector on a uniform bin grid over one space component."""
@@ -515,7 +521,7 @@ class UlamMeasure:
         with its neighbours.  The sum is exact, so its order does not matter.
         """
         lo, hi, dens = self.lo, self.hi, self.densities
-        w = (hi - lo) / self.bins
+        w, per_w = (hi - lo) / self.bins, self.bins / (hi - lo)
         total = Q(0)
         for (u, v), (c0, c1, c2) in zip(zip(g.nodes, g.nodes[1:]), g.cells):
             if c0 == 0 and c1 == 0 and c2 == 0:
@@ -524,11 +530,9 @@ class UlamMeasure:
             v_ = min(v, hi)
             if v_ <= u_:
                 continue
-            k0 = int((u_ - lo) // w)
-            k1 = min(int(-((lo - v_) // w)) - 1, self.bins - 1)
             h1, h2 = c1 / 2, c2 / 3
             fa = u_ * (c0 + u_ * (h1 + u_ * h2))
-            for k in range(k0, k1 + 1):
+            for k in _bins_meeting(lo, per_w, self.bins, u_, v_):
                 b_ = min(v_, lo + (k + 1) * w)
                 fb = b_ * (c0 + b_ * (h1 + b_ * h2))
                 total += dens[k] * (fb - fa)
@@ -590,20 +594,18 @@ def ulam_cells(sys_: dyn.IntervalSystem, lo: Fraction, hi: Fraction, bins: int):
             continue
         up, absm, dp = m > 0, abs(m), w / m
         p0 = (lo - c) / m
-        j0 = max(math.floor((a - lo) * per_w), 0)
-        j1 = min(math.ceil((b - lo) * per_w), bins) - 1
-        g1 = lo + j0 * w
-        for j in range(j0, j1 + 1):
+        sources = _bins_meeting(lo, per_w, bins, a, b)
+        g1 = lo + sources.start * w
+        for j in sources:
             g, g1 = g1, g1 + w
             u = g if g > a else a
             v = g1 if g1 < b else b
             u_closed = u > a or dom.lo_closed
             v_closed = (v < g1 or j == last) and (v < b or dom.hi_closed)
             ya, yb = (m * u + c, m * v + c) if up else (m * v + c, m * u + c)
-            i0 = max(math.floor((ya - lo) * per_w), 0)
-            i1 = min(math.ceil((yb - lo) * per_w), bins) - 1
-            p1 = p0 + i0 * dp
-            for i in range(i0, i1 + 1):
+            targets = _bins_meeting(lo, per_w, bins, ya, yb)
+            p1 = p0 + targets.start * dp
+            for i in targets:
                 p, p1 = p1, p1 + dp
                 if up:  # the pulled-back bin is [p, p1), closed in the last bin
                     x_lo = p if p > u else u
