@@ -56,13 +56,23 @@ def _tolerance(ctx, param, value):
 
 
 def _guarded(fn):
+    """Run a command; an input error prints and exits 3.
+
+    Every exit is raised again from here, after the command's frame is
+    gone: a caller that keeps the traceback (``CliRunner`` does) then keeps
+    none of the command's objects alive.
+    """
+
     @functools.wraps(fn)
     def inner(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
+        except SystemExit as e:
+            code = e.code
         except (XferopError, OSError, json.JSONDecodeError) as e:
             click.echo(f"error: {e}", err=True)
-            raise SystemExit(EXIT_INPUT)
+            code = EXIT_INPUT
+        raise SystemExit(code)
 
     return inner
 
@@ -276,17 +286,23 @@ def _measure_from_doc(doc: dict, system: dyn.PartialSystem):
     raise ParseError(f"unknown measure type {kind!r}")
 
 
-def _load_candidate(path: str, system: dyn.PartialSystem):
+def _load_candidate(path: str, system: dyn.PartialSystem) -> th.KMSCandidate:
+    """The candidate in a file: a finite number ``beta`` and a probability measure."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
+        if isinstance(doc["beta"], bool):  # float(true) would read as 1.0
+            raise ValueError(f"beta must be a number, got {json.dumps(doc['beta'])}")
         beta = float(doc["beta"])
         mu = _measure_from_doc(doc["measure"], system)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad candidate file {path}: {e}") from None
     if not math.isfinite(beta):  # NaN or inf would print NaN residuals and read as Fails
         raise ParseError(f"bad candidate file {path}: beta must be finite, got {beta!r}")
-    return beta, mu, doc
+    try:
+        return th.KMSCandidate(beta, mu, "conformal")
+    except ValidationError as e:
+        raise ParseError(f"bad candidate file {path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +597,8 @@ def conformal(spec_arg, out, fmt, psi_arg, bins, bracket, tol, check_path, candi
     rpt.line(f"energy: {psi_label}")
 
     if check_path is not None:
-        beta, mu, doc = _load_candidate(check_path, spec.system)
+        cand = _load_candidate(check_path, spec.system)
+        beta, mu = cand.beta, cand.mu
         if tol is None:
             tol = mu.residual_tol()
         rpt.line(f"candidate: {check_path}")
@@ -663,7 +680,8 @@ def kms_verify(spec_arg, out, fmt, cand_path, psi_arg, count, seed, tol):
     spec, digest = _resolve(spec_arg)
     handle = tr.TransferHandle.create(spec.system, spec.potential)
     psi, psi_label = _psi_of(spec, psi_arg)
-    beta, mu, doc = _load_candidate(cand_path, spec.system)
+    cand = _load_candidate(cand_path, spec.system)
+    beta, mu = cand.beta, cand.mu
     if tol is None:
         tol = mu.residual_tol()
     rpt = Report("kms-verify", spec_arg, digest, seed=seed)

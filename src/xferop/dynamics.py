@@ -40,7 +40,8 @@ The backend is the type of the map.  ``PartialSystem.map`` holds an
   its first exit, once per graph, and ``reach(T)`` closes T along its edges.
 
 The weight is typed like the map, and ``value(x)`` is the weight of a point
-on either; ``value_or_zero(x)`` extends it by zero off the domain.  An
+on either; ``value_or_zero(x)`` extends it by zero off the domain, and
+``floats(points)`` reads either at many points as one float array.  An
 ``IntervalPotential`` holds affine pieces plus point overrides, and
 ``breakpoints()`` gives the piece ends and override points where it can
 jump; a ``GraphPotential`` holds one positive weight per edge.  Both carry
@@ -60,6 +61,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import (
     DepthExceeded,
     OutOfDomain,
@@ -72,6 +75,7 @@ from .intervals import (
     RationalInterval,
     Rationalish,
     accumulates_at,
+    affine_floats,
     frac,
     frac_str,
 )
@@ -825,6 +829,17 @@ class IntervalPotential:
         v = self._lookup(frac(x))
         return Q(0) if v is None else v
 
+    def floats(self, points: Sequence, or_zero: bool = False) -> np.ndarray:
+        """``float(value(x))`` at each point, bit for bit, from ``affine_floats``.
+
+        Raises as ``value`` does at the first point no piece holds, or reads
+        0.0 there, as ``value_or_zero`` does, with ``or_zero``.
+        """
+        vals, miss = affine_floats(points, self.pieces, self.overrides)
+        if miss >= 0 and not or_zero:
+            raise ValidationError(f"potential undefined at {frac_str(frac(points[miss]))}")
+        return vals
+
     def one_sided_limit(self, x: Rationalish, side: int) -> Optional[Fraction]:
         """Limit of the piece values from one side; overrides do not matter."""
         x = frac(x)
@@ -923,6 +938,11 @@ class GraphPotential:
     def value_or_zero(self, p: PathPoint) -> Fraction:
         """The weight of a path, or zero off the domain (at a vertex cylinder)."""
         return self.edge_weight(p.word[0]) if p.word else Q(0)
+
+    def floats(self, points: Sequence, or_zero: bool = False) -> np.ndarray:
+        """``float(value(p))`` at each point, or of ``value_or_zero`` with ``or_zero``."""
+        value = self.value_or_zero if or_zero else self.value
+        return np.array([float(value(p)) for p in points], dtype=float)
 
     def edge_weight(self, name: str) -> Fraction:
         for e, w in self.weights:

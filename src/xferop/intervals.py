@@ -18,6 +18,10 @@ result comes back as a ``Q``, so mixed arithmetic stays fast afterwards.  A
 with a plain ``Fraction`` of the same value, so either finds the other in a
 dict, and division by zero raises ``ZeroDivisionError``.  ``frac`` and every
 constructor call in the package build ``Q``.
+
+``affine_floats`` evaluates a piecewise-affine function (pieces and point
+overrides) at many rationals at once, as exact integer arrays, with every
+float bit for bit the ``float`` of the exact value.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Union
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -534,3 +540,67 @@ def accumulates_at(s: IntervalSet, x: Rationalish, *, side: int) -> bool:
         if side < 0 and iv.lo < x <= iv.hi:
             return True
     return False
+
+
+_EXACT = 1 << 53  # every integer of at most this size is a float64
+
+
+def _exact_ints(num: list, den: list, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points' numerators and denominators as int64 arrays when
+    2 k^2 P <= 2^53 for their largest size P, else as Python ints."""
+    try:
+        xn, xd = np.array(num, np.int64), np.array(den, np.int64)
+    except OverflowError:  # beyond int64, so beyond the bound
+        pass
+    else:
+        p = max(-int(xn.min(initial=0)), int(xn.max(initial=0)), int(xd.max(initial=1)))
+        if 2 * k * k * p <= _EXACT:
+            return xn, xd
+    return np.array(num, object), np.array(den, object)
+
+
+def affine_floats(points, pieces, overrides=()) -> tuple[np.ndarray, int]:
+    """``float`` of a piecewise-affine function at each point, bit for bit, as one array.
+
+    The value at x is the override ``(point, value)`` at x, else m x + c of
+    the first piece ``(interval, m, c)`` that holds x, else 0.0.  The second
+    result is the index of the first point that neither holds, or -1.
+
+    The work is integer arrays.  With x = p/q, a piece end a/b is compared
+    by the sign of p b - a q, and the value is N / D with
+    N = m_n c_d p + c_n m_d q and D = m_d c_d q.  Python's int / int is
+    correctly rounded, and so is the float64 quotient of two integers that
+    are floats exactly, so N / D is ``float(m x + c)`` while |N|, D <= 2^53.
+    Let K bound the numerators and denominators of the pieces and overrides
+    and P those of the points.  When 2 K^2 P <= 2^53 every product is
+    within that bound and the arrays are int64; otherwise the same code
+    runs on Python ints (dtype object), so the data picks the dtype.
+    """
+    try:
+        num = [x._numerator for x in points]
+    except AttributeError:  # not all exact yet: coerce as ``value`` does
+        points = [frac(x) for x in points]
+        num = [x._numerator for x in points]
+    den = [x._denominator for x in points]
+    consts = [v for iv, m, c in pieces for v in (iv.lo, iv.hi, m, c)]
+    consts += [v for pair in overrides for v in pair]
+    k = max((max(abs(v._numerator), v._denominator) for v in consts), default=1)
+    xn, xd = _exact_ints(num, den, k)
+    n, dtype = len(num), xn.dtype
+    top, bot = np.zeros(n, dtype), np.ones(n, dtype)
+    free = np.ones(n, bool)
+    for at, v in overrides:
+        hit = free & (xn * at._denominator == at._numerator * xd)
+        top[hit], bot[hit] = v._numerator, v._denominator
+        free &= ~hit
+    for iv, m, c in pieces:
+        above = xn * iv.lo._denominator - iv.lo._numerator * xd
+        below = iv.hi._numerator * xd - xn * iv.hi._denominator
+        hit = free & (above >= 0 if iv.lo_closed else above > 0)
+        hit &= below >= 0 if iv.hi_closed else below > 0
+        p, q = xn[hit], xd[hit]
+        top[hit] = m._numerator * c._denominator * p + c._numerator * m._denominator * q
+        bot[hit] = m._denominator * c._denominator * q
+        free &= ~hit
+    vals = np.true_divide(top, bot).astype(float, copy=False)
+    return vals, int(free.argmax()) if free.any() else -1

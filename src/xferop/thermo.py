@@ -31,8 +31,9 @@ measure through one state table per call, dropped on return.  The table
 gives every point it meets an int id and keeps each exact per-point
 quantity (orbit ends, cocycles, fibres, energy sums, test-function values,
 twisted coefficients, exp(beta*energy) and the weight) as a column indexed
-by id, filled once per point by the same exact code as a direct
-evaluation.  An integrand is a function from an id array to a float array:
+by id, filled once per point with the same floats as a direct evaluation;
+test functions, energies and weights fill theirs as exact integer arrays
+(``floats``).  An integrand is a function from an id array to a float array:
 a gather, an ``np.bincount`` over fibre rows, an elementwise product, each
 in the float order of the per-point loop it replaces, so every number is
 bit for bit the same.  Every measure hands the table its quadrature as
@@ -161,6 +162,10 @@ class PotentialFunction:
 
     def value(self, x) -> Fraction:
         return self.carrier.value(x)
+
+    def floats(self, points) -> np.ndarray:
+        """``float(value(x))`` at each point, bit for bit; raises as ``value`` does."""
+        return self.carrier.floats(points)
 
     def birkhoff(self, x, n: int) -> Fraction:
         """Sum of the energy along the first n forward steps."""
@@ -698,10 +703,6 @@ class ResidualReport:
         return self.max_residual
 
 
-def _psi_exp(psi: PotentialFunction, beta: float, x) -> float:
-    return math.exp(beta * float(psi.value(x)))
-
-
 Measure = Union[tr.AtomicMeasure, tr.UlamMeasure, CascadeMeasure]
 
 
@@ -726,6 +727,15 @@ class _StateTable:
     the weight.  A column is filled by the same exact code as a direct
     evaluation, once per id and only for the ids a row asks for.  The
     quadrature is one id array and one float mass array, cut into groups.
+
+    Test-function values, energies and weights fill a column in one
+    ``floats(points)`` call per batch of ids.  On the interval backend that
+    is integer arrays: each point's piece by cross-multiplied comparisons,
+    its value as numerator / denominator, which is the correctly rounded
+    ``float`` of the exact value while both are at most 2^53 (int64
+    arrays), and Python ints past that bound; graph functions loop per
+    point.  exp(beta*energy) is ``math.exp`` of each float, as a direct
+    evaluation takes it.
 
     Integrands are functions from an id array to a float array: gathers,
     ``np.bincount`` sums and elementwise products, so a row costs a few
@@ -791,36 +801,39 @@ class _StateTable:
             done[todo] = True
         return vals[ids]
 
-    def once(self, fn: Callable[[list], list]) -> IdFunction:
-        """An integrand that a call reads once: float(v) for v in fn(points), kept nowhere.
+    def once(self, fn: Callable[[list], Sequence[float]]) -> IdFunction:
+        """An integrand that a call reads once: the floats fn(points), kept nowhere.
 
         A residual row has its own test function, so its values and fiber
         sums go through this; the energy and weight factors are columns.
         """
         pts = self.points
-        return lambda ids: np.array([float(v) for v in fn([pts[i] for i in ids.tolist()])])
+        return lambda ids: np.asarray(fn([pts[i] for i in ids.tolist()]), dtype=float)
 
     def psi_exp_rho(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """exp(beta*energy) and the weight at the ids, kept as one column of pairs."""
+        """exp(beta*energy) and the weight at the ids, kept as one column of pairs.
+
+        Both come from ``floats``; the exponential is ``math.exp`` of each
+        float, as a direct evaluation takes it (``np.exp`` differs from it
+        in the last bit on some arguments).
+        """
         pts, psi, beta, pot = self.points, self.psi, self.beta, self.pot
 
         def fill(todo):
-            return [(_psi_exp(psi, beta, pts[i]), float(pot.value_or_zero(pts[i]))) for i in todo]
+            xs = [pts[i] for i in todo]
+            exps = [math.exp(beta * v) for v in psi.floats(xs).tolist()]
+            return np.column_stack((exps, pot.floats(xs, or_zero=True)))
 
         pairs = self._read("psi_exp_rho", ids, fill, width=(2,))
         return pairs[:, 0], pairs[:, 1]
 
     def values(self, f: Optional[tr.Function], ids: np.ndarray) -> np.ndarray:
-        """float(f(x)) at the ids; 1.0 everywhere for an absent function."""
+        """float(f(x)) at the ids, from ``f.floats``; 1.0 everywhere for an absent function."""
         if f is None:
             return np.ones(len(ids))
         self._held[id(f)] = f
         pts = self.points
-
-        def fill(todo):
-            return [float(f.value(pts[i])) for i in todo]
-
-        return self._read(("value", id(f)), ids, fill)
+        return self._read(("value", id(f)), ids, lambda todo: f.floats([pts[i] for i in todo]))
 
     def orbit_ends(self, n: int, ids: np.ndarray) -> np.ndarray:
         """The id of phi^n at the ids; -1 where the orbit leaves the domain first."""
@@ -934,9 +947,9 @@ def _strong_pair(tab: _StateTable, a: tr.Function) -> tuple[float, float]:
             prod = _grid_product(_fn_grid(a, carrier), _pot_grid(handle.potential, carrier))
             return lhs, math.exp(beta * float(cval)) * mu.integrate_grid(prod)
     else:
-        fibre_sums = tab.once(lambda xs: [tr.apply(handle, a, x) for x in xs])
+        fibre_sums = tab.once(lambda xs: [float(tr.apply(handle, a, x)) for x in xs])
         lhs = _integrate_state(tab, fibre_sums, pts=4)
-    av = tab.once(lambda xs: [a.value(x) for x in xs])
+    av = tab.once(a.floats)
 
     def rhs_fn(ids: np.ndarray) -> np.ndarray:
         pe, rho = tab.psi_exp_rho(ids)
@@ -989,9 +1002,9 @@ def _weak_pair(tab: _StateTable, a: tr.Function) -> tuple[float, float, Optional
             rhs = math.exp(beta * float(cval)) * mu.integrate_grid(_fn_grid(a, carrier))
             return lhs, rhs, bound
     else:
-        bare_sums = tab.once(lambda xs: [_bare_sum(handle, a, x) for x in xs])
+        bare_sums = tab.once(lambda xs: [float(_bare_sum(handle, a, x)) for x in xs])
         lhs = _integrate_state(tab, bare_sums, pts=4)
-    av = tab.once(lambda xs: [a.value(x) for x in xs])
+    av = tab.once(a.floats)
     rhs = _integrate_state(tab, lambda ids: av(ids) * tab.psi_exp_rho(ids)[0], pts=4)
     return lhs, rhs, bound
 
@@ -1027,7 +1040,11 @@ def weakly_conformal_residual(
 
 @dataclass(frozen=True)
 class KMSCandidate:
-    """An inverse temperature with its candidate eigen-measure."""
+    """An inverse temperature with its candidate eigen-measure.
+
+    The measure must be a probability measure: no negative mass, and total
+    mass 1 to within 1e-9.
+    """
 
     beta: float
     mu: Measure
@@ -1037,6 +1054,8 @@ class KMSCandidate:
     def __post_init__(self):
         if self.kind not in ("conformal", "weakly_conformal"):
             raise ValidationError(f"unknown candidate kind {self.kind!r}")
+        if not self.mu.is_positive():
+            raise ValidationError("candidate measure takes a negative mass")
         mass = float(self.mu.total_mass())
         if abs(mass - 1.0) > 1e-9:
             raise ValidationError(f"candidate measure has mass {mass!r}, not 1")

@@ -10,9 +10,11 @@ Test functions are typed like the maps.  ``TestFunction`` is piecewise
 affine on the interval backend (``const_on``, ``affine_on``, ``hat``);
 ``CylinderFunction`` is a combination of cylinder indicators on the graph
 backend (``indicator``).  Both carry ``backend`` as a class attribute and
-answer ``value(x)``, ``sup_norm_bound()``, ``scaled(t)``, ``pullback(map)``
-(the exact a o phi) and ``outside(region)`` (the part of the support that
-an open set of the backend's type misses).
+answer ``value(x)``, ``floats(points)`` (``float(value(x))`` at many points
+as one array: integer arrays on the interval backend, a loop on graphs),
+``sup_norm_bound()``, ``scaled(t)``, ``pullback(map)`` (the exact a o phi)
+and ``outside(region)`` (the part of the support that an open set of the
+backend's type misses).
 
 Measures answer one protocol, here and in ``thermo.CascadeMeasure``:
 ``total_mass()``; ``quadrature(pts)``, groups of ``(weight, rows of
@@ -21,7 +23,7 @@ Measures answer one protocol, here and in ``thermo.CascadeMeasure``:
 piecewise-quadratic grid function where the measure has one; and
 ``row_bound(a, cval)``, a residual tail bound or None.  The two measures
 a candidate file can hold, ``AtomicMeasure`` and ``UlamMeasure``, also
-answer ``to_doc(system)`` and ``residual_tol()``.
+answer ``to_doc(system)``, ``residual_tol()`` and ``is_positive()``.
 
 The uniform bin grid on [lo, hi] is read by index arithmetic, never by
 intersecting intervals: bin k is [lo + k w, lo + (k + 1) w), half-open and
@@ -44,6 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
+import numpy as np
+
 from . import dynamics as dyn
 from .dynamics import PartialSystem, PathPoint, Potential
 from .errors import NotValidated, SupportViolation, ValidationError
@@ -53,6 +57,7 @@ from .intervals import (
     RationalInterval,
     Rationalish,
     accumulates_at,
+    affine_floats,
     frac,
     frac_str,
 )
@@ -117,6 +122,10 @@ class TestFunction:
                 return m * x + c
         return Q(0)
 
+    def floats(self, points) -> np.ndarray:
+        """``float(value(x))`` at each point, bit for bit, by ``affine_floats``."""
+        return affine_floats(points, self.pieces)[0]
+
     def support(self) -> IntervalSet:
         """Closure of the nonvanishing set."""
         out = IntervalSet.empty()
@@ -177,6 +186,10 @@ class CylinderFunction:
                     f"point {p} is coarser than cylinder {cyl}; cannot evaluate"
                 )
         return out
+
+    def floats(self, points) -> np.ndarray:
+        """``float(value(p))`` at each point, one point at a time."""
+        return np.array([float(self.value(p)) for p in points], dtype=float)
 
     def outside(self, region: dyn.CylinderSet) -> dyn.CylinderSet:
         """The cylinders of nonzero weight that no cylinder of the region holds."""
@@ -445,6 +458,10 @@ class AtomicMeasure:
     def total_mass(self) -> Fraction:
         return sum((m for _, m in self.atoms), Q(0))
 
+    def is_positive(self) -> bool:
+        """No atom carries a negative mass."""
+        return all(m >= 0 for _, m in self.atoms)
+
     def quadrature(self, pts: int) -> list:
         """The atoms, as one group of weight one."""
         return [(1.0, self.atoms)]
@@ -490,6 +507,10 @@ class UlamMeasure:
     def total_mass(self) -> Fraction:
         w = (self.hi - self.lo) / self.bins
         return sum((d * w for d in self.densities), Q(0))
+
+    def is_positive(self) -> bool:
+        """No bin carries a negative density."""
+        return all(d >= 0 for d in self.densities)
 
     def quadrature(self, pts: int) -> list:
         """One group: the pts-point midpoint rule in every bin of nonzero density.

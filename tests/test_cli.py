@@ -427,3 +427,82 @@ def test_graph_gen_refuses_a_bad_weight_table(lam, message):
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)
     assert result.output.splitlines() == [f"error: {message}"]
+
+
+def _frames(exc):
+    """The frames of an exception's traceback, then of each exception it was raised during."""
+    while exc is not None:
+        tb = exc.__traceback__
+        while tb is not None:
+            yield tb.tb_frame
+            tb = tb.tb_next
+        exc = exc.__context__
+
+
+@pytest.mark.parametrize(
+    "extra, code", [([], 0), (["--tol", "0"], 1), (["--count", "0"], 3)],
+    ids=["holds", "fails", "refused"],
+)
+def test_an_exit_keeps_no_command_frame(tmp_path, extra, code):
+    # CliRunner keeps the SystemExit's traceback; a command frame in it would keep
+    # the command's spec, measure and report alive until a cyclic collection
+    cand = _candidate(tmp_path, "tent_std")
+    result = CliRunner().invoke(main, ["kms-verify", "--spec", "tent_std", "--candidate", cand, *extra])
+    assert result.exit_code == code, result.output
+    exc = result.exc_info[1]
+    assert isinstance(exc, SystemExit) and exc.__traceback__ is result.exc_info[2]
+    frames = list(_frames(exc))
+    codes = {f.f_code for f in frames}
+    assert cli.kms_verify.callback.__wrapped__.__code__ not in codes
+    assert cli.Report.conclude.__code__ not in codes
+    assert [f.f_code.co_name for f in frames if f.f_code.co_filename == cli.__file__] == ["inner"]
+
+
+def _edited_candidate(tmp_path, spec, edit):
+    """A solved candidate file of ``spec`` with its JSON document changed by ``edit``."""
+    path = _candidate(tmp_path, spec)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+@pytest.mark.parametrize("command", [["kms-verify", "--candidate"], ["conformal", "--check"]])
+def test_a_boolean_beta_is_refused(tmp_path, command):
+    # float(True) is 1.0: the battery ran at beta 1 on a file that names no number
+    cand = _edited_candidate(tmp_path, "tent_std", lambda doc: doc.update(beta=True))
+    result = CliRunner().invoke(main, [command[0], "--spec", "tent_std", command[1], cand])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: bad candidate file {cand}: beta must be a number, got true" in result.output
+    assert "beta: 1.0" not in result.output and "within tolerance" not in result.output
+
+
+def _densities(*ds):
+    return lambda doc: doc["measure"].update(densities=list(ds))
+
+
+def _atom_masses(*ms):
+    return lambda doc: [a.update(mass=m) for a, m in zip(doc["measure"]["atoms"], ms)]
+
+
+@pytest.mark.parametrize("command", [["kms-verify", "--candidate"], ["conformal", "--check"]])
+@pytest.mark.parametrize(
+    "spec, edit, message",
+    [
+        ("tent_std", _densities("-1", *["1"] * 7), "candidate measure takes a negative mass"),
+        ("tent_std", _densities("-1", "3", *["1"] * 6), "candidate measure takes a negative mass"),
+        ("tent_std", _densities(*["1/2"] * 8), "candidate measure has mass 0.5, not 1"),
+        ("fullshift2", _atom_masses("-1/2", "3/2"), "candidate measure takes a negative mass"),
+    ],
+    ids=["negative-mass-3/4", "negative-mass-1", "mass-1/2", "negative-atom"],
+)
+def test_a_candidate_that_is_not_a_probability_is_refused(tmp_path, command, spec, edit, message):
+    # a density of -1 read "within tolerance: yes" and exited 0
+    cand = _edited_candidate(tmp_path, spec, edit)
+    result = CliRunner().invoke(main, [command[0], "--spec", spec, command[1], cand])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [f"error: bad candidate file {cand}: {message}"]

@@ -59,6 +59,10 @@ def irregular_hat(handle, radius=F(1, 4)):
     return tr.TestFunction.hat(irr.point, radius, 1)
 
 
+def _psi_exp(psi, beta, x):
+    return math.exp(beta * float(psi.value(x)))
+
+
 def _psi_affine(system, slope, intercept):
     pot = dyn.IntervalPotential(
         pieces=((UNIT, F(slope), F(intercept)),), allow_negative=True
@@ -349,7 +353,7 @@ class TestCascadeMeasure:
 
         want = math.fsum(
             mu.level_weight(n)
-            * math.fsum(float(a.value(x)) * th._psi_exp(psi, beta, x) for x in mu.levels[n])
+            * math.fsum(float(a.value(x)) * _psi_exp(psi, beta, x) for x in mu.levels[n])
             for n in range(mu.depth + 1)
         )
         assert th._integrate_state(tab, f, 4) == want
@@ -367,7 +371,7 @@ class TestCascadeMeasure:
         row = th.conformal_residual(tent_handle, psi, beta, mu, [a]).rows[0]
         lhs = sum(w * float(tr.apply(tent_handle, a, x)) for w, x in atoms)
         rhs = sum(
-            w * float(a.value(x)) * th._psi_exp(psi, beta, x) * float(tent_handle.potential.value(x))
+            w * float(a.value(x)) * _psi_exp(psi, beta, x) * float(tent_handle.potential.value(x))
             for w, x in atoms
         )
         assert row.lhs == pytest.approx(lhs, abs=1e-15)
@@ -803,7 +807,7 @@ def _bare_conformal_rhs(handle, psi, beta, mu, a):
         return math.exp(beta * float(cval)) * float(_int_ulam_grid(mu, prod))
     return _bare_integrate(
         mu,
-        lambda x: float(a.value(x)) * th._psi_exp(psi, beta, x) * float(pot.value_or_zero(x)),
+        lambda x: float(a.value(x)) * _psi_exp(psi, beta, x) * float(pot.value_or_zero(x)),
         4,
     )
 
@@ -902,7 +906,7 @@ class TestStateTables:
         got = th.weakly_conformal_residual(h, psi, 0.7, mu, fns)
         assert len(got.rows) == len(fns) == 3
         for row, a in zip(got.rows, fns):
-            want = _bare_integrate(mu, lambda x: float(a.value(x)) * th._psi_exp(psi, 0.7, x), 4)
+            want = _bare_integrate(mu, lambda x: float(a.value(x)) * _psi_exp(psi, 0.7, x), 4)
             assert row.rhs == want and row.residual == abs(row.lhs - row.rhs)
 
     def test_atomic_measure_matches(self, tent_handle, psi_one):
