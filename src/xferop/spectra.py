@@ -412,6 +412,8 @@ def _orbit_set(system, pot, x, depth):
 def quasi_orbits(system: PartialSystem, pot: Potential, depth: int, samples) -> QuasiOrbitPartition:
     """Partition sampled points by equality of truncated orbit closures."""
     system.check_scan_depth(depth)
+    if not tr.validate(system, pot).valid:
+        raise NotValidated("quasi-orbits require a validated transfer operator")
     report = dyn.regular_set(system, pot)
     w = _rho_discontinuity_warning(report)
     if w:

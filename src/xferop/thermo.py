@@ -4,12 +4,11 @@ The one-parameter family fixes functions and multiplies the shift generator
 by an exponential phase built from an energy function; on spanning monomials
 it acts through explicit multipliers that stay evaluable at complex
 parameters.  The dual side asks when a probability measure reproduces itself
-under weighted fiber sums: the strong form tests every compactly supported
-function with the weight included, the weak form only functions supported in
-the regular region with the weight dropped.  A bisection solver recovers the
-inverse temperature from the Perron root of the discretized fiber-sum
-operator, and the state-level checks evaluate both sides of the exchange
-identity through the diagonal expectation.
+under weighted fiber sums, tested on compactly supported functions with the
+weight included.  A bisection solver recovers the inverse temperature from
+the Perron root of the discretized fiber-sum operator, and the state-level
+checks evaluate both sides of the exchange identity through the diagonal
+expectation.
 
 The discretized operator is built in two passes.  An exact pass, once per
 solve, cuts the preimage cells of ``transfer.ulam_cells`` (the bin walk that
@@ -37,19 +36,17 @@ test functions, energies and weights fill theirs as exact integer arrays
 a gather, an ``np.bincount`` over fibre rows, an elementwise product, each
 in the float order of the per-point loop it replaces, so every number is
 bit for bit the same.  Every measure hands the table its quadrature as
-groups of (weight, rows of (x, mass)): an atomic measure is one group of
-weight one, a bin-density measure one group of midpoint rows, an explicit
-cascade one group per level.  An integral is a ``math.fsum`` of
-mass * value per group and one over the weighted groups.
+rows of (x, mass): the atoms of an atomic measure, the midpoint rows of a
+bin-density measure.  An integral is one ``math.fsum`` of mass * value.
 
 The eigen-measure residual rows follow one rule.  A measure that
-integrates grid functions exactly (``integrates_grids``: bin densities and
-dyadic cascades) takes the left side as the exact integral of the fiber-sum
-grid, and the right side too when the energy is constant; otherwise both
-sides come from the point table.  One builder makes the fiber-sum grid of
-weight * a: the strong identity passes the weight, the weak one a unit
-weight.  One builder makes the grid of a test function or a weight from its
-affine pieces, and ``GridFunction.cell`` reads a grid's cell at a point.
+integrates grid functions exactly (``integrates_grids``: bin densities)
+takes the left side as the exact integral of the fiber-sum grid, and the
+right side too when the energy is constant; otherwise both sides come from
+the point table.  One builder makes the fiber-sum grid of weight * a from
+the handle's weight.  One builder makes the grid of a test function or a
+weight from its affine pieces, and ``GridFunction.cell`` reads a grid's
+cell at a point.
 """
 
 from __future__ import annotations
@@ -68,13 +65,7 @@ from . import dynamics as dyn
 from . import rep
 from . import transfer as tr
 from .dynamics import GraphPotential, IntervalPotential, PartialSystem, Potential
-from .errors import (
-    NoSolution,
-    OutOfDomain,
-    SupportViolation,
-    UnsupportedPotential,
-    ValidationError,
-)
+from .errors import NoSolution, OutOfDomain, UnsupportedPotential, ValidationError
 from .intervals import IntervalSet, Q, RationalInterval, accumulates_at, frac, frac_str
 from .verdicts import Verdict
 
@@ -86,12 +77,9 @@ __all__ = [
     "EnergyScan",
     "check_positive_energy",
     "GridFunction",
-    "CascadeMeasure",
-    "inverse_orbit_measure",
     "ResidualRow",
     "ResidualReport",
     "conformal_residual",
-    "weakly_conformal_residual",
     "KMSCandidate",
     "solve_conformal",
     "kms_battery",
@@ -436,11 +424,9 @@ def _single_component(system: PartialSystem) -> RationalInterval:
     return comps[0]
 
 
-def _fiber_grid(
-    handle: tr.TransferHandle, a: tr.TestFunction, weight: IntervalPotential
-) -> GridFunction:
+def _fiber_grid(handle: tr.TransferHandle, a: tr.TestFunction) -> GridFunction:
     """The fiber sum of weight * a, as an exact grid function of the target."""
-    sys_ = handle.system.ival
+    sys_, weight = handle.system.ival, handle.potential
     carrier = _single_component(handle.system)
     xcuts = set(weight.breakpoints())
     for br in sys_.branches:
@@ -483,195 +469,6 @@ def _fiber_grid(
 
 
 # ---------------------------------------------------------------------------
-# cascade measures
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CascadeMeasure:
-    """Inverse-orbit atom cascade with geometric level weights.
-
-    Level n carries the n-step preimages of the center, each atom weighted
-    base * exp(-beta * n); the truncation at the stored depth is
-    renormalized to unit mass and the dropped relative tail is recorded.
-    When the level sets coincide with the dyadic midpoint grids of the
-    carrier interval (verified level by level, not assumed), level sums of
-    grid functions run in closed form, so deep truncations stay cheap.
-    """
-
-    center: Fraction
-    beta: float
-    depth: int
-    lo: Fraction
-    hi: Fraction
-    level_counts: tuple[int, ...]
-    base: float
-    dyadic: bool
-    levels: Optional[tuple[tuple[Fraction, ...], ...]]
-    tail_bound: Optional[float]
-    growth: Optional[int]
-
-    def level_weight(self, n: int) -> float:
-        return self.base * math.exp(-self.beta * n)
-
-    def total_mass(self) -> float:
-        return math.fsum(
-            self.level_counts[n] * self.level_weight(n) for n in range(self.depth + 1)
-        )
-
-    def level_sum(self, g: GridFunction, n: int) -> Fraction:
-        if self.dyadic:
-            return _dyadic_level_sum(g, self.lo, self.hi, n)
-        return sum((g.value(x) for x in self.levels[n]), Q(0))
-
-    def integrate_grid(self, g: GridFunction) -> float:
-        return math.fsum(
-            self.level_weight(n) * float(self.level_sum(g, n))
-            for n in range(self.depth + 1)
-        )
-
-    @property
-    def integrates_grids(self) -> bool:
-        return self.dyadic
-
-    def quadrature(self, pts: int) -> list:
-        """One group per level: its atoms at mass one, weighted by the level weight."""
-        if self.levels is None:
-            raise UnsupportedPotential(
-                "closed-form cascade holds no explicit atoms; only grid functions integrate"
-            )
-        return [
-            (self.level_weight(n), ((x, 1) for x in level))
-            for n, level in enumerate(self.levels)
-        ]
-
-    def row_bound(self, a: tr.Function, cval: Optional[Fraction]) -> Optional[float]:
-        """Tail bound of a weak residual row, or None where it does not hold.
-
-        The telescoping estimate holds when each level refines the last at
-        the detected rate and one unit of energy is paid per step.
-        """
-        if self.growth is None or cval != 1:
-            return None
-        q = self.growth * math.exp(-self.beta)
-        if q >= 1:
-            return None
-        return self.growth * q**self.depth * float(a.sup_norm_bound())
-
-
-def _dyadic_level_sum(g: GridFunction, lo: Fraction, hi: Fraction, n: int) -> Fraction:
-    # atoms x_j = lo + (2j+1) step, step = (hi-lo)/2^(n+1), j = 0..2^n-1
-    step = (hi - lo) / (1 << (n + 1))
-    jmax = (1 << n) - 1
-    total = Q(0)
-    for (u, v), (c0, c1, c2) in zip(zip(g.nodes, g.nodes[1:]), g.cells):
-        if c0 == 0 and c1 == 0 and c2 == 0:
-            continue
-        tu = ((u - lo) / step - 1) / 2
-        tv = ((v - lo) / step - 1) / 2
-        j0 = max(math.floor(tu) + 1, 0)
-        j1 = min(math.ceil(tv) - 1, jmax)
-        if j1 < j0:
-            continue
-        count = j1 - j0 + 1
-        s1 = Q((j0 + j1) * count, 2)
-        s2 = Q(j1 * (j1 + 1) * (2 * j1 + 1) - (j0 - 1) * j0 * (2 * j0 - 1), 6)
-        p = lo + step
-        q = 2 * step
-        sx = count * p + q * s1
-        sxx = count * p * p + 2 * p * q * s1 + q * q * s2
-        total += c0 * count + c1 * sx + c2 * sxx
-    for p, val in zip(g.nodes, g.node_values):
-        if val == 0:
-            continue
-        t = ((p - lo) / step - 1) / 2
-        if t.denominator == 1 and 0 <= t <= jmax:
-            total += val
-    return total
-
-
-def inverse_orbit_measure(
-    handle: tr.TransferHandle,
-    beta: float,
-    depth: int,
-    center=None,
-    probe: int = 10,
-    max_atoms: int = 200_000,
-    force_explicit: bool = False,
-) -> CascadeMeasure:
-    """Build the renormalized geometric cascade over the preimages of a point.
-
-    The center defaults to the unique irregular point of the system.  When
-    the enumerated levels match the dyadic midpoint grids on every probed
-    level, the measure switches to closed-form sums and the depth can be
-    large; otherwise atoms are enumerated explicitly and capped.
-
-    No command builds one yet: it is the measure that separates the weak
-    eigen-measure identity (``weakly_conformal_residual``) from the strong one.
-    """
-    system, pot = handle.system, handle.potential
-    if depth < 0:
-        raise ValidationError("depth must be nonnegative")
-    comp = _single_component(system)
-    lo, hi = comp.lo, comp.hi
-    if center is None:
-        irr = dyn.regular_set(system, pot).irregular_points
-        if len(irr) != 1:
-            raise ValidationError(
-                f"need a unique irregular point to anchor the cascade, found {len(irr)}"
-            )
-        center = irr[0].point
-    center = frac(center)
-
-    # fibres repeat no point, so a sorted level is its set; grid 0 is the midpoint
-    levels: list[tuple[Fraction, ...]] = []
-    dyadic_ok = not force_explicit
-    probe_n = min(depth, probe)
-    seen = 0
-    for n, (pairs, _) in enumerate(dyn.preimage_levels(system, pot, center, depth)):
-        nxt = sorted(x for x, _ in pairs)
-        levels.append(tuple(nxt))
-        seen += len(nxt)
-        if n and seen > max_atoms:
-            raise UnsupportedPotential(
-                "level growth exceeds the explicit atom budget and no grid structure was found"
-            )
-        if dyadic_ok:
-            step = (hi - lo) / (1 << (n + 1))
-            expected = [lo + (2 * j + 1) * step for j in range(1 << n)]
-            dyadic_ok = nxt == expected
-        if dyadic_ok and n == probe_n:
-            break
-
-    if dyadic_ok:
-        counts = tuple(1 << n for n in range(depth + 1))
-        stored = None
-        growth = 2
-    else:
-        counts = tuple(len(lv) for lv in levels)
-        stored = tuple(levels)
-        # a dead branch (some count hits zero) never has uniform growth
-        growth = None
-        if depth and all(counts):
-            g = counts[1] // counts[0]
-            if all(counts[n + 1] == counts[n] * g for n in range(depth)):
-                growth = g
-
-    raw = math.fsum(counts[n] * math.exp(-beta * n) for n in range(depth + 1))
-    if raw <= 0:
-        raise ValidationError("cascade has no mass")
-    base = 1.0 / raw
-    tail = None
-    if growth is not None:
-        q = growth * math.exp(-beta)
-        if q < 1:
-            tail = q ** (depth + 1) / (1 - q)
-    return CascadeMeasure(
-        center, float(beta), depth, lo, hi, counts, base, dyadic_ok, stored, tail, growth
-    )
-
-
-# ---------------------------------------------------------------------------
 # residual reports
 # ---------------------------------------------------------------------------
 
@@ -682,7 +479,6 @@ class ResidualRow:
     lhs: float
     rhs: float
     residual: float
-    bound: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -703,7 +499,7 @@ class ResidualReport:
         return self.max_residual
 
 
-Measure = Union[tr.AtomicMeasure, tr.UlamMeasure, CascadeMeasure]
+Measure = Union[tr.AtomicMeasure, tr.UlamMeasure]
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +512,8 @@ IdFunction = Callable[[np.ndarray], np.ndarray]
 class _StateTable:
     """Exact per-point quantities of the state integrals of one call, as columns.
 
-    ``kms_battery``, ``core_kms_check`` and the two eigen-measure
-    residuals each build one and drop it when they return.  Every point the
+    ``kms_battery``, ``core_kms_check`` and ``conformal_residual`` each
+    build one and drop it when they return.  Every point the
     call meets is interned once and gets an int id.  Each quantity is a
     column indexed by id: orbit ends (the end's id, -1 where the orbit
     leaves the domain first), cocycles (NaN there), fibres (one run of
@@ -726,7 +522,7 @@ class _StateTable:
     test-function values, the twisted coefficients, exp(beta*energy) and
     the weight.  A column is filled by the same exact code as a direct
     evaluation, once per id and only for the ids a row asks for.  The
-    quadrature is one id array and one float mass array, cut into groups.
+    quadrature is one id array and one float mass array.
 
     Test-function values, energies and weights fill a column in one
     ``floats(points)`` call per batch of ids.  On the interval backend that
@@ -762,20 +558,17 @@ class _StateTable:
             self.points.append(x)
         return i
 
-    def quad(self, pts: int) -> tuple[np.ndarray, np.ndarray, list]:
-        """The quadrature of mu: ids, float masses, and (weight, start, stop) per group."""
+    def quad(self, pts: int) -> tuple[np.ndarray, np.ndarray]:
+        """The quadrature of mu: ids and float masses."""
         q = self._quad.get(pts)
         if q is None:
-            ids, masses, groups = [], [], []
-            for w, rows in self.mu.quadrature(pts):
-                lo = len(ids)
-                for x, m in rows:
-                    ids.append(self._id(x))
-                    masses.append(float(m))
-                groups.append((w, lo, len(ids)))
+            ids, masses = [], []
+            for x, m in self.mu.quadrature(pts):
+                ids.append(self._id(x))
+                masses.append(float(m))
             ids, masses = np.array(ids, dtype=np.intp), np.array(masses, dtype=float)
             ids.flags.writeable = masses.flags.writeable = False
-            q = self._quad[pts] = (ids, masses, groups)
+            q = self._quad[pts] = (ids, masses)
         return q
 
     def _read(self, key, ids: np.ndarray, compute: Callable, dtype=float, width=()) -> np.ndarray:
@@ -922,14 +715,10 @@ class _StateTable:
 
 
 def _integrate_state(tab: _StateTable, f: IdFunction, pts: int) -> float:
-    """Integral of f, a function of an id array, against the table's measure.
-
-    One ``math.fsum`` of mass * value per quadrature group, and one over the
-    weighted groups.
-    """
-    ids, masses, groups = tab.quad(pts)
-    terms = (masses * f(ids)).tolist()
-    return math.fsum(w * math.fsum(terms[lo:hi]) for w, lo, hi in groups)
+    """Integral of f, a function of an id array, against the table's measure:
+    one ``math.fsum`` of mass * value over the quadrature rows."""
+    ids, masses = tab.quad(pts)
+    return math.fsum((masses * f(ids)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +730,7 @@ def _strong_pair(tab: _StateTable, a: tr.Function) -> tuple[float, float]:
     handle, psi, beta, mu = tab.handle, tab.psi, tab.beta, tab.mu
     cval = psi.constant_value()
     if mu.integrates_grids:
-        lhs = mu.integrate_grid(_fiber_grid(handle, a, handle.potential))
+        lhs = mu.integrate_grid(_fiber_grid(handle, a))
         if cval is not None:
             carrier = _single_component(handle.system)
             prod = _grid_product(_fn_grid(a, carrier), _pot_grid(handle.potential, carrier))
@@ -980,59 +769,6 @@ def conformal_residual(
     return ResidualReport("conformal", tuple(rows))
 
 
-def _check_weak_support(handle, a: tr.Function):
-    stray = a.outside(dyn.regular_set(handle.system, handle.potential).delta_reg)
-    if not stray.is_empty:
-        raise SupportViolation(f"support leaves the regular region on {stray}")
-
-
-def _bare_sum(handle, a: tr.Function, y) -> Fraction:
-    return sum((a.value(x) for x in handle.system.map.fiber(y)), Q(0))
-
-
-def _weak_pair(tab: _StateTable, a: tr.Function) -> tuple[float, float, Optional[float]]:
-    handle, psi, beta, mu = tab.handle, tab.psi, tab.beta, tab.mu
-    cval = psi.constant_value()
-    bound = mu.row_bound(a, cval)
-    if mu.integrates_grids:
-        carrier = _single_component(handle.system)
-        unit = IntervalPotential(((carrier, Q(0), Q(1)),))
-        lhs = mu.integrate_grid(_fiber_grid(handle, a, unit))
-        if cval is not None:
-            rhs = math.exp(beta * float(cval)) * mu.integrate_grid(_fn_grid(a, carrier))
-            return lhs, rhs, bound
-    else:
-        bare_sums = tab.once(lambda xs: [float(_bare_sum(handle, a, x)) for x in xs])
-        lhs = _integrate_state(tab, bare_sums, pts=4)
-    av = tab.once(a.floats)
-    rhs = _integrate_state(tab, lambda ids: av(ids) * tab.psi_exp_rho(ids)[0], pts=4)
-    return lhs, rhs, bound
-
-
-def weakly_conformal_residual(
-    handle: tr.TransferHandle,
-    psi: PotentialFunction,
-    beta: float,
-    mu: Measure,
-    fns: Sequence[tr.Function],
-) -> ResidualReport:
-    """Residuals of the unweighted eigen-measure identity on regular supports.
-
-    Every test function must be compactly supported inside the regular
-    region; SupportViolation names the first offender.  For truncated
-    cascades each row reports the geometric tail bound next to its residual.
-    No command reports it yet; it is the check of the paper's weakly
-    conformal measures, which see only the regular region.
-    """
-    tab = _StateTable(handle, mu, psi, beta)
-    rows = []
-    for i, a in enumerate(fns):
-        _check_weak_support(handle, a)
-        lhs, rhs, bound = _weak_pair(tab, a)
-        rows.append(ResidualRow(f"f{i}", lhs, rhs, abs(lhs - rhs), bound))
-    return ResidualReport("weakly_conformal", tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # the temperature solver
 # ---------------------------------------------------------------------------
@@ -1052,7 +788,7 @@ class KMSCandidate:
     note: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("conformal", "weakly_conformal"):
+        if self.kind != "conformal":
             raise ValidationError(f"unknown candidate kind {self.kind!r}")
         if not self.mu.is_positive():
             raise ValidationError("candidate measure takes a negative mass")

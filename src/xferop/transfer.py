@@ -11,19 +11,16 @@ affine on the interval backend (``const_on``, ``affine_on``, ``hat``);
 ``CylinderFunction`` is a combination of cylinder indicators on the graph
 backend (``indicator``).  Both carry ``backend`` as a class attribute and
 answer ``value(x)``, ``floats(points)`` (``float(value(x))`` at many points
-as one array: integer arrays on the interval backend, a loop on graphs),
-``sup_norm_bound()``, ``scaled(t)``, ``pullback(map)`` (the exact a o phi)
-and ``outside(region)`` (the part of the support that an open set of the
-backend's type misses).
+as one array: integer arrays on the interval backend, a loop on graphs)
+and ``pullback(map)`` (the exact a o phi).
 
-Measures answer one protocol, here and in ``thermo.CascadeMeasure``:
-``total_mass()``; ``quadrature(pts)``, groups of ``(weight, rows of
-(x, mass))`` whose weighted sums integrate a pointwise function;
+Measures answer one protocol: ``total_mass()``; ``quadrature(pts)``, rows
+of ``(x, mass)`` over which the sum of mass * f(x) integrates a pointwise f;
 ``integrates_grids`` and ``integrate_grid(g)``, the exact integral of a
-piecewise-quadratic grid function where the measure has one; and
-``row_bound(a, cval)``, a residual tail bound or None.  The two measures
-a candidate file can hold, ``AtomicMeasure`` and ``UlamMeasure``, also
-answer ``to_doc(system)``, ``residual_tol()`` and ``is_positive()``.
+piecewise-quadratic grid function where the measure has one;
+``to_doc(system)``, ``residual_tol()`` and ``is_positive()``.  The two
+measures are ``AtomicMeasure`` and ``UlamMeasure``, the two a candidate
+file can hold.
 
 The uniform bin grid on [lo, hi] is read by index arithmetic, never by
 intersecting intervals: bin k is [lo + k w, lo + (k + 1) w), half-open and
@@ -126,31 +123,6 @@ class TestFunction:
         """``float(value(x))`` at each point, bit for bit, by ``affine_floats``."""
         return affine_floats(points, self.pieces)[0]
 
-    def support(self) -> IntervalSet:
-        """Closure of the nonvanishing set."""
-        out = IntervalSet.empty()
-        for iv, m, c in self.pieces:
-            if m == 0 and c == 0:
-                continue
-            out = out.union(IntervalSet.of(iv.closure()))
-        return out
-
-    def outside(self, region: IntervalSet) -> IntervalSet:
-        """The part of the support that the region misses."""
-        return self.support().difference(region)
-
-    def sup_norm_bound(self) -> Fraction:
-        """Exact sup of |values| on the pieces."""
-        best = Q(0)
-        for iv, m, c in self.pieces:
-            for e in (iv.lo, iv.hi):
-                best = max(best, abs(m * e + c))
-        return best
-
-    def scaled(self, t: Rationalish) -> "TestFunction":
-        t = frac(t)
-        return TestFunction(tuple((iv, m * t, c * t) for iv, m, c in self.pieces))
-
     def pullback(self, map_: dyn.IntervalSystem) -> "TestFunction":
         """Exact a o phi, one piece per branch and piece it pulls back."""
         pieces = []
@@ -190,22 +162,6 @@ class CylinderFunction:
     def floats(self, points) -> np.ndarray:
         """``float(value(p))`` at each point, one point at a time."""
         return np.array([float(self.value(p)) for p in points], dtype=float)
-
-    def outside(self, region: dyn.CylinderSet) -> dyn.CylinderSet:
-        """The cylinders of nonzero weight that no cylinder of the region holds."""
-        stray = (
-            cyl for cyl, w in self.cylinders
-            if w != 0 and not any(rc.contains(cyl) for rc in region.cylinders)
-        )
-        return dyn.CylinderSet(region.graph, stray)
-
-    def sup_norm_bound(self) -> Fraction:
-        """The sum of |coefficients|."""
-        return sum((abs(w) for _, w in self.cylinders), Q(0))
-
-    def scaled(self, t: Rationalish) -> "CylinderFunction":
-        t = frac(t)
-        return CylinderFunction(tuple((p, w * t) for p, w in self.cylinders))
 
     def pullback(self, map_: dyn.GraphSystem) -> "CylinderFunction":
         """Exact a o phi: each cylinder Z(w) pulls back to the Z(ew)."""
@@ -462,12 +418,9 @@ class AtomicMeasure:
         """No atom carries a negative mass."""
         return all(m >= 0 for _, m in self.atoms)
 
-    def quadrature(self, pts: int) -> list:
-        """The atoms, as one group of weight one."""
-        return [(1.0, self.atoms)]
-
-    def row_bound(self, a, cval) -> None:
-        return None
+    def quadrature(self, pts: int) -> tuple:
+        """The atoms, as rows."""
+        return self.atoms
 
     def to_doc(self, system: PartialSystem) -> dict:
         atoms = [{**system.map.point_doc(x), "mass": frac_str(m)} for x, m in self.atoms]
@@ -512,8 +465,8 @@ class UlamMeasure:
         """No bin carries a negative density."""
         return all(d >= 0 for d in self.densities)
 
-    def quadrature(self, pts: int) -> list:
-        """One group: the pts-point midpoint rule in every bin of nonzero density.
+    def quadrature(self, pts: int):
+        """The rows of the pts-point midpoint rule in every bin of nonzero density.
 
         With h = w / (2 pts), point i of bin k is lo + (2 (k pts + i) + 1) h,
         and every point of bin k carries the mass d_k w / pts, built once per
@@ -531,7 +484,7 @@ class UlamMeasure:
                     for n in range(first, first + 2 * pts, 2):
                         yield lo + n * h, mass
 
-        return [(1.0, rows())]
+        return rows()
 
     def integrate_grid(self, g) -> float:
         """Exact integral of a piecewise-quadratic grid function, as a float.
@@ -559,9 +512,6 @@ class UlamMeasure:
                 total += dens[k] * (fb - fa)
                 fa = fb
         return float(total)
-
-    def row_bound(self, a, cval) -> None:
-        return None
 
     def to_doc(self, system: PartialSystem) -> dict:
         return {

@@ -1,9 +1,8 @@
 """The one backward walk, ``dynamics.preimage_levels``, against the loops it replaced.
 
-The references below are the level loops as ``dynamics.preimages``,
-``rep.OrbitBasis`` and ``thermo.inverse_orbit_measure`` wrote them before
-they read the generator; each reader must answer exactly as its reference
-does, in the same order.
+The references below are the level loops as ``dynamics.preimages`` and
+``rep.OrbitBasis`` wrote them before they read the generator; each reader
+must answer exactly as its reference does, in the same order.
 """
 
 from fractions import Fraction as F
@@ -13,9 +12,7 @@ import pytest
 from xferop import dynamics as dyn
 from xferop import rep
 from xferop import specfile
-from xferop import thermo as th
 from xferop import transfer as tr
-from xferop.errors import UnsupportedPotential
 from xferop.intervals import Q
 
 SPECS = ["tent_std", "tent_half", "doubling", "fullshift2", "loops2"]
@@ -57,38 +54,6 @@ def _orbit_basis(system, pot, anchor, depth, drop_zero):
         frontier = nxt
     weights = tuple(pot.value(nd.point) if i > 0 else Q(0) for i, nd in enumerate(nodes))
     return tuple(nodes), tuple(parents), weights
-
-
-def _cascade_levels(system, center, depth, probe=10, max_atoms=200_000, force_explicit=False):
-    """The two set loops of ``thermo.inverse_orbit_measure``: (counts, stored)."""
-    comp = system.ival.space.intervals[0]
-    lo, hi = comp.lo, comp.hi
-    sys_ = system.ival
-    levels = [(center,)]
-    dyadic_ok = (not force_explicit) and center == (lo + hi) / 2
-    probe_n = min(depth, probe)
-    seen = 1
-    for n in range(1, probe_n + 1):
-        nxt = sorted({x for y in levels[-1] for x in sys_.fiber(y)})
-        levels.append(tuple(nxt))
-        seen += len(nxt)
-        if seen > max_atoms:
-            raise UnsupportedPotential("budget")
-        if dyadic_ok:
-            step = (hi - lo) / (1 << (n + 1))
-            expected = [lo + (2 * j + 1) * step for j in range(1 << n)]
-            if nxt != expected:
-                dyadic_ok = False
-    if dyadic_ok:
-        return tuple(1 << n for n in range(depth + 1)), None
-    total = seen
-    for n in range(probe_n + 1, depth + 1):
-        nxt = sorted({x for y in levels[-1] for x in sys_.fiber(y)})
-        levels.append(tuple(nxt))
-        total += len(nxt)
-        if total > max_atoms:
-            raise UnsupportedPotential("budget")
-    return tuple(len(lv) for lv in levels), tuple(levels)
 
 
 def _points(system):
@@ -168,52 +133,3 @@ def test_drop_zero_cuts_the_zero_subtrees_out_of_the_walk(monkeypatch):
     assert kept.dim == 17 < full.dim
     assert stepped == [nd.point for nd in kept.nodes if nd.depth < 16]
     assert all(s.potential.value(nd.point) != 0 for nd in kept.nodes[1:])
-
-
-@pytest.mark.parametrize(
-    "center, depth, probe, force_explicit",
-    [
-        (F(1, 2), 0, 10, False),
-        (F(1, 2), 3, 10, False),
-        (F(1, 2), 9, 10, False),
-        (F(1, 2), 12, 4, False),
-        (F(1, 2), 30, 10, False),
-        (F(1, 2), 0, 10, True),
-        (F(1, 2), 9, 10, True),
-        (F(1, 2), 9, 4, True),
-        (F(1, 3), 6, 10, False),
-        (F(1, 3), 6, 2, False),
-    ],
-)
-def test_cascade_levels_match_the_set_loops(tent_handle, center, depth, probe, force_explicit):
-    mu = th.inverse_orbit_measure(
-        tent_handle, 1.0, depth, center=center, probe=probe, force_explicit=force_explicit
-    )
-    counts, stored = _cascade_levels(
-        tent_handle.system, center, depth, probe, force_explicit=force_explicit
-    )
-    assert (mu.level_counts, mu.levels) == (counts, stored)
-    assert mu.dyadic == (stored is None)
-
-
-@pytest.mark.parametrize("max_atoms", [1, 2, 3, 7, 15, 1000])
-def test_cascade_atom_budget_trips_where_the_set_loops_did(tent_handle, max_atoms):
-    def outcome(fn):
-        try:
-            fn()
-        except UnsupportedPotential:
-            return "over budget"
-        return "within"
-
-    for force_explicit in (False, True):
-        want = outcome(
-            lambda: _cascade_levels(
-                tent_handle.system, F(1, 2), 12, 4, max_atoms, force_explicit
-            )
-        )
-        got = outcome(
-            lambda: th.inverse_orbit_measure(
-                tent_handle, 1.0, 12, probe=4, max_atoms=max_atoms, force_explicit=force_explicit
-            )
-        )
-        assert got == want

@@ -4,9 +4,8 @@ The backward tree is walked once, by ``dynamics.preimage_levels``; a
 reader that needs a fibre asks ``dynamics.preimages`` for it.  A line
 outside ``dynamics.py`` that calls ``.fiber(`` is a backward step written
 out again, so the lines that do are counted.  The ones left are the
-one-step sums ``thermo._bare_sum`` and the ``fiber_sum`` of
-``transfer._exact_norm``, and the folded graph walk of
-``verdicts._collapsed_basis``.  When a change removes one, lower
+one-step ``fiber_sum`` of ``transfer._exact_norm`` and the folded graph
+walk of ``verdicts._collapsed_basis``.  When a change removes one, lower
 ``CEILING`` to the new count.
 """
 
@@ -15,7 +14,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "xferop"
 
-CEILING = 3  # thermo 1, transfer 1, verdicts 1
+CEILING = 2  # transfer 1, verdicts 1
 
 FIBER_CALL = re.compile(r"\.fiber\(")
 

@@ -179,7 +179,7 @@ class TestQuasiBasis:
         qb = rep.quasi_basis(t.system, t.potential)
         doms = [b.domain for b in t.system.ival.branches]
         for v in qb.functions:
-            sup = v.support()
+            sup = IntervalSet(iv.closure() for iv, m, c in v.pieces if (m, c) != (0, 0))
             assert any(sup.issubset(IntervalSet.of(d)) for d in doms)
 
     def test_graph_quasi_basis(self):

@@ -1,12 +1,15 @@
+import json
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from xferop import dynamics as dyn
 from xferop import spectra
 from xferop import specfile
-from xferop.errors import HypothesisViolated, OutOfSpectrum, ValidationError
+from xferop.cli import main
+from xferop.errors import HypothesisViolated, NotValidated, OutOfSpectrum
 from xferop.intervals import IntervalSet, RationalInterval
 
 
@@ -333,13 +336,20 @@ class TestDiscontinuityWarning:
             text = spectra._rho_discontinuity_warning(dyn.regular_set(sys_, pot))
             assert text.startswith(f"weight is discontinuous at {at};")
 
-    def test_uncovered_domain_is_reported_by_the_region_scan(self):
-        # quasi_orbits builds the report first, so the coverage check speaks
+    def test_unvalidated_operator_is_refused(self, tmp_path):
+        # the weight misses (1/4, 1/2] of the domain, so the operator fails
+        # validation, and quasi_orbits refuses it as spectrum_An does
         half = RationalInterval(0, F(1, 2))
         sys_ = dyn.PartialSystem(
             dyn.IntervalSystem(IntervalSet.closed(0, 1), [dyn.AffineBranch(half, 2, 0)]),
         )
         pot = dyn.IntervalPotential(pieces=((RationalInterval(0, F(1, 4)), 0, 1),))
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(NotValidated, match="quasi-orbits require a validated transfer operator"):
             spectra.quasi_orbits(sys_, pot, 2, [F(1, 8)])
-        assert str(exc.value) == "potential pieces do not cover the domain; missing (1/4, 1/2]"
+        with pytest.raises(NotValidated):
+            spectra.spectrum_An(sys_, pot, 2)
+        path = tmp_path / "uncovered.json"
+        path.write_text(json.dumps(specfile.serialize_spec(specfile.SpecData("uncovered", sys_, pot))))
+        result = CliRunner().invoke(main, ["quasi-orbits", "--spec", str(path)])
+        assert result.exit_code == 3
+        assert "quasi-orbits require a validated transfer operator" in result.output

@@ -51,13 +51,12 @@ def ref_ulam_cells(sys_, lo, hi, bins):
 
 def ref_quadrature(mu, pts):
     w = (mu.hi - mu.lo) / mu.bins
-    rows = (
+    return (
         (mu.lo + k * w + w * (2 * i + 1) / (2 * pts), d * w / pts)
         for k, d in enumerate(mu.densities)
         if d != 0
         for i in range(pts)
     )
-    return [(1.0, rows)]
 
 
 def ref_integrate_grid(mu, g):
@@ -97,10 +96,8 @@ def spelled_cells(cells):
     ]
 
 
-def spelled_groups(groups):
-    return [
-        (w, [(type(x), x, type(m), m) for x, m in rows]) for w, rows in groups
-    ]
+def spelled_rows(rows):
+    return [(type(x), x, type(m), m) for x, m in rows]
 
 
 def _closed(lo, hi):
@@ -285,9 +282,9 @@ MEASURES = [
 @pytest.mark.parametrize("lo, hi, bins, zeros", MEASURES)
 def test_quadrature_rows_match(lo, hi, bins, zeros, pts):
     mu = tr.UlamMeasure(lo, hi, _densities(bins, bins + pts, zeros))
-    got = spelled_groups(mu.quadrature(pts))
-    assert got == spelled_groups(ref_quadrature(mu, pts))
-    assert len(got[0][1]) == (bins - zeros) * pts
+    got = spelled_rows(mu.quadrature(pts))
+    assert got == spelled_rows(ref_quadrature(mu, pts))
+    assert len(got) == (bins - zeros) * pts
 
 
 @pytest.mark.parametrize("pts", [0, -1])
@@ -300,13 +297,13 @@ def test_quadrature_refuses_fewer_than_one_point(pts):
 def _grids(handle):
     """The grid functions the residual rows integrate, for the verification family."""
     carrier = th._single_component(handle.system)
-    unit = dyn.IntervalPotential(((carrier, Q(0), Q(1)),))
+    unit = tr.TransferHandle.create(handle.system, dyn.IntervalPotential(((carrier, Q(0), Q(1)),)))
     reg = dyn.regular_set(handle.system, handle.potential).delta_reg
     fns = th.hat_battery(reg, 4) + [tr.TestFunction.const_on(carrier, 1)]
     fns.append(tr.TestFunction.affine_on(RationalInterval(F(1, 5), F(4, 5)), F(3), F(-1, 2)))
     for a in fns:
-        yield th._fiber_grid(handle, a, handle.potential)
-        yield th._fiber_grid(handle, a, unit)
+        yield th._fiber_grid(handle, a)
+        yield th._fiber_grid(unit, a)
         yield th._grid_product(th._fn_grid(a, carrier), th._pot_grid(handle.potential, carrier))
         # a square, so the quadratic coefficient is read too
         yield th._grid_product(th._fn_grid(a, carrier), th._fn_grid(a, carrier))
@@ -332,7 +329,7 @@ def test_solved_candidates_read_the_same(name, bins):
     psi = th.PotentialFunction.of(s.system, s.psi)
     mu = th.solve_conformal(h, psi, bins=bins, bracket=(0.5, 6.0)).mu
     for pts in (1, 4):
-        assert spelled_groups(mu.quadrature(pts)) == spelled_groups(ref_quadrature(mu, pts))
+        assert spelled_rows(mu.quadrature(pts)) == spelled_rows(ref_quadrature(mu, pts))
     for g in _grids(h):
         assert mu.integrate_grid(g) == ref_integrate_grid(mu, g)
 
