@@ -20,6 +20,13 @@ The backend is the type of the map.  ``PartialSystem.map`` holds an
   the map is ``forward_walk(system, x, n)``; ``orbit``, ``orbit_end``,
   ``cocycle`` and ``cocycle_or_none`` read it.  Every walk back is the
   weighted fibre tree ``preimage_levels(system, pot, y, depth)``.
+- batches: ``point_ids()`` is an empty interning table for the map's
+  points, whose batches the walks of many points at once take:
+  ``orbit_ends``, ``cocycles``, ``birkhoff_sums`` (forward) and
+  ``fibre_step`` (one step back).  On an interval map a batch is a
+  ``RationalPoints`` and the walks are integer-array kernels; a graph
+  takes a list of path points and answers the same names one point at a
+  time.
 - the point protocol of the command line: ``parse_point(text)`` reads a
   point (``1/3``; ``@v`` or ``e.f``) and ``point_text(x)`` writes it back;
   an interval point outside the space is refused, on the command line and
@@ -57,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -72,10 +80,13 @@ from .errors import (
 from .intervals import (
     IntervalSet,
     Q,
+    RationalIds,
     RationalInterval,
     Rationalish,
+    RationalPoints,
     accumulates_at,
     affine_floats,
+    affine_values,
     frac,
     frac_str,
 )
@@ -172,6 +183,7 @@ class IntervalSystem:
                 )
         self.space = space
         self.branches = branches
+        self._pieces = tuple((b.domain, b.slope, b.intercept) for b in branches)
         self.delta = IntervalSet(b.domain for b in branches)
         self.delta_open = self.delta.is_open_in(space)
 
@@ -242,6 +254,99 @@ class IntervalSystem:
 
     def summary(self) -> str:
         return f"branches: {len(self.branches)}"
+
+    # -- batches -------------------------------------------------------------
+
+    def point_ids(self) -> RationalIds:
+        """An empty interning table for the points of this map."""
+        return RationalIds()
+
+    def step(self, pts: RationalPoints) -> tuple[RationalPoints, np.ndarray]:
+        """The forward step of a batch: phi of the points in the domain, and where they are.
+
+        Each point takes the first branch whose domain holds it, as in
+        ``phi``, by the comparisons of ``affine_values``.
+        """
+        img, free = affine_values(pts, self._pieces)
+        return img[~free], ~free
+
+    def orbit_ends(self, pts: RationalPoints, n: int) -> tuple[RationalPoints, np.ndarray]:
+        """``orbit_end`` of a batch: phi^n of the points whose orbit stays n
+        steps, and the mask of those points."""
+        alive = np.ones(len(pts), bool)
+        for _ in range(n):
+            pts, stepped = self.step(pts)
+            alive[alive] = stepped
+        return pts, alive
+
+    def cocycles(self, pot: "IntervalPotential", pts: RationalPoints, n: int):
+        """``cocycle_or_none`` of a batch: float(rho_n), NaN where the orbit
+        leaves first, and the mask where rho_n is exactly zero.
+
+        rho_n runs as an exact batch, times the weight at each point a step
+        leaves from, and is rounded once at the end.  A weight undefined at
+        such a point raises, for the first point of the batch that meets one.
+        """
+        size = len(pts)
+        idx, rho, bad = np.arange(size), RationalPoints.ones(size), {}
+        for _ in range(n):
+            img, stepped = self.step(pts)
+            pts, idx, rho = pts[stepped], idx[stepped], rho[stepped]
+            w, free = affine_values(pts, pot.pieces, pot.overrides)
+            for i, z in zip(idx[free].tolist(), pts[free]):
+                bad.setdefault(i, z)
+            rho, pts = rho * w, img
+        if bad:
+            raise ValidationError(f"potential undefined at {frac_str(bad[min(bad)])}")
+        out, zero = np.full(size, np.nan), np.zeros(size, bool)
+        out[idx], zero[idx] = rho.floats(), rho.num == 0
+        return out, zero
+
+    def birkhoff_sums(self, energy: "IntervalPotential", pts: RationalPoints, n: int) -> np.ndarray:
+        """float(S_n) of a batch, NaN where ``PotentialFunction.birkhoff_or_none`` is None.
+
+        S_n is the energy summed over x, ..., phi^(n-1)(x) as an exact
+        batch, rounded once at the end.  It is None where the orbit leaves
+        within n - 1 steps, where the energy is undefined at one of those n
+        points, and for n < 0.
+        """
+        if n <= 0:  # S_0 = 0; birkhoff refuses n < 0, which birkhoff_or_none reads as None
+            return np.full(len(pts), 0.0 if n == 0 else np.nan)
+        size = len(pts)
+        idx, total, ok = np.arange(size), RationalPoints.zeros(size), np.ones(size, bool)
+        for k in range(n):
+            v, free = affine_values(pts, energy.pieces, energy.overrides)
+            ok[idx[free]] = False
+            total = total + v
+            if k < n - 1:
+                pts, stepped = self.step(pts)
+                idx, total = idx[stepped], total[stepped]
+        out, keep = np.full(size, np.nan), ok[idx]
+        out[idx[keep]] = total[keep].floats()
+        return out
+
+    def fibre_step(self, pts: RationalPoints, groups: np.ndarray):
+        """The backward step of a batch: every x with phi(x) a point of the
+        batch, tagged with that point's group, sorted by group and then by
+        x, each once.
+
+        Each branch gives x = (y - c) / m where its domain holds it; a point
+        two branches reach at a shared end is kept once, as ``fiber``'s set
+        keeps it.  Within a group the points come in ``preimages`` order.
+        """
+        tags, found = [], []
+        for b in self.branches:
+            xs = pts.affine(1 / b.slope, -b.intercept / b.slope)
+            hold = xs.holds(b.domain)
+            tags.append(groups[hold])
+            found.append(xs[hold])
+        tags, xs = np.concatenate(tags), RationalPoints.concat(found)
+        order = xs.order(tags)
+        tags, xs = tags[order], xs[order]
+        first = np.ones(len(tags), bool)
+        first[1:] = (tags[1:] != tags[:-1]) | (xs.num[1:] != xs.num[:-1])
+        first[1:] |= xs.den[1:] != xs.den[:-1]
+        return tags[first], xs[first]
 
     # -- set dynamics --------------------------------------------------------
 
@@ -660,6 +765,30 @@ class GraphSystem:
             for e in sorted(self.continuations(p.end), key=lambda e: e.name)
         )
 
+    # -- batches: the interval kernels' names, one point at a time ------------
+
+    def point_ids(self) -> "PathIds":
+        """An empty interning table for the points of this map."""
+        return PathIds()
+
+    def orbit_ends(self, pts: Sequence[PathPoint], n: int) -> tuple[list, np.ndarray]:
+        walks = [_walk(self, p, n) for p in pts]
+        alive = np.array([len(w) > n for w in walks], dtype=bool)
+        return [w[-1] for w in walks if len(w) > n], alive
+
+    def cocycles(self, pot: "GraphPotential", pts: Sequence[PathPoint], n: int):
+        rhos = [w if len(walk) > n else None for walk, w in (_weighs(self, pot, p, n) for p in pts)]
+        out = np.array([math.nan if w is None else float(w) for w in rhos], dtype=float)
+        return out, np.array([w == 0 for w in rhos], dtype=bool)
+
+    def birkhoff_sums(self, energy: "GraphPotential", pts: Sequence[PathPoint], n: int):
+        return np.array([_birkhoff(self, energy, p, n) for p in pts], dtype=float)
+
+    def fibre_step(self, pts: Sequence[PathPoint], groups: np.ndarray) -> tuple[np.ndarray, list]:
+        pairs = [(g, x) for g, p in zip(groups.tolist(), pts) for x in self.fiber(p)]
+        pairs.sort(key=lambda t: (t[0], t[1].sort_key()))
+        return np.array([g for g, _ in pairs], dtype=np.intp), [x for _, x in pairs]
+
     # -- set dynamics --------------------------------------------------------
 
     def image_of(self, s: CylinderSet) -> CylinderSet:
@@ -699,6 +828,31 @@ class GraphSystem:
                 if self.is_exact(p):
                     out.append(p)
         return tuple(sorted(out, key=PathPoint.sort_key))
+
+
+class PathIds:
+    """Interns path points; a batch of them is a list."""
+
+    def __init__(self):
+        self._ids: dict = {}
+        self._points: list = []
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def intern(self, pts: Sequence[PathPoint]) -> np.ndarray:
+        ids, points, out = self._ids, self._points, []
+        for p in pts:
+            i = ids.get(p)
+            if i is None:
+                i = ids[p] = len(points)
+                points.append(p)
+            out.append(i)
+        return np.array(out, dtype=np.intp)
+
+    def batch(self, ids: np.ndarray) -> list:
+        points = self._points
+        return [points[i] for i in ids.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -1013,10 +1167,12 @@ def preimage_levels(system: PartialSystem, pot: Potential, y: Point, depth: int)
     order, the fiber of each point of level k-1 in fiber order: ``pairs[i]``
     is ``(x, w)`` where ``phi(x)`` is point ``parents[i]`` of level k-1 and
     ``w = pot.value(x) * w'`` for its weight ``w'``, so ``w = rho_k(x)``.
-    Zero weights and their subtrees stay.  The walk is lazy; its readers
-    check the depth bound.  The next level grows from the yielded list as the
-    reader leaves it: deleting pairs from it in place cuts their subtrees, and
-    the next parents then index the cut list.
+    Zero weights and their subtrees stay.  Sorted by point, level n is the
+    fibre that ``preimages`` returns; ``IntervalSystem.fibre_step`` builds
+    the same sorted level from level n - 1 in one batch.  The walk is lazy;
+    its readers check the depth bound.  The next level grows from the
+    yielded list as the reader leaves it: deleting pairs from it in place
+    cuts their subtrees, and the next parents then index the cut list.
     """
     fiber, value = system.map.fiber, pot.value
     level = [(system.point(y), Q(1))]
@@ -1043,7 +1199,11 @@ def preimages(
 
     The last level of ``preimage_levels``: a returned pair ``(x, w)``
     satisfies ``phi^n(x) = y`` and ``w = rho_n(x)``.  ``drop_zero`` leaves
-    out the pairs of weight zero.  Fibre sums add in this order.
+    out the pairs of weight zero.  Fibre sums add in this order, the one
+    contract the batch fibres keep: ``IntervalSystem.fibre_step`` sorts
+    each fibre by exact value and keeps a point two branches reach once,
+    and the state table reads rho_n(x) off its cocycle column, the same
+    exact rational as the backward product.
     """
     if n < 0:
         raise ValidationError("n must be nonnegative")
@@ -1054,10 +1214,7 @@ def preimages(
     return tuple(sorted(level, key=lambda t: t[0]))
 
 
-def forward_walk(system: PartialSystem, x: Point, n: int) -> tuple[Point, ...]:
-    """x, phi(x), ..., phi^n(x), cut after the last point in the domain: the
-    orbit leaves at step ``len(walk) - 1`` when fewer than n + 1 come back."""
-    f = system.map
+def _walk(f: Union[IntervalSystem, GraphSystem], x: Point, n: int) -> tuple[Point, ...]:
     out = [f.point(x)]
     for _ in range(n):
         try:
@@ -1065,6 +1222,12 @@ def forward_walk(system: PartialSystem, x: Point, n: int) -> tuple[Point, ...]:
         except OutOfDomain:
             break
     return tuple(out)
+
+
+def forward_walk(system: PartialSystem, x: Point, n: int) -> tuple[Point, ...]:
+    """x, phi(x), ..., phi^n(x), cut after the last point in the domain: the
+    orbit leaves at step ``len(walk) - 1`` when fewer than n + 1 come back."""
+    return _walk(system.map, x, n)
 
 
 def orbit(system: PartialSystem, x: Point, n: int) -> tuple[Point, ...]:
@@ -1081,17 +1244,35 @@ def orbit_end(system: PartialSystem, x: Point, n: int) -> Optional[Point]:
     return pts[-1] if len(pts) > n else None
 
 
-def _weighed_walk(system: PartialSystem, pot: Potential, n: int, x: Point):
-    """The forward walk of x and the product of the weights at each point it
-    steps from, in walk order."""
-    if n < 0:
-        raise ValidationError("n must be nonnegative")
-    system.check_depth(n)
-    pts = forward_walk(system, x, n)
+def _weighs(f, pot: Potential, x: Point, n: int) -> tuple[tuple[Point, ...], Fraction]:
+    """The walk of x and the product of the weights at each point it steps
+    from, in walk order."""
+    pts = _walk(f, x, n)
     out = Q(1)
     for z in pts[:-1]:
         out *= pot.value(z)
     return pts, out
+
+
+def _birkhoff(f, energy: Potential, x: Point, n: int) -> float:
+    """float(S_n(x)), the energy summed over x, ..., phi^(n-1)(x); NaN where
+    ``PotentialFunction.birkhoff_or_none`` is None."""
+    if n < 0:
+        return math.nan
+    pts = _walk(f, x, n - 1) if n else ()
+    if len(pts) < n:
+        return math.nan
+    try:
+        return float(sum((energy.value(z) for z in pts), Q(0)))
+    except (OutOfDomain, ValidationError):
+        return math.nan
+
+
+def _weighed_walk(system: PartialSystem, pot: Potential, n: int, x: Point):
+    if n < 0:
+        raise ValidationError("n must be nonnegative")
+    system.check_depth(n)
+    return _weighs(system.map, pot, x, n)
 
 
 def cocycle(system: PartialSystem, pot: Potential, n: int, x: Point) -> Fraction:

@@ -19,9 +19,14 @@ with a plain ``Fraction`` of the same value, so either finds the other in a
 dict, and division by zero raises ``ZeroDivisionError``.  ``frac`` and every
 constructor call in the package build ``Q``.
 
-``affine_floats`` evaluates a piecewise-affine function (pieces and point
-overrides) at many rationals at once, as exact integer arrays, with every
-float bit for bit the ``float`` of the exact value.
+A ``RationalPoints`` is a batch of rationals as numerator and denominator
+arrays: int64 while the data allows it, Python ints past 2^53.  Batches
+multiply, add, take an affine map and an interval test elementwise, sort
+by exact value and round to floats bit for bit; ``affine_values`` and
+``affine_floats`` evaluate a piecewise-affine function (pieces and point
+overrides) on one, exactly or as the ``float`` of the exact value.  The
+map's walks in ``dynamics`` run on them, and ``RationalIds`` interns them
+by their reduced pair.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -542,51 +547,171 @@ def accumulates_at(s: IntervalSet, x: Rationalish, *, side: int) -> bool:
     return False
 
 
+# ---------------------------------------------------------------------------
+# batches of rationals as integer arrays
+# ---------------------------------------------------------------------------
+
 _EXACT = 1 << 53  # every integer of at most this size is a float64
 
 
-def _exact_ints(num: list, den: list, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The points' numerators and denominators as int64 arrays when
-    2 k^2 P <= 2^53 for their largest size P, else as Python ints."""
+def _size(a: np.ndarray) -> int:
+    """The largest magnitude in an integer array, 0 when it is empty."""
+    return max(-int(a.min()), int(a.max())) if len(a) else 0
+
+
+def _cast(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays as int64 when no result of the caller's arithmetic passes
+    ``bound`` <= 2^53, else as Python ints (dtype object)."""
+    dtype = np.int64 if bound <= _EXACT else object
+    return tuple(a.astype(dtype, copy=False) for a in arrays)
+
+
+def _points(num, den) -> "RationalPoints":
+    """Reduced numerators and positive denominators as a batch; int64 when
+    every entry is at most 2^53, so the data picks the dtype."""
     try:
-        xn, xd = np.array(num, np.int64), np.array(den, np.int64)
+        xn, xd = np.asarray(num, np.int64), np.asarray(den, np.int64)
     except OverflowError:  # beyond int64, so beyond the bound
-        pass
-    else:
-        p = max(-int(xn.min(initial=0)), int(xn.max(initial=0)), int(xd.max(initial=1)))
-        if 2 * k * k * p <= _EXACT:
-            return xn, xd
-    return np.array(num, object), np.array(den, object)
+        xn, xd = np.asarray(num, object), np.asarray(den, object)
+    size = max(_size(xn), _size(xd), 1)  # at least 1, so a bound K^2 P holds K^2 too
+    if size > _EXACT and xn.dtype != object:
+        xn, xd = xn.astype(object), xd.astype(object)
+    return RationalPoints(xn, xd, size)
 
 
-def affine_floats(points, pieces, overrides=()) -> tuple[np.ndarray, int]:
-    """``float`` of a piecewise-affine function at each point, bit for bit, as one array.
+def _reduced(top: np.ndarray, bot: np.ndarray) -> "RationalPoints":
+    """top / bot in lowest terms, for denominators bot > 0."""
+    g = np.gcd(top, bot)
+    return _points(top // g, bot // g)
 
-    The value at x is the override ``(point, value)`` at x, else m x + c of
-    the first piece ``(interval, m, c)`` that holds x, else 0.0.  The second
-    result is the index of the first point that neither holds, or -1.
 
-    The work is integer arrays.  With x = p/q, a piece end a/b is compared
-    by the sign of p b - a q, and the value is N / D with
-    N = m_n c_d p + c_n m_d q and D = m_d c_d q.  Python's int / int is
-    correctly rounded, and so is the float64 quotient of two integers that
-    are floats exactly, so N / D is ``float(m x + c)`` while |N|, D <= 2^53.
-    Let K bound the numerators and denominators of the pieces and overrides
-    and P those of the points.  When 2 K^2 P <= 2^53 every product is
-    within that bound and the arrays are int64; otherwise the same code
-    runs on Python ints (dtype object), so the data picks the dtype.
+def _affine(xn: np.ndarray, xd: np.ndarray, m: Fraction, c: Fraction):
+    """m x + c at x = xn / xd, unreduced: N = m_n c_d p + c_n m_d q over D = m_d c_d q."""
+    top = m._numerator * c._denominator * xn + c._numerator * m._denominator * xd
+    return top, m._denominator * c._denominator * xd
+
+
+def _holds(xn: np.ndarray, xd: np.ndarray, iv: RationalInterval) -> np.ndarray:
+    """Where the interval holds x = xn / xd: the signs of p b - a q at each end a / b."""
+    above = xn * iv.lo._denominator - iv.lo._numerator * xd
+    below = iv.hi._numerator * xd - xn * iv.hi._denominator
+    hit = above >= 0 if iv.lo_closed else above > 0
+    return hit & (below >= 0 if iv.hi_closed else below > 0)
+
+
+def _bound(values) -> int:
+    return max((max(abs(v._numerator), v._denominator) for v in values), default=1)
+
+
+class RationalPoints:
+    """A batch of rationals: numerators and positive denominators, reduced,
+    as two integer arrays.
+
+    The arrays are int64 while every entry is at most 2^53 and Python ints
+    (dtype object) past it; ``size`` bounds every entry.  Each operation
+    picks its dtype the same way, from the sizes of its operands and
+    constants, so that no int64 product passes 2^53.  An int index gives a
+    point as a ``Q``, an index array or mask a sub-batch, and iteration the
+    points as ``Q``.  ``floats()`` is ``float`` of each point, bit for bit:
+    the float64 quotient of two integers that are floats exactly is
+    correctly rounded, and so is Python's int / int.
     """
-    try:
-        num = [x._numerator for x in points]
-    except AttributeError:  # not all exact yet: coerce as ``value`` does
-        points = [frac(x) for x in points]
-        num = [x._numerator for x in points]
-    den = [x._denominator for x in points]
+
+    __slots__ = ("num", "den", "size")
+
+    def __init__(self, num: np.ndarray, den: np.ndarray, size: int):
+        self.num, self.den, self.size = num, den, size
+
+    @staticmethod
+    def of(points) -> "RationalPoints":
+        """A sequence of rationals as a batch, coerced as ``frac`` coerces."""
+        if isinstance(points, RationalPoints):
+            return points
+        try:
+            num = [x._numerator for x in points]
+        except AttributeError:  # not all exact yet
+            points = [frac(x) for x in points]
+            num = [x._numerator for x in points]
+        return _points(num, [x._denominator for x in points])
+
+    @staticmethod
+    def ones(n: int) -> "RationalPoints":
+        return RationalPoints(np.ones(n, np.int64), np.ones(n, np.int64), 1)
+
+    @staticmethod
+    def zeros(n: int) -> "RationalPoints":
+        return RationalPoints(np.zeros(n, np.int64), np.ones(n, np.int64), 1)
+
+    @staticmethod
+    def integers(ns: np.ndarray) -> "RationalPoints":
+        return _points(ns, np.ones(len(ns), np.int64))
+
+    @staticmethod
+    def concat(batches: Sequence["RationalPoints"]) -> "RationalPoints":
+        return RationalPoints(
+            np.concatenate([b.num for b in batches]),
+            np.concatenate([b.den for b in batches]),
+            max((b.size for b in batches), default=1),
+        )
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return _q(int(self.num[key]), int(self.den[key]))
+        return RationalPoints(self.num[key], self.den[key], self.size)
+
+    def __iter__(self):
+        return (_q(n, d) for n, d in zip(self.num.tolist(), self.den.tolist()))
+
+    def floats(self) -> np.ndarray:
+        return np.true_divide(self.num, self.den).astype(float, copy=False)
+
+    def __mul__(self, other: "RationalPoints") -> "RationalPoints":
+        an, ad, bn, bd = _cast(self.size * other.size, self.num, self.den, other.num, other.den)
+        return _reduced(an * bn, ad * bd)
+
+    def __add__(self, other: "RationalPoints") -> "RationalPoints":
+        an, ad, bn, bd = _cast(2 * self.size * other.size, self.num, self.den, other.num, other.den)
+        return _reduced(an * bd + bn * ad, ad * bd)
+
+    def affine(self, m: Fraction, c: Fraction) -> "RationalPoints":
+        """m x + c at each point."""
+        k = _bound((m, c))
+        return _reduced(*_affine(*_cast(2 * k * k * self.size, self.num, self.den), m, c))
+
+    def holds(self, iv: RationalInterval) -> np.ndarray:
+        """Where the interval holds the point."""
+        k = _bound((iv.lo, iv.hi))
+        return _holds(*_cast(2 * k * self.size, self.num, self.den), iv)
+
+    def order(self, groups: np.ndarray) -> np.ndarray:
+        """The stable permutation that sorts the points by group, then by value.
+
+        Rounding to the nearest float never reverses two values, so the
+        floats sort them but for runs of equal floats in one group, which
+        are ordered by their exact values.
+        """
+        fl = self.floats()
+        order = np.lexsort((fl, groups))
+        g, f = groups[order], fl[order]
+        tied = (g[1:] == g[:-1]) & (f[1:] == f[:-1])
+        if tied.any():  # runs of equal floats: positions a..b of the order
+            edge = np.diff(np.concatenate(([0], tied.astype(np.int8), [0])))
+            starts, ends = np.flatnonzero(edge == 1).tolist(), np.flatnonzero(edge == -1).tolist()
+            for a, b in zip(starts, ends):
+                order[a:b + 1] = sorted(order[a:b + 1].tolist(), key=self.__getitem__)
+        return order
+
+
+def _affine_ints(points, pieces, overrides=()):
+    """Unreduced (N, D) of ``affine_values`` as integer arrays, and the mask where nothing holds."""
+    pts = RationalPoints.of(points)
     consts = [v for iv, m, c in pieces for v in (iv.lo, iv.hi, m, c)]
-    consts += [v for pair in overrides for v in pair]
-    k = max((max(abs(v._numerator), v._denominator) for v in consts), default=1)
-    xn, xd = _exact_ints(num, den, k)
-    n, dtype = len(num), xn.dtype
+    k = _bound(consts + [v for pair in overrides for v in pair])
+    xn, xd = _cast(2 * k * k * pts.size, pts.num, pts.den)
+    n, dtype = len(xn), xn.dtype
     top, bot = np.zeros(n, dtype), np.ones(n, dtype)
     free = np.ones(n, bool)
     for at, v in overrides:
@@ -594,13 +719,69 @@ def affine_floats(points, pieces, overrides=()) -> tuple[np.ndarray, int]:
         top[hit], bot[hit] = v._numerator, v._denominator
         free &= ~hit
     for iv, m, c in pieces:
-        above = xn * iv.lo._denominator - iv.lo._numerator * xd
-        below = iv.hi._numerator * xd - xn * iv.hi._denominator
-        hit = free & (above >= 0 if iv.lo_closed else above > 0)
-        hit &= below >= 0 if iv.hi_closed else below > 0
-        p, q = xn[hit], xd[hit]
-        top[hit] = m._numerator * c._denominator * p + c._numerator * m._denominator * q
-        bot[hit] = m._denominator * c._denominator * q
+        hit = free & _holds(xn, xd, iv)
+        top[hit], bot[hit] = _affine(xn[hit], xd[hit], m, c)
         free &= ~hit
+    return top, bot, free
+
+
+def affine_values(points, pieces, overrides=()) -> tuple[RationalPoints, np.ndarray]:
+    """A piecewise-affine function at each point, exact, and where nothing holds it.
+
+    The value at x is the override ``(point, value)`` at x, else m x + c of
+    the first piece ``(interval, m, c)`` that holds x; it reads 0 where
+    neither holds, and the mask is True there.  Let K bound the numerators
+    and denominators of the pieces and overrides and P those of the points.
+    With x = p/q, a piece end a/b is compared by the sign of p b - a q, and
+    the value is N / D with N = m_n c_d p + c_n m_d q and D = m_d c_d q,
+    so no number passes 2 K^2 P: while that is at most 2^53 the arrays are
+    int64, and otherwise the same code runs on Python ints.
+    """
+    top, bot, free = _affine_ints(points, pieces, overrides)
+    return _reduced(top, bot), free
+
+
+def affine_floats(points, pieces, overrides=()) -> tuple[np.ndarray, int]:
+    """``float`` of a piecewise-affine function at each point, bit for bit, as one array.
+
+    The values of ``affine_values``, 0.0 where nothing holds the point; the
+    second result is the index of the first such point, or -1.  N / D needs
+    no reduction: on int64 both are at most 2^53, so floats exactly.
+    """
+    top, bot, free = _affine_ints(points, pieces, overrides)
     vals = np.true_divide(top, bot).astype(float, copy=False)
     return vals, int(free.argmax()) if free.any() else -1
+
+
+class RationalIds:
+    """Interns rationals by their reduced (numerator, denominator) pair.
+
+    ``intern(points)`` gives each point an int id, the same one every time
+    it comes back, and ``batch(ids)`` hands the points back as a
+    ``RationalPoints``.
+    """
+
+    def __init__(self):
+        self._ids: dict = {}
+        self._num: list = []
+        self._den: list = []
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    def intern(self, points) -> np.ndarray:
+        pts = RationalPoints.of(points)
+        ids, get, num, den = self._ids, self._ids.get, self._num, self._den
+        out = []
+        for key in zip(pts.num.tolist(), pts.den.tolist()):
+            i = get(key)
+            if i is None:
+                i = ids[key] = len(num)
+                num.append(key[0])
+                den.append(key[1])
+            out.append(i)
+        return np.array(out, dtype=np.intp)
+
+    def batch(self, ids: np.ndarray) -> RationalPoints:
+        num, den, ids = self._num, self._den, ids.tolist()
+        return _points([num[i] for i in ids], [den[i] for i in ids])

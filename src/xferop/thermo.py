@@ -30,14 +30,17 @@ measure through one state table per call, dropped on return.  The table
 gives every point it meets an int id and keeps each exact per-point
 quantity (orbit ends, cocycles, fibres, energy sums, test-function values,
 twisted coefficients, exp(beta*energy) and the weight) as a column indexed
-by id, filled once per point with the same floats as a direct evaluation;
-test functions, energies and weights fill theirs as exact integer arrays
-(``floats``).  An integrand is a function from an id array to a float array:
-a gather, an ``np.bincount`` over fibre rows, an elementwise product, each
-in the float order of the per-point loop it replaces, so every number is
-bit for bit the same.  Every measure hands the table its quadrature as
-rows of (x, mass): the atoms of an atomic measure, the midpoint rows of a
-bin-density measure.  An integral is one ``math.fsum`` of mass * value.
+by id, filled once per point with the same floats as a direct evaluation.
+On the interval backend each fill is one batch of exact integer arrays:
+test functions, energies and weights through ``floats``, orbit ends,
+cocycles and energy sums through the map's forward kernels, fibres
+through its backward step.  An integrand is a function from an id array
+to a float array: a gather, an ``np.bincount`` over fibre rows, an
+elementwise product, each in the float order of the per-point loop it
+replaces, so every number is bit for bit the same.  Every measure hands
+the table its quadrature as one batch of points and one float mass array:
+the atoms of an atomic measure, the midpoint rule of a bin-density
+measure.  An integral is one ``math.fsum`` of mass * value.
 
 The eigen-measure residual rows follow one rule.  A measure that
 integrates grid functions exactly (``integrates_grids``: bin densities)
@@ -163,6 +166,11 @@ class PotentialFunction:
             return Q(0)
         pts = dyn.orbit(self.system, x, n - 1)
         return sum((self.value(z) for z in pts), Q(0))
+
+    def birkhoff_floats(self, points, n: int) -> np.ndarray:
+        """float(birkhoff_or_none(x, n)) at each point of a batch, NaN where it
+        is None: the map's ``birkhoff_sums``."""
+        return self.system.map.birkhoff_sums(self.carrier, points, n)
 
     def birkhoff_or_none(self, x, n: int) -> Optional[Fraction]:
         """``birkhoff(x, n)``, or None where the orbit leaves the domain or the
@@ -513,25 +521,38 @@ class _StateTable:
     """Exact per-point quantities of the state integrals of one call, as columns.
 
     ``kms_battery``, ``core_kms_check`` and ``conformal_residual`` each
-    build one and drop it when they return.  Every point the
-    call meets is interned once and gets an int id.  Each quantity is a
-    column indexed by id: orbit ends (the end's id, -1 where the orbit
+    build one and drop it when they return.  Every point the call meets is
+    interned once and gets an int id, by the map's ``point_ids()`` table:
+    an interval point by its reduced (numerator, denominator) pair, so no
+    ``Q`` is built or hashed for it, a path point by itself.  Each quantity
+    is a column indexed by id: orbit ends (the end's id, -1 where the orbit
     leaves the domain first), cocycles (NaN there), fibres (one run of
-    (point id, weight) per id in the flat arrays of its depth, fibre order,
-    nonzero weights only), energy sums (NaN where the sum raised),
+    (point id, weight) per id in the flat arrays of its depth, fibre
+    order), energy sums (NaN where ``birkhoff_or_none`` is None),
     test-function values, the twisted coefficients, exp(beta*energy) and
-    the weight.  A column is filled by the same exact code as a direct
-    evaluation, once per id and only for the ids a row asks for.  The
-    quadrature is one id array and one float mass array.
+    the weight.  A column is filled once per id, only for the ids a row
+    asks for, by one batch call per fill; the quadrature is one id array
+    and one float mass array, from the measure's ``quadrature``.
 
-    Test-function values, energies and weights fill a column in one
-    ``floats(points)`` call per batch of ids.  On the interval backend that
-    is integer arrays: each point's piece by cross-multiplied comparisons,
-    its value as numerator / denominator, which is the correctly rounded
-    ``float`` of the exact value while both are at most 2^53 (int64
-    arrays), and Python ints past that bound; graph functions loop per
-    point.  exp(beta*energy) is ``math.exp`` of each float, as a direct
-    evaluation takes it.
+    On the interval backend a batch is a ``RationalPoints``: numerator and
+    denominator arrays, int64 while their entries are at most 2^53 and
+    Python ints past it.  Values, energies and weights are ``floats``.  The
+    forward kernels of ``IntervalSystem`` (``orbit_ends``, ``cocycles``,
+    ``birkhoff_sums``) step a batch through the branches and carry rho_n
+    and S_n exactly, rounding each once.  The backward kernel
+    (``fibre_step``) builds depth n from the depth n - 1 runs, one inverse
+    step per branch, each run sorted by exact value and deduplicated as
+    ``preimages`` returns it; the weights are the cocycle column at the new
+    points, the same exact rho_n(x) as the backward product, so the same
+    float.  The runs keep the points of weight zero, so the weight is read
+    at every node of the tree, as ``preimages`` reads it (an undefined
+    weight raises in both); ``fibres`` leaves them out, and a zero is
+    exact, not a float that rounded to zero.  The graph backend answers the
+    same method names with per-point loops.  What stays per point: ``once``
+    (the residual rows' own fibre sums and values; fn gets the batch, which
+    iterates as ``Q``), exp(beta*energy) and the twisted coefficients
+    (``math.exp`` and ``cmath.exp`` of each float, as a direct evaluation
+    takes them; an overflow raises the solver's overflow error).
 
     Integrands are functions from an id array to a float array: gathers,
     ``np.bincount`` sums and elementwise products, so a row costs a few
@@ -544,29 +565,18 @@ class _StateTable:
     def __init__(self, handle, mu: Measure, psi: PotentialFunction, beta: float):
         self.handle, self.mu, self.psi, self.beta = handle, mu, psi, beta
         self.system, self.pot = handle.system, handle.potential
-        self._ids: dict = {}
-        self.points: list = []
+        self.points = self.system.map.point_ids()
         self._quad: dict = {}
         self._cols: dict = {}
-        self._flat: dict = {}  # depth -> (point ids, weights) of the fibre runs
+        self._flat: dict = {}  # depth -> (point ids, weights, nonzero) of the fibre runs
         self._held: dict = {}  # objects whose id keys a column, kept alive so ids stay unique
-
-    def _id(self, x) -> int:
-        i = self._ids.get(x)
-        if i is None:
-            i = self._ids[x] = len(self.points)
-            self.points.append(x)
-        return i
 
     def quad(self, pts: int) -> tuple[np.ndarray, np.ndarray]:
         """The quadrature of mu: ids and float masses."""
         q = self._quad.get(pts)
         if q is None:
-            ids, masses = [], []
-            for x, m in self.mu.quadrature(pts):
-                ids.append(self._id(x))
-                masses.append(float(m))
-            ids, masses = np.array(ids, dtype=np.intp), np.array(masses, dtype=float)
+            points, masses = self.mu.quadrature(pts)
+            ids, masses = self.points.intern(points), np.asarray(masses, dtype=float)
             ids.flags.writeable = masses.flags.writeable = False
             q = self._quad[pts] = (ids, masses)
         return q
@@ -590,18 +600,19 @@ class _StateTable:
         vals, done = col
         if missing is not None and len(missing):
             todo = np.bincount(missing).nonzero()[0]  # each missing id once, ascending
-            vals[todo] = compute(todo.tolist())
+            vals[todo] = compute(todo)
             done[todo] = True
         return vals[ids]
 
-    def once(self, fn: Callable[[list], Sequence[float]]) -> IdFunction:
+    def once(self, fn: Callable[[Sequence], Sequence[float]]) -> IdFunction:
         """An integrand that a call reads once: the floats fn(points), kept nowhere.
 
         A residual row has its own test function, so its values and fiber
         sums go through this; the energy and weight factors are columns.
+        fn gets the batch, which iterates as the points themselves.
         """
-        pts = self.points
-        return lambda ids: np.asarray(fn([pts[i] for i in ids.tolist()]), dtype=float)
+        batch = self.points.batch
+        return lambda ids: np.asarray(fn(batch(ids)), dtype=float)
 
     def psi_exp_rho(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """exp(beta*energy) and the weight at the ids, kept as one column of pairs.
@@ -610,11 +621,14 @@ class _StateTable:
         float, as a direct evaluation takes it (``np.exp`` differs from it
         in the last bit on some arguments).
         """
-        pts, psi, beta, pot = self.points, self.psi, self.beta, self.pot
+        psi, beta, pot = self.psi, self.beta, self.pot
 
         def fill(todo):
-            xs = [pts[i] for i in todo]
-            exps = [math.exp(beta * v) for v in psi.floats(xs).tolist()]
+            xs = self.points.batch(todo)
+            try:
+                exps = [math.exp(beta * v) for v in psi.floats(xs).tolist()]
+            except OverflowError:
+                raise _overflow(beta, _STATES) from None
             return np.column_stack((exps, pot.floats(xs, or_zero=True)))
 
         pairs = self._read("psi_exp_rho", ids, fill, width=(2,))
@@ -625,28 +639,67 @@ class _StateTable:
         if f is None:
             return np.ones(len(ids))
         self._held[id(f)] = f
-        pts = self.points
-        return self._read(("value", id(f)), ids, lambda todo: f.floats([pts[i] for i in todo]))
+        return self._read(("value", id(f)), ids, lambda todo: f.floats(self.points.batch(todo)))
 
     def orbit_ends(self, n: int, ids: np.ndarray) -> np.ndarray:
         """The id of phi^n at the ids; -1 where the orbit leaves the domain first."""
-        pts, system = self.points, self.system
 
         def fill(todo):
-            ends = (dyn.orbit_end(system, pts[i], n) for i in todo)
-            return [-1 if z is None else self._id(z) for z in ends]
+            ends, alive = self.system.map.orbit_ends(self.points.batch(todo), n)
+            out = np.full(len(todo), -1, dtype=np.intp)
+            out[alive] = self.points.intern(ends)
+            return out
 
         return self._read(("orbit", n), ids, fill, dtype=np.intp)
 
-    def cocycles(self, n: int, ids: np.ndarray) -> np.ndarray:
-        """float(rho_n) at the ids; NaN where the orbit leaves the domain first."""
-        pts, system, pot = self.points, self.system, self.pot
+    def _cocycle_pairs(self, n: int, ids: np.ndarray) -> np.ndarray:
+        """(float(rho_n), 1.0 where rho_n is exactly zero) at the ids; the
+        first is NaN where the orbit leaves the domain first."""
 
         def fill(todo):
-            ws = (dyn.cocycle_or_none(system, pot, n, pts[i]) for i in todo)
-            return [math.nan if w is None else float(w) for w in ws]
+            if n < 0:
+                raise ValidationError("n must be nonnegative")
+            self.system.check_depth(n)
+            w, zero = self.system.map.cocycles(self.pot, self.points.batch(todo), n)
+            return np.column_stack((w, zero))
 
-        return self._read(("cocycle", n), ids, fill)
+        return self._read(("cocycle", n), ids, fill, width=(2,))
+
+    def cocycles(self, n: int, ids: np.ndarray) -> np.ndarray:
+        """float(rho_n) at the ids; NaN where the orbit leaves the domain first."""
+        return self._cocycle_pairs(n, ids)[:, 0]
+
+    def _runs(self, n: int, ids: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The n-step fibres of the ids with the points of weight zero:
+        (row in ids, point id, float weight, nonzero), each run in fibre order."""
+        if n == 0:
+            return np.arange(len(ids)), ids, np.ones(len(ids)), np.ones(len(ids), bool)
+
+        def fill(todo):
+            if n < 0:
+                raise ValidationError("n must be nonnegative")
+            self.system.check_depth(n)
+            rows, parents, _, _ = self._runs(n - 1, todo)
+            rows, pre = self.system.map.fibre_step(self.points.batch(parents), rows)
+            xs = self.points.intern(pre)
+            pairs = self._cocycle_pairs(n, xs)
+            none = (np.empty(0, np.intp), np.empty(0), np.empty(0, bool))
+            old_x, old_w, old_nz = self._flat.get(n, none)
+            self._flat[n] = (
+                np.concatenate((old_x, xs)),
+                np.concatenate((old_w, pairs[:, 0])),
+                np.concatenate((old_nz, pairs[:, 1] == 0)),
+            )
+            count = np.bincount(rows, minlength=len(todo))
+            return np.column_stack((len(old_x) + np.cumsum(count) - count, count))
+
+        span = self._read(("fibre", n), ids, fill, dtype=np.intp, width=(2,))
+        start, count = span[:, 0], span[:, 1]
+        rows = np.repeat(np.arange(len(ids)), count)
+        first = np.cumsum(count) - count  # where each row's run starts in the output
+        pos = np.arange(len(rows)) + np.repeat(start - first, count)
+        flat_x, flat_w, flat_nz = self._flat[n]
+        return rows, flat_x[pos], flat_w[pos], flat_nz[pos]
 
     def fibres(self, n: int, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The n-step fibres of the ids, flat: (row in ids, point id, float weight).
@@ -654,38 +707,15 @@ class _StateTable:
         Rows come in the order of ids, each fibre in fibre order, and only
         preimages of nonzero weight are kept.
         """
-        pts, system, pot = self.points, self.system, self.pot
-
-        def fill(todo):
-            old_x, old_w = self._flat.get(n, (np.empty(0, np.intp), np.empty(0)))
-            xs, ws, spans = [], [], []
-            for i in todo:
-                pre = [(x, w) for x, w in dyn.preimages(system, pot, pts[i], n) if w != 0]
-                spans.append((len(old_x) + len(xs), len(pre)))
-                xs.extend(self._id(x) for x, _ in pre)
-                ws.extend(float(w) for _, w in pre)
-            self._flat[n] = (
-                np.concatenate((old_x, np.array(xs, dtype=np.intp))),
-                np.concatenate((old_w, np.array(ws, dtype=float))),
-            )
-            return spans
-
-        span = self._read(("fibre", n), ids, fill, dtype=np.intp, width=(2,))
-        start, count = span[:, 0], span[:, 1]
-        rows = np.repeat(np.arange(len(ids)), count)
-        first = np.cumsum(count) - count  # where each row's run starts in the output
-        pos = np.arange(len(rows)) + np.repeat(start - first, count)
-        flat_x, flat_w = self._flat[n]
-        return rows, flat_x[pos], flat_w[pos]
+        rows, xs, ws, nz = self._runs(n, ids)
+        return rows[nz], xs[nz], ws[nz]
 
     def energy_sums(self, psi: PotentialFunction, n: int, ids: np.ndarray) -> np.ndarray:
         """float(psi.birkhoff_or_none(x, n)) at the ids; NaN where it is None."""
         self._held[id(psi)] = psi
-        pts = self.points
 
         def fill(todo):
-            sums = (psi.birkhoff_or_none(pts[i], n) for i in todo)
-            return [math.nan if s is None else float(s) for s in sums]
+            return psi.birkhoff_floats(self.points.batch(todo), n)
 
         return self._read(("energy", id(psi), n), ids, fill)
 
@@ -699,15 +729,18 @@ class _StateTable:
         """
 
         def fill(todo):
-            todo = np.array(todo, dtype=np.intp)
             out = []
-            for b, s in zip(self.values(f, todo).tolist(), self.energy_sums(psi, n, todo).tolist()):
-                if s != s:
-                    out.append(0.0)  # the power's coefficient lives on the n-step domain
-                elif side > 0:
-                    out.append((cmath.exp(1j * lam * s) * complex(b)).real)
-                else:
-                    out.append((complex(b) * cmath.exp(-1j * lam * s)).real)
+            vals = self.values(f, todo).tolist()
+            try:
+                for b, s in zip(vals, self.energy_sums(psi, n, todo).tolist()):
+                    if s != s:
+                        out.append(0.0)  # the power's coefficient lives on the n-step domain
+                    elif side > 0:
+                        out.append((cmath.exp(1j * lam * s) * complex(b)).real)
+                    else:
+                        out.append((complex(b) * cmath.exp(-1j * lam * s)).real)
+            except OverflowError:
+                raise _overflow(self.beta, _STATES) from None
             return out
 
         self._held[id(f)] = f
@@ -797,10 +830,11 @@ class KMSCandidate:
             raise ValidationError(f"candidate measure has mass {mass!r}, not 1")
 
 
-def _overflow(beta: float) -> ValidationError:
-    return ValidationError(
-        f"exp(-beta*energy) overflows at beta={beta!r}; the fiber-sum matrix is not finite"
-    )
+def _overflow(beta: float, what: str = "the fiber-sum matrix is not finite") -> ValidationError:
+    return ValidationError(f"exp(-beta*energy) overflows at beta={beta!r}; {what}")
+
+
+_STATES = "the state integrals are not finite"
 
 
 class _RuelleUlam:
@@ -1250,7 +1284,10 @@ def core_kms_check(
         sums = tab.energy_sums(psi, n, xs)
         if np.isnan(sums).any():  # the energy covers the orbits of the n-step domain
             raise ValidationError(f"internal: S_{n} undefined on the {n}-step fibre")
-        damp = np.array([math.exp(-beta * s) for s in sums.tolist()])
+        try:
+            damp = np.array([math.exp(-beta * s) for s in sums.tolist()])
+        except OverflowError:
+            raise _overflow(beta, _STATES) from None
         terms = ws * damp * tab.values(a, xs) * tab.values(b, xs)
         return np.bincount(rows, weights=terms, minlength=len(ids))
 

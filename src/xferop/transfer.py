@@ -14,8 +14,10 @@ answer ``value(x)``, ``floats(points)`` (``float(value(x))`` at many points
 as one array: integer arrays on the interval backend, a loop on graphs)
 and ``pullback(map)`` (the exact a o phi).
 
-Measures answer one protocol: ``total_mass()``; ``quadrature(pts)``, rows
-of ``(x, mass)`` over which the sum of mass * f(x) integrates a pointwise f;
+Measures answer one protocol: ``total_mass()``; ``quadrature(pts)``, the
+points and the float masses over which the sum of mass * f(x) integrates
+a pointwise f, the points as one batch of the map's (``RationalPoints`` of
+the midpoint rule, a list of atoms);
 ``integrates_grids`` and ``integrate_grid(g)``, the exact integral of a
 piecewise-quadratic grid function where the measure has one;
 ``to_doc(system)``, ``residual_tol()`` and ``is_positive()``.  The two
@@ -30,7 +32,7 @@ from the bin geometry that ``ulam_cells`` walks, in the order (branch,
 source bin j, target bin i), with exact cell ends.  ``ulam_matrix`` reads
 the same walk into an exact rational matrix; no command calls it, and it is
 kept as the exact reference the solver's matrices are tested against.
-``UlamMeasure.quadrature`` places its midpoint rows by the same arithmetic,
+``UlamMeasure.quadrature`` places its midpoint points by the same arithmetic,
 and ``UlamMeasure.integrate_grid`` takes a grid cell's antiderivative once
 per bin end.
 """
@@ -53,6 +55,7 @@ from .intervals import (
     Q,
     RationalInterval,
     Rationalish,
+    RationalPoints,
     accumulates_at,
     affine_floats,
     frac,
@@ -418,9 +421,9 @@ class AtomicMeasure:
         """No atom carries a negative mass."""
         return all(m >= 0 for _, m in self.atoms)
 
-    def quadrature(self, pts: int) -> tuple:
-        """The atoms, as rows."""
-        return self.atoms
+    def quadrature(self, pts: int) -> tuple[list, np.ndarray]:
+        """The atoms' points and their float masses."""
+        return [x for x, _ in self.atoms], np.array([float(m) for _, m in self.atoms], dtype=float)
 
     def to_doc(self, system: PartialSystem) -> dict:
         atoms = [{**system.map.point_doc(x), "mass": frac_str(m)} for x, m in self.atoms]
@@ -465,26 +468,23 @@ class UlamMeasure:
         """No bin carries a negative density."""
         return all(d >= 0 for d in self.densities)
 
-    def quadrature(self, pts: int):
-        """The rows of the pts-point midpoint rule in every bin of nonzero density.
+    def quadrature(self, pts: int) -> tuple[RationalPoints, np.ndarray]:
+        """The pts-point midpoint rule in every bin of nonzero density: its
+        points as one batch and their float masses.
 
         With h = w / (2 pts), point i of bin k is lo + (2 (k pts + i) + 1) h,
-        and every point of bin k carries the mass d_k w / pts, built once per
-        bin.  Rows come in bin order, then point order.
+        one affine map of the odd integers, and every point of bin k carries
+        the mass d_k w / pts, rounded once per bin.  Points come in bin
+        order, then point order.
         """
         if pts < 1:
             raise ValidationError(f"the midpoint rule needs at least one point per bin, got pts={pts}")
         lo, w = self.lo, (self.hi - self.lo) / self.bins
         h, wp = w / (2 * pts), w / pts
-
-        def rows():
-            for k, d in enumerate(self.densities):
-                if d != 0:
-                    mass, first = d * wp, 2 * k * pts + 1
-                    for n in range(first, first + 2 * pts, 2):
-                        yield lo + n * h, mass
-
-        return rows()
+        bins = [k for k, d in enumerate(self.densities) if d != 0]
+        odd = 2 * (np.array(bins, dtype=np.int64)[:, None] * pts + np.arange(pts)) + 1
+        masses = [float(self.densities[k] * wp) for k in bins]
+        return RationalPoints.integers(odd.ravel()).affine(h, lo), np.repeat(masses, pts)
 
     def integrate_grid(self, g) -> float:
         """Exact integral of a piecewise-quadratic grid function, as a float.

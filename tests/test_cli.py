@@ -506,3 +506,30 @@ def test_a_candidate_that_is_not_a_probability_is_refused(tmp_path, command, spe
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)
     assert result.output.splitlines() == [f"error: bad candidate file {cand}: {message}"]
+
+
+@pytest.mark.parametrize("command", [["kms-verify", "--candidate"], ["conformal", "--check"]])
+@pytest.mark.parametrize("spec", ["tent_x", "golden_mean"])
+def test_an_overflowing_candidate_beta_exits_3(tmp_path, command, spec):
+    # exp(beta*energy) of a 64-bin tent_x or a golden_mean candidate at beta 800
+    # overflowed in the state integrals and exited 1, which reads as Fails
+    path = str(tmp_path / f"{spec}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(cells.generated_specs()[spec], fh)
+    cand = str(tmp_path / f"cand_{spec}.json")
+    solve = ["conformal", "--spec", path, "--bins", "64", "--candidate-out", cand]
+    if spec == "tent_x":
+        solve += ["--bracket", "0.5,6.0"]
+    assert CliRunner().invoke(main, solve).exit_code == 0
+    with open(cand, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["beta"] = 800.0
+    with open(cand, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    result = CliRunner().invoke(main, [command[0], "--spec", path, command[1], cand])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines()[-1] == (
+        "error: exp(-beta*energy) overflows at beta=800.0; the state integrals are not finite"
+    )
+    assert "within tolerance" not in result.output and "Traceback" not in result.output

@@ -854,38 +854,42 @@ class TestEnergyColumn:
             psi.birkhoff(F(3, 4), 2)
 
 
+class TestOverflow:
+    def test_each_state_exponential_raises_the_overflow_error(self, tent_handle):
+        # exp(beta*energy), exp(-i lam S_n) and exp(-beta*S_n) each overflow at |beta| = 800
+        psi = _psi_affine(tent_handle.system, 1, 0)
+        mu = _random_ulam(16, 1)
+        a = tr.TestFunction.hat(F(1, 2), F(1, 2), 1)
+        message = r"^exp\(-beta\*energy\) overflows at beta=800.0; the state integrals are not finite$"
+        with pytest.raises(ValidationError, match=message):
+            th.conformal_residual(tent_handle, psi, 800.0, mu, [a])
+        with pytest.raises(ValidationError, match=message):
+            th.kms_battery(tent_handle, mu, 800.0, psi, count=8, seed=1)
+        with pytest.raises(ValidationError, match=message.replace("800.0", "-800.0")):
+            th.core_kms_check(tent_handle, mu, -800.0, psi, a, a, 1)
+
+
 class TestStateTableWork:
     def test_each_exact_quantity_once_per_point_and_depth(self, tent_handle, monkeypatch):
-        calls = {name: [] for name in ("preimages", "orbit_end", "cocycle_or_none", "birkhoff")}
-        preimages, orbit_end = dyn.preimages, dyn.orbit_end
-        cocycle_or_none, birkhoff = dyn.cocycle_or_none, th.PotentialFunction.birkhoff
+        # every column is filled by batch calls, and no id is filled twice for one column
+        filled = {}
+        read = th._StateTable._read
 
-        def preimages_spy(system, pot, y, n, *rest):
-            calls["preimages"].append((y, n))
-            return preimages(system, pot, y, n, *rest)
+        def spy(self, key, ids, compute, *rest, **kwargs):
+            def counted(todo):
+                filled.setdefault(key, []).extend(todo.tolist())
+                return compute(todo)
 
-        def orbit_end_spy(system, x, n):
-            calls["orbit_end"].append((x, n))
-            return orbit_end(system, x, n)
+            return read(self, key, ids, counted, *rest, **kwargs)
 
-        def cocycle_spy(system, pot, n, x):
-            calls["cocycle_or_none"].append((x, n))
-            return cocycle_or_none(system, pot, n, x)
-
-        def birkhoff_spy(self, x, n):
-            calls["birkhoff"].append((x, n))
-            return birkhoff(self, x, n)
-
-        monkeypatch.setattr(dyn, "preimages", preimages_spy)
-        monkeypatch.setattr(dyn, "orbit_end", orbit_end_spy)
-        monkeypatch.setattr(dyn, "cocycle_or_none", cocycle_spy)
-        monkeypatch.setattr(th.PotentialFunction, "birkhoff", birkhoff_spy)
+        monkeypatch.setattr(th._StateTable, "_read", spy)
         psi = _psi_affine(tent_handle.system, 1, 0)
         report = th.kms_battery(tent_handle, _random_ulam(64, 3), 0.7, psi, count=12, seed=3, pts=4)
         assert len(report.rows) == 12
-        for name, seen in calls.items():
-            assert seen, name
-            assert max(Counter(seen).values()) == 1, name
+        kinds = {key[0] for key in filled if isinstance(key, tuple)}
+        assert {"orbit", "cocycle", "fibre", "energy"} <= kinds
+        for key, ids in filled.items():
+            assert max(Counter(ids).values()) == 1, key
 
 
 class TestSolveConformal:

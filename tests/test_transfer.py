@@ -223,7 +223,7 @@ def _probe_points(pieces):
         pts.update((iv.lo, iv.hi, (iv.lo + iv.hi) / 2))
     grid = tr.UlamMeasure(0, 1, (1,) * 16)
     for n in (1, 4):
-        pts.update(x for x, _ in grid.quadrature(n))
+        pts.update(grid.quadrature(n)[0])
     return sorted(pts)
 
 
