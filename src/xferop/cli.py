@@ -300,7 +300,7 @@ def _load_candidate(path: str, system: dyn.PartialSystem) -> th.KMSCandidate:
     if not math.isfinite(beta):  # NaN or inf would print NaN residuals and read as Fails
         raise ParseError(f"bad candidate file {path}: beta must be finite, got {beta!r}")
     try:
-        return th.KMSCandidate(beta, mu, "conformal")
+        return th.KMSCandidate(beta, mu)
     except ValidationError as e:
         raise ParseError(f"bad candidate file {path}: {e}") from None
 
@@ -617,7 +617,7 @@ def conformal(spec_arg, out, fmt, psi_arg, bins, bracket, tol, check_path, candi
         rpt.emit(fmt, out)
         raise SystemExit(EXIT_FAILS)
     rpt.line(f"beta: {cand.beta!r}")
-    rpt.line(f"kind: {cand.kind}")
+    rpt.line("kind: conformal")
     if cand.note:
         rpt.line(f"note: {cand.note}")
     mdoc = cand.mu.to_doc(spec.system)
@@ -633,7 +633,7 @@ def conformal(spec_arg, out, fmt, psi_arg, bins, bracket, tol, check_path, candi
     rpt.line(f"max residual: {_cell(report.max_residual)}")
 
     doc = {
-        "kind": cand.kind, "beta": cand.beta, "note": cand.note, "spec": spec_arg,
+        "kind": "conformal", "beta": cand.beta, "note": cand.note, "spec": spec_arg,
         "sha256": digest, "psi": psi_label, "measure": mdoc,
     }
     path = candidate_out

@@ -19,7 +19,9 @@ The backend is the type of the map.  ``PartialSystem.map`` holds an
   ``PathPoint.sort_key``, so ``sorted`` works on either.  Every walk along
   the map is ``forward_walk(system, x, n)``; ``orbit``, ``orbit_end``,
   ``cocycle`` and ``cocycle_or_none`` read it.  Every walk back is the
-  weighted fibre tree ``preimage_levels(system, pot, y, depth)``.
+  weighted fibre tree ``preimage_levels(system, pot, y, depth)``, which
+  cuts each preimage of exact weight zero with its subtree: such a point
+  adds nothing to any fibre sum of the transfer operator.
 - batches: ``point_ids()`` is an empty interning table for the map's
   points, whose batches the walks of many points at once take:
   ``orbit_ends``, ``cocycles``, ``birkhoff_sums`` (forward) and
@@ -895,6 +897,9 @@ class PartialSystem:
         return self.map
 
     def check_depth(self, n: int):
+        """Refuses a negative step count and one past the depth bound."""
+        if n < 0:
+            raise ValidationError("n must be nonnegative")
         if n > self.depth_bound:
             raise DepthExceeded(n, self.depth_bound)
 
@@ -1143,8 +1148,6 @@ class RegionReport:
 
 def iterate_domain(system: PartialSystem, n: int):
     """Exact n-step domain: all points admitting n forward steps."""
-    if n < 0:
-        raise ValidationError("n must be nonnegative")
     system.check_depth(n)
     f = system.map
     current = f.space
@@ -1167,12 +1170,12 @@ def preimage_levels(system: PartialSystem, pot: Potential, y: Point, depth: int)
     order, the fiber of each point of level k-1 in fiber order: ``pairs[i]``
     is ``(x, w)`` where ``phi(x)`` is point ``parents[i]`` of level k-1 and
     ``w = pot.value(x) * w'`` for its weight ``w'``, so ``w = rho_k(x)``.
-    Zero weights and their subtrees stay.  Sorted by point, level n is the
-    fibre that ``preimages`` returns; ``IntervalSystem.fibre_step`` builds
-    the same sorted level from level n - 1 in one batch.  The walk is lazy;
-    its readers check the depth bound.  The next level grows from the
-    yielded list as the reader leaves it: deleting pairs from it in place
-    cuts their subtrees, and the next parents then index the cut list.
+    A preimage of weight exactly zero is left out, so the walk never steps
+    back from it and never reads the weight below it; the kept pairs are
+    those of the uncut tree that have a nonzero weight, in the same order.
+    Sorted by point, level n is the fibre that ``preimages`` returns;
+    ``IntervalSystem.fibre_step`` builds the same sorted level from level
+    n - 1 in one batch.  The walk is lazy; its readers check the depth bound.
     """
     fiber, value = system.map.fiber, pot.value
     level = [(system.point(y), Q(1))]
@@ -1182,8 +1185,10 @@ def preimage_levels(system: PartialSystem, pot: Potential, y: Point, depth: int)
         add, up = nxt.append, parents.append
         for i, (z, w) in enumerate(level):
             for x in fiber(z):
-                add((x, value(x) * w))
-                up(i)
+                v = value(x) * w
+                if v:
+                    add((x, v))
+                    up(i)
         level = nxt
         yield level, parents
 
@@ -1193,24 +1198,18 @@ def preimages(
     pot: Potential,
     y: Point,
     n: int,
-    drop_zero: bool = False,
 ) -> tuple[tuple[Point, Fraction], ...]:
-    """The n-step fiber of y with exact cocycle weights, sorted by point.
+    """The n-step fiber of y with exact nonzero cocycle weights, sorted by point.
 
     The last level of ``preimage_levels``: a returned pair ``(x, w)``
-    satisfies ``phi^n(x) = y`` and ``w = rho_n(x)``.  ``drop_zero`` leaves
-    out the pairs of weight zero.  Fibre sums add in this order, the one
-    contract the batch fibres keep: ``IntervalSystem.fibre_step`` sorts
-    each fibre by exact value and keeps a point two branches reach once,
-    and the state table reads rho_n(x) off its cocycle column, the same
-    exact rational as the backward product.
+    satisfies ``phi^n(x) = y`` and ``w = rho_n(x) != 0``.  Fibre sums add in
+    this order, the one contract the batch fibres keep:
+    ``IntervalSystem.fibre_step`` sorts each fibre by exact value and keeps
+    a point two branches reach once, and the state table reads rho_n(x) off
+    its cocycle column, the same exact rational as the backward product.
     """
-    if n < 0:
-        raise ValidationError("n must be nonnegative")
     system.check_depth(n)
     *_, (level, _) = preimage_levels(system, pot, y, n)
-    if drop_zero:
-        level = [(x, w) for x, w in level if w != 0]
     return tuple(sorted(level, key=lambda t: t[0]))
 
 
@@ -1269,8 +1268,6 @@ def _birkhoff(f, energy: Potential, x: Point, n: int) -> float:
 
 
 def _weighed_walk(system: PartialSystem, pot: Potential, n: int, x: Point):
-    if n < 0:
-        raise ValidationError("n must be nonnegative")
     system.check_depth(n)
     return _weighs(system.map, pot, x, n)
 

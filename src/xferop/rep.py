@@ -81,7 +81,7 @@ class BasisNode:
 class OrbitBasis:
     """Preimage tree of an anchor point, truncated at a depth."""
 
-    def __init__(self, handle: tr.TransferHandle, anchor, depth: int, drop_zero: bool = True):
+    def __init__(self, handle: tr.TransferHandle, anchor, depth: int):
         handle.require_valid()
         if depth < 1:
             raise ValidationError("depth must be >= 1")
@@ -95,15 +95,10 @@ class OrbitBasis:
         self.potential = pot
         self.anchor = anchor
         self.depth = depth
-        self.drop_zero = drop_zero
 
-        # drop_zero cuts a zero weight in place, so the walk skips its subtree,
-        # whose cocycles are all zero; a level's parents index the level before
+        # a level's parents index the level before
         nodes, parents, start = [], [], 0
         for k, (level, up) in enumerate(dyn.preimage_levels(system, pot, anchor, depth)):
-            if drop_zero:
-                live = [i for i, (_, w) in enumerate(level) if w != 0]
-                level[:], up = [level[i] for i in live], [up[i] for i in live]
             prev, start = start, len(nodes)
             nodes += [BasisNode(k, x) for x, _ in level]
             parents += [prev + p for p in up]
@@ -315,13 +310,13 @@ def product_check(basis: OrbitBasis, m1: Monomial, m2: Monomial) -> float:
 # ---------------------------------------------------------------------------
 
 
-def gauge_residuals(basis: OrbitBasis, a: tr.Function, angles: int = 7) -> tuple[float, float]:
-    """Max residual of (fix pi(a), scale T by z) over sampled circle points."""
+def gauge_residuals(basis: OrbitBasis, a: tr.Function) -> tuple[float, float]:
+    """Max residual of (fix pi(a), scale T by z) over 7 sampled circle points."""
     t = basis.T().astype(complex)
     pa = basis.pi(a).astype(complex)
     worst_a, worst_t = 0.0, 0.0
-    for j in range(angles):
-        z = complex(math.cos(2 * math.pi * j / angles), math.sin(2 * math.pi * j / angles))
+    for j in range(7):
+        z = complex(math.cos(2 * math.pi * j / 7), math.sin(2 * math.pi * j / 7))
         u = basis.gauge(z)
         ui = basis.gauge(z.conjugate())
         worst_a = max(worst_a, float(np.abs(u @ pa @ ui - pa).max()))
@@ -329,9 +324,10 @@ def gauge_residuals(basis: OrbitBasis, a: tr.Function, angles: int = 7) -> tuple
     return worst_a, worst_t
 
 
-def gauge_average(basis: OrbitBasis, m: np.ndarray, angles: Optional[int] = None) -> np.ndarray:
-    """Average of gauge conjugates; kills every unbalanced component."""
-    n = angles if angles is not None else 2 * basis.depth + 1
+def gauge_average(basis: OrbitBasis, m: np.ndarray) -> np.ndarray:
+    """Average of gauge conjugates over 2 * depth + 1 circle points; kills
+    every unbalanced component the basis can hold."""
+    n = 2 * basis.depth + 1
     acc = np.zeros_like(m, dtype=complex)
     for j in range(n):
         z = complex(math.cos(2 * math.pi * j / n), math.sin(2 * math.pi * j / n))
@@ -470,7 +466,7 @@ def quasi_basis_residual(
 
     worst = 0.0
     for x in points:
-        fibre = dyn.preimages(system, pot, system.map.phi(x), 1, drop_zero=True)
+        fibre = dyn.preimages(system, pot, system.map.phi(x), 1)
         total = 0.0
         sum_v = 0.0
         for v in qb.functions:

@@ -78,8 +78,6 @@ class QuasiOrbitPartition:
 
 def positive_iterate(system: PartialSystem, pot: Potential, n: int):
     """Exact n-step positive domain: points with n steps of positive weight."""
-    if n < 0:
-        raise ValidationError("n must be nonnegative")
     system.check_depth(n)
     f = system.map
     out = f.space
@@ -115,7 +113,7 @@ def spectrum_Kn(system: PartialSystem, pot: Potential, n: int, samples=()):
     pts = list(samples) or list(stratum.sample_points())
     out = []
     for y in pts:
-        fib = dyn.preimages(system, pot, y, n, drop_zero=True)
+        fib = dyn.preimages(system, pot, y, n)
         if not fib:
             raise OutOfSpectrum(f"{y} has no positive-weight {n}-fiber")
         out.append(SpectrumPoint(n, system.point(y), len(fib), "top"))
@@ -235,7 +233,7 @@ def spectrum_An(system: PartialSystem, pot: Potential, n: int, radius=Q(1, 8)):
         top = level_space(system, pot, n)
         strata.append(top)
         for cyl in top.cylinders:
-            fib = dyn.preimages(system, pot, cyl, n, drop_zero=True)
+            fib = dyn.preimages(system, pot, cyl, n)
             if fib:
                 sampled.append(SpectrumPoint(n, cyl, len(fib), "top"))
         gens = []
@@ -261,11 +259,11 @@ def spectrum_An(system: PartialSystem, pot: Potential, n: int, radius=Q(1, 8)):
             if y in seen:
                 continue
             seen.add(y)
-            fib = dyn.preimages(system, pot, y, k, drop_zero=True)
+            fib = dyn.preimages(system, pot, y, k)
             if fib:
                 sampled.append(SpectrumPoint(k, y, len(fib), "interior"))
     for y in strata[n].sample_points(per_component=3):
-        fib = dyn.preimages(system, pot, y, n, drop_zero=True)
+        fib = dyn.preimages(system, pot, y, n)
         if fib:
             sampled.append(SpectrumPoint(n, y, len(fib), "top"))
     sampled.sort(key=lambda p: (p.level, p.base))
@@ -326,7 +324,7 @@ class FiberRep:
         self.potential = pot
         self.base = system.point(y)
         self.level = k
-        fib = dyn.preimages(system, pot, y, k, drop_zero=True)
+        fib = dyn.preimages(system, pot, y, k)
         if not fib:
             raise OutOfSpectrum(f"{y} is not in the level-{k} spectrum")
         self.points = tuple(x for x, _ in fib)
@@ -405,7 +403,7 @@ def _orbit_set(system, pot, x, depth):
             break
     for target in fwd:
         for level, _ in dyn.preimage_levels(system, pot, target, depth):
-            pts.update(q for q, w in level if w != 0)
+            pts.update(q for q, _ in level)
     return frozenset(pts)
 
 

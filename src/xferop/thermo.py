@@ -544,10 +544,8 @@ class _StateTable:
     step per branch, each run sorted by exact value and deduplicated as
     ``preimages`` returns it; the weights are the cocycle column at the new
     points, the same exact rho_n(x) as the backward product, so the same
-    float.  The runs keep the points of weight zero, so the weight is read
-    at every node of the tree, as ``preimages`` reads it (an undefined
-    weight raises in both); ``fibres`` leaves them out, and a zero is
-    exact, not a float that rounded to zero.  The graph backend answers the
+    float.  A fill cuts the points whose cocycle is exactly zero, as the
+    backward walk does.  The graph backend answers the
     same method names with per-point loops.  What stays per point: ``once``
     (the residual rows' own fibre sums and values; fn gets the batch, which
     iterates as ``Q``), exp(beta*energy) and the twisted coefficients
@@ -568,7 +566,7 @@ class _StateTable:
         self.points = self.system.map.point_ids()
         self._quad: dict = {}
         self._cols: dict = {}
-        self._flat: dict = {}  # depth -> (point ids, weights, nonzero) of the fibre runs
+        self._flat: dict = {}  # depth -> (point ids, weights) of the fibre runs
         self._held: dict = {}  # objects whose id keys a column, kept alive so ids stay unique
 
     def quad(self, pts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -657,8 +655,6 @@ class _StateTable:
         first is NaN where the orbit leaves the domain first."""
 
         def fill(todo):
-            if n < 0:
-                raise ValidationError("n must be nonnegative")
             self.system.check_depth(n)
             w, zero = self.system.map.cocycles(self.pot, self.points.batch(todo), n)
             return np.column_stack((w, zero))
@@ -669,27 +665,25 @@ class _StateTable:
         """float(rho_n) at the ids; NaN where the orbit leaves the domain first."""
         return self._cocycle_pairs(n, ids)[:, 0]
 
-    def _runs(self, n: int, ids: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The n-step fibres of the ids with the points of weight zero:
-        (row in ids, point id, float weight, nonzero), each run in fibre order."""
+    def fibres(self, n: int, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The n-step fibres of the ids, flat: (row in ids, point id, float weight).
+
+        Rows come in the order of ids, each fibre in fibre order, and only
+        preimages of nonzero weight are kept.
+        """
         if n == 0:
-            return np.arange(len(ids)), ids, np.ones(len(ids)), np.ones(len(ids), bool)
+            return np.arange(len(ids)), ids, np.ones(len(ids))
 
         def fill(todo):
-            if n < 0:
-                raise ValidationError("n must be nonnegative")
             self.system.check_depth(n)
-            rows, parents, _, _ = self._runs(n - 1, todo)
+            rows, parents, _ = self.fibres(n - 1, todo)
             rows, pre = self.system.map.fibre_step(self.points.batch(parents), rows)
             xs = self.points.intern(pre)
             pairs = self._cocycle_pairs(n, xs)
-            none = (np.empty(0, np.intp), np.empty(0), np.empty(0, bool))
-            old_x, old_w, old_nz = self._flat.get(n, none)
-            self._flat[n] = (
-                np.concatenate((old_x, xs)),
-                np.concatenate((old_w, pairs[:, 0])),
-                np.concatenate((old_nz, pairs[:, 1] == 0)),
-            )
+            live = pairs[:, 1] == 0  # not exactly zero; a float weight can round to zero
+            rows, xs = rows[live], xs[live]
+            old_x, old_w = self._flat.get(n, (np.empty(0, np.intp), np.empty(0)))
+            self._flat[n] = (np.concatenate((old_x, xs)), np.concatenate((old_w, pairs[live, 0])))
             count = np.bincount(rows, minlength=len(todo))
             return np.column_stack((len(old_x) + np.cumsum(count) - count, count))
 
@@ -698,17 +692,8 @@ class _StateTable:
         rows = np.repeat(np.arange(len(ids)), count)
         first = np.cumsum(count) - count  # where each row's run starts in the output
         pos = np.arange(len(rows)) + np.repeat(start - first, count)
-        flat_x, flat_w, flat_nz = self._flat[n]
-        return rows, flat_x[pos], flat_w[pos], flat_nz[pos]
-
-    def fibres(self, n: int, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The n-step fibres of the ids, flat: (row in ids, point id, float weight).
-
-        Rows come in the order of ids, each fibre in fibre order, and only
-        preimages of nonzero weight are kept.
-        """
-        rows, xs, ws, nz = self._runs(n, ids)
-        return rows[nz], xs[nz], ws[nz]
+        flat_x, flat_w = self._flat[n]
+        return rows, flat_x[pos], flat_w[pos]
 
     def energy_sums(self, psi: PotentialFunction, n: int, ids: np.ndarray) -> np.ndarray:
         """float(psi.birkhoff_or_none(x, n)) at the ids; NaN where it is None."""
@@ -817,12 +802,9 @@ class KMSCandidate:
 
     beta: float
     mu: Measure
-    kind: str
     note: str = ""
 
     def __post_init__(self):
-        if self.kind != "conformal":
-            raise ValidationError(f"unknown candidate kind {self.kind!r}")
         if not self.mu.is_positive():
             raise ValidationError("candidate measure takes a negative mass")
         mass = float(self.mu.total_mass())
@@ -1003,8 +985,6 @@ def solve_conformal(
     psi: PotentialFunction,
     bins: int = 256,
     bracket: tuple[float, float] = (0.1, 3.0),
-    root_tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> KMSCandidate:
     """Find the inverse temperature where the Perron root crosses one.
 
@@ -1017,18 +997,17 @@ def solve_conformal(
     iterate the dense matrix from the uniform vector every time, because
     the atom masses of a graph candidate are exact rationals of that
     vector's floats.  A constant energy scales one Perron root at
-    beta = 0 instead.  Bisection runs on the
-    bracket; a flat root pegged at one returns a degenerate candidate, any
-    other one-sided bracket raises NoSolution with the endpoint data, and a
-    bracket where exp(-beta*energy) overflows raises ValidationError.
+    beta = 0 instead.  Bisection runs on the bracket for at most 200 steps,
+    until |r - 1| <= 1e-10 or the bracket shrinks to rounding width; a flat
+    root pegged at one returns a degenerate candidate, any other one-sided
+    bracket raises NoSolution with the endpoint data, and a bracket where
+    exp(-beta*energy) overflows raises ValidationError.
     """
     b_lo, b_hi = float(bracket[0]), float(bracket[1])
     if not b_lo < b_hi:  # also refuses NaN ends
         raise ValidationError("bracket must be increasing")
     if bins < 1:
         raise ValidationError(f"the bin grid needs at least one bin, got bins={bins}")
-    if max_iter < 1:
-        raise ValidationError("max_iter must be at least 1")
     system = handle.system
     if system.backend == "graph":
         ops, cval = _RuelleGraph(system, psi), None
@@ -1059,7 +1038,7 @@ def solve_conformal(
             _, vec = spectral(beta)
             mu = ops.eigenmeasure(vec, beta)
             return KMSCandidate(
-                beta, mu, "conformal",
+                beta, mu,
                 note="degenerate: Perron root is one across the whole bracket",
             )
         raise NoSolution(
@@ -1072,18 +1051,18 @@ def solve_conformal(
         )
     lo_, hi_ = b_lo, b_hi
     f_lo = r_lo - 1.0
-    for _ in range(max_iter):
+    for _ in range(200):
         beta = 0.5 * (lo_ + hi_)
         r_mid, vec = spectral(beta)
         f_mid = r_mid - 1.0
-        if abs(f_mid) <= root_tol or (hi_ - lo_) <= 5e-15 * max(1.0, abs(beta)):
+        if abs(f_mid) <= 1e-10 or (hi_ - lo_) <= 5e-15 * max(1.0, abs(beta)):
             break
         if f_lo * f_mid <= 0:
             hi_ = beta
         else:
             lo_, f_lo = beta, f_mid
     mu = ops.eigenmeasure(vec, beta)
-    return KMSCandidate(beta, mu, "conformal")
+    return KMSCandidate(beta, mu)
 
 
 def _normalised(masses: list[Fraction]) -> list[Fraction]:

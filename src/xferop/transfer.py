@@ -387,7 +387,7 @@ class TransferHandle:
 def weighted_fiber_sum(system: PartialSystem, pot: Potential, fn: Callable, y, n: int = 1) -> Fraction:
     """The exact n-fold fiber sum of rho_n * fn at y, behind ``apply``, ``FnExpr.transfer``
     and the grid fibre sums: nonzero weights only, added in ``dyn.preimages`` order."""
-    return sum((w * fn(x) for x, w in dyn.preimages(system, pot, y, n) if w != 0), Q(0))
+    return sum((w * fn(x) for x, w in dyn.preimages(system, pot, y, n)), Q(0))
 
 
 def apply(handle: TransferHandle, a: Function, y, n: int = 1) -> Fraction:

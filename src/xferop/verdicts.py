@@ -438,7 +438,7 @@ def _inverse_orbit_dense(
     for _ in range(min(depth, 10)):
         nxt = []
         for y in level:
-            for x, _w in dyn.preimages(system, pot, y, 1, drop_zero=True):
+            for x, _w in dyn.preimages(system, pot, y, 1):
                 if reg.contains(x) and x not in pts:
                     pts.add(x)
                     nxt.append(x)
@@ -702,7 +702,7 @@ def _collapsed_basis(system: PartialSystem, pot: Potential, cert, depth: int):
     for _ in range(depth):
         nxt = []
         for i in frontier:
-            for child, w in dyn.preimages(system, pot, pts[i], 1, drop_zero=True):
+            for child, w in dyn.preimages(system, pot, pts[i], 1):
                 j = idx.get(child)
                 if j is None:
                     pts.append(child)

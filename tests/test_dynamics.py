@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from xferop import dynamics as dyn
 from xferop import specfile
 from xferop import spectra
+from xferop import thermo as th
+from xferop import transfer as tr
 from xferop.errors import (
     DepthExceeded,
     OutOfDomain,
@@ -65,6 +67,26 @@ class TestIteration:
         with pytest.raises(DepthExceeded):
             dyn.iterate_domain(tent.system, tent.system.depth_bound + 1)
 
+    def test_negative_step_counts_are_refused(self, tent):
+        # PartialSystem.check_depth is the one guard every walk goes through
+        system, pot = tent.system, tent.potential
+        mu = tr.AtomicMeasure(((F(1, 3), 1),))
+        tab = th._StateTable(tr.TransferHandle.create(system, pot), mu, th.PotentialFunction.const(system, 1), 0.7)
+        ids, _ = tab.quad(1)
+        for call in (
+            lambda: system.check_depth(-1),
+            lambda: dyn.iterate_domain(system, -1),
+            lambda: dyn.preimages(system, pot, F(1, 3), -1),
+            lambda: dyn.cocycle(system, pot, -1, F(1, 3)),
+            lambda: spectra.positive_iterate(system, pot, -1),
+            lambda: tab.cocycles(-1, ids),
+            lambda: tab.fibres(-1, ids),
+        ):
+            with pytest.raises(ValidationError, match="^n must be nonnegative$"):
+                call()
+        with pytest.raises(ValidationError, match="^k must be nonnegative$"):
+            spectra.FiberRep(system, pot, F(1, 3), -1)
+
     def test_tent_preimage_counts(self, tent):
         # the right endpoint pulls back along one branch fewer than 0 does
         for n in range(1, 8):
@@ -78,9 +100,9 @@ class TestIteration:
         )
 
     def test_drop_zero(self, tent_half):
-        full = dyn.preimages(tent_half.system, tent_half.potential, F(1, 2), 1)
-        pos = dyn.preimages(tent_half.system, tent_half.potential, F(1, 2), 1, drop_zero=True)
-        assert [x for x, _ in full] == [F(1, 4), F(3, 4)]
+        # 3/4 is in the fibre of 1/2 but weighs zero, so the operator never sees it
+        assert tent_half.system.map.fiber(F(1, 2)) == (F(1, 4), F(3, 4))
+        pos = dyn.preimages(tent_half.system, tent_half.potential, F(1, 2), 1)
         assert pos == ((F(1, 4), F(1)),)
 
     def test_cocycle_out_of_domain_reports_step(self, tent_half):

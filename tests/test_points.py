@@ -158,7 +158,11 @@ def test_points_round_trip_through_their_text(name):
     system, pot = spec.system, spec.potential
     m = system.map
     anchor = m.default_anchor(dyn.regular_set(system, pot).delta_reg)
-    tree = [x for n in range(4) for x, _ in dyn.preimages(system, pot, anchor, n)]
+    # the unweighted fibres, so a weight that is zero near the anchor leaves points
+    tree, level = [], [anchor]
+    for _ in range(4):
+        tree += level
+        level = [x for z in level for x in m.fiber(z)]
     points = [*m.default_samples(), anchor, *tree]
     if isinstance(m, dyn.GraphSystem):
         points += [m.vertex_point(v) for v in m.vertices]

@@ -123,7 +123,7 @@ class TestRelations:
 
 class TestExpectations:
     def test_gauge_scales_t(self, tent_basis):
-        ra, rt = rep.gauge_residuals(tent_basis, hat(), angles=9)
+        ra, rt = rep.gauge_residuals(tent_basis, hat())
         assert ra < TOL and rt < TOL
 
     def test_e_balanced_fixed(self, tent_basis):
@@ -143,10 +143,12 @@ class TestExpectations:
         assert np.abs(np.diag(tk @ tk.T) - (tk**2).sum(axis=1)).max() < TOL
 
     def test_balanced_projection_tent_half(self):
-        # with the one-sided weight, T T* is exactly the indicator of [0, 1/2]
+        # with the one-sided weight, T T* is exactly the indicator of [0, 1/2];
+        # the basis holds only nodes of weight one, and those all lie there
         s = specfile.bundled("tent_half")
         h = tr.TransferHandle.create(s.system, s.potential)
-        b = rep.OrbitBasis(h, F(1, 3), 6, drop_zero=False)
+        b = rep.OrbitBasis(h, F(1, 3), 6)
+        assert all(nd.point <= F(1, 2) for nd in b.nodes[1:])
         t = b.T()
         proj = t @ t.T
         ind = tr.TestFunction.const_on(RationalInterval(0, F(1, 2)), 1)

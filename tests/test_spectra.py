@@ -99,7 +99,7 @@ class TestSpectrumAn:
         report = dyn.regular_set(tent.system, tent.potential)
         for ip in report.irregular_points:
             for k in range(2):
-                if dyn.preimages(tent.system, tent.potential, ip.point, k, drop_zero=True):
+                if dyn.preimages(tent.system, tent.potential, ip.point, k):
                     assert d.strata[k].contains(ip.point)
 
     def test_generators_verify_exactly(self, tent):

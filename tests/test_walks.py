@@ -308,7 +308,7 @@ def test_orbit_sets_cut_where_the_old_loop_stopped(name):
             want = set()
             for target in _forward_part_of_orbit_set(s.system, s.potential, x, depth):
                 for level in range(depth + 1):
-                    want.update(q for q, _ in dyn.preimages(s.system, s.potential, target, level, drop_zero=True))
+                    want.update(q for q, _ in dyn.preimages(s.system, s.potential, target, level))
             assert spectra._orbit_set(s.system, s.potential, x, depth) == want
 
 
