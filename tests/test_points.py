@@ -158,7 +158,8 @@ def test_points_round_trip_through_their_text(name):
     system, pot = spec.system, spec.potential
     m = system.map
     anchor = m.default_anchor(dyn.regular_set(system, pot).delta_reg)
-    # the unweighted fibres, so a weight that is zero near the anchor leaves points
+    # the fibres of the map, not of the operator: halving weighs zero at 1, the
+    # one preimage of its anchor 1/2
     tree, level = [], [anchor]
     for _ in range(4):
         tree += level
