@@ -3,8 +3,9 @@
 An element is a triple (x, k, y) of basis points whose forward orbits
 merge: phi^n(x) = phi^m(y) for some witness pair (n, m) with k = n - m.
 Truncation keeps witnesses below a depth bound, which makes membership
-decidable and every table exact.  Tables are keyed by (x, k, y), which
-makes the groupoid laws hold by construction (see ``TruncatedGroupoid``).
+decidable and every table exact.  Tables are keyed by the triple (x, k, y)
+of interned point ids, which makes the groupoid laws hold by construction
+(see ``TruncatedGroupoid``).
 The module also provides the equal-image relations R_n, the dictionary
 between groupoid convolution and the truncated matrix model (a
 weighted-shift conjugation that cancels the cocycle square roots entry by
@@ -75,24 +76,28 @@ class GapPair:
 
 
 class TruncatedGroupoid:
-    """Finite element table over a point set, keyed by (x, k, y).
+    """Finite element table over a point set, keyed by interned ids.
 
-    The product gh is the element at (g.x, g.k + h.k, h.y), if any.  So
-    (gh)f and g(hf) are one lookup, and g.g^-1 is the lookup of (g.x, 0,
-    g.x), a unit: associativity and inverses need no check.
+    ``points[i]`` has id i, ``keys[i]`` is the id triple (x, k, y) of
+    element i, and ``index`` maps a triple to its element.  The product gh
+    is the element at (g.x, g.k + h.k, h.y), if any.  So (gh)f and g(hf)
+    are one lookup, and g.g^-1 is the lookup of (g.x, 0, g.x), a unit:
+    associativity and inverses need no check.
     """
 
     def __init__(self, depth: int, points: tuple, elements: tuple):
         self.depth = depth
         self.points = points
         self.elements = elements
-        self.index = {(g.x, g.k, g.y): i for i, g in enumerate(elements)}
+        ids = {p: i for i, p in enumerate(points)}
+        self.keys = tuple((ids[g.x], g.k, ids[g.y]) for g in elements)
+        self.index = {key: i for i, key in enumerate(self.keys)}
         if len(self.index) != len(elements):
             raise ValidationError("duplicate elements in groupoid table")
-        by_left: dict = {}
-        for i, g in enumerate(elements):
-            by_left.setdefault(g.x, []).append(i)
-        self._by_left = {p: tuple(ix) for p, ix in by_left.items()}
+        self._by_left: list[list[int]] = [[] for _ in points]
+        for i, (x, _, _) in enumerate(self.keys):
+            self._by_left[x].append(i)
+        self._on: dict = {}  # per basis, what ``_ends`` reads
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -104,15 +109,14 @@ class TruncatedGroupoid:
         and y are in the table, its inverse is in it exactly as ``inverse()``
         writes it, and the witness replays: phi^n(x) = phi^m(y), both defined.
         """
-        end = functools.cache(functools.partial(dyn.orbit_end, system))
+        end = functools.cache(lambda i, n: dyn.orbit_end(system, self.points[i], n))
         bad = 0
-        for g in self.elements:
-            inv = g.inverse()
-            i = self.index.get((inv.x, inv.k, inv.y))
-            image = end(g.x, g.witness[0])
-            units = (g.x, 0, g.x) in self.index and (g.y, 0, g.y) in self.index
-            inverse = i is not None and self.elements[i] == inv
-            replays = image is not None and image == end(g.y, g.witness[1])
+        for g, (x, k, y) in zip(self.elements, self.keys):
+            i = self.index.get((y, -k, x))
+            image = end(x, g.witness[0])
+            units = (x, 0, x) in self.index and (y, 0, y) in self.index
+            inverse = i is not None and self.elements[i] == g.inverse()
+            replays = image is not None and image == end(y, g.witness[1])
             bad += not (units and inverse and replays)
         return bad
 
@@ -256,27 +260,28 @@ def phi_matrix(
     return (lft[:, None] * core) * rgt[None, :]
 
 
-def _node_rows(basis: rep.OrbitBasis) -> dict:
-    rows = {nd.point: i for i, nd in enumerate(basis.nodes)}
-    if len(rows) != basis.dim:
-        raise ValidationError(
-            "anchor revisits its own preimage tree; pick a nonperiodic anchor"
-        )
-    return rows
-
-
-def _tensor_value(end, a, b, n, m, g: GroupoidElement) -> float:
-    """Value of the degree-(n, m) tensor at an element: a(x) b(y) when the
-    specific witness pair (n, m) holds for it, else zero.  ``end(x, n)``
-    answers like ``dyn.orbit_end``."""
-    if g.k != n - m:
-        return 0.0
-    vx = end(g.x, n)
-    if vx is None or vx != end(g.y, m):
-        return 0.0
-    va = 1.0 if a is None else float(a.value(g.x))
-    vb = 1.0 if b is None else float(b.value(g.y))
-    return va * vb
+def _ends(gpd: TruncatedGroupoid, basis: rep.OrbitBasis, n: int) -> tuple[list[int], list[int]]:
+    """Each table point's node on the basis (-1 off it), and its phi^n as an
+    interned id (-1 where the orbit leaves the domain), once per basis and
+    degree.  A node's id is its index; a node n or more deep reads its ancestor."""
+    held = gpd._on.get(id(basis))
+    if held is None:
+        ids = {nd.point: i for i, nd in enumerate(basis.nodes)}
+        if len(ids) != basis.dim:
+            raise ValidationError(
+                "anchor revisits its own preimage tree; pick a nonperiodic anchor"
+            )
+        held = gpd._on[id(basis)] = (basis, [ids.get(p, -1) for p in gpd.points], ids, {})
+    _, rows, ids, col = held
+    if n not in col:
+        up, col[n] = basis.ancestors(n, basis.depth + 1), []
+        for p, r in zip(gpd.points, rows):
+            z = up[r] if r >= 0 else -1
+            if z < 0:
+                end = dyn.orbit_end(basis.system, p, n)
+                z = -1 if end is None else ids.setdefault(end, len(ids))
+            col[n].append(z)
+    return rows, col[n]
 
 
 def _convolution_matrix(
@@ -285,26 +290,39 @@ def _convolution_matrix(
     a, b, n: int, m: int,
     c, d, n2: int, m2: int,
 ) -> np.ndarray:
-    end = functools.cache(functools.partial(dyn.orbit_end, basis.system))
-    rows = _node_rows(basis)
+    rows, e1 = _ends(gpd, basis, n)
+
+    def tensor(f, g, ends_f, ends_g, x: int, y: int) -> float:
+        """f(x) g(y) when phi^n(x) = phi^m(y), both defined, for the factor's degrees."""
+        if ends_f[x] < 0 or ends_f[x] != ends_g[y]:
+            return 0.0
+        return value(f, x) * value(g, y)
+
+    def value(f, p: int) -> float:
+        if f is None:
+            return 1.0
+        return basis.values(f, (rows[p],))[0] if rows[p] >= 0 else float(f.value(gpd.points[p]))
+
+    e2, f1, f2 = (_ends(gpd, basis, k)[1] for k in (m, n2, m2))
     k1, k2 = n - m, n2 - m2
+    keys = gpd.keys
     out = np.zeros((basis.dim, basis.dim))
     # a second factor recurs under every first factor ending where it starts
     second: dict[int, float] = {}
-    for g1 in gpd.elements:
-        if g1.k != k1 or g1.x not in rows:
+    for x, k, y in keys:
+        if k != k1 or rows[x] < 0:
             continue
-        v1 = _tensor_value(end, a, b, n, m, g1)
+        v1 = tensor(a, b, e1, e2, x, y)
         if v1 == 0.0:
             continue
-        for j in gpd._by_left.get(g1.y, ()):
-            g2 = gpd.elements[j]
-            if g2.k != k2 or g2.y not in rows:
+        for j in gpd._by_left[y]:
+            _, kj, yj = keys[j]
+            if kj != k2 or rows[yj] < 0:
                 continue
             if j not in second:
-                second[j] = _tensor_value(end, c, d, n2, m2, g2)
+                second[j] = tensor(c, d, f1, f2, y, yj)
             if second[j] != 0.0:
-                out[rows[g1.x], rows[g2.y]] += v1 * second[j]
+                out[rows[x], rows[yj]] += v1 * second[j]
     return out
 
 

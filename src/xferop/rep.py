@@ -4,13 +4,17 @@ The orbit basis spans the preimage tree of an anchor point up to a fixed
 depth.  Functions act diagonally, the generator T sends a node to its
 weighted fiber children, and every algebraic relation that survives
 truncation is checked on the interior band where no truncated edge can
-leak in.  Matrices are numpy arrays; the diagonal data behind them stays
-exact until the final cast.
+leak in.  Nodes are keyed by their index in walk order: a function
+expression is read as one exact vector over them, its fiber sums and
+pullbacks off the children and ancestors the tree holds.  Matrices are
+numpy arrays; the diagonal data behind them stays exact until the final
+cast.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -33,14 +37,19 @@ class FnExpr:
 
     Wraps evaluation closures so products, pullbacks along the map, and
     fiber-sum images stay exactly computable at rational points even when
-    they leave the piecewise-affine class.
+    they leave the piecewise-affine class.  ``on`` reads the values at the
+    nodes of an orbit basis off its tree; the closure is read off it only.
     """
 
-    def __init__(self, fn: Callable[[object], Fraction]):
-        self._fn = fn
+    def __init__(self, fn: Callable[[object], Fraction], on=None):
+        self._fn, self._on = fn, on
 
     def value(self, x) -> Fraction:
         return self._fn(x)
+
+    def on(self, basis: "OrbitBasis", levels: int) -> list:
+        """The exact values at the tree nodes of depth below ``levels``, in node order."""
+        return self._on(basis, levels) if self._on else [self._fn(x) for x, _, _ in basis.tree(levels)]
 
     @staticmethod
     def of(f: tr.Function) -> "FnExpr":
@@ -52,19 +61,43 @@ class FnExpr:
         return FnExpr(lambda x: v)
 
     def __mul__(self, other: "FnExpr") -> "FnExpr":
-        return FnExpr(lambda x: self._fn(x) * other._fn(x))
+        return FnExpr(
+            lambda x: self._fn(x) * other._fn(x),
+            lambda b, lv: [p * q for p, q in zip(self.on(b, lv), other.on(b, lv))],
+        )
 
     def alpha(self, system: PartialSystem, n: int = 1) -> "FnExpr":
-        """Pullback along n forward steps; zero off the n-step domain."""
+        """Pullback along n forward steps; zero off the n-step domain.  On a
+        basis of the system a node n or more deep reads its ancestor."""
 
         def val(x):
             z = dyn.orbit_end(system, x, n)
             return Q(0) if z is None else self._fn(z)
 
-        return FnExpr(val)
+        def on(b, lv):
+            if b.system is not system:
+                return [val(x) for x, _, _ in b.tree(lv)]
+            inner = self.on(b, max(lv - n, 0))  # the ancestors are this shallow
+            return [inner[a] if a >= 0 else val(x) for a, (x, _, _) in zip(b.ancestors(n, lv), b.tree(lv))]
+
+        return FnExpr(val, on)
 
     def transfer(self, system: PartialSystem, pot: Potential, n: int = 1) -> "FnExpr":
-        return FnExpr(lambda y: tr.weighted_fiber_sum(system, pot, self._fn, y, n))
+        """The n-fold weighted fiber sum; on a basis of the system and weight,
+        each step sums the basis children."""
+
+        def val(y):
+            return tr.weighted_fiber_sum(system, pot, self._fn, y, n)
+
+        def on(b, lv):
+            if b.system is not system or b.potential is not pot:
+                return [val(y) for y, _, _ in b.tree(lv)]
+            vals = self.on(b, lv + n)
+            for top in range(lv + n - 1, lv - 1, -1):
+                vals = b.push(vals, top)
+            return vals
+
+        return FnExpr(val, on)
 
 
 # ---------------------------------------------------------------------------
@@ -96,20 +129,56 @@ class OrbitBasis:
         self.anchor = anchor
         self.depth = depth
 
-        # a level's parents index the level before
-        nodes, parents, start = [], [], 0
-        for k, (level, up) in enumerate(dyn.preimage_levels(system, pot, anchor, depth)):
-            prev, start = start, len(nodes)
-            nodes += [BasisNode(k, x) for x, _ in level]
-            parents += [prev + p for p in up]
-        self.nodes = tuple(nodes)
-        self.parents = tuple(parents)
-        self._weights = tuple(
-            pot.value(nd.point) if i > 0 else Q(0)
-            for i, nd in enumerate(self.nodes)
+        # level k spans _starts[k]:_starts[k + 1] of the tree (``tree``)
+        self._walk = dyn.preimage_levels(system, pot, anchor, sys.maxsize)
+        [(root, one)], _ = next(self._walk)
+        self._tree, self._starts, self._steps = [(root, -1, one)], [0, 1], [Q(0)]
+        tree = self.tree(depth + 1)
+        self.nodes = tuple(
+            BasisNode(k, x) for k in range(depth + 1) for x, _, _ in tree[self._starts[k] : self._starts[k + 1]]
         )
+        self.parents = tuple(p for _, p, _ in tree)
+        self._t: Optional[np.ndarray] = None
         self._cocycles: dict[int, tuple[Optional[Fraction], ...]] = {}
         self._values: dict[int, tuple[tr.Function, list[Optional[float]]]] = {}
+
+    def tree(self, levels: int) -> list[tuple]:
+        """The nodes of depth below ``levels`` as (point, parent, cocycle), in node
+        order.  A level past the depth is read from the walk when first asked for,
+        so a basis that never transfers walks no further."""
+        tree, starts = self._tree, self._starts
+        while len(starts) <= levels:
+            level, up = next(self._walk)
+            tree += [(x, p + starts[-2], w) for (x, w), p in zip(level, up)]
+            starts.append(len(tree))
+        return tree[: starts[levels]]
+
+    def weights(self, levels: int) -> list:
+        """pot.value at the nodes of depth below ``levels`` (0 at the root), read
+        off the walk once: each cocycle over its parent's."""
+        tree, steps = self.tree(levels), self._steps
+        steps += [w / tree[p][2] for _, p, w in tree[len(steps) :]]
+        return steps[: len(tree)]
+
+    @property
+    def _weights(self) -> tuple:
+        return tuple(self.weights(self.depth + 1))
+
+    def ancestors(self, n: int, levels: int) -> list[int]:
+        """The node n levels up from each node of depth below ``levels``, -1 above the root."""
+        tree = self.tree(levels)
+        out = list(range(len(tree)))
+        for _ in range(n):
+            out = [tree[a][1] if a >= 0 else -1 for a in out]
+        return out
+
+    def push(self, vals: list, levels: int) -> list:
+        """One fiber-sum step: each node of depth below ``levels`` sums weight
+        times value in ``vals`` over its children."""
+        out = [Q(0)] * self._starts[levels]
+        for (_, p, _), w, v in zip(self.tree(levels + 1)[1:], self.weights(levels + 1)[1:], vals[1:]):
+            out[p] += w * v
+        return out
 
     @property
     def dim(self) -> int:
@@ -126,15 +195,21 @@ class OrbitBasis:
     # -- matrices ------------------------------------------------------------
 
     def pi(self, f) -> np.ndarray:
-        """Diagonal action of a function (TestFunction or FnExpr)."""
-        vals = [float(f.value(nd.point)) for nd in self.nodes]
+        """Diagonal action of a function: a FnExpr read off the tree, any other through ``values``."""
+        if isinstance(f, FnExpr):
+            vals = [float(v) for v in f.on(self, self.depth + 1)]
+        else:
+            vals = self.values(f, range(self.dim))
         return np.diag(np.array(vals, dtype=float))
 
     def T(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim))
-        for i in range(1, self.dim):
-            m[i, self.parents[i]] = math.sqrt(float(self._weights[i]))
-        return m
+        """The weighted shift onto the children, built once per basis and read-only."""
+        if self._t is None:
+            self._t = np.zeros((self.dim, self.dim))
+            for i, w in enumerate(self._weights[1:], 1):
+                self._t[i, self.parents[i]] = math.sqrt(float(w))
+            self._t.flags.writeable = False
+        return self._t
 
     def T_pow(self, k: int) -> np.ndarray:
         out = np.eye(self.dim)

@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 from fractions import Fraction as F
@@ -28,6 +29,13 @@ def dbl_gpd(doubling):
 @pytest.fixture(scope="module")
 def shift2_anchor(shift2):
     return shift2.system.gph.path_point(("e0", "e0"))
+
+
+def _at(gpd, x, k, y):
+    """The element (x, k, y) of a table, or None: the table keys points by their ids."""
+    ids = {p: i for i, p in enumerate(gpd.points)}
+    i = gpd.index.get((ids.get(x), k, ids.get(y)))
+    return None if i is None else gpd.elements[i]
 
 
 def _identity_system():
@@ -107,26 +115,24 @@ class TestBuildDeaconu:
         assert len(dbl_gpd.elements) == 231
         units = [g for g in dbl_gpd.elements if g.k == 0 and g.x == g.y]
         assert len(units) == len(dbl_gpd.points)
-        assert all((p, 0, p) in dbl_gpd.index for p in dbl_gpd.points)
+        assert all(_at(dbl_gpd, p, 0, p) is not None for p in dbl_gpd.points)
 
     def test_depth_one_arrows(self, doubling, dbl_gpd):
         for x in doubling.system.map.fiber(F(1, 4)):
-            assert (x, 1, F(1, 4)) in dbl_gpd.index
-            g = dbl_gpd.elements[dbl_gpd.index[(x, 1, F(1, 4))]]
-            assert g.witness == (1, 0)
+            assert _at(dbl_gpd, x, 1, F(1, 4)).witness == (1, 0)
 
     def test_overshoot_witness(self, dbl_gpd):
         # (1/4, 0, 1/8) is only reachable once both orbits hit the fixed
         # point 0, three steps out on each side
-        g = dbl_gpd.elements[dbl_gpd.index[(F(1, 4), 0, F(1, 8))]]
+        g = _at(dbl_gpd, F(1, 4), 0, F(1, 8))
         assert g.witness == (3, 3)
 
     def test_inverse_closure(self, dbl_gpd):
         for g in dbl_gpd.elements:
             inv = g.inverse()
-            assert dbl_gpd.elements[dbl_gpd.index[(inv.x, inv.k, inv.y)]] == inv
+            assert _at(dbl_gpd, inv.x, inv.k, inv.y) == inv
             # g.g^-1 is the lookup of (x, 0, x): a unit
-            assert (g.x, g.k + inv.k, g.x) in dbl_gpd.index
+            assert _at(dbl_gpd, g.x, g.k + inv.k, g.x) is not None
 
     def test_axioms_hold(self, doubling, dbl_gpd):
         assert dbl_gpd.axiom_violations(doubling.system) == 0
@@ -139,10 +145,10 @@ class TestBuildDeaconu:
         assert len(gz.points) == 1
         assert sorted(g.k for g in gz.elements) == list(range(-4, 5))
         x = F(1, 3)
-        top, up, dn = (gz.elements[gz.index[(x, k, x)]] for k in (4, 1, -1))
+        top, up, dn = (_at(gz, x, k, x) for k in (4, 1, -1))
         # a product is the lookup of the summed degree
-        assert (x, top.k + up.k, x) not in gz.index
-        assert gz.elements[gz.index[(x, top.k + dn.k, x)]].k == 3
+        assert _at(gz, x, top.k + up.k, x) is None
+        assert _at(gz, x, top.k + dn.k, x).k == 3
 
     def test_shift_count_matches_brute_force(self, shift2, shift2_anchor):
         gpd = gp.build_deaconu(shift2.system, shift2.potential, [shift2_anchor], 6)
@@ -169,7 +175,7 @@ class TestBuildDeaconu:
         assert len(gm.points) == 14
         assert len(gm.elements) == 116
         # the two trees are disjoint but their anchors share the image 1/2
-        g = gm.elements[gm.index[(F(1, 8), 0, F(3, 8))]]
+        g = _at(gm, F(1, 8), 0, F(3, 8))
         assert g.witness == (2, 2)
 
     def test_element_budget(self, shift2, shift2_anchor):
@@ -434,6 +440,89 @@ class TestPhiIsomorphism:
             r = gp.iso_phi_check(basis, fa, fb, n, m, fc, fd, n2, m2, gpd=gpd)
             worst = max(worst, r)
         assert worst <= 1e-10
+
+
+def _old_convolution(gpd, basis, a, b, n, m, c, d, n2, m2):
+    """The point-keyed loop ``_convolution_matrix`` ran before the table interned its points."""
+    end = functools.cache(functools.partial(dyn.orbit_end, basis.system))
+    rows = {nd.point: i for i, nd in enumerate(basis.nodes)}
+    by_left = {}
+    for i, g in enumerate(gpd.elements):
+        by_left.setdefault(g.x, []).append(i)
+
+    def tensor(f, h, n, m, g):
+        if g.k != n - m:
+            return 0.0
+        vx = end(g.x, n)
+        if vx is None or vx != end(g.y, m):
+            return 0.0
+        return (1.0 if f is None else float(f.value(g.x))) * (1.0 if h is None else float(h.value(g.y)))
+
+    out = np.zeros((basis.dim, basis.dim))
+    second = {}
+    for g1 in gpd.elements:
+        if g1.k != n - m or g1.x not in rows:
+            continue
+        v1 = tensor(a, b, n, m, g1)
+        if v1 == 0.0:
+            continue
+        for j in by_left.get(g1.y, ()):
+            g2 = gpd.elements[j]
+            if g2.k != n2 - m2 or g2.y not in rows:
+                continue
+            if j not in second:
+                second[j] = tensor(c, d, n2, m2, g2)
+            if second[j] != 0.0:
+                out[rows[g1.x], rows[g2.y]] += v1 * second[j]
+    return out
+
+
+class TestConvolutionOnIds:
+    """``_convolution_matrix`` on interned ids against the point-keyed loop, bit for bit."""
+
+    def _cases(self, system, pot, anchor, seeds, depth, fns, seed):
+        h = tr.TransferHandle.create(system, pot)
+        basis = rep.OrbitBasis(h, anchor, depth)
+        gpd = gp.build_deaconu(system, pot, seeds, depth)
+        rng = random.Random(seed)
+        for _ in range(40):
+            degrees = [rng.randint(0, min(3, depth)) for _ in range(4)]
+            f = [rng.choice(fns) for _ in range(4)]
+            args = (f[0], f[1], degrees[0], degrees[1], f[2], f[3], degrees[2], degrees[3])
+            got = gp._convolution_matrix(gpd, basis, *args)
+            assert got.tobytes() == _old_convolution(gpd, basis, *args).tobytes()
+        return basis, gpd
+
+    def _interval_fns(self):
+        return [
+            tr.TestFunction.hat(F(1, 2), F(1, 2), 1),
+            tr.TestFunction.affine_on(UNIT, 1, 0),
+            tr.TestFunction.hat(F(1, 4), F(1, 4), 1),
+            None,
+        ]
+
+    def test_one_seed(self, doubling):
+        self._cases(doubling.system, doubling.potential, F(1, 4), [F(1, 4)], 4, self._interval_fns(), 3)
+
+    def test_two_seeds_reach_off_the_basis(self, doubling):
+        # the tree of 3/4 is in the table but not on the basis of 1/4
+        basis, gpd = self._cases(
+            doubling.system, doubling.potential, F(1, 4), [F(1, 4), F(3, 4)], 3, self._interval_fns(), 5
+        )
+        on = {nd.point for nd in basis.nodes}
+        assert len(gpd.points) > basis.dim
+        assert any(g.x in on and g.y not in on for g in gpd.elements)
+
+    @pytest.mark.parametrize("name", ["fullshift2", "golden_mean"])
+    def test_graphs(self, name):
+        if name == "golden_mean":
+            spec = specfile.parse_spec(cells.generated_specs()[name])
+        else:
+            spec = specfile.bundled(name)
+        system, pot = spec.system, spec.potential
+        anchor = system.map.default_anchor(dyn.regular_set(system, pot).delta_reg)
+        fns = [tr.CylinderFunction.indicator(p, F(i + 1, 2)) for i, p in enumerate(system.gph.words(1))] + [None]
+        self._cases(system, pot, anchor, [anchor], 5, fns, 7)
 
 
 class TestGraphGenerators:

@@ -1,14 +1,21 @@
+import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from xferop import cli
 from xferop import dynamics as dyn
 from xferop import rep
 from xferop import specfile
 from xferop import transfer as tr
-from xferop.errors import EmptyBasis, ValidationError
-from xferop.intervals import IntervalSet, RationalInterval
+from xferop.errors import EmptyBasis, ValidationError, XferopError
+from xferop.intervals import IntervalSet, Q, RationalInterval
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import cells  # noqa: E402  (the benchmark's specs)
 
 TOL = 1e-12
 
@@ -218,3 +225,119 @@ class TestRegularWindow:
         assert rb.pi(one).shape == (15, 15)
         tt = rb.T()
         assert np.count_nonzero(tt) == (3 - 1) * 4  # shift blocks of the line
+
+
+# tent_half and halving weigh part of their domain zero, so their walks cut
+# preimages; golden_mean is the benchmark's graph with a forbidden word
+TREE_SPECS = ["tent_std", "tent_half", "doubling", "halving", "loop1", "loops2", "fullshift2", "golden_mean"]
+
+
+def _agree(got, want):
+    """got() == want(), or both raise: a graph cylinder cannot be read at a
+    vertex point, whichever way it is reached."""
+    try:
+        expected = want()
+    except XferopError as exc:
+        with pytest.raises(type(exc)):
+            got()
+        return
+    assert got() == expected
+
+
+def _spec(name):
+    if name in cells.generated_specs():
+        return specfile.parse_spec(cells.generated_specs()[name])
+    return specfile.bundled(name)
+
+
+class TestTreeEvaluation:
+    """``FnExpr.on`` against the pointwise closures it replaces at the nodes."""
+
+    @pytest.fixture(scope="class", params=TREE_SPECS)
+    def case(self, request):
+        s = _spec(request.param)
+        h = tr.TransferHandle.create(s.system, s.potential)
+        basis = rep.OrbitBasis(h, cli._anchor_of(s, None), 4)
+        return s.system, s.potential, basis, cli._battery_fns(h, random.Random(0), 4)
+
+    def test_transfer_sums_the_children(self, case):
+        system, pot, basis, fns = case
+        for a in fns:
+            for n in (0, 1, 2):
+                la = rep.FnExpr.of(a).transfer(system, pot, n)
+                _agree(
+                    lambda: la.on(basis, basis.depth + 1),
+                    lambda: [tr.weighted_fiber_sum(system, pot, a.value, nd.point, n) for nd in basis.nodes],
+                )
+
+    def test_alpha_reads_the_ancestor(self, case):
+        system, _, basis, fns = case
+        for a in fns:
+            for n in (0, 1, 2, basis.depth + 1):
+                ends = [dyn.orbit_end(system, nd.point, n) for nd in basis.nodes]
+                _agree(
+                    lambda: rep.FnExpr.of(a).alpha(system, n).on(basis, basis.depth + 1),
+                    lambda: [Q(0) if z is None else a.value(z) for z in ends],
+                )
+
+    def test_composites_equal_their_closures(self, case):
+        # the product battery's middle functions, and a transfer of a pullback
+        # that reads past the leaves
+        system, pot, basis, fns = case
+        a, b = fns[0], fns[-1]
+        prod = rep.FnExpr.of(a) * rep.FnExpr.of(b)
+        exprs = [
+            prod.transfer(system, pot, 1),
+            prod.transfer(system, pot, 0).alpha(system, 1),
+            prod.transfer(system, pot, 2).alpha(system, 2) * rep.FnExpr.const(F(1, 3)),
+            rep.FnExpr.of(a).alpha(system, 1).transfer(system, pot, 2),
+        ]
+        for e in exprs:
+            for levels in (basis.depth + 1, basis.depth + 2):
+                _agree(lambda: e.on(basis, levels), lambda: [e.value(x) for x, _, _ in basis.tree(levels)])
+
+    def test_pi_matches_the_pointwise_diagonal(self, case):
+        system, pot, basis, fns = case
+        la = rep.FnExpr.of(fns[0]).transfer(system, pot)
+        want = np.diag([float(la.value(nd.point)) for nd in basis.nodes])
+        assert np.array_equal(basis.pi(la), want)
+        assert np.array_equal(basis.pi(fns[0]), np.diag([float(fns[0].value(nd.point)) for nd in basis.nodes]))
+
+    def test_an_expression_over_another_system_reads_pointwise(self, tent_basis):
+        # the tree is the tent's; a doubling transfer must not be read off it
+        d = specfile.bundled("doubling")
+        la = rep.FnExpr.of(hat()).transfer(d.system, d.potential)
+        got = la.on(tent_basis, 3)
+        assert got == [tr.weighted_fiber_sum(d.system, d.potential, hat().value, x, 1) for x, _, _ in tent_basis.tree(3)]
+
+    def test_levels_past_the_depth_are_walked_on_first_use(self, monkeypatch):
+        s = specfile.bundled("tent_std")
+        h = tr.TransferHandle.create(s.system, s.potential)
+        stepped = []
+        fiber = dyn.IntervalSystem.fiber
+
+        def counting(self, y):
+            stepped.append(y)
+            return fiber(self, y)
+
+        monkeypatch.setattr(dyn.IntervalSystem, "fiber", counting)
+        basis = rep.OrbitBasis(h, F(1, 3), 3)
+        assert len(stepped) == 7  # the nodes above the leaves
+        basis.T(), basis.pi(hat())
+        assert len(stepped) == 7
+        rep.check_transfer_relation(basis, hat())
+        assert len(stepped) == 15 and len(basis.tree(5)) == 31
+        rep.check_transfer_relation(basis, hat())
+        assert len(stepped) == 15
+
+
+class TestGenerator:
+    def test_built_once_and_read_only(self, tent_basis):
+        t = tent_basis.T()
+        assert tent_basis.T() is t
+        with pytest.raises(ValueError):
+            t[1, 0] = 0.0
+
+    def test_weights_are_the_potential_at_each_node(self, tent_basis):
+        pot = tent_basis.potential
+        assert tent_basis._weights == (Q(0),) + tuple(pot.value(nd.point) for nd in tent_basis.nodes[1:])
