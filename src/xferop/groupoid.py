@@ -97,7 +97,7 @@ class TruncatedGroupoid:
         self._by_left: list[list[int]] = [[] for _ in points]
         for i, (x, _, _) in enumerate(self.keys):
             self._by_left[x].append(i)
-        self._on: dict = {}  # per basis, what ``_ends`` reads
+        self._on: dict = {}  # per basis, what ``_on_basis`` reads
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -260,7 +260,7 @@ def phi_matrix(
     return (lft[:, None] * core) * rgt[None, :]
 
 
-def _ends(gpd: TruncatedGroupoid, basis: rep.OrbitBasis, n: int) -> tuple[list[int], list[int]]:
+def _on_basis(gpd: TruncatedGroupoid, basis: rep.OrbitBasis, n: int) -> tuple[list[int], list[int]]:
     """Each table point's node on the basis (-1 off it), and its phi^n as an
     interned id (-1 where the orbit leaves the domain), once per basis and
     degree.  A node's id is its index; a node n or more deep reads its ancestor."""
@@ -290,7 +290,13 @@ def _convolution_matrix(
     a, b, n: int, m: int,
     c, d, n2: int, m2: int,
 ) -> np.ndarray:
-    rows, e1 = _ends(gpd, basis, n)
+    rows, e1 = _on_basis(gpd, basis, n)
+    e2, f1, f2 = (_on_basis(gpd, basis, k)[1] for k in (m, n2, m2))
+
+    def value(f, p: int) -> float:
+        if f is None:
+            return 1.0
+        return basis.values(f, (rows[p],))[0] if rows[p] >= 0 else float(f.value(gpd.points[p]))
 
     def tensor(f, g, ends_f, ends_g, x: int, y: int) -> float:
         """f(x) g(y) when phi^n(x) = phi^m(y), both defined, for the factor's degrees."""
@@ -298,12 +304,6 @@ def _convolution_matrix(
             return 0.0
         return value(f, x) * value(g, y)
 
-    def value(f, p: int) -> float:
-        if f is None:
-            return 1.0
-        return basis.values(f, (rows[p],))[0] if rows[p] >= 0 else float(f.value(gpd.points[p]))
-
-    e2, f1, f2 = (_ends(gpd, basis, k)[1] for k in (m, n2, m2))
     k1, k2 = n - m, n2 - m2
     keys = gpd.keys
     out = np.zeros((basis.dim, basis.dim))
