@@ -92,6 +92,7 @@ class FnExpr:
         def on(b, lv):
             if b.system is not system or b.potential is not pot:
                 return [val(y) for y, _, _ in b.tree(lv)]
+            system.check_depth(n)  # refuses as ``dyn.preimages`` does
             vals = self.on(b, lv + n)
             for top in range(lv + n - 1, lv - 1, -1):
                 vals = b.push(vals, top)

@@ -310,6 +310,12 @@ class TestTreeEvaluation:
         got = la.on(tent_basis, 3)
         assert got == [tr.weighted_fiber_sum(d.system, d.potential, hat().value, x, 1) for x, _, _ in tent_basis.tree(3)]
 
+    def test_step_counts_are_refused_as_pointwise(self, tent_basis):
+        system, pot = tent_basis.system, tent_basis.potential
+        for n in (-1, system.depth_bound + 1):
+            la = rep.FnExpr.of(hat()).transfer(system, pot, n)
+            _agree(lambda: la.on(tent_basis, 2), lambda: [la.value(x) for x, _, _ in tent_basis.tree(2)])
+
     def test_levels_past_the_depth_are_walked_on_first_use(self, monkeypatch):
         s = specfile.bundled("tent_std")
         h = tr.TransferHandle.create(s.system, s.potential)
