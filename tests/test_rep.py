@@ -233,8 +233,8 @@ TREE_SPECS = ["tent_std", "tent_half", "doubling", "halving", "loop1", "loops2",
 
 
 def _agree(got, want):
-    """got() == want(), or both raise: a graph cylinder cannot be read at a
-    vertex point, whichever way it is reached."""
+    """got() == want(), or both raise alike: a graph cylinder read at a
+    vertex point, or a refused step count, whichever way it is reached."""
     try:
         expected = want()
     except XferopError as exc:
