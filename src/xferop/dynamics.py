@@ -121,19 +121,33 @@ class AffineBranch:
     def image(self) -> RationalInterval:
         return self.domain.affine_image(self.slope, self.intercept)
 
+    @functools.cached_property
+    def _domain_set(self) -> IntervalSet:
+        return IntervalSet._canonical((self.domain,))
+
+    @functools.cached_property
+    def _inverse(self) -> tuple[Fraction, Fraction]:
+        return 1 / self.slope, -self.intercept / self.slope
+
+    def _carried(self, pieces: list[RationalInterval]) -> IntervalSet:
+        # an affine bijection keeps the order of the components, or reverses it
+        if self.slope < 0:
+            pieces.reverse()
+        return IntervalSet._canonical(tuple(pieces))
+
     def image_of(self, s: IntervalSet) -> IntervalSet:
-        pieces = []
-        for iv in s.intersection(IntervalSet.of(self.domain)).intervals:
-            pieces.append(iv.affine_image(self.slope, self.intercept))
-        return IntervalSet(pieces)
+        m, c = self.slope, self.intercept
+        inside = s.intersection(self._domain_set).intervals
+        return self._carried([iv.affine_image(m, c) for iv in inside])
 
     def inverse_image(self, iv: RationalInterval) -> RationalInterval:
         """The interval the affine map carries onto ``iv``, domain ignored."""
-        return iv.affine_image(1 / self.slope, -self.intercept / self.slope)
+        return iv.affine_image(*self._inverse)
 
     def preimage_of(self, s: IntervalSet) -> IntervalSet:
-        inv = IntervalSet(self.inverse_image(iv) for iv in s.intervals)
-        return inv.intersection(IntervalSet.of(self.domain))
+        m, c = self._inverse
+        inv = self._carried([iv.affine_image(m, c) for iv in s.intervals])
+        return inv.intersection(self._domain_set)
 
 
 @dataclass(frozen=True)
@@ -386,7 +400,7 @@ class IntervalSystem:
                 if a == lo or b == hi:
                     grid.append(RationalInterval(a, b, a == lo, b == hi))
                 for iv in grid:
-                    s = IntervalSet.of(iv).intersection(space)
+                    s = IntervalSet._canonical((iv,)).intersection(space)
                     if s not in seen and not s.is_empty:
                         seen.add(s)
                         yield s

@@ -4,7 +4,20 @@ The dynamics layer manipulates finite unions of intervals with rational
 endpoints, so every set operation here is exact.  ``RationalInterval`` is a
 single (possibly degenerate) interval with endpoint flags; ``IntervalSet``
 keeps a canonical sorted, merged tuple of them, which makes equality of set
-descriptions a plain tuple comparison.
+descriptions a plain tuple comparison.  ``IntervalSet(intervals)`` is the
+normaliser: it sorts and joins whatever it is given (specs, ``points``,
+``difference``, ``closure``).  The operations of the minimality closure
+step return canonical tuples without it, each for one reason:
+
+- ``intersection``: the pieces of two canonical sets are disjoint, come out
+  in order, and two that touched would lie in one component of each side;
+- ``union``: one merge of the two sorted tuples by left end, then the
+  normaliser's join;
+- ``dynamics.AffineBranch.image_of`` / ``preimage_of``: an affine bijection
+  keeps the order of the components, or reverses it for a negative slope,
+  so the ``IntervalSystem`` ones, unions of these, are canonical too;
+- ``empty``, ``point``, ``closed`` and the dyadic seeds of
+  ``IntervalSystem.open_seeds``: no interval, or one.
 
 Every exact number in the package is a ``Q``: a ``Fraction`` subclass with no
 new state.  ``Fraction``'s operators go through ``numbers.Rational`` dispatch,
@@ -274,12 +287,22 @@ class RationalInterval:
         return RationalInterval(self.lo, self.hi, True, True)
 
     def intersection(self, other: "RationalInterval") -> "RationalInterval | None":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
+        # each end is the later start (earlier finish) with its own flag, or
+        # where both agree, closed only if both are; lo <= hi puts it in both
+        if self.lo > other.lo:
+            lo, lo_closed = self.lo, self.lo_closed
+        elif other.lo > self.lo:
+            lo, lo_closed = other.lo, other.lo_closed
+        else:
+            lo, lo_closed = self.lo, self.lo_closed and other.lo_closed
+        if self.hi < other.hi:
+            hi, hi_closed = self.hi, self.hi_closed
+        elif other.hi < self.hi:
+            hi, hi_closed = other.hi, other.hi_closed
+        else:
+            hi, hi_closed = self.hi, self.hi_closed and other.hi_closed
         if lo > hi:
             return None
-        lo_closed = self.contains(lo) and other.contains(lo)
-        hi_closed = self.contains(hi) and other.contains(hi)
         if lo == hi:
             return RationalInterval.point(lo) if lo_closed and hi_closed else None
         return RationalInterval(lo, hi, lo_closed, hi_closed)
@@ -326,11 +349,53 @@ def _merge(a: RationalInterval, b: RationalInterval) -> RationalInterval:
     return RationalInterval(lo, hi, lo_closed, hi_closed)
 
 
+def _merged(items: Iterable[RationalInterval]) -> tuple[RationalInterval, ...]:
+    """Intervals in increasing order of left end, joined where they meet."""
+    merged: list[RationalInterval] = []
+    for iv in items:
+        if merged and _mergeable(merged[-1], iv):
+            merged[-1] = _merge(merged[-1], iv)
+        else:
+            merged.append(iv)
+    return tuple(merged)
+
+
+def _by_lo(a: tuple[RationalInterval, ...], b: tuple[RationalInterval, ...]):
+    """The intervals of two canonical tuples in one run by left end, a closed
+    end before an open one at the same point, as the normaliser sorts them,
+    so the join never has to look back."""
+    i, j, na, nb = 0, 0, len(a), len(b)
+    while i < na and j < nb:
+        x, y = a[i], b[j]
+        if y.lo < x.lo or (y.lo == x.lo and y.lo_closed and not x.lo_closed):
+            yield y
+            j += 1
+        else:
+            yield x
+            i += 1
+    yield from a[i:]
+    yield from b[j:]
+
+
 class IntervalSet:
     """Canonical finite union of :class:`RationalInterval`.
 
     Instances are immutable; two sets describing the same subset of the line
-    compare equal.
+    compare equal.  The canonical tuple lists the connected components in
+    increasing order: any two consecutive ones are apart, or meet at a point
+    that both leave open.
+
+    ``IntervalSet(intervals)`` is the normaliser: it sorts and joins any
+    intervals (specs, ``points``, ``difference``, ``closure``).  These
+    results are canonical by construction and skip it, through
+    ``_canonical``:
+
+    - ``empty``, ``point``, ``closed``: no interval, or one;
+    - ``intersection``: the pieces a & b of two canonical sets are disjoint
+      and come out in order, and two that met would be one connected set
+      inside one component of each side, so one piece;
+    - ``union``: the two sorted tuples are merged by left end in one pass,
+      then joined where they meet, as the normaliser joins after sorting.
     """
 
     __slots__ = ("intervals",)
@@ -340,13 +405,7 @@ class IntervalSet:
             (iv for iv in intervals if iv is not None),
             key=lambda iv: (iv.lo, not iv.lo_closed, iv.hi, not iv.hi_closed),
         )
-        merged: list[RationalInterval] = []
-        for iv in items:
-            if merged and _mergeable(merged[-1], iv):
-                merged[-1] = _merge(merged[-1], iv)
-            else:
-                merged.append(iv)
-        object.__setattr__(self, "intervals", tuple(merged))
+        object.__setattr__(self, "intervals", _merged(items))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntervalSet is immutable")
@@ -354,8 +413,15 @@ class IntervalSet:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
+    def _canonical(intervals: tuple[RationalInterval, ...]) -> "IntervalSet":
+        """The set of a tuple that is canonical already; not checked."""
+        s = _new(IntervalSet)
+        object.__setattr__(s, "intervals", intervals)
+        return s
+
+    @staticmethod
     def empty() -> "IntervalSet":
-        return IntervalSet(())
+        return _EMPTY
 
     @staticmethod
     def of(*intervals: RationalInterval) -> "IntervalSet":
@@ -363,7 +429,7 @@ class IntervalSet:
 
     @staticmethod
     def point(x: Rationalish) -> "IntervalSet":
-        return IntervalSet((RationalInterval.point(x),))
+        return IntervalSet._canonical((RationalInterval.point(x),))
 
     @staticmethod
     def points(xs: Iterable[Rationalish]) -> "IntervalSet":
@@ -371,7 +437,7 @@ class IntervalSet:
 
     @staticmethod
     def closed(lo: Rationalish, hi: Rationalish) -> "IntervalSet":
-        return IntervalSet((RationalInterval(frac(lo), frac(hi)),))
+        return IntervalSet._canonical((RationalInterval(frac(lo), frac(hi)),))
 
     # -- basic protocol --------------------------------------------------
 
@@ -428,7 +494,11 @@ class IntervalSet:
     # -- set algebra ------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self.intervals + other.intervals)
+        if not other.intervals:
+            return self
+        if not self.intervals:
+            return other
+        return IntervalSet._canonical(_merged(_by_lo(self.intervals, other.intervals)))
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
         out = []
@@ -439,7 +509,7 @@ class IntervalSet:
                 piece = a.intersection(b)
                 if piece is not None:
                     out.append(piece)
-        return IntervalSet(out)
+        return IntervalSet._canonical(tuple(out))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         pieces = list(self.intervals)
@@ -517,6 +587,9 @@ class IntervalSet:
                 seen.add(p)
                 uniq.append(p)
         return tuple(uniq)
+
+
+_EMPTY = IntervalSet._canonical(())
 
 
 def _interval_minus(a: RationalInterval, cut: RationalInterval) -> list[RationalInterval]:

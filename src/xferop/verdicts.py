@@ -263,6 +263,15 @@ def _closure_step(sys_, pos, reg, u):
     )
 
 
+def _order_float(x: Fraction) -> float:
+    """``float(x)``, or an infinity of its sign past the float range: still
+    non-strictly monotone, which is all the memo's filter needs."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 class _SaturationMemo:
     """Seeds known to reach X, each with the steps within which it does.
 
@@ -288,7 +297,7 @@ class _SaturationMemo:
         self.steps[n] = steps
         if isinstance(seed, IntervalSet):
             first = seed.intervals[0]
-            self.lo[n], self.hi[n] = float(first.lo), float(first.hi)
+            self.lo[n], self.hi[n] = _order_float(first.lo), _order_float(first.hi)
 
     def lookup(self, u, j: int, max_iter: int) -> Optional[int]:
         """``j + K`` for the newest recorded seed inside ``u`` whose bound K
@@ -297,18 +306,19 @@ class _SaturationMemo:
         An interval seed lies in ``u`` only if its first component lies in
         one component b of ``u``: b ends no earlier and starts no later.
         Converting a Fraction to float is correctly rounded, so it keeps
-        order (``x <= y`` gives ``float(x) <= float(y)``).  Hence b comes no
-        earlier than the first component whose float right end is at least
-        the seed's, and as left ends increase, that component's float left
-        end is at most the seed's.  The filter keeps only the seeds meeting
+        order (``x <= y`` gives ``float(x) <= float(y)``), and so does
+        reading an end past the float range as an infinity of its sign.
+        Hence b comes no earlier than the first component whose float right
+        end is at least the seed's, and as left ends increase, that
+        component's float left end is at most the seed's.  The filter keeps only the seeds meeting
         this, with one ``searchsorted``: it needs no margin and never drops
         a seed that lies in ``u``.
         """
         n = len(self.seeds)
         keep = j + self.steps[:n] < max_iter
         if isinstance(u, IntervalSet):
-            lo = np.array([float(iv.lo) for iv in u.intervals] + [math.inf])
-            hi = np.array([float(iv.hi) for iv in u.intervals])
+            lo = np.array([_order_float(iv.lo) for iv in u.intervals] + [math.inf])
+            hi = np.array([_order_float(iv.hi) for iv in u.intervals])
             first = np.searchsorted(hi, self.hi[:n])
             keep &= lo[first] <= self.lo[:n]
         for i in np.flatnonzero(keep)[::-1]:

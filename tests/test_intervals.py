@@ -7,9 +7,10 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import xferop
+from xferop import dynamics as dyn
 from xferop.errors import ValidationError
 from xferop.intervals import IntervalSet, Q, RationalInterval, frac, frac_str
 
@@ -142,6 +143,152 @@ def test_issubset_matches_difference(s, t):
     assert s.issubset(t) == s.difference(t).is_empty
     # the pieces of s inside t, and t itself, are always subsets of t
     assert s.intersection(t).issubset(t) and t.issubset(t)
+
+
+# -- canonical by construction: each fast path against the normaliser ------
+#
+# union, intersection, the branch and system image_of / preimage_of and
+# open_seeds build their tuples without IntervalSet(...).  Each result must
+# be what the normaliser makes of its own intervals, and what the same
+# operation gave when it went through the normaliser (the references below).
+
+
+def _ref_piece(a, b):
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo > hi:
+        return None
+    lo_closed = a.contains(lo) and b.contains(lo)
+    hi_closed = a.contains(hi) and b.contains(hi)
+    if lo == hi:
+        return RationalInterval.point(lo) if lo_closed and hi_closed else None
+    return RationalInterval(lo, hi, lo_closed, hi_closed)
+
+
+def _ref_union(s, t):
+    return IntervalSet(s.intervals + t.intervals)
+
+
+def _ref_intersection(s, t):
+    return IntervalSet(_ref_piece(a, b) for a in s.intervals for b in t.intervals)
+
+
+def _ref_image(b, s):
+    inside = _ref_intersection(s, IntervalSet.of(b.domain))
+    return IntervalSet(piece.affine_image(b.slope, b.intercept) for piece in inside.intervals)
+
+
+def _ref_preimage(b, s):
+    inv = IntervalSet(piece.affine_image(1 / b.slope, -b.intercept / b.slope) for piece in s.intervals)
+    return _ref_intersection(inv, IntervalSet.of(b.domain))
+
+
+def _ref_fold(step, sys_, s):
+    out = IntervalSet()
+    for b in sys_.branches:
+        out = _ref_union(out, step(b, s))
+    return out
+
+
+def _ref_seeds(space, depth):
+    lo, hi = space.min(), space.max()
+    seen = []
+    for k in range(min(depth, 8) + 1):
+        step = (hi - lo) / 2**k
+        for j in range(2**k):
+            a, b = lo + j * step, lo + (j + 1) * step
+            grid = [RationalInterval(a, b, False, False)]
+            if a == lo or b == hi:
+                grid.append(RationalInterval(a, b, a == lo, b == hi))
+            for piece in grid:
+                s = _ref_intersection(IntervalSet.of(piece), space)
+                if s not in seen and not s.is_empty:
+                    seen.append(s)
+    return seen
+
+
+def _built_as_normalised(got, want):
+    assert got.intervals == IntervalSet(got.intervals).intervals
+    assert got == want
+
+
+SLOPES = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)])
+
+
+@st.composite
+def branches(draw, sign):
+    lo, hi = sorted((draw(coords), draw(coords)))
+    assume(lo < hi)
+    domain = RationalInterval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+    return dyn.AffineBranch(domain, sign * draw(SLOPES), draw(coords))
+
+
+@st.composite
+def systems(draw):
+    """Two branches on disjoint domains of [-2, 2], each onto a piece of it,
+    one of either slope sign when ``flip`` is drawn."""
+    cuts = sorted(draw(st.lists(coords, min_size=4, max_size=4)))
+    assume(cuts[0] < cuts[1] <= cuts[2] < cuts[3])
+    touch = cuts[1] == cuts[2]
+    flags = [draw(st.booleans()) for _ in range(4)]
+    if touch and flags[1] and flags[2]:
+        flags[2] = False
+    domains = [RationalInterval(cuts[0], cuts[1], flags[0], flags[1]),
+               RationalInterval(cuts[2], cuts[3], flags[2], flags[3])]
+    out = []
+    for dom in domains:
+        lo, hi = sorted((draw(coords), draw(coords)))
+        assume(lo < hi)
+        m = (hi - lo) / (dom.hi - dom.lo)
+        if draw(st.booleans()):
+            out.append(dyn.AffineBranch(dom, -m, hi + m * dom.lo))
+        else:
+            out.append(dyn.AffineBranch(dom, m, lo - m * dom.lo))
+    return dyn.IntervalSystem(IntervalSet.closed(-2, 2), out)
+
+
+TOUCHING = IntervalSet.of(iv(0, 1, True, False), iv(1, 2, False, True))
+
+
+@settings(max_examples=300)
+@given(interval_sets(), interval_sets())
+@example(TOUCHING, IntervalSet.point(1))
+@example(IntervalSet.of(iv(0, 1, False, False)), IntervalSet.of(iv(1, 2, True, True)))
+@example(IntervalSet.point(1), IntervalSet.of(iv(1, 2, False, True)))
+@example(IntervalSet.empty(), TOUCHING)
+def test_union_and_intersection_are_canonical(s, t):
+    for x, y in ((s, t), (t, s)):
+        _built_as_normalised(x.union(y), _ref_union(x, y))
+        _built_as_normalised(x.intersection(y), _ref_intersection(x, y))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([1, -1]).flatmap(branches), interval_sets())
+@example(dyn.AffineBranch(iv(0, 1, True, False), -2, 1), TOUCHING)
+@example(dyn.AffineBranch(iv(0, 1, False, True), 2, 0), IntervalSet.point(1))
+def test_branch_images_are_canonical(b, s):
+    _built_as_normalised(b.image_of(s), _ref_image(b, s))
+    _built_as_normalised(b.preimage_of(s), _ref_preimage(b, s))
+
+
+@settings(max_examples=200)
+@given(systems(), interval_sets())
+def test_system_images_are_canonical(sys_, s):
+    _built_as_normalised(sys_.image_of(s), _ref_fold(_ref_image, sys_, s))
+    _built_as_normalised(sys_.preimage_of(s), _ref_fold(_ref_preimage, sys_, s))
+
+
+@settings(max_examples=100)
+@given(interval_sets(), st.integers(min_value=0, max_value=4))
+@example(TOUCHING.closure().union(IntervalSet.closed(3, 4)), 3)
+def test_open_seeds_are_canonical(space, depth):
+    space = space.closure()
+    assume(not space.is_empty and space.min() < space.max())
+    sys_ = dyn.IntervalSystem(space, [dyn.AffineBranch(RationalInterval.point(space.min()), 1, 0)])
+    seeds = list(sys_.open_seeds(space, depth))
+    want = _ref_seeds(space, depth)
+    assert len(seeds) == len(want)
+    for got, ref in zip(seeds, want):
+        _built_as_normalised(got, ref)
 
 
 # -- the scalar: every fast path against Fraction ---------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -7,17 +8,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xferop
+from xferop import cli
 from xferop import dynamics as dyn
 from xferop import rep
 from xferop import specfile
 from xferop import transfer as tr
 from xferop import verdicts as vd
 from xferop.errors import ValidationError, XferopError
-from xferop.intervals import IntervalSet, RationalInterval
+from xferop.intervals import IntervalSet, RationalInterval, frac_str
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +300,55 @@ class TestMinimalMemo:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "raised"
+
+    @pytest.mark.parametrize("name", ["tent_std", "doubling"])
+    def test_ends_past_the_float_range(self, name):
+        # the memo's float filter read float() of every end and overflowed
+        s = _scaled(name, 10**400)
+        got = vd.check_minimal(s.system, s.potential, 4)
+        want = _bare_minimal(s.system, s.potential, 4)
+        assert (got.status, got.certificate) == (want.status, want.certificate)
+        small = specfile.bundled(name)
+        assert got.status == vd.check_minimal(small.system, small.potential, 4).status
+
+    @pytest.mark.parametrize(
+        "name, command, code",
+        [("tent_std", ["check", "minimal", "--depth", "4"], 0),
+         ("doubling", ["check", "minimal", "--depth", "4"], 1),  # Fails, as on [0, 1]
+         ("doubling", ["report"], 0)],
+    )
+    def test_cli_ends_past_the_float_range(self, tmp_path, name, command, code):
+        path = tmp_path / f"{name}_big.json"
+        path.write_text(json.dumps(specfile.serialize_spec(_scaled(name, 10**400))))
+        res = CliRunner().invoke(cli.main, [*command, "--spec", str(path)])
+        assert res.exception is None or type(res.exception) is SystemExit, res.exception
+        assert res.exit_code == code, res.output
+        assert "Minimal" in res.output
+
+
+def _scaled(name, k):
+    """A bundled interval spec conjugated by x -> k x."""
+    doc = specfile.serialize_spec(specfile.bundled(name))
+
+    def times(v):
+        return frac_str(F(v) * k)
+
+    def interval(iv):
+        return {**iv, "lo": times(iv["lo"]), "hi": times(iv["hi"])}
+
+    doc["space"] = [interval(iv) for iv in doc["space"]]
+    doc["branches"] = [
+        {**b, "domain": interval(b["domain"]), "intercept": times(b["intercept"])}
+        for b in doc["branches"]
+    ]
+    for key in ("potential", "psi"):
+        pot = doc[key]
+        pot["pieces"] = [
+            {**q, "interval": interval(q["interval"]), "slope": frac_str(F(q["slope"]) / k)}
+            for q in pot["pieces"]
+        ]
+        pot["overrides"] = [{**o, "point": times(o["point"])} for o in pot["overrides"]]
+    return specfile.parse_spec(doc)
 
 
 def _grid_seeds_with_check(space, depth):
