@@ -5,7 +5,8 @@ digest of the resolved input, the seed in play, and library versions, so
 a saved report can be traced back to exactly what produced it.  Numeric
 tables carry their tolerance and say which indices they were computed on.
 
-Exit codes: 0 success or Holds, 1 Fails, 2 Unknown, 3 unusable input.
+Exit codes: 0 success or Holds, 1 Fails, 2 Unknown, 3 unusable input,
+4 internal error (a bug: the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import os
 import random
 import sys
+import traceback
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -41,6 +43,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 # a rejected flag or missing option is an input problem, same as a bad spec
 click.UsageError.exit_code = EXIT_INPUT
@@ -56,7 +59,9 @@ def _tolerance(ctx, param, value):
 
 
 def _guarded(fn):
-    """Run a command; an input error prints and exits 3.
+    """Run a command; an input error prints and exits 3, any other
+    exception prints its traceback and exits 4, so a crash never reads as
+    a verdict.
 
     Every exit is raised again from here, after the command's frame is
     gone: a caller that keeps the traceback (``CliRunner`` does) then keeps
@@ -72,6 +77,9 @@ def _guarded(fn):
         except (XferopError, OSError, json.JSONDecodeError) as e:
             click.echo(f"error: {e}", err=True)
             code = EXIT_INPUT
+        except Exception:
+            click.echo(f"internal error:\n{traceback.format_exc()}", err=True, nl=False)
+            code = EXIT_INTERNAL
         raise SystemExit(code)
 
     return inner
@@ -435,10 +443,11 @@ def rep_cmd(mode, spec_arg, out, fmt, anchor, depth, width):
     rpt.table("nodes per level", ("level", "count"), rows)
     if mode == "orbit":
         rpt.line(f"dimension: {basis.dim}")
+    elif width < 2:
+        raise ValidationError("window width must be >= 2")
     else:
-        reg_basis = rep.RegularBasis(basis, width)
         rpt.line(f"window width: {width}")
-        rpt.line(f"dimension: {reg_basis.dim}")
+        rpt.line(f"dimension: {basis.dim * width}")
     rpt.emit(fmt, out)
     raise SystemExit(EXIT_HOLDS)
 

@@ -387,10 +387,14 @@ class IntervalSystem:
         in X without a check: ``(a, b)`` is open in the line, and X has no
         points below its minimum, so ``[min X, b)`` meets X where the open
         ``(min X - 1, b)`` does; likewise at ``max X``.  On a space with gaps
-        two grid intervals can clip to the same set, hence the dedupe.
+        two grid intervals can clip to the same set, hence the dedupe.  A
+        one-point space has no grid; its one seed is itself.
         """
         lo, hi = space.min(), space.max()
         width = hi - lo
+        if not width:
+            yield space
+            return
         seen = set()
         for k in range(min(depth, 8) + 1):
             step = width / 2**k

@@ -25,7 +25,7 @@ from . import dynamics as dyn
 from . import transfer as tr
 from .dynamics import PartialSystem, Potential
 from .errors import EmptyBasis, ValidationError
-from .intervals import IntervalSet, Q, RationalInterval, frac
+from .intervals import Q, frac
 
 # ---------------------------------------------------------------------------
 # pointwise function expressions
@@ -250,30 +250,6 @@ class OrbitBasis:
         return np.diag(np.array([z ** nd.depth for nd in self.nodes], dtype=complex))
 
 
-class RegularBasis:
-    """Orbit tree tensored with a finite shift window.
-
-    The window makes T a proper (truncated) isometry-like shift even over
-    periodic orbits, which gives honest norm lower bounds for witnesses.
-    """
-
-    def __init__(self, base: OrbitBasis, width: int):
-        if width < 2:
-            raise ValidationError("window width must be >= 2")
-        self.base = base
-        self.width = width
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim * self.width
-
-    def pi(self, f) -> np.ndarray:
-        return np.kron(np.eye(self.width), self.base.pi(f))
-
-    def T(self) -> np.ndarray:
-        return np.kron(np.eye(self.width, k=-1), self.base.T())
-
-
 # ---------------------------------------------------------------------------
 # relation batteries
 # ---------------------------------------------------------------------------
@@ -451,108 +427,3 @@ def g_check(basis: OrbitBasis, mon: Monomial) -> float:
     mask = basis.band(mon.down, basis.depth)
     diff = (diag - vals)[mask]
     return float(np.abs(diff).max()) if diff.size else 0.0
-
-
-# ---------------------------------------------------------------------------
-# quasi-basis
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuasiBasis:
-    """Partition functions v_i with single-branch supports; u_i = sqrt(v_i/rho)."""
-
-    functions: tuple[tr.Function, ...]
-    region: object
-
-
-def quasi_basis(system: PartialSystem, pot: Potential, region: Optional[IntervalSet] = None) -> QuasiBasis:
-    """A partition of the regular region by hats that each sit in one branch.
-
-    No command builds one yet; with ``quasi_basis_residual`` it is the check
-    of the paper's reconstruction identity on the regular region.
-    """
-    if system.backend == "graph":
-        gph = system.gph
-        fns = tuple(
-            tr.CylinderFunction.indicator(gph.path_point((e.name,))) for e in gph.edges
-        )
-        return QuasiBasis(fns, None)
-
-    sys_ = system.ival
-    if region is None:
-        region = dyn.regular_set(system, pot).delta_reg
-    cuts = set()
-    for b in sys_.branches:
-        cuts.add(b.domain.lo)
-        cuts.add(b.domain.hi)
-    fns: list[tr.TestFunction] = []
-    for comp in region.nondegenerate().intervals:
-        inner = sorted(c for c in cuts if comp.lo < c < comp.hi)
-        grid = [comp.lo] + inner + [comp.hi]
-        split = set(inner)
-        for i, g in enumerate(grid):
-            left = grid[i - 1] if i > 0 else None
-            right = grid[i + 1] if i + 1 < len(grid) else None
-            pieces = []
-            if left is not None:
-                # rising ramp, open at the peak when the peak is a seam
-                pieces.append(
-                    (
-                        RationalInterval(left, g, False, g not in split),
-                        Q(1) / (g - left),
-                        -left / (g - left),
-                    )
-                )
-            if right is not None:
-                pieces.append(
-                    (
-                        RationalInterval(g, right, True, False),
-                        Q(-1) / (right - g),
-                        right / (right - g),
-                    )
-                )
-            if g in split:
-                # two half-hats so each support stays inside one branch
-                for p in pieces:
-                    fns.append(tr.TestFunction((p,)))
-            else:
-                fns.append(tr.TestFunction(tuple(pieces)))
-    return QuasiBasis(tuple(fns), region)
-
-
-def quasi_basis_residual(
-    system: PartialSystem,
-    pot: Potential,
-    qb: QuasiBasis,
-    a: tr.Function,
-    points: Sequence,
-) -> float:
-    """Max pointwise residual of the reconstruction identity.
-
-    sum_i u_i(x) L(u_i a)(phi x) must give back a(x) wherever the partition
-    sums to one.
-    """
-
-    def u_val(v: tr.Function, x) -> float:
-        vx = v.value(x)
-        if vx == 0:
-            return 0.0
-        return math.sqrt(float(vx) / float(pot.value(x)))
-
-    worst = 0.0
-    for x in points:
-        fibre = dyn.preimages(system, pot, system.map.phi(x), 1)
-        total = 0.0
-        sum_v = 0.0
-        for v in qb.functions:
-            ux = u_val(v, x)
-            sum_v += float(v.value(x))
-            if ux == 0.0:
-                continue
-            inner = 0.0
-            for xp, w in fibre:
-                inner += float(w) * u_val(v, xp) * float(a.value(xp))
-            total += ux * inner
-        worst = max(worst, abs(total - float(a.value(x)) * sum_v))
-    return worst

@@ -515,6 +515,7 @@ Measure = Union[tr.AtomicMeasure, tr.UlamMeasure]
 # ---------------------------------------------------------------------------
 
 IdFunction = Callable[[np.ndarray], np.ndarray]
+_NO_FIBRES = (np.empty(0, np.intp), np.empty(0))  # the flat fibres of a depth never filled
 
 
 class _StateTable:
@@ -682,7 +683,7 @@ class _StateTable:
             pairs = self._cocycle_pairs(n, xs)
             live = pairs[:, 1] == 0  # not exactly zero; a float weight can round to zero
             rows, xs = rows[live], xs[live]
-            old_x, old_w = self._flat.get(n, (np.empty(0, np.intp), np.empty(0)))
+            old_x, old_w = self._flat.get(n, _NO_FIBRES)
             self._flat[n] = (np.concatenate((old_x, xs)), np.concatenate((old_w, pairs[live, 0])))
             count = np.bincount(rows, minlength=len(todo))
             return np.column_stack((len(old_x) + np.cumsum(count) - count, count))
@@ -692,7 +693,7 @@ class _StateTable:
         rows = np.repeat(np.arange(len(ids)), count)
         first = np.cumsum(count) - count  # where each row's run starts in the output
         pos = np.arange(len(rows)) + np.repeat(start - first, count)
-        flat_x, flat_w = self._flat[n]
+        flat_x, flat_w = self._flat.get(n, _NO_FIBRES)  # a read of no ids runs no fill
         return rows, flat_x[pos], flat_w[pos]
 
     def energy_sums(self, psi: PotentialFunction, n: int, ids: np.ndarray) -> np.ndarray:

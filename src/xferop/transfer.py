@@ -372,10 +372,6 @@ class TransferHandle:
     def create(system: PartialSystem, pot: Potential) -> "TransferHandle":
         return TransferHandle(system, pot, validate(system, pot))
 
-    @property
-    def norm(self) -> Fraction:
-        return self.validation.norm
-
     def require_valid(self):
         if not self.validation.valid:
             raise NotValidated(

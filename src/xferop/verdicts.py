@@ -76,7 +76,8 @@ class Verdict:
 
 @dataclass(frozen=True)
 class PeriodicWindow:
-    """A nondegenerate interval on which some n-fold composite is the identity."""
+    """An interval with interior in X on which some n-fold composite is the
+    identity: nondegenerate, or a point isolated in X, which is open in X."""
 
     n: int
     window: RationalInterval
@@ -203,17 +204,20 @@ def check_top_free(system: PartialSystem, pot: Potential, depth: int = 8) -> Ver
                 return Verdict("TopFree", "Fails", CycleNoExit(cyc), depth)
         return Verdict("TopFree", "Holds", FreeScan(depth, len(cycles), cycles), depth)
 
-    sys_, _, _, reg = _regions(system, pot)
+    sys_, space, _, reg = _regions(system, pot)
+    isolated = IntervalSet.points(space.isolated_points())
     scanned = 0
     for n, level in enumerate(dyn.composite_levels(sys_, depth), 1):
         for comp in level:
             scanned += 1
-            if comp.slope != 1 or comp.intercept != 0:
+            d = comp.domain  # an affine map is the identity there iff it fixes both ends
+            if comp.value(d.lo) != d.lo or comp.value(d.hi) != d.hi:
                 continue
-            stay = IntervalSet.of(comp.domain)
+            stay = IntervalSet.of(d)
             for prefix in comp.prefix_maps():
                 stay = stay.intersection(prefix.preimage_of(reg))
-            window = stay.nondegenerate()
+            # a fixed point isolated in X is open, so it has interior too
+            window = stay.nondegenerate() or stay.intersection(isolated)
             if not window.is_empty:
                 cert = PeriodicWindow(n, window.intervals[0], comp.chain)
                 return Verdict("TopFree", "Fails", cert, depth)
@@ -226,9 +230,9 @@ def verify_periodic_window(system: PartialSystem, pot: Potential, cert: Periodic
     No command calls it yet: it is kept as the replayer a certificate
     check (``verify-cert``, ROADMAP item 5) will run on a saved window.
     """
-    _, _, _, reg = _regions(system, pot)
+    _, space, _, reg = _regions(system, pot)
     window = IntervalSet.of(cert.window)
-    if window.nondegenerate().is_empty:
+    if window.nondegenerate().is_empty and cert.window.lo not in space.isolated_points():
         return False
     for x in window.sample_points(5):
         pts = dyn.orbit(system, x, cert.n)

@@ -1,6 +1,8 @@
 """Contract tests for the ``xferop`` command line."""
 
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction as F
@@ -533,3 +535,52 @@ def test_an_overflowing_candidate_beta_exits_3(tmp_path, command, spec):
         "error: exp(-beta*energy) overflows at beta=800.0; the state integrals are not finite"
     )
     assert "within tolerance" not in result.output and "Traceback" not in result.output
+
+
+def test_kms_verify_reads_a_state_with_no_fibres(tmp_path):
+    # halving cut to the branch domain [1, 1]: the battery reads fibres of no
+    # points at a depth it never filled, which raised KeyError (exit 1, read as Fails)
+    doc = json.loads(resources.files("xferop").joinpath("specs", "halving.json").read_text("utf-8"))
+    doc["branches"][0]["domain"].update(lo="1", hi="1")
+    doc["psi"]["pieces"][0].update(slope="0", intercept="3")
+    path = tmp_path / "halving_pt.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cand = _candidate(tmp_path, "tent_std")
+    result = CliRunner().invoke(main, ["kms-verify", "--spec", str(path), "--candidate", cand])
+    assert result.exit_code in (0, 1), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+def _boom(*args):
+    raise RuntimeError("boom")
+
+
+def test_an_internal_error_exits_4(monkeypatch):
+    monkeypatch.setattr(cli, "_resolve", _boom)
+    result = CliRunner().invoke(main, ["validate", "--spec", "tent_std"])
+    assert result.exit_code == 4
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    err = result.stderr.splitlines()
+    assert err[:2] == ["internal error:", "Traceback (most recent call last):"]
+    assert err[-1] == "RuntimeError: boom"
+
+
+def test_an_internal_error_exits_4_from_a_shell():
+    code = (
+        "from xferop import cli\n"
+        "def boom(*args):\n"
+        "    raise RuntimeError('boom')\n"
+        "cli._resolve = boom\n"
+        "cli.main(['validate', '--spec', 'tent_std'])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 4, out.stderr
+    assert out.stdout == ""
+    assert out.stderr.startswith("internal error:\nTraceback (most recent call last):\n")
+    assert out.stderr.splitlines()[-1] == "RuntimeError: boom"

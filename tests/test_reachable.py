@@ -35,8 +35,6 @@ KEPT = {
     "thermo.check_positive_energy": "claim",
     "spectra.FiberRep": "claim",
     "spectra.FiberRep.irreducibility_witness": "claim",
-    "rep.quasi_basis": "claim",
-    "rep.quasi_basis_residual": "claim",
     "thermo.core_kms_check": "claim",
     "intervals.IntervalSet.closed": "api",
     "intervals.IntervalSet.measure": "api",

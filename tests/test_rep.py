@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from xferop import cli
 from xferop import dynamics as dyn
@@ -12,7 +13,7 @@ from xferop import rep
 from xferop import specfile
 from xferop import transfer as tr
 from xferop.errors import EmptyBasis, ValidationError, XferopError
-from xferop.intervals import IntervalSet, Q, RationalInterval
+from xferop.intervals import Q, RationalInterval
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import cells  # noqa: E402  (the benchmark's specs)
@@ -165,42 +166,6 @@ class TestExpectations:
         assert np.abs((proj - expect)[:, mask][mask, :]).max() < TOL
 
 
-class TestQuasiBasis:
-    def test_reconstruction_on_tent(self):
-        t = specfile.bundled("tent_std")
-        qb = rep.quasi_basis(t.system, t.potential)
-        pts = [F(k, 32) for k in range(1, 32) if k != 16]
-        res = rep.quasi_basis_residual(t.system, t.potential, qb, hat(), pts)
-        assert res < 1e-12
-
-    def test_partition_sums_to_one(self):
-        t = specfile.bundled("tent_std")
-        qb = rep.quasi_basis(t.system, t.potential)
-        for k in range(0, 33):
-            x = F(k, 32)
-            if x == F(1, 2):
-                continue
-            total = sum(v.value(x) for v in qb.functions)
-            assert total == 1
-
-    def test_supports_are_branch_local(self):
-        t = specfile.bundled("tent_std")
-        qb = rep.quasi_basis(t.system, t.potential)
-        doms = [b.domain for b in t.system.ival.branches]
-        for v in qb.functions:
-            sup = IntervalSet(iv.closure() for iv, m, c in v.pieces if (m, c) != (0, 0))
-            assert any(sup.issubset(IntervalSet.of(d)) for d in doms)
-
-    def test_graph_quasi_basis(self):
-        s = specfile.bundled("fullshift2")
-        qb = rep.quasi_basis(s.system, s.potential)
-        g = s.system.gph
-        pts = list(g.words(3))
-        a = tr.CylinderFunction.indicator(g.path_point(("e0", "e1")))
-        res = rep.quasi_basis_residual(s.system, s.potential, qb, a, pts)
-        assert res < 1e-12
-
-
 class TestRegularWindow:
     def test_loop_witness_norm(self):
         s = specfile.bundled("loop1")
@@ -215,16 +180,17 @@ class TestRegularWindow:
         norm = np.linalg.norm(w, 2)
         assert norm > 1.9
 
-    def test_window_tensor(self):
-        s = specfile.bundled("loop1")
-        h = tr.TransferHandle.create(s.system, s.potential)
-        b = rep.OrbitBasis(h, s.system.gph.vertex_point("v"), 4)
-        rb = rep.RegularBasis(b, 3)
-        assert rb.dim == 15
-        one = tr.CylinderFunction.indicator(s.system.gph.vertex_point("v"))
-        assert rb.pi(one).shape == (15, 15)
-        tt = rb.T()
-        assert np.count_nonzero(tt) == (3 - 1) * 4  # shift blocks of the line
+    def test_regular_mode_reports_the_windowed_dimension(self):
+        args = ["rep", "regular", "--spec", "loop1", "--depth", "4", "--width", "3"]
+        result = CliRunner().invoke(cli.main, args)
+        assert result.exit_code == 0, result.output
+        assert "dimension: 15" in result.output.splitlines()  # 5 line nodes times 3 window slots
+
+    def test_regular_mode_refuses_a_window_under_two(self):
+        args = ["rep", "regular", "--spec", "loop1", "--depth", "4", "--width", "1"]
+        result = CliRunner().invoke(cli.main, args)
+        assert result.exit_code == 3
+        assert result.output.splitlines() == ["error: window width must be >= 2"]
 
 
 # tent_half and halving weigh part of their domain zero, so their walks cut

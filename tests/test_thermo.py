@@ -731,6 +731,13 @@ class TestStateTables:
                 tent_handle, mu, 0.7, e, m1, m2, 1
             )
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fibres_of_no_ids_at_a_depth_never_filled(self, tent_handle, psi_one, n):
+        # a read of no ids runs no fill, and the depth's flat runs were read as filled
+        tab = th._StateTable(tent_handle, tr.AtomicMeasure(((F(1, 3), 1),)), psi_one, 0.7)
+        rows, xs, ws = tab.fibres(n, np.empty(0, np.intp))
+        assert (len(rows), len(xs), len(ws)) == (0, 0, 0)
+
     def test_no_table_outlives_its_call(self, tent_handle, monkeypatch):
         made = []
 

@@ -147,6 +147,81 @@ class TestTopFree:
                 assert vd.check_top_free(s.system, s.potential, d).status == expect
 
 
+def _closed(lo, hi):
+    return {"lo": str(lo), "hi": str(hi), "lo_closed": True, "hi_closed": True}
+
+
+def _isolated_doc(kind):
+    """A spec with a fixed point isolated in X: the one-point space [0, 0]
+    with x -> x, or tent_std's [0, 1] plus the point 2, mapped by x -> x
+    ("tent_and_2") or by x -> 4 - x ("tent_and_2_flip") with weight 1."""
+    if kind == "point":
+        one = {"pieces": [{"interval": _closed(0, 0), "slope": "0", "intercept": "1"}], "overrides": []}
+        return {"name": "point", "backend": "interval", "depth_bound": 24, "space": [_closed(0, 0)],
+                "branches": [{"domain": _closed(0, 0), "slope": "1", "intercept": "0"}],
+                "potential": one, "psi": one}
+    doc = json.loads(json.dumps(specfile.serialize_spec(specfile.bundled("tent_std"))))
+    slope, intercept = ("-1", "4") if kind == "tent_and_2_flip" else ("1", "0")
+    doc["name"] = kind
+    doc["space"].append(_closed(2, 2))
+    doc["branches"].append({"domain": _closed(2, 2), "slope": slope, "intercept": intercept})
+    for key in ("potential", "psi"):
+        doc[key]["pieces"].append({"interval": _closed(2, 2), "slope": "0", "intercept": "1"})
+    return doc
+
+
+class TestIsolatedPoints:
+    """A point isolated in X is open in X: a seed of its own, and a fixed
+    one is a periodic window with interior."""
+
+    @pytest.mark.parametrize(
+        "kind, window, chain",
+        [("point", 0, (0,)), ("tent_and_2", 2, (2,)), ("tent_and_2_flip", 2, (2,))],
+    )
+    def test_an_isolated_fixed_point_is_not_free(self, kind, window, chain):
+        s = specfile.parse_spec(_isolated_doc(kind))
+        v = vd.check_top_free(s.system, s.potential, 8)
+        assert v.fails and v.certificate == vd.PeriodicWindow(1, RationalInterval.point(window), chain)
+        assert vd.verify_periodic_window(s.system, s.potential, v.certificate)
+
+    def test_replay_refuses_a_point_that_is_not_isolated(self, tent):
+        # 0 is fixed by the tent's left branch, but every neighbourhood of it
+        # holds points that are not
+        cert = vd.PeriodicWindow(1, RationalInterval.point(0), (0,))
+        assert not vd.verify_periodic_window(tent.system, tent.potential, cert)
+
+    def test_replay_refuses_a_point_outside_the_space(self):
+        s = specfile.parse_spec(_isolated_doc("tent_and_2"))
+        cert = vd.PeriodicWindow(1, RationalInterval.point(3), (2,))
+        assert not vd.verify_periodic_window(s.system, s.potential, cert)
+
+    def test_a_one_point_space_is_its_own_seed(self):
+        s = specfile.parse_spec(_isolated_doc("point"))
+        space = s.system.ival.space
+        assert list(s.system.ival.open_seeds(space, 8)) == [space]
+        v = vd.check_minimal(s.system, s.potential, 8)
+        assert v.holds and v.certificate == vd.MinimalScan(8, 1, 32)
+
+    @pytest.mark.parametrize(
+        "kind, command, code",
+        [
+            ("point", ["check", "free"], 1),
+            ("point", ["check", "minimal"], 0),
+            ("point", ["check", "simple"], 1),
+            ("point", ["report"], 0),
+            ("tent_and_2", ["check", "free"], 1),
+        ],
+    )
+    def test_cli_exit_codes(self, tmp_path, kind, command, code):
+        # the one-point space exited 3 with "degenerate interval must be closed",
+        # and the tent with an isolated fixed point read as free (exit 0)
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(_isolated_doc(kind)), encoding="utf-8")
+        result = CliRunner().invoke(cli.main, [*command, "--spec", str(path)])
+        assert result.exit_code == code, result.output
+        assert "error:" not in result.output and "Traceback" not in result.output
+
+
 class TestInvariant:
     def test_whole_space(self, tent):
         space = tent.system.ival.space
