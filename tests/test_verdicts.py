@@ -160,7 +160,7 @@ def _isolated_doc(kind):
         return {"name": "point", "backend": "interval", "depth_bound": 24, "space": [_closed(0, 0)],
                 "branches": [{"domain": _closed(0, 0), "slope": "1", "intercept": "0"}],
                 "potential": one, "psi": one}
-    doc = json.loads(json.dumps(specfile.serialize_spec(specfile.bundled("tent_std"))))
+    doc = specfile.serialize_spec(specfile.bundled("tent_std"))
     slope, intercept = ("-1", "4") if kind == "tent_and_2_flip" else ("1", "0")
     doc["name"] = kind
     doc["space"].append(_closed(2, 2))
