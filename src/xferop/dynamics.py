@@ -17,8 +17,8 @@ The backend is the type of the map.  ``PartialSystem.map`` holds an
   ``point_from_doc(doc)`` reads it back.  Points of one backend are
   totally ordered: rationals by value, path points by
   ``PathPoint.sort_key``, so ``sorted`` works on either.  Every walk along
-  the map is ``forward_walk(system, x, n)``; ``orbit``, ``orbit_end``,
-  ``cocycle`` and ``cocycle_or_none`` read it.  Every walk back is the
+  the map is ``forward_walk(system, x, n)``; ``orbit``, ``orbit_end`` and
+  ``cocycle_or_none`` read it.  Every walk back is the
   weighted fibre tree ``preimage_levels(system, pot, y, depth)``, which
   cuts each preimage of exact weight zero with its subtree: such a point
   adds nothing to any fibre sum of the transfer operator.
@@ -1285,22 +1285,11 @@ def _birkhoff(f, energy: Potential, x: Point, n: int) -> float:
         return math.nan
 
 
-def _weighed_walk(system: PartialSystem, pot: Potential, n: int, x: Point):
-    system.check_depth(n)
-    return _weighs(system.map, pot, x, n)
-
-
-def cocycle(system: PartialSystem, pot: Potential, n: int, x: Point) -> Fraction:
-    """Product of weights along the first n forward steps of x."""
-    pts, out = _weighed_walk(system, pot, n, x)
-    if len(pts) <= n:
-        raise OutOfDomain(x, len(pts) - 1)
-    return out
-
-
 def cocycle_or_none(system: PartialSystem, pot: Potential, n: int, x: Point) -> Optional[Fraction]:
-    """rho_n(x), or None where the orbit leaves the domain first."""
-    pts, out = _weighed_walk(system, pot, n, x)
+    """rho_n(x), the product of the weights along the first n forward steps
+    of x, or None where the orbit leaves the domain first."""
+    system.check_depth(n)
+    pts, out = _weighs(system.map, pot, x, n)
     return out if len(pts) > n else None
 
 

@@ -2,19 +2,15 @@
 
 The level-n core ideal has spectrum equal to the n-step image of the
 positive-weight domain.  Stacking the levels yields a stratified space glued
-along the regular region, and each point of it carries an explicit
-finite-dimensional fiber representation.  Everything here is exact interval
-or path arithmetic except for the dense matrices, which are floats over
-exact weights.
+along the regular region, and each point of it carries a finite-dimensional
+fiber representation, whose dimension is the size of the point's
+positive-weight fiber.  Everything here is exact interval or path
+arithmetic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-
-import numpy as np
 
 from . import dynamics as dyn
 from . import transfer as tr
@@ -300,90 +296,6 @@ def spectrum_An(system: PartialSystem, pot: Potential, n: int, radius=Q(1, 8)):
     return SpectrumDescription(
         n, tuple(strata), tuple(sampled), tuple(gens), tuple(warnings)
     )
-
-
-# ---------------------------------------------------------------------------
-# fiber representations
-# ---------------------------------------------------------------------------
-
-
-class FiberRep:
-    """The level-k representation at a base point, on the weighted fiber.
-
-    The carrier is the k-step positive-weight fiber of y; the matrices below
-    are written in the orthonormal rescaling of that weighted space.  No
-    command builds one yet; it is the check of the paper's fibre
-    representations of the core ideals, which the spectra are made of.
-    """
-
-    def __init__(self, system: PartialSystem, pot: Potential, y, k: int):
-        if k < 0:
-            raise ValidationError("k must be nonnegative")
-        system.check_depth(k)
-        self.system = system
-        self.potential = pot
-        self.base = system.point(y)
-        self.level = k
-        fib = dyn.preimages(system, pot, y, k)
-        if not fib:
-            raise OutOfSpectrum(f"{y} is not in the level-{k} spectrum")
-        self.points = tuple(x for x, _ in fib)
-        self.weights = tuple(w for _, w in fib)
-
-    @property
-    def dim(self) -> int:
-        return len(self.points)
-
-    def _partial_cocycles(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(
-            dyn.cocycle(self.system, self.potential, i, x) for x in self.points
-        )
-
-    def _forward(self, i: int):
-        return tuple(dyn.orbit(self.system, x, i)[-1] for x in self.points)
-
-    def matrix(self, a, i: int, b) -> np.ndarray:
-        """Matrix of a t^i t*^i b.  Functions may be None (treated as 1)."""
-        if not 0 <= i <= self.level:
-            raise ValidationError("monomial level exceeds the representation level")
-        av = [1.0 if a is None else float(a.value(x)) for x in self.points]
-        bv = [1.0 if b is None else float(b.value(x)) for x in self.points]
-        if i == 0:
-            return np.diag(np.array([p * q for p, q in zip(av, bv)]))
-        rho_i = self._partial_cocycles(i)
-        fwd = self._forward(i)
-        m = np.zeros((self.dim, self.dim))
-        for r in range(self.dim):
-            for c in range(self.dim):
-                if fwd[r] == fwd[c]:
-                    m[r, c] = av[r] * math.sqrt(float(rho_i[r] * rho_i[c])) * bv[c]
-        return m
-
-    def separating_functions(self):
-        if self.system.backend == "graph":
-            return [tr.CylinderFunction.indicator(x) for x in self.points]
-        pts = sorted(set(self.points))
-        gaps = [b - a for a, b in zip(pts, pts[1:])]
-        eps = min(gaps) / 2 if gaps else Q(1, 4)
-        return [tr.TestFunction.hat(x, eps) for x in self.points]
-
-    def irreducibility_witness(self, seed: int = 7):
-        """Smallest singular value of the algebra orbit of a random vector."""
-        rng = np.random.default_rng(seed)
-        h = rng.standard_normal(self.dim)
-        h /= np.linalg.norm(h)
-        cols = [h]
-        seps = self.separating_functions()
-        projectors = [self.matrix(None, i, None) for i in range(1, self.level + 1)]
-        for f in seps:
-            cols.append(self.matrix(f, 0, None) @ h)
-        for pm in projectors:
-            cols.append(pm @ h)
-            for f in seps:
-                cols.append(self.matrix(f, 0, None) @ (pm @ h))
-        mat = np.stack(cols, axis=1)
-        sv = np.linalg.svd(mat, compute_uv=False)
-        return float(sv[min(self.dim, len(sv)) - 1])
 
 
 # ---------------------------------------------------------------------------

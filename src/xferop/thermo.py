@@ -341,33 +341,23 @@ def check_positive_energy(system: PartialSystem, psi: PotentialFunction, depth: 
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Piecewise quadratic with exact values pinned at the grid nodes.
+    """Piecewise quadratic on the open cells between grid nodes.
 
-    Open cells between consecutive nodes carry (c0, c1, c2); outside the
-    node range the function is zero.  Node values live in their own table,
-    so overrides, fiber collisions at shared branch endpoints, and jump
-    points never leak into a cell.
+    Open cells between consecutive nodes carry (c0, c1, c2); at a node and
+    outside the node range the function is zero.  Only bin densities
+    integrate a grid, and they give the nodes no mass.  Each cell takes its
+    coefficients from its interior, so overrides, fiber collisions at shared
+    branch endpoints, and jump points never leak into a cell.
     """
 
     nodes: tuple[Fraction, ...]
     cells: tuple[tuple[Fraction, Fraction, Fraction], ...]
-    node_values: tuple[Fraction, ...]
 
     def __post_init__(self):
         if len(self.nodes) < 2 or len(self.cells) != len(self.nodes) - 1:
             raise ValidationError("grid shape mismatch")
-        if len(self.node_values) != len(self.nodes):
-            raise ValidationError("one value per node required")
         if any(a >= b for a, b in zip(self.nodes, self.nodes[1:])):
             raise ValidationError("nodes must increase strictly")
-
-    def value(self, x) -> Fraction:
-        x = frac(x)
-        for p, v in zip(self.nodes, self.node_values):
-            if p == x:
-                return v
-        c0, c1, c2 = self.cell(x)
-        return c0 + c1 * x + c2 * x * x
 
     def cell(self, x) -> tuple[Fraction, Fraction, Fraction]:
         """The coefficients of the open cell holding x; zeros at a node or outside."""
@@ -385,11 +375,11 @@ def _piece_at(pieces, x: Fraction) -> Optional[tuple[Fraction, Fraction]]:
     return None
 
 
-def _piece_grid(pieces, cuts, value: Callable, carrier: RationalInterval) -> GridFunction:
+def _piece_grid(pieces, cuts, carrier: RationalInterval) -> GridFunction:
     """Affine pieces as a grid function on the carrier.
 
     The nodes are the carrier ends and the cuts inside it; each cell takes
-    the piece at its midpoint, and ``value`` pins the node values.
+    the piece at its midpoint.
     """
     inside = (p for p in cuts if carrier.lo <= p <= carrier.hi)
     nodes = tuple(sorted({carrier.lo, carrier.hi, *inside}))
@@ -397,16 +387,16 @@ def _piece_grid(pieces, cuts, value: Callable, carrier: RationalInterval) -> Gri
     for u, v in zip(nodes, nodes[1:]):
         hit = _piece_at(pieces, (u + v) / 2)
         cells.append((hit[1], hit[0], Q(0)) if hit else (Q(0),) * 3)
-    return GridFunction(nodes, tuple(cells), tuple(value(p) for p in nodes))
+    return GridFunction(nodes, tuple(cells))
 
 
 def _fn_grid(a: tr.TestFunction, carrier: RationalInterval) -> GridFunction:
     ends = (p for iv, _, _ in a.pieces for p in (iv.lo, iv.hi))
-    return _piece_grid(a.pieces, ends, a.value, carrier)
+    return _piece_grid(a.pieces, ends, carrier)
 
 
 def _pot_grid(pot: IntervalPotential, carrier: RationalInterval) -> GridFunction:
-    return _piece_grid(pot.pieces, pot.breakpoints(), pot.value_or_zero, carrier)
+    return _piece_grid(pot.pieces, pot.breakpoints(), carrier)
 
 
 def _grid_product(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -421,8 +411,7 @@ def _grid_product(f: GridFunction, g: GridFunction) -> GridFunction:
         cells.append(
             (f0 * g0, f0 * g1 + f1 * g0, f0 * g2 + f1 * g1 + f2 * g0)
         )
-    vals = tuple(f.value(p) * g.value(p) for p in nodes)
-    return GridFunction(nodes, tuple(cells), vals)
+    return GridFunction(nodes, tuple(cells))
 
 
 def _single_component(system: PartialSystem) -> RationalInterval:
@@ -472,8 +461,7 @@ def _fiber_grid(handle: tr.TransferHandle, a: tr.TestFunction) -> GridFunction:
             c1 += 2 * q2 * u1 * u0 + q1 * u1
             c0 += q2 * u0 * u0 + q1 * u0 + q0
         cells.append((c0, c1, c2))
-    vals = tuple(tr.weighted_fiber_sum(handle.system, weight, a.value, p) for p in nodes)
-    return GridFunction(nodes, tuple(cells), vals)
+    return GridFunction(nodes, tuple(cells))
 
 
 # ---------------------------------------------------------------------------

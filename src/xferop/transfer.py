@@ -381,9 +381,9 @@ class TransferHandle:
 
 
 def weighted_fiber_sum(system: PartialSystem, pot: Potential, fn: Callable, y, n: int = 1) -> Fraction:
-    """The exact n-fold fiber sum of rho_n * fn at y, behind ``apply``, ``FnExpr.transfer``
-    off an orbit basis (on one it sums the basis children) and the grid fibre
-    sums: nonzero weights only, added in ``dyn.preimages`` order."""
+    """The exact n-fold fiber sum of rho_n * fn at y, behind ``apply`` and
+    ``FnExpr.transfer`` off an orbit basis (on one it sums the basis children):
+    nonzero weights only, added in ``dyn.preimages`` order."""
     return sum((w * fn(x) for x, w in dyn.preimages(system, pot, y, n)), Q(0))
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "xferop"
 
-CEILING = 26  # 23 backend comparisons + 3 type tests in PartialSystem
+CEILING = 25  # 22 backend comparisons + 3 type tests in PartialSystem
 
 BRANCH = re.compile(
     r"\bbackend\s*[!=]="

@@ -89,7 +89,7 @@ def test_levels_are_the_fibres_with_parents_and_cocycles(name):
             assert tuple(sorted(pairs, key=lambda t: t[0])) == _preimages(system, pot, y, k)
             for (x, w), p in zip(pairs, parents):
                 assert system.map.phi(x) == prev[p][0]
-                assert w == dyn.cocycle(system, pot, k, x)
+                assert w == dyn.cocycle_or_none(system, pot, k, x)
             # walk order: each parent's fibre in turn, in fibre order, less the zeros
             assert parents == sorted(parents)
             assert [x for x, _ in pairs] == [

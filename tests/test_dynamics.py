@@ -77,15 +77,13 @@ class TestIteration:
             lambda: system.check_depth(-1),
             lambda: dyn.iterate_domain(system, -1),
             lambda: dyn.preimages(system, pot, F(1, 3), -1),
-            lambda: dyn.cocycle(system, pot, -1, F(1, 3)),
+            lambda: dyn.cocycle_or_none(system, pot, -1, F(1, 3)),
             lambda: spectra.positive_iterate(system, pot, -1),
             lambda: tab.cocycles(-1, ids),
             lambda: tab.fibres(-1, ids),
         ):
             with pytest.raises(ValidationError, match="^n must be nonnegative$"):
                 call()
-        with pytest.raises(ValidationError, match="^k must be nonnegative$"):
-            spectra.FiberRep(system, pot, F(1, 3), -1)
 
     def test_tent_preimage_counts(self, tent):
         # the right endpoint pulls back along one branch fewer than 0 does
@@ -107,7 +105,7 @@ class TestIteration:
 
     def test_cocycle_out_of_domain_reports_step(self, tent_half):
         # orbit of 1/2 under tent: 1/2 -> 1 -> 0 -> 0, always inside
-        assert dyn.cocycle(tent_half.system, tent_half.potential, 3, F(1, 2)) == 0
+        assert dyn.cocycle_or_none(tent_half.system, tent_half.potential, 3, F(1, 2)) == 0
         ps = dyn.PartialSystem(
             dyn.IntervalSystem(
                 IntervalSet.closed(0, 1),
@@ -115,18 +113,17 @@ class TestIteration:
             ),
         )
         pot = dyn.IntervalPotential(pieces=((RationalInterval(0, F(1, 2)), 0, 1),))
-        with pytest.raises(OutOfDomain) as exc:
-            dyn.cocycle(ps, pot, 2, F(3, 4))
-        assert exc.value.step == 0
+        # 3/4 lies outside the only branch, so the walk leaves at once
+        assert dyn.cocycle_or_none(ps, pot, 2, F(3, 4)) is None
 
     @given(st.integers(0, 255), st.integers(0, 4), st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
     def test_cocycle_is_multiplicative(self, num, n, m):
         tent = specfile.bundled("tent_std")
         x = F(num, 256)
-        lhs = dyn.cocycle(tent.system, tent.potential, n + m, x)
+        lhs = dyn.cocycle_or_none(tent.system, tent.potential, n + m, x)
         mid = dyn.orbit(tent.system, x, n)[-1]
-        rhs = dyn.cocycle(tent.system, tent.potential, n, x) * dyn.cocycle(
+        rhs = dyn.cocycle_or_none(tent.system, tent.potential, n, x) * dyn.cocycle_or_none(
             tent.system, tent.potential, m, mid
         )
         assert lhs == rhs
@@ -187,9 +184,9 @@ class TestPower:
 
     def test_tent_square_weight_is_chained(self, tent):
         for x in (F(1, 8), F(3, 8), F(5, 8), F(7, 8)):
-            assert dyn.cocycle(tent.system, tent.potential, 2, x) == F(1, 4)
+            assert dyn.cocycle_or_none(tent.system, tent.potential, 2, x) == F(1, 4)
         for x in (F(1, 4), F(1, 2), F(3, 4)):
-            assert dyn.cocycle(tent.system, tent.potential, 2, x) == F(1, 2)
+            assert dyn.cocycle_or_none(tent.system, tent.potential, 2, x) == F(1, 2)
 
     def test_power_agrees_with_orbit_product(self, tent):
         *_, comps = dyn.composite_levels(tent.system.ival, 3)

@@ -33,8 +33,6 @@ KEPT = {
     "thermo.TwistedMonomial.right_value": "oracle",
     "transfer.ulam_matrix": "oracle",  # against the solver's bin matrices
     "thermo.check_positive_energy": "claim",
-    "spectra.FiberRep": "claim",
-    "spectra.FiberRep.irreducibility_witness": "claim",
     "thermo.core_kms_check": "claim",
     "intervals.IntervalSet.closed": "api",
     "intervals.IntervalSet.measure": "api",

@@ -1,7 +1,6 @@
 import json
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -70,23 +69,16 @@ class TestSpectrumAn:
         assert d.warnings  # discontinuous weight: gluing data is a lower bound
 
     def test_tent_boundary_blocks(self, tent):
-        # matrix blocks at the two endpoints of the top stratum, n = 3
+        # the blocks at the two ends of the top stratum, n = 3: the top point
+        # glues to the interior point 1/2 of the levels below
         n = 3
-        at_one = sorted(
-            (
-                spectra.FiberRep(tent.system, tent.potential, 1, n).dim,
-                spectra.FiberRep(tent.system, tent.potential, F(1, 2), n - 1).dim,
-            )
-        )
-        assert at_one == [4, 4]
-        at_zero = sorted(
-            [spectra.FiberRep(tent.system, tent.potential, 0, n).dim]
-            + [
-                spectra.FiberRep(tent.system, tent.potential, F(1, 2), k).dim
-                for k in range(n - 1)
-            ]
-        )
-        assert at_zero == [1, 2, 5]
+        s, p = tent.system, tent.potential
+        top = {y: spectra.spectrum_Kn(s, p, n, samples=[y])[1][0].dimension for y in (0, 1)}
+        d = spectra.spectrum_An(s, p, n)
+        inner = {q.level: q.dimension for q in d.sampled_points if q.stratum == "interior"}
+        assert {q.base for q in d.sampled_points if q.stratum == "interior"} == {F(1, 2)}
+        assert sorted([top[1], inner[n - 1]]) == [4, 4]
+        assert sorted([top[0], *(inner[k] for k in range(n - 1))]) == [1, 2, 5]
 
     def test_strata_avoid_regular_set(self, tent):
         d = spectra.spectrum_An(tent.system, tent.potential, 2)
@@ -155,52 +147,6 @@ class TestSpectrumAn:
     def test_csv(self, tent):
         d = spectra.spectrum_An(tent.system, tent.potential, 2)
         assert (0, F(1, 2), 1) in [(p.level, p.base, p.dimension) for p in d.sampled_points]
-
-
-class TestFiberRep:
-    def test_tent_dimensions(self, tent):
-        for n in range(1, 7):
-            assert spectra.FiberRep(tent.system, tent.potential, 1, n).dim == 2 ** (n - 1)
-            assert spectra.FiberRep(tent.system, tent.potential, 0, n).dim == 2 ** (n - 1) + 1
-
-    def test_level_zero_is_evaluation(self, tent):
-        import xferop.transfer as tr
-
-        r = spectra.FiberRep(tent.system, tent.potential, F(1, 3), 0)
-        assert r.dim == 1
-        a = tr.TestFunction.affine_on(RationalInterval(0, 1), 1, 0)
-        assert r.matrix(a, 0, None) == np.array([[1 / 3]])
-
-    def test_balanced_projector_matrix(self, tent):
-        r = spectra.FiberRep(tent.system, tent.potential, 1, 2)
-        assert r.points == (F(1, 4), F(3, 4))
-        # the seam override makes rho_2 = 1/2 on both preimages of 1
-        m = r.matrix(None, 2, None)
-        assert np.array_equal(m, np.full((2, 2), 0.5))
-        assert np.allclose(m @ m, m)  # a genuine projection
-        m1 = r.matrix(None, 1, None)
-        assert np.array_equal(m1, np.full((2, 2), 0.5))
-
-    def test_monomial_level_capped(self, tent):
-        r = spectra.FiberRep(tent.system, tent.potential, 1, 2)
-        with pytest.raises(Exception):
-            r.matrix(None, 3, None)
-
-    def test_irreducible(self, tent):
-        assert spectra.FiberRep(tent.system, tent.potential, 1, 3).irreducibility_witness() >= 1e-8
-        assert spectra.FiberRep(tent.system, tent.potential, 0, 3).irreducibility_witness() >= 1e-8
-
-    def test_graph_fiber_rep(self):
-        s = specfile.bundled("fullshift2")
-        g = s.system.gph
-        r = spectra.FiberRep(s.system, s.potential, g.vertex_point("v"), 3)
-        assert r.dim == 8
-        assert r.irreducibility_witness() >= 1e-8
-
-    def test_out_of_spectrum(self):
-        s = specfile.bundled("halving")
-        with pytest.raises(OutOfSpectrum):
-            spectra.FiberRep(s.system, s.potential, F(3, 4), 1)
 
 
 class TestQuasiOrbits:

@@ -236,34 +236,49 @@ class TestPositiveEnergy:
         assert v.certificate.chain == v.certificate.point.word
 
 
+def _on_cell(g, y):
+    """The grid's quadratic at y, read off the open cell holding y."""
+    assert y not in g.nodes
+    c0, c1, c2 = g.cell(y)
+    return c0 + c1 * y + c2 * y * y
+
+
 class TestGridFunctions:
+    """Grids are only integrated, so they are held to the functions they
+    stand for on the open cells, away from the finitely many nodes."""
+
     def test_transfer_grid_matches_pointwise_apply(self, tent_handle):
         a = tr.TestFunction.hat(F(1, 4), F(1, 8), 1)
         g = th._fiber_grid(tent_handle, a)
-        for k in range(33):
-            y = F(k, 32)
-            assert g.value(y) == tr.apply(tent_handle, a, y)
+        for k in range(32):
+            y = F(2 * k + 1, 64)
+            assert _on_cell(g, y) == tr.apply(tent_handle, a, y)
 
     def test_fiber_sum_grid_matches_bare_sums(self, tent_handle):
         sys_ = tent_handle.system.ival
         a = tr.TestFunction.hat(F(3, 8), F(1, 8), 1)
         unit = tr.TransferHandle.create(tent_handle.system, dyn.IntervalPotential(((UNIT, 0, 1),)))
         g = th._fiber_grid(unit, a)
-        for k in range(25):
-            y = F(k, 24)
-            assert g.value(y) == sum(a.value(x) for x in sys_.fiber(y))
+        for k in range(24):
+            y = F(2 * k + 1, 48)
+            assert _on_cell(g, y) == sum(a.value(x) for x in sys_.fiber(y))
 
     def test_grid_product(self, tent_handle):
         carrier = UNIT
-        a = th._fn_grid(tr.TestFunction.hat(F(1, 2), F(1, 2), 1), carrier)
+        hat = tr.TestFunction.hat(F(1, 2), F(1, 2), 1)
+        a = th._fn_grid(hat, carrier)
         b = th._pot_grid(tent_handle.potential, carrier)
         p = th._grid_product(a, b)
-        for x in (F(1, 8), F(1, 2), F(7, 8)):
-            assert p.value(x) == a.value(x) * b.value(x)
+        for x in (F(1, 8), F(3, 8), F(5, 8), F(7, 8)):
+            assert _on_cell(p, x) == _on_cell(a, x) * _on_cell(b, x)
+            assert _on_cell(p, x) == hat.value(x) * tent_handle.potential.value(x)
 
-    def test_value_outside_range_is_zero(self):
-        g = th.GridFunction((F(0), F(1)), ((F(1), F(0), F(0)),), (F(1), F(1)))
-        assert g.value(F(2)) == 0 and g.value(F(-1)) == 0
+    def test_cell_outside_range_is_zero(self):
+        g = th.GridFunction((F(0), F(1)), ((F(1), F(0), F(0)),))
+        assert g.cell(F(1, 2)) == (1, 0, 0)
+        for x in (F(-1), F(0), F(1), F(2)):
+            assert g.cell(x) == (0, 0, 0)
+
 
 class TestConformalResidual:
     def test_lebesgue_at_log_two_is_exact(self, tent_handle, psi_one):
@@ -599,11 +614,8 @@ def _bare_diag(system, pot, p1, p2):
         return None
 
     def g(x):
-        try:
-            w = dyn.cocycle(system, pot, up, x)
-        except OutOfDomain:
-            return 0.0
-        if w == 0:
+        w = dyn.cocycle_or_none(system, pot, up, x)
+        if w is None or w == 0:
             return 0.0
         return float(w) * a(x) * mid(x) * d(x)
 
@@ -639,9 +651,8 @@ def _bare_core(handle, mu, beta, psi, a, b, n, pts):
     system, pot = handle.system, handle.potential
 
     def lhs_fn(x):
-        try:
-            w = dyn.cocycle(system, pot, n, x)
-        except OutOfDomain:
+        w = dyn.cocycle_or_none(system, pot, n, x)
+        if w is None:
             return 0.0
         return float(w) * float(a.value(x)) * float(b.value(x))
 

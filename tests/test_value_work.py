@@ -2,11 +2,12 @@
 
 ``conformal_residual`` and ``kms_battery`` read their test functions at the
 quadrature points through ``TestFunction.floats``, one integer-array pass
-per column, never point by point.  On tent_std with the energy x at 256
-bins, the residual's only per-point reads are the grid nodes of its exact
-fibre-sum and product grids (39), and the battery makes none; the
-point-by-point columns they replaced made 5,159 and 7,040.  A change that
-reads a column point by point again fails here.
+per column, never point by point, and the residual's exact fibre-sum and
+product grids read only the functions' affine pieces.  On tent_std with the
+energy x at 256 bins, neither makes a per-point read; the point-by-point
+columns they replaced made 5,159 and 7,040, and the grid node values, which
+no integral read, made 39.  A change that reads a function point by point
+again fails here.
 """
 
 import pytest
@@ -18,7 +19,7 @@ from xferop import transfer as tr
 from xferop.intervals import Q
 
 BINS = 256
-RESIDUAL_CEILING = 39  # the grid nodes of _fiber_grid and _fn_grid
+RESIDUAL_CEILING = 0
 BATTERY_CEILING = 0
 
 
