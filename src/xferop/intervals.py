@@ -34,12 +34,13 @@ constructor call in the package build ``Q``.
 
 A ``RationalPoints`` is a batch of rationals as numerator and denominator
 arrays: int64 while the data allows it, Python ints past 2^53.  Batches
-multiply, add, take an affine map and an interval test elementwise, sort
-by exact value and round to floats bit for bit; ``affine_values`` and
-``affine_floats`` evaluate a piecewise-affine function (pieces and point
-overrides) on one, exactly or as the ``float`` of the exact value.  The
-map's walks in ``dynamics`` run on them, and ``RationalIds`` interns them
-by their reduced pair.
+multiply, add, take an affine map, an interval test, a comparison, a max
+or min and a floor or ceiling elementwise, sort by exact value and round
+to floats bit for bit; ``affine_values`` and ``affine_floats`` evaluate a
+piecewise-affine function (pieces and point overrides) on one, exactly or
+as the ``float`` of the exact value.  The map's walks in ``dynamics`` and
+the Ulam bin geometry in ``transfer`` run on them, and ``RationalIds``
+interns them by their reduced pair.
 """
 
 from __future__ import annotations
@@ -753,6 +754,30 @@ class RationalPoints:
         """m x + c at each point."""
         k = _bound((m, c))
         return _reduced(*_affine(*_cast(2 * k * k * self.size, self.num, self.den), m, c))
+
+    def less(self, other: "RationalPoints") -> np.ndarray:
+        """Where a point is below the other batch's, elementwise: p b < a q at
+        p / q and a / b.  A one-point batch broadcasts, here and in
+        ``maximum`` / ``minimum``."""
+        an, ad, bn, bd = _cast(self.size * other.size, self.num, self.den, other.num, other.den)
+        return an * bd < bn * ad
+
+    def maximum(self, other: "RationalPoints") -> "RationalPoints":
+        return self._where(self.less(other), other)
+
+    def minimum(self, other: "RationalPoints") -> "RationalPoints":
+        return self._where(other.less(self), other)
+
+    def _where(self, take: np.ndarray, other: "RationalPoints") -> "RationalPoints":
+        """The other batch's point where ``take`` holds, this one's elsewhere."""
+        return _points(np.where(take, other.num, self.num), np.where(take, other.den, self.den))
+
+    def floor(self) -> np.ndarray:
+        """Each point rounded down to an integer (int64, or Python ints past 2^53)."""
+        return self.num // self.den
+
+    def ceil(self) -> np.ndarray:
+        return -(-self.num // self.den)
 
     def holds(self, iv: RationalInterval) -> np.ndarray:
         """Where the interval holds the point."""

@@ -11,9 +11,9 @@ checks evaluate both sides of the exchange identity through the diagonal
 expectation.
 
 The discretized operator is built in two passes.  An exact pass, once per
-solve, cuts the preimage cells of ``transfer.ulam_cells`` (the bin walk that
-``transfer.ulam_matrix`` reads too) by the energy pieces in rational
-arithmetic and keeps the float segments they cut, with the (row, col) bin
+solve, cuts the cell batch of ``transfer.ulam_geometry`` (the bin geometry
+that ``transfer.ulam_matrix`` reads too) by the energy pieces on integer
+arrays and keeps the float segments they cut, with the (row, col) bin
 position of each cell; a float pass, once per inverse temperature,
 integrates exp(-beta*energy) over all segments in one numpy expression and
 sums them into the nonzero entries of the bin matrix at those positions.
@@ -69,7 +69,7 @@ from . import rep
 from . import transfer as tr
 from .dynamics import GraphPotential, IntervalPotential, PartialSystem, Potential
 from .errors import NoSolution, OutOfDomain, UnsupportedPotential, ValidationError
-from .intervals import IntervalSet, Q, RationalInterval, accumulates_at, frac, frac_str
+from .intervals import IntervalSet, Q, RationalInterval, RationalPoints, accumulates_at, frac, frac_str
 from .verdicts import Verdict
 
 __all__ = [
@@ -786,7 +786,7 @@ class KMSCandidate:
     """An inverse temperature with its candidate eigen-measure.
 
     The measure must be a probability measure: no negative mass, and total
-    mass 1 to within 1e-9.
+    mass 1 to within 1e-9; a mass past the float range is refused as not 1.
     """
 
     beta: float
@@ -796,7 +796,10 @@ class KMSCandidate:
     def __post_init__(self):
         if not self.mu.is_positive():
             raise ValidationError("candidate measure takes a negative mass")
-        mass = float(self.mu.total_mass())
+        try:
+            mass = float(self.mu.total_mass())
+        except OverflowError:
+            raise ValidationError("candidate measure has a mass past the float range, not 1") from None
         if abs(mass - 1.0) > 1e-9:
             raise ValidationError(f"candidate measure has mass {mass!r}, not 1")
 
@@ -811,11 +814,13 @@ _STATES = "the state integrals are not finite"
 class _RuelleUlam:
     """Bin operators of the bare fiber-sum operator with weight exp(-beta*energy).
 
-    The exact pass walks the cells of ``transfer.ulam_cells`` (index
+    The exact pass takes the cell batch of ``transfer.ulam_geometry`` (index
     arithmetic on the grid; order branch, source bin j, target bin i;
-    half-open bins, the last one closed; exact cell ends) and cuts each by
-    the energy pieces.  It keeps one float segment (u, v, m, c) per piece cut
-    of each cell, where the energy is m*x + c on [u, v], and the (row, col)
+    half-open bins, the last one closed; exact cell ends) and cuts it by the
+    energy pieces as one cells x pieces mask: the cut of a cell by a piece is
+    [max(x_lo, a), min(x_hi, b)], kept where it is more than a point.  It
+    keeps one float segment (u, v, m, c) per kept cut, in (cell, piece)
+    order, where the energy is m*x + c on [u, v], and the (row, col)
     position (i, j) of each cell in the bin matrix k.  ``values(beta)``
     integrates exp(-beta*energy) over every segment in one numpy pass, then
     sums segments into cells and cells into the distinct positions in the
@@ -828,20 +833,21 @@ class _RuelleUlam:
 
     def __init__(self, handle, psi: PotentialFunction, bins: int):
         comp = _single_component(handle.system)
-        segs, seg_cell, cell_at, cell_slope = [], [], [], []
-        for i, j, absm, xcell in tr.ulam_cells(handle.system.ival, comp.lo, comp.hi, bins):
-            for piv, m, c in psi.carrier.pieces:
-                seg = xcell.intersection(piv)
-                if seg is not None and not seg.is_point:
-                    segs.append((float(seg.lo), float(seg.hi), float(m), float(c)))
-                    seg_cell.append(len(cell_at))
-            cell_at.append(i * bins + j)
-            cell_slope.append(float(absm))
-        self.segs = np.array(segs, dtype=float).reshape(-1, 4).T
-        self.seg_cell = np.array(seg_cell, dtype=np.intp)
-        self.pos, self.cell_pos = np.unique(np.array(cell_at, dtype=np.intp), return_inverse=True)
+        cells = tr.ulam_geometry(handle.system.ival, comp.lo, comp.hi, bins)
+        pieces = psi.carrier.pieces
+        shape = (len(cells.i), len(pieces))  # cells x pieces, raveled in (cell, piece) order
+        u, v, keep = np.empty(shape), np.empty(shape), np.empty(shape, bool)
+        for k, (piv, _, _) in enumerate(pieces):
+            a = cells.x_lo.maximum(RationalPoints.of([piv.lo]))
+            b = cells.x_hi.minimum(RationalPoints.of([piv.hi]))
+            u[:, k], v[:, k], keep[:, k] = a.floats(), b.floats(), a.less(b)
+        m = np.array([float(m) for _, m, _ in pieces], dtype=float)
+        c = np.array([float(c) for _, _, c in pieces], dtype=float)
+        self.seg_cell, piece = np.nonzero(keep)
+        self.segs = np.array([u[keep], v[keep], m[piece], c[piece]])
+        self.pos, self.cell_pos = np.unique(cells.i * bins + cells.j, return_inverse=True)
         self.rows, self.cols = np.divmod(self.pos, bins)
-        self.cell_slope = np.array(cell_slope, dtype=float)
+        self.cell_slope = np.array([float(s) for s in cells.slopes])[cells.branch]
         self.fw = float((comp.hi - comp.lo) / bins)
         self.comp = comp
         self.bins = bins
@@ -884,10 +890,23 @@ class _RuelleUlam:
         return r, self._warm
 
     def eigenmeasure(self, vec: np.ndarray, beta: float) -> tr.UlamMeasure:
-        """The bin density of a Perron vector, renormalised exactly."""
-        w = (self.comp.hi - self.comp.lo) / self.bins
-        masses = _normalised([Q(abs(float(x))) for x in vec])
-        return tr.UlamMeasure(self.comp.lo, self.comp.hi, tuple(m / w for m in masses))
+        """The bin density of a Perron vector, renormalised exactly.
+
+        Each |x_k| is a dyadic rational a_k / 2^e_k, so over the largest
+        2^e the entries are integers A_k with sum T, and the density of bin
+        k is A_k / (T w): with w = p / (q bins), A_k q bins / (T p), reduced
+        once per bin: exactly |x_k| / (w sum_i |x_i|).
+        """
+        ratios = [abs(x).as_integer_ratio() for x in vec.tolist()]
+        scale = max(d for _, d in ratios)
+        ints = [n * (scale // d) for n, d in ratios]
+        total = sum(ints)
+        if total == 0:
+            raise NoSolution("eigenvector collapsed to zero", {})
+        lo, hi = self.comp.lo, self.comp.hi
+        p, q = (hi - lo)._numerator, (hi - lo)._denominator
+        dens = tuple(Q(a * q * self.bins, total * p) for a in ints)
+        return tr.UlamMeasure(lo, hi, dens)
 
 
 class _RuelleGraph:

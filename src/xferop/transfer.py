@@ -27,18 +27,25 @@ file can hold.
 The uniform bin grid on [lo, hi] is read by index arithmetic, never by
 intersecting intervals: bin k is [lo + k w, lo + (k + 1) w), half-open and
 the last one closed, and the bins an interval meets are an integer division
-of its ends.  The temperature solver in ``thermo`` builds its bin matrices
-from the bin geometry that ``ulam_cells`` walks, in the order (branch,
-source bin j, target bin i), with exact cell ends.  ``ulam_matrix`` reads
-the same walk into an exact rational matrix; no command calls it, and it is
-kept as the exact reference the solver's matrices are tested against.
-``UlamMeasure.quadrature`` places its midpoint points by the same arithmetic,
-and ``UlamMeasure.integrate_grid`` takes a grid cell's antiderivative once
-per bin end.
+of its ends.  ``ulam_geometry`` builds the grid's cells under the map as one
+batch (``UlamCells``): per branch, the source and target bin index ranges
+and the exact cell ends as ``RationalPoints``, elementwise max/min of the
+bin nodes, the domain ends and the pulled-back nodes, in the order (branch,
+source bin j, target bin i).  The temperature solver in ``thermo`` cuts
+that batch by the energy pieces; ``ulam_matrix`` reads the same batch into
+an exact rational matrix, and no command calls it: it is kept as the exact
+reference the solver's matrices are tested against.
+``UlamMeasure.quadrature`` places its midpoint points by the same
+arithmetic.  ``UlamMeasure`` keeps one integer view of its densities (a
+common denominator, the numerators and three prefix sums), so
+``total_mass`` is one quotient and ``integrate_grid`` a fixed number of
+exact operations per grid cell: its two end bins, and a closed form over
+the full bins between.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -436,9 +443,27 @@ def _bins_meeting(lo: Fraction, per_w: Fraction, bins: int, a: Fraction, b: Frac
     return range(max(math.floor((a - lo) * per_w), 0), min(math.ceil((b - lo) * per_w), bins))
 
 
+def _bin_sums(densities) -> tuple[int, list[int], list[int], list[int], list[int]]:
+    """The integer view of bin densities d_k: a common denominator D, the
+    numerators n_k = d_k D, and the prefix sums of n_k, k n_k and k^2 n_k
+    (entry k sums the bins before k)."""
+    den = math.lcm(*(d._denominator for d in densities))
+    nums = [d._numerator * (den // d._denominator) for d in densities]
+    s0 = [0, *itertools.accumulate(nums)]
+    s1 = [0, *itertools.accumulate(k * n for k, n in enumerate(nums))]
+    s2 = [0, *itertools.accumulate(k * k * n for k, n in enumerate(nums))]
+    return den, nums, s0, s1, s2
+
+
 @dataclass(frozen=True)
 class UlamMeasure:
-    """Density vector on a uniform bin grid over one space component."""
+    """Density vector on a uniform bin grid over one space component.
+
+    The exact questions (``total_mass``, ``is_positive``, ``integrate_grid``)
+    read one integer view of the densities, built on first use and kept:
+    a common denominator D, the numerators n_k = d_k D, and the prefix sums
+    of n_k, k n_k and k^2 n_k, all Python ints (``_bin_sums``).
+    """
 
     lo: Fraction
     hi: Fraction
@@ -457,13 +482,17 @@ class UlamMeasure:
     def bins(self) -> int:
         return len(self.densities)
 
+    @functools.cached_property
+    def _sums(self) -> tuple[int, list[int], list[int], list[int], list[int]]:
+        return _bin_sums(self.densities)
+
     def total_mass(self) -> Fraction:
-        w = (self.hi - self.lo) / self.bins
-        return sum((d * w for d in self.densities), Q(0))
+        den, _, s0, _, _ = self._sums
+        return (self.hi - self.lo) / self.bins * s0[-1] / den
 
     def is_positive(self) -> bool:
         """No bin carries a negative density."""
-        return all(d >= 0 for d in self.densities)
+        return all(n >= 0 for n in self._sums[1])
 
     def quadrature(self, pts: int) -> tuple[RationalPoints, np.ndarray]:
         """The pts-point midpoint rule in every bin of nonzero density: its
@@ -486,28 +515,47 @@ class UlamMeasure:
     def integrate_grid(self, g) -> float:
         """Exact integral of a piecewise-quadratic grid function, as a float.
 
-        On each grid cell the antiderivative x (c0 + x (c1/2 + x c2/3)) is
-        taken once at every bin end inside the cell and carried to the next
-        bin, so each bin adds d_k (F(b) - F(a)) from two values it shares
-        with its neighbours.  The sum is exact, so its order does not matter.
+        A grid cell, cut to [lo, hi] as [u, v], meets the bins k0..k1.  With
+        the antiderivative F(x) = x (c0 + x (c1/2 + x c2/3)), each end bin
+        adds d_k (F(b) - F(a)) over its part of the cell.  Over a full bin k
+        the cell's integral is w (alpha + beta k + gamma k^2), so the bins
+        strictly between add w (alpha S0 + beta S1 + gamma S2) / D, with S0,
+        S1 and S2 the sums of n_k, k n_k and k^2 n_k over them read off the
+        prefix sums.  That is a fixed number of exact operations per grid
+        cell at any bin count.  The sum is exact, so its order does not
+        change the float.
         """
-        lo, hi, dens = self.lo, self.hi, self.densities
-        w, per_w = (hi - lo) / self.bins, self.bins / (hi - lo)
+        lo, hi, bins, dens = self.lo, self.hi, self.bins, self.densities
+        den, _, s0, s1, s2 = self._sums
+        w, per_w = (hi - lo) / bins, bins / (hi - lo)
+        # with y = lo + k w, the integral of c0 + c1 x + c2 x^2 over bin k is
+        # w (c0 + c1 (y + w/2) + c2 (y^2 + y w + w^2/3)), a quadratic in k
+        mid, q0, q1, q2 = lo + w / 2, lo * lo + lo * w + w * w / 3, (2 * lo + w) * w, w * w
         total = Q(0)
         for (u, v), (c0, c1, c2) in zip(zip(g.nodes, g.nodes[1:]), g.cells):
             if c0 == 0 and c1 == 0 and c2 == 0:
                 continue
-            u_ = max(u, lo)
-            v_ = min(v, hi)
-            if v_ <= u_:
+            u = max(u, lo)
+            v = min(v, hi)
+            if v <= u:
                 continue
             h1, h2 = c1 / 2, c2 / 3
-            fa = u_ * (c0 + u_ * (h1 + u_ * h2))
-            for k in _bins_meeting(lo, per_w, self.bins, u_, v_):
-                b_ = min(v_, lo + (k + 1) * w)
-                fb = b_ * (c0 + b_ * (h1 + b_ * h2))
-                total += dens[k] * (fb - fa)
-                fa = fb
+
+            def anti(x):
+                return x * (c0 + x * (h1 + x * h2))
+
+            ks = _bins_meeting(lo, per_w, bins, u, v)
+            k0, k1 = ks.start, ks.stop - 1
+            if k0 == k1:
+                total += dens[k0] * (anti(v) - anti(u))
+                continue
+            a, b = lo + (k0 + 1) * w, lo + k1 * w
+            total += dens[k0] * (anti(a) - anti(u)) + dens[k1] * (anti(v) - anti(b))
+            if k1 - k0 > 1:
+                alpha, beta, gamma = c0 + c1 * mid + c2 * q0, c1 * w + c2 * q1, c2 * q2
+                k = k0 + 1
+                full = alpha * (s0[k1] - s0[k]) + beta * (s1[k1] - s1[k]) + gamma * (s2[k1] - s2[k])
+                total += w * full / den
         return float(total)
 
     def to_doc(self, system: PartialSystem) -> dict:
@@ -533,59 +581,71 @@ def integrate_potential(pot: Potential, s: IntervalSet) -> Fraction:
     return total
 
 
-def ulam_cells(sys_: dyn.IntervalSystem, lo: Fraction, hi: Fraction, bins: int):
-    """The exact geometry of a uniform bin grid on [lo, hi] under the map.
+@dataclass(frozen=True)
+class UlamCells:
+    """The exact geometry of a uniform bin grid under the map, as one batch.
 
-    Yields ``(i, j, |slope|, xcell)`` for each branch, source bin j and
-    target bin i, in that order, where xcell is the part of bin j inside the
-    branch domain that the branch sends into bin i; cells that are empty or
-    a single point are skipped.  Bins are half-open, the last one closed,
-    and every cell end is an exact rational.
-
-    The walk is index arithmetic on the grid nodes g_k = lo + k w.  The
-    source bins that meet a branch domain [a, b] are the index range
-    floor((a - lo) / w) .. ceil((b - lo) / w) - 1, and the cell of bin j is
-    [max(g_j, a), min(g_j+1, b)].  Its target bins are the same division of
-    its image ends.  The x-cell ends are the max/min of the cell ends and
-    the pulled-back nodes p_i = (g_i - intercept) / slope, which step by
-    w / slope.  An end is closed where every set it comes from holds it:
-    the bin (its low node, its high node only in the last bin), the domain,
-    and the pulled-back target bin (the same flags, swapped for a negative
-    slope).  Only the yielded x-cell is built as a ``RationalInterval``.
+    Cell n is the part of source bin ``j[n]`` inside the domain of branch
+    ``branch[n]`` that the branch sends into target bin ``i[n]``: the
+    interval from ``x_lo[n]`` to ``x_hi[n]``, never empty or one point.
+    ``slopes[b]`` is |slope| of branch b.  Cells come in the order
+    (branch, source bin j, target bin i).  No end flag is kept: every
+    reader integrates over the cells, and an end carries no mass.
     """
-    w = (hi - lo) / bins
-    per_w, last = bins / (hi - lo), bins - 1
-    for br in sys_.branches:
+
+    i: np.ndarray
+    j: np.ndarray
+    branch: np.ndarray
+    slopes: tuple[Fraction, ...]
+    x_lo: RationalPoints
+    x_hi: RationalPoints
+
+
+def _nodes(ks: np.ndarray, step: Fraction, start: Fraction) -> RationalPoints:
+    """start + k step at each integer k."""
+    return RationalPoints.integers(ks).affine(step, start)
+
+
+def ulam_geometry(sys_: dyn.IntervalSystem, lo: Fraction, hi: Fraction, bins: int) -> UlamCells:
+    """The cells of a uniform bin grid on [lo, hi] under the map, exact.
+
+    Bins are half-open, the last one closed.  The geometry is index
+    arithmetic on the grid nodes g_k = lo + k w, a few batch operations per
+    branch and none per cell.  The source bins that meet a branch domain
+    [a, b] are the index range floor((a - lo) / w) .. ceil((b - lo) / w) - 1,
+    and the cell of bin j is [max(g_j, a), min(g_j+1, b)].  Its target bins
+    are the same division of its image ends.  The x-cell ends are the
+    elementwise max/min of the cell ends and the pulled-back nodes
+    p_i = (g_i - intercept) / slope: [max(p_i, u), min(p_i+1, v)], with
+    p_i and p_i+1 swapped for a negative slope.
+    """
+    w, per_w = (hi - lo) / bins, bins / (hi - lo)
+    parts = []
+    for b, br in enumerate(sys_.branches):
         dom, m, c = br.domain, br.slope, br.intercept
-        a, b = dom.lo, dom.hi
-        if a == b:
+        sources = _bins_meeting(lo, per_w, bins, dom.lo, dom.hi)
+        if dom.lo == dom.hi or not sources:
             continue
-        up, absm, dp = m > 0, abs(m), w / m
-        p0 = (lo - c) / m
-        sources = _bins_meeting(lo, per_w, bins, a, b)
-        g1 = lo + sources.start * w
-        for j in sources:
-            g, g1 = g1, g1 + w
-            u = g if g > a else a
-            v = g1 if g1 < b else b
-            u_closed = u > a or dom.lo_closed
-            v_closed = (v < g1 or j == last) and (v < b or dom.hi_closed)
-            ya, yb = (m * u + c, m * v + c) if up else (m * v + c, m * u + c)
-            targets = _bins_meeting(lo, per_w, bins, ya, yb)
-            p1 = p0 + targets.start * dp
-            for i in targets:
-                p, p1 = p1, p1 + dp
-                if up:  # the pulled-back bin is [p, p1), closed in the last bin
-                    x_lo = p if p > u else u
-                    x_hi = p1 if p1 < v else v
-                    lo_closed = x_lo > u or u_closed
-                    hi_closed = (x_hi < v or v_closed) and (x_hi < p1 or i == last)
-                else:  # the pulled-back bin is (p1, p], closed in the last bin
-                    x_lo = p1 if p1 > u else u
-                    x_hi = p if p < v else v
-                    lo_closed = (x_lo > u or u_closed) and (x_lo > p1 or i == last)
-                    hi_closed = x_hi < v or v_closed
-                yield i, j, absm, RationalInterval(x_lo, x_hi, lo_closed, hi_closed)
+        js = np.arange(sources.start, sources.stop)
+        u = _nodes(js, w, lo).maximum(RationalPoints.of([dom.lo]))
+        v = _nodes(js + 1, w, lo).minimum(RationalPoints.of([dom.hi]))
+        ya, yb = (u.affine(m, c), v.affine(m, c)) if m > 0 else (v.affine(m, c), u.affine(m, c))
+        t0 = np.clip(ya.affine(per_w, -lo * per_w).floor(), 0, bins).astype(np.intp)
+        t1 = np.clip(yb.affine(per_w, -lo * per_w).ceil(), 0, bins).astype(np.intp)
+        counts = np.maximum(t1 - t0, 0)
+        src = np.repeat(np.arange(len(js)), counts)
+        i = t0[src] + np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
+        p, p1 = _nodes(i, w / m, (lo - c) / m), _nodes(i + 1, w / m, (lo - c) / m)
+        if m < 0:  # the pulled-back bin is (p_i+1, p_i]
+            p, p1 = p1, p
+        parts.append((i, js[src], np.full(len(i), b, np.intp), p.maximum(u[src]), p1.minimum(v[src])))
+    empty = (np.zeros(0, np.intp),) * 3 + (RationalPoints.zeros(0),) * 2
+    i, j, branch, x_lo, x_hi = zip(empty, *parts)
+    return UlamCells(
+        np.concatenate(i), np.concatenate(j), np.concatenate(branch),
+        tuple(abs(br.slope) for br in sys_.branches),
+        RationalPoints.concat(x_lo), RationalPoints.concat(x_hi),
+    )
 
 
 def ulam_matrix(
@@ -598,7 +658,7 @@ def ulam_matrix(
 
     Entry [i][j] is the average over bin i of the operator applied to the
     indicator of bin j: integrate the weight over each cell of
-    ``ulam_cells``, with the branch substitution contributing the |slope|
+    ``ulam_geometry``, with the branch substitution contributing the |slope|
     factor.  Kept as a test oracle: it is the exact rational reference for
     the float bin matrices of ``thermo``'s temperature solver, so a faster
     bin walk can be checked against it entry for entry.
@@ -611,8 +671,9 @@ def ulam_matrix(
     hi = frac(hi) if hi is not None else comp.hi
     if bins < 1 or hi <= lo:
         raise ValidationError("bad bin grid")
-    w = (hi - lo) / bins
+    w, cells = (hi - lo) / bins, ulam_geometry(sys_, lo, hi, bins)
     mat = [[Q(0)] * bins for _ in range(bins)]
-    for i, j, absm, xcell in ulam_cells(sys_, lo, hi, bins):
-        mat[i][j] += integrate_potential(handle.potential, IntervalSet.of(xcell)) * absm / w
+    for i, j, b, u, v in zip(cells.i.tolist(), cells.j.tolist(), cells.branch.tolist(), cells.x_lo, cells.x_hi):
+        cell = IntervalSet.of(RationalInterval(u, v))
+        mat[i][j] += integrate_potential(handle.potential, cell) * cells.slopes[b] / w
     return mat

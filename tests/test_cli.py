@@ -498,8 +498,11 @@ def _atom_masses(*ms):
         ("tent_std", _densities("-1", "3", *["1"] * 6), "candidate measure takes a negative mass"),
         ("tent_std", _densities(*["1/2"] * 8), "candidate measure has mass 0.5, not 1"),
         ("fullshift2", _atom_masses("-1/2", "3/2"), "candidate measure takes a negative mass"),
+        # float() of these masses overflowed: exit 4 with an OverflowError
+        ("tent_std", _densities("1e400", *["1"] * 7), "candidate measure has a mass past the float range, not 1"),
+        ("fullshift2", _atom_masses("1e400", "1/2"), "candidate measure has a mass past the float range, not 1"),
     ],
-    ids=["negative-mass-3/4", "negative-mass-1", "mass-1/2", "negative-atom"],
+    ids=["negative-mass-3/4", "negative-mass-1", "mass-1/2", "negative-atom", "huge-density", "huge-atom"],
 )
 def test_a_candidate_that_is_not_a_probability_is_refused(tmp_path, command, spec, edit, message):
     # a density of -1 read "within tolerance: yes" and exited 0
@@ -508,6 +511,32 @@ def test_a_candidate_that_is_not_a_probability_is_refused(tmp_path, command, spe
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)
     assert result.output.splitlines() == [f"error: bad candidate file {cand}: {message}"]
+
+
+@pytest.mark.parametrize("command", [["kms-verify", "--candidate"], ["conformal", "--check"]])
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1/0", "cannot parse rational '1/0': Fraction(1, 0)"),
+        ("nan", "cannot parse rational 'nan': Invalid literal for Fraction: 'nan'"),
+        (None, "expected a rational value, got None"),
+    ],
+    ids=["1/0", "nan", "null"],
+)
+@pytest.mark.parametrize("spec", ["tent_std", "fullshift2"])
+def test_an_unreadable_candidate_mass_exits_3(tmp_path, command, value, message, spec):
+    edit = _densities(value, *["1"] * 7) if spec == "tent_std" else _atom_masses(value, "1/2")
+    cand = _edited_candidate(tmp_path, spec, edit)
+    result = CliRunner().invoke(main, [command[0], "--spec", spec, command[1], cand])
+    assert result.exit_code == 3, result.output
+    assert result.output.splitlines() == [f"error: {message}"]
+
+
+def test_an_empty_bin_grid_exits_3(tmp_path):
+    cand = _edited_candidate(tmp_path, "tent_std", _densities())
+    result = CliRunner().invoke(main, ["kms-verify", "--spec", "tent_std", "--candidate", cand])
+    assert result.exit_code == 3, result.output
+    assert result.output.splitlines() == ["error: bad bin grid"]
 
 
 @pytest.mark.parametrize("command", [["kms-verify", "--candidate"], ["conformal", "--check"]])

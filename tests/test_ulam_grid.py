@@ -1,14 +1,18 @@
 """The uniform Ulam grid by index arithmetic, against the interval walk it replaced.
 
-``transfer.ulam_cells``, ``UlamMeasure.quadrature`` and
-``UlamMeasure.integrate_grid`` read the grid by index arithmetic.  The
-references below are their bodies before that: a ``RationalInterval`` per
-bin intersected with the branch domain and with every target bin, the
-midpoint rule one rational per point, and the antiderivative taken twice per
-bin.  Every yielded cell, quadrature row and float total must be identical:
-the same values, the same ``Q`` type, the same flags, in the same order.
-The quadrature hands back its points as one batch and its masses as floats,
-so a row's mass is compared as the float of the reference's exact mass.
+``transfer.ulam_geometry``, ``thermo._RuelleUlam``, ``UlamMeasure.quadrature``
+and ``UlamMeasure.integrate_grid`` read the grid by index arithmetic on
+integer arrays.  The references below are bare loops: a ``RationalInterval``
+per bin intersected with the branch domain and with every target bin, the
+solver's arrays built one cell and one energy piece at a time from those
+cells, the bin matrix summed one cell at a time, the midpoint rule one
+rational per point, and the antiderivative taken twice per bin.  Every cell,
+array, quadrature row and float total must be identical: the same values,
+the same ``Q`` type, in the same order.  A cell is compared as
+(i, j, |slope|, ends): the batch keeps no end flags, because every reader
+integrates over the cells.  The quadrature hands back its points as one
+batch and its masses as floats, so a row's mass is compared as the float of
+the reference's exact mass.
 """
 
 import random
@@ -25,10 +29,10 @@ from xferop import specfile
 from xferop import thermo as th
 from xferop import transfer as tr
 from xferop.errors import ValidationError
-from xferop.intervals import Q, RationalInterval
+from xferop.intervals import IntervalSet, Q, RationalInterval, frac_str
 
 # ---------------------------------------------------------------------------
-# references: the bodies before the index arithmetic
+# references: bare loops, one bin or one cell at a time
 # ---------------------------------------------------------------------------
 
 
@@ -50,6 +54,38 @@ def ref_ulam_cells(sys_, lo, hi, bins):
                     continue
                 xcell = br.inverse_image(ycell)
                 yield i, j, abs(br.slope), xcell
+
+
+def ref_ulam_matrix(handle, bins):
+    sys_ = handle.system.ival
+    (comp,) = sys_.space.intervals
+    w = (comp.hi - comp.lo) / bins
+    mat = [[Q(0)] * bins for _ in range(bins)]
+    for i, j, absm, xcell in ref_ulam_cells(sys_, comp.lo, comp.hi, bins):
+        mat[i][j] += tr.integrate_potential(handle.potential, IntervalSet.of(xcell)) * absm / w
+    return mat
+
+
+def ref_ruelle_arrays(handle, psi, bins):
+    """``_RuelleUlam``'s exact-pass arrays, one cell and one energy piece at a time."""
+    (comp,) = handle.system.ival.space.intervals
+    segs, seg_cell, cell_at, cell_slope = [], [], [], []
+    for i, j, absm, xcell in ref_ulam_cells(handle.system.ival, comp.lo, comp.hi, bins):
+        for piv, m, c in psi.carrier.pieces:
+            seg = xcell.intersection(piv)
+            if seg is not None and not seg.is_point:
+                segs.append((float(seg.lo), float(seg.hi), float(m), float(c)))
+                seg_cell.append(len(cell_at))
+        cell_at.append(i * bins + j)
+        cell_slope.append(float(absm))
+    pos, cell_pos = np.unique(np.array(cell_at, dtype=np.intp), return_inverse=True)
+    rows, cols = np.divmod(pos, bins)
+    return {
+        "segs": np.array(segs, dtype=float).reshape(-1, 4).T,
+        "seg_cell": np.array(seg_cell, dtype=np.intp),
+        "pos": pos, "cell_pos": cell_pos, "rows": rows, "cols": cols,
+        "cell_slope": np.array(cell_slope, dtype=float),
+    }
 
 
 def ref_quadrature(mu, pts):
@@ -93,10 +129,20 @@ def ref_integrate_grid(mu, g):
 
 
 def spelled_cells(cells):
+    """Cells as (i, j, |slope|, ends), each with its type."""
     return [
-        (i, j, type(m), m, type(x.lo), x.lo, type(x.hi), x.hi, x.lo_closed, x.hi_closed)
-        for i, j, m, x in cells
+        (type(i), i, type(j), j, type(m), m, type(u), u, type(v), v) for i, j, m, u, v in cells
     ]
+
+
+def batch_cells(sys_, lo, hi, bins):
+    cells = tr.ulam_geometry(sys_, lo, hi, bins)
+    rows = zip(cells.i.tolist(), cells.j.tolist(), cells.branch.tolist(), cells.x_lo, cells.x_hi)
+    return spelled_cells((i, j, cells.slopes[b], u, v) for i, j, b, u, v in rows)
+
+
+def reference_cells(sys_, lo, hi, bins):
+    return spelled_cells((i, j, m, x.lo, x.hi) for i, j, m, x in ref_ulam_cells(sys_, lo, hi, bins))
 
 
 def spelled_rows(rows):
@@ -171,7 +217,7 @@ def test_every_bundled_interval_spec_is_covered():
 
 
 # ---------------------------------------------------------------------------
-# ulam_cells
+# ulam_geometry
 # ---------------------------------------------------------------------------
 
 
@@ -183,8 +229,8 @@ def test_cells_match_the_interval_walk(name, grid):
     shift_lo, shift_hi = GRIDS[grid]
     lo, hi = comp.lo + shift_lo, comp.hi + shift_hi
     for bins in BINS:
-        got = spelled_cells(tr.ulam_cells(sys_, lo, hi, bins))
-        assert got == spelled_cells(ref_ulam_cells(sys_, lo, hi, bins)), (name, grid, bins)
+        got = batch_cells(sys_, lo, hi, bins)
+        assert got == reference_cells(sys_, lo, hi, bins), (name, grid, bins)
         assert got, (name, grid, bins)
 
 
@@ -210,23 +256,36 @@ def branches(draw):
     st.tuples(st.integers(-6, 6), st.integers(1, 12)),
 )
 def test_cells_match_on_drawn_branches(brs, bins, grid):
-    # ulam_cells reads only the branches, so they need not form a system:
+    # ulam_geometry reads only the branches, so they need not form a system:
     # domains may overlap, leave [lo, hi], be a point or be open at either end
     lo = Q(grid[0], 4)
     hi = lo + Q(grid[1], 4)
     sys_ = SimpleNamespace(branches=tuple(brs))
-    got = spelled_cells(tr.ulam_cells(sys_, lo, hi, bins))
-    assert got == spelled_cells(ref_ulam_cells(sys_, lo, hi, bins))
+    assert batch_cells(sys_, lo, hi, bins) == reference_cells(sys_, lo, hi, bins)
+
+
+@pytest.mark.parametrize("slope", [F(3), F(-3)])
+def test_cells_of_branches_that_leave_the_grid_far_behind(slope):
+    # bin indices past int64 are clipped to the grid before they are cast
+    far = F(10**30, 7)
+    brs = (
+        dyn.AffineBranch(RationalInterval(F(0), F(1, 2)), slope, far),
+        dyn.AffineBranch(RationalInterval(F(1, 4), F(1)), slope, -far),
+        dyn.AffineBranch(RationalInterval(F(0), F(1)), slope, F(1, 3) - slope / 2),
+    )
+    sys_ = SimpleNamespace(branches=brs)
+    for bins in (1, 5, 64):
+        got = batch_cells(sys_, F(0), F(1), bins)
+        assert got == reference_cells(sys_, F(0), F(1), bins) and got, bins
 
 
 @pytest.mark.parametrize("name", INTERVAL_SPECS)
-def test_ulam_matrix_matches_the_reference(monkeypatch, name):
+def test_ulam_matrix_matches_the_reference(name):
     # the grids of test_transfer's test_ulam_columns_carry_the_weight_of_their_bin
     s = specfile.bundled(name)
     h = tr.TransferHandle.create(s.system, s.potential)
     got = [tr.ulam_matrix(h, bins) for bins in range(1, 17)]
-    monkeypatch.setattr(tr, "ulam_cells", ref_ulam_cells)
-    want = [tr.ulam_matrix(h, bins) for bins in range(1, 17)]
+    want = [ref_ulam_matrix(h, bins) for bins in range(1, 17)]
     assert [[[(type(x), x) for x in row] for row in m] for m in got] == [
         [[(type(x), x) for x in row] for row in m] for m in want
     ]
@@ -252,18 +311,74 @@ RUELLE_ARRAYS = ("segs", "seg_cell", "pos", "cell_pos", "cell_slope", "rows", "c
     [("tent_x", "spec", 256), ("tent_x", "spec", 512), ("doubling_x_half", "spec", 256),
      ("tent_half", "kinked", 97), ("halving", "kinked", 64), ("doubling", "kinked", 33)],
 )
-def test_ruelle_ulam_arrays_match_a_reference_build(monkeypatch, name, energy, bins):
+def test_ruelle_ulam_arrays_match_a_reference_build(name, energy, bins):
     s = load(name)
     h = tr.TransferHandle.create(s.system, s.potential)
     psi = th.PotentialFunction.of(s.system, s.psi) if energy == "spec" else _kinked(s.system)
-    got = th._RuelleUlam(h, psi, bins)
-    monkeypatch.setattr(tr, "ulam_cells", ref_ulam_cells)
-    want = th._RuelleUlam(h, psi, bins)
+    assert_arrays_match(th._RuelleUlam(h, psi, bins), ref_ruelle_arrays(h, psi, bins))
+
+
+def assert_arrays_match(got, want):
     for key in RUELLE_ARRAYS:
-        a, b = getattr(got, key), getattr(want, key)
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), key
-    assert got.fw == want.fw
-    assert got.values(1.3).tobytes() == want.values(1.3).tobytes()
+        a, b = getattr(got, key), want[key]
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), key
+    # the float pass reads the arrays: its entries agree bit for bit too
+    ref = SimpleNamespace(**want, fw=got.fw, bins=got.bins)
+    assert got.values(1.3).tobytes() == th._RuelleUlam.values(ref, 1.3).tobytes()
+
+
+def _tent_on(lo, width):
+    """tent_std conjugated onto [lo, lo + width]."""
+    hi, mid = lo + width, lo + width / 2
+    text = frac_str
+    return specfile.parse_spec({
+        "name": "tent_moved", "backend": "interval",
+        "space": [_closed(text(lo), text(hi))],
+        "branches": [
+            {"domain": _closed(text(lo), text(mid)), "slope": "2", "intercept": text(-lo)},
+            {"domain": _closed(text(mid), text(hi)), "slope": "-2", "intercept": text(3 * lo + 2 * width)},
+        ],
+        "potential": {"pieces": [{"interval": _closed(text(lo), text(hi)), "slope": "0", "intercept": "1"}],
+                      "overrides": []},
+    })
+
+
+def _energy(system, kind):
+    """x, x + 1/2 or a kink at a third of the space, on the space component."""
+    (comp,) = system.ival.space.intervals
+    if kind == "kinked":
+        third = comp.lo + (comp.hi - comp.lo) / 3
+        pieces = (
+            (RationalInterval(comp.lo, third), F(3), -3 * comp.lo),
+            (RationalInterval(third, comp.hi, False, True), F(0), 3 * (third - comp.lo)),
+        )
+    else:
+        pieces = ((comp, F(1), F(0) if kind == "x" else F(1, 2)),)
+    return th.PotentialFunction.of(system, dyn.IntervalPotential(pieces, allow_negative=True))
+
+
+MOVED = {
+    "lo=1/3,width=7/5": (F(1, 3), F(7, 5)),
+    # the cell ends pass 2^53, so the batch runs on Python ints
+    "lo=2^60/3,width=2^61": (F(2**60, 3), F(2**61)),
+}
+
+
+@pytest.mark.parametrize("energy", ["x", "x+1/2", "kinked"])
+@pytest.mark.parametrize("name", INTERVAL_SPECS + tuple(MOVED))
+def test_batch_geometry_matches_the_per_cell_build(name, energy):
+    s = _tent_on(*MOVED[name]) if name in MOVED else load(name)
+    h = tr.TransferHandle.create(s.system, s.potential)
+    psi = _energy(s.system, energy)
+    for bins in (1, 7, 64, 256, 512):
+        assert_arrays_match(th._RuelleUlam(h, psi, bins), ref_ruelle_arrays(h, psi, bins))
+
+
+def test_the_python_int_path_runs():
+    s = _tent_on(*MOVED["lo=2^60/3,width=2^61"])
+    (comp,) = s.system.ival.space.intervals
+    cells = tr.ulam_geometry(s.system.ival, comp.lo, comp.hi, 64)
+    assert cells.x_lo.num.dtype == object and cells.x_lo.size > 2**53
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +445,104 @@ def test_integrate_grid_matches(name, lo, hi, bins, zeros):
         got = mu.integrate_grid(g)
         want = ref_integrate_grid(mu, g)
         assert type(got) is float and got == want
+
+
+# large, pairwise coprime denominators (primes), so the common denominator is their product
+PRIMES = (1_000_000_007, 998_244_353, 2**61 - 1, 4_294_967_291, 1_000_000_009)
+COEFFS = (F(0), F(0), F(1), F(-2), F(1, 3), F(5, 7), F(-11, 4))
+
+
+@st.composite
+def grid_measures(draw):
+    """A bin measure and a grid whose nodes sit on a quarter-bin lattice
+    (plus a fixed offset), reaching up to two bins past either end."""
+    lo = F(draw(st.integers(-8, 8)), draw(st.integers(1, 6)))
+    hi = lo + F(draw(st.integers(1, 12)), draw(st.integers(1, 6)))
+    bins = draw(st.integers(1, 40))
+    dens = draw(st.lists(
+        st.one_of(
+            st.just(F(0)),
+            st.builds(F, st.integers(0, 50), st.integers(1, 9)),
+            st.builds(F, st.integers(0, 10**15), st.sampled_from(PRIMES)),
+        ),
+        min_size=bins, max_size=bins,
+    ))
+    ticks = draw(st.lists(st.integers(-8, 4 * bins + 8), min_size=2, max_size=8, unique=True))
+    shift = draw(st.sampled_from([F(0), F(1, 7)]))
+    w = (hi - lo) / bins
+    nodes = tuple(lo + (t + shift) * w / 4 for t in sorted(ticks))
+    cells = tuple(
+        tuple(draw(st.sampled_from(COEFFS)) for _ in range(3)) for _ in range(len(nodes) - 1)
+    )
+    return tr.UlamMeasure(lo, hi, tuple(dens)), th.GridFunction(nodes, cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_measures())
+def test_integrate_grid_matches_on_drawn_grids(case):
+    mu, g = case
+    assert mu.integrate_grid(g) == ref_integrate_grid(mu, g)
+
+
+def _grid(nodes, coeffs=(F(1), F(-2), F(3))):
+    nodes = tuple(F(x) for x in nodes)
+    return th.GridFunction(nodes, (coeffs,) * (len(nodes) - 1))
+
+
+# on 16 bins of [0, 1]: bin k is [k/16, (k+1)/16)
+GRID_CASES = {
+    "inside-one-bin": (F(1, 40), F(1, 20)),
+    "two-bins": (F(1, 20), F(3, 32)),
+    "on-bin-ends": (F(1, 16), F(1, 8), F(7, 16)),
+    "many-bins": (F(1, 100), F(97, 100)),
+    "past-both-ends": (F(-3), F(1, 3), F(5, 2)),
+    "outside": (F(-2), F(-1)),
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_CASES))
+def test_integrate_grid_cases(case):
+    rng = random.Random(case)
+    dens = [F(rng.randrange(0, 9), rng.choice(PRIMES)) for _ in range(16)]
+    dens[3] = F(0)
+    mu = tr.UlamMeasure(F(0), F(1), tuple(dens))
+    g = _grid(GRID_CASES[case])
+    got = mu.integrate_grid(g)
+    assert type(got) is float and got == ref_integrate_grid(mu, g)
+
+
+def test_zero_densities_integrate_to_zero():
+    mu = tr.UlamMeasure(F(0), F(1), (F(0),) * 8)
+    assert mu.integrate_grid(_grid((F(-1), F(1, 3), F(2)))) == 0.0
+
+
+Q_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+         "__truediv__", "__rtruediv__", "__neg__")
+
+
+def test_grid_integral_work_does_not_grow_with_the_bins(monkeypatch):
+    # a fixed number of exact operations per grid cell: a per-bin loop is
+    # about twice the count at 512 bins as at 256
+    g = _grid((F(0), F(1, 3), F(1, 2), F(5, 7), F(1)))
+    measures = [tr.UlamMeasure(F(0), F(1), tuple(F(k % 5, 3) for k in range(bins))) for bins in (256, 512)]
+    want = [ref_integrate_grid(mu, g) for mu in measures]
+    for mu in measures:
+        mu.total_mass()  # the integer view is built once per measure, before the count
+    count = [0]
+    for name in Q_OPS:
+        op = getattr(Q, name)
+
+        def counting(*args, _op=op):
+            count[0] += 1
+            return _op(*args)
+
+        monkeypatch.setattr(Q, name, counting)
+    ops = []
+    for mu, total in zip(measures, want):
+        count[0] = 0
+        assert mu.integrate_grid(g) == total
+        ops.append(count[0])
+    assert ops[0] == ops[1] and 0 < ops[0] < 256, ops
 
 
 @pytest.mark.parametrize("name, bins", [("tent_x", 256), ("tent_x", 512), ("doubling_x_half", 256)])
