@@ -443,18 +443,6 @@ def _bins_meeting(lo: Fraction, per_w: Fraction, bins: int, a: Fraction, b: Frac
     return range(max(math.floor((a - lo) * per_w), 0), min(math.ceil((b - lo) * per_w), bins))
 
 
-def _bin_sums(densities) -> tuple[int, list[int], list[int], list[int], list[int]]:
-    """The integer view of bin densities d_k: a common denominator D, the
-    numerators n_k = d_k D, and the prefix sums of n_k, k n_k and k^2 n_k
-    (entry k sums the bins before k)."""
-    den = math.lcm(*(d._denominator for d in densities))
-    nums = [d._numerator * (den // d._denominator) for d in densities]
-    s0 = [0, *itertools.accumulate(nums)]
-    s1 = [0, *itertools.accumulate(k * n for k, n in enumerate(nums))]
-    s2 = [0, *itertools.accumulate(k * k * n for k, n in enumerate(nums))]
-    return den, nums, s0, s1, s2
-
-
 @dataclass(frozen=True)
 class UlamMeasure:
     """Density vector on a uniform bin grid over one space component.
@@ -462,7 +450,7 @@ class UlamMeasure:
     The exact questions (``total_mass``, ``is_positive``, ``integrate_grid``)
     read one integer view of the densities, built on first use and kept:
     a common denominator D, the numerators n_k = d_k D, and the prefix sums
-    of n_k, k n_k and k^2 n_k, all Python ints (``_bin_sums``).
+    of n_k, k n_k and k^2 n_k, all Python ints (``_sums``).
     """
 
     lo: Fraction
@@ -484,7 +472,14 @@ class UlamMeasure:
 
     @functools.cached_property
     def _sums(self) -> tuple[int, list[int], list[int], list[int], list[int]]:
-        return _bin_sums(self.densities)
+        """(D, n_k, and the prefix sums of n_k, k n_k and k^2 n_k): entry k of
+        a prefix sum sums the bins before k."""
+        den = math.lcm(*(d._denominator for d in self.densities))
+        nums = [d._numerator * (den // d._denominator) for d in self.densities]
+        s0 = [0, *itertools.accumulate(nums)]
+        s1 = [0, *itertools.accumulate(k * n for k, n in enumerate(nums))]
+        s2 = [0, *itertools.accumulate(k * k * n for k, n in enumerate(nums))]
+        return den, nums, s0, s1, s2
 
     def total_mass(self) -> Fraction:
         den, _, s0, _, _ = self._sums
