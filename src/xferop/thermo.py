@@ -19,7 +19,8 @@ integrates exp(-beta*energy) over all segments in one numpy expression and
 sums them into the nonzero entries of the bin matrix at those positions.
 A power step multiplies by the transpose straight from the positions (one
 ``np.bincount``), so no solve builds the bins x bins matrix, and each
-bisection step starts from the previous step's Perron vector.  The graph
+bisection step starts from the previous step's Perron vector and stops
+once the Collatz-Wielandt bounds prove the sign of r - 1.  The graph
 operator is one entry per vertex pair and stays dense and cold (see
 ``_RuelleGraph``).  Each operator turns its own Perron vector into the
 candidate measure (``eigenmeasure``): a bin density on the interval, atoms
@@ -60,7 +61,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -787,11 +788,25 @@ class KMSCandidate:
 
     The measure must be a probability measure: no negative mass, and total
     mass 1 to within 1e-9; a mass past the float range is refused as not 1.
+
+    A solved candidate also carries what the solve proved and what it cost.
+    ``beta_lo < beta_hi`` is the narrowest pair of bisection points whose
+    signs of rho(k(beta)) - 1 the Collatz-Wielandt bounds proved opposite,
+    so the root of the discrete problem lies between them (rho(k(beta)) is
+    continuous in beta).  The bounds are float quotients, so the enclosure
+    holds up to their rounding.  Both are None where a side was never
+    proved, and on a candidate read from a file.  ``perron_calls`` and
+    ``power_steps`` count the solve's Perron iterations and their steps;
+    None on a candidate read from a file.
     """
 
     beta: float
     mu: Measure
     note: str = ""
+    beta_lo: Optional[float] = None
+    beta_hi: Optional[float] = None
+    perron_calls: Optional[int] = None
+    power_steps: Optional[int] = None
 
     def __post_init__(self):
         if not self.mu.is_positive():
@@ -827,8 +842,10 @@ class _RuelleUlam:
     walk order, which pins every float sum: those are the nonzero entries of
     k.  A power step reads them straight from the positions, so no solve
     builds the bins x bins matrix; ``dense`` does, for tests.  Each
-    ``perron`` call starts from the previous call's vector, and
-    ``eigenmeasure`` reads a Perron vector as a density on the bins.
+    ``perron`` call starts from the previous call's vector and passes
+    ``decide`` to ``_perron``: a call asked only for the sign of r - 1 may
+    stop before its vector converges, and the next call starts from that
+    vector.  ``eigenmeasure`` reads a Perron vector as a density on the bins.
     """
 
     def __init__(self, handle, psi: PotentialFunction, bins: int):
@@ -885,9 +902,10 @@ class _RuelleUlam:
         k[self.pos] = self.values(beta)
         return k.reshape(self.bins, self.bins)
 
-    def perron(self, beta: float) -> tuple[float, np.ndarray]:
-        r, self._warm = _perron(self.step(beta), self._warm)
-        return r, self._warm
+    def perron(self, beta: float, decide: bool = False) -> _Root:
+        root = _perron(self.step(beta), self._warm, decide=decide)
+        self._warm = root.vec
+        return root
 
     def eigenmeasure(self, vec: np.ndarray, beta: float) -> tr.UlamMeasure:
         """The bin density of a Perron vector, renormalised exactly.
@@ -916,7 +934,10 @@ class _RuelleGraph:
     every call.  The atom masses of a graph candidate are exact rationals of
     the vector's floats, so a sparse or warm-started step would change them
     in their last bits, and with them the pinned reports; a graph matrix is
-    only vertices x vertices, so there is nothing to save.  ``eigenmeasure``
+    only vertices x vertices, so there is nothing to save.  It passes
+    ``decide`` to ``_perron`` as the bin operator does; with the cold start,
+    a call that stops early changes no later call, so the candidate is a
+    function of the last, fully converged call alone.  ``eigenmeasure``
     pushes a Perron vector onto atoms on the edges.
     """
 
@@ -942,10 +963,10 @@ class _RuelleGraph:
             raise _overflow(beta)
         return k
 
-    def perron(self, beta: float) -> tuple[float, np.ndarray]:
+    def perron(self, beta: float, decide: bool = False) -> _Root:
         n = len(self.verts)
         kt = self.dense(beta).T + np.eye(n)  # shift keeps oscillating spectra convergent
-        return _perron(kt.__matmul__, np.full(n, 1.0 / n))
+        return _perron(kt.__matmul__, np.full(n, 1.0 / n), decide=decide)
 
     def eigenmeasure(self, vec: np.ndarray, beta: float) -> tr.AtomicMeasure:
         """Atoms on the length-one cylinders Z(e), renormalised exactly.
@@ -961,28 +982,113 @@ class _RuelleGraph:
         return tr.AtomicMeasure(tuple(zip((p for p, _, _ in self.atoms), _normalised(masses))))
 
 
+class _Root(NamedTuple):
+    """One Perron call: the root estimate, its vector, the bounds on rho(k) and
+    the power steps it took.
+
+    ``lower`` and ``upper`` are the Collatz-Wielandt bounds on rho(k) at the
+    last step (``_cw_bounds``); ``upper`` is inf where they prove nothing.
+    """
+
+    r: float
+    vec: np.ndarray
+    lower: float
+    upper: float
+    steps: int
+
+    def sign(self) -> int:
+        """The sign of rho(k) - 1 that the bounds prove: +1, -1, or 0 if neither."""
+        return 1 if self.lower > 1.0 else -1 if self.upper < 1.0 else 0
+
+
+# a mid-bisection call stops once the bounds put rho - 1 beyond this band:
+# twice the solver's |r - 1| <= 1e-10 stop rule, so the root it returns is
+# past that rule on the side the converged root is
+_SIGN_BAND = 2e-10
+
+
+def _cw_bounds(w: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+    """Collatz-Wielandt bounds on rho(k) from one shifted step w = k^T u + u.
+
+    For a nonnegative k, k^T u + u >= l u with u >= 0, u != 0 gives
+    rho(k) + 1 >= l, so the least ratio w_i / u_i over the support of u is a
+    lower bound.  k^T u + u <= m u gives rho(k) + 1 <= m only when u > 0 on
+    every bin, so the upper bound is inf where some entry of u is 0 (its
+    ratio reads inf or NaN).  The ratios are float quotients: the bounds
+    hold up to their rounding.
+    """
+    ratios = w / u  # the caller ignores the divide warnings of a zero entry
+    upper = float(ratios.max()) - 1.0
+    if math.isfinite(upper):
+        return float(ratios.min()) - 1.0, upper
+    return float(ratios[u > 0].min()) - 1.0, math.inf
+
+
+def _cut_lower(step, u: np.ndarray, w: np.ndarray, lower: float) -> tuple[float, int]:
+    """The lower bound again on u with its unmoved entries cut, and the steps it took.
+
+    Entries that the step leaves unchanged (k^T u is 0 there, as on bins
+    outside the domain of a partial map) read a ratio of one, which pins
+    the lower bound at rho(k) >= 0 while they decay.  The lower bound holds
+    for any u >= 0, so each round cuts them and takes one more step; the
+    bins whose mass only came from cut bins are cut next.  It stops when a
+    step moves every entry left, or when a cut would leave none.
+    """
+    steps = 0
+    while True:
+        live = u > 0
+        still = live & (w == u)
+        rest = live & ~still
+        if not still.any() or not rest.any():
+            return lower, steps
+        u = np.where(rest, u, 0.0)
+        w, steps = step(u), steps + 1
+        lower = max(lower, _cw_bounds(w, u)[0])
+
+
 def _perron(
     step: Callable[[np.ndarray], np.ndarray],
     u: np.ndarray,
     tol: float = 1e-13,
     iters: int = 20_000,
-) -> tuple[float, np.ndarray]:
+    decide: bool = False,
+) -> _Root:
     """Perron root and left eigenvector by shifted power iteration from u.
 
     ``step(u)`` is k^T u + u; the shift keeps oscillating spectra convergent.
     Raises NoSolution when the iteration leaves the finite range or has not
     converged after ``iters`` steps, rather than returning an unconverged root.
+
+    A call converges to ``tol`` on the vector and the root.  With ``decide``
+    it may stop sooner: once u > 0 on every bin and the Collatz-Wielandt
+    bounds of a step put rho(k) - 1 beyond +-``_SIGN_BAND``, it returns
+    (s - 1, w / s).  With sum(u) = 1, s is the u-weighted mean of the ratios
+    w_i / u_i, so s - 1 has the sign the bounds proved and is more than
+    1e-10 from one: every use of the root past the sign is left to the
+    caller.  A vector with a zero entry never stops early, because there
+    the upper bound proves nothing and the iteration may converge to the
+    root of a block, not rho(k).
+
+    A converged call returns the bounds at its last step, the lower one
+    sharpened by ``_cut_lower``, whose steps count in ``steps``.
     """
     r = 1.0
-    for _ in range(iters):
-        w = step(u)
-        s = float(w.sum())
-        if not math.isfinite(s):
-            raise NoSolution(f"power iteration left the finite range (sum {s!r})", {})
-        w /= s
-        if float(np.abs(w - u).max()) <= tol and abs(s - r) <= tol * max(1.0, s):
-            return s - 1.0, w
-        u, r = w, s
+    with np.errstate(divide="ignore", invalid="ignore"):  # for _cw_bounds
+        for n in range(1, iters + 1):
+            w = step(u)
+            s = float(w.sum())
+            if not math.isfinite(s):
+                raise NoSolution(f"power iteration left the finite range (sum {s!r})", {})
+            v = w / s
+            if decide:
+                lower, upper = _cw_bounds(w, u)
+                if math.isfinite(upper) and (lower > 1.0 + _SIGN_BAND or upper < 1.0 - _SIGN_BAND):
+                    return _Root(s - 1.0, v, lower, upper, n)
+            if float(np.abs(v - u).max()) <= tol and abs(s - r) <= tol * max(1.0, s):
+                lower, upper = _cw_bounds(w, u)
+                lower, more = _cut_lower(step, u, w, lower)
+                return _Root(s - 1.0, v, lower, upper, n + more)
+            u, r = v, s
     raise NoSolution(
         f"power iteration did not converge in {iters} steps", {"iters": iters, "r": r - 1.0}
     )
@@ -1010,6 +1116,18 @@ def solve_conformal(
     root pegged at one returns a degenerate candidate, any other one-sided
     bracket raises NoSolution with the endpoint data, and a bracket where
     exp(-beta*energy) overflows raises ValidationError.
+
+    A bisection step reads only the sign of r - 1, so its Perron call stops
+    as soon as the Collatz-Wielandt bounds prove that sign past
+    +-``_SIGN_BAND`` (``_perron`` with ``decide``); the branch it takes is
+    the one the converged root would take.  Three kinds of call converge
+    fully: the two bracket ends, whose roots the refusals print; any call
+    whose vector has a zero entry; and the last call, which the
+    bracket-width test and the step cap pick before it runs, so the vector
+    the measure is read from is always a converged one.  Every call's
+    bounds that prove a sign move that side of the candidate's enclosure
+    ``beta_lo < beta_hi``, and the candidate counts the calls and their
+    power steps.
     """
     b_lo, b_hi = float(bracket[0]), float(bracket[1])
     if not b_lo < b_hi:  # also refuses NaN ends
@@ -1021,34 +1139,50 @@ def solve_conformal(
         ops, cval = _RuelleGraph(system, psi), None
     else:
         ops, cval = _RuelleUlam(handle, psi, bins), psi.constant_value()
+    calls = steps = 0
+
+    def perron(beta: float, decide: bool = False) -> _Root:
+        nonlocal calls, steps
+        root = ops.perron(beta, decide)
+        calls, steps = calls + 1, steps + root.steps
+        return root
+
     if cval is None:
-        spectral = ops.perron
+        spectral = perron
     else:
-        r0, v0 = ops.perron(0.0)
+        root0 = perron(0.0)
         c = float(cval)
 
-        def spectral(beta: float):
+        def spectral(beta: float, decide: bool = False) -> _Root:
             try:
-                r = r0 * math.exp(-beta * c)
+                scale = math.exp(-beta * c)
             except OverflowError:
                 raise _overflow(beta) from None
+            r = root0.r * scale
             if not math.isfinite(r):
                 raise _overflow(beta)
-            return r, v0
+            return root0._replace(r=r, lower=root0.lower * scale, upper=root0.upper * scale)
 
-    r_lo, _ = spectral(b_lo)
-    r_hi, _ = spectral(b_hi)
+    proved: dict = {}  # a sign of r - 1 -> the latest point whose bounds proved it
+
+    def solve(beta: float, decide: bool = False) -> _Root:
+        root = spectral(beta, decide)
+        if root.sign():
+            proved[root.sign()] = beta
+        return root
+
+    def candidate(beta: float, vec: np.ndarray, note: str = "", ends=(None, None)) -> KMSCandidate:
+        lo, hi = ends if None not in ends else (None, None)
+        return KMSCandidate(beta, ops.eigenmeasure(vec, beta), note, lo, hi, calls, steps)
+
+    r_lo, r_hi = solve(b_lo).r, solve(b_hi).r
     flat = abs(r_lo - r_hi) <= 1e-10 * max(1.0, abs(r_lo))
     data = {"beta_lo": b_lo, "beta_hi": b_hi, "r_lo": r_lo, "r_hi": r_hi, "flat": flat}
     if flat:
         if abs(r_lo - 1.0) <= 1e-8:
             beta = 0.5 * (b_lo + b_hi)
-            _, vec = spectral(beta)
-            mu = ops.eigenmeasure(vec, beta)
-            return KMSCandidate(
-                beta, mu,
-                note="degenerate: Perron root is one across the whole bracket",
-            )
+            note = "degenerate: Perron root is one across the whole bracket"
+            return candidate(beta, spectral(beta).vec, note)
         raise NoSolution(
             f"Perron root is flat at {r_lo:.6g} across [{b_lo}, {b_hi}]", data
         )
@@ -1059,18 +1193,20 @@ def solve_conformal(
         )
     lo_, hi_ = b_lo, b_hi
     f_lo = r_lo - 1.0
-    for _ in range(200):
+    for n in range(200):
         beta = 0.5 * (lo_ + hi_)
-        r_mid, vec = spectral(beta)
-        f_mid = r_mid - 1.0
-        if abs(f_mid) <= 1e-10 or (hi_ - lo_) <= 5e-15 * max(1.0, abs(beta)):
+        # the last call converges fully: its vector becomes the measure
+        last = n == 199 or (hi_ - lo_) <= 5e-15 * max(1.0, abs(beta))
+        root = solve(beta, decide=not last)
+        f_mid = root.r - 1.0
+        if abs(f_mid) <= 1e-10 or last:
             break
         if f_lo * f_mid <= 0:
             hi_ = beta
         else:
             lo_, f_lo = beta, f_mid
-    mu = ops.eigenmeasure(vec, beta)
-    return KMSCandidate(beta, mu)
+    up = 1 if r_lo > 1.0 else -1  # the sign of r - 1 at the low end of the bracket
+    return candidate(beta, root.vec, ends=(proved.get(up), proved.get(-up)))
 
 
 def _normalised(masses: list[Fraction]) -> list[Fraction]:

@@ -8,6 +8,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xferop import dynamics as dyn
 from xferop import rep
@@ -505,7 +507,7 @@ class TestRuelleUlam:
         cold = np.full(2, 0.5)
         with pytest.raises(NoSolution, match="did not converge in 5 steps"):
             th._perron(step, cold, iters=5)
-        r, vec = th._perron(step, cold)
+        r, vec = th._perron(step, cold)[:2]
         assert abs(r - 2.0) <= 1e-12 and vec[0] > 1 - 1e-9
         # a warm start from the converged vector still needs a second step
         # to confirm the root, so a capped warm run raises too
@@ -515,7 +517,7 @@ class TestRuelleUlam:
 
     def test_perron_cap_raises_warm_on_the_sparse_step(self, tent_handle):
         ops = th._RuelleUlam(tent_handle, _psi_affine(tent_handle.system, 1, 0), 64)
-        _, vec = ops.perron(1.0)
+        vec = ops.perron(1.0).vec
         with pytest.raises(NoSolution, match="did not converge in 3 steps"):
             th._perron(ops.step(1.1), vec, iters=3)
 
@@ -523,9 +525,75 @@ class TestRuelleUlam:
         with pytest.raises(NoSolution, match="finite"):
             th._perron(_shifted_step(np.array([[np.inf]])), np.ones(1))
         # warm-started: the vector of a finite operator, then a step that overflows
-        _, vec = th._perron(_shifted_step(np.diag([2.0, 1.0])), np.full(2, 0.5))
+        vec = th._perron(_shifted_step(np.diag([2.0, 1.0])), np.full(2, 0.5)).vec
         with pytest.raises(NoSolution, match="finite"):
             th._perron(_shifted_step(np.diag([np.inf, 1.0])), vec)
+
+
+class TestPerronBounds:
+    """The Collatz-Wielandt bounds of ``_perron`` and the early exit they allow."""
+
+    @pytest.mark.parametrize("diag", [(1.0, 5.0), (0.5, 5.0)])
+    def test_no_early_exit_where_u_has_a_zero(self, diag):
+        # rho(k) is 5, but u = (1, 0) never moves: over its support the ratio
+        # reads rho = diag[0], which for (0.5, 5) would be a proved r < 1
+        step = _shifted_step(np.diag(diag))
+        u = np.array([1.0, 0.0])
+        with pytest.raises(NoSolution, match="did not converge in 1 steps"):
+            th._perron(step, u, iters=1, decide=True)
+        root = th._perron(step, u, decide=True)
+        assert (root.r, root.lower, root.upper, root.steps) == (diag[0], diag[0], math.inf, 2)
+        assert root.sign() == 0
+
+    def test_a_non_finite_step_raises_before_any_decision(self):
+        # every entry is finite and their ratios prove r > 1, but the sum overflows
+        big = _shifted_step(np.diag([1e308, 1e308]))
+        assert th._cw_bounds(big(np.ones(2)), np.ones(2))[0] > 1.0
+        with pytest.raises(NoSolution, match="finite"), np.errstate(over="ignore"):
+            th._perron(big, np.ones(2), decide=True)
+        with pytest.raises(NoSolution, match="finite"):
+            th._perron(_shifted_step(np.array([[np.inf]])), np.ones(1), decide=True)
+
+    def test_an_early_exit_is_past_the_band_on_the_converged_side(self):
+        step = _shifted_step(np.array([[0.5, 0.25], [0.125, 0.75]]))
+        u = np.full(2, 0.5)
+        full, early = th._perron(step, u), th._perron(step, u, decide=True)
+        assert early.steps < full.steps
+        assert early.lower <= full.r <= early.upper and early.upper < 1 - th._SIGN_BAND
+        assert early.r < 1 - 1e-10 and early.sign() == -1
+
+    def test_unmoved_entries_are_cut_from_the_lower_bound(self):
+        # bin 0 maps nowhere (its row of k^T is 0), bin 1 only receives from
+        # bin 0, and bins 2, 3 carry the root 1.5 of their block
+        k = np.zeros((4, 4))
+        k[0, 1] = 1.0
+        k[2:, 2:] = [[1.0, 0.5], [0.5, 1.0]]
+        u = np.array([1e-9, 1e-6, 0.5, 0.5])
+        root = th._perron(_shifted_step(k), u)
+        assert th._cw_bounds(_shifted_step(k)(root.vec), root.vec)[0] == 0.0
+        assert abs(root.lower - 1.5) <= 1e-12
+        assert root.sign() == 1
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), rho=st.floats(0.5, 1.5))
+    def test_the_bounds_of_each_step_bracket_the_converged_root(self, n, seed, rho):
+        rng = np.random.default_rng(seed)
+        k = rng.uniform(0.01, 1.0, (n, n))
+        k *= rho / max(abs(np.linalg.eigvals(k)))
+        step = _shifted_step(k)
+        start = rng.uniform(0.1, 1.0, n)
+        start /= start.sum()
+        root = th._perron(step, start)
+        slack = 1e-12 * max(1.0, root.r)
+        u = start
+        for _ in range(root.steps):
+            w = step(u)
+            lower, upper = th._cw_bounds(w, u)
+            assert lower - slack <= root.r <= upper + slack
+            u = w / w.sum()
+        early = th._perron(step, start, decide=True)
+        if early.steps < root.steps:
+            assert abs(early.r - 1) > 1e-10 and (early.r - 1) * (root.r - 1) > 0
 
 
 def _ulam_quad_points(mu, pts):
@@ -953,6 +1021,27 @@ class TestSolveConformal:
         cand = th.solve_conformal(h, _psi_affine(s.system, 1, F(1, 2)), bins=256)
         assert abs(cand.beta - 0.7641579239512795) <= 1e-9
 
+    def test_the_last_call_converges_where_the_bracket_width_stops(self):
+        # energies near 1e6 make r(beta) so steep that the bracket shrinks
+        # to rounding width while |r - 1| is still past the early-exit band
+        s = specfile.parse_spec({
+            "name": "golden_steep", "backend": "graph",
+            "vertices": ["a", "b"],
+            "edges": [{"name": "aa", "src": "a", "rng": "a"},
+                      {"name": "ab", "src": "a", "rng": "b"},
+                      {"name": "ba", "src": "b", "rng": "a"}],
+            "weights": {"aa": "1", "ab": "1", "ba": "1"},
+            "psi_weights": {"aa": "3000000", "ab": "6000000", "ba": "4500000"},
+        })
+        h = tr.TransferHandle.create(s.system, s.potential)
+        psi = th.PotentialFunction.of(s.system, s.psi)
+        cand = th.solve_conformal(h, psi, bracket=(1e-8, 3e-7))
+        ops = th._RuelleGraph(s.system, psi)
+        root = ops.perron(cand.beta)
+        assert abs(root.r - 1) > th._SIGN_BAND and root.sign() != 0
+        assert cand.mu == ops.eigenmeasure(root.vec, cand.beta)
+        assert cand.beta_lo <= cand.beta <= cand.beta_hi
+
     def test_geometry_built_once_and_no_beta_repeated(self, tent_handle, monkeypatch):
         builds, betas = [], []
 
@@ -1223,3 +1312,12 @@ class TestMarkovOracle:
         beta = math.log((1 + math.sqrt(5)) / 2)
         slope = math.exp(-beta) + 2 * math.exp(-2 * beta)  # |r'(beta)|
         assert abs(cand.beta - beta) <= 1e-10 / slope
+
+    @pytest.mark.parametrize("bins", [3, 9, 27, 81, 243, 729, 8, 64, 256, 512])
+    def test_the_enclosure_holds_log_golden_ratio(self, bins):
+        # the bins of the gap (1/3, 2/3) map nowhere, so the lower bound is
+        # taken with them cut (``_cut_lower``)
+        s = _cantor_markov()
+        h = tr.TransferHandle.create(s.system, s.potential)
+        cand = th.solve_conformal(h, th.PotentialFunction.of(s.system, s.psi), bins=bins)
+        assert cand.beta_lo < math.log((1 + math.sqrt(5)) / 2) < cand.beta_hi
