@@ -1024,7 +1024,9 @@ def _cw_bounds(w: np.ndarray, u: np.ndarray) -> tuple[float, float]:
     return float(ratios[u > 0].min()) - 1.0, math.inf
 
 
-def _cut_lower(step, u: np.ndarray, w: np.ndarray, lower: float) -> tuple[float, int]:
+def _cut_lower(
+    step: Callable[[np.ndarray], np.ndarray], u: np.ndarray, w: np.ndarray, lower: float
+) -> tuple[float, int]:
     """The lower bound again on u with its unmoved entries cut, and the steps it took.
 
     Entries that the step leaves unchanged (k^T u is 0 there, as on bins
