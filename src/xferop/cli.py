@@ -223,13 +223,13 @@ def _psi_of(spec: sf.SpecData, psi_arg: str | None):
     """Energy selection: the spec's own energy when present, else a constant."""
     if psi_arg is None:
         if spec.psi is not None:
-            return th.PotentialFunction.of(spec.system, spec.psi), "spec"
+            return th.PotentialFunction(spec.system, spec.psi), "spec"
         return th.PotentialFunction.const(spec.system, 1), "one"
     t = psi_arg.strip().lower()
     if t == "spec":
         if spec.psi is None:
             raise ParseError("spec declares no energy; pass a constant instead")
-        return th.PotentialFunction.of(spec.system, spec.psi), "spec"
+        return th.PotentialFunction(spec.system, spec.psi), "spec"
     if t == "one":
         return th.PotentialFunction.const(spec.system, 1), "one"
     if t == "zero":
@@ -669,7 +669,7 @@ def _verify_fns(handle: tr.TransferHandle):
     fns = th.hat_battery(reg, 4)
     for iv in reg.intervals:
         if not iv.is_point:
-            fns.append(tr.TestFunction.const_on(iv, 1))
+            fns.append(dyn.PiecewiseAffine.const_on(iv, 1))
             break
     return fns
 

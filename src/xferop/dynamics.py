@@ -50,12 +50,19 @@ The backend is the type of the map.  ``PartialSystem.map`` holds an
 
 The weight is typed like the map, and ``value(x)`` is the weight of a point
 on either; ``value_or_zero(x)`` extends it by zero off the domain, and
-``floats(points)`` reads either at many points as one float array.  An
-``IntervalPotential`` holds affine pieces plus point overrides, and
-``breakpoints()`` gives the piece ends and override points where it can
-jump; a ``GraphPotential`` holds one positive weight per edge.  Both carry
-``backend`` and answer ``constant_value()`` and ``positive_part(within)``;
-``Potential`` names either.
+``floats(points)`` reads either at many points as one float array.  A
+``GraphPotential`` holds one positive weight per edge.  On the interval
+backend weights, energies and test functions are one type,
+``PiecewiseAffine``: affine pieces plus point overrides, with a sign rule
+and an outside rule as fields.  A weight or an energy is undefined where no
+piece holds x; the test functions (``const_on``, ``affine_on``, ``hat``,
+``pullback``) are signed and read zero there.  ``piece_at(x)`` is the
+first piece that holds x, and ``breakpoints()`` gives the piece ends and
+override points where the function can jump.  Both weight types carry
+``backend`` and answer ``constant_value()``, ``positive_part(within)`` and
+``check_energy(map)``, which refuses them as an energy on the map;
+``Potential`` names either.  Each map builds its constant energy
+(``constant_energy(value)``).
 
 So the set-valued operations (``iterate_domain``, ``essential_domain``,
 ``spectra.positive_iterate``, ``spectra.level_space``) run one code path
@@ -271,6 +278,12 @@ class IntervalSystem:
     def summary(self) -> str:
         return f"branches: {len(self.branches)}"
 
+    def constant_energy(self, value: Rationalish) -> "PiecewiseAffine":
+        """The signed energy that is ``value`` on the whole space."""
+        v = frac(value)
+        pieces = tuple((iv, Q(0), v) for iv in self.space.intervals)
+        return PiecewiseAffine(pieces, allow_negative=True)
+
     # -- batches -------------------------------------------------------------
 
     def point_ids(self) -> RationalIds:
@@ -295,7 +308,7 @@ class IntervalSystem:
             alive[alive] = stepped
         return pts, alive
 
-    def cocycles(self, pot: "IntervalPotential", pts: RationalPoints, n: int):
+    def cocycles(self, pot: "PiecewiseAffine", pts: RationalPoints, n: int):
         """``cocycle_or_none`` of a batch: float(rho_n), NaN where the orbit
         leaves first, and the mask where rho_n is exactly zero.
 
@@ -318,7 +331,7 @@ class IntervalSystem:
         out[idx], zero[idx] = rho.floats(), rho.num == 0
         return out, zero
 
-    def birkhoff_sums(self, energy: "IntervalPotential", pts: RationalPoints, n: int) -> np.ndarray:
+    def birkhoff_sums(self, energy: "PiecewiseAffine", pts: RationalPoints, n: int) -> np.ndarray:
         """float(S_n) of a batch, NaN where ``PotentialFunction.birkhoff_or_none`` is None.
 
         S_n is the energy summed over x, ..., phi^(n-1)(x) as an exact
@@ -777,6 +790,11 @@ class GraphSystem:
     def summary(self) -> str:
         return f"vertices: {len(self.vertices)}; edges: {len(self.edges)}"
 
+    def constant_energy(self, value: Rationalish) -> "GraphPotential":
+        """The signed energy that is ``value`` on every edge."""
+        v = frac(value)
+        return GraphPotential(tuple((e.name, v) for e in self.edges), allow_negative=True)
+
     def children(self, p: PathPoint) -> tuple[PathPoint, ...]:
         """The cylinders one edge longer; they partition the cylinder of p
         unless its end vertex admits no continuation."""
@@ -936,19 +954,29 @@ Point = Union[Fraction, PathPoint]
 
 
 @dataclass(frozen=True)
-class IntervalPotential:
-    """Weight on the interval backend.
+class PiecewiseAffine:
+    """A piecewise-affine function on the interval backend: weight, energy or test function.
 
     Finitely many affine pieces ``(interval, slope, intercept)`` plus
-    isolated point overrides ``(point, value)``.  ``allow_negative`` relaxes
-    the sign constraints so the same container can carry signed energies.
+    isolated point overrides ``(point, value)``.  Pieces may touch only at a
+    point, and there they agree unless an override covers it.  The value at
+    x is the override at x, else the first piece that holds x (``piece_at``).
+    Two rules complete it:
+
+    - the sign rule: a weight takes no negative value; ``allow_negative``
+      lifts that for energies and test functions;
+    - the outside rule: where nothing holds x, a weight or an energy is
+      undefined and ``value`` raises; with ``zero_outside`` it reads zero.
+      ``const_on``, ``affine_on``, ``hat`` and ``pullback`` build signed
+      functions that read zero off their pieces: the test functions.
     """
 
     backend = "interval"
 
-    pieces: tuple[tuple[RationalInterval, Fraction, Fraction], ...]
+    pieces: tuple[tuple[RationalInterval, Fraction, Fraction], ...] = ()
     overrides: tuple[tuple[Fraction, Fraction], ...] = ()
     allow_negative: bool = False
+    zero_outside: bool = False
 
     def __post_init__(self):
         pieces = tuple((iv, frac(m), frac(c)) for iv, m, c in self.pieces)
@@ -980,40 +1008,78 @@ class IntervalPotential:
             if not any(iv.contains(x) for iv, _, _ in pieces):
                 raise ValidationError(f"override at {frac_str(x)} lies outside all pieces")
 
-    def _lookup(self, x: Fraction) -> Optional[Fraction]:
-        """The override at x, else the first piece holding x, else None.
+    # -- constructors: signed, zero off the pieces -----------------------------
 
-        Construction refuses touching pieces that disagree where no override
-        covers the point, so the first piece is the value.
-        """
-        for p, v in self.overrides:
-            if p == x:
-                return v
-        for iv, m, c in self.pieces:
-            if iv.contains(x):
-                return m * x + c
+    @staticmethod
+    def zero_off(pieces) -> "PiecewiseAffine":
+        """The signed function of these pieces that reads zero off them."""
+        return PiecewiseAffine(tuple(pieces), allow_negative=True, zero_outside=True)
+
+    @staticmethod
+    def const_on(iv: RationalInterval, value: Rationalish) -> "PiecewiseAffine":
+        return PiecewiseAffine.zero_off(((iv, Q(0), value),))
+
+    @staticmethod
+    def affine_on(iv: RationalInterval, slope, intercept) -> "PiecewiseAffine":
+        return PiecewiseAffine.zero_off(((iv, slope, intercept),))
+
+    @staticmethod
+    def hat(center: Rationalish, radius: Rationalish, height: Rationalish = 1) -> "PiecewiseAffine":
+        """Continuous tent-shaped bump, zero outside (center-r, center+r)."""
+        c, r, h = frac(center), frac(radius), frac(height)
+        if r <= 0:
+            raise ValidationError("hat radius must be positive")
+        up = (RationalInterval(c - r, c), h / r, h - h * c / r)
+        down = (RationalInterval(c, c + r), -h / r, h + h * c / r)
+        return PiecewiseAffine.zero_off((up, down))
+
+    def pullback(self, map_: "IntervalSystem") -> "PiecewiseAffine":
+        """Exact a o phi of the pieces as a test function, one piece per branch
+        and piece it pulls back; point overrides are not pulled back."""
+        pieces = []
+        for b in map_.branches:
+            for iv, m, c in self.pieces:
+                for piece in b.preimage_of(IntervalSet.of(iv)).intervals:
+                    pieces.append((piece, m * b.slope, m * b.intercept + c))
+        return PiecewiseAffine.zero_off(pieces)
+
+    # -- evaluation ------------------------------------------------------------
+
+    def piece_at(self, x: Fraction) -> Optional[tuple[RationalInterval, Fraction, Fraction]]:
+        """The first piece that holds x, or None; overrides do not matter."""
+        for piece in self.pieces:
+            if piece[0].contains(x):
+                return piece
         return None
 
     def value(self, x: Rationalish) -> Fraction:
         x = frac(x)
-        v = self._lookup(x)
-        if v is None:
-            raise ValidationError(f"potential undefined at {frac_str(x)}")
-        return v
+        for p, v in self.overrides:
+            if p == x:
+                return v
+        piece = self.piece_at(x)
+        if piece is not None:
+            return piece[1] * x + piece[2]
+        if self.zero_outside:
+            return Q(0)
+        raise ValidationError(f"potential undefined at {frac_str(x)}")
 
     def value_or_zero(self, x: Rationalish) -> Fraction:
-        """The weight at x, or zero off the domain (where no piece holds x)."""
-        v = self._lookup(frac(x))
-        return Q(0) if v is None else v
+        """The value at x, or zero where no piece holds x, whatever the outside rule."""
+        x = frac(x)
+        if self.piece_at(x) is None:
+            return Q(0)  # an override lies in a piece, so none is at x
+        return self.value(x)
 
     def floats(self, points: Sequence, or_zero: bool = False) -> np.ndarray:
         """``float(value(x))`` at each point, bit for bit, from ``affine_floats``.
 
-        Raises as ``value`` does at the first point no piece holds, or reads
-        0.0 there, as ``value_or_zero`` does, with ``or_zero``.
+        Where no piece holds a point, this reads 0.0, as ``value_or_zero``
+        does, under the zero rule or with ``or_zero``; otherwise it raises as
+        ``value`` does, at the first such point.
         """
         vals, miss = affine_floats(points, self.pieces, self.overrides)
-        if miss >= 0 and not or_zero:
+        if miss >= 0 and not (or_zero or self.zero_outside):
             raise ValidationError(f"potential undefined at {frac_str(frac(points[miss]))}")
         return vals
 
@@ -1031,7 +1097,7 @@ class IntervalPotential:
 
     def breakpoints(self) -> set[Fraction]:
         """Piece endpoints and override points: the only places where the
-        weight can jump or take an isolated value."""
+        function can jump or take an isolated value."""
         pts = {x for x, _ in self.overrides}
         for iv, _, _ in self.pieces:
             pts.update((iv.lo, iv.hi))
@@ -1061,13 +1127,36 @@ class IntervalPotential:
         return zero.intersection(within)
 
     def constant_value(self) -> Optional[Fraction]:
-        """The single value when the weight is constant, else None."""
+        """The single value when the function is constant, else None."""
         vals = {v for _, v in self.overrides}
         for _, m, c in self.pieces:
             if m != 0:
                 return None
             vals.add(c)
         return vals.pop() if len(vals) == 1 else None
+
+    def check_energy(self, ival: IntervalSystem) -> None:
+        """Refuse this as an energy on ``ival``: it takes no point overrides,
+        which limits cannot see; its pieces cover the domain; and it does not
+        jump at a piece end where the domain accumulates."""
+        if self.overrides:
+            raise ValidationError("energy functions take no point overrides")
+        delta = ival.delta
+        if not delta.issubset(self.coverage()):
+            raise ValidationError("energy pieces must cover the domain")
+        for iv, _, _ in self.pieces:
+            for p in (iv.lo, iv.hi):
+                if not delta.contains(p):
+                    continue
+                v = self.value(p)
+                for side in (-1, +1):
+                    if not accumulates_at(delta, p, side=side):
+                        continue
+                    lim = self.one_sided_limit(p, side)
+                    if lim is not None and lim != v:
+                        raise ValidationError(
+                            f"energy jumps at {frac_str(p)}: {frac_str(lim)} vs {frac_str(v)}"
+                        )
 
 
 @dataclass(frozen=True)
@@ -1106,6 +1195,8 @@ class GraphPotential:
             if e not in gph.edge_by_name:
                 raise ValidationError(f"weight names unknown edge {e}")
 
+    check_energy = check_edges  # an energy needs what a weight needs: a value per edge
+
     def value(self, p: PathPoint) -> Fraction:
         """The weight of a path: the weight of its first edge."""
         if not p.word:
@@ -1137,7 +1228,7 @@ class GraphPotential:
         return vals.pop() if len(vals) == 1 else None
 
 
-Potential = Union[IntervalPotential, GraphPotential]
+Potential = Union[PiecewiseAffine, GraphPotential]
 
 
 @dataclass(frozen=True)

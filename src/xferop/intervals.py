@@ -16,7 +16,7 @@ step return canonical tuples without it, each for one reason:
 - ``dynamics.AffineBranch.image_of`` / ``preimage_of``: an affine bijection
   keeps the order of the components, or reverses it for a negative slope,
   so the ``IntervalSystem`` ones, unions of these, are canonical too;
-- ``empty``, ``point``, ``closed`` and the dyadic seeds of
+- ``empty``, ``point`` and the dyadic seeds of
   ``IntervalSystem.open_seeds``: no interval, or one.
 
 Every exact number in the package is a ``Q``: a ``Fraction`` subclass with no
@@ -233,6 +233,25 @@ def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def float_of(value: Fraction) -> float:
+    """``float(value)``; a value past the float range is refused by name."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{frac_str(value)} is past the float range") from None
+
+
+def _quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise as floats, each correctly rounded; a quotient past
+    the float range is refused by name, as ``float_of`` refuses it."""
+    try:
+        return np.true_divide(num, den).astype(float, copy=False)
+    except OverflowError:  # only Python ints divide past the range
+        for n, d in zip(num.tolist(), den.tolist()):
+            float_of(Q(n, d))
+        raise
+
+
 @dataclass(frozen=True)
 class RationalInterval:
     """One interval with rational endpoints and open/closed flags.
@@ -265,14 +284,15 @@ class RationalInterval:
         return self.hi - self.lo
 
     def contains(self, x: Rationalish) -> bool:
-        x = frac(x)
-        if x < self.lo or x > self.hi:
+        # the signs of x - lo and x - hi, on the numerators of reduced Qs
+        if type(x) is not Q:
+            x = frac(x)
+        n, d, lo, hi = x._numerator, x._denominator, self.lo, self.hi
+        below = n * lo._denominator - lo._numerator * d
+        if below < 0 or (below == 0 and not self.lo_closed):
             return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
+        above = n * hi._denominator - hi._numerator * d
+        return above < 0 or (above == 0 and self.hi_closed)
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
@@ -436,10 +456,6 @@ class IntervalSet:
     def points(xs: Iterable[Rationalish]) -> "IntervalSet":
         return IntervalSet(RationalInterval.point(x) for x in xs)
 
-    @staticmethod
-    def closed(lo: Rationalish, hi: Rationalish) -> "IntervalSet":
-        return IntervalSet._canonical((RationalInterval(frac(lo), frac(hi)),))
-
     # -- basic protocol --------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -475,9 +491,6 @@ class IntervalSet:
     def contains(self, x: Rationalish) -> bool:
         x = frac(x)
         return any(iv.contains(x) for iv in self.intervals)
-
-    def measure(self) -> Fraction:
-        return sum((iv.length for iv in self.intervals), Q(0))
 
     def isolated_points(self) -> tuple[Fraction, ...]:
         return tuple(iv.lo for iv in self.intervals if iv.is_point)
@@ -740,7 +753,7 @@ class RationalPoints:
         return (_q(n, d) for n, d in zip(self.num.tolist(), self.den.tolist()))
 
     def floats(self) -> np.ndarray:
-        return np.true_divide(self.num, self.den).astype(float, copy=False)
+        return _quotients(self.num, self.den)
 
     def __mul__(self, other: "RationalPoints") -> "RationalPoints":
         an, ad, bn, bd = _cast(self.size * other.size, self.num, self.den, other.num, other.den)
@@ -847,7 +860,7 @@ def affine_floats(points, pieces, overrides=()) -> tuple[np.ndarray, int]:
     no reduction: on int64 both are at most 2^53, so floats exactly.
     """
     top, bot, free = _affine_ints(points, pieces, overrides)
-    vals = np.true_divide(top, bot).astype(float, copy=False)
+    vals = _quotients(top, bot)
     return vals, int(free.argmax()) if free.any() else -1
 
 

@@ -17,9 +17,9 @@ from .dynamics import (
     GraphEdge,
     GraphPotential,
     GraphSystem,
-    IntervalPotential,
     IntervalSystem,
     PartialSystem,
+    PiecewiseAffine,
     Potential,
 )
 from .errors import ParseError
@@ -91,7 +91,7 @@ def _need_object(obj: dict, key: str) -> dict:
     return value
 
 
-def _parse_interval_potential(obj: dict, allow_negative: bool = False) -> IntervalPotential:
+def _parse_interval_potential(obj: dict, allow_negative: bool = False) -> PiecewiseAffine:
     pieces = tuple(
         (_parse_interval(_need(p, "interval")), frac(_need(p, "slope")), frac(_need(p, "intercept")))
         for p in _need_list(obj, "pieces", optional=True)
@@ -100,7 +100,7 @@ def _parse_interval_potential(obj: dict, allow_negative: bool = False) -> Interv
         (frac(_need(o, "point")), frac(_need(o, "value")))
         for o in _need_list(obj, "overrides", optional=True)
     )
-    return IntervalPotential(pieces, overrides=overrides, allow_negative=allow_negative)
+    return PiecewiseAffine(pieces, overrides=overrides, allow_negative=allow_negative)
 
 
 def _parse_graph_potential(
@@ -190,7 +190,7 @@ def _dump_interval(iv: RationalInterval) -> dict:
     }
 
 
-def _dump_interval_potential(pot: IntervalPotential) -> dict:
+def _dump_interval_potential(pot: PiecewiseAffine) -> dict:
     return {
         "pieces": [
             {"interval": _dump_interval(iv), "slope": frac_str(m), "intercept": frac_str(c)}

@@ -68,9 +68,9 @@ import numpy as np
 from . import dynamics as dyn
 from . import rep
 from . import transfer as tr
-from .dynamics import GraphPotential, IntervalPotential, PartialSystem, Potential
+from .dynamics import PartialSystem, PiecewiseAffine, Potential
 from .errors import NoSolution, OutOfDomain, UnsupportedPotential, ValidationError
-from .intervals import IntervalSet, Q, RationalInterval, RationalPoints, accumulates_at, frac, frac_str
+from .intervals import IntervalSet, Q, RationalInterval, RationalPoints, float_of, frac
 from .verdicts import Verdict
 
 __all__ = [
@@ -99,12 +99,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PotentialFunction:
-    """A continuous real energy on the domain of the map.
+    """A continuous real energy on the domain of the map, and its sums along orbits.
 
-    Wraps a signed :class:`IntervalPotential` (affine pieces) or
-    :class:`GraphPotential` (one value per edge).  Construction checks
-    that the pieces cover the domain and glue continuously; point overrides
-    are rejected because they would be invisible to limits.
+    Wraps a signed carrier: a :class:`PiecewiseAffine` (affine pieces) or a
+    :class:`GraphPotential` (one value per edge).  The carrier checks that
+    it can be an energy on the map (``check_energy``) and answers values,
+    floats and constancy itself.
     """
 
     system: PartialSystem
@@ -113,51 +113,11 @@ class PotentialFunction:
     def __post_init__(self):
         if self.carrier.backend != self.system.backend:
             raise ValidationError("energy backend does not match the system")
-        if self.system.backend == "graph":
-            self.carrier.check_edges(self.system.gph)
-            return
-        if self.carrier.overrides:
-            raise ValidationError("energy functions take no point overrides")
-        delta = self.system.ival.delta
-        if not delta.issubset(self.carrier.coverage()):
-            raise ValidationError("energy pieces must cover the domain")
-        for iv, _, _ in self.carrier.pieces:
-            for p in (iv.lo, iv.hi):
-                if not delta.contains(p):
-                    continue
-                v = self.carrier.value(p)
-                for side in (-1, +1):
-                    if not accumulates_at(delta, p, side=side):
-                        continue
-                    lim = self.carrier.one_sided_limit(p, side)
-                    if lim is not None and lim != v:
-                        raise ValidationError(
-                            f"energy jumps at {frac_str(p)}: {frac_str(lim)} vs {frac_str(v)}"
-                        )
-
-    # -- constructors --------------------------------------------------------
+        self.carrier.check_energy(self.system.map)
 
     @staticmethod
     def const(system: PartialSystem, value) -> "PotentialFunction":
-        v = frac(value)
-        if system.backend == "interval":
-            pieces = tuple((iv, Q(0), v) for iv in system.ival.space.intervals)
-            return PotentialFunction(system, IntervalPotential(pieces, allow_negative=True))
-        weights = tuple((e.name, v) for e in system.gph.edges)
-        return PotentialFunction(system, GraphPotential(weights, allow_negative=True))
-
-    @staticmethod
-    def of(system: PartialSystem, carrier: Potential) -> "PotentialFunction":
-        return PotentialFunction(system, carrier)
-
-    # -- evaluation ------------------------------------------------------------
-
-    def value(self, x) -> Fraction:
-        return self.carrier.value(x)
-
-    def floats(self, points) -> np.ndarray:
-        """``float(value(x))`` at each point, bit for bit; raises as ``value`` does."""
-        return self.carrier.floats(points)
+        return PotentialFunction(system, system.map.constant_energy(value))
 
     def birkhoff(self, x, n: int) -> Fraction:
         """Sum of the energy along the first n forward steps."""
@@ -166,7 +126,7 @@ class PotentialFunction:
         if n == 0:
             return Q(0)
         pts = dyn.orbit(self.system, x, n - 1)
-        return sum((self.value(z) for z in pts), Q(0))
+        return sum((self.carrier.value(z) for z in pts), Q(0))
 
     def birkhoff_floats(self, points, n: int) -> np.ndarray:
         """float(birkhoff_or_none(x, n)) at each point of a batch, NaN where it
@@ -180,10 +140,6 @@ class PotentialFunction:
             return self.birkhoff(x, n)
         except (OutOfDomain, ValidationError):
             return None
-
-    def constant_value(self) -> Optional[Fraction]:
-        """The single value when the energy is constant, else None."""
-        return self.carrier.constant_value()
 
 
 # ---------------------------------------------------------------------------
@@ -368,36 +324,19 @@ class GridFunction:
         return (Q(0),) * 3
 
 
-def _piece_at(pieces, x: Fraction) -> Optional[tuple[Fraction, Fraction]]:
-    """(slope, intercept) of the first affine piece holding x, or None."""
-    for iv, m, c in pieces:
-        if iv.contains(x):
-            return (m, c)
-    return None
+def _grid(f: PiecewiseAffine, carrier: RationalInterval) -> GridFunction:
+    """A function's affine pieces as a grid function on the carrier.
 
-
-def _piece_grid(pieces, cuts, carrier: RationalInterval) -> GridFunction:
-    """Affine pieces as a grid function on the carrier.
-
-    The nodes are the carrier ends and the cuts inside it; each cell takes
-    the piece at its midpoint.
+    The nodes are the carrier ends and the breakpoints inside it; each cell
+    takes the piece at its midpoint.
     """
-    inside = (p for p in cuts if carrier.lo <= p <= carrier.hi)
+    inside = (p for p in f.breakpoints() if carrier.lo <= p <= carrier.hi)
     nodes = tuple(sorted({carrier.lo, carrier.hi, *inside}))
     cells = []
     for u, v in zip(nodes, nodes[1:]):
-        hit = _piece_at(pieces, (u + v) / 2)
-        cells.append((hit[1], hit[0], Q(0)) if hit else (Q(0),) * 3)
+        hit = f.piece_at((u + v) / 2)
+        cells.append((hit[2], hit[1], Q(0)) if hit else (Q(0),) * 3)
     return GridFunction(nodes, tuple(cells))
-
-
-def _fn_grid(a: tr.TestFunction, carrier: RationalInterval) -> GridFunction:
-    ends = (p for iv, _, _ in a.pieces for p in (iv.lo, iv.hi))
-    return _piece_grid(a.pieces, ends, carrier)
-
-
-def _pot_grid(pot: IntervalPotential, carrier: RationalInterval) -> GridFunction:
-    return _piece_grid(pot.pieces, pot.breakpoints(), carrier)
 
 
 def _grid_product(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -422,15 +361,13 @@ def _single_component(system: PartialSystem) -> RationalInterval:
     return comps[0]
 
 
-def _fiber_grid(handle: tr.TransferHandle, a: tr.TestFunction) -> GridFunction:
+def _fiber_grid(handle: tr.TransferHandle, a: PiecewiseAffine) -> GridFunction:
     """The fiber sum of weight * a, as an exact grid function of the target."""
     sys_, weight = handle.system.ival, handle.potential
     carrier = _single_component(handle.system)
-    xcuts = set(weight.breakpoints())
+    xcuts = weight.breakpoints() | a.breakpoints()
     for br in sys_.branches:
         xcuts.update((br.domain.lo, br.domain.hi))
-    for iv, _, _ in a.pieces:
-        xcuts.update((iv.lo, iv.hi))
     ycuts = {carrier.lo, carrier.hi}
     for br in sys_.branches:
         for x in xcuts:
@@ -445,14 +382,14 @@ def _fiber_grid(handle: tr.TransferHandle, a: tr.TestFunction) -> GridFunction:
             xm = (ym - br.intercept) / br.slope
             if not br.domain.contains(xm):
                 continue
-            fa = _piece_at(a.pieces, xm)
+            fa = a.piece_at(xm)
             if fa is None:
                 continue
-            fr = _piece_at(weight.pieces, xm)
+            fr = weight.piece_at(xm)
             if fr is None:
                 continue
-            ma, ca = fa
-            mr, cr = fr
+            _, ma, ca = fa
+            _, mr, cr = fr
             u1 = 1 / br.slope
             u0 = -br.intercept / br.slope
             q2 = ma * mr
@@ -614,7 +551,7 @@ class _StateTable:
         def fill(todo):
             xs = self.points.batch(todo)
             try:
-                exps = [math.exp(beta * v) for v in psi.floats(xs).tolist()]
+                exps = [math.exp(beta * v) for v in psi.carrier.floats(xs).tolist()]
             except OverflowError:
                 raise _overflow(beta, _STATES) from None
             return np.column_stack((exps, pot.floats(xs, or_zero=True)))
@@ -736,13 +673,13 @@ def _integrate_state(tab: _StateTable, f: IdFunction, pts: int) -> float:
 
 def _strong_pair(tab: _StateTable, a: tr.Function) -> tuple[float, float]:
     handle, psi, beta, mu = tab.handle, tab.psi, tab.beta, tab.mu
-    cval = psi.constant_value()
+    cval = psi.carrier.constant_value()
     if mu.integrates_grids:
         lhs = mu.integrate_grid(_fiber_grid(handle, a))
         if cval is not None:
             carrier = _single_component(handle.system)
-            prod = _grid_product(_fn_grid(a, carrier), _pot_grid(handle.potential, carrier))
-            return lhs, math.exp(beta * float(cval)) * mu.integrate_grid(prod)
+            prod = _grid_product(_grid(a, carrier), _grid(handle.potential, carrier))
+            return lhs, math.exp(beta * float_of(cval)) * mu.integrate_grid(prod)
     else:
         fibre_sums = tab.once(lambda xs: [float(tr.apply(handle, a, x)) for x in xs])
         lhs = _integrate_state(tab, fibre_sums, pts=4)
@@ -858,14 +795,14 @@ class _RuelleUlam:
             a = cells.x_lo.maximum(RationalPoints.of([piv.lo]))
             b = cells.x_hi.minimum(RationalPoints.of([piv.hi]))
             u[:, k], v[:, k], keep[:, k] = a.floats(), b.floats(), a.less(b)
-        m = np.array([float(m) for _, m, _ in pieces], dtype=float)
-        c = np.array([float(c) for _, _, c in pieces], dtype=float)
+        m = np.array([float_of(m) for _, m, _ in pieces], dtype=float)
+        c = np.array([float_of(c) for _, _, c in pieces], dtype=float)
         self.seg_cell, piece = np.nonzero(keep)
         self.segs = np.array([u[keep], v[keep], m[piece], c[piece]])
         self.pos, self.cell_pos = np.unique(cells.i * bins + cells.j, return_inverse=True)
         self.rows, self.cols = np.divmod(self.pos, bins)
-        self.cell_slope = np.array([float(s) for s in cells.slopes])[cells.branch]
-        self.fw = float((comp.hi - comp.lo) / bins)
+        self.cell_slope = np.array([float_of(s) for s in cells.slopes])[cells.branch]
+        self.fw = float_of((comp.hi - comp.lo) / bins)
         self.comp = comp
         self.bins = bins
         self._warm = np.full(bins, 1.0 / bins)
@@ -946,9 +883,9 @@ class _RuelleGraph:
         self.verts = gph.vertices
         idx = {v: i for i, v in enumerate(self.verts)}
         wmap = psi.carrier.weight_map()
-        self.edges = [(idx[e.src], idx[e.rng], float(wmap[e.name])) for e in gph.edges]
+        self.edges = [(idx[e.src], idx[e.rng], float_of(wmap[e.name])) for e in gph.edges]
         self.atoms = [
-            (gph.path_point((e.name,)), idx[e.src], float(wmap[e.name]))
+            (gph.path_point((e.name,)), idx[e.src], float_of(wmap[e.name]))
             for e in sorted(gph.edges, key=lambda e: e.name)
         ]
 
@@ -1140,7 +1077,7 @@ def solve_conformal(
     if system.backend == "graph":
         ops, cval = _RuelleGraph(system, psi), None
     else:
-        ops, cval = _RuelleUlam(handle, psi, bins), psi.constant_value()
+        ops, cval = _RuelleUlam(handle, psi, bins), psi.carrier.constant_value()
     calls = steps = 0
 
     def perron(beta: float, decide: bool = False) -> _Root:
@@ -1153,7 +1090,7 @@ def solve_conformal(
         spectral = perron
     else:
         root0 = perron(0.0)
-        c = float(cval)
+        c = float_of(cval)
 
         def spectral(beta: float, decide: bool = False) -> _Root:
             try:
@@ -1302,24 +1239,24 @@ def _kms_pair(tab: _StateTable, m1, m2, pts: int) -> tuple[float, float]:
     return lhs, rhs
 
 
-def _battery_functions(handle, rng: random.Random, size: int) -> list[tr.TestFunction]:
+def _battery_functions(handle, rng: random.Random, size: int) -> list[PiecewiseAffine]:
     # wide supports on purpose: narrow bumps make almost every monomial
     # product vanish and the battery stops checking anything
     comp = _single_component(handle.system)
     lo, hi = comp.lo, comp.hi
     width = hi - lo
     out = [
-        tr.TestFunction.const_on(comp, 1),
-        tr.TestFunction.hat(comp.midpoint(), width / 2, 1),
-        tr.TestFunction.affine_on(comp, 1 / width, -lo / width),
-        tr.TestFunction.hat(lo + width / 4, width / 4, 1),
-        tr.TestFunction.hat(lo + 3 * width / 4, width / 4, 1),
+        PiecewiseAffine.const_on(comp, 1),
+        PiecewiseAffine.hat(comp.midpoint(), width / 2, 1),
+        PiecewiseAffine.affine_on(comp, 1 / width, -lo / width),
+        PiecewiseAffine.hat(lo + width / 4, width / 4, 1),
+        PiecewiseAffine.hat(lo + 3 * width / 4, width / 4, 1),
     ]
     while len(out) < size:
         r = width * Q(1, rng.choice((3, 4, 6)))
         c = lo + width * Q(rng.randrange(2, 15), 16)
         c = min(max(c, lo + r), hi - r)
-        out.append(tr.TestFunction.hat(c, r, 1))
+        out.append(PiecewiseAffine.hat(c, r, 1))
     return out
 
 
@@ -1368,7 +1305,7 @@ def kms_battery(
         tag = "off" if (up1 + up2) != (dn1 + dn2) else "diag"
         rows.append(ResidualRow(f"pair{i}:{tag}", lhs, rhs, abs(lhs - rhs)))
     notes = ()
-    if beta == 0 and psi.constant_value() == 0:
+    if beta == 0 and psi.carrier.constant_value() == 0:
         notes = (
             "trivial twist at beta zero: the identity holds for any trace and certifies nothing",
         )
@@ -1380,8 +1317,8 @@ def core_kms_check(
     mu: Measure,
     beta: float,
     psi: PotentialFunction,
-    a: tr.TestFunction,
-    b: tr.TestFunction,
+    a: PiecewiseAffine,
+    b: PiecewiseAffine,
     n: int,
     pts: int = 1,
 ) -> float:
@@ -1426,9 +1363,9 @@ def core_kms_check(
 # ---------------------------------------------------------------------------
 
 
-def hat_battery(region: IntervalSet, count: int) -> list[tr.TestFunction]:
+def hat_battery(region: IntervalSet, count: int) -> list[PiecewiseAffine]:
     """Hats compactly supported inside a region, spread over its components."""
-    out: list[tr.TestFunction] = []
+    out: list[PiecewiseAffine] = []
     comps = [iv for iv in region.intervals if not iv.is_point]
     if not comps:
         return out
@@ -1442,9 +1379,9 @@ def hat_battery(region: IntervalSet, count: int) -> list[tr.TestFunction]:
         c, r = frac(c), frac(r)
         # keep the closed support strictly inside the open component
         if iv.lo < c - r and c + r < iv.hi:
-            out.append(tr.TestFunction.hat(c, r, 1))
+            out.append(PiecewiseAffine.hat(c, r, 1))
         elif iv.lo_closed and iv.hi_closed:
-            out.append(tr.TestFunction.hat(iv.midpoint(), width / 4, 1))
+            out.append(PiecewiseAffine.hat(iv.midpoint(), width / 4, 1))
         i += 1
         if i > 20 * count:
             break

@@ -6,13 +6,14 @@ vanishing at infinity on the domain back into functions on the space, by
 checking finitely many one-sided arrival conditions; the norm is the exact
 supremum of the fiber sums.
 
-Test functions are typed like the maps.  ``TestFunction`` is piecewise
-affine on the interval backend (``const_on``, ``affine_on``, ``hat``);
+Test functions are typed like the maps.  On the interval backend a test
+function is a ``dynamics.PiecewiseAffine``, the weights' type, built by
+``const_on``, ``affine_on`` or ``hat`` to read zero off its pieces;
 ``CylinderFunction`` is a combination of cylinder indicators on the graph
 backend (``indicator``).  Both carry ``backend`` as a class attribute and
 answer ``value(x)``, ``floats(points)`` (``float(value(x))`` at many points
 as one array: integer arrays on the interval backend, a loop on graphs)
-and ``pullback(map)`` (the exact a o phi).
+and ``pullback(map)`` (the exact a o phi).  ``Function`` names either.
 
 Measures answer one protocol: ``total_mass()``; ``quadrature(pts)``, the
 points and the float masses over which the sum of mass * f(x) integrates
@@ -55,7 +56,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import dynamics as dyn
-from .dynamics import PartialSystem, PathPoint, Potential
+from .dynamics import PartialSystem, PathPoint, PiecewiseAffine, Potential
 from .errors import NotValidated, SupportViolation, ValidationError
 from .intervals import (
     IntervalSet,
@@ -64,7 +65,7 @@ from .intervals import (
     Rationalish,
     RationalPoints,
     accumulates_at,
-    affine_floats,
+    float_of,
     frac,
     frac_str,
 )
@@ -72,75 +73,6 @@ from .intervals import (
 # ---------------------------------------------------------------------------
 # test functions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """A piecewise affine function on the interval backend.
-
-    Each piece is (interval, slope, intercept); the function is zero outside
-    its pieces, and pieces that touch must agree where they touch.
-    """
-
-    backend = "interval"
-
-    pieces: tuple[tuple[RationalInterval, Fraction, Fraction], ...] = ()
-
-    def __post_init__(self):
-        pieces = tuple((iv, frac(m), frac(c)) for iv, m, c in self.pieces)
-        object.__setattr__(self, "pieces", pieces)
-        for (iva, ma, ca), (ivb, mb, cb) in itertools.combinations(pieces, 2):
-            inter = iva.intersection(ivb)
-            if inter is None:
-                continue
-            if not inter.is_point:
-                raise ValidationError(f"function pieces overlap on {inter}")
-            x0 = inter.lo
-            if ma * x0 + ca != mb * x0 + cb:
-                raise ValidationError(f"function pieces disagree at {frac_str(x0)}")
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def const_on(iv: RationalInterval, value: Rationalish) -> "TestFunction":
-        return TestFunction(((iv, Q(0), frac(value)),))
-
-    @staticmethod
-    def affine_on(iv: RationalInterval, slope, intercept) -> "TestFunction":
-        return TestFunction(((iv, frac(slope), frac(intercept)),))
-
-    @staticmethod
-    def hat(center: Rationalish, radius: Rationalish, height: Rationalish = 1) -> "TestFunction":
-        """Continuous tent-shaped bump, zero outside (center-r, center+r)."""
-        c, r, h = frac(center), frac(radius), frac(height)
-        if r <= 0:
-            raise ValidationError("hat radius must be positive")
-        up = (RationalInterval(c - r, c), h / r, h - h * c / r)
-        down = (RationalInterval(c, c + r), -h / r, h + h * c / r)
-        return TestFunction((up, down))
-
-    # -- evaluation ------------------------------------------------------------
-
-    def value(self, x) -> Fraction:
-        """The first piece holding x gives the value; pieces that touch agree."""
-        x = frac(x)
-        for iv, m, c in self.pieces:
-            if iv.contains(x):
-                return m * x + c
-        return Q(0)
-
-    def floats(self, points) -> np.ndarray:
-        """``float(value(x))`` at each point, bit for bit, by ``affine_floats``."""
-        return affine_floats(points, self.pieces)[0]
-
-    def pullback(self, map_: dyn.IntervalSystem) -> "TestFunction":
-        """Exact a o phi, one piece per branch and piece it pulls back."""
-        pieces = []
-        for b in map_.branches:
-            for iv, m, c in self.pieces:
-                for piece in b.preimage_of(IntervalSet.of(iv)).intervals:
-                    pieces.append((piece, m * b.slope, m * b.intercept + c))
-        return TestFunction(tuple(pieces))
 
 
 @dataclass(frozen=True)
@@ -182,7 +114,7 @@ class CylinderFunction:
         return CylinderFunction(tuple(cyls))
 
 
-Function = Union[TestFunction, CylinderFunction]
+Function = Union[PiecewiseAffine, CylinderFunction]
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +483,7 @@ class UlamMeasure:
                 k = k0 + 1
                 full = alpha * (s0[k1] - s0[k]) + beta * (s1[k1] - s1[k]) + gamma * (s2[k1] - s2[k])
                 total += w * full / den
-        return float(total)
+        return float_of(total)
 
     def to_doc(self, system: PartialSystem) -> dict:
         return {

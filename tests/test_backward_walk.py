@@ -175,9 +175,9 @@ def test_a_weight_undefined_below_a_zero_is_never_read():
     # undefined at 1/4 below it; validation refuses the operator, and the walk
     # no longer reads the weight there (it raised while zeros were cut last)
     system = dyn.PartialSystem(
-        dyn.IntervalSystem(IntervalSet.closed(0, 1), [dyn.AffineBranch(RationalInterval(0, F(1, 2)), 2, 0)])
+        dyn.IntervalSystem(IntervalSet.of(RationalInterval(0, 1)), [dyn.AffineBranch(RationalInterval(0, F(1, 2)), 2, 0)])
     )
-    pot = dyn.IntervalPotential(pieces=((RationalInterval(F(1, 2), 1), 0, 0),))
+    pot = dyn.PiecewiseAffine(pieces=((RationalInterval(F(1, 2), 1), 0, 0),))
     assert not tr.validate(system, pot).valid
     assert dyn.preimages(system, pot, 1, 2) == ()
     with pytest.raises(XferopError, match="potential undefined at 1/4"):

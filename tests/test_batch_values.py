@@ -9,7 +9,10 @@ and zero values, and points on every breakpoint; the sizes go past 2^53,
 where int64 arithmetic and its float conversion stop being exact.
 """
 
+import itertools
 import random
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from xferop import specfile
 from xferop import thermo as th
 from xferop import transfer as tr
 from xferop.errors import SupportViolation, ValidationError
-from xferop.intervals import Q, RationalInterval, affine_floats
+from xferop.intervals import Q, RationalInterval, affine_floats, frac, frac_str
 
 SETTINGS = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -83,7 +86,7 @@ def points_near(draw, ends, num):
 @st.composite
 def functions_and_points(draw, num=SMALL):
     pieces, ends, _ = draw(pieces_and_ends(num))
-    return tr.TestFunction(tuple(pieces)), draw(points_near(ends, num))
+    return dyn.PiecewiseAffine.zero_off(tuple(pieces)), draw(points_near(ends, num))
 
 
 @st.composite
@@ -93,7 +96,7 @@ def potentials(draw, num=SMALL):
     more = draw(st.lists(st.sampled_from(ends), max_size=2))
     held = {x for x in [*covered, *more] if any(iv.contains(x) for iv, _, _ in pieces)}
     overrides = tuple((x, draw(num)) for x in sorted(held))
-    pot = dyn.IntervalPotential(tuple(pieces), overrides, allow_negative=True)
+    pot = dyn.PiecewiseAffine(tuple(pieces), overrides, allow_negative=True)
     return pot, draw(points_near(ends, num))
 
 
@@ -111,11 +114,11 @@ class TestTestFunction:
         assert (bits(f.floats(points)) == bits([float(f.value(x)) for x in points])).all()
 
     def test_no_points_no_values(self):
-        out = tr.TestFunction.hat(Q(1, 2), Q(1, 4)).floats([])
+        out = dyn.PiecewiseAffine.hat(Q(1, 2), Q(1, 4)).floats([])
         assert out.dtype == np.float64 and out.shape == (0,)
 
     def test_a_zero_value_is_positive_zero(self):
-        f = tr.TestFunction(((RationalInterval(-1, 1), Q(-1), Q(0)),))
+        f = dyn.PiecewiseAffine.zero_off(((RationalInterval(-1, 1), Q(-1), Q(0)),))
         assert bits(f.floats([Q(0), Q(5)])).tolist() == bits([0.0, 0.0]).tolist()
 
     def test_exact_where_int64_division_is_not(self):
@@ -127,11 +130,11 @@ class TestTestFunction:
         naive = np.array([n for n, _ in pairs], np.int64) / np.array([d for _, d in pairs], np.int64)
         exact = [n / d for n, d in pairs]
         assert (bits(naive) != bits(exact)).sum() > 100
-        f = tr.TestFunction(((RationalInterval(0, top), Q(1), Q(0)),))
+        f = dyn.PiecewiseAffine.zero_off(((RationalInterval(0, top), Q(1), Q(0)),))
         assert (bits(f.floats([Q(n, d) for n, d in pairs])) == bits(exact)).all()
 
     def test_takes_what_value_takes(self):
-        f = tr.TestFunction.hat(Q(1, 2), Q(1, 4))
+        f = dyn.PiecewiseAffine.hat(Q(1, 2), Q(1, 4))
         points = [0, Q(1, 2), "3/8", Q(5, 8)]
         assert (bits(f.floats(points)) == bits([float(f.value(x)) for x in points])).all()
         with pytest.raises(ValidationError, match="expected a rational value"):
@@ -160,11 +163,11 @@ class TestIntervalPotential:
 
     def test_overrides_come_first(self):
         unit = RationalInterval(0, 1)
-        pot = dyn.IntervalPotential(((unit, Q(0), Q(1, 2)),), ((Q(1, 2), Q(1)),))
+        pot = dyn.PiecewiseAffine(((unit, Q(0), Q(1, 2)),), ((Q(1, 2), Q(1)),))
         assert pot.floats([Q(1, 4), Q(1, 2), Q(1)]).tolist() == [0.5, 1.0, 0.5]
 
     def test_the_first_undefined_point_is_named(self):
-        pot = dyn.IntervalPotential(((RationalInterval(0, 1, True, False), Q(1), Q(0)),))
+        pot = dyn.PiecewiseAffine(((RationalInterval(0, 1, True, False), Q(1), Q(0)),))
         with pytest.raises(ValidationError, match=r"^potential undefined at 1$"):
             pot.floats([Q(1, 2), Q(1), Q(2)])
         assert pot.floats([Q(1, 2), Q(1), Q(2)], or_zero=True).tolist() == [0.5, 0.0, 0.0]
@@ -173,13 +176,13 @@ class TestIntervalPotential:
 def test_the_energy_reads_its_carrier():
     spec = specfile.bundled("tent_std")
     (comp,) = spec.system.ival.space.intervals
-    psi = th.PotentialFunction.of(
-        spec.system, dyn.IntervalPotential(((comp, Q(-3, 7), Q(1, 3)),), allow_negative=True)
+    psi = th.PotentialFunction(
+        spec.system, dyn.PiecewiseAffine(((comp, Q(-3, 7), Q(1, 3)),), allow_negative=True)
     )
     points = [Q(k, 13) for k in range(14)]
-    assert (bits(psi.floats(points)) == bits([float(psi.value(x)) for x in points])).all()
+    assert (bits(psi.carrier.floats(points)) == bits([float(psi.carrier.value(x)) for x in points])).all()
     with pytest.raises(ValidationError, match="potential undefined at 2"):
-        psi.floats([Q(1, 2), Q(2)])
+        psi.carrier.floats([Q(1, 2), Q(2)])
 
 
 def test_the_graph_types_loop_per_point():
@@ -202,3 +205,104 @@ def test_the_helper_reports_the_first_point_no_piece_holds():
     vals, miss = affine_floats([Q(1, 2), Q(0), Q(3)], pieces)
     assert vals.tolist() == [0.5, 0.0, 0.0] and miss == 1
     assert affine_floats([Q(1)], pieces)[1] == -1
+
+
+# ---------------------------------------------------------------------------
+# the merged type against the deleted ``transfer.TestFunction``
+# ---------------------------------------------------------------------------
+
+
+def _old_contains(iv, x):
+    """``RationalInterval.contains`` as the deleted class read it, on Fraction comparisons."""
+    if x < iv.lo or x > iv.hi:
+        return False
+    if x == iv.lo and not iv.lo_closed:
+        return False
+    return not (x == iv.hi and not iv.hi_closed)
+
+
+def old_value(pieces, x):
+    """The deleted ``TestFunction.value``: the first piece holding x, else zero."""
+    x = frac(x)
+    for iv, m, c in pieces:
+        if _old_contains(iv, x):
+            return m * x + c
+    return Q(0)
+
+
+def old_floats(pieces, points):
+    """The deleted ``TestFunction.floats``."""
+    return affine_floats(points, pieces)[0]
+
+
+def old_refuses(pieces) -> bool:
+    """Whether the deleted ``TestFunction`` refused these pieces: two that meet
+    in more than a point, or meet at a point and disagree there."""
+    for (iva, ma, ca), (ivb, mb, cb) in itertools.combinations(pieces, 2):
+        inter = iva.intersection(ivb)
+        if inter is not None and (not inter.is_point or ma * inter.lo + ca != mb * inter.lo + cb):
+            return True
+    return False
+
+
+@st.composite
+def pieces_and_points(draw, num=SMALL):
+    pieces, ends, _ = draw(pieces_and_ends(num))
+    return tuple(pieces), draw(points_near(ends, num))
+
+
+@st.composite
+def any_pieces(draw, num=SMALL):
+    """Up to four pieces on drawn ends, free to overlap, touch or disagree."""
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo, hi = sorted((draw(num), draw(num)))
+        closed = (True, True) if lo == hi else (draw(st.booleans()), draw(st.booleans()))
+        out.append((RationalInterval(lo, hi, *closed), draw(num), draw(num)))
+    return tuple(out)
+
+
+class TestAgainstTheDeletedTestFunction:
+    @SETTINGS
+    @given(pieces_and_points(MIXED))
+    def test_the_zero_rule_is_the_old_class(self, drawn):
+        pieces, points = drawn
+        f = dyn.PiecewiseAffine.zero_off(pieces)
+        assert [f.value(x) for x in points] == [old_value(pieces, x) for x in points]
+        assert (bits(f.floats(points)) == bits(old_floats(pieces, points))).all()
+        assert (bits(f.floats(points)) == bits([float(old_value(pieces, x)) for x in points])).all()
+
+    @SETTINGS
+    @given(pieces_and_points(MIXED))
+    def test_the_undefined_rule_raises_where_no_piece_holds(self, drawn):
+        pieces, points = drawn
+        g = dyn.PiecewiseAffine(pieces, allow_negative=True)
+        held = [any(_old_contains(iv, frac(x)) for iv, _, _ in pieces) for x in points]
+        for x, h in zip(points, held):
+            if h:
+                assert g.value(x) == g.value_or_zero(x) == old_value(pieces, x)
+            else:
+                with pytest.raises(ValidationError, match=rf"^potential undefined at {frac_str(x)}$"):
+                    g.value(x)
+        want = bits(old_floats(pieces, points))
+        assert (bits(g.floats(points, or_zero=True)) == want).all()
+        if all(held):
+            assert (bits(g.floats(points)) == want).all()
+        else:
+            first = points[held.index(False)]
+            with pytest.raises(ValidationError, match=rf"^potential undefined at {frac_str(first)}$"):
+                g.floats(points)
+
+    @SETTINGS
+    @given(any_pieces())
+    def test_both_rules_refuse_what_the_old_class_refused(self, pieces):
+        refused = []
+        for build in (dyn.PiecewiseAffine.zero_off, partial(dyn.PiecewiseAffine, allow_negative=True)):
+            try:
+                build(pieces)
+            except ValidationError as e:
+                assert re.fullmatch(r"pieces (overlap on .*|disagree at \S+ without an override)", str(e))
+                refused.append(True)
+            else:
+                refused.append(False)
+        assert refused == [old_refuses(pieces)] * 2

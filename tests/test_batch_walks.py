@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from xferop import dynamics as dyn
 from xferop import intervals, specfile
 from xferop import thermo as th
-from xferop.dynamics import AffineBranch, IntervalPotential, IntervalSystem
+from xferop.dynamics import AffineBranch, IntervalSystem, PiecewiseAffine
 from xferop.errors import OutOfDomain, ValidationError
 from xferop.intervals import IntervalSet, Q, RationalInterval, RationalPoints
 
@@ -133,7 +133,7 @@ def maps(draw):
         branches.append(AffineBranch(domain, slope, vlo - slope * lo))
         prev = (hi_closed, vhi)
     assume(branches)
-    return IntervalSystem(IntervalSet.closed(0, 1), draw(st.permutations(branches))), cuts
+    return IntervalSystem(IntervalSet.of(RationalInterval(0, 1)), draw(st.permutations(branches))), cuts
 
 
 @st.composite
@@ -158,7 +158,7 @@ def potentials(draw, signed=False, gaps=False):
     overrides = ()
     if held and draw(st.booleans()):
         overrides = ((draw(st.sampled_from(held)), draw(values)),)
-    return IntervalPotential(tuple(pieces), overrides, allow_negative=signed), cuts
+    return PiecewiseAffine(tuple(pieces), overrides, allow_negative=signed), cuts
 
 
 HUGE = st.builds(Q, st.integers(0, 2**70), st.just(2**70 + 1))
@@ -245,14 +245,14 @@ class TestForward:
 
     def test_a_negative_depth_sums_to_none(self):
         sys_ = self._tent()
-        energy = IntervalPotential(((RationalInterval(0, 1), Q(1), Q(0)),), allow_negative=True)
+        energy = PiecewiseAffine(((RationalInterval(0, 1), Q(1), Q(0)),), allow_negative=True)
         xs = RationalPoints.of([Q(1, 3), Q(2)])
         assert np.isnan(sys_.birkhoff_sums(energy, xs, -1)).all()
         assert sys_.birkhoff_sums(energy, xs, 0).tolist() == [0.0, 0.0]
 
     @staticmethod
     def _tent():
-        return IntervalSystem(IntervalSet.closed(0, 1), (
+        return IntervalSystem(IntervalSet.of(RationalInterval(0, 1)), (
             AffineBranch(RationalInterval(0, Q(1, 2)), 2, 0),
             AffineBranch(RationalInterval(Q(1, 2), 1), -2, 2),
         ))
@@ -337,7 +337,7 @@ def test_graphs_answer_the_same_names_point_by_point(name):
     pot = s.potential
     signed = tuple((e.name, Q(i - 1, 3)) for i, e in enumerate(g.edges))
     energy = dyn.GraphPotential(signed, allow_negative=True)
-    psi = th.PotentialFunction.of(s.system, energy)
+    psi = th.PotentialFunction(s.system, energy)
     pts = [p for n in range(4) for p in g.words(n)]
     for n in range(3):
         ends, alive = g.orbit_ends(pts, n)

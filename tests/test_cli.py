@@ -16,6 +16,7 @@ from xferop import cli, specfile
 from xferop import transfer as tr
 from xferop import verdicts as vd
 from xferop.cli import main
+from xferop.intervals import frac_str
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -564,6 +565,69 @@ def test_an_overflowing_candidate_beta_exits_3(tmp_path, command, spec):
         "error: exp(-beta*energy) overflows at beta=800.0; the state integrals are not finite"
     )
     assert "within tolerance" not in result.output and "Traceback" not in result.output
+
+
+HUGE = 10**400  # "1e400" in a spec or on the command line
+
+
+def _tent_std_edited(edit):
+    def write(tmp_path):
+        doc = json.loads(resources.files("xferop").joinpath("specs", "tent_std.json").read_text("utf-8"))
+        edit(doc)
+        path = tmp_path / "tent_big.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    return write
+
+
+def _weight_past_the_range(doc):
+    doc["potential"]["pieces"][0]["intercept"] = "1e400"
+    doc["potential"]["overrides"] = []
+
+
+PSI_INTERCEPT = _tent_std_edited(lambda doc: doc["psi"]["pieces"][0].update(intercept="1e400"))
+PSI_SLOPE = _tent_std_edited(lambda doc: doc["psi"]["pieces"][0].update(slope="1e400"))
+WEIGHT = _tent_std_edited(_weight_past_the_range)
+
+
+@pytest.mark.parametrize(
+    "spec, args, value",
+    [
+        ("tent_std", ["conformal", "--psi", "1e400"], HUGE),
+        ("tent_std", ["conformal", "--psi=-1e400"], -HUGE),
+        ("fullshift2", ["conformal", "--psi", "1e400"], HUGE),
+        (PSI_INTERCEPT, ["conformal"], HUGE),
+        (PSI_INTERCEPT, ["conformal", "--psi", "spec"], HUGE),
+        (PSI_SLOPE, ["conformal"], HUGE),
+        (PSI_SLOPE, ["conformal", "--psi", "spec"], HUGE),
+        (WEIGHT, ["conformal"], F(HUGE, 6)),  # the exact fibre-sum integral
+        (WEIGHT, ["kms-verify", "--psi", "spec", "--candidate"], HUGE**2),  # the cocycle rho_2
+        ("tent_std", ["conformal", "--psi", "1e400", "--check"], HUGE),
+        (PSI_INTERCEPT, ["conformal", "--check"], HUGE),
+        (WEIGHT, ["conformal", "--check"], F(HUGE, 6)),
+    ],
+    ids=["psi", "psi-negative", "graph-psi", "psi-intercept", "psi-intercept-spec", "psi-slope",
+         "psi-slope-spec", "weight", "weight-kms-verify", "psi-check", "psi-intercept-check",
+         "weight-check"],
+)
+def test_a_value_past_the_float_range_exits_3(tmp_path, spec, args, value):
+    # float() of these raised OverflowError: exit 4 with a traceback
+    if callable(spec):
+        spec = spec(tmp_path)
+    if args[-1] in ("--candidate", "--check"):
+        args = [*args, _candidate(tmp_path, "tent_std")]
+    result = CliRunner().invoke(main, [*args, "--spec", spec])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [f"error: {frac_str(F(value))} is past the float range"]
+
+
+@pytest.mark.parametrize("command, code", [("validate", 0), ("relations", 0), ("report", 0)])
+def test_the_exact_commands_read_a_coefficient_past_the_float_range(tmp_path, command, code):
+    result = CliRunner().invoke(main, [command, "--spec", PSI_INTERCEPT(tmp_path)])
+    assert result.exit_code == code, result.output
+    assert "float range" not in result.output
 
 
 def test_kms_verify_reads_a_state_with_no_fibres(tmp_path):

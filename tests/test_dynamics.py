@@ -28,21 +28,21 @@ def halving():
 
 class TestIntervalSystem:
     def test_branch_overlap_rejected(self):
-        space = IntervalSet.closed(0, 1)
+        space = IntervalSet.of(RationalInterval(0, 1))
         b0 = dyn.AffineBranch(RationalInterval(0, F(3, 4)), 1, 0)
         b1 = dyn.AffineBranch(RationalInterval(F(1, 2), 1), 1, 0)
         with pytest.raises(ValidationError):
             dyn.IntervalSystem(space, [b0, b1])
 
     def test_shared_endpoint_must_agree(self):
-        space = IntervalSet.closed(0, 1)
+        space = IntervalSet.of(RationalInterval(0, 1))
         b0 = dyn.AffineBranch(RationalInterval(0, F(1, 2)), 1, 0)
         b1 = dyn.AffineBranch(RationalInterval(F(1, 2), 1), 1, -1)
         with pytest.raises(ValidationError):
             dyn.IntervalSystem(space, [b0, b1])
 
     def test_image_must_land_in_space(self):
-        space = IntervalSet.closed(0, 1)
+        space = IntervalSet.of(RationalInterval(0, 1))
         with pytest.raises(ValidationError):
             dyn.IntervalSystem(space, [dyn.AffineBranch(RationalInterval(0, 1), 2, 0)])
 
@@ -61,7 +61,7 @@ class TestIntervalSystem:
 class TestIteration:
     def test_tent_domains_are_everything(self, tent):
         for n in (1, 2, 5):
-            assert dyn.iterate_domain(tent.system, n) == IntervalSet.closed(0, 1)
+            assert dyn.iterate_domain(tent.system, n) == IntervalSet.of(RationalInterval(0, 1))
 
     def test_depth_guard(self, tent):
         with pytest.raises(DepthExceeded):
@@ -108,11 +108,11 @@ class TestIteration:
         assert dyn.cocycle_or_none(tent_half.system, tent_half.potential, 3, F(1, 2)) == 0
         ps = dyn.PartialSystem(
             dyn.IntervalSystem(
-                IntervalSet.closed(0, 1),
+                IntervalSet.of(RationalInterval(0, 1)),
                 [dyn.AffineBranch(RationalInterval(0, F(1, 2)), 1, 0)],
             ),
         )
-        pot = dyn.IntervalPotential(pieces=((RationalInterval(0, F(1, 2)), 0, 1),))
+        pot = dyn.PiecewiseAffine(pieces=((RationalInterval(0, F(1, 2)), 0, 1),))
         # 3/4 lies outside the only branch, so the walk leaves at once
         assert dyn.cocycle_or_none(ps, pot, 2, F(3, 4)) is None
 
@@ -132,9 +132,9 @@ class TestIteration:
 class TestRegions:
     def test_tent_regular_set(self, tent):
         rep = dyn.regular_set(tent.system, tent.potential)
-        assert rep.delta == IntervalSet.closed(0, 1)
-        assert rep.delta_pos == IntervalSet.closed(0, 1)
-        assert rep.delta_reg == IntervalSet.closed(0, 1).difference(IntervalSet.point(F(1, 2)))
+        assert rep.delta == IntervalSet.of(RationalInterval(0, 1))
+        assert rep.delta_pos == IntervalSet.of(RationalInterval(0, 1))
+        assert rep.delta_reg == IntervalSet.of(RationalInterval(0, 1)).difference(IntervalSet.point(F(1, 2)))
         assert [(p.point, p.reason) for p in rep.irregular_points] == [
             (F(1, 2), "not_locally_injective")
         ]
@@ -146,7 +146,7 @@ class TestRegions:
 
     def test_tent_half_regions(self, tent_half):
         rep = dyn.regular_set(tent_half.system, tent_half.potential)
-        assert rep.delta_pos == IntervalSet.closed(0, F(1, 2))
+        assert rep.delta_pos == IntervalSet.of(RationalInterval(0, F(1, 2)))
         assert rep.delta_reg == IntervalSet.of(RationalInterval(0, F(1, 2), True, False))
         reasons = {p.point: p.reason for p in rep.irregular_points}
         assert reasons[F(1, 2)] == "not_locally_injective"
@@ -154,7 +154,7 @@ class TestRegions:
 
     def test_doubling_fully_regular(self, doubling):
         rep = dyn.regular_set(doubling.system, doubling.potential)
-        assert rep.delta_reg == IntervalSet.closed(0, 1)
+        assert rep.delta_reg == IntervalSet.of(RationalInterval(0, 1))
         assert rep.irregular_points == ()
 
     def test_halving_regular_set(self, halving):
@@ -222,12 +222,12 @@ class TestPower:
 class TestEssentialDomain:
     def test_tent_stabilizes_immediately(self, tent):
         ed, stab, at = dyn.essential_domain(tent.system, 6)
-        assert ed == IntervalSet.closed(0, 1)
+        assert ed == IntervalSet.of(RationalInterval(0, 1))
         assert stab and at == 1
 
     def test_halving_keeps_shrinking(self, halving):
         ed, stab, _ = dyn.essential_domain(halving.system, 5)
-        assert ed == IntervalSet.closed(0, F(1, 32))
+        assert ed == IntervalSet.of(RationalInterval(0, F(1, 32)))
         assert not stab
 
     def test_loop_with_tail(self):
@@ -287,7 +287,7 @@ class TestPartialSystem:
         random.Random(0).shuffle(points)
         assert sorted(points) == sorted(points, key=dyn.PathPoint.sort_key)
 
-    @pytest.mark.parametrize("m", [None, "interval", IntervalSet.closed(0, 1)])
+    @pytest.mark.parametrize("m", [None, "interval", IntervalSet.of(RationalInterval(0, 1))])
     def test_refuses_other_maps(self, m):
         with pytest.raises(ValidationError, match="unknown map type"):
             dyn.PartialSystem(m)
@@ -343,7 +343,7 @@ class TestPotentialTypes:
         # the chained weight of the tent's square: 1/4 on each quarter and the
         # cocycle 1/2 at the three inner seams
         quarters = [RationalInterval(F(k, 4), F(k + 1, 4)) for k in range(4)]
-        pot = dyn.IntervalPotential(
+        pot = dyn.PiecewiseAffine(
             tuple((iv, 0, F(1, 4)) for iv in quarters),
             overrides=tuple((F(k, 4), F(1, 2)) for k in (1, 2, 3)),
         )
@@ -351,12 +351,12 @@ class TestPotentialTypes:
         assert pot.breakpoints() == {F(0), F(1, 4), F(1, 2), F(3, 4), F(1)}
 
     def test_breakpoints_keep_an_interior_override(self):
-        pot = dyn.IntervalPotential(((RationalInterval(0, 1), 0, 1),), overrides=((F(1, 3), 2),))
+        pot = dyn.PiecewiseAffine(((RationalInterval(0, 1), 0, 1),), overrides=((F(1, 3), 2),))
         assert pot.breakpoints() == {F(0), F(1, 3), F(1)}
 
     def test_backend_is_not_a_field(self, tent, shift2):
         assert (tent.potential.backend, shift2.potential.backend) == ("interval", "graph")
-        for cls in (dyn.IntervalPotential, dyn.GraphPotential):
+        for cls in (dyn.PiecewiseAffine, dyn.GraphPotential):
             assert "backend" not in {f.name for f in dataclasses.fields(cls)}
 
     def test_graph_value_is_the_first_edge_weight(self, shift2):
@@ -369,7 +369,7 @@ class TestPotentialTypes:
 
     def test_value_or_zero_is_zero_off_the_domain(self, shift2):
         half = RationalInterval(0, F(1, 2))
-        pot = dyn.IntervalPotential(((half, 0, 1),), overrides=((F(1, 2), 3),))
+        pot = dyn.PiecewiseAffine(((half, 0, 1),), overrides=((F(1, 2), 3),))
         assert [pot.value_or_zero(x) for x in (F(1, 4), F(1, 2), F(3, 4))] == [1, 3, 0]
         g = shift2.system.gph
         gpot = dyn.GraphPotential((("e0", F(1, 3)), ("e1", F(2))))
@@ -382,7 +382,7 @@ class TestPotentialTypes:
 
     def test_interval_potential_takes_no_weights(self):
         with pytest.raises(TypeError):
-            dyn.IntervalPotential(weights=(("e", F(1)),))
+            dyn.PiecewiseAffine(weights=(("e", F(1)),))
 
 
 # CylinderSet against a brute-force model: each cylinder is the set of depth-D

@@ -41,10 +41,10 @@ def _at(gpd, x, k, y):
 def _identity_system():
     sys_ = dyn.PartialSystem(
         dyn.IntervalSystem(
-            IntervalSet.closed(0, 1), [dyn.AffineBranch(UNIT, F(1), F(0))]
+            IntervalSet.of(RationalInterval(0, 1)), [dyn.AffineBranch(UNIT, F(1), F(0))]
         ),
     )
-    pot = dyn.IntervalPotential(pieces=((UNIT, F(0), F(1)),))
+    pot = dyn.PiecewiseAffine(pieces=((UNIT, F(0), F(1)),))
     return sys_, pot
 
 
@@ -76,14 +76,14 @@ class TestBuildDeaconu:
         open_half = RationalInterval(F(1, 2), F(1), False, False)
         sys_ = dyn.PartialSystem(
             dyn.IntervalSystem(
-                IntervalSet.closed(0, 1),
+                IntervalSet.of(RationalInterval(0, 1)),
                 [
                     dyn.AffineBranch(RationalInterval(0, F(1, 4)), 4, 0),
                     dyn.AffineBranch(open_half, 2, -1),
                 ],
             ),
         )
-        pot = dyn.IntervalPotential(
+        pot = dyn.PiecewiseAffine(
             pieces=((RationalInterval(0, F(1, 4)), 0, 1), (open_half, 0, 0))
         )
         with pytest.raises(NotLocalHomeo, match=r"^weight vanishes on \(1/2, 1\)$"):
@@ -93,9 +93,9 @@ class TestBuildDeaconu:
         # the domain [0, 1/2] is not open in [0, 1], so 1/2 is not regular
         half = RationalInterval(0, F(1, 2))
         sys_ = dyn.PartialSystem(
-            dyn.IntervalSystem(IntervalSet.closed(0, 1), [dyn.AffineBranch(half, 2, 0)]),
+            dyn.IntervalSystem(IntervalSet.of(RationalInterval(0, 1)), [dyn.AffineBranch(half, 2, 0)]),
         )
-        pot = dyn.IntervalPotential(pieces=((half, 0, 1),))
+        pot = dyn.PiecewiseAffine(pieces=((half, 0, 1),))
         with pytest.raises(
             NotLocalHomeo, match=r"^domain is not fully regular: missing \[1/2, 1/2\]$"
         ):
@@ -213,7 +213,7 @@ class TestAxiomViolations:
         # and two missing images are no witness
         half = RationalInterval(F(0), F(1, 2))
         sys_ = dyn.PartialSystem(
-            dyn.IntervalSystem(IntervalSet.closed(0, 1), [dyn.AffineBranch(half, F(2), F(0))])
+            dyn.IntervalSystem(IntervalSet.of(RationalInterval(0, 1)), [dyn.AffineBranch(half, F(2), F(0))])
         )
         g = gp.GroupoidElement(F(3, 4), 0, F(7, 8), (1, 1))
         table = _table(_unit(F(3, 4)), _unit(F(7, 8)), g, g.inverse())
@@ -304,10 +304,10 @@ def setup(doubling):
 class TestPhiIsomorphism:
     def test_interval_tensor_products(self, setup):
         basis, gpd = setup
-        a = tr.TestFunction.hat(F(1, 2), F(1, 2), 1)
-        b = tr.TestFunction.affine_on(UNIT, 1, 0)
-        c = tr.TestFunction.hat(F(1, 4), F(1, 4), 1)
-        one = tr.TestFunction.const_on(UNIT, 1)
+        a = dyn.PiecewiseAffine.hat(F(1, 2), F(1, 2), 1)
+        b = dyn.PiecewiseAffine.affine_on(UNIT, 1, 0)
+        c = dyn.PiecewiseAffine.hat(F(1, 4), F(1, 4), 1)
+        one = dyn.PiecewiseAffine.const_on(UNIT, 1)
         cases = [
             (a, one, 1, 0, one, b, 0, 1),
             (a, b, 1, 1, c, one, 1, 1),
@@ -322,18 +322,18 @@ class TestPhiIsomorphism:
 
     def test_square_defaults_to_same_factor(self, setup):
         basis, gpd = setup
-        a = tr.TestFunction.hat(F(1, 2), F(1, 2), 1)
-        b = tr.TestFunction.affine_on(UNIT, 1, 0)
+        a = dyn.PiecewiseAffine.hat(F(1, 2), F(1, 2), 1)
+        b = dyn.PiecewiseAffine.affine_on(UNIT, 1, 0)
         assert gp.iso_phi_check(basis, a, b, 1, 1, gpd=gpd) <= 1e-12
         with pytest.raises(ValidationError):
             gp.iso_phi_check(basis, a, b, 1, 1, n2=2, gpd=gpd)
 
     def test_diagonal_is_pointwise_product(self, setup):
         basis, gpd = setup
-        a = tr.TestFunction.hat(F(1, 2), F(1, 2), 1)
-        b = tr.TestFunction.affine_on(UNIT, 1, 0)
-        c = tr.TestFunction.hat(F(1, 4), F(1, 4), 1)
-        one = tr.TestFunction.const_on(UNIT, 1)
+        a = dyn.PiecewiseAffine.hat(F(1, 2), F(1, 2), 1)
+        b = dyn.PiecewiseAffine.affine_on(UNIT, 1, 0)
+        c = dyn.PiecewiseAffine.hat(F(1, 4), F(1, 4), 1)
+        one = dyn.PiecewiseAffine.const_on(UNIT, 1)
         prod = gp.phi_matrix(basis, a, 0, 0, b) @ gp.phi_matrix(basis, c, 0, 0, one)
         vals = np.array(
             [
@@ -362,7 +362,7 @@ class TestPhiIsomorphism:
         monkeypatch.setattr(dyn, "cocycle_or_none", counting)
         h = tr.TransferHandle.create(doubling.system, doubling.potential)
         basis = rep.OrbitBasis(h, F(1, 4), 4)
-        a = tr.TestFunction.hat(F(1, 2), F(1, 2), 1)
+        a = dyn.PiecewiseAffine.hat(F(1, 2), F(1, 2), 1)
         degrees = range(basis.depth + 1)
         first = [gp.phi_matrix(basis, a, n, m, None) for n in degrees for m in degrees]
         assert gp.iso_phi_check(basis, a, None, 1, 2, a, None, 2, 1) <= 1e-12
@@ -374,7 +374,7 @@ class TestPhiIsomorphism:
     def test_slot_values_computed_once_per_function(self, setup, monkeypatch):
         basis, gpd = setup
         evaluated, inside = {}, []
-        slot_diag, value = gp._slot_diag, tr.TestFunction.value
+        slot_diag, value = gp._slot_diag, dyn.PiecewiseAffine.value
 
         def slot(*args):
             inside.append(True)
@@ -384,14 +384,14 @@ class TestPhiIsomorphism:
                 inside.pop()
 
         def counting(f, x):
-            if inside:  # the arrow side evaluates on its own
+            if inside and f.zero_outside:  # the arrow side evaluates on its own; weights are not counted
                 evaluated[id(f)] = evaluated.get(id(f), 0) + 1
             return value(f, x)
 
         monkeypatch.setattr(gp, "_slot_diag", slot)
-        monkeypatch.setattr(tr.TestFunction, "value", counting)
-        a = tr.TestFunction.hat(F(1, 2), F(1, 2), 1)
-        b = tr.TestFunction.affine_on(UNIT, 1, 0)
+        monkeypatch.setattr(dyn.PiecewiseAffine, "value", counting)
+        a = dyn.PiecewiseAffine.hat(F(1, 2), F(1, 2), 1)
+        b = dyn.PiecewiseAffine.affine_on(UNIT, 1, 0)
         rng = random.Random(2)
         for _ in range(10):
             n, m, n2, m2 = (rng.randint(0, 3) for _ in range(4))
@@ -495,9 +495,9 @@ class TestConvolutionOnIds:
 
     def _interval_fns(self):
         return [
-            tr.TestFunction.hat(F(1, 2), F(1, 2), 1),
-            tr.TestFunction.affine_on(UNIT, 1, 0),
-            tr.TestFunction.hat(F(1, 4), F(1, 4), 1),
+            dyn.PiecewiseAffine.hat(F(1, 2), F(1, 2), 1),
+            dyn.PiecewiseAffine.affine_on(UNIT, 1, 0),
+            dyn.PiecewiseAffine.hat(F(1, 4), F(1, 4), 1),
             None,
         ]
 

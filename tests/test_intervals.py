@@ -64,18 +64,18 @@ class TestIntervalSet:
         assert not s.contains("1/2")
 
     def test_difference_splits(self):
-        s = IntervalSet.closed(0, 1).difference(IntervalSet.point("1/2"))
+        s = IntervalSet.of(RationalInterval(0, 1)).difference(IntervalSet.point("1/2"))
         assert s.intervals == (iv(0, "1/2", True, False), iv("1/2", 1, False, True))
-        assert s.measure() == 1
+        assert sum(piece.length for piece in s.intervals) == 1
 
     def test_subset_and_equality_are_canonical(self):
         a = IntervalSet.of(iv(0, "1/3"), iv("1/3", 1))
-        b = IntervalSet.closed(0, 1)
+        b = IntervalSet.of(RationalInterval(0, 1))
         assert a == b
         assert a.issubset(b) and b.issubset(a)
 
     def test_subset_endpoint_flags(self):
-        closed, open_ = IntervalSet.closed(0, 1), IntervalSet.of(iv(0, 1, False, False))
+        closed, open_ = IntervalSet.of(RationalInterval(0, 1)), IntervalSet.of(iv(0, 1, False, False))
         assert open_.issubset(closed) and not closed.issubset(open_)
         assert IntervalSet.point(0).issubset(closed)
         assert not IntervalSet.point(0).issubset(open_)
@@ -83,25 +83,25 @@ class TestIntervalSet:
         punctured = IntervalSet.of(iv(0, 1, True, False), iv(1, 2, False, True))
         assert IntervalSet.of(iv("1/2", 1, True, False)).issubset(punctured)
         assert IntervalSet.of(iv(1, 2, False, True)).issubset(punctured)
-        assert not IntervalSet.closed("1/2", "3/2").issubset(punctured)
+        assert not IntervalSet.of(RationalInterval("1/2", "3/2")).issubset(punctured)
         assert not IntervalSet.point(1).issubset(punctured)
         assert IntervalSet.empty().issubset(IntervalSet.empty())
         assert not closed.issubset(IntervalSet.empty())
 
     def test_interior_relative_to_space(self):
-        space = IntervalSet.closed(0, 1)
+        space = IntervalSet.of(RationalInterval(0, 1))
         s = IntervalSet.of(iv(0, "1/2"))
         assert s.interior_in(space) == IntervalSet.of(iv(0, "1/2", True, False))
         assert not s.is_open_in(space)
         assert IntervalSet.of(iv(0, "1/2", True, False)).is_open_in(space)
 
     def test_whole_space_is_open_in_itself(self):
-        space = IntervalSet.closed(0, 1)
+        space = IntervalSet.of(RationalInterval(0, 1))
         assert space.is_open_in(space)
 
     def test_closure_joins_punctured_point(self):
-        s = IntervalSet.closed(0, 1).difference(IntervalSet.point("1/2"))
-        assert s.closure() == IntervalSet.closed(0, 1)
+        s = IntervalSet.of(RationalInterval(0, 1)).difference(IntervalSet.point("1/2"))
+        assert s.closure() == IntervalSet.of(RationalInterval(0, 1))
 
 
 # a modest property check: difference and union are consistent
@@ -243,7 +243,7 @@ def systems(draw):
             out.append(dyn.AffineBranch(dom, -m, hi + m * dom.lo))
         else:
             out.append(dyn.AffineBranch(dom, m, lo - m * dom.lo))
-    return dyn.IntervalSystem(IntervalSet.closed(-2, 2), out)
+    return dyn.IntervalSystem(IntervalSet.of(RationalInterval(-2, 2)), out)
 
 
 TOUCHING = IntervalSet.of(iv(0, 1, True, False), iv(1, 2, False, True))
@@ -279,7 +279,7 @@ def test_system_images_are_canonical(sys_, s):
 
 @settings(max_examples=100)
 @given(interval_sets(), st.integers(min_value=0, max_value=4))
-@example(TOUCHING.closure().union(IntervalSet.closed(3, 4)), 3)
+@example(TOUCHING.closure().union(IntervalSet.of(RationalInterval(3, 4))), 3)
 def test_open_seeds_are_canonical(space, depth):
     space = space.closure()
     assume(not space.is_empty and space.min() < space.max())

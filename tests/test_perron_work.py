@@ -80,7 +80,7 @@ GOLDEN_MEAN_CANDIDATE = """\
 def _solve(name, bins, bracket):
     s = specfile.parse_spec(cells.generated_specs()[name])
     h = tr.TransferHandle.create(s.system, s.potential)
-    return th.solve_conformal(h, th.PotentialFunction.of(s.system, s.psi), bins=bins, bracket=bracket)
+    return th.solve_conformal(h, th.PotentialFunction(s.system, s.psi), bins=bins, bracket=bracket)
 
 
 @pytest.fixture(scope="module")

@@ -11,8 +11,7 @@ calls it" is no reason to keep a function (ROADMAP item 9).
 
 - ``replay``: replays a saved certificate, for a certificate check command;
 - ``oracle``: a direct or exact reference that tests hold faster code against;
-- ``claim``: checks a claim of the paper that no command reports yet;
-- ``api``: a public constructor that tests build with at many sites.
+- ``claim``: checks a claim of the paper that no command reports yet.
 
 The test fails when an unreached definition is not in ``KEPT``, and when a
 ``KEPT`` entry no longer exists or is now reached.  Delete the definition,
@@ -34,11 +33,9 @@ KEPT = {
     "transfer.ulam_matrix": "oracle",  # against the solver's bin matrices
     "thermo.check_positive_energy": "claim",
     "thermo.core_kms_check": "claim",
-    "intervals.IntervalSet.closed": "api",
-    "intervals.IntervalSet.measure": "api",
 }
 
-GROUPS = {"replay", "oracle", "claim", "api"}
+GROUPS = {"replay", "oracle", "claim"}
 
 
 def _is_command(node) -> bool:

@@ -36,11 +36,11 @@ def shift_basis():
 
 
 def hat():
-    return tr.TestFunction.hat(F(1, 2), F(1, 4))
+    return dyn.PiecewiseAffine.hat(F(1, 2), F(1, 4))
 
 
 def ident():
-    return tr.TestFunction.affine_on(RationalInterval(0, 1), 1, 0)
+    return dyn.PiecewiseAffine.affine_on(RationalInterval(0, 1), 1, 0)
 
 
 class TestOrbitBasis:
@@ -64,7 +64,7 @@ class TestOrbitBasis:
 
     def test_invalid_handle_refused(self):
         t = specfile.bundled("tent_std")
-        bad = dyn.IntervalPotential(pieces=((RationalInterval(0, 1), 0, F(1, 2)),))
+        bad = dyn.PiecewiseAffine(pieces=((RationalInterval(0, 1), 0, F(1, 2)),))
         h = tr.TransferHandle.create(t.system, bad)
         with pytest.raises(Exception):
             rep.OrbitBasis(h, 1, 4)
@@ -159,7 +159,7 @@ class TestExpectations:
         assert all(nd.point <= F(1, 2) for nd in b.nodes[1:])
         t = b.T()
         proj = t @ t.T
-        ind = tr.TestFunction.const_on(RationalInterval(0, F(1, 2)), 1)
+        ind = dyn.PiecewiseAffine.const_on(RationalInterval(0, F(1, 2)), 1)
         expect = b.pi(ind)
         # the root is the one node whose image point falls outside the tree
         mask = b.band(1, b.depth)

@@ -7,9 +7,9 @@ product battery (``relations``), and the nodes shallower than a degree
 (``iso-check``).  When each node read its fibre and its images itself, a
 ``relations`` cell made 504 ``dyn.preimages`` calls on tent_std and
 doubling, 315 on fullshift2 and 224 on golden_mean, with 3,276
-``TestFunction.value`` calls; an ``iso-check`` cell made 497
+test-function ``value`` calls; an ``iso-check`` cell made 497
 ``dyn.orbit_end`` calls on doubling, 460 on fullshift2 and 281 on
-golden_mean, with 1,588 ``TestFunction.value`` calls on doubling.  A
+golden_mean, with 1,588 test-function ``value`` calls on doubling.  A
 change that walks per node again fails here; one that lowers a count
 lowers its ceiling.
 """
@@ -37,21 +37,26 @@ ISO_VALUES = {"doubling": 186}
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts ``dyn.preimages``, ``dyn.orbit_end`` and ``TestFunction.value`` calls."""
+    """Counts ``dyn.preimages``, ``dyn.orbit_end`` and test-function ``value`` calls.
+
+    A test function is a ``PiecewiseAffine`` that reads zero off its pieces;
+    the weight reads of the same method are not counted.
+    """
     count = {}
 
-    def counting(owner, name):
+    def counting(owner, name, counts=lambda *args: True):
         orig = getattr(owner, name)
 
         def wrapped(*args):
-            count[name] = count.get(name, 0) + 1
+            if counts(*args):
+                count[name] = count.get(name, 0) + 1
             return orig(*args)
 
         monkeypatch.setattr(owner, name, wrapped)
 
     counting(dyn, "preimages")
     counting(dyn, "orbit_end")
-    counting(tr.TestFunction, "value")
+    counting(dyn.PiecewiseAffine, "value", lambda f, x: f.zero_outside)
     return count
 
 
@@ -80,6 +85,6 @@ def test_iso_check_reads_the_images_off_the_tree(tmp_path, calls, name):
 def test_the_counter_sees_every_call(calls):
     s = specfile.bundled("doubling")
     h = tr.TransferHandle.create(s.system, s.potential)
-    tr.apply(h, tr.TestFunction.hat(Q(1, 2), Q(1, 4)), Q(1, 3))  # one read per preimage of 1/3
+    tr.apply(h, dyn.PiecewiseAffine.hat(Q(1, 2), Q(1, 4)), Q(1, 3))  # one read per preimage of 1/3
     dyn.orbit_end(s.system, Q(1, 3), 2)
     assert calls == {"preimages": 1, "value": 2, "orbit_end": 1}

@@ -48,7 +48,7 @@ def test_minimal_scan_builds_canonical_sets_directly(tent, built, depth):
 def test_the_counter_sees_every_call(built):
     piece = RationalInterval(0, 1)
     IntervalSet([piece])
-    IntervalSet.of(piece)
+    unit = IntervalSet.of(piece)
     IntervalSet.points([0, 1])
-    IntervalSet.closed(0, 1).difference(IntervalSet.point(0))  # one, in difference
+    unit.difference(IntervalSet.point(0))  # one, in difference
     assert built[0] == 4

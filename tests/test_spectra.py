@@ -15,9 +15,9 @@ from xferop.intervals import IntervalSet, RationalInterval
 class TestLevelSets:
     def test_positive_iterate_tent_half(self, tent_half):
         s = tent_half
-        assert spectra.positive_iterate(s.system, s.potential, 1) == IntervalSet.closed(0, F(1, 2))
-        assert spectra.positive_iterate(s.system, s.potential, 2) == IntervalSet.closed(0, F(1, 4))
-        assert spectra.level_space(s.system, s.potential, 2) == IntervalSet.closed(0, 1)
+        assert spectra.positive_iterate(s.system, s.potential, 1) == IntervalSet.of(RationalInterval(0, F(1, 2)))
+        assert spectra.positive_iterate(s.system, s.potential, 2) == IntervalSet.of(RationalInterval(0, F(1, 4)))
+        assert spectra.level_space(s.system, s.potential, 2) == IntervalSet.of(RationalInterval(0, 1))
 
     def test_positive_iterate_halving(self):
         s = specfile.bundled("halving")
@@ -35,7 +35,7 @@ class TestLevelSets:
 class TestSpectrumKn:
     def test_tent_level_one(self, tent):
         st, pts = spectra.spectrum_Kn(tent.system, tent.potential, 1, samples=[1, 0])
-        assert st == IntervalSet.closed(0, 1)
+        assert st == IntervalSet.of(RationalInterval(0, 1))
         dims = {p.base: p.dimension for p in pts}
         assert dims[F(1)] == 1 and dims[F(0)] == 2
 
@@ -44,11 +44,11 @@ class TestSpectrumKn:
         st, pts = spectra.spectrum_Kn(
             s.system, s.potential, 1, samples=[0, F(1, 3), F(7, 8), 1]
         )
-        assert st == IntervalSet.closed(0, 1)
+        assert st == IntervalSet.of(RationalInterval(0, 1))
         assert all(p.dimension == 1 for p in pts)
 
     def test_zero_weight_empty_spectrum(self, tent):
-        dead = dyn.IntervalPotential(pieces=((RationalInterval(0, 1), 0, 0),))
+        dead = dyn.PiecewiseAffine(pieces=((RationalInterval(0, 1), 0, 0),))
         st, pts = spectra.spectrum_Kn(tent.system, dead, 1)
         assert st.is_empty and pts == ()
 
@@ -63,7 +63,7 @@ class TestSpectrumAn:
         d = spectra.spectrum_An(tent.system, tent.potential, 3)
         for k in range(3):
             assert d.strata[k] == IntervalSet.point(F(1, 2))
-        assert d.strata[3] == IntervalSet.closed(0, 1)
+        assert d.strata[3] == IntervalSet.of(RationalInterval(0, 1))
         inner = {p.level: p.dimension for p in d.sampled_points if p.stratum == "interior"}
         assert inner == {0: 1, 1: 2, 2: 4}
         assert d.warnings  # discontinuous weight: gluing data is a lower bound
@@ -109,8 +109,8 @@ class TestSpectrumAn:
     def test_tent_half_gluing(self, tent_half):
         s = tent_half
         d = spectra.spectrum_An(s.system, s.potential, 1)
-        assert d.strata[0] == IntervalSet.closed(F(1, 2), 1)
-        assert d.strata[1] == IntervalSet.closed(0, 1)
+        assert d.strata[0] == IntervalSet.of(RationalInterval(F(1, 2), 1))
+        assert d.strata[1] == IntervalSet.of(RationalInterval(0, 1))
         assert d.warnings
         seam = [g for g in d.topology_generators if g.sets[0].contains(F(1, 2))]
         assert seam
@@ -226,7 +226,7 @@ def _scanned_warning(system, pot):
 def _tent(pot):
     sys_ = dyn.PartialSystem(
         dyn.IntervalSystem(
-            IntervalSet.closed(0, 1),
+            IntervalSet.of(RationalInterval(0, 1)),
             [
                 dyn.AffineBranch(RationalInterval(0, F(1, 2)), 2, 0),
                 dyn.AffineBranch(RationalInterval(F(1, 2), 1), -2, 2),
@@ -238,11 +238,11 @@ def _tent(pot):
 
 HAND_BUILT = {
     # an override jump inside the one piece, off every branch seam
-    "override": dyn.IntervalPotential(
+    "override": dyn.PiecewiseAffine(
         pieces=((RationalInterval(0, 1), 0, F(1, 2)),), overrides=((F(1, 4), 1),)
     ),
     # a jump at the branch seam 1/2
-    "seam": dyn.IntervalPotential(
+    "seam": dyn.PiecewiseAffine(
         pieces=(
             (RationalInterval(0, F(1, 2)), 0, 1),
             (RationalInterval(F(1, 2), 1, False, True), 0, F(1, 2)),
@@ -287,9 +287,9 @@ class TestDiscontinuityWarning:
         # validation, and quasi_orbits refuses it as spectrum_An does
         half = RationalInterval(0, F(1, 2))
         sys_ = dyn.PartialSystem(
-            dyn.IntervalSystem(IntervalSet.closed(0, 1), [dyn.AffineBranch(half, 2, 0)]),
+            dyn.IntervalSystem(IntervalSet.of(RationalInterval(0, 1)), [dyn.AffineBranch(half, 2, 0)]),
         )
-        pot = dyn.IntervalPotential(pieces=((RationalInterval(0, F(1, 4)), 0, 1),))
+        pot = dyn.PiecewiseAffine(pieces=((RationalInterval(0, F(1, 4)), 0, 1),))
         with pytest.raises(NotValidated, match="quasi-orbits require a validated transfer operator"):
             spectra.quasi_orbits(sys_, pot, 2, [F(1, 8)])
         with pytest.raises(NotValidated):

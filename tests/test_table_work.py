@@ -42,8 +42,8 @@ WALKS = ("preimages", "orbit_end", "cocycle_or_none", "birkhoff_or_none", "quadr
 def solved():
     spec = specfile.bundled("tent_std")
     (comp,) = spec.system.ival.space.intervals
-    energy = dyn.IntervalPotential(((comp, Q(1), Q(0)),), allow_negative=True)
-    psi = th.PotentialFunction.of(spec.system, energy)
+    energy = dyn.PiecewiseAffine(((comp, Q(1), Q(0)),), allow_negative=True)
+    psi = th.PotentialFunction(spec.system, energy)
     handle = tr.TransferHandle.create(spec.system, spec.potential)
     return handle, psi, th.solve_conformal(handle, psi, bins=BINS, bracket=(0.5, 6.0))
 

@@ -49,38 +49,38 @@ def tv_distance(mu1, mu2):
 
 
 def _psi_exp(psi, beta, x):
-    return math.exp(beta * float(psi.value(x)))
+    return math.exp(beta * float(psi.carrier.value(x)))
 
 
 def _psi_affine(system, slope, intercept):
-    pot = dyn.IntervalPotential(
+    pot = dyn.PiecewiseAffine(
         pieces=((UNIT, F(slope), F(intercept)),), allow_negative=True
     )
-    return th.PotentialFunction.of(system, pot)
+    return th.PotentialFunction(system, pot)
 
 
 class TestPotentialFunction:
     def test_const_interval(self, tent, psi_one):
-        assert psi_one.constant_value() == 1
-        assert psi_one.value(F(1, 3)) == 1
+        assert psi_one.carrier.constant_value() == 1
+        assert psi_one.carrier.value(F(1, 3)) == 1
 
     def test_birkhoff_sums_along_orbit(self, tent):
         psi = _psi_affine(tent.system, 1, 0)
         # orbit of 1/8 under the tent: 1/8 -> 1/4
         assert psi.birkhoff(F(1, 8), 2) == F(1, 8) + F(1, 4)
         assert psi.birkhoff(F(1, 8), 0) == 0
-        assert psi.constant_value() is None
+        assert psi.carrier.constant_value() is None
 
     def test_coverage_required(self, tent):
-        pot = dyn.IntervalPotential(
+        pot = dyn.PiecewiseAffine(
             pieces=((RationalInterval(F(0), F(1, 2)), F(0), F(1)),),
             allow_negative=True,
         )
         with pytest.raises(ValidationError):
-            th.PotentialFunction.of(tent.system, pot)
+            th.PotentialFunction(tent.system, pot)
 
     def test_jump_rejected(self, tent):
-        pot = dyn.IntervalPotential(
+        pot = dyn.PiecewiseAffine(
             pieces=(
                 (RationalInterval(F(0), F(1, 2), True, False), F(0), F(0)),
                 (RationalInterval(F(1, 2), F(1)), F(0), F(1)),
@@ -88,38 +88,38 @@ class TestPotentialFunction:
             allow_negative=True,
         )
         with pytest.raises(ValidationError):
-            th.PotentialFunction.of(tent.system, pot)
+            th.PotentialFunction(tent.system, pot)
 
     def test_overrides_rejected(self, tent):
-        pot = dyn.IntervalPotential(
+        pot = dyn.PiecewiseAffine(
             pieces=((UNIT, F(0), F(1)),),
             overrides=((F(1, 2), F(1)),),
             allow_negative=True,
         )
         with pytest.raises(ValidationError):
-            th.PotentialFunction.of(tent.system, pot)
+            th.PotentialFunction(tent.system, pot)
 
     def test_backend_mismatch(self, tent, loop1):
         s, _ = loop1
         with pytest.raises(ValidationError):
-            th.PotentialFunction.of(tent.system, dyn.GraphPotential(weights=(("e", F(1)),)))
+            th.PotentialFunction(tent.system, dyn.GraphPotential(weights=(("e", F(1)),)))
 
     def test_graph_needs_every_edge(self, loop1):
         s, _ = loop1
         with pytest.raises(ValidationError):
-            th.PotentialFunction.of(
+            th.PotentialFunction(
                 s.system, dyn.GraphPotential(weights=(), allow_negative=True)
             )
 
     def test_graph_refuses_an_unknown_edge(self, shift2):
         pot = dyn.GraphPotential((("e0", F(1)), ("e1", F(1)), ("zz", F(5))), allow_negative=True)
         with pytest.raises(ValidationError, match="^weight names unknown edge zz$"):
-            th.PotentialFunction.of(shift2.system, pot)
+            th.PotentialFunction(shift2.system, pot)
 
     @pytest.mark.parametrize("name", specfile.BUNDLED)
     def test_value_is_the_weight(self, name):
         s = specfile.bundled(name)
-        psi = th.PotentialFunction.of(s.system, s.psi)
+        psi = th.PotentialFunction(s.system, s.psi)
         if s.system.backend == "graph":
             pts = s.system.gph.words(1) + s.system.gph.words(2)
         else:
@@ -128,7 +128,7 @@ class TestPotentialFunction:
             pts = [x for x in pts if delta.contains(x)]
         assert pts
         for x in pts:
-            assert psi.value(x) == s.psi.value(x)
+            assert psi.carrier.value(x) == s.psi.value(x)
 
     @pytest.mark.parametrize("name", specfile.BUNDLED)
     @pytest.mark.parametrize("energy, expected", [("one", 1), ("zero", 0), ("spec", 1)])
@@ -136,32 +136,31 @@ class TestPotentialFunction:
         # every bundled spec declares the energy one
         s = specfile.bundled(name)
         if energy == "spec":
-            psi = th.PotentialFunction.of(s.system, s.psi)
+            psi = th.PotentialFunction(s.system, s.psi)
         else:
             psi = th.PotentialFunction.const(s.system, expected)
-        kind = dyn.GraphPotential if s.system.backend == "graph" else dyn.IntervalPotential
+        kind = dyn.GraphPotential if s.system.backend == "graph" else dyn.PiecewiseAffine
         assert type(psi.carrier) is kind
-        assert psi.carrier.constant_value() == psi.constant_value() == expected
+        assert psi.carrier.constant_value() == expected
 
     def test_varying_energy_has_no_constant_value(self, tent, shift2):
         graph = dyn.GraphPotential((("e0", F(1)), ("e1", F(2))), allow_negative=True)
-        for psi in (_psi_affine(tent.system, 1, 0), th.PotentialFunction.of(shift2.system, graph)):
+        for psi in (_psi_affine(tent.system, 1, 0), th.PotentialFunction(shift2.system, graph)):
             assert psi.carrier.constant_value() is None
-            assert psi.constant_value() is None
 
     def test_graph_values(self, loop1):
         s, _ = loop1
         psi = th.PotentialFunction.const(s.system, F(3, 2))
         p = s.system.gph.path_point(("e", "e"))
-        assert psi.value(p) == F(3, 2)
+        assert psi.carrier.value(p) == F(3, 2)
         assert psi.birkhoff(p, 2) == 3
         with pytest.raises(OutOfDomain):
-            psi.value(s.system.gph.vertex_point("v"))
+            psi.carrier.value(s.system.gph.vertex_point("v"))
 
 
 class TestSigmaAction:
     def test_lambda_zero_is_identity(self, tent, psi_one):
-        hat = tr.TestFunction.hat(F(1, 4), F(1, 4), 1)
+        hat = dyn.PiecewiseAffine.hat(F(1, 4), F(1, 4), 1)
         mon = rep.Monomial(hat, 2, 1, hat)
         tw = th.sigma_action(mon, 0.0, psi_one)
         for x in (F(1, 8), F(1, 4), F(3, 8)):
@@ -181,10 +180,10 @@ class TestSigmaAction:
     def test_imaginary_parameter_damps_by_energy(self, tent, psi_one):
         # at lambda = i*beta and unit energy the generator side picks up e^-beta
         beta = 0.9
-        mon = rep.Monomial(tr.TestFunction.const_on(UNIT, 1), 1, 0, None)
+        mon = rep.Monomial(dyn.PiecewiseAffine.const_on(UNIT, 1), 1, 0, None)
         tw = th.sigma_action(mon, complex(0, beta), psi_one)
         assert abs(tw.left_value(F(1, 3)) - math.exp(-beta)) <= 1e-15
-        mon2 = rep.Monomial(None, 0, 1, tr.TestFunction.const_on(UNIT, 1))
+        mon2 = rep.Monomial(None, 0, 1, dyn.PiecewiseAffine.const_on(UNIT, 1))
         tw2 = th.sigma_action(mon2, complex(0, beta), psi_one)
         assert abs(tw2.right_value(F(1, 3)) - math.exp(beta)) <= 1e-15
 
@@ -250,7 +249,7 @@ class TestGridFunctions:
     stand for on the open cells, away from the finitely many nodes."""
 
     def test_transfer_grid_matches_pointwise_apply(self, tent_handle):
-        a = tr.TestFunction.hat(F(1, 4), F(1, 8), 1)
+        a = dyn.PiecewiseAffine.hat(F(1, 4), F(1, 8), 1)
         g = th._fiber_grid(tent_handle, a)
         for k in range(32):
             y = F(2 * k + 1, 64)
@@ -258,8 +257,8 @@ class TestGridFunctions:
 
     def test_fiber_sum_grid_matches_bare_sums(self, tent_handle):
         sys_ = tent_handle.system.ival
-        a = tr.TestFunction.hat(F(3, 8), F(1, 8), 1)
-        unit = tr.TransferHandle.create(tent_handle.system, dyn.IntervalPotential(((UNIT, 0, 1),)))
+        a = dyn.PiecewiseAffine.hat(F(3, 8), F(1, 8), 1)
+        unit = tr.TransferHandle.create(tent_handle.system, dyn.PiecewiseAffine(((UNIT, 0, 1),)))
         g = th._fiber_grid(unit, a)
         for k in range(24):
             y = F(2 * k + 1, 48)
@@ -267,9 +266,9 @@ class TestGridFunctions:
 
     def test_grid_product(self, tent_handle):
         carrier = UNIT
-        hat = tr.TestFunction.hat(F(1, 2), F(1, 2), 1)
-        a = th._fn_grid(hat, carrier)
-        b = th._pot_grid(tent_handle.potential, carrier)
+        hat = dyn.PiecewiseAffine.hat(F(1, 2), F(1, 2), 1)
+        a = th._grid(hat, carrier)
+        b = th._grid(tent_handle.potential, carrier)
         p = th._grid_product(a, b)
         for x in (F(1, 8), F(3, 8), F(5, 8), F(7, 8)):
             assert _on_cell(p, x) == _on_cell(a, x) * _on_cell(b, x)
@@ -286,10 +285,10 @@ class TestConformalResidual:
     def test_lebesgue_at_log_two_is_exact(self, tent_handle, psi_one):
         mu = uniform_ulam(tent_handle, 64)
         fns = [
-            tr.TestFunction.const_on(UNIT, 1),
-            tr.TestFunction.hat(F(1, 2), F(1, 2), 1),
-            tr.TestFunction.hat(F(1, 4), F(1, 4), 1),
-            tr.TestFunction.affine_on(UNIT, 1, 0),
+            dyn.PiecewiseAffine.const_on(UNIT, 1),
+            dyn.PiecewiseAffine.hat(F(1, 2), F(1, 2), 1),
+            dyn.PiecewiseAffine.hat(F(1, 4), F(1, 4), 1),
+            dyn.PiecewiseAffine.affine_on(UNIT, 1, 0),
         ]
         r = th.conformal_residual(tent_handle, psi_one, LN2, mu, fns)
         assert r.kind == "conformal" and len(r.rows) == 4
@@ -297,21 +296,21 @@ class TestConformalResidual:
 
     def test_wrong_beta_detected(self, tent_handle, psi_one):
         mu = uniform_ulam(tent_handle, 64)
-        ones = [tr.TestFunction.const_on(UNIT, 1)]
+        ones = [dyn.PiecewiseAffine.const_on(UNIT, 1)]
         r = th.conformal_residual(tent_handle, psi_one, 1.0, mu, ones)
         # both sides are exact integrals: lhs 1, rhs e/2
         assert abs(r.max_residual - (math.e / 2 - 1)) <= 1e-12
 
     def test_point_mass_fails_on_separating_hat(self, tent_handle, psi_one):
         mu = tr.AtomicMeasure(((F(1, 4), F(1)),))
-        hat = tr.TestFunction.hat(F(1, 4), F(1, 16), 1)
+        hat = dyn.PiecewiseAffine.hat(F(1, 4), F(1, 16), 1)
         r = th.conformal_residual(tent_handle, psi_one, LN2, mu, [hat])
         assert abs(r.max_residual - 1.0) <= 1e-12
         assert r.max_residual >= 0.1
 
     def test_zero_function_gives_zero(self, tent_handle, psi_one):
         mu = uniform_ulam(tent_handle, 16)
-        z = tr.TestFunction.const_on(UNIT, 0)
+        z = dyn.PiecewiseAffine.const_on(UNIT, 0)
         r = th.conformal_residual(tent_handle, psi_one, LN2, mu, [z])
         assert r.max_residual == 0.0
 
@@ -319,7 +318,7 @@ class TestConformalResidual:
         psi = _psi_affine(tent_handle.system, 1, 0)
         mu = uniform_ulam(tent_handle, 256)
         beta = 0.7
-        r = th.conformal_residual(tent_handle, psi, beta, mu, [tr.TestFunction.const_on(UNIT, 1)])
+        r = th.conformal_residual(tent_handle, psi, beta, mu, [dyn.PiecewiseAffine.const_on(UNIT, 1)])
         predicted = abs(1.0 - (math.exp(beta) - 1) / (2 * beta))
         # composite midpoint at 256 bins carries ~1e-8 of quadrature error
         assert abs(r.max_residual - predicted) <= 5e-8
@@ -330,7 +329,7 @@ class TestConformalResidual:
         # base * e^(-beta n)
         beta = 0.8
         psi = _psi_affine(tent_handle.system, 1, 0)
-        a = tr.TestFunction.hat(F(1, 4), F(1, 8), 1)
+        a = dyn.PiecewiseAffine.hat(F(1, 4), F(1, 8), 1)
         base = 1.0 / math.fsum(2**n * math.exp(-beta * n) for n in range(8))
         atoms, level = [], [F(1, 2)]
         for n in range(8):
@@ -348,7 +347,7 @@ class TestConformalResidual:
 
     def test_float_protocol(self, tent_handle, psi_one):
         mu = uniform_ulam(tent_handle, 16)
-        r = th.conformal_residual(tent_handle, psi_one, LN2, mu, [tr.TestFunction.const_on(UNIT, 1)])
+        r = th.conformal_residual(tent_handle, psi_one, LN2, mu, [dyn.PiecewiseAffine.const_on(UNIT, 1)])
         assert float(r) == r.max_residual
 
     @pytest.mark.parametrize("order", [1, -1])
@@ -416,14 +415,14 @@ def _shifted_step(k):
 def _psi_kinked(system):
     """Energy 3x on [0, 1/3] and 1 on [1/3, 1]: the kink cuts bins."""
     third = F(1, 3)
-    pot = dyn.IntervalPotential(
+    pot = dyn.PiecewiseAffine(
         pieces=(
             (RationalInterval(F(0), third), F(3), F(0)),
             (RationalInterval(third, F(1), False, True), F(0), F(1)),
         ),
         allow_negative=True,
     )
-    return th.PotentialFunction.of(system, pot)
+    return th.PotentialFunction(system, pot)
 
 
 class TestRuelleUlam:
@@ -467,7 +466,7 @@ class TestRuelleUlam:
         # at beta = 0 the weight exp(-beta*energy) is 1, so k is the float of
         # transfer.ulam_matrix for the unit weight, the exact reference
         s = specfile.bundled(spec)
-        unit = tr.TransferHandle.create(s.system, dyn.IntervalPotential(((UNIT, 0, 1),)))
+        unit = tr.TransferHandle.create(s.system, dyn.PiecewiseAffine(((UNIT, 0, 1),)))
         ops = th._RuelleUlam(unit, _psi_kinked(s.system), bins)
         exact = np.array(tr.ulam_matrix(unit, bins), dtype=float)
         np.testing.assert_allclose(ops.dense(0.0), exact, rtol=1e-12, atol=1e-15)
@@ -497,7 +496,7 @@ class TestRuelleUlam:
         # mass(Z(e)) is the source vertex's entry times exp(-beta * energy(e))
         s = specfile.bundled("loops2")
         energy = dyn.GraphPotential((("a", F(1)), ("b", F(2))), allow_negative=True)
-        ops = th._RuelleGraph(s.system, th.PotentialFunction.of(s.system, energy))
+        ops = th._RuelleGraph(s.system, th.PotentialFunction(s.system, energy))
         mu = ops.eigenmeasure(np.array([1.0, 3.0]), 0.5)
         a, b = F(1.0) * F(math.exp(-0.5)), F(3.0) * F(math.exp(-1.0))
         assert [(str(p), m) for p, m in mu.atoms] == [("a@u", a / (a + b)), ("b@v", b / (a + b))]
@@ -703,10 +702,10 @@ def _bare_pair(handle, mu, beta, psi, m1, m2, pts):
 def _bare_conformal_rhs(handle, psi, beta, mu, a):
     """Right side of an eigen-measure row; the left side is an exact grid integral."""
     pot = handle.potential
-    cval = psi.constant_value()
+    cval = psi.carrier.constant_value()
     if cval is not None:
         carrier = th._single_component(handle.system)
-        prod = th._grid_product(th._fn_grid(a, carrier), th._pot_grid(pot, carrier))
+        prod = th._grid_product(th._grid(a, carrier), th._grid(pot, carrier))
         return math.exp(beta * float(cval)) * float(_int_ulam_grid(mu, prod))
     return _bare_integrate(
         mu,
@@ -802,8 +801,8 @@ class TestStateTables:
         basis = rep.OrbitBasis(tent_handle, 1, 4)
         mu = tr.AtomicMeasure(tuple((nd.point, F(1, len(basis.nodes))) for nd in basis.nodes))
         psi = _psi_affine(tent_handle.system, 1, 0)
-        hat = tr.TestFunction.hat(F(1, 4), F(1, 4), 1)
-        m1 = rep.Monomial(hat, 1, 1, tr.TestFunction.affine_on(UNIT, 1, 0))
+        hat = dyn.PiecewiseAffine.hat(F(1, 4), F(1, 4), 1)
+        m1 = rep.Monomial(hat, 1, 1, dyn.PiecewiseAffine.affine_on(UNIT, 1, 0))
         m2 = rep.Monomial(None, 2, 2, hat)
         for e in (psi_one, psi):
             assert th._kms_pair(th._StateTable(tent_handle, mu, e, 0.7), m1, m2, 1) == _bare_pair(
@@ -874,7 +873,7 @@ class TestColumnarFloatOrder:
     def test_product_is_w_times_a_times_mid_times_d(self):
         # a weight of 3/10 is no power of two, so every association rounds on its own
         s = specfile.bundled("doubling")
-        h = tr.TransferHandle.create(s.system, dyn.IntervalPotential(((UNIT, 0, F(3, 10)),)))
+        h = tr.TransferHandle.create(s.system, dyn.PiecewiseAffine(((UNIT, 0, F(3, 10)),)))
         atoms = tuple((F(k, 67), 1) for k in range(1, 65))
         tab = th._StateTable(h, tr.AtomicMeasure(atoms), _psi_affine(s.system, 1, 0), 0.7)
         ids, _ = tab.quad(1)
@@ -945,7 +944,7 @@ class TestOverflow:
         # exp(beta*energy), exp(-i lam S_n) and exp(-beta*S_n) each overflow at |beta| = 800
         psi = _psi_affine(tent_handle.system, 1, 0)
         mu = _random_ulam(16, 1)
-        a = tr.TestFunction.hat(F(1, 2), F(1, 2), 1)
+        a = dyn.PiecewiseAffine.hat(F(1, 2), F(1, 2), 1)
         message = r"^exp\(-beta\*energy\) overflows at beta=800.0; the state integrals are not finite$"
         with pytest.raises(ValidationError, match=message):
             th.conformal_residual(tent_handle, psi, 800.0, mu, [a])
@@ -1000,7 +999,7 @@ class TestSolveConformal:
 
     def test_candidate_satisfies_residual_check(self, tent_handle, psi_one):
         cand = th.solve_conformal(tent_handle, psi_one, bins=256, bracket=(0.1, 3.0))
-        fns = [tr.TestFunction.hat(F(1, 2), F(1, 2), 1), tr.TestFunction.const_on(UNIT, 1)]
+        fns = [dyn.PiecewiseAffine.hat(F(1, 2), F(1, 2), 1), dyn.PiecewiseAffine.const_on(UNIT, 1)]
         r = th.conformal_residual(tent_handle, psi_one, cand.beta, cand.mu, fns)
         assert r.max_residual <= 1e-9
 
@@ -1009,8 +1008,8 @@ class TestSolveConformal:
         cand = th.solve_conformal(tent_handle, psi, bins=256, bracket=(0.5, 6.0))
         assert abs(cand.beta - 3.2668447624891996) <= 1e-9
         fns = [
-            tr.TestFunction.const_on(UNIT, 1),
-            tr.TestFunction.hat(F(1, 2), F(1, 2), 1),
+            dyn.PiecewiseAffine.const_on(UNIT, 1),
+            dyn.PiecewiseAffine.hat(F(1, 2), F(1, 2), 1),
         ]
         r = th.conformal_residual(tent_handle, psi, cand.beta, cand.mu, fns)
         assert r.max_residual <= F(5, 256)
@@ -1034,7 +1033,7 @@ class TestSolveConformal:
             "psi_weights": {"aa": "3000000", "ab": "6000000", "ba": "4500000"},
         })
         h = tr.TransferHandle.create(s.system, s.potential)
-        psi = th.PotentialFunction.of(s.system, s.psi)
+        psi = th.PotentialFunction(s.system, s.psi)
         cand = th.solve_conformal(h, psi, bracket=(1e-8, 3e-7))
         ops = th._RuelleGraph(s.system, psi)
         root = ops.perron(cand.beta)
@@ -1134,10 +1133,10 @@ class TestSolveConformal:
     def test_flat_root_at_one_returns_degenerate_candidate(self):
         ident = dyn.PartialSystem(
             dyn.IntervalSystem(
-                IntervalSet.closed(0, 1), [dyn.AffineBranch(UNIT, F(1), F(0))]
+                IntervalSet.of(RationalInterval(0, 1)), [dyn.AffineBranch(UNIT, F(1), F(0))]
             ),
         )
-        pot = dyn.IntervalPotential(pieces=((UNIT, F(0), F(1)),))
+        pot = dyn.PiecewiseAffine(pieces=((UNIT, F(0), F(1)),))
         h = tr.TransferHandle.create(ident, pot)
         psi0 = th.PotentialFunction.const(ident, 0)
         cand = th.solve_conformal(h, psi0, bins=32, bracket=(0.1, 3.0))
@@ -1173,7 +1172,7 @@ class TestKmsChecks:
         # phi(a T T* . T T*) = integral of a * rho = 1/8 for this hat, and
         # the exchange identity keeps both sides there
         mu = uniform_ulam(tent_handle, 256)
-        hat = tr.TestFunction.hat(F(1, 4), F(1, 4), 1)
+        hat = dyn.PiecewiseAffine.hat(F(1, 4), F(1, 4), 1)
         m1 = rep.Monomial(hat, 1, 1, None)
         m2 = rep.Monomial(None, 1, 1, None)
         lhs, rhs = th._kms_pair(th._StateTable(tent_handle, mu, psi_one, LN2), m1, m2, 1)
@@ -1182,7 +1181,7 @@ class TestKmsChecks:
 
     def test_unbalanced_pair_vanishes_on_both_sides(self, tent_handle, psi_one):
         mu = uniform_ulam(tent_handle, 64)
-        m1 = rep.Monomial(tr.TestFunction.const_on(UNIT, 1), 1, 0, None)
+        m1 = rep.Monomial(dyn.PiecewiseAffine.const_on(UNIT, 1), 1, 0, None)
         lhs, rhs = th._kms_pair(th._StateTable(tent_handle, mu, psi_one, LN2), m1, m1, 1)
         assert lhs == 0.0 and rhs == 0.0
 
@@ -1193,10 +1192,10 @@ class TestKmsChecks:
         n = len(basis.nodes)
         mu = tr.AtomicMeasure(tuple((nd.point, F(1, n)) for nd in basis.nodes))
         mon = rep.Monomial(
-            tr.TestFunction.hat(F(1, 4), F(1, 4), 1),
+            dyn.PiecewiseAffine.hat(F(1, 4), F(1, 4), 1),
             1,
             1,
-            tr.TestFunction.affine_on(UNIT, 1, 0),
+            dyn.PiecewiseAffine.affine_on(UNIT, 1, 0),
         )
         unit = rep.Monomial(None, 0, 0, None)
         lhs, rhs = th._kms_pair(th._StateTable(tent_handle, mu, psi_one, 0.0), mon, unit, 1)
@@ -1223,21 +1222,21 @@ class TestKmsChecks:
 
     def test_core_check_level_zero_is_trivial(self, tent_handle, psi_one):
         mu = uniform_ulam(tent_handle, 64)
-        a = tr.TestFunction.hat(F(1, 2), F(1, 4), 1)
-        b = tr.TestFunction.const_on(UNIT, 1)
+        a = dyn.PiecewiseAffine.hat(F(1, 2), F(1, 4), 1)
+        b = dyn.PiecewiseAffine.const_on(UNIT, 1)
         assert th.core_kms_check(tent_handle, mu, LN2, psi_one, a, b, 0) == 0.0
 
     def test_core_check_higher_levels(self, tent_handle, psi_one):
         mu = uniform_ulam(tent_handle, 256)
-        a = tr.TestFunction.hat(F(1, 2), F(1, 4), 1)
-        b = tr.TestFunction.const_on(UNIT, 1)
+        a = dyn.PiecewiseAffine.hat(F(1, 2), F(1, 4), 1)
+        b = dyn.PiecewiseAffine.const_on(UNIT, 1)
         for n in (1, 2):
             assert th.core_kms_check(tent_handle, mu, LN2, psi_one, a, b, n) <= 1e-12
 
     def test_core_check_detects_wrong_beta(self, tent_handle, psi_one):
         mu = uniform_ulam(tent_handle, 256)
-        a = tr.TestFunction.const_on(UNIT, 1)
-        b = tr.TestFunction.const_on(UNIT, 1)
+        a = dyn.PiecewiseAffine.const_on(UNIT, 1)
+        b = dyn.PiecewiseAffine.const_on(UNIT, 1)
         # lhs carries the branch weight 1/2, rhs the damped fiber sum e^-beta
         gap = th.core_kms_check(tent_handle, mu, 1.5, psi_one, a, b, 1)
         assert abs(gap - (0.5 - math.exp(-1.5))) <= 1e-12
@@ -1308,7 +1307,7 @@ class TestMarkovOracle:
     def test_beta_is_log_golden_ratio(self, bins):
         s = _cantor_markov()
         h = tr.TransferHandle.create(s.system, s.potential)
-        cand = th.solve_conformal(h, th.PotentialFunction.of(s.system, s.psi), bins=bins)
+        cand = th.solve_conformal(h, th.PotentialFunction(s.system, s.psi), bins=bins)
         beta = math.log((1 + math.sqrt(5)) / 2)
         slope = math.exp(-beta) + 2 * math.exp(-2 * beta)  # |r'(beta)|
         assert abs(cand.beta - beta) <= 1e-10 / slope
@@ -1319,5 +1318,5 @@ class TestMarkovOracle:
         # taken with them cut (``_cut_lower``)
         s = _cantor_markov()
         h = tr.TransferHandle.create(s.system, s.potential)
-        cand = th.solve_conformal(h, th.PotentialFunction.of(s.system, s.psi), bins=bins)
+        cand = th.solve_conformal(h, th.PotentialFunction(s.system, s.psi), bins=bins)
         assert cand.beta_lo < math.log((1 + math.sqrt(5)) / 2) < cand.beta_hi

@@ -20,7 +20,7 @@ class TestValidate:
         assert v.valid and v.norm == 1 and v.defects == ()
 
     def test_seam_without_override_is_fatal(self, tent):
-        pot = dyn.IntervalPotential(pieces=((RationalInterval(0, 1), 0, F(1, 2)),))
+        pot = dyn.PiecewiseAffine(pieces=((RationalInterval(0, 1), 0, F(1, 2)),))
         v = tr.validate(tent.system, pot)
         assert not v.valid
         (d,) = v.defects
@@ -46,7 +46,7 @@ class TestValidate:
     def test_halving_needs_taper(self):
         s = specfile.bundled("halving")
         assert tr.validate(s.system, s.potential).valid
-        flat = dyn.IntervalPotential(pieces=((RationalInterval(0, 1), 0, 1),))
+        flat = dyn.PiecewiseAffine(pieces=((RationalInterval(0, 1), 0, 1),))
         v = tr.validate(s.system, flat)
         assert not v.valid
         assert any(d.kind == "missing_arrival" and d.x0 == 1 for d in v.defects)
@@ -75,7 +75,7 @@ class TestValidate:
             tr.validate(system, pot)
 
     def test_require_valid_raises(self, tent):
-        pot = dyn.IntervalPotential(pieces=((RationalInterval(0, 1), 0, F(1, 2)),))
+        pot = dyn.PiecewiseAffine(pieces=((RationalInterval(0, 1), 0, F(1, 2)),))
         h = tr.TransferHandle.create(tent.system, pot)
         with pytest.raises(NotValidated):
             h.require_valid()
@@ -88,13 +88,13 @@ def _sp(name):
 
 class TestApply:
     def test_unit_is_fixed(self, tent_handle):
-        one = tr.TestFunction.const_on(RationalInterval(0, 1), 1)
+        one = dyn.PiecewiseAffine.const_on(RationalInterval(0, 1), 1)
         for k in range(9):
             assert tr.apply(tent_handle, one, F(k, 8)) == 1
         assert tr.apply(tent_handle, one, 1, n=5) == 1
 
     def test_hat_against_hand_sum(self, tent_handle, tent):
-        hat = tr.TestFunction.hat(F(1, 2), F(1, 4))
+        hat = dyn.PiecewiseAffine.hat(F(1, 2), F(1, 4))
         assert tr.apply(tent_handle, hat, 1) == 1
         # generic point: both fiber weights are 1/2
         y = F(3, 8)
@@ -133,17 +133,17 @@ class TestApply:
 
 class TestFunctions:
     def test_hat_shape(self):
-        hat = tr.TestFunction.hat(F(1, 2), F(1, 4), 2)
+        hat = dyn.PiecewiseAffine.hat(F(1, 2), F(1, 4), 2)
         assert hat.value(F(1, 2)) == 2
         assert hat.value(F(3, 8)) == 1
         assert hat.value(F(1, 4)) == 0
         assert hat.value(F(9, 10)) == 0
         support = IntervalSet(iv.closure() for iv, m, c in hat.pieces if (m, c) != (0, 0))
-        assert support == IntervalSet.closed(F(1, 4), F(3, 4))
+        assert support == IntervalSet.of(RationalInterval(F(1, 4), F(3, 4)))
 
     def test_disagreeing_pieces_rejected(self):
         with pytest.raises(ValidationError):
-            tr.TestFunction(
+            dyn.PiecewiseAffine.zero_off(
                 pieces=(
                     (RationalInterval(0, F(1, 2)), 0, 1),
                     (RationalInterval(F(1, 2), 1), 0, 2),
@@ -235,7 +235,7 @@ class TestPieceLookup:
         if name == "seam":
             # touching pieces that disagree, settled by an override
             half = F(1, 2)
-            pots = [dyn.IntervalPotential(
+            pots = [dyn.PiecewiseAffine(
                 ((RationalInterval(0, half), 0, 1), (RationalInterval(half, 1), 1, 1)),
                 overrides=((half, F(7, 4)),),
             )]

@@ -293,14 +293,14 @@ def test_ulam_matrix_matches_the_reference(name):
 
 def _kinked(system):
     third = F(1, 3)
-    pot = dyn.IntervalPotential(
+    pot = dyn.PiecewiseAffine(
         pieces=(
             (RationalInterval(F(0), third), F(3), F(0)),
             (RationalInterval(third, F(1), False, True), F(0), F(1)),
         ),
         allow_negative=True,
     )
-    return th.PotentialFunction.of(system, pot)
+    return th.PotentialFunction(system, pot)
 
 
 RUELLE_ARRAYS = ("segs", "seg_cell", "pos", "cell_pos", "cell_slope", "rows", "cols")
@@ -314,7 +314,7 @@ RUELLE_ARRAYS = ("segs", "seg_cell", "pos", "cell_pos", "cell_slope", "rows", "c
 def test_ruelle_ulam_arrays_match_a_reference_build(name, energy, bins):
     s = load(name)
     h = tr.TransferHandle.create(s.system, s.potential)
-    psi = th.PotentialFunction.of(s.system, s.psi) if energy == "spec" else _kinked(s.system)
+    psi = th.PotentialFunction(s.system, s.psi) if energy == "spec" else _kinked(s.system)
     assert_arrays_match(th._RuelleUlam(h, psi, bins), ref_ruelle_arrays(h, psi, bins))
 
 
@@ -354,7 +354,7 @@ def _energy(system, kind):
         )
     else:
         pieces = ((comp, F(1), F(0) if kind == "x" else F(1, 2)),)
-    return th.PotentialFunction.of(system, dyn.IntervalPotential(pieces, allow_negative=True))
+    return th.PotentialFunction(system, dyn.PiecewiseAffine(pieces, allow_negative=True))
 
 
 MOVED = {
@@ -423,16 +423,16 @@ def test_quadrature_refuses_fewer_than_one_point(pts):
 def _grids(handle):
     """The grid functions the residual rows integrate, for the verification family."""
     carrier = th._single_component(handle.system)
-    unit = tr.TransferHandle.create(handle.system, dyn.IntervalPotential(((carrier, Q(0), Q(1)),)))
+    unit = tr.TransferHandle.create(handle.system, dyn.PiecewiseAffine(((carrier, Q(0), Q(1)),)))
     reg = dyn.regular_set(handle.system, handle.potential).delta_reg
-    fns = th.hat_battery(reg, 4) + [tr.TestFunction.const_on(carrier, 1)]
-    fns.append(tr.TestFunction.affine_on(RationalInterval(F(1, 5), F(4, 5)), F(3), F(-1, 2)))
+    fns = th.hat_battery(reg, 4) + [dyn.PiecewiseAffine.const_on(carrier, 1)]
+    fns.append(dyn.PiecewiseAffine.affine_on(RationalInterval(F(1, 5), F(4, 5)), F(3), F(-1, 2)))
     for a in fns:
         yield th._fiber_grid(handle, a)
         yield th._fiber_grid(unit, a)
-        yield th._grid_product(th._fn_grid(a, carrier), th._pot_grid(handle.potential, carrier))
+        yield th._grid_product(th._grid(a, carrier), th._grid(handle.potential, carrier))
         # a square, so the quadratic coefficient is read too
-        yield th._grid_product(th._fn_grid(a, carrier), th._fn_grid(a, carrier))
+        yield th._grid_product(th._grid(a, carrier), th._grid(a, carrier))
 
 
 @pytest.mark.parametrize("lo, hi, bins, zeros", MEASURES)
@@ -550,7 +550,7 @@ def test_solved_candidates_read_the_same(name, bins):
     # the three conformal grids of the benchmark, with the measures the solver returns
     s = load(name)
     h = tr.TransferHandle.create(s.system, s.potential)
-    psi = th.PotentialFunction.of(s.system, s.psi)
+    psi = th.PotentialFunction(s.system, s.psi)
     mu = th.solve_conformal(h, psi, bins=bins, bracket=(0.5, 6.0)).mu
     for pts in (1, 4):
         assert spelled_rows(quadrature_rows(mu, pts)) == spelled_rows(ref_quadrature(mu, pts))
@@ -562,9 +562,9 @@ def test_solved_candidates_read_the_same(name, bins):
 def test_state_checks_refuse_fewer_than_one_point(pts):
     s = tent_x()
     h = tr.TransferHandle.create(s.system, s.potential)
-    psi = th.PotentialFunction.of(s.system, s.psi)
+    psi = th.PotentialFunction(s.system, s.psi)
     mu = tr.UlamMeasure(F(0), F(1), (F(1),) * 8)
-    a = tr.TestFunction.hat(F(1, 2), F(1, 4))
+    a = dyn.PiecewiseAffine.hat(F(1, 2), F(1, 4))
     with pytest.raises(ValidationError, match="at least one point"):
         th.kms_battery(h, mu, 0.7, psi, count=4, pts=pts)
     with pytest.raises(ValidationError, match="at least one point"):

@@ -43,7 +43,7 @@ def _solver_build(bins, built):
     """The cell count and what the geometry and the solver's exact pass build at ``bins``."""
     s = specfile.bundled("tent_std")
     h = tr.TransferHandle.create(s.system, s.potential)
-    psi = th.PotentialFunction.of(s.system, s.psi)
+    psi = th.PotentialFunction(s.system, s.psi)
     (comp,) = s.system.ival.space.intervals
     built.update(intervals=0, batches=0)
     cells = len(tr.ulam_geometry(s.system.ival, comp.lo, comp.hi, bins).i)

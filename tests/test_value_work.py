@@ -1,7 +1,10 @@
-"""A ceiling on the per-point ``TestFunction.value`` calls of the state checks.
+"""A ceiling on the per-point test-function reads of the state checks.
 
+A test function on the interval backend is a ``PiecewiseAffine`` that reads
+zero off its pieces; weights and energies share the type but are undefined
+there, and the counter counts only the test functions' ``value`` calls.
 ``conformal_residual`` and ``kms_battery`` read their test functions at the
-quadrature points through ``TestFunction.floats``, one integer-array pass
+quadrature points through ``PiecewiseAffine.floats``, one integer-array pass
 per column, never point by point, and the residual's exact fibre-sum and
 product grids read only the functions' affine pieces.  On tent_std with the
 energy x at 256 bins, neither makes a per-point read; the point-by-point
@@ -27,23 +30,24 @@ BATTERY_CEILING = 0
 def solved():
     spec = specfile.bundled("tent_std")
     (comp,) = spec.system.ival.space.intervals
-    energy = dyn.IntervalPotential(((comp, Q(1), Q(0)),), allow_negative=True)
-    psi = th.PotentialFunction.of(spec.system, energy)
+    energy = dyn.PiecewiseAffine(((comp, Q(1), Q(0)),), allow_negative=True)
+    psi = th.PotentialFunction(spec.system, energy)
     handle = tr.TransferHandle.create(spec.system, spec.potential)
     return handle, psi, th.solve_conformal(handle, psi, bins=BINS, bracket=(0.5, 6.0))
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts every ``TestFunction.value`` call while the fixture is live."""
+    """Counts every test function's ``value`` call while the fixture is live."""
     count = [0]
-    value = tr.TestFunction.value
+    value = dyn.PiecewiseAffine.value
 
     def counting(self, x):
-        count[0] += 1
+        if self.zero_outside:  # a weight or an energy is not a test function
+            count[0] += 1
         return value(self, x)
 
-    monkeypatch.setattr(tr.TestFunction, "value", counting)
+    monkeypatch.setattr(dyn.PiecewiseAffine, "value", counting)
     return count
 
 
@@ -62,7 +66,7 @@ def test_the_battery_reads_no_column_point_by_point(solved, calls):
 def test_the_counter_sees_every_call(calls):
     spec = specfile.bundled("tent_std")
     handle = tr.TransferHandle.create(spec.system, spec.potential)
-    f = tr.TestFunction.hat(Q(1, 2), Q(1, 4))
+    f = dyn.PiecewiseAffine.hat(Q(1, 2), Q(1, 4))
     f.value(Q(1, 2))
     tr.apply(handle, f, Q(1, 3))
     assert calls[0] == 3  # one direct read, one per preimage of 1/3

@@ -49,11 +49,11 @@ def _golden_mean():
 def identity_system():
     sys_ = dyn.PartialSystem(
         dyn.IntervalSystem(
-            IntervalSet.closed(0, 1), [dyn.AffineBranch(RationalInterval(0, 1), 1, 0)]
+            IntervalSet.of(RationalInterval(0, 1)), [dyn.AffineBranch(RationalInterval(0, 1), 1, 0)]
         ),
         name="ident",
     )
-    pot = dyn.IntervalPotential(pieces=((RationalInterval(0, 1), F(0), F(1)),))
+    pot = dyn.PiecewiseAffine(pieces=((RationalInterval(0, 1), F(0), F(1)),))
     return sys_, pot
 
 
@@ -62,11 +62,11 @@ def pure_contraction():
     # x/2 on [0,1] with a weight that never vanishes
     sys_ = dyn.PartialSystem(
         dyn.IntervalSystem(
-            IntervalSet.closed(0, 1), [dyn.AffineBranch(RationalInterval(0, 1), F(1, 2), 0)]
+            IntervalSet.of(RationalInterval(0, 1)), [dyn.AffineBranch(RationalInterval(0, 1), F(1, 2), 0)]
         ),
         name="shrink",
     )
-    pot = dyn.IntervalPotential(pieces=((RationalInterval(0, 1), F(0), F(1)),))
+    pot = dyn.PiecewiseAffine(pieces=((RationalInterval(0, 1), F(0), F(1)),))
     return sys_, pot
 
 
@@ -127,10 +127,10 @@ class TestTopFree:
         # so the window of phi^2 = id is cut by reg and by phi^-1(reg)
         flip = dyn.PartialSystem(
             dyn.IntervalSystem(
-                IntervalSet.closed(0, 1), [dyn.AffineBranch(RationalInterval(0, 1), -1, 1)]
+                IntervalSet.of(RationalInterval(0, 1)), [dyn.AffineBranch(RationalInterval(0, 1), -1, 1)]
             )
         )
-        pot = dyn.IntervalPotential(
+        pot = dyn.PiecewiseAffine(
             pieces=(
                 (RationalInterval(0, F(1, 4)), F(0), F(0)),
                 (RationalInterval(F(1, 4), 1), F(1), F(-1, 4)),
@@ -453,7 +453,7 @@ GAPPED = IntervalSet.of(RationalInterval(0, F(1, 8)), RationalInterval(F(1, 2), 
 SPACES = {
     "gapped": GAPPED,
     "gapped-wide": IntervalSet.of(RationalInterval(0, F(1, 4)), RationalInterval(F(1, 2), 1)),
-    "shifted": IntervalSet.closed(1, 3),
+    "shifted": IntervalSet.of(RationalInterval(1, 3)),
 }
 
 
@@ -820,8 +820,8 @@ class TestWitnessNorms:
         half = RationalInterval(0, F(1, 2))
         space = IntervalSet.of(RationalInterval(0, 1))
         system = dyn.PartialSystem(dyn.IntervalSystem(space, [dyn.AffineBranch(half, 2, 0)]))
-        handle = tr.TransferHandle.create(system, dyn.IntervalPotential(((half, 0, 1),)))
-        fns = [tr.TestFunction.hat(F(3, 4), F(1, 4), 1), tr.TestFunction.hat(F(3, 8), F(1, 8), 1)]
+        handle = tr.TransferHandle.create(system, dyn.PiecewiseAffine(((half, 0, 1),)))
+        fns = [dyn.PiecewiseAffine.hat(F(3, 4), F(1, 4), 1), dyn.PiecewiseAffine.hat(F(3, 8), F(1, 8), 1)]
         at_anchor, below = _witness_norms(rep.OrbitBasis(handle, F(3, 4), 3), fns)
         # the weight is zero at the anchor, so a t - a sqrt(rho) vanishes for a hat there
         assert at_anchor == 0.0

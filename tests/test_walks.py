@@ -246,15 +246,15 @@ def _gappy_map():
     """x -> 2x on [0, 1/2] inside [0, 1]: the domain misses (1/2, 1], and the
     weight is defined on [0, 1/4] only, so it raises before the walk leaves."""
     system = dyn.PartialSystem(
-        dyn.IntervalSystem(IntervalSet.closed(0, 1), [dyn.AffineBranch(RationalInterval(0, F(1, 2)), 2, 0)])
+        dyn.IntervalSystem(IntervalSet.of(RationalInterval(0, 1)), [dyn.AffineBranch(RationalInterval(0, F(1, 2)), 2, 0)])
     )
-    pot = dyn.IntervalPotential(pieces=((RationalInterval(0, F(1, 4)), 1, 1),))
+    pot = dyn.PiecewiseAffine(pieces=((RationalInterval(0, F(1, 4)), 1, 1),))
     return system, pot
 
 
 def _interval_cases():
     system, pot = _gappy_map()
-    full = dyn.IntervalPotential(pieces=((RationalInterval(0, 1), 0, 2),))
+    full = dyn.PiecewiseAffine(pieces=((RationalInterval(0, 1), 0, 2),))
     for j in range(17):
         for weight in (pot, full):
             yield system, weight, F(j, 16)
