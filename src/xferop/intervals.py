@@ -36,9 +36,10 @@ A ``RationalPoints`` is a batch of rationals as numerator and denominator
 arrays: int64 while the data allows it, Python ints past 2^53.  Batches
 multiply, add, take an affine map, an interval test, a comparison, a max
 or min and a floor or ceiling elementwise, sort by exact value and round
-to floats bit for bit; ``affine_values`` and ``affine_floats`` evaluate a
-piecewise-affine function (pieces and point overrides) on one, exactly or
-as the ``float`` of the exact value.  The map's walks in ``dynamics`` and
+to floats bit for bit, refusing by name a value past the float range as
+``float_of`` does for one number; ``affine_values`` and ``affine_floats``
+evaluate a piecewise-affine function (pieces and point overrides) on one,
+exactly or as the ``float`` of the exact value.  The map's walks in ``dynamics`` and
 the Ulam bin geometry in ``transfer`` run on them, and ``RationalIds``
 interns them by their reduced pair.
 """
