@@ -7,6 +7,16 @@ tables carry their tolerance and say which indices they were computed on.
 
 Exit codes: 0 success or Holds, 1 Fails, 2 Unknown, 3 unusable input,
 4 internal error (a bug: the traceback goes to stderr).
+
+Imports: a user runs one process per command, so start-up is most of a
+short command's wall time, and without bytecode caching (for instance
+under ``PYTHONDONTWRITEBYTECODE``) every imported module is compiled
+again at each start.  So this module loads at import only what resolving
+a spec and printing the header need (``dynamics``, ``specfile``,
+``transfer``, ``intervals``, ``errors``, ``click`` and numpy) and
+``verdicts``, whose checks ``_CHECKS`` binds.  ``thermo``, ``rep``,
+``spectra`` and ``groupoid`` are imported inside the commands and helpers
+that call them.
 """
 
 from __future__ import annotations
@@ -29,11 +39,7 @@ import numpy as np
 
 from . import __version__
 from . import dynamics as dyn
-from . import groupoid as gp
-from . import rep
 from . import specfile as sf
-from . import spectra as sp
-from . import thermo as th
 from . import transfer as tr
 from . import verdicts as vd
 from .errors import ParseError, ValidationError, XferopError, NoSolution
@@ -221,6 +227,8 @@ def _samples_of(spec: sf.SpecData, sample_args: tuple) -> list:
 
 def _psi_of(spec: sf.SpecData, psi_arg: str | None):
     """Energy selection: the spec's own energy when present, else a constant."""
+    from . import thermo as th
+
     if psi_arg is None:
         if spec.psi is not None:
             return th.PotentialFunction(spec.system, spec.psi), "spec"
@@ -243,6 +251,8 @@ def _psi_of(spec: sf.SpecData, psi_arg: str | None):
 
 def _battery_fns(handle: tr.TransferHandle, rng: random.Random, size: int):
     if handle.system.backend == "interval":
+        from . import thermo as th
+
         return th._battery_functions(handle, rng, size)
     g = handle.system.gph
     coeffs = (Q(1), Q(1, 2), Q(2, 3))
@@ -258,10 +268,13 @@ def _battery_fns(handle: tr.TransferHandle, rng: random.Random, size: int):
 
 
 def _bracket_of(text: str) -> tuple[float, float]:
+    """The ``--bracket`` ends; NaN would read as unordered and inf overflow the solve."""
     try:
         lo, hi = (float(p) for p in text.split(","))
     except Exception:
         raise ParseError(f"bad bracket {text!r}; expected 'lo,hi'") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParseError(f"bad bracket {text!r}; both ends must be finite")
     return lo, hi
 
 
@@ -294,8 +307,10 @@ def _measure_from_doc(doc: dict, system: dyn.PartialSystem):
     raise ParseError(f"unknown measure type {kind!r}")
 
 
-def _load_candidate(path: str, system: dyn.PartialSystem) -> th.KMSCandidate:
-    """The candidate in a file: a finite number ``beta`` and a probability measure."""
+def _load_candidate(path: str, system: dyn.PartialSystem):
+    """The ``thermo.KMSCandidate`` in a file: a finite number ``beta`` and a probability measure."""
+    from . import thermo as th
+
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
@@ -431,6 +446,8 @@ def domain(spec_arg, out, fmt, depth):
 @_guarded
 def rep_cmd(mode, spec_arg, out, fmt, anchor, depth, width):
     """Build a matrix model on the preimage tree and report its shape."""
+    from . import rep
+
     spec, digest = _resolve(spec_arg)
     handle = tr.TransferHandle.create(spec.system, spec.potential)
     pt = _anchor_of(spec, anchor)
@@ -462,6 +479,8 @@ def rep_cmd(mode, spec_arg, out, fmt, anchor, depth, width):
 @_guarded
 def relations(spec_arg, out, fmt, anchor, depth, count, seed, tol):
     """Run the defining-relation battery on a truncated matrix model."""
+    from . import rep
+
     spec, digest = _resolve(spec_arg)
     handle = tr.TransferHandle.create(spec.system, spec.potential)
     pt = _anchor_of(spec, anchor)
@@ -510,6 +529,8 @@ def relations(spec_arg, out, fmt, anchor, depth, count, seed, tol):
 @_guarded
 def spectrum(spec_arg, out, fmt, n, samples):
     """Describe the spectrum of one core level: strata, points, topology."""
+    from . import spectra as sp
+
     spec, digest = _resolve(spec_arg)
     desc = sp.spectrum_An(spec.system, spec.potential, n)
     rpt = Report("spectrum", spec_arg, digest)
@@ -540,6 +561,8 @@ def spectrum(spec_arg, out, fmt, n, samples):
 @_guarded
 def quasi_orbits_cmd(spec_arg, out, fmt, depth, samples):
     """Partition sample points into quasi-orbit classes."""
+    from . import spectra as sp
+
     spec, digest = _resolve(spec_arg)
     pts = _samples_of(spec, samples)
     part = sp.quasi_orbits(spec.system, spec.potential, depth, pts)
@@ -599,6 +622,8 @@ def check(prop, spec_arg, out, fmt, depth):
 @_guarded
 def conformal(spec_arg, out, fmt, psi_arg, bins, bracket, tol, check_path, candidate_out):
     """Solve for the eigen-measure temperature, or verify a saved candidate."""
+    from . import thermo as th
+
     spec, digest = _resolve(spec_arg)
     handle = tr.TransferHandle.create(spec.system, spec.potential)
     psi, psi_label = _psi_of(spec, psi_arg)
@@ -665,6 +690,8 @@ def _verify_fns(handle: tr.TransferHandle):
     """Deterministic verification family inside the regular region."""
     if handle.system.backend == "graph":
         return [tr.CylinderFunction.indicator(p) for p in handle.system.gph.words(1)]
+    from . import thermo as th
+
     reg = dyn.regular_set(handle.system, handle.potential).delta_reg
     fns = th.hat_battery(reg, 4)
     for iv in reg.intervals:
@@ -686,6 +713,8 @@ def _verify_fns(handle: tr.TransferHandle):
 @_guarded
 def kms_verify(spec_arg, out, fmt, cand_path, psi_arg, count, seed, tol):
     """Check the exchange identity of a candidate over a monomial battery."""
+    from . import thermo as th
+
     spec, digest = _resolve(spec_arg)
     handle = tr.TransferHandle.create(spec.system, spec.potential)
     psi, psi_label = _psi_of(spec, psi_arg)
@@ -731,6 +760,8 @@ def groupoid():
 @_guarded
 def groupoid_build(spec_arg, out, fmt, depth, seeds, restrict_regular, max_elements):
     """Enumerate truncated arrows and emit the element table."""
+    from . import groupoid as gp
+
     spec, digest = _resolve(spec_arg)
     system, pot = spec.system, spec.potential
     note = None
@@ -765,6 +796,8 @@ def groupoid_build(spec_arg, out, fmt, depth, seeds, restrict_regular, max_eleme
 @_guarded
 def groupoid_gap(spec_arg, out, fmt, n, samples, tower):
     """List equal-image pairs at one step count."""
+    from . import groupoid as gp
+
     spec, digest = _resolve(spec_arg)
     pts = _samples_of(spec, samples)
     pairs = gp.gap_relation(spec.system, n, pts)
@@ -793,6 +826,9 @@ def groupoid_gap(spec_arg, out, fmt, n, samples, tower):
 @_guarded
 def groupoid_iso_check(spec_arg, out, fmt, anchor, depth, count, seed, tol):
     """Compare matrix products against arrow-space convolution."""
+    from . import groupoid as gp
+    from . import rep
+
     if count < 1:
         raise ValidationError(f"the check needs at least one pair, got count={count}")
     spec, digest = _resolve(spec_arg)
@@ -827,6 +863,8 @@ def groupoid_iso_check(spec_arg, out, fmt, anchor, depth, count, seed, tol):
 @_guarded
 def groupoid_graph_gen(spec_arg, out, fmt, depth, anchor, lam, tol):
     """Build edge generators and check their defining relations."""
+    from . import groupoid as gp
+
     spec, digest = _resolve(spec_arg)
     if spec.system.backend != "graph":
         raise ValidationError("edge generators need a graph backend")
@@ -860,6 +898,8 @@ def groupoid_graph_gen(spec_arg, out, fmt, depth, anchor, lam, tol):
 @_guarded
 def report(spec_arg, out, fmt, depth):
     """One-stop summary: validity, regions, verdicts, and spectrum."""
+    from . import spectra as sp
+
     spec, digest = _resolve(spec_arg)
     rpt = Report("report", spec_arg, digest)
     rpt.line(f"name: {spec.name}")

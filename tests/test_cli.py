@@ -1,5 +1,6 @@
 """Contract tests for the ``xferop`` command line."""
 
+import csv
 import json
 import os
 import subprocess
@@ -64,6 +65,19 @@ def test_conformal_overflowing_bracket_exits_3(tmp_path, spec, bracket):
     assert isinstance(result.exception, SystemExit)
     beta = bracket.split(",")[0]
     assert f"error: exp(-beta*energy) overflows at beta={float(beta)!r}" in result.output
+    assert "beta:" not in result.output and "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("spec", ["tent_x", "tent_std", "fullshift2"])
+@pytest.mark.parametrize("bracket", ["nan,1", "0.5,inf", "-inf,1"])
+def test_conformal_refuses_a_non_finite_bracket_end(tmp_path, spec, bracket):
+    # NaN used to read as "not increasing", inf overflowed the bisection on a
+    # varying energy, and tent_std's closed form solved 0.5,inf with exit 0
+    path = _spec_with_energy_x(tmp_path) if spec == "tent_x" else spec
+    result = CliRunner().invoke(main, ["conformal", "--spec", path, "--bracket", bracket])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: bad bracket {bracket!r}; both ends must be finite" in result.output
     assert "beta:" not in result.output and "Traceback" not in result.output
 
 
@@ -413,6 +427,33 @@ def test_each_verdict_part_computed_once(monkeypatch, spec, command, want):
     result = CliRunner().invoke(main, [*command, "--spec", spec])
     assert result.exit_code in (0, 1, 2), result.output
     assert calls == want
+
+
+def _report_statuses(spec):
+    """Property -> status from the verdict table of ``report --depth 3``."""
+    result = CliRunner().invoke(main, ["report", "--spec", spec, "--depth", "3", "--format", "csv"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    start = lines.index("# table: verdicts") + 1
+    end = next(i for i in range(start, len(lines)) if lines[i].startswith("# "))
+    rows = list(csv.reader(lines[start:end]))
+    assert rows[0][:2] == ["property", "status"]
+    return {row[0]: row[1] for row in rows[1:]}
+
+
+@pytest.mark.parametrize("spec", specfile.BUNDLED)
+def test_report_and_checks_agree(spec):
+    status_of = {code: status for status, code in cli._STATUS_EXIT.items()}
+    statuses = _report_statuses(spec)
+    seen = set()
+    for prop in cli._CHECKS:
+        result = CliRunner().invoke(main, ["check", prop, "--spec", spec, "--depth", "3"])
+        verdict = next(line for line in result.output.splitlines() if line.endswith(" (depth 3)"))
+        name, printed = verdict.removesuffix(" (depth 3)").split(": ")
+        assert printed == status_of[result.exit_code], result.output
+        assert statuses[name] == printed, (prop, result.output)
+        seen.add(name)
+    assert seen == set(statuses)
 
 
 @pytest.mark.parametrize(
