@@ -268,7 +268,7 @@ def _battery_fns(handle: tr.TransferHandle, rng: random.Random, size: int):
 
 
 def _bracket_of(text: str) -> tuple[float, float]:
-    """The ``--bracket`` ends; NaN would read as unordered and inf overflow the solve."""
+    """The ``--bracket`` ends, which must be finite: the bisection takes their midpoints."""
     try:
         lo, hi = (float(p) for p in text.split(","))
     except Exception:
