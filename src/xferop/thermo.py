@@ -1069,7 +1069,10 @@ def solve_conformal(
     power steps.
     """
     b_lo, b_hi = float(bracket[0]), float(bracket[1])
-    if not b_lo < b_hi:  # also refuses NaN ends
+    # the bisection would take an infinite end for the root: (0.5, inf) gave beta = inf
+    if not (math.isfinite(b_lo) and math.isfinite(b_hi)):
+        raise ValidationError(f"bracket ({b_lo}, {b_hi}) needs finite ends")
+    if not b_lo < b_hi:
         raise ValidationError("bracket must be increasing")
     if bins < 1:
         raise ValidationError(f"the bin grid needs at least one bin, got bins={bins}")

@@ -261,10 +261,17 @@ def _replay_invariant(system: PartialSystem, pot: Potential, region) -> None:
         raise XferopError(f"minimality certificate {region} is not an invariant open set")
 
 
-def _closure_step(sys_, pos, reg, u):
-    return u.union(sys_.image_of(u.intersection(pos))).union(
-        sys_.preimage_of(u).intersection(reg)
-    )
+def _closure_step(sys_, pos, reg, u, img=None):
+    """``u | phi(u & pos) | (phi^-1(u) & reg)``: one full closure step.
+
+    ``img``, when given, is the image half ``phi(u & pos)``, already built
+    by the caller.  ``check_minimal`` builds it first and looks the memo up
+    in it, since ``img`` lies inside the step: a recorded seed inside
+    ``img`` decides the seed, and the preimage half is never built.
+    """
+    if img is None:
+        img = sys_.image_of(u.intersection(pos))
+    return u.union(img).union(sys_.preimage_of(u).intersection(reg))
 
 
 def _order_float(x: Fraction) -> float:
@@ -353,6 +360,18 @@ def check_minimal(system: PartialSystem, pot: Potential, depth: int = 8) -> Verd
     is not X never meets the rule, so it is iterated as before and the
     Fails certificate is the one the bare loop finds.
 
+    Each step first builds its image half ``img = phi(u & pos)`` and looks
+    it up at ``j + 1``.  ``img`` lies inside the step's result, so a
+    recorded s inside ``img`` with bound K makes the seed reach X within
+    ``j + 1 + K`` steps, and the same rule counts it as saturating exactly
+    when ``j + 1 + K < 4*depth``.  A set containing a recorded seed has
+    closure X, so this lookup too never fires on a seed whose closure is
+    not X, and the Fails certificate stays the one the bare loop finds.  On
+    a miss the step is finished from the same ``img``, so the scan goes on
+    as the bare loop does and Unknown decisions stay as they are.  For an
+    expanding map a recorded seed mostly lies in ``img`` already, so a seed
+    that saturates never builds its preimage half.
+
     Recorded seeds are searched newest first, because seeds come coarse to
     fine and a finer seed more often lies in a trail.  A float filter
     (``_SaturationMemo.lookup``) skips seeds that cannot lie in the set;
@@ -371,7 +390,11 @@ def check_minimal(system: PartialSystem, pot: Potential, depth: int = 8) -> Verd
             steps = memo.lookup(u, j, max_iter)
             if steps is not None:
                 break
-            nxt = _closure_step(sys_, pos, reg, u)
+            img = sys_.image_of(u.intersection(pos))
+            steps = memo.lookup(img, j + 1, max_iter)
+            if steps is not None:
+                break
+            nxt = _closure_step(sys_, pos, reg, u, img)
             if nxt == u:
                 if u != space:
                     _replay_invariant(system, pot, u)

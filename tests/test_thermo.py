@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 import time
 import weakref
 from collections import Counter
@@ -1147,8 +1148,16 @@ class TestSolveConformal:
     def test_bad_bracket_rejected(self, tent_handle, psi_one):
         with pytest.raises(ValidationError):
             th.solve_conformal(tent_handle, psi_one, bracket=(2.0, 1.0))
-        with pytest.raises(ValidationError):
-            th.solve_conformal(tent_handle, psi_one, bracket=(math.nan, 1.0))
+
+    @pytest.mark.parametrize(
+        "bracket, shown",
+        [((0.5, math.inf), "(0.5, inf)"), ((-math.inf, 1.0), "(-inf, 1.0)"),
+         ((math.nan, 1.0), "(nan, 1.0)")],
+    )
+    def test_non_finite_bracket_rejected(self, tent_handle, psi_one, bracket, shown):
+        # (0.5, inf) used to return beta = inf in place of log 2
+        with pytest.raises(ValidationError, match=re.escape(f"bracket {shown} needs finite ends")):
+            th.solve_conformal(tent_handle, psi_one, bracket=bracket)
 
     def test_candidate_mass_enforced(self):
         lopsided = tr.UlamMeasure(F(0), F(1), (F(3),) * 4)

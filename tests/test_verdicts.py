@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -312,6 +313,19 @@ def _bare_minimal(system, pot, depth):
     return vd.Verdict("Minimal", "Holds", vd.MinimalScan(depth, len(seeds), max_iter), depth)
 
 
+def _count_closure_steps(monkeypatch):
+    """A list that grows by one at every full closure step from here on."""
+    steps = []
+    closure_step = vd._closure_step
+
+    def counted(*args):
+        steps.append(None)
+        return closure_step(*args)
+
+    monkeypatch.setattr(vd, "_closure_step", counted)
+    return steps
+
+
 class TestMinimalMemo:
     @pytest.mark.parametrize("depth", [1, 2, 4, 6, 8])
     @pytest.mark.parametrize("name", specfile.BUNDLED)
@@ -350,6 +364,20 @@ class TestMinimalMemo:
         assert got.fails
         assert 0 < read < every
         assert (got.status, got.certificate) == (want.status, want.certificate)
+
+    @pytest.mark.parametrize(
+        "name, depth, ceiling",
+        # 513 and 129 on tent_std before the lookup in the image half
+        [("tent_std", 8, 3), ("tent_std", 6, 3), ("tent_half", 8, 2), ("doubling", 8, 2),
+         ("halving", 8, 1)],
+    )
+    def test_closure_steps_on_bundled(self, name, depth, ceiling, monkeypatch):
+        s = specfile.bundled(name)
+        steps = _count_closure_steps(monkeypatch)
+        vd.check_minimal(s.system, s.potential, depth)
+        assert 0 < len(steps) <= ceiling
+        if name != "tent_std":
+            assert len(steps) == ceiling
 
     def test_bad_certificate_raises(self, monkeypatch):
         s = specfile.bundled("halving")
@@ -458,7 +486,9 @@ class TestPartialTent:
     No seed's closure reaches X, so every seed runs all 4 * depth closure
     steps and the scan reads Unknown, at a cost that grows about 3.3x per
     depth.  The ceiling pins today's cost; the work budget item 10 asks for
-    must lower it.
+    must lower it.  The memo lookup in each step's image half does not:
+    no seed is ever recorded here, so every lookup misses and every step is
+    built in full.
     """
 
     @pytest.fixture
@@ -472,19 +502,144 @@ class TestPartialTent:
         assert result.exit_code == 0, result.output
 
     def test_check_minimal_reads_unknown_under_the_step_ceiling(self, path, monkeypatch):
-        steps = 0
-        closure_step = vd._closure_step
-
-        def counted(*args):
-            nonlocal steps
-            steps += 1
-            return closure_step(*args)
-
-        monkeypatch.setattr(vd, "_closure_step", counted)
+        steps = _count_closure_steps(monkeypatch)
         result = CliRunner().invoke(cli.main, ["check", "minimal", "--spec", path, "--depth", "4"])
         assert result.exit_code == 2, result.output
         assert "Minimal: Unknown (depth 4)" in result.output
-        assert 0 < steps <= PARTIAL_TENT_STEPS
+        assert 0 < len(steps) <= PARTIAL_TENT_STEPS
+
+
+@st.composite
+def _grid_maps(draw):
+    """A partial map of [0, 1] with 1-3 affine branches whose domain and image
+    ends lie on a k/n grid (n <= 6), and a weight constant on each branch.
+
+    Half the draws are full-branch expanding maps, where Holds occurs: every
+    branch maps its closed domain onto [0, 1], and the slopes alternate in
+    sign, so shared ends agree, as on tent_std.  The others leave gaps in the
+    domain, have open or closed ends, images anywhere on the grid, slopes of
+    either sign and of any size, and weights that may vanish.
+    """
+    n = draw(st.integers(1, 6))
+    if n > 1 and draw(st.booleans()):
+        cuts = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=min(2, n - 1)))
+        ends = [F(k, n) for k in (0, *sorted(cuts), n)]
+        sign = draw(st.sampled_from((1, -1)))
+        branches = []
+        for a, b in zip(ends, ends[1:]):
+            slope = sign / (b - a)
+            branches.append(dyn.AffineBranch(RationalInterval(a, b), slope, (sign < 0) - slope * a))
+            sign = -sign
+        weight = draw(st.sampled_from((F(1), F(1, 2))))
+        pieces = [(RationalInterval(0, 1), F(0), weight)]
+    else:
+        branches, pieces, start = [], [], 0
+        for _ in range(draw(st.integers(1, 3))):
+            if start == n:
+                break
+            a = draw(st.integers(start, n - 1))
+            b = draw(st.integers(a + 1, n))
+            c, d = sorted(draw(st.sets(st.integers(0, n), min_size=2, max_size=2)))
+            slope = F(d - c, b - a) * draw(st.sampled_from((1, -1)))
+            intercept = F(c if slope > 0 else d, n) - slope * F(a, n)
+            lo_closed, hi_closed = draw(st.booleans()), draw(st.booleans())
+            shared = bool(branches) and branches[-1].domain.hi == F(a, n) and branches[-1].domain.hi_closed
+            if shared and branches[-1].value(F(a, n)) != slope * F(a, n) + intercept:
+                lo_closed = False  # two branches meet only where they agree
+            domain = RationalInterval(F(a, n), F(b, n), lo_closed, hi_closed)
+            branches.append(dyn.AffineBranch(domain, slope, intercept))
+            # a point two closed domains share takes the earlier branch's weight
+            piece = RationalInterval(domain.lo, domain.hi, lo_closed and not shared, hi_closed)
+            pieces.append((piece, F(0), draw(st.sampled_from((F(1), F(1, 2), F(0))))))
+            start = b
+    system = dyn.PartialSystem(dyn.IntervalSystem(IntervalSet.of(RationalInterval(0, 1)), branches))
+    return system, dyn.PiecewiseAffine(pieces=tuple(pieces))
+
+
+@st.composite
+def _grid_sets(draw):
+    """An interval set with 1-3 components, ends on the 1/12 grid."""
+    ivs = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = sorted(draw(st.sets(st.integers(0, 12), min_size=2, max_size=2)))
+        ivs.append(RationalInterval(F(a, 12), F(b, 12), draw(st.booleans()), draw(st.booleans())))
+    return IntervalSet(ivs)
+
+
+def _small_graphs():
+    """Every graph with at most 3 vertices and at most 4 edges, loops and
+    parallel edges included, once up to renaming the vertices; each named by
+    its vertices and its edges as source-range pairs, such as ``ab: aa ba``."""
+    seen = set()
+    for n in (1, 2, 3):
+        pairs = list(itertools.product(range(n), repeat=2))
+        for m in range(5):
+            for edges in itertools.combinations_with_replacement(pairs, m):
+                edges = min(
+                    tuple(sorted((p[s], p[r]) for s, r in edges))
+                    for p in itertools.permutations(range(n))
+                )
+                if (n, edges) not in seen:
+                    seen.add((n, edges))
+                    yield "abc"[:n] + ": " + " ".join("abc"[s] + "abc"[r] for s, r in edges)
+
+
+def _graph_spec(name):
+    vertices, edges = name.split(":")
+    edges = edges.split()
+    return specfile.parse_spec({
+        "backend": "graph", "vertices": list(vertices),
+        "edges": [{"name": f"e{i}", "src": e[0], "rng": e[1]} for i, e in enumerate(edges)],
+        "weights": {f"e{i}": "1" for i in range(len(edges))},
+    })
+
+
+# Graphs whose scans at the given depth take over 50 ms, memo and bare scan
+# together (best of two on a 2-core x86 VM): each is compared at the depths
+# below that one.  All read Unknown at the depth below, except a: aa aa aa aa
+# (Holds); the eight over the cap at depth 2 ran past 4 s at depth 3.
+GRAPHS_OVER_THE_CAP = {
+    "ab: aa aa ba": 2, "ab: aa aa aa ba": 2, "ab: aa aa ba ba": 2, "ab: aa aa ba bb": 2,
+    "abc: aa aa ab ca": 2, "abc: aa aa ba bc": 2, "abc: aa aa ba ca": 2, "abc: aa aa ba cb": 2,
+    "a: aa aa aa aa": 3, "ab: aa aa ab bb": 3, "ab: aa ab ab bb": 3, "ab: aa ba ba ba": 3,
+    "abc: aa ab ab ca": 3, "abc: aa ab ac bb": 3, "abc: aa ab ba ca": 3, "abc: aa ab ba cb": 3,
+    "abc: aa ab bb bc": 3, "abc: aa ab bb ca": 3, "abc: aa ab bb cb": 3, "abc: aa ab bc cb": 3,
+    "abc: aa ab bc cc": 3, "abc: aa ab ca ca": 3, "abc: aa ba ba ca": 3, "abc: aa ba ba cb": 3,
+    "abc: aa ba bc ca": 3, "abc: aa ba bc cb": 3, "abc: aa ba cb cb": 3, "abc: ab ab ba ca": 3,
+    "abc: ab ab ba cb": 3,
+}
+
+
+class TestMinimalOnDrawnSystems:
+    """The memo scan against the bare scan on systems nobody picked
+    (ROADMAP item 19(a)): interval maps drawn on a grid, and small graphs."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(_grid_maps())
+    def test_interval_maps_match_bare_scan(self, case):
+        system, pot = case
+        for depth in (1, 2, 3):
+            got = vd.check_minimal(system, pot, depth)
+            want = _bare_minimal(system, pot, depth)
+            assert (got.status, got.certificate) == (want.status, want.certificate)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(_grid_maps(), _grid_sets())
+    def test_step_from_the_image_half_matches(self, case, u):
+        system, pot = case
+        sys_, _, pos, reg = vd._regions(system, pot)
+        img = sys_.image_of(u.intersection(pos))
+        assert vd._closure_step(sys_, pos, reg, u, img) == vd._closure_step(sys_, pos, reg, u)
+
+    def test_small_graphs_match_bare_scan(self):
+        names = list(_small_graphs())
+        assert len(names) == 177 and GRAPHS_OVER_THE_CAP.keys() <= set(names)
+        for name in names:
+            spec = _graph_spec(name)
+            for depth in range(1, min(GRAPHS_OVER_THE_CAP.get(name, 4), 4)):
+                got = vd.check_minimal(spec.system, spec.potential, depth)
+                want = _bare_minimal(spec.system, spec.potential, depth)
+                assert (got.status, got.certificate) == (want.status, want.certificate), (name, depth)
 
 
 def _grid_seeds_with_check(space, depth):
